@@ -7,7 +7,7 @@
 //! acknowledged puts and deletes survive any crash.
 
 use veros_fs::journal::{FsOp, JournaledFs};
-use veros_fs::Path;
+use veros_fs::{FsError, Path};
 use veros_hw::SimDisk;
 
 use crate::wire::block_checksum;
@@ -44,8 +44,14 @@ pub struct BlockStore {
 fn key_path(key: &str) -> String {
     // Hex-encode so arbitrary keys are always valid single-component
     // paths.
-    let hex: String = key.bytes().map(|b| format!("{b:02x}")).collect();
-    format!("/b_{hex}")
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut path = String::with_capacity(3 + 2 * key.len());
+    path.push_str("/b_");
+    for b in key.bytes() {
+        path.push(HEX[(b >> 4) as usize] as char);
+        path.push(HEX[(b & 0xf) as usize] as char);
+    }
+    path
 }
 
 fn path_key(path: &str) -> Option<String> {
@@ -81,7 +87,8 @@ impl BlockStore {
     }
 
     /// Stores a block, verifying the client checksum first. One
-    /// committed transaction: after `Ok`, the block survives crashes.
+    /// committed transaction: after `Ok`, the block survives crashes;
+    /// after `Err`, the previous value (if any) is still the stored one.
     pub fn put(&mut self, key: &str, data: &[u8], checksum: u64) -> Result<(), StoreError> {
         let _latency = crate::metrics::PUT_LATENCY.timer();
         if block_checksum(data) != checksum {
@@ -94,34 +101,36 @@ impl BlockStore {
             .fs
             .lookup(&Path::parse(&path).expect("hex path"))
             .is_ok();
-        if !exists {
-            self.fs
-                .apply(FsOp::Create(path.clone()))
-                .map_err(|e| StoreError::Fs(e.to_string()))?;
+        let reset = if exists {
+            FsOp::Truncate(path.clone(), 0)
         } else {
-            self.fs
-                .apply(FsOp::Truncate(path.clone(), 0))
-                .map_err(|e| StoreError::Fs(e.to_string()))?;
-        }
-        let mut payload = checksum.to_le_bytes().to_vec();
+            FsOp::Create(path.clone())
+        };
+        let mut payload = Vec::with_capacity(8 + data.len());
+        payload.extend_from_slice(&checksum.to_le_bytes());
         payload.extend_from_slice(data);
         self.fs
-            .apply(FsOp::WriteAt(path, 0, payload))
-            .map_err(|e| StoreError::Fs(e.to_string()))?;
-        self.fs.commit().map_err(|e| StoreError::Fs(e.to_string()))?;
-        Ok(())
+            .transact(&[reset, FsOp::WriteAt(path, 0, payload)])
+            .map_err(|e| StoreError::Fs(e.to_string()))
     }
 
     /// Fetches a block and its stored checksum, verifying integrity.
     pub fn get(&self, key: &str) -> Result<(Vec<u8>, u64), StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
         let path = Path::parse(&key_path(key)).expect("hex path");
-        let raw = self.fs.fs.read_file(&path).map_err(|_| StoreError::NotFound)?;
-        if raw.len() < 8 {
+        let fs = &self.fs.fs;
+        let ino = fs.lookup(&path).map_err(|_| StoreError::NotFound)?;
+        let len = fs.len_of(ino).map_err(|_| StoreError::NotFound)?;
+        if len < 8 {
             return Err(StoreError::Corrupt);
         }
-        let checksum = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes"));
-        let data = raw[8..].to_vec();
+        // Checksum prefix and block are read straight into their final
+        // homes: one copy of the block, not file -> scratch -> result.
+        let mut prefix = [0u8; 8];
+        let mut data = vec![0; len as usize - 8];
+        fs.read_at(ino, 0, &mut prefix).map_err(|_| StoreError::NotFound)?;
+        fs.read_at(ino, 8, &mut data).map_err(|_| StoreError::NotFound)?;
+        let checksum = u64::from_le_bytes(prefix);
         if block_checksum(&data) != checksum {
             crate::metrics::CHECKSUM_FAILURES.inc();
             return Err(StoreError::Corrupt);
@@ -133,11 +142,10 @@ impl BlockStore {
     pub fn delete(&mut self, key: &str) -> Result<(), StoreError> {
         let _latency = crate::metrics::DELETE_LATENCY.timer();
         let path = key_path(key);
-        self.fs
-            .apply(FsOp::Unlink(path))
-            .map_err(|_| StoreError::NotFound)?;
-        self.fs.commit().map_err(|e| StoreError::Fs(e.to_string()))?;
-        Ok(())
+        self.fs.transact(&[FsOp::Unlink(path)]).map_err(|e| match e {
+            FsError::NoSpace => StoreError::Fs(e.to_string()),
+            _ => StoreError::NotFound,
+        })
     }
 
     /// All keys, sorted.
@@ -218,6 +226,43 @@ mod tests {
         disk.crash_keep_prefix(0); // Drop all unflushed writes.
         let s = BlockStore::recover(disk);
         assert_eq!(s.get("durable").unwrap().0, b"yes");
+    }
+
+    /// A put that does not fit the journal must fail whole. Before
+    /// transactions reserved their space, an overwrite whose 1-sector
+    /// `Truncate` record fitted and whose 3-sector `WriteAt` did not
+    /// left the key truncated in memory and an open transaction on
+    /// disk, which the next small commit (the delete below) sealed: the
+    /// acknowledged value was gone for good.
+    #[test]
+    fn a_put_refused_for_space_never_damages_the_acknowledged_value() {
+        for sectors in 8..40 {
+            let mut s = BlockStore::format(sectors);
+            let mut acked = None;
+            let mut refused = false;
+            for round in 0..8 {
+                let v = vec![round; 1024];
+                match s.put("k", &v, block_checksum(&v)) {
+                    Ok(()) => acked = Some(v),
+                    Err(e) => {
+                        assert_eq!(e, StoreError::Fs(FsError::NoSpace.to_string()));
+                        refused = true;
+                    }
+                }
+                if round == 0 {
+                    let _ = s.put("other", b"x", block_checksum(b"x"));
+                }
+            }
+            assert!(acked.is_some() && refused, "{sectors} sectors: one put lands, one is refused");
+            let stored = |s: &BlockStore| s.get("k").ok().map(|(data, _)| data);
+            assert_eq!(stored(&s), acked, "{sectors} sectors: live value after a refused put");
+            // A small transaction that still fits commits whatever the
+            // journal holds; it must not hold half a put.
+            let _ = s.delete("other");
+            assert_eq!(stored(&s), acked, "{sectors} sectors: live value after the delete");
+            let s = BlockStore::recover(s.into_disk());
+            assert_eq!(stored(&s), acked, "{sectors} sectors: recovered value");
+        }
     }
 
     #[test]

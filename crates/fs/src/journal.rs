@@ -9,14 +9,24 @@
 //! equals the in-memory state at some committed transaction boundary at
 //! or after the last acknowledged commit*.
 //!
-//! Record wire format (sector-packed, little-endian):
-//! `MAGIC u32 | kind u8 | txn u64 | payload(bytes)` — framed by the same
-//! marshalling discipline as the syscall layer, with a checksum so torn
-//! sectors are detected rather than misparsed.
+//! Record wire format (little-endian, zero-padded to whole sectors):
+//! `MAGIC u32 | kind u8 | len u32 | payload(len bytes) | checksum u32` —
+//! the payload framed by the same marshalling discipline as the syscall
+//! layer, the checksum over it so torn sectors are detected rather than
+//! misparsed.
+//!
+//! A mutation runs *validate → journal → apply*: the operation is
+//! checked against the live tree without touching it, its record is
+//! appended, and only then is the tree mutated in place — by a step
+//! that cannot fail, because the check already resolved everything it
+//! needs. A rejected operation (invalid, or `NoSpace` from a full
+//! journal) therefore leaves tree, journal position and disk exactly as
+//! they were, and the cost of an accepted one is proportional to the
+//! bytes it writes, not to the size of the tree.
 
 use veros_hw::{SimDisk, SECTOR_SIZE};
 
-use crate::memfs::{FsError, MemFs};
+use crate::memfs::{Checked, FsError, MemFs};
 use crate::path::Path;
 
 /// A journaled filesystem mutation.
@@ -37,26 +47,40 @@ pub enum FsOp {
 }
 
 impl FsOp {
-    /// Applies the operation to a filesystem.
-    pub fn apply(&self, fs: &mut MemFs) -> Result<(), FsError> {
+    /// Validates the operation against `fs` without mutating it: the
+    /// error it would fail with, or the resolved mutation that
+    /// [`MemFs::apply_checked`] then performs infallibly.
+    fn check(&self, fs: &MemFs) -> Result<Checked<'_>, FsError> {
         match self {
-            FsOp::Create(p) => fs.create(&parse(p)?).map(|_| ()),
-            FsOp::Mkdir(p) => fs.mkdir(&parse(p)?).map(|_| ()),
-            FsOp::Unlink(p) => fs.unlink(&parse(p)?),
-            FsOp::Rmdir(p) => fs.rmdir(&parse(p)?),
-            FsOp::WriteAt(p, off, data) => {
-                let ino = fs.lookup(&parse(p)?)?;
-                fs.write_at(ino, *off, data).map(|_| ())
-            }
-            FsOp::Truncate(p, len) => {
-                let ino = fs.lookup(&parse(p)?)?;
-                fs.truncate(ino, *len)
-            }
+            FsOp::Create(p) => fs.check_create(&parse(p)?),
+            FsOp::Mkdir(p) => fs.check_mkdir(&parse(p)?),
+            FsOp::Unlink(p) => fs.check_unlink(&parse(p)?),
+            FsOp::Rmdir(p) => fs.check_rmdir(&parse(p)?),
+            FsOp::WriteAt(p, off, data) => fs.check_write(fs.lookup(&parse(p)?)?, *off, data),
+            FsOp::Truncate(p, len) => fs.check_truncate(fs.lookup(&parse(p)?)?, *len),
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut e = wire::Encoder::new();
+    /// Applies the operation to a filesystem.
+    pub fn apply(&self, fs: &mut MemFs) -> Result<(), FsError> {
+        let checked = self.check(fs)?;
+        fs.apply_checked(checked);
+        Ok(())
+    }
+
+    /// Bytes [`FsOp::encode_into`] appends — known without encoding, so
+    /// a transaction's journal space can be reserved up front.
+    fn encoded_len(&self) -> usize {
+        // tag u8, then `len u32 | bytes` per string/blob and 8 per u64.
+        match self {
+            FsOp::Create(p) | FsOp::Mkdir(p) | FsOp::Unlink(p) | FsOp::Rmdir(p) => 1 + 4 + p.len(),
+            FsOp::WriteAt(p, _, data) => 1 + 4 + p.len() + 8 + 4 + data.len(),
+            FsOp::Truncate(p, _) => 1 + 4 + p.len() + 8,
+        }
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut e = wire::Encoder::new(buf);
         match self {
             FsOp::Create(p) => {
                 e.u8(1).str(p);
@@ -77,7 +101,6 @@ impl FsOp {
                 e.u8(6).str(p).u64(*len);
             }
         }
-        e.finish()
     }
 
     fn decode(bytes: &[u8]) -> Option<FsOp> {
@@ -104,16 +127,14 @@ fn parse(p: &str) -> Result<Path, FsError> {
 /// kernel crate, so the tiny encoder is duplicated here with the same
 /// format; the cross-implementation round-trip is itself a test).
 mod wire {
-    pub struct Encoder {
-        buf: Vec<u8>,
+    /// Appends to a caller-owned buffer (the journal's record buffer).
+    pub struct Encoder<'a> {
+        buf: &'a mut Vec<u8>,
     }
 
-    impl Encoder {
-        pub fn new() -> Self {
-            Self { buf: Vec::new() }
-        }
-        pub fn finish(self) -> Vec<u8> {
-            self.buf
+    impl<'a> Encoder<'a> {
+        pub fn new(buf: &'a mut Vec<u8>) -> Self {
+            Self { buf }
         }
         pub fn u8(&mut self, v: u8) -> &mut Self {
             self.buf.push(v);
@@ -189,6 +210,15 @@ mod wire {
 const MAGIC: u32 = 0x7665_4a4e; // "veJN"
 const KIND_OP: u8 = 1;
 const KIND_COMMIT: u8 = 2;
+/// Record framing around the payload: `MAGIC u32 | kind u8 | len u32`
+/// before it, `checksum u32` after.
+const HEADER: usize = 9;
+const TRAILER: usize = 4;
+
+/// Sectors a record carrying `payload_len` bytes occupies.
+fn record_sectors(payload_len: usize) -> u64 {
+    (HEADER + payload_len + TRAILER).div_ceil(SECTOR_SIZE) as u64
+}
 
 /// FNV-1a checksum (matches `veros_spec::rng::fnv1a` truncated to u32).
 fn checksum(bytes: &[u8]) -> u32 {
@@ -208,10 +238,9 @@ pub struct JournaledFs {
     disk: SimDisk,
     /// Next journal byte offset on disk.
     write_pos: u64,
-    /// Current transaction id.
-    txn: u64,
-    /// Ops buffered in the current (uncommitted) transaction.
-    pending: Vec<FsOp>,
+    /// The record being written, sector-padded; reused so an append
+    /// encodes straight into it and allocates nothing in steady state.
+    record: Vec<u8>,
     journaling: bool,
     /// Whether `commit` issues the flush barrier. Always true in real
     /// use; switched off only by the `invariant::fs_journal` ablation to
@@ -236,8 +265,7 @@ impl JournaledFs {
             fs: MemFs::new(),
             disk,
             write_pos: 0,
-            txn: 1,
-            pending: Vec::new(),
+            record: Vec::new(),
             journaling: true,
             commit_barriers: true,
             replayed_ops: 0,
@@ -262,19 +290,46 @@ impl JournaledFs {
         s
     }
 
-    /// Applies an operation in the current transaction: journal first
-    /// (WAL rule), then the in-memory state.
+    /// Applies an operation in the current transaction: validate,
+    /// journal (WAL rule), then mutate the in-memory state. On `Err`
+    /// neither the state nor the disk has changed.
     pub fn apply(&mut self, op: FsOp) -> Result<(), FsError> {
+        self.apply_op(&op)
+    }
+
+    fn apply_op(&mut self, op: &FsOp) -> Result<(), FsError> {
         // Validate against the live state first: failed operations must
-        // not reach the journal (replay would diverge).
-        let mut probe = self.fs.clone();
-        op.apply(&mut probe)?;
+        // not reach the journal (replay would diverge). The check
+        // resolves everything the mutation needs, so once the record is
+        // written the in-place apply has no way to fail.
+        let checked = op.check(&self.fs)?;
         if self.journaling {
-            self.append_record(KIND_OP, &op.encode())?;
+            self.append_record(KIND_OP, Some(op))?;
         }
-        self.pending.push(op.clone());
-        self.fs = probe;
+        self.fs.apply_checked(checked);
         Ok(())
+    }
+
+    /// Runs `ops` as one committed transaction. Journal space for every
+    /// record *and* the commit record is reserved before the first is
+    /// written: a transaction that does not fit fails with `NoSpace`
+    /// having changed neither memory nor disk, so it cannot leave a
+    /// half-applied prefix for a later commit to seal. Ops are validated
+    /// in order, each against the state its predecessors left; an
+    /// invalid op stops the transaction there, uncommitted, exactly as
+    /// the same sequence of [`JournaledFs::apply`] calls would.
+    pub fn transact(&mut self, ops: &[FsOp]) -> Result<(), FsError> {
+        if self.journaling {
+            let need = record_sectors(0)
+                + ops.iter().map(|op| record_sectors(op.encoded_len())).sum::<u64>();
+            if self.write_pos / SECTOR_SIZE as u64 + need > journal_sectors(&self.disk) {
+                return Err(FsError::NoSpace);
+            }
+        }
+        for op in ops {
+            self.apply_op(op)?;
+        }
+        self.commit()
     }
 
     /// Commits the current transaction: a commit record plus a flush
@@ -282,15 +337,18 @@ impl JournaledFs {
     /// crash.
     pub fn commit(&mut self) -> Result<(), FsError> {
         if self.journaling {
-            self.append_record(KIND_COMMIT, &[])?;
+            self.append_record(KIND_COMMIT, None)?;
             if self.commit_barriers {
                 self.disk.flush();
             }
             crate::metrics::JOURNAL_COMMITS.inc();
         }
-        self.pending.clear();
-        self.txn += 1;
         Ok(())
+    }
+
+    /// The underlying device, read-only (counters, capacity, sectors).
+    pub fn disk(&self) -> &SimDisk {
+        &self.disk
     }
 
     /// Consumes the filesystem, returning the disk (for crash tests).
@@ -304,7 +362,6 @@ impl JournaledFs {
         let mut pos = 0u64;
         let mut txn_ops: Vec<FsOp> = Vec::new();
         let mut committed_end = 0u64;
-        let mut txns = 0u64;
         let mut replayed = 0u64;
         'scan: while let Some((kind, payload, next)) = read_record(&disk, pos) {
             match kind {
@@ -328,7 +385,6 @@ impl JournaledFs {
                         op.apply(&mut fs).expect("committed op replays");
                     }
                     committed_end = next;
-                    txns += 1;
                 }
                 _ => break 'scan,
             }
@@ -343,34 +399,38 @@ impl JournaledFs {
             // New records go after the last committed record; trailing
             // uncommitted records are discarded (overwritten).
             write_pos: committed_end,
-            txn: txns + 1,
-            pending: Vec::new(),
+            record: Vec::new(),
             journaling: true,
             commit_barriers: true,
             replayed_ops: replayed,
         }
     }
 
-    fn append_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), FsError> {
+    /// Appends one record — `op`'s encoding, or the empty payload of a
+    /// commit record — at `write_pos`.
+    fn append_record(&mut self, kind: u8, op: Option<&FsOp>) -> Result<(), FsError> {
         // Record = MAGIC | kind | len | payload | checksum, padded to
         // sector boundaries.
-        let mut rec = Vec::with_capacity(payload.len() + 13);
-        rec.extend_from_slice(&MAGIC.to_le_bytes());
-        rec.push(kind);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&checksum(payload).to_le_bytes());
-        let sectors = rec.len().div_ceil(SECTOR_SIZE) as u64;
+        let payload_len = op.map_or(0, FsOp::encoded_len);
+        let sectors = record_sectors(payload_len);
         let first = self.write_pos / SECTOR_SIZE as u64;
         if first + sectors > journal_sectors(&self.disk) {
             return Err(FsError::NoSpace);
         }
-        for s in 0..sectors {
-            let mut sector = [0u8; SECTOR_SIZE];
-            let start = (s as usize) * SECTOR_SIZE;
-            let end = rec.len().min(start + SECTOR_SIZE);
-            sector[..end - start].copy_from_slice(&rec[start..end]);
-            self.disk.write(first + s, &sector).map_err(|_| FsError::NoSpace)?;
+        let rec = &mut self.record;
+        rec.clear();
+        rec.extend_from_slice(&MAGIC.to_le_bytes());
+        rec.push(kind);
+        rec.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        if let Some(op) = op {
+            op.encode_into(rec);
+        }
+        debug_assert_eq!(rec.len(), HEADER + payload_len, "encoded_len matches encode_into");
+        let sum = checksum(&rec[HEADER..]);
+        rec.extend_from_slice(&sum.to_le_bytes());
+        rec.resize(sectors as usize * SECTOR_SIZE, 0);
+        for (sector, data) in (first..).zip(rec.as_chunks::<SECTOR_SIZE>().0) {
+            self.disk.write(sector, data).map_err(|_| FsError::NoSpace)?;
         }
         self.write_pos = (first + sectors) * SECTOR_SIZE as u64;
         crate::metrics::WAL_BYTES.add(sectors * SECTOR_SIZE as u64);
@@ -404,8 +464,7 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(u8, Vec<u8>, u64)> {
     if len > (1 << 24) {
         return None;
     }
-    let total = 13 + len;
-    let sectors = total.div_ceil(SECTOR_SIZE) as u64;
+    let sectors = record_sectors(len);
     if first + sectors > disk.sectors() {
         return None;
     }
@@ -416,8 +475,8 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(u8, Vec<u8>, u64)> {
         disk.read(first + s, &mut buf).ok()?;
         raw[(s as usize) * SECTOR_SIZE..(s as usize + 1) * SECTOR_SIZE].copy_from_slice(&buf);
     }
-    let payload = raw[9..9 + len].to_vec();
-    let want = le_u32_at(&raw, 9 + len);
+    let payload = raw[HEADER..HEADER + len].to_vec();
+    let want = le_u32_at(&raw, HEADER + len);
     if checksum(&payload) != want {
         return None; // Torn record.
     }
@@ -430,7 +489,10 @@ mod tests {
     use veros_spec::rng::SpecRng;
 
     fn ops_round_trip(op: FsOp) {
-        assert_eq!(FsOp::decode(&op.encode()), Some(op));
+        let mut bytes = Vec::new();
+        op.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), op.encoded_len());
+        assert_eq!(FsOp::decode(&bytes), Some(op));
     }
 
     #[test]
@@ -442,6 +504,83 @@ mod tests {
         ops_round_trip(FsOp::WriteAt("/a".into(), 42, vec![1, 2, 3]));
         ops_round_trip(FsOp::Truncate("/a".into(), 7));
         assert_eq!(FsOp::decode(&[9, 0]), None);
+    }
+
+    /// The journal's on-disk bytes are a format other builds must be
+    /// able to recover from: 12 ops in 3 transactions, all six kinds,
+    /// one record of three sectors and one of two. The digest was taken
+    /// from the implementation that built each record in a fresh
+    /// `Vec`, before records were encoded in place.
+    #[test]
+    fn wal_bytes_are_pinned() {
+        let big: Vec<u8> = (0..1200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let txns: [Vec<FsOp>; 3] = [
+            vec![
+                FsOp::Mkdir("/d".into()),
+                FsOp::Create("/d/f".into()),
+                FsOp::WriteAt("/d/f".into(), 0, big.clone()),
+                FsOp::Create("/g".into()),
+            ],
+            vec![
+                FsOp::WriteAt("/g".into(), 5, b"hello".to_vec()),
+                FsOp::Truncate("/d/f".into(), 700),
+                FsOp::Mkdir("/e".into()),
+                FsOp::Create("/e/x".into()),
+            ],
+            vec![
+                FsOp::Unlink("/g".into()),
+                FsOp::Unlink("/e/x".into()),
+                FsOp::Rmdir("/e".into()),
+                FsOp::WriteAt("/d/f".into(), 3, big[..600].to_vec()),
+            ],
+        ];
+        let mut jfs = JournaledFs::format(SimDisk::new(64));
+        for ops in txns {
+            for op in ops {
+                jfs.apply(op).unwrap();
+            }
+            jfs.commit().unwrap();
+        }
+        let disk = jfs.into_disk();
+        assert_eq!(disk.stats(), (18, 3), "7 + 5 + 6 sectors, one barrier per commit");
+        // Two sectors past the last record: still zero.
+        let mut image = Vec::new();
+        for sector in 0..20 {
+            let mut buf = [0u8; SECTOR_SIZE];
+            disk.read(sector, &mut buf).unwrap();
+            image.extend_from_slice(&buf);
+        }
+        assert_eq!(veros_spec::rng::fnv1a(&image), 1890173362970270622);
+    }
+
+    /// The all-or-nothing rule (INVARIANTS.md §3): a transaction whose
+    /// records plus commit record do not fit is refused before the
+    /// first record is written, whatever prefix of it would have fitted.
+    #[test]
+    fn transaction_without_room_for_its_commit_changes_nothing() {
+        let txn = [
+            FsOp::Truncate("/f".into(), 0),
+            FsOp::WriteAt("/f".into(), 0, vec![9; 1024]),
+        ];
+        // 2 + 5 sectors are taken; the transaction needs 1 + 3 + 1.
+        for (sectors, fits) in [(8, false), (9, false), (11, false), (12, true)] {
+            let mut jfs = JournaledFs::format(SimDisk::new(sectors));
+            jfs.transact(&[FsOp::Create("/g".into())]).unwrap();
+            jfs.transact(&[FsOp::Create("/f".into()), FsOp::WriteAt("/f".into(), 0, vec![1; 1024])])
+                .unwrap();
+            let before = (jfs.fs.clone(), jfs.write_pos, jfs.disk.stats());
+            let got = jfs.transact(&txn);
+            assert_eq!(got.is_ok(), fits, "{sectors} sectors: {got:?}");
+            if !fits {
+                assert_eq!(got, Err(FsError::NoSpace));
+                assert_eq!((jfs.fs.clone(), jfs.write_pos, jfs.disk.stats()), before);
+                // A later transaction that does fit seals nothing stale.
+                let small = jfs.transact(&[FsOp::Unlink("/g".into())]);
+                assert_eq!(small.is_ok(), sectors >= 9);
+            }
+            let live = jfs.fs.clone();
+            assert_eq!(JournaledFs::recover(jfs.into_disk()).fs, live);
+        }
     }
 
     #[test]

@@ -48,6 +48,21 @@ pub struct MemFs {
     inodes: InodeTable,
 }
 
+/// A mutation whose preconditions were established against a [`MemFs`]
+/// by a `check_*` method: paths are resolved to inodes, every error the
+/// operation can return has been ruled out. Only those methods build
+/// one, so [`MemFs::apply_checked`] has no failure case to report.
+pub(crate) struct Checked<'a>(Resolved<'a>);
+
+enum Resolved<'a> {
+    /// `create` / `mkdir`: link a fresh inode of `kind` as `dir/name`.
+    Insert { dir: Ino, name: String, kind: InodeKind },
+    /// `unlink` / `rmdir`: drop `dir/name` and free `ino`.
+    Remove { dir: Ino, name: String, ino: Ino },
+    Write { ino: Ino, offset: usize, buf: &'a [u8] },
+    Truncate { ino: Ino, len: usize },
+}
+
 impl Default for MemFs {
     fn default() -> Self {
         Self::new()
@@ -105,53 +120,39 @@ impl MemFs {
         }
     }
 
-    /// Creates an empty file; fails if the path exists.
-    pub fn create(&mut self, path: &Path) -> Result<Ino, FsError> {
+    fn check_insert(&self, path: &Path, kind: InodeKind) -> Result<Checked<'static>, FsError> {
         let (dir, name) = self.parent_dir(path)?;
         if let InodeKind::Dir(entries) = &self.node(dir).kind {
             if entries.contains_key(&name) {
                 return Err(FsError::AlreadyExists);
             }
         }
-        let ino = self.inodes.alloc(InodeKind::File(Vec::new()));
-        if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-            entries.insert(name, ino);
-        }
-        Ok(ino)
+        Ok(Checked(Resolved::Insert { dir, name, kind }))
     }
 
-    /// Creates a directory; fails if the path exists.
-    pub fn mkdir(&mut self, path: &Path) -> Result<Ino, FsError> {
-        let (dir, name) = self.parent_dir(path)?;
-        if let InodeKind::Dir(entries) = &self.node(dir).kind {
-            if entries.contains_key(&name) {
-                return Err(FsError::AlreadyExists);
-            }
-        }
-        let ino = self.inodes.alloc(InodeKind::Dir(Default::default()));
-        if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-            entries.insert(name, ino);
-        }
-        Ok(ino)
+    /// Validates [`MemFs::create`] without mutating.
+    pub(crate) fn check_create(&self, path: &Path) -> Result<Checked<'static>, FsError> {
+        self.check_insert(path, InodeKind::File(Vec::new()))
     }
 
-    /// Removes a file.
-    pub fn unlink(&mut self, path: &Path) -> Result<(), FsError> {
+    /// Validates [`MemFs::mkdir`] without mutating.
+    pub(crate) fn check_mkdir(&self, path: &Path) -> Result<Checked<'static>, FsError> {
+        self.check_insert(path, InodeKind::Dir(Default::default()))
+    }
+
+    /// Validates [`MemFs::unlink`] without mutating.
+    pub(crate) fn check_unlink(&self, path: &Path) -> Result<Checked<'static>, FsError> {
         let ino = self.lookup(path)?;
         match &self.node(ino).kind {
             InodeKind::File(_) => {}
             InodeKind::Dir(_) => return Err(FsError::IsADirectory),
         }
         let (dir, name) = self.parent_dir(path)?;
-        if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-            entries.remove(&name);
-        }
-        self.inodes.free(ino);
-        Ok(())
+        Ok(Checked(Resolved::Remove { dir, name, ino }))
     }
 
-    /// Removes an empty directory.
-    pub fn rmdir(&mut self, path: &Path) -> Result<(), FsError> {
+    /// Validates [`MemFs::rmdir`] without mutating.
+    pub(crate) fn check_rmdir(&self, path: &Path) -> Result<Checked<'static>, FsError> {
         let ino = self.lookup(path)?;
         match &self.node(ino).kind {
             InodeKind::Dir(entries) if entries.is_empty() => {}
@@ -159,10 +160,95 @@ impl MemFs {
             InodeKind::File(_) => return Err(FsError::NotADirectory),
         }
         let (dir, name) = self.parent_dir(path)?;
-        if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-            entries.remove(&name);
+        Ok(Checked(Resolved::Remove { dir, name, ino }))
+    }
+
+    /// Validates [`MemFs::write_at`] without mutating.
+    pub(crate) fn check_write<'a>(
+        &self,
+        ino: Ino,
+        offset: u64,
+        buf: &'a [u8],
+    ) -> Result<Checked<'a>, FsError> {
+        if offset.saturating_add(buf.len() as u64) > MAX_FILE {
+            return Err(FsError::NoSpace);
         }
-        self.inodes.free(ino);
+        self.len_of(ino)?;
+        Ok(Checked(Resolved::Write { ino, offset: offset as usize, buf }))
+    }
+
+    /// Validates [`MemFs::truncate`] without mutating.
+    pub(crate) fn check_truncate(&self, ino: Ino, len: u64) -> Result<Checked<'static>, FsError> {
+        if len > MAX_FILE {
+            return Err(FsError::NoSpace);
+        }
+        self.len_of(ino)?;
+        Ok(Checked(Resolved::Truncate { ino, len: len as usize }))
+    }
+
+    /// Applies an operation validated by one of the `check_*` methods
+    /// against this state, with no mutation in between; returns the
+    /// inode it created, removed or wrote. Nothing here can fail: every
+    /// precondition was established by the check, which is what lets the
+    /// journal write the record *between* the two halves.
+    pub(crate) fn apply_checked(&mut self, op: Checked<'_>) -> Ino {
+        match op.0 {
+            Resolved::Insert { dir, name, kind } => {
+                let ino = self.inodes.alloc(kind);
+                if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
+                    entries.insert(name, ino);
+                }
+                ino
+            }
+            Resolved::Remove { dir, name, ino } => {
+                if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
+                    entries.remove(&name);
+                }
+                self.inodes.free(ino);
+                ino
+            }
+            Resolved::Write { ino, offset, buf } => {
+                if let InodeKind::File(data) = &mut self.node_mut(ino).kind {
+                    let end = offset + buf.len();
+                    if data.len() < end {
+                        data.resize(end, 0);
+                    }
+                    data[offset..end].copy_from_slice(buf);
+                }
+                ino
+            }
+            Resolved::Truncate { ino, len } => {
+                if let InodeKind::File(data) = &mut self.node_mut(ino).kind {
+                    data.resize(len, 0);
+                }
+                ino
+            }
+        }
+    }
+
+    /// Creates an empty file; fails if the path exists.
+    pub fn create(&mut self, path: &Path) -> Result<Ino, FsError> {
+        let op = self.check_create(path)?;
+        Ok(self.apply_checked(op))
+    }
+
+    /// Creates a directory; fails if the path exists.
+    pub fn mkdir(&mut self, path: &Path) -> Result<Ino, FsError> {
+        let op = self.check_mkdir(path)?;
+        Ok(self.apply_checked(op))
+    }
+
+    /// Removes a file.
+    pub fn unlink(&mut self, path: &Path) -> Result<(), FsError> {
+        let op = self.check_unlink(path)?;
+        self.apply_checked(op);
+        Ok(())
+    }
+
+    /// Removes an empty directory.
+    pub fn rmdir(&mut self, path: &Path) -> Result<(), FsError> {
+        let op = self.check_rmdir(path)?;
+        self.apply_checked(op);
         Ok(())
     }
 
@@ -186,35 +272,16 @@ impl MemFs {
     /// Writes `buf` at `offset`, zero-filling any gap; returns bytes
     /// written.
     pub fn write_at(&mut self, ino: Ino, offset: u64, buf: &[u8]) -> Result<usize, FsError> {
-        if offset.saturating_add(buf.len() as u64) > MAX_FILE {
-            return Err(FsError::NoSpace);
-        }
-        let node = self.inodes.get_mut(ino).ok_or(FsError::NotFound)?;
-        let data = match &mut node.kind {
-            InodeKind::File(d) => d,
-            InodeKind::Dir(_) => return Err(FsError::IsADirectory),
-        };
-        let end = offset as usize + buf.len();
-        if data.len() < end {
-            data.resize(end, 0);
-        }
-        data[offset as usize..end].copy_from_slice(buf);
+        let op = self.check_write(ino, offset, buf)?;
+        self.apply_checked(op);
         Ok(buf.len())
     }
 
     /// Truncates (or extends with zeros) a file to `len`.
     pub fn truncate(&mut self, ino: Ino, len: u64) -> Result<(), FsError> {
-        if len > MAX_FILE {
-            return Err(FsError::NoSpace);
-        }
-        let node = self.inodes.get_mut(ino).ok_or(FsError::NotFound)?;
-        match &mut node.kind {
-            InodeKind::File(d) => {
-                d.resize(len as usize, 0);
-                Ok(())
-            }
-            InodeKind::Dir(_) => Err(FsError::IsADirectory),
-        }
+        let op = self.check_truncate(ino, len)?;
+        self.apply_checked(op);
+        Ok(())
     }
 
     /// File length.

@@ -1,10 +1,12 @@
 //! Randomized tests of the filesystem's core invariants, driven by the
 //! in-tree deterministic [`SpecRng`] (formerly proptest-based).
 
-use veros_spec::rng::SpecRng;
-use veros_fs::journal::FsOp;
+use veros_fs::journal::{FsOp, JournaledFs};
+use veros_fs::memfs::MAX_FILE;
 use veros_fs::spec::view_flat;
-use veros_fs::{MemFs, Path};
+use veros_fs::{FsError, MemFs, Path};
+use veros_hw::SimDisk;
+use veros_spec::rng::SpecRng;
 
 fn arbitrary_name(rng: &mut SpecRng) -> String {
     let letters = ['a', 'b', 'c', 'd'];
@@ -135,4 +137,112 @@ fn file_io_matches_vec_model() {
         }
         assert_eq!(fs.read_file(&Path::parse("/f").expect("valid")).expect("read"), model);
     }
+}
+
+/// The design `JournaledFs::apply` had before it validated in place,
+/// kept as the trivially correct oracle: apply to a clone of the whole
+/// tree, journal, swap the clone in. It needs nothing but the public
+/// `MemFs: Clone` and `FsOp::apply`; the journal write borrows the real
+/// `apply`, whose in-memory effect the swap then overwrites.
+fn oracle_apply(jfs: &mut JournaledFs, op: FsOp) -> Result<(), FsError> {
+    let mut probe = jfs.fs.clone();
+    op.apply(&mut probe)?;
+    jfs.apply(op)?;
+    jfs.fs = probe;
+    Ok(())
+}
+
+/// Ops biased towards every failure class the check must classify
+/// exactly as apply-to-a-clone does: duplicate create, create under a
+/// file, write/truncate on a directory, `rmdir` non-empty, `unlink`
+/// missing, ops on `/`, `MAX_FILE` overflow and unparsable paths.
+fn hostile_op(rng: &mut SpecRng) -> FsOp {
+    let mut op = arbitrary_op(rng);
+    match rng.below(12) {
+        0 => op = FsOp::WriteAt(arbitrary_path(rng), MAX_FILE - rng.below(4), vec![7; 4]),
+        1 => op = FsOp::Truncate(arbitrary_path(rng), MAX_FILE + 1 + rng.below(2)),
+        n @ 2..=4 => {
+            let bad = ["", "a", "//a", "/a/", "/a/./b", "/a/../b"];
+            let p = if n == 2 { *rng.choose(&bad) } else { "/" };
+            let (FsOp::Create(q) | FsOp::Mkdir(q) | FsOp::Unlink(q) | FsOp::Rmdir(q)
+            | FsOp::WriteAt(q, _, _) | FsOp::Truncate(q, _)) = &mut op;
+            *q = p.into();
+        }
+        _ => {}
+    }
+    op
+}
+
+/// One byte per outcome, for the pinned digest.
+fn outcome_code(r: &Result<(), FsError>) -> u8 {
+    match r {
+        Ok(()) => 0,
+        Err(FsError::NotFound) => 1,
+        Err(FsError::AlreadyExists) => 2,
+        Err(FsError::NotADirectory) => 3,
+        Err(FsError::IsADirectory) => 4,
+        Err(FsError::NotEmpty) => 5,
+        Err(FsError::NoSpace) => 6,
+    }
+}
+
+/// Differential: validate → journal → apply-in-place against the
+/// clone-based oracle, op by op — same `Result`, same tree, same
+/// `SimDisk::stats()`, nothing touched by a failure, same recovered
+/// state. Every third round runs on a disk of a few sectors so that
+/// `NoSpace` from the journal is a common outcome.
+///
+/// Both sides share today's `FsOp::apply`, so the run is also pinned to
+/// a digest of every outcome, disk counter and recovered tree taken
+/// from the clone-based implementation before it was replaced.
+#[test]
+fn in_place_apply_matches_the_clone_oracle() {
+    let mut rng = SpecRng::for_obligation("fs::tests::in_place_apply_matches_the_clone_oracle");
+    let mut trace = Vec::new();
+    let mut seen = [0u32; 7];
+    for round in 0..96 {
+        let sectors = if round % 3 == 0 { 6 + rng.below(24) } else { 1024 };
+        let mut real = JournaledFs::format(SimDisk::new(sectors));
+        let mut oracle = JournaledFs::format(SimDisk::new(sectors));
+        for step in 0..rng.index(60) {
+            let op = if rng.chance(1, 6) {
+                // A record of several sectors, so a small disk also
+                // fills in the middle of a record.
+                FsOp::WriteAt(arbitrary_path(&mut rng), rng.below(64), vec![step as u8; 700])
+            } else {
+                hostile_op(&mut rng)
+            };
+            let before = (real.fs.clone(), real.disk().stats());
+            let got = real.apply(op.clone());
+            assert_eq!(got, oracle_apply(&mut oracle, op.clone()), "round {round} step {step}: {op:?}");
+            assert_eq!(real.fs, oracle.fs, "round {round} step {step}: {op:?}");
+            if got.is_err() {
+                assert_eq!((real.fs.clone(), real.disk().stats()), before, "failed {op:?} left a trace");
+            }
+            if rng.chance(1, 4) {
+                assert_eq!(real.commit(), oracle.commit());
+            }
+            assert_eq!(real.disk().stats(), oracle.disk().stats());
+            seen[outcome_code(&got) as usize] += 1;
+            trace.push(outcome_code(&got));
+            let (writes, flushes) = real.disk().stats();
+            trace.extend(writes.to_le_bytes());
+            trace.extend(flushes.to_le_bytes());
+        }
+        let committed = real.commit();
+        assert_eq!(committed, oracle.commit());
+        let live = real.fs.clone();
+        let recovered = JournaledFs::recover(real.into_disk());
+        assert_eq!(recovered.fs, JournaledFs::recover(oracle.into_disk()).fs);
+        if committed.is_ok() {
+            assert_eq!(recovered.fs, live, "round {round}: a committed state survives recovery");
+        }
+        trace.extend_from_slice(format!("{:?}", view_flat(&recovered.fs)).as_bytes());
+    }
+    assert!(seen.iter().all(|&n| n >= 10), "every outcome class exercised: {seen:?}");
+    assert_eq!(
+        veros_spec::rng::fnv1a(&trace),
+        9186677849102832828,
+        "outcomes, sector writes or recovered trees differ from the clone-based apply"
+    );
 }

@@ -35,13 +35,43 @@ impl std::fmt::Display for DiskError {
 #[derive(Clone)]
 struct Pending {
     sector: u64,
-    data: Box<[u8; SECTOR_SIZE]>,
+    data: Stored,
+}
+
+/// A sector's contents without its trailing zeroes. Journal records are
+/// zero-padded to whole sectors (a commit record is 13 bytes of 512),
+/// so what the disk keeps resident is about what was written to it; an
+/// all-zero sector is the empty box and owns no memory at all.
+type Stored = Box<[u8]>;
+
+fn trim(data: &[u8; SECTOR_SIZE]) -> Stored {
+    let len = data.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
+    data[..len].into()
+}
+
+fn expand(stored: &[u8], buf: &mut [u8; SECTOR_SIZE]) {
+    let (head, tail) = buf.split_at_mut(stored.len());
+    head.copy_from_slice(stored);
+    tail.fill(0);
+}
+
+/// The durable slot for `sector` (which `write` already bounded by the
+/// capacity), growing the table up to it.
+fn slot(table: &mut Vec<Stored>, sector: u64) -> &mut Stored {
+    let i = sector as usize;
+    if table.len() <= i {
+        table.resize_with(i + 1, Stored::default);
+    }
+    &mut table[i]
 }
 
 /// A simulated disk.
 pub struct SimDisk {
     sectors: u64,
-    persistent: Vec<Option<Box<[u8; SECTOR_SIZE]>>>,
+    /// Durable contents, grown to the highest sector ever made durable:
+    /// a disk costs memory for what was written to it, not for its
+    /// capacity. A sector past the end reads as zeroes.
+    persistent: Vec<Stored>,
     cache: Vec<Pending>,
     writes: u64,
     flushes: u64,
@@ -52,7 +82,7 @@ impl SimDisk {
     pub fn new(sectors: u64) -> Self {
         Self {
             sectors,
-            persistent: (0..sectors).map(|_| None).collect(),
+            persistent: Vec::new(),
             cache: Vec::new(),
             writes: 0,
             flushes: 0,
@@ -69,14 +99,9 @@ impl SimDisk {
     pub fn read(&self, sector: u64, buf: &mut [u8; SECTOR_SIZE]) -> Result<(), DiskError> {
         self.check(sector)?;
         // Latest cached write wins.
-        if let Some(p) = self.cache.iter().rev().find(|p| p.sector == sector) {
-            buf.copy_from_slice(&p.data[..]);
-            return Ok(());
-        }
-        match &self.persistent[sector as usize] {
-            Some(d) => buf.copy_from_slice(&d[..]),
-            None => buf.fill(0),
-        }
+        let cached = self.cache.iter().rev().find(|p| p.sector == sector);
+        let stored = cached.map(|p| &p.data).or_else(|| self.persistent.get(sector as usize));
+        expand(stored.map_or(&[], |s| &s[..]), buf);
         Ok(())
     }
 
@@ -86,7 +111,7 @@ impl SimDisk {
         self.writes += 1;
         self.cache.push(Pending {
             sector,
-            data: Box::new(*data),
+            data: trim(data),
         });
         Ok(())
     }
@@ -95,7 +120,7 @@ impl SimDisk {
     pub fn flush(&mut self) {
         self.flushes += 1;
         for p in self.cache.drain(..) {
-            self.persistent[p.sector as usize] = Some(p.data);
+            *slot(&mut self.persistent, p.sector) = p.data;
         }
     }
 
@@ -111,11 +136,9 @@ impl SimDisk {
 
     /// Crash keeping only the first `n` cached writes (deterministic).
     pub fn crash_keep_prefix(&mut self, n: usize) {
-        let keep: Vec<Pending> = self.cache.drain(..).take(n).collect();
-        for p in keep {
-            self.persistent[p.sector as usize] = Some(p.data);
+        for p in self.cache.drain(..).take(n) {
+            *slot(&mut self.persistent, p.sector) = p.data;
         }
-        self.cache.clear();
     }
 
     /// Crash keeping the first `keep` cached writes whole and the next
@@ -125,17 +148,17 @@ impl SimDisk {
     /// Models a power cut mid-sector — the failure the journal's record
     /// checksums exist to detect.
     pub fn crash_torn(&mut self, keep: usize, tear_bytes: usize) {
-        let pending: Vec<Pending> = self.cache.drain(..).collect();
         let tear_bytes = tear_bytes.min(SECTOR_SIZE);
-        for (i, p) in pending.into_iter().enumerate() {
+        for (i, p) in self.cache.drain(..).take(keep.saturating_add(1)).enumerate() {
+            let durable = slot(&mut self.persistent, p.sector);
             if i < keep {
-                self.persistent[p.sector as usize] = Some(p.data);
-            } else if i == keep {
-                let mut merged = self.persistent[p.sector as usize]
-                    .take()
-                    .unwrap_or_else(|| Box::new([0u8; SECTOR_SIZE]));
-                merged[..tear_bytes].copy_from_slice(&p.data[..tear_bytes]);
-                self.persistent[p.sector as usize] = Some(merged);
+                *durable = p.data;
+            } else {
+                let (mut merged, mut torn) = ([0u8; SECTOR_SIZE], [0u8; SECTOR_SIZE]);
+                expand(durable, &mut merged);
+                expand(&p.data, &mut torn);
+                merged[..tear_bytes].copy_from_slice(&torn[..tear_bytes]);
+                *durable = trim(&merged);
             }
         }
     }
@@ -145,10 +168,9 @@ impl SimDisk {
     /// kept writes to the same sector still win (ordering per sector is
     /// preserved, which matches single-queue drives).
     pub fn crash_random(&mut self, rng: &mut SpecRng) {
-        let pending: Vec<Pending> = self.cache.drain(..).collect();
-        for p in pending {
+        for p in self.cache.drain(..) {
             if rng.chance(1, 2) {
-                self.persistent[p.sector as usize] = Some(p.data);
+                *slot(&mut self.persistent, p.sector) = p.data;
             }
         }
     }
@@ -286,5 +308,62 @@ mod tests {
         assert!(d.write(2, &sec(0)).is_err());
         let mut buf = sec(0);
         assert_eq!(d.read(9, &mut buf), Err(DiskError::OutOfRange { sector: 9 }));
+    }
+
+    #[test]
+    fn capacity_costs_nothing_until_written() {
+        // Range is decided by `sectors()`, never by how far the durable
+        // table happens to have grown.
+        let mut d = SimDisk::new(1 << 40);
+        assert!(d.persistent.is_empty());
+        let mut buf = sec(1);
+        d.read((1 << 40) - 1, &mut buf).unwrap();
+        assert_eq!(buf, sec(0), "a never-written sector in range reads as zeroes");
+        assert_eq!(d.read(1 << 40, &mut buf), Err(DiskError::OutOfRange { sector: 1 << 40 }));
+        assert_eq!(d.write(1 << 40, &sec(1)), Err(DiskError::OutOfRange { sector: 1 << 40 }));
+        d.write(5, &sec(5)).unwrap();
+        d.write(9, &sec(9)).unwrap();
+        assert!(d.persistent.is_empty(), "cached writes are not durable yet");
+        d.crash_keep_prefix(1);
+        assert_eq!(d.persistent.len(), 6, "grown to the high-water durable sector only");
+        d.read(4, &mut buf).unwrap();
+        assert_eq!(buf, sec(0), "a hole below the high-water mark");
+        d.read(9, &mut buf).unwrap();
+        assert_eq!(buf, sec(0), "the lost write left no slot behind");
+        assert_eq!(d.stats(), (2, 0));
+    }
+
+    #[test]
+    fn trailing_zeroes_are_not_stored_and_read_back() {
+        let mut d = SimDisk::new(4);
+        let mut padded = sec(0);
+        padded[..3].copy_from_slice(&[7, 0, 7]);
+        d.write(0, &padded).unwrap();
+        d.write(1, &sec(8)).unwrap();
+        d.flush();
+        assert_eq!(d.persistent[0].len(), 3, "interior zero kept, padding dropped");
+        d.write(1, &sec(0)).unwrap(); // zeroes over data: must read as zeroes
+        let mut buf = sec(9);
+        d.read(1, &mut buf).unwrap();
+        assert_eq!(buf, sec(0));
+        d.flush();
+        d.read(1, &mut buf).unwrap();
+        assert_eq!(buf, sec(0));
+        d.read(0, &mut buf).unwrap();
+        assert_eq!(buf, padded);
+    }
+
+    #[test]
+    fn torn_crash_beyond_the_durable_table_merges_over_zeroes() {
+        let mut d = SimDisk::new(64);
+        d.write(1, &sec(1)).unwrap();
+        d.flush();
+        d.write(40, &sec(4)).unwrap();
+        d.write(50, &sec(5)).unwrap();
+        d.crash_torn(0, 3);
+        let mut buf = sec(9);
+        d.read(40, &mut buf).unwrap();
+        assert_eq!((&buf[..3], &buf[3..]), (&[4u8; 3][..], &[0u8; 509][..]));
+        assert_eq!(d.persistent.len(), 41, "the write past the torn one grew nothing");
     }
 }

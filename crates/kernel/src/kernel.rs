@@ -297,9 +297,8 @@ impl Kernel {
             Syscall::Unlink { path_ptr, path_len } => {
                 let path = self.read_user_path(pid, path_ptr, path_len)?;
                 self.fs
-                    .apply(FsOp::Unlink(path.as_str().to_string()))
+                    .transact(&[FsOp::Unlink(path.as_str().to_string())])
                     .map_err(fs_err)?;
-                self.fs.commit().map_err(fs_err)?;
                 Ok(0)
             }
             Syscall::FutexWait { va, expected } => self.do_futex_wait(pid, tid, va, expected),
@@ -443,9 +442,8 @@ impl Kernel {
             Ok(ino) => ino,
             Err(veros_fs::FsError::NotFound) if create => {
                 self.fs
-                    .apply(FsOp::Create(path.as_str().to_string()))
+                    .transact(&[FsOp::Create(path.as_str().to_string())])
                     .map_err(fs_err)?;
-                self.fs.commit().map_err(fs_err)?;
                 self.fs.fs.lookup(&path).map_err(fs_err)?
             }
             Err(e) => return Err(fs_err(e)),
@@ -497,14 +495,14 @@ impl Kernel {
             .get(handle)
             .ok_or(SysError::BadFd)?
             .offset;
+        let len = data.len() as u64;
         self.fs
-            .apply(FsOp::WriteAt(path, offset, data.clone()))
+            .transact(&[FsOp::WriteAt(path, offset, data)])
             .map_err(fs_err)?;
-        self.fs.commit().map_err(fs_err)?;
         self.open_files
-            .seek(handle, offset + data.len() as u64)
+            .seek(handle, offset + len)
             .map_err(|_| SysError::BadFd)?;
-        Ok(data.len() as u64)
+        Ok(len)
     }
 
     fn do_futex_wait(&mut self, pid: Pid, tid: Tid, va: u64, expected: u32) -> SysRet {
