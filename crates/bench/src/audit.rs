@@ -33,6 +33,8 @@ use std::time::Duration;
 use veros_atlas::Coverage;
 use veros_spec::vc::{VcReport, VcStatus};
 
+use crate::baseline::field_num;
+
 /// Shape of one audit run: what was selected, how it was executed.
 #[derive(Clone, Debug)]
 pub struct AuditRun {
@@ -406,21 +408,6 @@ pub fn invariant_sweep_json(
     ));
     out.push_str("}\n");
     out
-}
-
-fn field_num(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    for line in json.lines() {
-        let Some(start) = line.find(&pat) else { continue };
-        let rest = &line[start + pat.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse() {
-            return Some(v);
-        }
-    }
-    None
 }
 
 /// The result of gating a run against the committed baseline.

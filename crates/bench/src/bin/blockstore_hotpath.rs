@@ -25,9 +25,11 @@
 //!   may not fall more than `--tolerance` below the committed value,
 //!   p99 may not rise more than `--tolerance` above it. A baseline
 //!   recorded under the other profile is a loud skip — tick-exact
-//!   comparison needs identical schedules.
+//!   comparison needs identical schedules; one that lacks its profile
+//!   or a gated key fails the run.
 
-use veros_bench::blockstore::{baseline_comparable, measure, regressions_against};
+use veros_bench::baseline::flag_value;
+use veros_bench::blockstore::{measure, other_profile, regressions_against};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -79,7 +81,7 @@ fn main() {
     if let Some(path) = baseline_path {
         match std::fs::read_to_string(&path) {
             Ok(baseline) => {
-                if !baseline_comparable(&report, &baseline) {
+                if other_profile(&report, &baseline) {
                     eprintln!(
                         "baseline check SKIPPED: {path} was recorded under the other profile — \
                          tick-exact gating needs identical schedules"
@@ -108,9 +110,4 @@ fn main() {
     }
 
     veros_bench::out::finish("BENCH_blockstore.json", &json, ok);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    args.get(idx + 1).cloned()
 }

@@ -11,6 +11,7 @@
 //! `--tolerance` (default 0.25) below its baseline value fails the run
 //! with a nonzero exit, which is how CI gates regressions.
 
+use veros_bench::baseline::flag_value;
 use veros_bench::hotpath::{regressions_against, HotpathReport};
 
 fn main() {
@@ -63,9 +64,4 @@ fn main() {
     }
 
     veros_bench::out::finish("BENCH_nr.json", &json, ok);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    args.get(idx + 1).cloned()
 }

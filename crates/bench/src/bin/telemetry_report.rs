@@ -3,12 +3,12 @@
 //!
 //! Runs a small representative workload per subsystem — the NR hot
 //! path, a kernel boot with a syscall sequence, a journaled filesystem
-//! with crash recovery, a replicated block-store cluster over the
-//! hostile simulated network, a sharded fleet with a mid-run chain-node
-//! kill, and a two-schedule mini-sweep of every
-//! end-to-end invariant family — then registers each crate's
-//! `metrics::export` into one `Registry` and mirrors the JSON snapshot
-//! into the results directory (schema in OBSERVABILITY.md).
+//! with crash recovery, a sharded block-store fleet over a lossy
+//! simulated network with a mid-run chain-node kill, and a two-schedule
+//! mini-sweep of every end-to-end invariant family — then registers
+//! each crate's `metrics::export` into one `Registry` and mirrors the
+//! JSON snapshot into the results directory (schema in
+//! OBSERVABILITY.md).
 //!
 //! With `--no-default-features` the same binary still produces a
 //! structurally complete snapshot whose `telemetry_enabled` field is
@@ -24,7 +24,6 @@
 //! Usage: `cargo run --release -p veros-bench --bin telemetry_report
 //! [--check]`
 
-use veros_blockstore::cluster::Cluster;
 use veros_blockstore::wire::block_checksum;
 use veros_blockstore::BlockStore;
 use veros_fs::journal::FsOp;
@@ -143,11 +142,13 @@ fn exercise_uring() {
     set.shutdown_all(&mut k);
 }
 
-/// Fleet: a sharded chain-replicated fleet over a mildly lossy wire —
-/// puts and gets tick the per-node/per-shard banks and the replication
-/// lag histogram, then a chain-node kill plus follow-up reads drive a
+/// Net + blockstore + fleet: a sharded chain-replicated fleet over a
+/// mildly lossy wire — puts, gets and a delete tick the store latency
+/// histograms, the per-node/per-shard banks and the replication lag
+/// histogram, then a chain-node kill plus follow-up reads drive a
 /// failover (view epoch bump, shard sync, failover-time sample).
-fn exercise_fleet() {
+/// Outside check mode, a direct checksum rejection follows.
+fn exercise_fleet(check: bool) {
     use veros_cluster::{Fleet, FleetConfig, Op};
     let mut f = Fleet::new(FleetConfig {
         nodes: 6,
@@ -175,6 +176,16 @@ fn exercise_fleet() {
     for i in 0..6u32 {
         let key = format!("fleet-{i}");
         f.run_op(0, Op::Get { key }, BUDGET).expect("fleet get after failover");
+    }
+    f.run_op(0, Op::Delete { key: "fleet-0".into() }, BUDGET).expect("fleet delete acked");
+
+    // A client-side checksum mismatch, rejected before storage. The
+    // probe proves the rejection path is live, but it also ticks the
+    // exact counter the alert policy holds at zero, so check mode
+    // leaves it out.
+    if !check {
+        let mut store = BlockStore::format(1 << 12);
+        assert!(store.put("bad", b"data", block_checksum(b"data") ^ 1).is_err());
     }
 }
 
@@ -204,40 +215,13 @@ fn exercise_fs() {
     assert_eq!(recovered.replayed_ops, 10, "5 creates + 5 writes replayed");
 }
 
-/// Net + blockstore: a replicated cluster over the hostile wire (drops,
-/// retransmits, replication round-trips) plus — outside check mode — a
-/// direct checksum rejection.
-fn exercise_cluster(check: bool) {
-    let mut c = Cluster::new(FaultPlan::hostile(), 7);
-    for i in 0..4u32 {
-        let key = format!("k{i}");
-        let data = vec![i as u8; 128];
-        c.rpc(|cl, s, t| cl.put(s, t, &key, &data)).expect("put acked");
-    }
-    for i in 0..4u32 {
-        let key = format!("k{i}");
-        c.rpc(|cl, s, t| cl.get(s, t, &key)).expect("get answered");
-    }
-    c.rpc(|cl, s, t| cl.delete(s, t, "k0")).expect("delete acked");
-
-    // A client-side checksum mismatch, rejected before storage. The
-    // probe proves the rejection path is live, but it also ticks the
-    // exact counter the alert policy holds at zero, so check mode
-    // leaves it out.
-    if !check {
-        let mut store = BlockStore::format(1 << 12);
-        assert!(store.put("bad", b"data", block_checksum(b"data") ^ 1).is_err());
-    }
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     exercise_nr();
     exercise_kernel();
     exercise_uring();
     exercise_fs();
-    exercise_cluster(check);
-    exercise_fleet();
+    exercise_fleet(check);
     exercise_invariants();
 
     let mut reg = Registry::new();

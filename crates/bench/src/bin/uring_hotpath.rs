@@ -31,6 +31,7 @@
 //!   run — inverted relative to the NR throughput gate because lower is
 //!   better here. p99 cells are recorded, never gated.
 
+use veros_bench::baseline::flag_value;
 use veros_bench::uring::{
     regressions_against, UringReport, SCALING_GATE_MIN_CORES, SCALING_MIN_MILLI,
 };
@@ -143,9 +144,4 @@ fn main() {
     }
 
     veros_bench::out::finish("BENCH_uring.json", &json, ok);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    args.get(idx + 1).cloned()
 }

@@ -27,6 +27,8 @@ use veros_cluster::{Fleet, FleetConfig, Op, OpResult};
 use veros_net::sim::FaultPlan;
 use veros_blockstore::Response;
 
+use crate::baseline::{field_bool, field_num, missing};
+
 /// Ceiling on the measured failover time, in ticks. Failover is local
 /// suspicion (`OP_TIMEOUT` + backoff) plus the coordinator's death
 /// deadline plus a shard sync; observed runs complete in ~150-300
@@ -182,32 +184,12 @@ impl BlockstoreReport {
     }
 }
 
-fn field_num(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    for line in json.lines() {
-        let Some(start) = line.find(&pat) else { continue };
-        let rest = &line[start + pat.len()..];
-        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-        return rest[..end].parse().ok();
-    }
-    None
-}
-
-fn field_bool(json: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    for line in json.lines() {
-        let Some(start) = line.find(&pat) else { continue };
-        let rest = &line[start + pat.len()..];
-        return Some(rest.starts_with("true"));
-    }
-    None
-}
-
-/// True when the baseline was recorded under the same profile as
-/// `current` — tick-for-tick comparison is only meaningful between
-/// identical schedules.
-pub fn baseline_comparable(current: &BlockstoreReport, baseline_json: &str) -> bool {
-    field_bool(baseline_json, "quick") == Some(current.quick)
+/// True when the baseline says it was recorded under the other profile
+/// — tick-for-tick comparison is only meaningful between identical
+/// schedules, so the gate skips loudly. A baseline that does not say
+/// either way is not skipped: [`regressions_against`] fails it.
+pub fn other_profile(current: &BlockstoreReport, baseline_json: &str) -> bool {
+    field_bool(baseline_json, "quick") == Some(!current.quick)
 }
 
 /// Compares a fresh report against the committed baseline. The world
@@ -215,39 +197,52 @@ pub fn baseline_comparable(current: &BlockstoreReport, baseline_json: &str) -> b
 /// workload/config drift, not host noise: throughput may not fall more
 /// than `tolerance` below the committed value, p99 may not rise more
 /// than `tolerance` above it, and the failover sample is held to the
-/// committed `max_failover_ticks` ceiling. Returns the violations
-/// (empty = pass).
+/// committed `max_failover_ticks` ceiling. A baseline lacking `quick`
+/// or any of those three keys is itself a violation. Returns the
+/// violations (empty = pass).
 pub fn regressions_against(
     current: &BlockstoreReport,
     baseline_json: &str,
     tolerance: f64,
 ) -> Vec<String> {
     let mut out = Vec::new();
-    if let Some(base) = field_num(baseline_json, "throughput_milli") {
-        let floor = (base as f64 * (1.0 - tolerance)) as u64;
-        if current.stats.throughput_milli < floor {
-            out.push(format!(
-                "throughput {} ops/1000t < floor {floor} (baseline {base})",
-                current.stats.throughput_milli
-            ));
-        }
+    if field_bool(baseline_json, "quick").is_none() {
+        out.push(missing("quick"));
     }
-    if let Some(base) = field_num(baseline_json, "p99_ticks") {
-        let ceiling = (base as f64 * (1.0 + tolerance)) as u64;
-        if current.stats.p99 > ceiling {
-            out.push(format!(
-                "p99 {} ticks > ceiling {ceiling} (baseline {base})",
-                current.stats.p99
-            ));
+    match field_num(baseline_json, "throughput_milli") {
+        Some(base) => {
+            let floor = (base * (1.0 - tolerance)) as u64;
+            if current.stats.throughput_milli < floor {
+                out.push(format!(
+                    "throughput {} ops/1000t < floor {floor} (baseline {base})",
+                    current.stats.throughput_milli
+                ));
+            }
         }
+        None => out.push(missing("throughput_milli")),
     }
-    if let Some(ceiling) = field_num(baseline_json, "max_failover_ticks") {
-        if current.failover_ticks > ceiling {
-            out.push(format!(
-                "failover {} ticks > committed ceiling {ceiling}",
-                current.failover_ticks
-            ));
+    match field_num(baseline_json, "p99_ticks") {
+        Some(base) => {
+            let ceiling = (base * (1.0 + tolerance)) as u64;
+            if current.stats.p99 > ceiling {
+                out.push(format!(
+                    "p99 {} ticks > ceiling {ceiling} (baseline {base})",
+                    current.stats.p99
+                ));
+            }
         }
+        None => out.push(missing("p99_ticks")),
+    }
+    match field_num(baseline_json, "max_failover_ticks") {
+        Some(ceiling) => {
+            if current.failover_ticks > ceiling as u64 {
+                out.push(format!(
+                    "failover {} ticks > committed ceiling {ceiling}",
+                    current.failover_ticks
+                ));
+            }
+        }
+        None => out.push(missing("max_failover_ticks")),
     }
     out
 }
@@ -291,11 +286,11 @@ mod tests {
     fn json_roundtrips_through_the_scanner() {
         let r = tiny();
         let json = r.to_json();
-        assert_eq!(field_num(&json, "completed"), Some(r.stats.completed));
-        assert_eq!(field_num(&json, "p99_ticks"), Some(r.stats.p99));
-        assert_eq!(field_num(&json, "max_failover_ticks"), Some(MAX_FAILOVER_TICKS));
+        assert_eq!(field_num(&json, "completed"), Some(r.stats.completed as f64));
+        assert_eq!(field_num(&json, "p99_ticks"), Some(r.stats.p99 as f64));
+        assert_eq!(field_num(&json, "max_failover_ticks"), Some(MAX_FAILOVER_TICKS as f64));
         assert_eq!(field_bool(&json, "quick"), Some(true));
-        assert!(baseline_comparable(&r, &json));
+        assert!(!other_profile(&r, &json));
     }
 
     #[test]
@@ -312,7 +307,15 @@ mod tests {
         let v = regressions_against(&slow, &json, 0.10);
         assert_eq!(v.len(), 3, "{v:?}");
         // Profile mismatch is detectable before gating.
-        let full = BlockstoreReport { quick: false, ..r };
-        assert!(!baseline_comparable(&full, &json));
+        let full = BlockstoreReport { quick: false, ..r.clone() };
+        assert!(other_profile(&full, &json));
+        // A baseline missing what the gate reads fails instead of
+        // passing vacuously: empty (never "the other profile"), or with
+        // a gated key renamed.
+        assert!(!other_profile(&r, ""));
+        assert_eq!(regressions_against(&r, "", 0.10).len(), 4);
+        let rekeyed = json.replace("p99_ticks", "p99");
+        let v = regressions_against(&r, &rekeyed, 0.10);
+        assert!(v.len() == 1 && v[0].contains("p99_ticks"), "{v:?}");
     }
 }

@@ -24,7 +24,9 @@ use std::time::Instant;
 use veros_kernel::vspace::{PtKind, VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
 use veros_nr::{Dispatch, NodeReplicated};
 
-/// The counter the throughput cells replicate: the cheapest possible
+use crate::baseline;
+
+/// The counter the throughput cells run through NR: the cheapest possible
 /// `dispatch_mut`, so measured cost is NR's dispatch overhead.
 #[derive(Clone, Default)]
 pub struct HotCounter(u64);
@@ -282,52 +284,19 @@ impl HotpathReport {
     }
 }
 
-/// Extracts `(name, ops_per_sec)` pairs from a `BENCH_nr.json` document.
-///
-/// This is a scanner for the exact format [`HotpathReport::to_json`]
-/// emits (one cell object per line), not a general JSON parser — the
-/// file is machine-written, and the scanner rejects lines it cannot
-/// fully read rather than guessing.
-pub fn parse_baseline_cells(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name) = field_str(line, "name") else {
-            continue;
-        };
-        let Some(ops) = field_num(line, "ops_per_sec") else {
-            continue;
-        };
-        out.push((name, ops));
-    }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Compares a fresh report against a committed baseline: every cell
 /// present in both must reach at least `1 - tolerance` of the baseline
-/// throughput. Returns the list of regressions (empty = pass).
+/// throughput, and a baseline with no cell to compare is itself a
+/// failure. Returns the list of regressions (empty = pass).
 pub fn regressions_against(
     current: &HotpathReport,
     baseline_json: &str,
     tolerance: f64,
 ) -> Vec<String> {
-    let baseline = parse_baseline_cells(baseline_json);
+    let baseline = baseline::cells(baseline_json, "ops_per_sec");
+    if baseline.is_empty() {
+        return vec![baseline::missing("ops_per_sec")];
+    }
     let mut out = Vec::new();
     for (name, base_ops) in &baseline {
         let Some(cur) = current.cells.iter().find(|c| &c.name == name) else {
@@ -395,7 +364,7 @@ mod tests {
             range_batched_ns: 5.0,
             range_per_page_ns: 15.0,
         };
-        let parsed = parse_baseline_cells(&report.to_json());
+        let parsed = baseline::cells(&report.to_json(), "ops_per_sec");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "execute_mut/t1xr1");
         assert!((parsed[0].1 - 1234.5).abs() < 0.01);
@@ -425,5 +394,11 @@ mod tests {
         // Unknown baseline cells are reported, not ignored.
         let stale = "{ \"name\": \"gone\", \"ops_per_sec\": 5.0 }";
         assert_eq!(regressions_against(&report, stale, 0.25).len(), 1);
+        // A baseline with nothing to gate fails instead of passing
+        // vacuously: empty, or with the value key renamed.
+        assert_eq!(regressions_against(&report, "", 0.25).len(), 1);
+        let rekeyed = baseline.replace("ops_per_sec", "ops");
+        let v = regressions_against(&report, &rekeyed, 0.25);
+        assert!(v.len() == 1 && v[0].contains("ops_per_sec"), "{v:?}");
     }
 }

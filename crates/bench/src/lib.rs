@@ -14,9 +14,11 @@
 //!
 //! This library holds the shared machinery: the survey data behind the
 //! tables, the multi-threaded NR map/unmap sweep behind Figures 1b/1c,
-//! and the line-classification logic behind the ratio.
+//! the line-classification logic behind the ratio, and the one scanner
+//! ([`baseline`]) every committed-baseline gate reads through.
 
 pub mod audit;
+pub mod baseline;
 pub mod blockstore;
 pub mod hotpath;
 pub mod microbench;

@@ -25,6 +25,8 @@ use veros_kernel::syscall::{abi, Syscall};
 use veros_kernel::{Kernel, KernelConfig};
 use veros_uring::{pair, Engine, RingSet, SqFull, SqeFlags, SubstSource, UserRing};
 
+use crate::baseline;
+
 /// Batch sizes every run measures. Names derived from these must stay
 /// stable: the committed baseline keys on them.
 pub const BATCH_POINTS: [usize; 3] = [1, 8, 64];
@@ -473,46 +475,11 @@ impl UringReport {
     }
 }
 
-/// Extracts `(name, ns_per_op)` pairs from a `BENCH_uring.json`
-/// document. Same line-oriented scanner discipline as the NR baseline:
-/// it reads exactly what [`UringReport::to_json`] writes and skips
-/// lines it cannot fully read.
-pub fn parse_baseline_cells(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name) = field_str(line, "name") else {
-            continue;
-        };
-        let Some(ns) = field_num(line, "ns_per_op") else {
-            continue;
-        };
-        out.push((name, ns));
-    }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Compares a fresh report against a committed baseline: every cell
 /// present in both must stay under `1 + tolerance` times the baseline
 /// latency (lower is better here, so the gate is inverted relative to
-/// the NR throughput gate). Returns the list of regressions (empty =
-/// pass).
+/// the NR throughput gate), and a baseline with no gated cell is itself
+/// a failure. Returns the list of regressions (empty = pass).
 ///
 /// p99 cells are recorded but never gated: a tail sample on a
 /// time-shared host spikes 10x whenever the poller thread is
@@ -528,12 +495,15 @@ pub fn regressions_against(
     baseline_json: &str,
     tolerance: f64,
 ) -> Vec<String> {
-    let baseline = parse_baseline_cells(baseline_json);
+    let baseline: Vec<(String, f64)> = baseline::cells(baseline_json, "ns_per_op")
+        .into_iter()
+        .filter(|(name, _)| !(name.contains("/p99") || name.starts_with("chain/")))
+        .collect();
+    if baseline.is_empty() {
+        return vec![baseline::missing("ns_per_op")];
+    }
     let mut out = Vec::new();
     for (name, base_ns) in &baseline {
-        if name.contains("/p99") || name.starts_with("chain/") {
-            continue;
-        }
         let Some(cur) = current.cells.iter().find(|c| &c.name == name) else {
             out.push(format!("cell {name} missing from current run"));
             continue;
@@ -637,7 +607,7 @@ mod tests {
             ],
         };
         let json = report.to_json();
-        let parsed = parse_baseline_cells(&json);
+        let parsed = baseline::cells(&json, "ns_per_op");
         assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[0].0, "sync/per_op");
         assert!((parsed[0].1 - 120.5).abs() < 0.1);
@@ -674,9 +644,17 @@ mod tests {
         assert_eq!(regressions_against(&report, stale, 0.35).len(), 1);
         // p99 and chain cells are recorded, never gated — even absent
         // ones (their absolute values track the host scheduler).
-        let tail = "{ \"name\": \"mring/rings1/p99_batch8\", \"ns_per_op\": 1.0 }";
-        assert!(regressions_against(&report, tail, 0.35).is_empty());
-        let chain = "{ \"name\": \"chain/orc_chained\", \"ns_per_op\": 1.0 }";
-        assert!(regressions_against(&report, chain, 0.35).is_empty());
+        let ungated = format!(
+            "{baseline}\n{{ \"name\": \"mring/rings1/p99_batch8\", \"ns_per_op\": 1.0 }}\n\
+             {{ \"name\": \"chain/orc_chained\", \"ns_per_op\": 1.0 }}"
+        );
+        report.cells[0].ns_per_op = 110.0;
+        assert!(regressions_against(&report, &ungated, 0.35).is_empty());
+        // A baseline with nothing to gate fails instead of passing
+        // vacuously: empty, or with the value key renamed.
+        assert_eq!(regressions_against(&report, "", 0.35).len(), 1);
+        let rekeyed = baseline.replace("ns_per_op", "ns");
+        let v = regressions_against(&report, &rekeyed, 0.35);
+        assert!(v.len() == 1 && v[0].contains("ns_per_op"), "{v:?}");
     }
 }

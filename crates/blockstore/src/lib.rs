@@ -5,44 +5,36 @@
 //! verifying, consider the data-storage node in a distributed block
 //! store like GFS or S3. In fact, Amazon even describes their use of
 //! lightweight formal methods to verify such a storage node" (§1,
-//! citing \[8\]). This crate is that node, built on the verified stack:
+//! citing \[8\]). This crate is the node-local half of that
+//! application, built on the verified stack:
 //!
-//! * [`wire`] — the client protocol, marshalled with the same
-//!   round-trip discipline as the syscall ABI.
+//! * [`wire`] — the protocol clients and nodes speak, marshalled with
+//!   the same round-trip discipline as the syscall ABI.
 //! * [`store`] — the local storage engine: checksummed blocks persisted
 //!   through the journaled filesystem (crash safety inherited from the
 //!   journal's spec).
-//! * [`node`] — the storage node: serves the protocol over the reliable
-//!   transport, optionally replicating synchronously to a backup before
-//!   acknowledging (primary/backup).
-//! * [`client`] — the client library.
-//! * [`cluster`] — a simulation harness wiring client, primary, and
-//!   backup over the hostile network for the end-to-end checks.
+//!
+//! Everything that crosses the network — the node loop, chain
+//! replication, failover, the client library and the simulation
+//! harness — lives in `veros-cluster`; a replicated pair is its
+//! `Fleet::pair`.
 //!
 //! The spec is an abstract `key → bytes` map; the integration tests and
-//! `veros-bench --bin audit` check client-visible linearizability,
-//! checksum integrity end to end, crash recovery of acknowledged writes,
-//! and failover to the backup.
+//! `veros-bench --bin audit` check agreement with that map, checksum
+//! integrity end to end, and crash recovery of acknowledged writes.
 //!
 //! # Telemetry
 //!
 //! With the `telemetry` cargo feature (on by default) the storage
-//! engine and the node maintain the instruments in [`metrics`] —
-//! put/get/delete latency histograms, a checksum-failure counter, and a
-//! replication round-trip counter. Reporting binaries call
-//! [`metrics::export`] to register them under the `blockstore.` prefix;
-//! see `OBSERVABILITY.md`. Disabling the feature compiles every
-//! instrument to a no-op.
+//! engine maintains the instruments in [`metrics`] — put/get/delete
+//! latency histograms and a checksum-failure counter. Reporting
+//! binaries call [`metrics::export`] to register them under the
+//! `blockstore.` prefix; see `OBSERVABILITY.md`. Disabling the feature
+//! compiles every instrument to a no-op.
 
-pub mod client;
-pub mod cluster;
 pub mod metrics;
-pub mod node;
 pub mod store;
 pub mod wire;
 
-pub use client::BlockClient;
-pub use cluster::Cluster;
-pub use node::StorageNode;
 pub use store::BlockStore;
 pub use wire::{Request, Response};

@@ -22,10 +22,6 @@ pub static DELETE_LATENCY: Histogram = Histogram::new();
 /// stored-block corruption detected by `get`.
 pub static CHECKSUM_FAILURES: Counter = Counter::new();
 
-/// Primary/backup replication round-trips completed (backup
-/// acknowledgement received and the held client response released).
-pub static REPLICATION_ROUNDTRIPS: Counter = Counter::new();
-
 /// Registers every block-store instrument with `reg` under the
 /// `blockstore.` prefix.
 pub fn export(reg: &mut Registry) {
@@ -36,10 +32,5 @@ pub fn export(reg: &mut Registry) {
         "blockstore.checksum_failures",
         "failures",
         &CHECKSUM_FAILURES,
-    );
-    reg.counter(
-        "blockstore.replication.roundtrips",
-        "acks",
-        &REPLICATION_ROUNDTRIPS,
     );
 }

@@ -2,49 +2,27 @@
 //!
 //! Length-free tagged encoding (the transport delivers whole messages).
 //! Every message round-trips; corrupted tags decode to `None` rather
-//! than panicking. Data integrity is end-to-end: `Put` carries the
-//! client-computed checksum, the node verifies it before storing, and
-//! `GetOk` carries the stored checksum for the client to verify.
+//! than panicking. Data integrity is end-to-end: `ShardPut` carries the
+//! client-computed checksum, every chain member verifies it before
+//! storing, and `GetOk` carries the stored checksum for the client to
+//! verify.
+//!
+//! Tags are stable wire bytes. Request tags 1, 3 and 4 and response
+//! tag 5 belonged to the retired standalone protocol and stay
+//! unassigned: they decode to `None` like any other unknown tag.
 
 use veros_spec::rng::fnv1a;
 
-/// A request from client to node (or primary to backup, with
-/// `replicate` cleared to stop forwarding loops).
+/// A request from client to node, or from a chain member to its
+/// successor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Store a block.
-    Put {
-        /// Request id (echoed in the response).
-        id: u64,
-        /// Block key.
-        key: String,
-        /// Block contents.
-        data: Vec<u8>,
-        /// Client-computed checksum of `data`.
-        checksum: u64,
-        /// Whether the receiving node should replicate to its backup.
-        replicate: bool,
-    },
     /// Fetch a block.
     Get {
         /// Request id.
         id: u64,
         /// Block key.
         key: String,
-    },
-    /// Delete a block.
-    Delete {
-        /// Request id.
-        id: u64,
-        /// Block key.
-        key: String,
-        /// Whether to replicate the deletion.
-        replicate: bool,
-    },
-    /// List all keys.
-    List {
-        /// Request id.
-        id: u64,
     },
     /// Store a block in a sharded fleet (client → chain head). Carries
     /// the client's identity and per-client sequence number so every
@@ -126,7 +104,7 @@ pub enum Request {
 /// A response from node to client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
-    /// Block stored (and replicated, if requested).
+    /// Block stored on every chain member.
     PutOk {
         /// Echoed request id.
         id: u64,
@@ -149,13 +127,6 @@ pub enum Response {
     DeleteOk {
         /// Echoed request id.
         id: u64,
-    },
-    /// All keys, sorted.
-    Keys {
-        /// Echoed request id.
-        id: u64,
-        /// The keys.
-        keys: Vec<String>,
     },
     /// The request was rejected (bad checksum, storage failure).
     Error {
@@ -260,34 +231,10 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Request::Put {
-                id,
-                key,
-                data,
-                checksum,
-                replicate,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_str(&mut out, key);
-                put_bytes(&mut out, data);
-                out.extend_from_slice(&checksum.to_le_bytes());
-                out.push(*replicate as u8);
-            }
             Request::Get { id, key } => {
                 out.push(2);
                 out.extend_from_slice(&id.to_le_bytes());
                 put_str(&mut out, key);
-            }
-            Request::Delete { id, key, replicate } => {
-                out.push(3);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_str(&mut out, key);
-                out.push(*replicate as u8);
-            }
-            Request::List { id } => {
-                out.push(4);
-                out.extend_from_slice(&id.to_le_bytes());
             }
             Request::ShardPut {
                 id,
@@ -361,23 +308,10 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> Option<Request> {
         let mut r = Reader(bytes, 1);
         let req = match bytes.first()? {
-            1 => Request::Put {
-                id: r.u64()?,
-                key: r.string()?,
-                data: r.bytes()?,
-                checksum: r.u64()?,
-                replicate: *r.take(1)?.first()? != 0,
-            },
             2 => Request::Get {
                 id: r.u64()?,
                 key: r.string()?,
             },
-            3 => Request::Delete {
-                id: r.u64()?,
-                key: r.string()?,
-                replicate: *r.take(1)?.first()? != 0,
-            },
-            4 => Request::List { id: r.u64()? },
             5 => Request::ShardPut {
                 id: r.u64()?,
                 key: r.string()?,
@@ -422,10 +356,7 @@ impl Request {
     /// The request id.
     pub fn id(&self) -> u64 {
         match self {
-            Request::Put { id, .. }
-            | Request::Get { id, .. }
-            | Request::Delete { id, .. }
-            | Request::List { id }
+            Request::Get { id, .. }
             | Request::ShardPut { id, .. }
             | Request::ShardDelete { id, .. }
             | Request::ChainPut { id, .. }
@@ -457,14 +388,6 @@ impl Response {
             Response::DeleteOk { id } => {
                 out.push(4);
                 out.extend_from_slice(&id.to_le_bytes());
-            }
-            Response::Keys { id, keys } => {
-                out.push(5);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    put_str(&mut out, k);
-                }
             }
             Response::Error { id, reason } => {
                 out.push(6);
@@ -501,18 +424,6 @@ impl Response {
             },
             3 => Response::NotFound { id: r.u64()? },
             4 => Response::DeleteOk { id: r.u64()? },
-            5 => {
-                let id = r.u64()?;
-                let n = u32::from_le_bytes(r.take(4)?.try_into().ok()?) as usize;
-                if n > (1 << 16) {
-                    return None;
-                }
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(r.string()?);
-                }
-                Response::Keys { id, keys }
-            }
             6 => Response::Error {
                 id: r.u64()?,
                 reason: r.string()?,
@@ -542,7 +453,6 @@ impl Response {
             | Response::GetOk { id, .. }
             | Response::NotFound { id }
             | Response::DeleteOk { id }
-            | Response::Keys { id, .. }
             | Response::Error { id, .. }
             | Response::Retry { id }
             | Response::SyncBlocks { id, .. } => *id,
@@ -557,81 +467,7 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let reqs = [
-            Request::Put {
-                id: 7,
-                key: "blob-1".into(),
-                data: vec![1, 2, 3],
-                checksum: block_checksum(&[1, 2, 3]),
-                replicate: true,
-            },
-            Request::Get { id: 8, key: "k".into() },
-            Request::Delete {
-                id: 9,
-                key: "k".into(),
-                replicate: false,
-            },
-            Request::List { id: 10 },
-        ];
-        for r in reqs {
-            assert_eq!(Request::decode(&r.encode()), Some(r.clone()));
-            assert!(r.id() >= 7);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let resps = [
-            Response::PutOk { id: 1 },
-            Response::GetOk {
-                id: 2,
-                data: b"xyz".to_vec(),
-                checksum: 99,
-            },
-            Response::NotFound { id: 3 },
-            Response::DeleteOk { id: 4 },
-            Response::Keys {
-                id: 5,
-                keys: vec!["a".into(), "b".into()],
-            },
-            Response::Error {
-                id: 6,
-                reason: "bad checksum".into(),
-            },
-        ];
-        for r in resps {
-            assert_eq!(Response::decode(&r.encode()), Some(r.clone()));
-        }
-    }
-
-    #[test]
-    fn malformed_input_rejected_not_panicking() {
-        assert_eq!(Request::decode(&[]), None);
-        assert_eq!(Request::decode(&[99, 0, 0]), None);
-        assert_eq!(Response::decode(&[2, 1]), None);
-        // Truncations of a valid message all decode to None.
-        let full = Request::Put {
-            id: 1,
-            key: "k".into(),
-            data: vec![1; 16],
-            checksum: 0,
-            replicate: true,
-        }
-        .encode();
-        for cut in 1..full.len() {
-            assert_eq!(Request::decode(&full[..cut]), None, "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let mut bytes = Request::List { id: 3 }.encode();
-        bytes.push(0);
-        assert_eq!(Request::decode(&bytes), None);
-    }
-
-    #[test]
-    fn fleet_requests_round_trip() {
-        let reqs = [
+            Request::Get { id: 10, key: "k".into() },
             Request::ShardPut {
                 id: 11,
                 key: "obj".into(),
@@ -668,7 +504,7 @@ mod tests {
         ];
         for r in reqs {
             assert_eq!(Request::decode(&r.encode()), Some(r.clone()));
-            assert!(r.id() >= 11);
+            assert!(r.id() >= 10);
             // Truncations never decode.
             let full = r.encode();
             for cut in 1..full.len() {
@@ -678,8 +514,20 @@ mod tests {
     }
 
     #[test]
-    fn fleet_responses_round_trip() {
+    fn responses_round_trip() {
         let resps = [
+            Response::PutOk { id: 1 },
+            Response::GetOk {
+                id: 2,
+                data: b"xyz".to_vec(),
+                checksum: 99,
+            },
+            Response::NotFound { id: 3 },
+            Response::DeleteOk { id: 4 },
+            Response::Error {
+                id: 6,
+                reason: "bad checksum".into(),
+            },
             Response::Retry { id: 21 },
             Response::SyncBlocks {
                 id: 22,
@@ -692,6 +540,48 @@ mod tests {
         for r in resps {
             assert_eq!(Response::decode(&r.encode()), Some(r.clone()));
         }
+    }
+
+    #[test]
+    fn malformed_input_rejected_not_panicking() {
+        assert_eq!(Request::decode(&[]), None);
+        assert_eq!(Request::decode(&[99, 0, 0]), None);
+        assert_eq!(Response::decode(&[2, 1]), None);
+    }
+
+    /// Well-formed messages of the retired standalone protocol (request
+    /// tags 1 `Put`, 3 `Delete`, 4 `List`; response tag 5 `Keys`) take
+    /// the malformed-input path.
+    #[test]
+    fn retired_tags_do_not_decode() {
+        let id = 7u64.to_le_bytes();
+        let mut put = vec![1];
+        put.extend_from_slice(&id);
+        put_str(&mut put, "k");
+        put_bytes(&mut put, &[1, 2, 3]);
+        put.extend_from_slice(&block_checksum(&[1, 2, 3]).to_le_bytes());
+        put.push(1);
+        let mut delete = vec![3];
+        delete.extend_from_slice(&id);
+        put_str(&mut delete, "k");
+        delete.push(1);
+        let mut list = vec![4];
+        list.extend_from_slice(&id);
+        for legacy in [put, delete, list] {
+            assert_eq!(Request::decode(&legacy), None, "tag {}", legacy[0]);
+        }
+        let mut keys = vec![5];
+        keys.extend_from_slice(&id);
+        keys.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut keys, "k");
+        assert_eq!(Response::decode(&keys), None);
+    }
+
+    #[test]
+    fn trailing_garbage_rejected() {
+        let mut bytes = Request::Get { id: 3, key: "k".into() }.encode();
+        bytes.push(0);
+        assert_eq!(Request::decode(&bytes), None);
     }
 
     #[test]

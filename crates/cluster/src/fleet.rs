@@ -8,9 +8,10 @@
 //! one tick: wire, coordinator, every live node, every client — all
 //! deterministic in `(config, seed)`.
 //!
-//! [`Fleet::pair`] is the degenerate configuration — two nodes, 2-way
-//! replication, one shard — that reproduces the original primary/backup
-//! `Cluster` harness as a special case of the general machinery.
+//! [`Fleet::pair`] is the smallest replicated deployment — two nodes,
+//! one shard, one 2-way chain — so every write goes head → tail and
+//! every read is served by the tail: a parameter choice of the general
+//! machinery, not a second harness.
 
 use veros_blockstore::BlockStore;
 use veros_net::ip::IpAddr;
@@ -115,8 +116,8 @@ impl Fleet {
         }
     }
 
-    /// The original harness as a special case: two nodes, 2-way chain,
-    /// a single shard, one client.
+    /// A replicated pair: two nodes, one shard whose 2-way chain spans
+    /// both, one client.
     pub fn pair(plan: FaultPlan, seed: u64) -> Self {
         Self::new(FleetConfig {
             nodes: 2,
@@ -372,7 +373,7 @@ mod tests {
         assert_eq!(f.map.shards(), 1);
         let r = f.run_op(0, put("k", b"v"), OP_BUDGET).expect("put");
         assert!(r.ok);
-        // Both replicas hold the block (primary/backup semantics).
+        // Both replicas hold the block by ack time.
         for m in 0..2u16 {
             assert_eq!(f.nodes[m as usize].store.get("k").expect("replica").0, b"v");
         }
@@ -380,5 +381,122 @@ mod tests {
         f.kill_node(f.chain_for_key("k")[0]);
         let r = f.run_op(0, get("k"), OP_BUDGET).expect("get");
         assert_eq!(r.read.as_deref(), Some(&b"v"[..]));
+    }
+
+    #[test]
+    fn pair_head_disk_crash_keeps_every_acked_block() {
+        // Losing the head's whole write cache, or a random part of it,
+        // loses no acknowledged block: the ack waited for the commit.
+        for random in [false, true] {
+            let mut f = Fleet::pair(FaultPlan::hostile(), 31);
+            for i in 0..5u32 {
+                let r = f
+                    .run_op(0, put(&format!("blk{i}"), format!("data{i}").as_bytes()), OP_BUDGET)
+                    .expect("put");
+                assert!(r.ok, "{:?}", r.resp);
+            }
+            let head = f.chain_for_key("blk0")[0] as usize;
+            let store = std::mem::replace(&mut f.nodes[head].store, BlockStore::format(64));
+            let mut disk = store.into_disk();
+            if random {
+                disk.crash_random(&mut veros_spec::rng::SpecRng::seeded(5));
+            } else {
+                disk.crash_keep_prefix(0);
+            }
+            let recovered = BlockStore::recover(disk);
+            for i in 0..5u32 {
+                assert_eq!(
+                    recovered.get(&format!("blk{i}")).expect("acknowledged block").0,
+                    format!("data{i}").as_bytes(),
+                    "random={random}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dead_chain_times_out_instead_of_panicking() {
+        let mut f = Fleet::pair(FaultPlan::reliable(), 1);
+        assert!(f.run_op(0, put("k", b"v"), OP_BUDGET).expect("put").ok);
+        f.kill_node(0);
+        f.kill_node(1);
+        // Nobody answers: the op reports a timeout inside the budget.
+        let before = f.now();
+        assert!(f.run_op(0, get("k"), 500).is_none());
+        assert_eq!(f.now() - before, 500);
+    }
+
+    #[test]
+    fn bad_checksum_is_rejected_and_stored_nowhere() {
+        use veros_blockstore::wire::block_checksum;
+        use veros_blockstore::Request;
+        use veros_net::demux::RdtDemux;
+
+        let mut f = Fleet::pair(FaultPlan::reliable(), 1);
+        let chain = f.chain_for_key("evil");
+        // A raw session beside client 0's own: the client library always
+        // computes the checksum, a buggy or malicious client need not.
+        let host = f.nodes.len() + 1;
+        let sock = f.net.host(host).bind(crate::node::CLIENT_PORT + 1).expect("free port");
+        let mut raw = RdtDemux::new(sock);
+        // Returns the response and the most writes the head ever held
+        // back for a downstream ack while waiting for it.
+        let mut rpc = |f: &mut Fleet, req: Request| -> (Response, usize) {
+            let now = f.now();
+            raw.send(f.net.host(host), now, crate::node::node_peer(chain[0]), req.encode())
+                .expect("send");
+            let mut held = 0;
+            for _ in 0..OP_BUDGET {
+                f.step();
+                held = held.max(f.nodes[chain[0] as usize].pending_writes());
+                let now = f.now();
+                raw.poll(f.net.host(host), now).expect("poll");
+                raw.on_tick(f.net.host(host), now).expect("tick");
+                if let Some((_, msg)) = raw.recv() {
+                    return (Response::decode(&msg).expect("decodable response"), held);
+                }
+            }
+            panic!("no response to {req:?}");
+        };
+        let shard_put = |id, checksum| Request::ShardPut {
+            id,
+            key: "evil".into(),
+            data: b"payload".to_vec(),
+            checksum,
+            client: 77,
+            seq: 1,
+        };
+
+        let (resp, held) = rpc(&mut f, shard_put(1000, 0xbad));
+        assert!(matches!(resp, Response::Error { id: 1000, .. }), "{resp:?}");
+        assert_eq!(held, 0, "the head forwarded a rejected write");
+        for &m in &chain {
+            assert!(f.nodes[m as usize].store.get("evil").is_err(), "member {m} stored it");
+        }
+        // The rejection left no dedup entry: the same (client, seq) with
+        // the right checksum is applied and forwarded, not answered from
+        // the cache.
+        let (resp, held) = rpc(&mut f, shard_put(1001, block_checksum(b"payload")));
+        assert_eq!(resp, Response::PutOk { id: 1001 });
+        assert_eq!(held, 1);
+        for &m in &chain {
+            assert_eq!(f.nodes[m as usize].store.get("evil").expect("stored").0, b"payload");
+        }
+    }
+
+    #[test]
+    fn overwrites_replicate_in_order() {
+        let mut f = Fleet::pair(FaultPlan::hostile(), 13);
+        for round in 0..4u32 {
+            let r = f
+                .run_op(0, put("hot-key", format!("version {round}").as_bytes()), OP_BUDGET)
+                .expect("put");
+            assert!(r.ok, "{:?}", r.resp);
+        }
+        let r = f.run_op(0, get("hot-key"), OP_BUDGET).expect("get");
+        assert_eq!(r.read.as_deref(), Some(&b"version 3"[..]));
+        for node in &f.nodes {
+            assert_eq!(node.store.get("hot-key").expect("replica").0, b"version 3");
+        }
     }
 }

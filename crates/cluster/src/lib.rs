@@ -1,11 +1,12 @@
 //! A sharded, replicated block-store fleet on the verified stack.
 //!
 //! The paper's argument is that a verified OS foundation pays off in
-//! the *applications* built on it. `veros-blockstore` made that case at
-//! the scale of one primary/backup pair; this crate generalizes it to
-//! the shape such a storage node actually ships in — an N-node fleet
-//! behind consistent hashing — while keeping every layer on the same
-//! deterministic, fault-injected simulated stack:
+//! the *applications* built on it. `veros-blockstore` supplies the
+//! node-local storage engine and the wire protocol; this crate is
+//! everything that crosses the network, in the shape such a storage
+//! node actually ships in — an N-node fleet behind consistent hashing —
+//! with every layer on the same deterministic, fault-injected simulated
+//! stack:
 //!
 //! * [`shard`] — the shard map: consistent hashing with virtual nodes,
 //!   fixed shard count, and `M`-way replication chains; pure functions,
@@ -19,8 +20,8 @@
 //! * [`client`] — shard-aware clients: writes to chain heads, reads to
 //!   chain tails, local death suspicion, open-loop op queues.
 //! * [`fleet`] — the harness wiring all of it over the fault-injecting
-//!   [`veros_net::sim::Network`]; [`fleet::Fleet::pair`] reproduces the
-//!   old two-node `Cluster` as a degenerate configuration.
+//!   [`veros_net::sim::Network`]; [`fleet::Fleet::pair`] is the
+//!   smallest replicated deployment (two nodes, one 2-way chain).
 //! * [`workload`] — an open-loop YCSB-style generator (zipfian keys,
 //!   bursts, read/write mix, ≥1000 simulated client hosts) and the
 //!   stats scored into `BENCH_blockstore.json`.

@@ -103,7 +103,6 @@ fn rewrite_id(resp: &Response, id: u64) -> Response {
         | Response::GetOk { id: i, .. }
         | Response::NotFound { id: i }
         | Response::DeleteOk { id: i }
-        | Response::Keys { id: i, .. }
         | Response::Error { id: i, .. }
         | Response::Retry { id: i }
         | Response::SyncBlocks { id: i, .. } => *i = id,
@@ -289,15 +288,6 @@ impl FleetNode {
                     .filter_map(|k| self.store.get(&k).ok().map(|(d, c)| (k, d, c)))
                     .collect();
                 let resp = Response::SyncBlocks { id, blocks };
-                let _ = self.demux.send(stack, now, peer, resp.encode());
-            }
-            // Standalone-protocol requests don't shard; reject loudly
-            // (mirrors StorageNode rejecting the fleet requests).
-            Request::Put { id, .. } | Request::Delete { id, .. } | Request::List { id } => {
-                let resp = Response::Error {
-                    id,
-                    reason: "standalone request on a fleet node".into(),
-                };
                 let _ = self.demux.send(stack, now, peer, resp.encode());
             }
         }

@@ -46,8 +46,6 @@ pub const FAMILIES: [(&str, &str); 6] = [
 pub enum Ablation {
     /// The real system: every defense in place.
     None,
-    /// Durability: acknowledge puts without replicating to the backup.
-    UnreplicatedPut,
     /// Exactly-once: raw datagrams instead of the reliable transport.
     RawDatagrams,
     /// Journal: commit records without the flush barrier.
@@ -57,8 +55,9 @@ pub enum Ablation {
     /// Uring: recovery replays the dispatch log from the start instead
     /// of resuming at the crash boundary.
     ReplayLogTwice,
-    /// Cluster durability: replication chains one node wide, so an ack
-    /// no longer implies a copy that survives the writer's death.
+    /// Durability and cluster durability: replication chains one node
+    /// wide, so an ack no longer implies a copy that survives the
+    /// writer's death.
     UnreplicatedChain,
 }
 
@@ -81,9 +80,10 @@ fn violation(ablation: Ablation, msg: String) -> String {
 // ---------------------------------------------------------------------
 
 /// **Durability** (`invariant::durability::*`): every blockstore write
-/// the client saw acknowledged survives any single failure — primary
-/// disk crash (torn or clean), primary process death with failover to
-/// the backup, or both — with contents and checksum intact.
+/// the client saw acknowledged survives any single failure of the
+/// replicated pair — head disk crash (torn or clean), head process
+/// death with failover to the tail, or both — with contents and
+/// checksum intact.
 pub fn durability(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
     for sched in FaultSchedule::sweep("durability", family_seed, schedules) {
         swept(&metrics::DURABILITY_SCHEDULES);
@@ -95,9 +95,23 @@ pub fn durability(family_seed: u64, schedules: usize, ablation: Ablation) -> Res
 
 fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
     use veros_blockstore::wire::block_checksum;
-    use veros_blockstore::{BlockStore, Cluster, Request, Response};
+    use veros_blockstore::{BlockStore, Response};
+    use veros_cluster::{Fleet, FleetConfig, Op};
 
-    let mut c = Cluster::new(sched.wire.into(), sched.seed);
+    // `Fleet::pair`'s geometry; the ablation narrows the chain to its
+    // head, so an ack no longer implies a second copy.
+    let replication = if ablation == Ablation::UnreplicatedChain { 1 } else { 2 };
+    let mut f = Fleet::new(FleetConfig {
+        nodes: 2,
+        replication,
+        shards: 1,
+        vnodes: 8,
+        clients: 1,
+        plan: sched.wire.into(),
+        seed: sched.seed,
+        ..FleetConfig::default()
+    });
+    const BUDGET: u64 = 30_000;
     let mut rng = SpecRng::seeded(sched.seed ^ 0xd00d);
 
     // Acked writes: the set the invariant quantifies over.
@@ -107,65 +121,50 @@ fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
         let key = format!("inv-{i}");
         let mut data = vec![0u8; 16 + 8 * i];
         rng.fill(&mut data);
-        let r = if ablation == Ablation::UnreplicatedPut {
-            // The ablated primary acknowledges without replicating: the
-            // client hand-encodes the internal replication opcode.
-            let id = 0xd000 + i as u64;
-            let bytes = Request::Put {
-                id,
-                key: key.clone(),
-                data: data.clone(),
-                checksum: block_checksum(&data),
-                replicate: false,
-            }
-            .encode();
-            c.rpc(move |cl, s, t| cl.inject_raw(s, t, id, bytes))
-        } else {
-            let (k, d) = (key.clone(), data.clone());
-            c.rpc(move |cl, s, t| cl.put(s, t, &k, &d))
-        }
-        .map_err(|e| format!("put {key}: {e:?}"))?;
-        if !matches!(r, Response::PutOk { .. }) {
-            return Err(format!("put {key} not acked: {r:?}"));
+        let r = f
+            .run_op(0, Op::Put { key: key.clone(), data: data.clone() }, BUDGET)
+            .ok_or_else(|| format!("put {key} wedged"))?;
+        if !matches!(r.resp, Response::PutOk { .. }) {
+            return Err(format!("put {key} not acked: {:?}", r.resp));
         }
         acked.push((key, data));
     }
 
-    // The single failure, chosen by the schedule: 0 = primary death +
-    // failover, 1 = primary disk crash + recovery, 2 = both.
+    // The single failure, chosen by the schedule: 0 = head death +
+    // failover, 1 = head disk crash + recovery, 2 = both.
+    let head = f.chain_for_key("inv-0")[0];
     let mode = sched.ordinal % 3;
     if mode != 0 {
-        let store = std::mem::replace(&mut c.primary.store, BlockStore::format(64));
+        let node = &mut f.nodes[head as usize];
+        let store = std::mem::replace(&mut node.store, BlockStore::format(64));
         let mut disk = store.into_disk();
         let keep = sched.crash_point(disk.dirty());
         match sched.torn_bytes {
             Some(t) => disk.crash_torn(keep, t),
             None => disk.crash_keep_prefix(keep),
         }
-        c.primary.store = BlockStore::recover(disk);
+        node.store = BlockStore::recover(disk);
     }
     if mode == 1 {
-        // Primary recovered in place: every acked block must read back.
+        // Head recovered in place: every acked block must read back.
         for (key, data) in &acked {
-            let (got, ck) = c
-                .primary
+            let (got, ck) = f.nodes[head as usize]
                 .store
                 .get(key)
-                .map_err(|e| format!("{key} lost by primary crash-recovery: {e:?}"))?;
+                .map_err(|e| format!("{key} lost by head crash-recovery: {e:?}"))?;
             if got != *data || ck != block_checksum(data) {
-                return Err(format!("{key} corrupted by primary crash-recovery"));
+                return Err(format!("{key} corrupted by head crash-recovery"));
             }
         }
         return Ok(());
     }
-    // Primary is gone: acked writes must be readable from the backup.
-    c.kill_primary();
+    // Head is gone: acked writes must be readable from the survivor.
+    f.kill_node(head);
     for (key, data) in &acked {
-        let k = key.clone();
-        let r = c
-            .rpc_failover(move |cl, s, t| cl.get(s, t, &k))
-            .map_err(|e| format!("{key} unreadable after failover: {e:?}"))?;
-        match r {
+        let r = f
+            .run_op(0, Op::Get { key: key.clone() }, BUDGET)
+            .ok_or_else(|| format!("{key} unreadable after failover"))?;
+        match r.resp {
             Response::GetOk { data: got, checksum, .. }
                 if got == *data && checksum == block_checksum(data) => {}
             other => return Err(format!("{key} lost after failover: {other:?}")),

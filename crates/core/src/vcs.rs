@@ -1035,17 +1035,31 @@ fn blockstore_wire_roundtrip(seed: u64, iters: usize) -> Result<(), String> {
         let id = rng.next_u64();
         let key = format!("k{}", rng.below(1000));
         let data: Vec<u8> = (0..rng.below(64)).map(|_| rng.below(256) as u8).collect();
-        let req = match rng.below(4) {
-            0 => Request::Put {
+        let (client, seq, epoch) = (rng.below(2000), rng.next_u64(), rng.below(16));
+        let rest: Vec<u16> = (0..rng.below(4)).map(|_| rng.below(64) as u16).collect();
+        let req = match rng.below(6) {
+            0 => Request::Get { id, key: key.clone() },
+            1 => Request::ShardPut {
                 id,
                 key: key.clone(),
                 checksum: block_checksum(&data),
                 data: data.clone(),
-                replicate: rng.chance(1, 2),
+                client,
+                seq,
             },
-            1 => Request::Get { id, key: key.clone() },
-            2 => Request::Delete { id, key: key.clone(), replicate: rng.chance(1, 2) },
-            _ => Request::List { id },
+            2 => Request::ShardDelete { id, key: key.clone(), client, seq },
+            3 => Request::ChainPut {
+                id,
+                key: key.clone(),
+                checksum: block_checksum(&data),
+                data: data.clone(),
+                client,
+                seq,
+                epoch,
+                rest,
+            },
+            4 => Request::ChainDelete { id, key: key.clone(), client, seq, epoch, rest },
+            _ => Request::SyncShard { id, shard: rng.below(1 << 16) as u32 },
         };
         let bytes = req.encode();
         match Request::decode(&bytes) {
@@ -1058,12 +1072,17 @@ fn blockstore_wire_roundtrip(seed: u64, iters: usize) -> Result<(), String> {
         if cut < bytes.len() && Request::decode(&bytes[..cut]).is_some() {
             return Err(format!("seed {seed} iter {i}: truncation at {cut} decoded"));
         }
-        let resp = match rng.below(5) {
+        let resp = match rng.below(7) {
             0 => Response::PutOk { id },
             1 => Response::GetOk { id, checksum: block_checksum(&data), data: data.clone() },
             2 => Response::NotFound { id },
-            3 => Response::Keys { id, keys: vec![key.clone(), format!("{key}x")] },
-            _ => Response::Error { id, reason: "checksum mismatch".into() },
+            3 => Response::DeleteOk { id },
+            4 => Response::Error { id, reason: "checksum mismatch".into() },
+            5 => Response::Retry { id },
+            _ => Response::SyncBlocks {
+                id,
+                blocks: vec![(key.clone(), data.clone(), block_checksum(&data))],
+            },
         };
         let rbytes = resp.encode();
         match Response::decode(&rbytes) {

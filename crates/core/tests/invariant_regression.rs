@@ -12,9 +12,9 @@ use veros_core::invariants::{self, Ablation};
 
 #[test]
 fn durability_fails_without_replication() {
-    // Ordinal 0 exercises the failover mode: a put acked without
-    // replication is lost the moment the primary dies.
-    let err = invariants::durability(0, 3, Ablation::UnreplicatedPut)
+    // Ordinal 0 exercises the failover mode: a put acked by a 1-wide
+    // chain is lost the moment its head dies.
+    let err = invariants::durability(0, 3, Ablation::UnreplicatedChain)
         .expect_err("unreplicated puts must not survive failover");
     assert!(err.contains("durability"), "{err}");
     invariants::durability(0, 3, Ablation::None).expect("real system holds");

@@ -4,6 +4,7 @@
 //! paper-to-crate mapping.
 
 pub use veros_blockstore as blockstore;
+pub use veros_cluster as cluster;
 pub use veros_core as core;
 pub use veros_fs as fs;
 pub use veros_hw as hw;
@@ -12,4 +13,6 @@ pub use veros_net as net;
 pub use veros_nr as nr;
 pub use veros_pagetable as pagetable;
 pub use veros_spec as spec;
+pub use veros_telemetry as telemetry;
 pub use veros_ulib as ulib;
+pub use veros_uring as uring;

@@ -2,7 +2,8 @@
 //! down to simulated sectors — block store over journaled filesystem
 //! over the crash-injecting disk, across the lossy network.
 
-use veros::blockstore::{wire, BlockStore, Cluster, Response};
+use veros::blockstore::{wire, BlockStore};
+use veros::cluster::{Fleet, Op};
 use veros::net::sim::FaultPlan;
 use veros::spec::rng::SpecRng;
 
@@ -40,18 +41,27 @@ fn blockstore_agrees_with_an_abstract_map_under_random_workload() {
     }
 }
 
+const BUDGET: u64 = 20_000;
+
+fn put(f: &mut Fleet, key: &str, data: &[u8]) {
+    let r = f
+        .run_op(0, Op::Put { key: key.into(), data: data.to_vec() }, BUDGET)
+        .expect("put completes");
+    assert!(r.ok, "{:?}", r.resp);
+}
+
 #[test]
 fn acknowledged_cluster_writes_survive_crash_of_either_replica() {
-    let mut cluster = Cluster::new(FaultPlan::hostile(), 31);
+    let mut fleet = Fleet::pair(FaultPlan::hostile(), 31);
     for i in 0..5u32 {
-        cluster
-            .rpc(|cl, s, t| cl.put(s, t, &format!("blk{i}"), format!("data{i}").as_bytes()))
-            .expect("put");
+        put(&mut fleet, &format!("blk{i}"), format!("data{i}").as_bytes());
     }
+    let chain = fleet.chain_for_key("blk0");
+    let (head, tail) = (chain[0] as usize, chain[1] as usize);
 
-    // Crash the PRIMARY's disk: recover and check every acknowledged
+    // Crash the HEAD's disk: recover and check every acknowledged
     // block.
-    let store = std::mem::replace(&mut cluster.primary.store, BlockStore::format(64));
+    let store = std::mem::replace(&mut fleet.nodes[head].store, BlockStore::format(64));
     let mut disk = store.into_disk();
     let mut rng = SpecRng::seeded(5);
     disk.crash_random(&mut rng);
@@ -63,11 +73,12 @@ fn acknowledged_cluster_writes_survive_crash_of_either_replica() {
         );
     }
 
-    // The BACKUP independently has every acknowledged block (synchronous
-    // replication), so losing the primary entirely is also fine.
+    // The TAIL independently has every acknowledged block (the ack
+    // waits for the whole chain), so losing the head entirely is also
+    // fine.
     for i in 0..5u32 {
         assert_eq!(
-            cluster.backup.store.get(&format!("blk{i}")).expect("replicated").0,
+            fleet.nodes[tail].store.get(&format!("blk{i}")).expect("replicated").0,
             format!("data{i}").as_bytes()
         );
     }
@@ -75,29 +86,31 @@ fn acknowledged_cluster_writes_survive_crash_of_either_replica() {
 
 #[test]
 fn overwrites_replicate_in_order() {
-    let mut cluster = Cluster::new(FaultPlan::hostile(), 13);
+    let mut fleet = Fleet::pair(FaultPlan::hostile(), 13);
     for round in 0..4u32 {
-        let data = format!("version {round}");
-        cluster
-            .rpc(|cl, s, t| cl.put(s, t, "hot-key", data.as_bytes()))
-            .expect("put");
+        put(&mut fleet, "hot-key", format!("version {round}").as_bytes());
     }
-    match cluster.rpc(|cl, s, t| cl.get(s, t, "hot-key")).expect("get") {
-        Response::GetOk { data, .. } => assert_eq!(data, b"version 3"),
-        other => panic!("{other:?}"),
+    let r = fleet
+        .run_op(0, Op::Get { key: "hot-key".into() }, BUDGET)
+        .expect("get completes");
+    assert_eq!(r.read.as_deref(), Some(&b"version 3"[..]));
+    for node in &fleet.nodes {
+        assert_eq!(node.store.get("hot-key").unwrap().0, b"version 3");
     }
-    assert_eq!(cluster.backup.store.get("hot-key").unwrap().0, b"version 3");
 }
 
 #[test]
 fn wire_protocol_rejects_corruption_everywhere() {
     let mut rng = SpecRng::seeded(3);
-    let req = wire::Request::Put {
+    let req = wire::Request::ChainPut {
         id: 9,
         key: "key".into(),
         data: vec![1, 2, 3, 4, 5],
         checksum: wire::block_checksum(&[1, 2, 3, 4, 5]),
-        replicate: true,
+        client: 1003,
+        seq: 7,
+        epoch: 2,
+        rest: vec![4, 6],
     };
     let bytes = req.encode();
     // Any single bit flip either still decodes (benign field change) or
