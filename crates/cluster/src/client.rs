@@ -157,6 +157,15 @@ impl FleetClient {
         self.inflight.is_none() && self.queue.is_empty()
     }
 
+    /// True when a [`FleetClient::poll`] with no new datagram on the
+    /// socket would do nothing: the client is idle and every message it
+    /// ever sent is acknowledged. An idle client whose last
+    /// acknowledgement was lost is *not* quiet — it still owes the wire
+    /// a retransmission.
+    pub fn quiet(&self) -> bool {
+        self.idle() && self.demux.quiescent()
+    }
+
     /// Queued (not yet issued) operations.
     pub fn backlog(&self) -> usize {
         self.queue.len()

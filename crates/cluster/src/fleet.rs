@@ -5,8 +5,37 @@
 //! host `nodes`, clients are hosts `nodes + 1 ..`. The network is built
 //! with [`Network::new_fleet`] so a thousand-client fleet doesn't pay a
 //! quadratic neighbour fill. [`Fleet::step`] advances the whole world
-//! one tick: wire, coordinator, every live node, every client — all
-//! deterministic in `(config, seed)`.
+//! one tick, deterministic in `(config, seed)`.
+//!
+//! # Who is polled each tick, and why the rest can be skipped
+//!
+//! A tick steps the wire, the coordinator and every live node (a few
+//! dozen hosts at most, all of which keep timers), and polls client `c`
+//! only if a frame reached its host this tick ([`Network::woken`]) or
+//! the client is not [`FleetClient::quiet`]. The world this produces is
+//! the one polling every client would: a skipped poll is a no-op.
+//! Follow [`FleetClient::poll`] for a quiet client with no new
+//! datagram: nothing is queued and nothing is in flight, so no
+//! operation starts; the socket is empty, so the demux drains nothing
+//! and delivers nothing; no operation is outstanding, so nothing times
+//! out or is re-issued; every rdt session is fully acknowledged, so the
+//! clock tick retransmits nothing. No state changes, no frame is
+//! queued, no metric moves and nothing is allocated. The two terms of
+//! the rule are exactly what can end that: a datagram (the client must
+//! at least re-acknowledge a duplicate), or work of its own — an
+//! arrival that came due, a timeout, a backoff, or a retransmission an
+//! otherwise idle client still owes because its last acknowledgement
+//! was lost.
+//!
+//! `clients` is a public field and harnesses call
+//! `fleet.clients[c].submit(..)` directly, so the fleet cannot be told
+//! when a client gains work; it asks each client `quiet()` every tick
+//! instead. That scan is the one remaining O(clients) term of a tick
+//! (a few µs at a thousand clients); there is no timer heap because
+//! nothing measured yet asks for one. A harness that steps `net` itself
+//! owns the whole tick and must poll whom it woke, as
+//! `tests/common::step_all` (the poll-everything stepper this one
+//! replaced, kept as the test oracle) and the `e2e` bench do.
 //!
 //! [`Fleet::pair`] is the smallest replicated deployment — two nodes,
 //! one shard, one 2-way chain — so every write goes head → tail and
@@ -148,7 +177,9 @@ impl Fleet {
         self.pending_failovers.push(self.now);
     }
 
-    /// One tick of the whole world.
+    /// One tick of the whole world: the wire, the coordinator, every
+    /// live node, and the clients that have something to do (see the
+    /// module doc for why the others can be skipped).
     pub fn step(&mut self) {
         self.net.step();
         let n = self.nodes.len();
@@ -158,9 +189,17 @@ impl Fleet {
                 self.nodes[i].poll(self.net.host(i), self.now);
             }
         }
+        // `woken` is ascending and so is `host`: one cursor walks it.
+        let mut w = 0;
         for c in 0..self.clients.len() {
             let host = n + 1 + c;
-            self.clients[c].poll(self.net.host(host), self.now);
+            let woken = self.net.woken();
+            while w < woken.len() && woken[w] < host {
+                w += 1;
+            }
+            if woken.get(w) == Some(&host) || !self.clients[c].quiet() {
+                self.clients[c].poll(self.net.host(host), self.now);
+            }
         }
         self.now += 1;
     }

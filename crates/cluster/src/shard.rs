@@ -14,6 +14,7 @@
 //!   `O(K·M/N)` keys, never the whole keyspace.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use veros_spec::rng::fnv1a;
 
@@ -26,8 +27,10 @@ pub struct ShardMap {
     nodes: u16,
     replication: usize,
     shards: u32,
-    /// Sorted ring of (point, physical node) virtual nodes.
-    ring: Vec<(u64, u16)>,
+    /// Sorted ring of (point, physical node) virtual nodes. Shared:
+    /// every node and client of a fleet holds the map, and a clone is a
+    /// reference count, not a copy of the ring.
+    ring: Arc<[(u64, u16)]>,
 }
 
 impl ShardMap {
@@ -49,7 +52,7 @@ impl ShardMap {
             nodes,
             replication: replication.max(1),
             shards: shards.max(1),
-            ring,
+            ring: ring.into(),
         }
     }
 

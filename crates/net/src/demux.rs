@@ -9,6 +9,15 @@
 //! sharing the socket for transmission). Every session keeps the full
 //! go-back-N spec — per-peer streams stay prefix-ordered and exactly-
 //! once — while the drain cost is O(datagrams), not O(peers).
+//!
+//! The clock tick is O(sessions with data in flight), not O(peers)
+//! either: every send goes through [`RdtDemux::send`], which files the
+//! session in an ascending index list that [`RdtDemux::on_tick`] walks
+//! and prunes. Ascending index is first-contact order, so retransmits
+//! leave in the order a scan of the whole table would produce. A demux
+//! with nothing in that list and nothing waiting for `recv` is
+//! [`RdtDemux::quiescent`]: until the next datagram or send, `poll`,
+//! `recv` and `on_tick` do nothing at all.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -30,6 +39,10 @@ pub struct RdtDemux {
     /// Session indices with undelivered in-order messages, one entry
     /// per delivered message, so `recv` never scans the session table.
     ready: VecDeque<usize>,
+    /// Session indices that may have data in flight, ascending: every
+    /// session not fully acked is here (entered by `send`, pruned by
+    /// `on_tick` once acked).
+    active: Vec<usize>,
     window: usize,
 }
 
@@ -41,6 +54,7 @@ impl RdtDemux {
             sessions: Vec::new(),
             index: HashMap::new(),
             ready: VecDeque::new(),
+            active: Vec::new(),
             window: crate::rdt::DEFAULT_WINDOW,
         }
     }
@@ -57,10 +71,12 @@ impl RdtDemux {
         self.sessions.len()
     }
 
-    /// The session for `peer`, created on first use.
-    pub fn session(&mut self, peer: Peer) -> &mut RdtEndpoint {
-        let i = self.index_of(peer);
-        &mut self.sessions[i].1
+    /// True when no session has data in flight and no delivered message
+    /// waits for [`RdtDemux::recv`]: with no new datagram on the socket,
+    /// `poll`, `recv` and `on_tick` would change nothing and transmit
+    /// nothing.
+    pub fn quiescent(&self) -> bool {
+        self.ready.is_empty() && self.active.iter().all(|&i| self.sessions[i].1.fully_acked())
     }
 
     fn index_of(&mut self, peer: Peer) -> usize {
@@ -83,6 +99,9 @@ impl RdtDemux {
         payload: Vec<u8>,
     ) -> Result<(), SocketError> {
         let i = self.index_of(peer);
+        if let Err(at) = self.active.binary_search(&i) {
+            self.active.insert(at, i);
+        }
         self.sessions[i].1.send(stack, now, payload)
     }
 
@@ -111,12 +130,13 @@ impl RdtDemux {
     }
 
     /// Clock tick: retransmission timers for every session with data in
-    /// flight (sessions that are fully acked skip in O(1)).
+    /// flight, in first-contact order; fully acked sessions are never
+    /// visited.
     pub fn on_tick(&mut self, stack: &mut NetStack, now: u64) -> Result<(), SocketError> {
-        for (_, ep) in &mut self.sessions {
-            if !ep.fully_acked() {
-                ep.on_tick(stack, now)?;
-            }
+        let sessions = &self.sessions;
+        self.active.retain(|&i| !sessions[i].1.fully_acked());
+        for &i in &self.active {
+            self.sessions[i].1.on_tick(stack, now)?;
         }
         Ok(())
     }
@@ -253,5 +273,63 @@ mod tests {
         }
         assert_eq!(echoed[0], [100]);
         assert_eq!(echoed[1], [101]);
+    }
+
+    /// The frames host 0 has queued, taken off the wire, with the host
+    /// each is for.
+    fn take_queued(net: &mut Network) -> Vec<(usize, Vec<u8>)> {
+        let mut out = Vec::new();
+        while let Some(f) = net.host(0).nic.wire_take_tx() {
+            let dst = crate::frame::EthFrame::decode(&f).unwrap().dst;
+            let host = (1..=3).find(|&i| dst == crate::frame::Mac::host(i)).unwrap();
+            out.push((host as usize, f));
+        }
+        out
+    }
+
+    #[test]
+    fn tick_retransmits_in_first_contact_order_and_quiescence_waits_for_the_last_ack() {
+        let mut net = Network::new(4, FaultPlan::reliable(), 1);
+        let (mut demux, mut clients) = setup(&mut net, 3);
+        let peer = |i: usize| (crate::ip::IpAddr::host(i as u16), CLIENT_PORT);
+        let hosts = |frames: &[(usize, Vec<u8>)]| frames.iter().map(|(h, _)| *h).collect::<Vec<_>>();
+        assert!(demux.quiescent());
+        // First contact in the order 3, 1, 2, acknowledged at once.
+        for i in [3, 1, 2] {
+            demux.send(net.host(0), 0, peer(i), vec![i as u8]).unwrap();
+        }
+        assert!(!demux.quiescent());
+        for now in 0..2 {
+            net.step();
+            for (i, c) in clients.iter_mut().enumerate() {
+                c.poll(net.host(i + 1), now).unwrap();
+            }
+            demux.poll(net.host(0), now).unwrap();
+        }
+        assert!(demux.quiescent());
+        // Second round in another order, and the wire loses all of it.
+        for i in [2, 3, 1] {
+            demux.send(net.host(0), 10, peer(i), vec![i as u8]).unwrap();
+        }
+        assert_eq!(hosts(&take_queued(&mut net)), [2, 3, 1]);
+        demux.on_tick(net.host(0), 10 + crate::rdt::DEFAULT_TIMEOUT).unwrap();
+        let retransmits = take_queued(&mut net);
+        assert_eq!(
+            hosts(&retransmits),
+            [3, 1, 2],
+            "retransmits leave in first-contact order, not send order"
+        );
+        // Hand the retransmits over one at a time: each peer acks its own.
+        for (acked, (host, frame)) in retransmits.into_iter().enumerate() {
+            assert!(!demux.quiescent(), "{acked} of 3 acked");
+            net.host(host).nic.wire_deliver(frame);
+            net.step();
+            clients[host - 1].poll(net.host(host), 20).unwrap();
+            net.step();
+            demux.poll(net.host(0), 20).unwrap();
+        }
+        assert!(demux.quiescent(), "the last ack arrived");
+        demux.on_tick(net.host(0), 100).unwrap();
+        assert!(take_queued(&mut net).is_empty(), "nothing left to retransmit");
     }
 }

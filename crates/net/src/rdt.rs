@@ -58,6 +58,22 @@ pub struct RdtEndpoint {
     retransmissions: u64,
 }
 
+/// Sends one DATA message. Borrows the socket and peer rather than the
+/// endpoint, so a retransmit can walk the unacked window in place.
+fn transmit_data(
+    stack: &mut NetStack,
+    sock: SocketId,
+    peer: (IpAddr, u16),
+    seq: u64,
+    payload: &[u8],
+) -> Result<(), SocketError> {
+    let mut msg = Vec::with_capacity(9 + payload.len());
+    msg.push(MSG_DATA);
+    msg.extend_from_slice(&seq.to_le_bytes());
+    msg.extend_from_slice(payload);
+    stack.send_to(sock, peer.0, peer.1, msg)
+}
+
 impl RdtEndpoint {
     /// Creates an endpoint talking to `peer` over `sock`.
     pub fn new(sock: SocketId, peer: (IpAddr, u16)) -> Self {
@@ -113,7 +129,7 @@ impl RdtEndpoint {
             };
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.transmit_data(stack, seq, &payload)?;
+            transmit_data(stack, self.sock, self.peer, seq, &payload)?;
             self.unacked.push_back((seq, payload));
             if self.timer_deadline.is_none() {
                 self.timer_deadline = Some(now + self.timeout);
@@ -123,19 +139,6 @@ impl RdtEndpoint {
             crate::metrics::WINDOW_STALLS.inc();
         }
         Ok(())
-    }
-
-    fn transmit_data(
-        &mut self,
-        stack: &mut NetStack,
-        seq: u64,
-        payload: &[u8],
-    ) -> Result<(), SocketError> {
-        let mut msg = Vec::with_capacity(9 + payload.len());
-        msg.push(MSG_DATA);
-        msg.extend_from_slice(&seq.to_le_bytes());
-        msg.extend_from_slice(payload);
-        stack.send_to(self.sock, self.peer.0, self.peer.1, msg)
     }
 
     fn transmit_ack(&mut self, stack: &mut NetStack) -> Result<(), SocketError> {
@@ -149,9 +152,8 @@ impl RdtEndpoint {
     pub fn on_tick(&mut self, stack: &mut NetStack, now: u64) -> Result<(), SocketError> {
         if let Some(deadline) = self.timer_deadline {
             if now >= deadline && !self.unacked.is_empty() {
-                let window: Vec<(u64, Vec<u8>)> = self.unacked.iter().cloned().collect();
-                for (seq, payload) in window {
-                    self.transmit_data(stack, seq, &payload)?;
+                for (seq, payload) in &self.unacked {
+                    transmit_data(stack, self.sock, self.peer, *seq, payload)?;
                     self.retransmissions += 1;
                     crate::metrics::RETRANSMITS.inc();
                 }

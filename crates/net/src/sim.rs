@@ -3,12 +3,22 @@
 //! Frames move between NICs with deterministic fault injection — loss,
 //! duplication, and reordering — driven by a seeded RNG. The transport's
 //! reliability spec is only meaningful against this adversary.
+//!
+//! A step costs O(hosts that did something), not O(hosts). A NIC's
+//! transmit queue can only be filled through [`Network::host`], so the
+//! wire remembers which hosts were handed out since the last step and
+//! collects transmissions from those alone — **in ascending host
+//! index**, whatever order they were handed out in, because the frame
+//! order fixes every later draw of the fault RNG. Likewise a stack has
+//! something to demultiplex only if a frame reached its NIC, so only
+//! those hosts are polled; [`Network::woken`] names them, which is how a
+//! caller with a thousand mostly silent hosts learns whom to visit.
 
 use std::collections::HashMap;
 
 use veros_spec::rng::SpecRng;
 
-use crate::frame::{EthFrame, Mac};
+use crate::frame::{Mac, ETH_HEADER};
 use crate::ip::IpAddr;
 use crate::stack::NetStack;
 
@@ -56,6 +66,38 @@ impl From<veros_spec::fault::WireFaults> for FaultPlan {
     }
 }
 
+/// A set of host indices: O(1) duplicate-free insert, iteration over
+/// the members only. Sized for every host at construction and never
+/// grown, so a step's bookkeeping allocates nothing however many hosts
+/// it touches.
+struct HostSet {
+    member: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl HostSet {
+    fn new(hosts: usize) -> Self {
+        Self {
+            member: vec![false; hosts],
+            list: Vec::with_capacity(hosts),
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        if !self.member[i] {
+            self.member[i] = true;
+            self.list.push(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.member[i] = false;
+        }
+        self.list.clear();
+    }
+}
+
 /// The simulated network: hosts + the wire between them.
 pub struct Network {
     hosts: Vec<NetStack>,
@@ -65,6 +107,11 @@ pub struct Network {
     plan: FaultPlan,
     rng: SpecRng,
     in_flight: Vec<Vec<u8>>,
+    /// Hosts handed out by [`Network::host`] since the last step: the
+    /// only ones whose NIC can hold a frame to transmit.
+    touched: HostSet,
+    /// Hosts a frame reached in the last step, ascending.
+    woken: HostSet,
     delivered_frames: u64,
     dropped_frames: u64,
 }
@@ -85,16 +132,7 @@ impl Network {
                 }
             }
         }
-        let by_mac = hosts.iter().enumerate().map(|(i, h)| (h.mac(), i)).collect();
-        Self {
-            hosts,
-            by_mac,
-            plan,
-            rng: SpecRng::seeded(seed),
-            in_flight: Vec::new(),
-            delivered_frames: 0,
-            dropped_frames: 0,
-        }
+        Self::over(hosts, plan, seed)
     }
 
     /// Creates a fleet-shaped network of `n` hosts where only the first
@@ -118,8 +156,15 @@ impl Network {
                 }
             }
         }
+        Self::over(hosts, plan, seed)
+    }
+
+    /// The wire over `hosts` whose neighbour tables are already filled.
+    fn over(hosts: Vec<NetStack>, plan: FaultPlan, seed: u64) -> Self {
         let by_mac = hosts.iter().enumerate().map(|(i, h)| (h.mac(), i)).collect();
         Self {
+            touched: HostSet::new(hosts.len()),
+            woken: HostSet::new(hosts.len()),
             hosts,
             by_mac,
             plan,
@@ -130,9 +175,18 @@ impl Network {
         }
     }
 
-    /// Access a host's stack.
+    /// Access a host's stack. The next step collects what the host
+    /// transmitted through it.
     pub fn host(&mut self, i: usize) -> &mut NetStack {
+        self.touched.insert(i);
         &mut self.hosts[i]
+    }
+
+    /// The hosts a frame reached in the last step, in ascending index:
+    /// the only ones whose sockets can hold a datagram that was not
+    /// there before it.
+    pub fn woken(&self) -> &[usize] {
+        &self.woken.list
     }
 
     /// Number of hosts.
@@ -146,14 +200,23 @@ impl Network {
     }
 
     /// One wire step: collect transmissions, apply faults, deliver, then
-    /// let every stack demultiplex.
+    /// let every stack a frame reached demultiplex.
     pub fn step(&mut self) {
-        // Collect.
-        for h in &mut self.hosts {
-            while let Some(f) = h.nic.wire_take_tx() {
+        // Collect, in host-index order (see the module doc). A frame
+        // put on a NIC's receive side by hand wakes its host like one
+        // the wire delivered.
+        self.woken.clear();
+        self.touched.list.sort_unstable();
+        for &i in &self.touched.list {
+            let nic = &mut self.hosts[i].nic;
+            while let Some(f) = nic.wire_take_tx() {
                 self.in_flight.push(f);
             }
+            if nic.rx_pending() > 0 {
+                self.woken.insert(i);
+            }
         }
+        self.touched.clear();
         // Faults.
         let mut surviving = Vec::with_capacity(self.in_flight.len());
         for f in self.in_flight.drain(..) {
@@ -178,20 +241,24 @@ impl Network {
         // the sender's own queue — we do not track sender, so everywhere).
         // Unicast resolves through the MAC index: O(1) per frame, so a
         // fleet-scale step is O(frames) rather than O(frames × hosts).
+        // The frame moves into the one NIC it is for; only a broadcast
+        // is copied.
         for f in surviving {
-            let Some(frame) = EthFrame::decode(&f) else {
+            let Some(dst) = frame_dst(&f) else {
                 self.dropped_frames += 1;
                 crate::metrics::DROPS.inc();
                 continue;
             };
             let mut hit = false;
-            if frame.dst == Mac::BROADCAST {
-                for h in &mut self.hosts {
+            if dst == Mac::BROADCAST {
+                for (i, h) in self.hosts.iter_mut().enumerate() {
                     h.nic.wire_deliver(f.clone());
+                    self.woken.insert(i);
                     hit = true;
                 }
-            } else if let Some(&i) = self.by_mac.get(&frame.dst) {
-                self.hosts[i].nic.wire_deliver(f.clone());
+            } else if let Some(&i) = self.by_mac.get(&dst) {
+                self.hosts[i].nic.wire_deliver(f);
+                self.woken.insert(i);
                 hit = true;
             }
             if hit {
@@ -203,8 +270,9 @@ impl Network {
             }
         }
         // Demux.
-        for h in &mut self.hosts {
-            h.poll();
+        self.woken.list.sort_unstable();
+        for &i in &self.woken.list {
+            self.hosts[i].poll();
         }
     }
 
@@ -216,9 +284,18 @@ impl Network {
     }
 }
 
+/// The destination of a wire frame, read from its header: `Some`
+/// exactly when [`crate::frame::EthFrame::decode`] accepts the frame
+/// (which it does for anything at least a header long), without copying
+/// the payload the way a full decode does.
+fn frame_dst(frame: &[u8]) -> Option<Mac> {
+    (frame.len() >= ETH_HEADER).then(|| Mac(crate::take_arr(frame, 0)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::EthFrame;
 
     #[test]
     fn fault_plan_from_wire_faults_preserves_every_degree() {
@@ -287,5 +364,83 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "different seeds should differ");
+    }
+
+    /// Host `from` sends one datagram `[tag]` to host 0's port 200.
+    fn send_tagged(net: &mut Network, from: usize, tag: u8) {
+        let dst = IpAddr::host(0);
+        let s = net.host(from).bind(100).unwrap();
+        net.host(from).send_to(s, dst, 200, vec![tag]).unwrap();
+    }
+
+    #[test]
+    fn frames_are_collected_in_host_index_order_whatever_the_access_order() {
+        let mut net = Network::new(5, FaultPlan::reliable(), 1);
+        let s0 = net.host(0).bind(200).unwrap();
+        for from in [3, 1, 4, 2] {
+            send_tagged(&mut net, from, from as u8);
+        }
+        net.step();
+        let mut got = Vec::new();
+        while let Some((_, _, d)) = net.host(0).recv_from(s0).unwrap() {
+            got.push(d[0]);
+        }
+        assert_eq!(got, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_host_never_handed_out_is_never_scanned() {
+        let mut net = Network::new(3, FaultPlan::reliable(), 1);
+        send_tagged(&mut net, 1, 1);
+        // Behind `host()`'s back: no caller can do this, so no step has
+        // to look for it.
+        net.hosts[2].nic.transmit(vec![0; ETH_HEADER]);
+        net.step();
+        assert_eq!(net.hosts[1].nic.tx_pending(), 0, "handed out: collected");
+        assert_eq!(net.hosts[2].nic.tx_pending(), 1, "never handed out: not visited");
+        assert_eq!(net.wire_stats(), (1, 0));
+    }
+
+    #[test]
+    fn woken_names_exactly_the_hosts_a_frame_reached() {
+        let mut net = Network::new(6, FaultPlan::reliable(), 1);
+        assert!(net.woken().is_empty());
+        let s = net.host(5).bind(100).unwrap();
+        for to in [4u16, 0, 2, 4] {
+            net.host(5).send_to(s, IpAddr::host(to), 200, vec![1]).unwrap();
+        }
+        net.step();
+        assert_eq!(net.woken(), [0, 2, 4], "ascending, each host once");
+        for i in [0, 2, 4] {
+            assert_eq!(net.hosts[i].nic.rx_pending(), 0, "host {i} demultiplexed");
+        }
+        net.step();
+        assert!(net.woken().is_empty(), "a wake lasts one step");
+        // An unknown neighbour broadcasts: everyone is woken.
+        net.host(5).send_to(s, IpAddr::host(77), 200, vec![1]).unwrap();
+        net.step();
+        assert_eq!(net.woken(), [0, 1, 2, 3, 4, 5]);
+        // A frame put on a NIC by hand wakes its host at the next step.
+        net.host(3).nic.wire_deliver(vec![0; ETH_HEADER]);
+        net.step();
+        assert_eq!(net.woken(), [3]);
+        assert_eq!(net.hosts[3].nic.rx_pending(), 0);
+    }
+
+    #[test]
+    fn frame_dst_accepts_exactly_what_decode_accepts() {
+        let mut rng = SpecRng::seeded(9);
+        let mut frames = vec![vec![], vec![0xff; 13], vec![0xff; 14], vec![7; 15]];
+        for len in [1usize, 6, 13, 14, 15, 64, 1536] {
+            frames.push((0..len).map(|_| rng.next_u64() as u8).collect());
+        }
+        for f in frames {
+            assert_eq!(
+                frame_dst(&f),
+                EthFrame::decode(&f).map(|d| d.dst),
+                "{} bytes",
+                f.len()
+            );
+        }
     }
 }

@@ -5,52 +5,23 @@
 //!
 //! This is the guard that keeps a validate-by-cloning
 //! `JournaledFs::apply` from coming back: cloning a tree of 1024 one-KiB
-//! files is a megabyte per operation. It is its own test binary because
-//! of the `#[global_allocator]`, and a single `#[test]` so that nothing
-//! else allocates while it counts.
+//! files is a megabyte per operation. Its own test binary with a single
+//! `#[test]`: see `counting_alloc`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
+use counting_alloc::bytes_allocated_by;
 use veros_blockstore::wire::block_checksum;
 use veros_blockstore::BlockStore;
 use veros_fs::journal::{FsOp, JournaledFs};
 use veros_hw::SimDisk;
-
-/// Counts every byte requested (a growing `Vec` counts its new size in
-/// full: `realloc` defaults to `alloc` + copy).
-struct Counting;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers to `System` unchanged; the counter is a relaxed
-// statistic that publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: a `GlobalAlloc` method — the caller upholds the trait's
-    // contract for `layout`, which reaches `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: as for `alloc`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const VALUE: usize = 1024;
 
 /// Mean bytes allocated by each call of `op`, over `n` calls. Averaging
 /// absorbs the amortised doubling of the disk's sector table.
 fn bytes_per_call(n: usize, mut op: impl FnMut(usize)) -> u64 {
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    (0..n).for_each(&mut op);
-    (ALLOCATED.load(Ordering::Relaxed) - before) / n as u64
+    bytes_allocated_by(|| (0..n).for_each(&mut op)) / n as u64
 }
 
 /// `apply(WriteAt 1 KiB)` + `commit` with `population` files present.
