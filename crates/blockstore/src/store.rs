@@ -234,9 +234,14 @@ mod tests {
     /// left the key truncated in memory and an open transaction on
     /// disk, which the next small commit (the delete below) sealed: the
     /// acknowledged value was gone for good.
+    ///
+    /// Every disk size must both land a put and refuse one: the first
+    /// 1 KiB put is a 3-sector record and the 1-byte "other" 1 more, so
+    /// 3 sectors land round 0 and refuse round 1; each later round takes
+    /// 3, so 4 + 3 × 7 = 25 would land all eight and 24 is the top.
     #[test]
     fn a_put_refused_for_space_never_damages_the_acknowledged_value() {
-        for sectors in 8..40 {
+        for sectors in 3..25 {
             let mut s = BlockStore::format(sectors);
             let mut acked = None;
             let mut refused = false;
@@ -263,6 +268,33 @@ mod tests {
             let s = BlockStore::recover(s.into_disk());
             assert_eq!(stored(&s), acked, "{sectors} sectors: recovered value");
         }
+    }
+
+    /// A store mutation is one journal record and one barrier. The
+    /// record is 8 bytes of header + 4 of checksum around the ops,
+    /// whose paths are the 5-byte `/b_6b`: a 1 KiB overwrite is
+    /// `Truncate` (18) + `WriteAt` of 8 + 1024 bytes (1054) → 1084 bytes,
+    /// 3 sectors; a 128 B one is 18 + 158 → 188 bytes and an `Unlink`
+    /// 10 → 22 bytes, 1 sector each.
+    #[test]
+    fn a_put_or_delete_costs_one_record_and_one_barrier() {
+        fn cost(s: &mut BlockStore, op: impl FnOnce(&mut BlockStore)) -> (u64, u64) {
+            let (writes, flushes) = s.fs.disk().stats();
+            op(s);
+            let (w, f) = s.fs.disk().stats();
+            (w - writes, f - flushes)
+        }
+        let put = |len: usize| {
+            move |s: &mut BlockStore| {
+                let v = vec![1; len];
+                s.put("k", &v, block_checksum(&v)).unwrap();
+            }
+        };
+        let mut s = BlockStore::format(64);
+        put(1024)(&mut s);
+        assert_eq!(cost(&mut s, put(1024)), (3, 1), "1 KiB overwrite");
+        assert_eq!(cost(&mut s, put(128)), (1, 1), "128 B overwrite");
+        assert_eq!(cost(&mut s, |s| s.delete("k").unwrap()), (1, 1), "delete");
     }
 
     #[test]

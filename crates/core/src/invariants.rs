@@ -48,7 +48,7 @@ pub enum Ablation {
     None,
     /// Exactly-once: raw datagrams instead of the reliable transport.
     RawDatagrams,
-    /// Journal: commit records without the flush barrier.
+    /// Journal: commits without the flush barrier.
     SkipCommitBarrier,
     /// Frames: a rollback path that drops frames on the floor.
     LeakFrames,
@@ -283,20 +283,96 @@ fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, St
 // Invariant 3: journal crash consistency.
 // ---------------------------------------------------------------------
 
-/// **Journal crash consistency** (`invariant::fs_journal::*`): after a
-/// crash at *any* cached-write boundary — including a torn final sector
-/// — recovery restores exactly the last committed transaction boundary:
-/// nothing acknowledged is lost, nothing unacknowledged appears.
+/// **Journal crash consistency** (`invariant::fs_journal::*`): with a
+/// commit in flight — its record handed to the drive, its barrier not
+/// yet returned — a crash at *any* cached-write boundary, including a
+/// torn sector, recovers to C, the state at the last acknowledged
+/// commit, or to C′, the state after the in-flight one, exactly when
+/// its whole record reached the platter: nothing acknowledged is lost,
+/// nothing unacknowledged appears even in part. Each schedule crashes
+/// the same history twice: at its own point, `crash_point(dirty)`, and
+/// with the whole record kept (only the barrier missing). The sweep
+/// must recover both C and C′, or it checked one side of the "iff".
 pub fn fs_journal(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+    let mut outcomes = [false; 2];
     for sched in FaultSchedule::sweep("fs_journal", family_seed, schedules) {
         swept(&metrics::FS_JOURNAL_SCHEDULES);
-        fs_journal_one(&sched, ablation)
-            .map_err(|e| violation(ablation, format!("fs_journal: {e} [{}]", sched.describe())))?;
+        for whole in [false, true] {
+            let landed = fs_journal_one(&sched, ablation, whole).map_err(|e| {
+                violation(ablation, format!("fs_journal: {e} [{}]", sched.describe()))
+            })?;
+            outcomes[landed as usize] = true;
+        }
+    }
+    if ablation == Ablation::None && outcomes != [true, true] {
+        return Err(violation(
+            ablation,
+            format!("fs_journal: sweep recovered only one outcome (C, C′ seen: {outcomes:?}; vacuous)"),
+        ));
     }
     Ok(())
 }
 
-fn fs_journal_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
+/// Crashes `disk` — which must hold a commit in flight — with `crash`
+/// and recovers it. The state must be C′ (`in_flight`) exactly when the
+/// platter then holds everything that was written, i.e. the in-flight
+/// record landed whole, and C (`acked`) otherwise. Returns whether it
+/// landed.
+pub(crate) fn recovers_c_or_c_prime(
+    mut disk: veros_hw::disk::SimDisk,
+    acked: &veros_fs::MemFs,
+    in_flight: &veros_fs::MemFs,
+    crash: impl FnOnce(&mut veros_hw::disk::SimDisk),
+) -> Result<bool, String> {
+    if disk.dirty() == 0 {
+        return Err("nothing in flight at the crash (vacuous)".to_string());
+    }
+    let written = platter(&disk);
+    crash(&mut disk);
+    let landed = platter(&disk) == written;
+    let (want, name) = if landed { (in_flight, "C′") } else { (acked, "C") };
+    if veros_fs::JournaledFs::recover(disk).fs != *want {
+        return Err(format!(
+            "recovered state is not {name} (in-flight record landed whole: {landed})"
+        ));
+    }
+    Ok(landed)
+}
+
+/// Every sector of `disk` as a read sees it: before a crash, what was
+/// written (the cache wins); after it, what reached the platter.
+fn platter(disk: &veros_hw::disk::SimDisk) -> Vec<u8> {
+    use veros_hw::SECTOR_SIZE;
+    let mut image = vec![0u8; disk.sectors() as usize * SECTOR_SIZE];
+    for (sector, buf) in (0..).zip(image.as_chunks_mut::<SECTOR_SIZE>().0) {
+        // In range by construction: `sector < disk.sectors()`.
+        let _ = disk.read(sector, buf);
+    }
+    image
+}
+
+/// Crashes `sched`'s history at its crash point, or with the in-flight
+/// record `whole`; returns whether that record landed.
+fn fs_journal_one(sched: &FaultSchedule, ablation: Ablation, whole: bool) -> Result<bool, String> {
+    let (disk, acked, in_flight) = fs_journal_history(sched, ablation)?;
+    let dirty = disk.dirty();
+    let keep = if whole { dirty } else { sched.crash_point(dirty) };
+    recovers_c_or_c_prime(disk, &acked, &in_flight, |disk| match sched.torn_bytes {
+        Some(t) => disk.crash_torn(keep, t),
+        None => disk.crash_keep_prefix(keep),
+    })
+    .map_err(|e| format!("{e}; crash kept {keep} of {dirty} cached writes"))
+}
+
+/// The schedule's history, replayed identically on every call: a few
+/// acknowledged transactions, one more committed with its barrier
+/// withheld (a new file first, so C′ ≠ C, and up to ~1.6 KiB of data,
+/// so its record spans 1–4 sectors), then an uncommitted tail. Returns
+/// the disk with the in-flight record still cached, C and C′.
+fn fs_journal_history(
+    sched: &FaultSchedule,
+    ablation: Ablation,
+) -> Result<(veros_hw::disk::SimDisk, veros_fs::MemFs, veros_fs::MemFs), String> {
     use veros_fs::journal::JournaledFs;
     use veros_fs::FsOp;
     use veros_hw::disk::SimDisk;
@@ -306,9 +382,7 @@ fn fs_journal_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
         jfs.set_commit_barriers(false);
     }
     let mut rng = SpecRng::seeded(sched.seed ^ 0xf5);
-    let mut last_boundary = jfs.fs.clone();
 
-    // A few committed transactions, then an uncommitted tail.
     let txns = 2 + sched.ordinal % 3;
     let mut file_no = 0u32;
     let gen_op = |rng: &mut SpecRng, file_no: &mut u32| -> FsOp {
@@ -339,29 +413,27 @@ fn fs_journal_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
             let _ = jfs.apply(op); // invalid ops rejected up front: fine
         }
         jfs.commit().map_err(|e| format!("commit: {e:?}"))?;
-        last_boundary = jfs.fs.clone();
     }
-    // Uncommitted tail: acked nothing, so it must vanish on crash.
+    let acked = jfs.fs.clone();
+
+    // In flight: committed, barrier withheld.
+    file_no += 1;
+    let mut data = vec![0u8; 400 + rng.index(1200)];
+    rng.fill(&mut data);
+    let mut txn = vec![FsOp::Create(format!("/f{file_no}")), FsOp::WriteAt(format!("/f{file_no}"), 0, data)];
+    for _ in 0..rng.index(3) {
+        txn.push(gen_op(&mut rng, &mut file_no));
+    }
+    jfs.set_commit_barriers(false);
+    jfs.transact(&txn).map_err(|e| format!("in-flight transact: {e:?}"))?;
+    let in_flight = jfs.fs.clone();
+
+    // Uncommitted tail: acked nothing, never written, must never appear.
     for _ in 0..(1 + rng.index(2)) {
         let op = gen_op(&mut rng, &mut file_no);
         let _ = jfs.apply(op);
     }
-
-    // Crash at the schedule's point in the cached-write stream.
-    let mut disk = jfs.into_disk();
-    let keep = sched.crash_point(disk.dirty());
-    match sched.torn_bytes {
-        Some(t) => disk.crash_torn(keep, t),
-        None => disk.crash_keep_prefix(keep),
-    }
-    let recovered = JournaledFs::recover(disk);
-    if recovered.fs != last_boundary {
-        return Err(format!(
-            "recovered state is not the last committed boundary \
-             (crash kept {keep} cached writes)"
-        ));
-    }
-    Ok(())
+    Ok((jfs.into_disk(), acked, in_flight))
 }
 
 // ---------------------------------------------------------------------

@@ -850,8 +850,9 @@ fn telemetry_journal_counters_coherent() -> Result<(), String> {
     if d_replayed < 10 {
         return Err(format!("10 replayed ops recorded only {d_replayed}"));
     }
-    // 10 op records + 5 commit records, each at least one padded sector.
-    let floor = 15 * SECTOR_SIZE as u64;
+    // One record per commit: 9 + 85 bytes of ops (`Create /vcN`, a
+    // 64-byte `WriteAt`) + 12 of framing = 106 bytes, one sector each.
+    let floor = 5 * SECTOR_SIZE as u64;
     if d_wal < floor {
         return Err(format!("WAL footprint {d_wal} below the {floor}-byte floor"));
     }
@@ -859,35 +860,56 @@ fn telemetry_journal_counters_coherent() -> Result<(), String> {
 }
 
 /// Journal crash-safety over random histories (the spec from
-/// `veros-fs::journal`).
+/// `veros-fs::journal`), with a commit in flight: the last transaction
+/// — the ops staged since the last commit plus a 600-byte write, a
+/// 2-sector record — is committed with its barrier withheld, and the
+/// drive keeps a random subset of what it had cached. Recovery must give
+/// C, the last acknowledged state, or C′, the in-flight commit's —
+/// C′ exactly when its whole record reached the platter. The history is
+/// crashed 32 ways; both outcomes must occur.
 fn fs_crash_safety(seed: u64) -> Result<(), String> {
     use veros_fs::journal::{FsOp, JournaledFs};
     use veros_fs::MemFs;
     use veros_hw::SimDisk;
 
-    let mut rng = SpecRng::seeded(seed ^ 0xc4a5);
-    let mut jfs = JournaledFs::format(SimDisk::new(4096));
-    let mut boundaries = vec![MemFs::new()];
-    for i in 0..40 {
-        let f = format!("/f{}", rng.below(6));
-        let op = match rng.below(4) {
-            0 => FsOp::Create(f),
-            1 => FsOp::WriteAt(f, rng.below(128), vec![rng.below(255) as u8; 16]),
-            2 => FsOp::Truncate(f, rng.below(64)),
-            _ => FsOp::Unlink(f),
-        };
-        let _ = jfs.apply(op);
-        if i % 7 == 6 {
-            jfs.commit().map_err(|e| e.to_string())?;
-            boundaries.push(jfs.fs.clone());
+    let history = || -> Result<(SimDisk, MemFs, MemFs), String> {
+        let mut rng = SpecRng::seeded(seed ^ 0xc4a5);
+        let mut jfs = JournaledFs::format(SimDisk::new(64));
+        let mut acked = MemFs::new();
+        for i in 0..40 {
+            let f = format!("/f{}", rng.below(6));
+            let op = match rng.below(4) {
+                0 => FsOp::Create(f),
+                1 => FsOp::WriteAt(f, rng.below(128), vec![rng.below(255) as u8; 16]),
+                2 => FsOp::Truncate(f, rng.below(64)),
+                _ => FsOp::Unlink(f),
+            };
+            let _ = jfs.apply(op);
+            if i % 7 == 6 {
+                jfs.commit().map_err(|e| e.to_string())?;
+                acked = jfs.fs.clone();
+            }
         }
+        jfs.set_commit_barriers(false);
+        let f = "/inflight".to_string();
+        jfs.transact(&[FsOp::Create(f.clone()), FsOp::WriteAt(f, 0, vec![seed as u8; 600])])
+            .map_err(|e| e.to_string())?;
+        let in_flight = jfs.fs.clone();
+        let _ = jfs.apply(FsOp::Create("/uncommitted".into()));
+        Ok((jfs.into_disk(), acked, in_flight))
+    };
+    let mut crash_rng = SpecRng::seeded(seed ^ 0x5eed);
+    let mut outcomes = [false; 2];
+    for draw in 0..32 {
+        let (disk, acked, in_flight) = history()?;
+        let landed = crate::invariants::recovers_c_or_c_prime(disk, &acked, &in_flight, |disk| {
+            disk.crash_random(&mut crash_rng)
+        })
+        .map_err(|e| format!("seed {seed} draw {draw}: {e}"))?;
+        outcomes[landed as usize] = true;
     }
-    let _ = jfs.apply(FsOp::Create("/uncommitted".into()));
-    let mut disk = jfs.into_disk();
-    disk.crash_random(&mut rng);
-    let recovered = JournaledFs::recover(disk);
-    if !boundaries.contains(&recovered.fs) {
-        return Err(format!("seed {seed}: recovered state is not a committed boundary"));
+    if outcomes != [true, true] {
+        return Err(format!("seed {seed}: 32 crashes recovered only one outcome ({outcomes:?})"));
     }
     Ok(())
 }

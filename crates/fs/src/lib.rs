@@ -9,8 +9,9 @@
 //! * [mod@file] — open-file handles with offsets; `read`/`write` implement
 //!   the paper's `read_spec` semantics literally.
 //! * [`journal`] — persistence: a write-ahead operation journal on the
-//!   simulated disk with commit records; recovery replays exactly the
-//!   committed transactions (crash-safety).
+//!   simulated disk, one self-checksummed record per transaction;
+//!   recovery replays exactly the records that reached the disk whole
+//!   (crash-safety).
 //! * [`spec`] — the abstract filesystem spec (map path → bytes, fd
 //!   states) including a literal transcription of the paper's
 //!   `read_spec`, plus differential checking.

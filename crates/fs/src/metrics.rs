@@ -8,7 +8,8 @@
 
 use veros_telemetry::{Counter, Registry};
 
-/// Transactions committed (commit record + flush barrier reached disk).
+/// Transactions committed: one per `commit` — its record (if anything
+/// was staged) written, then the flush barrier.
 pub static JOURNAL_COMMITS: Counter = Counter::new();
 
 /// Journal operations replayed by recovery, summed over every
@@ -16,8 +17,9 @@ pub static JOURNAL_COMMITS: Counter = Counter::new();
 /// count use [`crate::JournaledFs::replayed_ops`].
 pub static JOURNAL_REPLAYED: Counter = Counter::new();
 
-/// Bytes appended to the write-ahead journal (sector-padded, so this is
-/// the on-disk footprint, not the logical record size).
+/// Bytes appended to the write-ahead journal: the whole sectors of each
+/// record written, padding included (the on-disk footprint, not the
+/// logical record size).
 pub static WAL_BYTES: Counter = Counter::new();
 
 /// Registers every filesystem instrument with `reg` under the `fs.`

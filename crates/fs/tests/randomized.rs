@@ -192,9 +192,10 @@ fn outcome_code(r: &Result<(), FsError>) -> u8 {
 /// state. Every third round runs on a disk of a few sectors so that
 /// `NoSpace` from the journal is a common outcome.
 ///
-/// Both sides share today's `FsOp::apply`, so the run is also pinned to
-/// a digest of every outcome, disk counter and recovered tree taken
-/// from the clone-based implementation before it was replaced.
+/// Both sides share today's `FsOp::apply` and journal, so the run is
+/// also pinned to a digest of every outcome, disk counter and recovered
+/// tree. Only a change of the journal format may move it: the format
+/// decides when sectors are written and where `NoSpace` falls.
 #[test]
 fn in_place_apply_matches_the_clone_oracle() {
     let mut rng = SpecRng::for_obligation("fs::tests::in_place_apply_matches_the_clone_oracle");
@@ -242,7 +243,7 @@ fn in_place_apply_matches_the_clone_oracle() {
     assert!(seen.iter().all(|&n| n >= 10), "every outcome class exercised: {seen:?}");
     assert_eq!(
         veros_spec::rng::fnv1a(&trace),
-        9186677849102832828,
+        12327330224185392451,
         "outcomes, sector writes or recovered trees differ from the clone-based apply"
     );
 }

@@ -39,9 +39,10 @@ struct Pending {
 }
 
 /// A sector's contents without its trailing zeroes. Journal records are
-/// zero-padded to whole sectors (a commit record is 13 bytes of 512),
-/// so what the disk keeps resident is about what was written to it; an
-/// all-zero sector is the empty box and owns no memory at all.
+/// zero-padded to whole sectors (a record's last sector is mostly
+/// padding; a small transaction's is its only one), so what the disk
+/// keeps resident is about what was written to it; an all-zero sector
+/// is the empty box and owns no memory at all.
 type Stored = Box<[u8]>;
 
 fn trim(data: &[u8; SECTOR_SIZE]) -> Stored {

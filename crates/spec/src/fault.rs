@@ -17,7 +17,7 @@
 //! The sweep walks a small lattice — crash tier × wire tier × torn/clean
 //! — with seed-derived jitter, so `sweep(f, s, n)` is reproducible while
 //! still covering the corners (crash-at-zero, crash-at-end, hostile wire,
-//! torn commit record) for every `n ≥ 8`.
+//! torn journal record) for every `n ≥ 8`.
 
 use crate::rng::{fnv1a, SpecRng};
 
