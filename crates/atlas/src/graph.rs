@@ -5,9 +5,10 @@
 //! identifiers that match known item names. Resolution is scoped by the
 //! file's `use` imports (`use veros_x::...` maps names into crate `x`;
 //! `crate::`/`self::` stay local), and anything ambiguous resolves to
-//! *every* candidate — over-approximation is the design invariant:
-//! an extra edge only enlarges a VC's footprint, a missed edge could
-//! shrink it, so every heuristic here errs toward more edges.
+//! *every* candidate — over-approximation is the design invariant, so
+//! every heuristic here errs toward more edges. Consumers state what an
+//! extra edge means for them (`veros-lint`'s guard pass: a lock taken
+//! anywhere in an item's closure counts as held).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -428,7 +429,7 @@ impl Graph {
             // direct edges through the imports map. Resolving the use
             // lines themselves would weld every item of a file to the
             // union of everything the file imports (core/vcs.rs imports
-            // every crate) and collapse all footprints into one.
+            // every crate) and collapse all closures into one.
             let mut in_use_stmt = false;
             for &(a, b) in &it.ranges {
                 for l in a..=b.min(file.src.lines.len()) {

@@ -1,71 +1,43 @@
-//! veros-atlas: a static dependency map from workspace code to
-//! verification conditions.
+//! veros-atlas: the workspace item graph and atomic-field access table
+//! that `veros-lint`'s protocol passes consume.
 //!
-//! The paper's audit population grows with every VC-family expansion;
-//! re-running everything on every change is the binding constraint
-//! (ISSUE 6, ROADMAP "Incremental, parallel VC audit"). This crate is
-//! the cheap static layer that carries the load: it parses the whole
-//! workspace with the zero-dependency lexer it hosts ([`lexer`],
-//! [`source`] — shared downstream by `veros-lint`), extracts an
-//! item graph ([`model`]), resolves conservative callee/use edges
-//! ([`graph`]), anchors every `engine.register(...)` site to a VC name
-//! pattern and seed set ([`anchors`]), and computes each obligation's
-//! transitive code footprint. Given a diff ([`changes`]), the audit
-//! then re-runs only the VCs whose footprint the diff touches.
+//! It parses the whole workspace with the zero-dependency lexer it
+//! hosts ([`lexer`], [`source`] — shared downstream by `veros-lint`),
+//! extracts an item graph ([`model`]), resolves conservative
+//! callee/use edges ([`graph`]), and tabulates every access to an
+//! atomic or annotated field ([`access`]).
 //!
-//! The safety stance throughout: **over-approximation is free**
-//! (extra edges re-run extra VCs), **under-approximation must be
-//! loud** — files the parser cannot see and VC names no site pattern
-//! claims are counted in [`Coverage`] and gated in CI, and changed
-//! files wholly unknown to the map select *every* obligation.
+//! The extractor is lexical, so it can be blind: a runtime file whose
+//! code yields no items, or an item header it failed to open, would
+//! drop out of the analysis silently. [`ItemGraph::blind_spots`] counts
+//! both, and `veros-lint --gate` holds them at zero.
 
 pub mod access;
-pub mod anchors;
-pub mod changes;
 pub mod graph;
 pub mod lexer;
 pub mod model;
 pub mod source;
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
-use anchors::Site;
-use changes::{ChangeSet, FileChange, PathClass};
 use graph::{Graph, Imports, Index};
 use model::{AtlasFile, Item, ItemKind};
 
-/// A VC's resolved code footprint: file index → merged line ranges.
-pub type Footprint = BTreeMap<usize, Vec<(usize, usize)>>;
-
-/// Map-coverage counters — the under-approximation gate.
-#[derive(Debug, Default)]
-pub struct Coverage {
-    /// Runtime source files seen by the map.
-    pub files: usize,
-    /// Extracted items (excluding preambles).
-    pub items: usize,
-    /// Dependency edges.
-    pub edges: usize,
-    /// Registration sites found.
-    pub sites: usize,
-    /// Runtime source files with code but no extracted items — the
-    /// parser is blind to them. Must stay 0.
+/// What the item extractor could not see, over runtime source files.
+#[derive(Clone, Debug, Default)]
+pub struct BlindSpots {
+    /// Runtime source files with code but no extracted items. Must stay 0.
     pub unparsed: Vec<String>,
-    /// Preamble lines that look like item headers the extractor missed.
-    /// Must stay 0.
+    /// `file:line` of preamble lines that look like item headers the
+    /// extractor missed. Must stay 0.
     pub stray_headers: Vec<String>,
-    /// Sites with no recoverable name pattern. Must stay 0.
-    pub unpatterned_sites: Vec<String>,
 }
 
-/// The shared file/item/edge view of the workspace: the layer both the
-/// VC dependency map and the lint protocol passes are built on.
+/// The shared file/item/edge view of the workspace.
 pub struct ItemGraph {
     pub files: Vec<AtlasFile>,
     pub items: Vec<Item>,
-    pub imports: Vec<Imports>,
     pub graph: Graph,
 }
 
@@ -96,7 +68,6 @@ impl ItemGraph {
         ItemGraph {
             files,
             items,
-            imports,
             graph,
         }
     }
@@ -110,237 +81,22 @@ impl ItemGraph {
     pub fn access_table(&self) -> access::AccessTable {
         access::AccessTable::build(&self.files, &self.items)
     }
-}
 
-/// The dependency map: files, items, edges, and anchored sites.
-pub struct DepMap {
-    pub files: Vec<AtlasFile>,
-    pub items: Vec<Item>,
-    pub graph: Graph,
-    pub sites: Vec<Site>,
-    /// (site index, pattern) for every patterned site.
-    patterns: Vec<(usize, String)>,
-    /// Per-site transitive footprint.
-    footprints: Vec<Footprint>,
-    /// Files covered by at least one site's footprint.
-    covered_files: BTreeSet<usize>,
-}
-
-impl DepMap {
-    /// Builds the map for the workspace rooted at `root`.
-    pub fn build(root: &Path) -> io::Result<DepMap> {
-        Ok(Self::from_files(model::load_files(root)?))
-    }
-
-    /// Builds from in-memory sources (fixture tests).
-    pub fn from_sources(sources: &[(&str, &str)]) -> DepMap {
-        Self::from_files(
-            sources
-                .iter()
-                .map(|(p, s)| AtlasFile::from_source(p, s))
-                .collect(),
-        )
-    }
-
-    fn from_files(files: Vec<AtlasFile>) -> DepMap {
-        let ItemGraph {
-            files,
-            items,
-            imports,
-            graph,
-        } = ItemGraph::from_files(files);
-        let idx = Index::build(&files, &items);
-
-        let mut sites = Vec::new();
-        for (i, f) in files.iter().enumerate() {
-            if f.runtime_src {
-                sites.extend(anchors::find_sites(i, f));
+    /// The extractor's blind spots over runtime source files.
+    pub fn blind_spots(&self) -> BlindSpots {
+        let mut has_items = vec![false; self.files.len()];
+        let mut preamble: Vec<Option<&Item>> = vec![None; self.files.len()];
+        for it in &self.items {
+            match it.kind {
+                ItemKind::Preamble => preamble[it.file] = Some(it),
+                _ => has_items[it.file] = true,
             }
         }
-        let patterns: Vec<(usize, String)> = sites
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.patterns.iter().map(move |p| (i, p.clone())))
-            .collect();
-
-        // Footprint per site: closure of its seeds, rendered as line
-        // ranges, plus the site's own segment lines.
-        let mut footprints = Vec::with_capacity(sites.len());
-        let mut covered_files = BTreeSet::new();
-        for site in &sites {
-            let seeds = anchors::site_seeds(site, &files, &items, &idx, &imports[site.file]);
-            let closure = graph.closure(&seeds);
-            let mut fp: Footprint = BTreeMap::new();
-            for id in closure {
-                let it = &items[id];
-                fp.entry(it.file).or_default().extend(it.ranges.iter().copied());
-            }
-            fp.entry(site.file)
-                .or_default()
-                .push((site.seg_start, site.span.1));
-            for (f, ranges) in fp.iter_mut() {
-                *ranges = merge_ranges(std::mem::take(ranges));
-                covered_files.insert(*f);
-            }
-            footprints.push(fp);
-        }
-
-        DepMap {
-            files,
-            items,
-            graph,
-            sites,
-            patterns,
-            footprints,
-            covered_files,
-        }
-    }
-
-    pub fn file_index(&self, rel_path: &str) -> Option<usize> {
-        self.files.iter().position(|f| f.rel_path == rel_path)
-    }
-
-    /// Best-matching site indices for a VC name (longest literal-prefix
-    /// pattern wins; empty when no site claims the name).
-    pub fn sites_for(&self, vc_name: &str) -> Vec<usize> {
-        anchors::best_matches(&self.patterns, vc_name)
-    }
-
-    /// The union footprint of a VC name across its matching sites.
-    /// `None` when no site claims the name — the caller must treat the
-    /// VC as unanchored (always run it, and gate on the count).
-    pub fn footprint(&self, vc_name: &str) -> Option<Footprint> {
-        let sites = self.sites_for(vc_name);
-        if sites.is_empty() {
-            return None;
-        }
-        let mut fp: Footprint = BTreeMap::new();
-        for s in sites {
-            for (f, ranges) in &self.footprints[s] {
-                fp.entry(*f).or_default().extend(ranges.iter().copied());
-            }
-        }
-        for ranges in fp.values_mut() {
-            *ranges = merge_ranges(std::mem::take(ranges));
-        }
-        Some(fp)
-    }
-
-    /// Decides whether `vc_name` must re-run under `cs`. Conservative
-    /// on every unknown: unanchored names, unknown runtime files, and
-    /// runtime files no footprint covers all select the VC.
-    pub fn impacted(&self, vc_name: &str, cs: &ChangeSet) -> bool {
-        let fp = self.footprint(vc_name);
-        for (path, change) in &cs.files {
-            match changes::classify(path) {
-                PathClass::Ignore => continue,
-                PathClass::SelectAll => return true,
-                PathClass::Code => {}
-            }
-            let Some(fi) = self.file_index(path) else {
-                // A new/unknown .rs file: nothing can reference it yet,
-                // but shipped-source additions can shadow resolution —
-                // stay conservative for runtime paths.
-                if model::is_runtime_src(path) {
-                    return true;
-                }
-                continue;
-            };
-            if !self.files[fi].runtime_src {
-                continue;
-            }
-            if !self.covered_files.contains(&fi) {
-                // A runtime file invisible to every footprint: the map
-                // cannot bound its effect.
-                return true;
-            }
-            let Some(fp) = &fp else { return true };
-            let Some(ranges) = fp.get(&fi) else { continue };
-            match change {
-                FileChange::Whole => return true,
-                FileChange::Ranges(touched) => {
-                    if touched.iter().any(|&(a, b)| {
-                        ranges.iter().any(|&(c, d)| a <= d && c <= b)
-                    }) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Selection over a full name list: `true` = run.
-    pub fn select(&self, names: &[String], cs: &ChangeSet) -> Vec<bool> {
-        names.iter().map(|n| self.impacted(n, cs)).collect()
-    }
-
-    /// Human-readable footprint report for `--explain`.
-    pub fn explain(&self, vc_name: &str) -> Option<String> {
-        let sites = self.sites_for(vc_name);
-        if sites.is_empty() {
-            return None;
-        }
-        let fp = self.footprint(vc_name)?;
-        let mut out = String::new();
-        out.push_str(&format!("{vc_name}\n"));
-        for s in &sites {
-            let site = &self.sites[*s];
-            out.push_str(&format!(
-                "  site: {}:{}..{} (pattern `{}`)\n",
-                self.files[site.file].rel_path,
-                site.span.0,
-                site.span.1,
-                if site.patterns.is_empty() {
-                    "-".to_string()
-                } else {
-                    site.patterns.join("`, `")
-                },
-            ));
-            for cov in &site.covers {
-                out.push_str(&format!("  covers: {cov}\n"));
-            }
-        }
-        let total: usize = fp
-            .values()
-            .flat_map(|rs| rs.iter().map(|&(a, b)| b - a + 1))
-            .sum();
-        out.push_str(&format!(
-            "  footprint: {} files, {} lines\n",
-            fp.len(),
-            total
-        ));
-        for (f, ranges) in &fp {
-            let spans: Vec<String> = ranges
-                .iter()
-                .map(|&(a, b)| if a == b { format!("{a}") } else { format!("{a}-{b}") })
-                .collect();
-            out.push_str(&format!(
-                "    {}: {}\n",
-                self.files[*f].rel_path,
-                spans.join(",")
-            ));
-        }
-        Some(out)
-    }
-
-    /// Coverage counters for the CI gate.
-    pub fn coverage(&self) -> Coverage {
-        let mut cov = Coverage {
-            sites: self.sites.len(),
-            items: self
-                .items
-                .iter()
-                .filter(|i| i.kind != ItemKind::Preamble)
-                .count(),
-            edges: self.graph.edges.iter().map(BTreeSet::len).sum(),
-            ..Coverage::default()
-        };
+        let mut out = BlindSpots::default();
         for (i, f) in self.files.iter().enumerate() {
             if !f.runtime_src {
                 continue;
             }
-            cov.files += 1;
             // Pure re-export files (the root facade is all `pub use`)
             // legitimately have no items; `use` lines and attributes
             // don't count as unparseable code.
@@ -354,164 +110,61 @@ impl DepMap {
                     && t != "};"
                     && !t.chars().all(|c| "{}();,".contains(c) || c.is_whitespace())
             });
-            let has_items = self
-                .items
-                .iter()
-                .any(|it| it.file == i && it.kind != ItemKind::Preamble);
-            if has_code && !has_items {
-                cov.unparsed.push(f.rel_path.clone());
+            if has_code && !has_items[i] {
+                out.unparsed.push(f.rel_path.clone());
             }
             // Preamble lines that still look like definitions: the
             // extractor failed on them.
-            if let Some(pre) = self
-                .items
-                .iter()
-                .find(|it| it.file == i && it.kind == ItemKind::Preamble)
-            {
-                for &(a, b) in &pre.ranges {
-                    for l in a..=b.min(f.src.lines.len()) {
-                        let code = &f.src.lines[l - 1].code;
-                        if let Some((k, _)) = model::header_of(code) {
-                            if !matches!(k, ItemKind::Const | ItemKind::Mod) {
-                                cov.stray_headers.push(format!("{}:{}", f.rel_path, l));
-                            }
+            let Some(pre) = preamble[i] else { continue };
+            for &(a, b) in &pre.ranges {
+                for l in a..=b.min(f.src.lines.len()) {
+                    if let Some((k, _)) = model::header_of(&f.src.lines[l - 1].code) {
+                        if !matches!(k, ItemKind::Const | ItemKind::Mod) {
+                            out.stray_headers.push(format!("{}:{}", f.rel_path, l));
                         }
                     }
                 }
             }
         }
-        for site in &self.sites {
-            if site.patterns.is_empty() {
-                cov.unpatterned_sites
-                    .push(format!("{}:{}", self.files[site.file].rel_path, site.span.0));
-            }
-        }
-        cov
+        out
     }
-}
-
-/// Merges and sorts 1-based inclusive ranges.
-fn merge_ranges(mut ranges: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
-    ranges.sort_unstable();
-    let mut out: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
-    for (a, b) in ranges {
-        match out.last_mut() {
-            Some(last) if a <= last.1 + 1 => last.1 = last.1.max(b),
-            _ => out.push((a, b)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use changes::FileChange;
 
-    fn fixture() -> DepMap {
-        DepMap::from_sources(&[
+    #[test]
+    fn clean_sources_have_no_blind_spots() {
+        let g = ItemGraph::from_sources(&[
             (
                 "crates/alpha/src/lib.rs",
-                "//! Alpha.\npub mod inner;\npub fn entry() -> u64 { inner::work(7) }\n",
+                "//! Alpha.\npub mod inner;\npub use inner::work;\npub fn entry() -> u64 { inner::work(7) }\n",
             ),
-            (
-                "crates/alpha/src/inner.rs",
-                "//! Inner.\npub fn work(x: u64) -> u64 { x * 2 }\npub fn unused_helper() -> u64 { 9 }\n",
-            ),
+            ("crates/alpha/src/inner.rs", "//! Inner.\npub fn work(x: u64) -> u64 { x * 2 }\n"),
+        ]);
+        let spots = g.blind_spots();
+        assert!(spots.unparsed.is_empty(), "{:?}", spots.unparsed);
+        assert!(spots.stray_headers.is_empty(), "{:?}", spots.stray_headers);
+        let names: Vec<&str> = g.items.iter().map(|i| i.name.as_str()).collect();
+        assert!(names.contains(&"entry") && names.contains(&"work"));
+    }
+
+    #[test]
+    fn blind_spots_name_the_file_and_line() {
+        let g = ItemGraph::from_sources(&[
+            // Code, but nothing the extractor recognises as an item.
+            ("crates/alpha/src/lib.rs", "//! Alpha.\nlet x = 5;\n"),
+            // A header whose body never opens lands in the preamble.
             (
                 "crates/beta/src/lib.rs",
-                "//! Beta: registers VCs over alpha.\n\
-                 use veros_alpha::entry;\n\
-                 use veros_spec::{VcEngine, VcKind};\n\
-                 pub fn register_all(engine: &mut VcEngine) {\n\
-                     engine.register(\"m\", VcKind::Property, \"alpha::entry_doubles\", || {\n\
-                         if entry() == 14 { Ok(()) } else { Err(\"bad\".into()) }\n\
-                     });\n\
-                     for seed in 0..3u64 {\n\
-                         engine.register(\"m\", VcKind::Property, format!(\"alpha::seeded_{seed}\"), move || Ok(()));\n\
-                     }\n\
-                 }\n",
+                "pub fn ok() -> u64 { 1 }\nfn dangling(x: u64)\n",
             ),
-            (
-                "crates/gamma/src/lib.rs",
-                "//! Gamma: unrelated.\npub fn lonely() -> u64 { 3 }\n",
-            ),
-        ])
-    }
-
-    #[test]
-    fn items_and_sites_extracted() {
-        let map = fixture();
-        let cov = map.coverage();
-        assert_eq!(cov.sites, 2, "two register sites");
-        assert!(cov.unparsed.is_empty());
-        assert!(cov.unpatterned_sites.is_empty());
-        assert!(cov.stray_headers.is_empty(), "{:?}", cov.stray_headers);
-        let names: Vec<&str> = map.items.iter().map(|i| i.name.as_str()).collect();
-        assert!(names.contains(&"entry"));
-        assert!(names.contains(&"work"));
-        assert!(names.contains(&"register_all"));
-    }
-
-    #[test]
-    fn footprint_crosses_crates() {
-        let map = fixture();
-        let fp = map.footprint("alpha::entry_doubles").expect("anchored");
-        let alpha_lib = map.file_index("crates/alpha/src/lib.rs").unwrap();
-        let alpha_inner = map.file_index("crates/alpha/src/inner.rs").unwrap();
-        assert!(fp.contains_key(&alpha_lib), "entry() referenced");
-        assert!(fp.contains_key(&alpha_inner), "entry -> inner::work edge");
-        let pat = map.footprint("alpha::seeded_1").expect("glob pattern");
-        assert!(pat.contains_key(&map.file_index("crates/beta/src/lib.rs").unwrap()));
-    }
-
-    #[test]
-    fn selection_respects_footprints() {
-        let map = fixture();
-        // Docs-only diff: nothing selected.
-        let docs = ChangeSet::from_entries(&[("README.md", FileChange::Whole)]);
-        assert!(!map.impacted("alpha::entry_doubles", &docs));
-        // alpha's work() touched: entry_doubles selected.
-        let cs = ChangeSet::from_entries(&[(
-            "crates/alpha/src/inner.rs",
-            FileChange::Ranges(vec![(2, 2)]),
-        )]);
-        assert!(map.impacted("alpha::entry_doubles", &cs));
-        // gamma is covered by no footprint: conservative select-all.
-        let cs = ChangeSet::from_entries(&[(
-            "crates/gamma/src/lib.rs",
-            FileChange::Ranges(vec![(2, 2)]),
-        )]);
-        assert!(map.impacted("alpha::entry_doubles", &cs));
-        // Build config always selects.
-        let cs = ChangeSet::from_entries(&[("Cargo.toml", FileChange::Ranges(vec![(1, 1)]))]);
-        assert!(map.impacted("alpha::entry_doubles", &cs));
-        // Unanchored names always run.
-        let cs = ChangeSet::from_entries(&[(
-            "crates/alpha/src/inner.rs",
-            FileChange::Ranges(vec![(2, 2)]),
-        )]);
-        assert!(map.impacted("no_site::claims_this", &cs));
-    }
-
-    #[test]
-    fn unused_helper_edit_selects_nothing_anchored() {
-        let map = fixture();
-        // inner.rs line 3 is unused_helper: no footprint overlaps it,
-        // but the file itself IS covered — precise selection applies.
-        let cs = ChangeSet::from_entries(&[(
-            "crates/alpha/src/inner.rs",
-            FileChange::Ranges(vec![(3, 3)]),
-        )]);
-        assert!(!map.impacted("alpha::entry_doubles", &cs));
-    }
-
-    #[test]
-    fn explain_renders_footprint() {
-        let map = fixture();
-        let text = map.explain("alpha::entry_doubles").expect("explain");
-        assert!(text.contains("crates/beta/src/lib.rs"));
-        assert!(text.contains("footprint:"));
-        assert!(map.explain("unknown::vc").is_none());
+            // Test and example code is out of scope.
+            ("tests/t.rs", "let y = 6;\n"),
+        ]);
+        let spots = g.blind_spots();
+        assert_eq!(spots.unparsed, ["crates/alpha/src/lib.rs"]);
+        assert_eq!(spots.stray_headers, ["crates/beta/src/lib.rs:2"]);
     }
 }

@@ -1,15 +1,13 @@
-//! The atlas file/item model: every workspace `.rs` file scanned twice
-//! (raw text for name-pattern extraction, lexed code via the shared
-//! [`crate::lexer`] for structure), and a brace-depth item extractor
-//! that recovers
-//! `fn`/`impl`/`struct`/`enum`/`trait`/`mod`/`macro_rules!` definitions
-//! with their line ranges.
+//! The atlas file/item model: every workspace `.rs` file lexed via the
+//! shared [`crate::lexer`], and a brace-depth item extractor that
+//! recovers `fn`/`impl`/`struct`/`enum`/`trait`/`mod`/`macro_rules!`
+//! definitions with their line ranges.
 //!
 //! The extractor is deliberately lexical, not a parser: it only needs
 //! line ranges and names good enough for conservative name resolution.
 //! Anything it cannot place lands in the file's *preamble* pseudo-item,
 //! which every item of the file implicitly depends on — so a miss makes
-//! footprints larger, never smaller.
+//! closures larger, never smaller.
 
 use std::fs;
 use std::io;
@@ -60,9 +58,6 @@ impl Item {
 /// One workspace file in the atlas.
 pub struct AtlasFile {
     pub rel_path: String,
-    /// Raw source lines (string literals intact — needed to read VC
-    /// name patterns out of `register(...)` calls).
-    pub raw: Vec<String>,
     /// Lexed view: code with literals blanked, comments split out,
     /// test-region flags.
     pub src: SourceFile,
@@ -70,7 +65,8 @@ pub struct AtlasFile {
     /// the root package `src/`, `"root"` for top-level tests/examples.
     pub crate_key: String,
     /// True for shipped library code (`crates/*/src/**`, root `src/**`):
-    /// the only files VC footprints and the coverage gate care about.
+    /// the only files the protocol passes and the blind-spot counters
+    /// look at.
     pub runtime_src: bool,
 }
 
@@ -87,8 +83,8 @@ pub fn crate_key_of(rel_path: &str) -> String {
     "root".to_string()
 }
 
-/// True for shipped library code the map must cover.
-pub fn is_runtime_src(rel_path: &str) -> bool {
+/// True for shipped library code.
+fn is_runtime_src(rel_path: &str) -> bool {
     if rel_path.starts_with("src/") {
         return true;
     }
@@ -101,7 +97,6 @@ impl AtlasFile {
     pub fn from_source(rel_path: &str, text: &str) -> AtlasFile {
         AtlasFile {
             rel_path: rel_path.to_string(),
-            raw: text.lines().map(str::to_string).collect(),
             src: SourceFile::from_source(rel_path, text),
             crate_key: crate_key_of(rel_path),
             runtime_src: is_runtime_src(rel_path),
@@ -110,7 +105,7 @@ impl AtlasFile {
 }
 
 /// Walks `root` collecting every `.rs` file, sorted by path (mirrors
-/// `crate::source::Workspace::load`, but keeps raw text too).
+/// `crate::source::Workspace::load`).
 pub fn load_files(root: &Path) -> io::Result<Vec<AtlasFile>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];

@@ -3,67 +3,48 @@
 //! refinement theorem, scheduler sanity, NR linearizability, filesystem
 //! crash safety, and the network transport spec.
 //!
-//! The run is dependency-mapped (`veros-atlas`) and parallel by
-//! default:
+//! Every run registers the whole population and runs it serially, in
+//! registration order, so each VC's duration is measured on an
+//! otherwise idle core:
 //!
-//! * `--changed-since <rev>` re-runs only the VCs whose static
-//!   footprint the diff against `<rev>` touches (docs-only diff → 0).
-//! * `--explain <vc>` prints the anchoring site, name pattern, and
-//!   transitive code footprint of one VC, then exits.
-//! * `--serial` / `--threads N` control the executor; the default is
-//!   one worker per host core, and the report is byte-identical to the
-//!   serial order regardless.
-//! * Every run writes `results/AUDIT.json` (per-VC durations, the
-//!   Figure-1a CDF series, map-coverage stats) and gates itself
-//!   against the committed `BENCH_audit.json` (`--baseline FILE`).
+//! * Every run writes `results/AUDIT.json` (per-VC durations and the
+//!   Figure-1a CDF series) and gates itself against the committed
+//!   `BENCH_audit.json` (`--baseline FILE`): fewer registered
+//!   obligations than its `vcs_total` fails.
 //! * `--write-baseline` re-emits `results/BENCH_audit.json` from this
 //!   run, for refreshing the committed file.
 //! * Every run also checks the registered `invariant::*` families
 //!   against the backticked anchors in `INVARIANTS.md` — loud in both
 //!   directions — and writes `results/INVARIANTS_SWEEP.json` with the
-//!   per-family fault-schedule counters (floor-gated on full runs).
+//!   per-family fault-schedule counters (floor-gated).
 //! * `--schedules N` deepens every invariant sweep to N fault
 //!   schedules per VC (nightly deep sweeps). Values below 8 are
 //!   clamped up so the pinned corner schedules are never dropped.
 //!
-//! Usage: `cargo run --release -p veros-bench --bin audit [--quick]
-//! [--serial] [--threads N] [--schedules N] [--changed-since REV]
-//! [--explain VC] [--baseline FILE] [--write-baseline]`
+//! Usage: `cargo run --release -p veros-bench --bin audit [--schedules N]
+//! [--baseline FILE] [--write-baseline]`
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use veros_atlas::changes::ChangeSet;
-use veros_atlas::DepMap;
 use veros_bench::audit::{
-    audit_json, baseline_json, gate_against, gate_invariants, invariant_coverage,
-    invariant_sweep_json, AuditRun, MapStats,
+    audit_json, baseline_json, gate_invariants, gate_population, invariant_coverage,
+    invariant_sweep_json,
 };
 use veros_core::vcs::{register_all_with, Profile};
 use veros_spec::report::{human_duration, render_cdf};
 use veros_spec::VcEngine;
 
 struct Args {
-    quick: bool,
-    serial: bool,
-    threads: Option<usize>,
     schedules: Option<usize>,
-    changed_since: Option<String>,
-    explain: Option<String>,
     baseline: Option<PathBuf>,
     write_baseline: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        quick: false,
-        serial: false,
-        threads: None,
         schedules: None,
-        changed_since: None,
-        explain: None,
         baseline: None,
         write_baseline: false,
     };
@@ -76,22 +57,12 @@ fn parse_args() -> Args {
             })
         };
         match a.as_str() {
-            "--quick" => args.quick = true,
-            "--serial" => args.serial = true,
-            "--threads" => {
-                args.threads = Some(value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    std::process::exit(2);
-                }))
-            }
             "--schedules" => {
                 args.schedules = Some(value("--schedules").parse().unwrap_or_else(|_| {
                     eprintln!("--schedules needs a number");
                     std::process::exit(2);
                 }))
             }
-            "--changed-since" => args.changed_since = Some(value("--changed-since")),
-            "--explain" => args.explain = Some(value("--explain")),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline"))),
             "--write-baseline" => args.write_baseline = true,
             other => {
@@ -103,9 +74,10 @@ fn parse_args() -> Args {
     args
 }
 
-/// Locates the workspace root the atlas should map: `$VEROS_WORKSPACE_ROOT`,
-/// else the nearest ancestor of the current directory that looks like
-/// the workspace, else the compile-time manifest location.
+/// Locates the workspace root that holds `INVARIANTS.md` and the default
+/// baseline: `$VEROS_WORKSPACE_ROOT`, else the nearest ancestor of the
+/// current directory that looks like the workspace, else the
+/// compile-time manifest location.
 fn workspace_root() -> PathBuf {
     if let Ok(p) = std::env::var("VEROS_WORKSPACE_ROOT") {
         return PathBuf::from(p);
@@ -130,33 +102,12 @@ fn workspace_root() -> PathBuf {
 fn main() {
     let args = parse_args();
     let root = workspace_root();
-    let map = match DepMap::build(&root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("cannot build dependency map for {}: {e}", root.display());
-            std::process::exit(2);
-        }
-    };
 
-    if let Some(name) = &args.explain {
-        match map.explain(name) {
-            Some(text) => {
-                print!("{text}");
-                return;
-            }
-            None => {
-                eprintln!("no register site claims `{name}` — the VC is unanchored (or misspelled)");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let profile = if args.quick { Profile::Quick } else { Profile::Full };
     // --schedules deepens the per-VC fault-schedule sweep without
-    // changing the VC population (names and anchors stay stable).
-    // Fewer than 8 schedules would drop the pinned corner schedules
-    // (`FaultSchedule::sweep` covers every wire tier × crash corner
-    // only from 8 up), so shallow requests are clamped, loudly.
+    // changing the VC population. Fewer than 8 schedules would drop the
+    // pinned corner schedules (`FaultSchedule::sweep` covers every wire
+    // tier × crash corner only from 8 up), so shallow requests are
+    // clamped, loudly.
     let schedules = args.schedules.map(|n| {
         if n < 8 {
             eprintln!(
@@ -169,93 +120,32 @@ fn main() {
         }
     });
     let mut engine = VcEngine::new();
-    register_all_with(&mut engine, profile, schedules);
-    let all_names = engine.names();
-    let total_registered = all_names.len();
+    register_all_with(&mut engine, Profile::Full, schedules);
+    let names = engine.names();
 
-    // Unanchored count over the whole registered population — selection
-    // never hides an anchoring hole.
-    let unanchored: Vec<&String> = all_names
-        .iter()
-        .filter(|n| map.footprint(n).is_none())
-        .collect();
-    let stats = MapStats::from_coverage(&map.coverage(), unanchored.len());
-
-    // Invariant doc↔code coverage, likewise over the whole registered
-    // population. A missing INVARIANTS.md is a hard failure, not a
-    // silent empty-glob pass — the coverage gate exists to keep the
-    // document and the sweeps pointing at each other.
+    // Invariant doc↔code coverage. A missing INVARIANTS.md is a hard
+    // failure, not a silent empty-glob pass — the coverage gate exists
+    // to keep the document and the sweeps pointing at each other.
     let invariants_path = root.join("INVARIANTS.md");
     let invariants_doc = std::fs::read_to_string(&invariants_path);
-    let inv_cov = invariant_coverage(invariants_doc.as_deref().unwrap_or(""), &all_names);
-
-    let mut selection_line = String::new();
-    if let Some(rev) = &args.changed_since {
-        let cs = match ChangeSet::from_git(&root, rev) {
-            Ok(cs) => cs,
-            Err(e) => {
-                eprintln!("git diff against {rev} failed: {e}");
-                std::process::exit(2);
-            }
-        };
-        let picked: HashSet<&String> = all_names
-            .iter()
-            .zip(map.select(&all_names, &cs))
-            .filter_map(|(n, sel)| sel.then_some(n))
-            .collect();
-        let dropped = total_registered - picked.len();
-        selection_line = format!(
-            "changed since {rev}: {} changed file(s) -> {}/{total_registered} VCs selected ({dropped} skipped)",
-            cs.files.len(),
-            picked.len(),
-        );
-        let picked: HashSet<String> = picked.into_iter().cloned().collect();
-        engine.retain(|vc| picked.contains(&vc.name));
-    }
-    let selected = engine.len();
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = if args.serial {
-        1
-    } else {
-        args.threads.unwrap_or(host_cores).max(1)
-    };
+    let inv_cov = invariant_coverage(invariants_doc.as_deref().unwrap_or(""), &names);
 
     eprintln!(
-        "running {selected}/{total_registered} OS-contract verification conditions \
-         ({profile:?}, {threads} thread(s))..."
+        "running {} OS-contract verification conditions (serial)...",
+        names.len()
     );
     let start = Instant::now();
-    let report = if threads > 1 {
-        engine.run_parallel(threads)
-    } else {
-        engine.run()
-    };
-    let run = AuditRun {
-        quick: args.quick,
-        incremental: args.changed_since.is_some(),
-        total_registered,
-        selected,
-        host_cores,
-        threads,
-        wall: start.elapsed(),
-    };
+    let report = engine.run();
+    let wall = start.elapsed();
 
     let mut out = String::new();
     let _ = writeln!(out, "Full-stack OS contract audit");
-    if !selection_line.is_empty() {
-        let _ = writeln!(out, "{selection_line}");
-    }
     let _ = writeln!(out, "{}", render_cdf(&report.cdf(), 60, 12));
     let _ = writeln!(out, "{}", report.summary());
     let _ = writeln!(
         out,
-        "wall {}, serial-equivalent {}, speedup {:.2}x ({} thread(s) on {} core(s))",
-        human_duration(run.wall),
-        human_duration(AuditRun::serial_equiv(&report)),
-        run.speedup(&report),
-        run.threads,
-        run.host_cores,
+        "wall {} (serial, registration order)",
+        human_duration(wall)
     );
     let _ = writeln!(out);
     let _ = writeln!(out, "by obligation kind:");
@@ -269,26 +159,9 @@ fn main() {
     for o in outcomes.iter().take(10) {
         let _ = writeln!(out, "  {:>10}  {}", human_duration(o.duration), o.vc.name);
     }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "dependency map: {} files, {} items, {} edges, {} sites; \
-         unparsed {}, stray headers {}, unpatterned sites {}, unanchored VCs {}",
-        stats.files,
-        stats.items,
-        stats.edges,
-        stats.sites,
-        stats.unparsed,
-        stats.stray_headers,
-        stats.unpatterned_sites,
-        stats.unanchored,
-    );
-    for n in &unanchored {
-        let _ = writeln!(out, "  unanchored: {n}");
-    }
 
     // Per-family fault-schedule counters, read after the run so they
-    // reflect exactly what the selected population swept.
+    // reflect exactly what the population swept.
     let swept_by = |family: &str| -> u64 {
         use veros_core::metrics as m;
         match family {
@@ -322,16 +195,13 @@ fn main() {
         }
         Err(_) => None,
     };
-    let gate = baseline_text
-        .as_ref()
-        .map(|b| gate_against(&run, &report, &stats, b));
+    let gate = baseline_text.as_ref().map(|b| gate_population(&report, b));
 
     // The invariant gate runs with or without a committed baseline —
     // doc↔code coverage is a property of the tree, not of a reference
     // measurement (missing baseline fields fall back to the committed
     // defaults).
     let mut inv_gate = gate_invariants(
-        &run,
         &inv_cov,
         &sweeps,
         veros_telemetry::enabled(),
@@ -394,8 +264,7 @@ fn main() {
     }
     print!("{out}");
 
-    if let Err(e) = veros_bench::out::write_result("AUDIT.json", &audit_json(&run, &report, &stats))
-    {
+    if let Err(e) = veros_bench::out::write_result("AUDIT.json", &audit_json(&report, wall)) {
         eprintln!("cannot write AUDIT.json: {e}");
         std::process::exit(2);
     }
@@ -412,7 +281,7 @@ fn main() {
     if args.write_baseline {
         if let Err(e) = veros_bench::out::write_result(
             "BENCH_audit.json",
-            &baseline_json(&run, &report, &stats, inv_cov.families.len()),
+            &baseline_json(&report, wall, inv_cov.families.len()),
         ) {
             eprintln!("cannot write BENCH_audit.json: {e}");
             std::process::exit(2);

@@ -20,8 +20,7 @@
 //!   batch 8 must be ≥ 2.5x the single-ring aggregate. Below the core
 //!   floor the producers time-share and the ratio measures the
 //!   scheduler, so the gate is loudly skipped and the measured ratio is
-//!   recorded in the JSON instead (`scaling_rings4_milli`) — the same
-//!   discipline as `speedup_gate_min_cores` in `BENCH_audit.json`.
+//!   recorded in the JSON instead (`scaling_rings4_milli`).
 //! * **Chaining** (both telemetry modes): the 3-link chained
 //!   open→read→close must beat the unchained 3-submission sequence.
 //!   The saving is structural (one poller round instead of three), not

@@ -42,8 +42,8 @@ pub const MRING_THREADS: usize = 4;
 
 /// Minimum host cores for the 4-ring scaling gate to be enforced
 /// (below this the producers time-share one core and the ratio
-/// measures the scheduler, not the data plane). Same discipline as
-/// `speedup_gate_min_cores` in `BENCH_audit.json`.
+/// measures the scheduler, not the data plane): the gate is skipped
+/// loudly and the measured ratio recorded instead.
 pub const SCALING_GATE_MIN_CORES: usize = 4;
 
 /// The enforced 4-ring scaling floor, in milli-ratio (2500 = 2.5x):

@@ -98,10 +98,9 @@ pub fn register_all(engine: &mut VcEngine, profile: Profile) {
 /// [`register_all`] with the invariant fault-schedule depth overridden
 /// — the audit's `--schedules N` deep-sweep knob. `None` keeps the
 /// profile's sizing. The override changes only how many schedules each
-/// `invariant::*` VC sweeps, never which VCs exist, so names (and the
-/// dependency map's anchors) are stable across depths; sweeps of ≥ 8
-/// schedules keep the lattice corner-pinning guarantee
-/// (`veros_spec::fault::FaultSchedule::sweep`).
+/// `invariant::*` VC sweeps, never which VCs exist, so names are
+/// stable across depths; sweeps of ≥ 8 schedules keep the lattice
+/// corner-pinning guarantee (`veros_spec::fault::FaultSchedule::sweep`).
 pub fn register_all_with(
     engine: &mut VcEngine,
     profile: Profile,

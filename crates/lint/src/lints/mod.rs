@@ -6,7 +6,6 @@ use crate::source::Workspace;
 
 pub mod atomics_ordering;
 pub mod doc_header;
-pub mod obligation_anchor;
 pub mod obligation_coverage;
 pub mod panic_freedom;
 pub mod unsafe_audit;
@@ -27,7 +26,6 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(unsafe_audit::UnsafeAudit),
         Box::new(panic_freedom::PanicFreedom),
         Box::new(obligation_coverage::ObligationCoverage),
-        Box::new(obligation_anchor::ObligationAnchor),
         Box::new(atomics_ordering::AtomicsOrdering),
         Box::new(doc_header::DocHeader),
     ]

@@ -109,9 +109,7 @@ fn collect_covers(ws: &Workspace) -> Vec<(String, String, usize)> {
             let rest = &line.comment[pos + "covers:".len()..];
             for item in rest.split(',') {
                 let item = item.trim().trim_end_matches('.');
-                // Entries with `*` are VC *name patterns* for the
-                // dependency map (veros-atlas), not op-coverage claims.
-                if !item.is_empty() && item.contains("::") && !item.contains('*') {
+                if !item.is_empty() && item.contains("::") {
                     out.push((item.to_string(), file.rel_path.clone(), idx + 1));
                 }
             }

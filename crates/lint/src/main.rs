@@ -4,14 +4,8 @@
 //!
 //! ```text
 //! veros-lint [--root DIR] [--json] [--deny] [--baseline FILE]
-//!            [--write-baseline FILE] [--list] [--changed-since REV]
-//!            [--report] [--gate]
+//!            [--write-baseline FILE] [--list] [--report] [--gate]
 //! ```
-//!
-//! `--changed-since REV` filters findings to files touched since the
-//! git revision (the PR profile; full runs stay on main, mirroring the
-//! audit's split). A diff touching build config or CI falls back to the
-//! full run — the incremental view cannot bound those effects.
 //!
 //! `--report` mirrors the protocol counters to `LINT.json` in
 //! `$VEROS_RESULTS_DIR` (default `./results`); `--gate` additionally
@@ -26,7 +20,6 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use veros_atlas::changes::{classify, ChangeSet, PathClass};
 use veros_lint::baseline::{self, Baseline};
 use veros_lint::diag::{to_json, Severity};
 use veros_lint::protocol::{self, Counters};
@@ -40,7 +33,6 @@ struct Args {
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
     list: bool,
-    changed_since: Option<String>,
     report: bool,
     gate: bool,
 }
@@ -53,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         write_baseline: None,
         list: false,
-        changed_since: None,
         report: false,
         gate: false,
     };
@@ -71,15 +62,12 @@ fn parse_args() -> Result<Args, String> {
                     Some(PathBuf::from(it.next().ok_or("--write-baseline needs a value")?))
             }
             "--list" => args.list = true,
-            "--changed-since" => {
-                args.changed_since = Some(it.next().ok_or("--changed-since needs a revision")?)
-            }
             "--report" => args.report = true,
             "--gate" => args.gate = true,
             "--help" | "-h" => {
                 println!(
                     "veros-lint [--root DIR] [--json] [--deny] [--baseline FILE] \
-                     [--write-baseline FILE] [--list] [--changed-since REV] [--report] [--gate]"
+                     [--write-baseline FILE] [--list] [--report] [--gate]"
                 );
                 std::process::exit(0);
             }
@@ -90,14 +78,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Renders the protocol counters as the `LINT.json` artifact.
-fn counters_json(c: &Counters, findings: usize, baselined: usize, incremental: bool) -> String {
+fn counters_json(c: &Counters, findings: usize, baselined: usize) -> String {
     format!(
-        "{{\n  \"bench\": \"lint\",\n  \"incremental\": {incremental},\n  \
-         \"findings\": {findings},\n  \"baselined\": {baselined},\n  \
+        "{{\n  \"bench\": \"lint\",\n  \"findings\": {findings},\n  \"baselined\": {baselined},\n  \
          \"atomic_fields\": {},\n  \"accesses\": {},\n  \"publication_pairs\": {},\n  \
          \"seqlock_fields\": {},\n  \"guard_fields\": {},\n  \"guards_resolved\": {},\n  \
          \"unresolved_guards\": {},\n  \"unknown_orderings\": {},\n  \
-         \"unbound_accesses\": {},\n  \"ambiguous_fields\": {}\n}}\n",
+         \"unbound_accesses\": {},\n  \"ambiguous_fields\": {},\n  \
+         \"unparsed\": {},\n  \"stray_headers\": {}\n}}\n",
         c.atomic_fields,
         c.accesses,
         c.publication_pairs,
@@ -108,6 +96,8 @@ fn counters_json(c: &Counters, findings: usize, baselined: usize, incremental: b
         c.unknown_orderings,
         c.unbound_accesses,
         c.ambiguous_fields,
+        c.unparsed.len(),
+        c.stray_headers.len(),
     )
 }
 
@@ -135,6 +125,18 @@ fn gate_failures(c: &Counters) -> Vec<String> {
     zero("unknown_orderings", c.unknown_orderings);
     zero("unbound_accesses", c.unbound_accesses);
     zero("ambiguous_fields", c.ambiguous_fields);
+    for (name, blind) in [
+        ("unparsed", &c.unparsed),
+        ("stray_headers", &c.stray_headers),
+    ] {
+        if !blind.is_empty() {
+            out.push(format!(
+                "{name} = {} (must be 0): {}",
+                blind.len(),
+                blind.join(", ")
+            ));
+        }
+    }
     out
 }
 
@@ -178,41 +180,6 @@ fn main() -> ExitCode {
     };
     let counters = analysis.run(&mut all);
     all.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-
-    // Incremental mode: keep only findings in files the diff touched.
-    // The analysis itself always runs workspace-wide (pairing is a
-    // global property); only the *reporting* narrows, so a PR is judged
-    // on the protocols its files participate in.
-    let mut incremental = false;
-    if let Some(rev) = &args.changed_since {
-        match ChangeSet::from_git(&args.root, rev) {
-            Err(e) => {
-                eprintln!("veros-lint: --changed-since {rev}: {e}");
-                return ExitCode::from(2);
-            }
-            Ok(cs) => {
-                let select_all = cs
-                    .files
-                    .keys()
-                    .any(|p| classify(p) == PathClass::SelectAll);
-                if select_all {
-                    eprintln!(
-                        "veros-lint: diff touches build/CI config — full run instead of incremental"
-                    );
-                } else {
-                    incremental = true;
-                    let before = all.len();
-                    all.retain(|d| cs.files.contains_key(&d.file));
-                    eprintln!(
-                        "veros-lint: incremental vs {rev}: {} changed files, {} of {} findings in scope",
-                        cs.files.len(),
-                        all.len(),
-                        before,
-                    );
-                }
-            }
-        }
-    }
 
     if let Some(path) = &args.write_baseline {
         if let Err(e) = std::fs::write(path, to_json(&all)) {
@@ -267,7 +234,7 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     if args.report {
-        let json = counters_json(&counters, fresh.len(), baselined.len(), incremental);
+        let json = counters_json(&counters, fresh.len(), baselined.len());
         let dir = match std::env::var_os("VEROS_RESULTS_DIR") {
             Some(d) => PathBuf::from(d),
             None => args.root.join("results"),
@@ -302,5 +269,43 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counters that clear every floor.
+    fn healthy() -> Counters {
+        Counters {
+            atomic_fields: 20,
+            publication_pairs: 10,
+            seqlock_fields: 1,
+            guard_fields: 1,
+            guards_resolved: 1,
+            ..Counters::default()
+        }
+    }
+
+    #[test]
+    fn extractor_blind_spots_fail_the_gate() {
+        assert!(gate_failures(&healthy()).is_empty());
+        let c = Counters {
+            unparsed: vec!["crates/x/src/lib.rs".into()],
+            ..healthy()
+        };
+        assert_eq!(
+            gate_failures(&c),
+            ["unparsed = 1 (must be 0): crates/x/src/lib.rs"]
+        );
+        let c = Counters {
+            stray_headers: vec!["crates/x/src/lib.rs:2".into()],
+            ..healthy()
+        };
+        assert_eq!(
+            gate_failures(&c),
+            ["stray_headers = 1 (must be 0): crates/x/src/lib.rs:2"]
+        );
     }
 }

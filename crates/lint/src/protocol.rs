@@ -22,9 +22,11 @@
 //! projection counts) and the guard check over-approximates acquisition
 //! (a lock-word + acquire-call anywhere in the footprint). What cannot
 //! be bound is *loud* — unbound atomic ops, unreadable orderings, and
-//! ambiguous field names all become findings and gate counters, so the
-//! analysis fails open, never silently. Reviewed sites are suppressed
-//! with the standard `// lint: allow(<pass-id>) — reason` syntax.
+//! ambiguous field names all become findings and gate counters, and
+//! files or item headers the extractor cannot see are gate counters
+//! too, so the analysis fails open, never silently. Reviewed sites are
+//! suppressed with the standard `// lint: allow(<pass-id>) — reason`
+//! syntax.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -77,6 +79,12 @@ pub struct Counters {
     pub unbound_accesses: usize,
     /// Field names tracked under two declarations. Gated to 0.
     pub ambiguous_fields: usize,
+    /// Runtime files the item extractor found no items in. The guard
+    /// pass skips a touch it cannot bind to an item, so a blind file
+    /// would drop out silently. Gated to 0.
+    pub unparsed: Vec<String>,
+    /// `file:line` of item headers the extractor missed. Gated to 0.
+    pub stray_headers: Vec<String>,
 }
 
 /// The loaded analysis: item graph plus access table.
@@ -102,12 +110,15 @@ impl Analysis {
     /// Runs all three passes, appending findings and returning the
     /// counters.
     pub fn run(&self, out: &mut Vec<Diagnostic>) -> Counters {
+        let blind = self.graph.blind_spots();
         let mut c = Counters {
             atomic_fields: self.table.fields.iter().filter(|f| f.atomic).count(),
             accesses: self.table.accesses.len(),
             unknown_orderings: self.table.unknown_order.len(),
             unbound_accesses: self.table.unbound.len(),
             ambiguous_fields: self.table.ambiguous.len(),
+            unparsed: blind.unparsed,
+            stray_headers: blind.stray_headers,
             ..Counters::default()
         };
         self.extraction_findings(out);

@@ -111,6 +111,16 @@ fn workspace_is_protocol_clean_and_non_vacuous() {
     assert_eq!(c.unknown_orderings, 0, "unknown orderings");
     assert_eq!(c.unbound_accesses, 0, "unbound accesses");
     assert_eq!(c.ambiguous_fields, 0, "ambiguous fields");
+    assert!(
+        c.unparsed.is_empty(),
+        "files the extractor cannot see: {:?}",
+        c.unparsed
+    );
+    assert!(
+        c.stray_headers.is_empty(),
+        "item headers the extractor missed: {:?}",
+        c.stray_headers
+    );
 
     // The flagship annotations bound to real declarations and real
     // touch sites — the passes had something to check.
@@ -178,24 +188,10 @@ fn gate_and_report_run_on_the_workspace() {
         "\"publication_pairs\"",
         "\"seqlock_fields\"",
         "\"unresolved_guards\": 0",
+        "\"unparsed\": 0",
+        "\"stray_headers\": 0",
     ] {
         assert!(json.contains(key), "LINT.json carries {key}:\n{json}");
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `--changed-since` narrows reporting to the diffed files and says so.
-#[test]
-fn changed_since_reports_incrementally() {
-    let root = repo_root();
-    let out = Command::new(env!("CARGO_BIN_EXE_veros-lint"))
-        .args(["--root", root.to_str().expect("utf-8 path"), "--changed-since", "HEAD"])
-        .output()
-        .expect("veros-lint binary runs");
-    // Unstaged trees vary: only the mode line is asserted, not counts.
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("incremental vs HEAD") || stderr.contains("full run instead"),
-        "incremental mode announces itself\nstderr:\n{stderr}"
-    );
 }

@@ -522,7 +522,6 @@ fn register_scenarios(engine: &mut VcEngine) {
                 Impl::Verified => "verified",
                 Impl::Unverified => "unverified",
             };
-            // covers: verified::*, unverified::*
             engine.register(
                 MODULE,
                 VcKind::Property,

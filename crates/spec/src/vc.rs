@@ -10,10 +10,7 @@
 //! and this engine runs each one, records its wall-clock duration and
 //! outcome, and renders the CDF.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The kind of obligation a verification condition discharges.
@@ -130,14 +127,6 @@ impl VcEngine {
         self.obligations.iter().map(|(vc, _)| vc.name.clone()).collect()
     }
 
-    /// Keeps only the obligations whose [`Vc`] satisfies `pred`,
-    /// preserving registration order. Returns how many were dropped.
-    pub fn retain<P: FnMut(&Vc) -> bool>(&mut self, mut pred: P) -> usize {
-        let before = self.obligations.len();
-        self.obligations.retain(|(vc, _)| pred(vc));
-        before - self.obligations.len()
-    }
-
     /// Runs every obligation, in registration order, timing each one.
     ///
     /// Each check runs under `catch_unwind`: a panicking check becomes a
@@ -149,81 +138,6 @@ impl VcEngine {
             outcomes.push(run_one(vc, check));
         }
         VcReport { outcomes }
-    }
-
-    /// Runs the obligations satisfying `pred`, dropping the rest — the
-    /// selection entry point the incremental audit uses, so
-    /// registration code never needs to know about the dependency map.
-    pub fn run_subset<P: FnMut(&Vc) -> bool>(mut self, pred: P) -> VcReport {
-        self.retain(pred);
-        self.run()
-    }
-
-    /// Runs every obligation on a pool of `threads` worker threads.
-    ///
-    /// Workers claim obligations from a shared queue in registration
-    /// order; per-VC timing, `catch_unwind` isolation, and the reported
-    /// outcome order are identical to [`run`](Self::run) — the report
-    /// is sorted back into registration order regardless of completion
-    /// order, so serial and parallel runs are byte-identical apart from
-    /// the measured durations.
-    pub fn run_parallel(self, threads: usize) -> VcReport {
-        let n = self.obligations.len();
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.run();
-        }
-        let queue: Mutex<VecDeque<(usize, Vc, Check)>> = Mutex::new(
-            self.obligations
-                .into_iter()
-                .enumerate()
-                .map(|(i, (vc, check))| (i, vc, check))
-                .collect(),
-        );
-        let (tx, rx) = mpsc::channel::<(usize, VcOutcome)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let queue = &queue;
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    // Claim under the lock, run outside it: the queue
-                    // hold time is a pop, not a check.
-                    let next = match queue.lock() {
-                        Ok(mut q) => q.pop_front(),
-                        Err(_) => None, // A worker panicked mid-pop; drain nothing.
-                    };
-                    let Some((idx, vc, check)) = next else { break };
-                    if tx.send((idx, run_one(vc, check))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-        });
-        let mut slots: Vec<Option<VcOutcome>> = (0..n).map(|_| None).collect();
-        for (idx, outcome) in rx {
-            slots[idx] = Some(outcome);
-        }
-        VcReport {
-            // A missing slot means a worker died between claiming and
-            // sending — surface it as a failure rather than dropping
-            // the obligation silently.
-            outcomes: slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.unwrap_or(VcOutcome {
-                        vc: Vc {
-                            name: format!("<lost obligation {i}>"),
-                            module: "engine",
-                            kind: VcKind::Property,
-                        },
-                        duration: Duration::ZERO,
-                        status: VcStatus::Failed("worker lost the outcome".into()),
-                    })
-                })
-                .collect(),
-        }
     }
 }
 
@@ -318,11 +232,6 @@ impl VcReport {
         }
         let idx = ((fraction * d.len() as f64).ceil() as usize).clamp(1, d.len()) - 1;
         d[idx]
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: VcReport) {
-        self.outcomes.extend(other.outcomes);
     }
 
     /// Counts VCs per kind.
@@ -423,14 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates() {
-        let a = engine_with(2, None).run();
-        let mut b = engine_with(3, None).run();
-        b.merge(a);
-        assert_eq!(b.total(), 5);
-    }
-
-    #[test]
     fn count_by_kind_filters_zeroes() {
         let report = engine_with(2, None).run();
         let counts = report.count_by_kind();
@@ -443,8 +344,7 @@ mod tests {
         assert!(report.summary().contains("7 verification conditions"));
     }
 
-    /// A mixed population with one deterministic failure and one panic,
-    /// used by the serial/parallel equivalence tests.
+    /// A mixed population with one deterministic failure and one panic.
     fn mixed_engine() -> VcEngine {
         let mut e = VcEngine::new();
         for i in 0..12u64 {
@@ -470,63 +370,5 @@ mod tests {
             VcStatus::Failed(m) => assert_eq!(m, "check panicked: injected panic at 7"),
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial_order_and_messages() {
-        let serial = mixed_engine().run();
-        for threads in [2, 4, 32] {
-            let parallel = mixed_engine().run_parallel(threads);
-            let s: Vec<(&str, &VcStatus)> = serial
-                .outcomes
-                .iter()
-                .map(|o| (o.vc.name.as_str(), &o.status))
-                .collect();
-            let p: Vec<(&str, &VcStatus)> = parallel
-                .outcomes
-                .iter()
-                .map(|o| (o.vc.name.as_str(), &o.status))
-                .collect();
-            assert_eq!(s, p, "ordering and statuses identical at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_single_thread_is_serial() {
-        let report = mixed_engine().run_parallel(1);
-        assert_eq!(report.total(), 12);
-        assert_eq!(report.failures().len(), 2);
-    }
-
-    #[test]
-    fn retain_and_run_subset_preserve_order() {
-        let mut e = engine_with(10, None);
-        let dropped = e.retain(|vc| vc.name.ends_with('3') || vc.name.ends_with('8'));
-        assert_eq!(dropped, 8);
-        let names = e.names();
-        assert_eq!(names, ["vc_3", "vc_8"]);
-
-        let report = engine_with(10, Some(8)).run_subset(|vc| vc.name.ends_with('8'));
-        assert_eq!(report.total(), 1);
-        assert!(!report.all_passed());
-    }
-
-    #[test]
-    fn merge_and_percentile_stable_across_modes() {
-        let a = mixed_engine().run();
-        let b = mixed_engine().run_parallel(4);
-        let mut merged = a.clone();
-        merged.merge(b.clone());
-        assert_eq!(merged.total(), a.total() + b.total());
-        // Percentiles of the merged report are drawn from the union of
-        // durations and stay monotone.
-        let mut prev = Duration::ZERO;
-        for f in [0.1, 0.5, 0.9, 1.0] {
-            let q = merged.percentile(f);
-            assert!(q >= prev);
-            prev = q;
-        }
-        assert_eq!(merged.percentile(1.0), merged.max_time());
-        assert!(merged.max_time() >= a.max_time().min(b.max_time()));
     }
 }
