@@ -5,9 +5,10 @@
 //! The audit always runs the whole registered population, serially, in
 //! registration order. Three gates ride on the baseline:
 //!
-//! * **Population floor**: a run that registers fewer obligations than
-//!   the baseline's `vcs_total` fails. A dropped registration is a
-//!   check nobody runs any more, and it would otherwise pass silently.
+//! * **Population floor** ([`population_gate`], through the shared gate
+//!   engine): a run that registers fewer obligations than the baseline's
+//!   `vcs_total` fails. A dropped registration is a check nobody runs
+//!   any more, and it would otherwise pass silently.
 //! * **Invariant coverage** (enforced with or without a baseline): the
 //!   backticked `invariant::<family>::*` globs in `INVARIANTS.md` and
 //!   the registered `invariant::*` VC families must match exactly, both
@@ -22,7 +23,7 @@ use std::time::Duration;
 
 use veros_spec::vc::{VcReport, VcStatus};
 
-use crate::baseline::{field_num, missing};
+use crate::baseline::{field_num, Better, Current, Gate, GateResult};
 
 fn ns(d: Duration) -> u128 {
     d.as_nanos()
@@ -265,39 +266,15 @@ pub fn invariant_sweep_json(
     out
 }
 
-/// The result of gating a run against the committed baseline.
-#[derive(Clone, Debug, Default)]
-pub struct GateResult {
-    /// Hard failures — a non-empty list fails the audit.
-    pub violations: Vec<String>,
-    /// Loud skips and context, printed but never failing.
-    pub notes: Vec<String>,
-}
-
-impl GateResult {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+/// The audit's one baseline-gated value: the registered population may
+/// not fall below the baseline's `vcs_total`, exactly.
+pub fn population_gate(registered: usize) -> Gate {
+    Gate {
+        key: "vcs_total",
+        better: Better::Higher,
+        tolerance: 0.0,
+        current: Current::Field(registered as f64),
     }
-}
-
-/// Gates the registered population against the baseline's `vcs_total`
-/// floor.
-pub fn gate_population(report: &VcReport, baseline: &str) -> GateResult {
-    let mut out = GateResult::default();
-    let registered = report.total();
-    match field_num(baseline, "vcs_total") {
-        None => out
-            .violations
-            .push(format!("population: {}", missing("vcs_total"))),
-        Some(floor) if (registered as f64) < floor => out.violations.push(format!(
-            "population: {registered} obligations registered, baseline requires >= {floor} \
-             (`vcs_total`) — an obligation stopped being registered"
-        )),
-        Some(floor) => out.notes.push(format!(
-            "population: PASS ({registered} obligations registered, floor {floor})"
-        )),
-    }
-    out
 }
 
 #[cfg(test)]
@@ -333,24 +310,6 @@ mod tests {
         assert_eq!(field_num(&json, "wall_ns"), Some(1_000_000.0));
         assert_eq!(field_num(&json, "min_invariant_families"), Some(6.0));
         assert_eq!(field_num(&json, "min_invariant_schedules"), Some(8.0));
-    }
-
-    #[test]
-    fn population_floor_fails_when_obligations_disappear() {
-        let report = sample_report(3);
-        let gate = gate_population(&report, &baseline_json(&report, WALL, 5));
-        assert!(gate.ok(), "{:?}", gate.violations);
-        assert!(gate.notes.iter().any(|n| n.contains("PASS (3 obligations")));
-
-        // A baseline that registered one more obligation than this run.
-        let gate = gate_population(&report, &baseline_json(&sample_report(4), WALL, 5));
-        assert!(!gate.ok());
-        assert!(gate.violations[0].contains("3 obligations registered, baseline requires >= 4"));
-
-        // A baseline with nothing to gate against fails rather than passes.
-        let gate = gate_population(&report, "{}");
-        assert!(!gate.ok());
-        assert!(gate.violations[0].contains("no readable \"vcs_total\""));
     }
 
     const DOC: &str = "## 1. Durability\n\

@@ -29,9 +29,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use veros_bench::audit::{
-    audit_json, baseline_json, gate_invariants, gate_population, invariant_coverage,
-    invariant_sweep_json,
+    audit_json, baseline_json, gate_invariants, invariant_coverage, invariant_sweep_json,
+    population_gate,
 };
+use veros_bench::baseline;
 use veros_core::vcs::{register_all_with, Profile};
 use veros_spec::report::{human_duration, render_cdf};
 use veros_spec::VcEngine;
@@ -195,7 +196,9 @@ fn main() {
         }
         Err(_) => None,
     };
-    let gate = baseline_text.as_ref().map(|b| gate_population(&report, b));
+    let gate = baseline_text
+        .as_ref()
+        .map(|b| baseline::check(b, &[population_gate(report.total())]));
 
     // The invariant gate runs with or without a committed baseline —
     // doc↔code coverage is a property of the tree, not of a reference
@@ -237,19 +240,13 @@ fn main() {
     let _ = writeln!(out);
     let gates_ok = match &gate {
         Some(g) => {
-            let _ = writeln!(out, "baseline gates ({}):", baseline_path.display());
-            for n in &g.notes {
-                let _ = writeln!(out, "  {n}");
-            }
-            for v in &g.violations {
-                let _ = writeln!(out, "  VIOLATION: {v}");
-            }
+            out.push_str(&baseline::render(&baseline_path.display().to_string(), g));
             g.ok()
         }
         None => {
             let _ = writeln!(
                 out,
-                "baseline gates: no {} — gates skipped",
+                "baseline check: no {} — skipped",
                 baseline_path.display()
             );
             true

@@ -6,12 +6,12 @@
 //!
 //! Usage:
 //!   `cargo run --release -p veros-bench --bin blockstore_hotpath
-//!   [--quick] [--baseline <path>] [--tolerance <frac>]`
+//!   [--baseline <path>]`
 //!
-//! Everything is measured in deterministic simulation ticks — the same
-//! profile produces identical numbers on any host — so unlike the
-//! wall-clock benches the default tolerance is tight (0.10) and a trip
-//! means the *code* changed the world, not that CI was busy.
+//! Everything is measured in deterministic simulation ticks — a run
+//! produces identical numbers on any host — so unlike the wall-clock
+//! benches the tolerance is tight (`blockstore::TOLERANCE`, 10%) and a
+//! trip means the *code* changed the world, not that CI was busy.
 //!
 //! Three gates decide the exit status:
 //!
@@ -21,30 +21,19 @@
 //! * **Failover**: after the hot key's read-serving chain tail is
 //!   fail-stopped, the next read returns the acknowledged payload
 //!   within `max_failover_ticks`.
-//! * **Baseline** (with `--baseline`, same profile only): throughput
-//!   may not fall more than `--tolerance` below the committed value,
-//!   p99 may not rise more than `--tolerance` above it. A baseline
-//!   recorded under the other profile is a loud skip — tick-exact
-//!   comparison needs identical schedules; one that lacks its profile
-//!   or a gated key fails the run.
+//! * **Baseline** (with `--baseline`): throughput may not fall more than
+//!   the tolerance below the committed value, p99 may not rise more than
+//!   the tolerance above it; a baseline that lacks a gated key fails the
+//!   run.
 
-use veros_bench::baseline::flag_value;
-use veros_bench::blockstore::{measure, other_profile, regressions_against};
+use veros_bench::baseline::{self, flag_value};
+use veros_bench::blockstore::measure;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let baseline_path = flag_value(&args, "--baseline");
-    let tolerance: f64 = flag_value(&args, "--tolerance")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.10);
 
-    eprintln!(
-        "blockstore_hotpath: {} run ({} clients, 8 nodes)...",
-        if quick { "quick" } else { "full" },
-        1000
-    );
-    let report = measure(quick);
+    eprintln!("blockstore_hotpath: 1000 clients, 8 nodes...");
+    let report = measure();
     let json = report.to_json();
     print!("{json}");
 
@@ -78,35 +67,8 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = baseline_path {
-        match std::fs::read_to_string(&path) {
-            Ok(baseline) => {
-                if other_profile(&report, &baseline) {
-                    eprintln!(
-                        "baseline check SKIPPED: {path} was recorded under the other profile — \
-                         tick-exact gating needs identical schedules"
-                    );
-                } else {
-                    let regressions = regressions_against(&report, &baseline, tolerance);
-                    if regressions.is_empty() {
-                        eprintln!(
-                            "baseline check vs {path}: within {:.0}%",
-                            tolerance * 100.0
-                        );
-                    } else {
-                        eprintln!("baseline check vs {path} FAILED:");
-                        for r in &regressions {
-                            eprintln!("  regression: {r}");
-                        }
-                        ok = false;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                ok = false;
-            }
-        }
+    if let Some(path) = flag_value(&args, "--baseline") {
+        ok &= baseline::gate(&path, &report.gates());
     }
 
     veros_bench::out::finish("BENCH_blockstore.json", &json, ok);

@@ -4,54 +4,6 @@
 //!
 //! Usage: `cargo run --release -p veros-bench --bin fig1b [--quick]`
 
-use std::fmt::Write as _;
-
-use veros_bench::sweep::{run_figure, SweepOp, CORE_POINTS};
-use veros_spec::report::render_series;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ops = if quick { 512 } else { 8192 };
-    eprintln!("figure 1b sweep: {} ops/thread across {:?} threads...", ops, CORE_POINTS);
-    let (unverified, verified) = run_figure(SweepOp::Map, ops);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}",
-        render_series(
-            "Figure 1b: Map latency",
-            "# Cores",
-            "mean latency per map, us",
-            &CORE_POINTS,
-            &[
-                ("NrOS Unverified", unverified.clone()),
-                ("NrOS Verified", verified.clone()),
-            ],
-        )
-    );
-    summarize(&mut out, &unverified, &verified);
-    print!("{out}");
-    // The sweep's obligation: both implementations produced a usable
-    // latency at every core point (a hang or divide-by-zero would not).
-    let ok = unverified
-        .iter()
-        .chain(&verified)
-        .all(|&v| v.is_finite() && v > 0.0);
-    veros_bench::out::finish("fig1b.txt", &out, ok);
-}
-
-fn summarize(out: &mut String, unverified: &[f64], verified: &[f64]) {
-    let _ = writeln!(out, "paper claim: 'the verified implementation can closely match the");
-    let _ = writeln!(out, "performance of the unverified implementation'");
-    for (i, &t) in CORE_POINTS.iter().enumerate() {
-        let ratio = verified[i] / unverified[i];
-        let _ = writeln!(
-            out,
-            "  {t:>2} cores: verified/unverified latency ratio = {ratio:.2}"
-        );
-    }
-    let _ = writeln!(out, "note: this host has fewer physical cores than the paper's 28-core");
-    let _ = writeln!(out, "testbed; thread counts above the core count oversubscribe, so the");
-    let _ = writeln!(out, "absolute curve reflects the host. The comparison between the two");
-    let _ = writeln!(out, "implementations (the figure's claim) is host-independent.");
+    veros_bench::sweep::sweep(veros_bench::sweep::SweepOp::Map)
 }

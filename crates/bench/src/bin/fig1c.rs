@@ -4,43 +4,6 @@
 //!
 //! Usage: `cargo run --release -p veros-bench --bin fig1c [--quick]`
 
-use std::fmt::Write as _;
-
-use veros_bench::sweep::{run_figure, SweepOp, CORE_POINTS};
-use veros_spec::report::render_series;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let ops = if quick { 512 } else { 8192 };
-    eprintln!("figure 1c sweep: {} ops/thread across {:?} threads...", ops, CORE_POINTS);
-    let (unverified, verified) = run_figure(SweepOp::Unmap, ops);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}",
-        render_series(
-            "Figure 1c: Unmap latency",
-            "# Cores",
-            "mean latency per unmap, us",
-            &CORE_POINTS,
-            &[
-                ("NrOS Unverified", unverified.clone()),
-                ("NrOS Verified", verified.clone()),
-            ],
-        )
-    );
-    let _ = writeln!(out, "paper claim: verified closely matches unverified at every core count");
-    for (i, &t) in CORE_POINTS.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {t:>2} cores: verified/unverified latency ratio = {:.2}",
-            verified[i] / unverified[i]
-        );
-    }
-    print!("{out}");
-    let ok = unverified
-        .iter()
-        .chain(&verified)
-        .all(|&v| v.is_finite() && v > 0.0);
-    veros_bench::out::finish("fig1c.txt", &out, ok);
+    veros_bench::sweep::sweep(veros_bench::sweep::SweepOp::Unmap)
 }

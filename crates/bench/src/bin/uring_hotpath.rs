@@ -6,7 +6,7 @@
 //!
 //! Usage:
 //!   `cargo run --release -p veros-bench --bin uring_hotpath [--quick]
-//!   [--baseline <path>] [--tolerance <frac>]`
+//!   [--baseline <path>]`
 //!
 //! Four gates decide the exit status:
 //!
@@ -25,23 +25,17 @@
 //!   open→read→close must beat the unchained 3-submission sequence.
 //!   The saving is structural (one poller round instead of three), not
 //!   entry-overhead amortization, so it must hold everywhere.
-//! * **Baseline** (with `--baseline`): any latency cell more than
-//!   `--tolerance` (default 0.35) *above* its committed value fails the
+//! * **Baseline** (with `--baseline`): any gated latency cell more than
+//!   `uring::TOLERANCE` (35%) *above* its committed value fails the
 //!   run — inverted relative to the NR throughput gate because lower is
-//!   better here. p99 cells are recorded, never gated.
+//!   better here. p99 and chain cells are recorded, never gated.
 
-use veros_bench::baseline::flag_value;
-use veros_bench::uring::{
-    regressions_against, UringReport, SCALING_GATE_MIN_CORES, SCALING_MIN_MILLI,
-};
+use veros_bench::baseline::{self, flag_value};
+use veros_bench::uring::{UringReport, SCALING_GATE_MIN_CORES, SCALING_MIN_MILLI};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let baseline_path = flag_value(&args, "--baseline");
-    let tolerance: f64 = flag_value(&args, "--tolerance")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.35);
 
     eprintln!(
         "uring_hotpath: {} run...",
@@ -118,28 +112,8 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = baseline_path {
-        match std::fs::read_to_string(&path) {
-            Ok(baseline) => {
-                let regressions = regressions_against(&report, &baseline, tolerance);
-                if regressions.is_empty() {
-                    eprintln!(
-                        "baseline check vs {path}: all cells within {:.0}%",
-                        tolerance * 100.0
-                    );
-                } else {
-                    eprintln!("baseline check vs {path} FAILED:");
-                    for r in &regressions {
-                        eprintln!("  regression: {r}");
-                    }
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                ok = false;
-            }
-        }
+    if let Some(path) = flag_value(&args, "--baseline") {
+        ok &= baseline::gate(&path, &[report.gate()]);
     }
 
     veros_bench::out::finish("BENCH_uring.json", &json, ok);

@@ -27,7 +27,7 @@ use veros_cluster::{Fleet, FleetConfig, Op, OpResult};
 use veros_net::sim::FaultPlan;
 use veros_blockstore::Response;
 
-use crate::baseline::{field_bool, field_num, missing};
+use crate::baseline::{Better, Current, Gate};
 
 /// Ceiling on the measured failover time, in ticks. Failover is local
 /// suspicion (`OP_TIMEOUT` + backoff) plus the coordinator's death
@@ -35,44 +35,18 @@ use crate::baseline::{field_bool, field_num, missing};
 /// ticks, so tripling past this ceiling means promotion wedged.
 pub const MAX_FAILOVER_TICKS: u64 = 1000;
 
+/// How far throughput may fall below, and p99 rise above, the committed
+/// baseline. The world is deterministic in ticks, so this guards only
+/// intentional workload or config drift, never host noise.
+pub const TOLERANCE: f64 = 0.10;
+
 /// Step budget after the last scheduled arrival before the run is
 /// declared wedged.
 const DRAIN_BUDGET: u64 = 200_000;
 
-/// Fleet geometry for the bench: both profiles keep the headline shape
-/// (1000 clients over 8 nodes, 3-way chains); quick only shrinks the
-/// schedule.
-pub fn fleet_config(quick: bool) -> FleetConfig {
-    let _ = quick;
-    FleetConfig {
-        nodes: 8,
-        replication: 3,
-        shards: 64,
-        vnodes: 16,
-        clients: 1000,
-        // A lightly lossy wire: the capacity number includes real
-        // retransmission work, not a perfect-network fiction.
-        plan: FaultPlan { loss: (1, 100), duplicate: (1, 200), reorder: false },
-        seed: 11,
-        sectors: 1 << 12,
-    }
-}
-
-/// Workload shape for the bench profile.
-pub fn workload_config(quick: bool, clients: u16) -> WorkloadConfig {
-    WorkloadConfig {
-        client_hosts: clients,
-        keyspace: if quick { 128 } else { 512 },
-        ops: if quick { 800 } else { 4000 },
-        ..WorkloadConfig::default()
-    }
-}
-
 /// One full measurement.
 #[derive(Clone, Debug)]
 pub struct BlockstoreReport {
-    /// Quick profile (smaller schedule, same fleet shape).
-    pub quick: bool,
     /// Storage nodes in the fleet.
     pub nodes: u16,
     /// Simulated client hosts.
@@ -91,15 +65,32 @@ pub struct BlockstoreReport {
     pub failover_read_ok: bool,
 }
 
-/// Runs both phases for the standard bench geometry.
-pub fn measure(quick: bool) -> BlockstoreReport {
-    let cfg = fleet_config(quick);
-    let wcfg = workload_config(quick, cfg.clients);
-    measure_with(quick, cfg, &wcfg)
+/// Runs both phases for the bench geometry: 1000 clients over 8 nodes,
+/// 3-way chains, 4000 ops over 512 keys.
+pub fn measure() -> BlockstoreReport {
+    let cfg = FleetConfig {
+        nodes: 8,
+        replication: 3,
+        shards: 64,
+        vnodes: 16,
+        clients: 1000,
+        // A lightly lossy wire: the capacity number includes real
+        // retransmission work, not a perfect-network fiction.
+        plan: FaultPlan { loss: (1, 100), duplicate: (1, 200), reorder: false },
+        seed: 11,
+        sectors: 1 << 12,
+    };
+    let wcfg = WorkloadConfig {
+        client_hosts: cfg.clients,
+        keyspace: 512,
+        ops: 4000,
+        ..WorkloadConfig::default()
+    };
+    measure_with(cfg, &wcfg)
 }
 
 /// Runs both phases over an explicit geometry (tests use tiny ones).
-pub fn measure_with(quick: bool, cfg: FleetConfig, wcfg: &WorkloadConfig) -> BlockstoreReport {
+pub fn measure_with(cfg: FleetConfig, wcfg: &WorkloadConfig) -> BlockstoreReport {
     let mut f = Fleet::new(cfg);
     let sched = workload::schedule(wcfg);
     let total = sched.len();
@@ -139,7 +130,6 @@ pub fn measure_with(quick: bool, cfg: FleetConfig, wcfg: &WorkloadConfig) -> Blo
         });
 
     BlockstoreReport {
-        quick,
         nodes: cfg.nodes,
         clients: cfg.clients,
         replication: cfg.replication,
@@ -158,13 +148,12 @@ impl BlockstoreReport {
     pub fn to_json(&self) -> String {
         let s = &self.stats;
         format!(
-            "{{\n  \"bench\": \"blockstore\",\n  \"quick\": {},\n  \"telemetry\": {},\n  \
+            "{{\n  \"bench\": \"blockstore\",\n  \"telemetry\": {},\n  \
              \"nodes\": {},\n  \"clients\": {},\n  \"replication\": {},\n  \"ops\": {},\n  \
              \"completed\": {},\n  \"failed\": {},\n  \"retries\": {},\n  \
              \"p50_ticks\": {},\n  \"p99_ticks\": {},\n  \"max_ticks\": {},\n  \
              \"throughput_milli\": {},\n  \"run_ticks\": {},\n  \
              \"failover_ticks\": {},\n  \"max_failover_ticks\": {}\n}}\n",
-            self.quick,
             veros_telemetry::enabled(),
             self.nodes,
             self.clients,
@@ -182,74 +171,31 @@ impl BlockstoreReport {
             MAX_FAILOVER_TICKS,
         )
     }
-}
 
-/// True when the baseline says it was recorded under the other profile
-/// — tick-for-tick comparison is only meaningful between identical
-/// schedules, so the gate skips loudly. A baseline that does not say
-/// either way is not skipped: [`regressions_against`] fails it.
-pub fn other_profile(current: &BlockstoreReport, baseline_json: &str) -> bool {
-    field_bool(baseline_json, "quick") == Some(!current.quick)
-}
-
-/// Compares a fresh report against the committed baseline. The world
-/// is deterministic in ticks, so the tolerance guards only intentional
-/// workload/config drift, not host noise: throughput may not fall more
-/// than `tolerance` below the committed value, p99 may not rise more
-/// than `tolerance` above it, and the failover sample is held to the
-/// committed `max_failover_ticks` ceiling. A baseline lacking `quick`
-/// or any of those three keys is itself a violation. Returns the
-/// violations (empty = pass).
-pub fn regressions_against(
-    current: &BlockstoreReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    if field_bool(baseline_json, "quick").is_none() {
-        out.push(missing("quick"));
+    /// What the baseline gates: throughput as a floor, p99 as a ceiling.
+    /// Failover is held to [`MAX_FAILOVER_TICKS`] by the binary itself.
+    pub fn gates(&self) -> [Gate; 2] {
+        [
+            Gate {
+                key: "throughput_milli",
+                better: Better::Higher,
+                tolerance: TOLERANCE,
+                current: Current::Field(self.stats.throughput_milli as f64),
+            },
+            Gate {
+                key: "p99_ticks",
+                better: Better::Lower,
+                tolerance: TOLERANCE,
+                current: Current::Field(self.stats.p99 as f64),
+            },
+        ]
     }
-    match field_num(baseline_json, "throughput_milli") {
-        Some(base) => {
-            let floor = (base * (1.0 - tolerance)) as u64;
-            if current.stats.throughput_milli < floor {
-                out.push(format!(
-                    "throughput {} ops/1000t < floor {floor} (baseline {base})",
-                    current.stats.throughput_milli
-                ));
-            }
-        }
-        None => out.push(missing("throughput_milli")),
-    }
-    match field_num(baseline_json, "p99_ticks") {
-        Some(base) => {
-            let ceiling = (base * (1.0 + tolerance)) as u64;
-            if current.stats.p99 > ceiling {
-                out.push(format!(
-                    "p99 {} ticks > ceiling {ceiling} (baseline {base})",
-                    current.stats.p99
-                ));
-            }
-        }
-        None => out.push(missing("p99_ticks")),
-    }
-    match field_num(baseline_json, "max_failover_ticks") {
-        Some(ceiling) => {
-            if current.failover_ticks > ceiling as u64 {
-                out.push(format!(
-                    "failover {} ticks > committed ceiling {ceiling}",
-                    current.failover_ticks
-                ));
-            }
-        }
-        None => out.push(missing("max_failover_ticks")),
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::field_num;
 
     fn tiny() -> BlockstoreReport {
         let cfg = FleetConfig {
@@ -269,7 +215,7 @@ mod tests {
             mean_gap: 1,
             ..WorkloadConfig::default()
         };
-        measure_with(true, cfg, &wcfg)
+        measure_with(cfg, &wcfg)
     }
 
     #[test]
@@ -289,33 +235,5 @@ mod tests {
         assert_eq!(field_num(&json, "completed"), Some(r.stats.completed as f64));
         assert_eq!(field_num(&json, "p99_ticks"), Some(r.stats.p99 as f64));
         assert_eq!(field_num(&json, "max_failover_ticks"), Some(MAX_FAILOVER_TICKS as f64));
-        assert_eq!(field_bool(&json, "quick"), Some(true));
-        assert!(!other_profile(&r, &json));
-    }
-
-    #[test]
-    fn gate_trips_on_regressions_only() {
-        let r = tiny();
-        let json = r.to_json();
-        // Identical run against its own mirror: clean.
-        assert!(regressions_against(&r, &json, 0.10).is_empty());
-        // A slower world trips both latency-side gates.
-        let mut slow = r.clone();
-        slow.stats.throughput_milli /= 4;
-        slow.stats.p99 = slow.stats.p99 * 4 + 1000;
-        slow.failover_ticks = MAX_FAILOVER_TICKS + 1;
-        let v = regressions_against(&slow, &json, 0.10);
-        assert_eq!(v.len(), 3, "{v:?}");
-        // Profile mismatch is detectable before gating.
-        let full = BlockstoreReport { quick: false, ..r.clone() };
-        assert!(other_profile(&full, &json));
-        // A baseline missing what the gate reads fails instead of
-        // passing vacuously: empty (never "the other profile"), or with
-        // a gated key renamed.
-        assert!(!other_profile(&r, ""));
-        assert_eq!(regressions_against(&r, "", 0.10).len(), 4);
-        let rekeyed = json.replace("p99_ticks", "p99");
-        let v = regressions_against(&r, &rekeyed, 0.10);
-        assert!(v.len() == 1 && v[0].contains("p99_ticks"), "{v:?}");
     }
 }
