@@ -542,6 +542,65 @@ mod tests {
         }
     }
 
+    /// Request and response tags overlap (2, 6, 7 and 8 are both), and
+    /// a fleet node receives both kinds on one peer session. It tries
+    /// `Response::decode` only on a message whose id it awaits a
+    /// response for, and a response it acts on is consumed. That never
+    /// swallows a request, because no request encoding parses as a
+    /// response: swept here over every variant with empty, short and
+    /// long keys and data, chain lengths up to the decoder's bound, and
+    /// edge-value ids, clients and sequence numbers.
+    #[test]
+    fn no_request_parses_as_a_response() {
+        let keys = ["", "k", "ab", "abc", "abcd", "ycsb-123", "\u{0}\u{0}\u{0}"];
+        let datas = [vec![], vec![0], vec![0; 3], vec![0xff; 8], vec![7; 1024]];
+        let numbers = [0u64, 1, 3, 1003, 1 << 32, (1 << 63) | (5 << 32), u64::MAX];
+        let rests = [vec![], vec![0], vec![1, 2], vec![0; 3], vec![0; 64]];
+        let mut reqs = Vec::new();
+        for &n in &numbers {
+            reqs.push(Request::SyncShard { id: n, shard: n as u32 });
+            for key in keys {
+                let key = key.to_string();
+                reqs.push(Request::Get { id: n, key: key.clone() });
+                reqs.push(Request::ShardDelete { id: n, key: key.clone(), client: n, seq: n });
+                for rest in &rests {
+                    reqs.push(Request::ChainDelete {
+                        id: n,
+                        key: key.clone(),
+                        client: n,
+                        seq: 0,
+                        epoch: n,
+                        rest: rest.clone(),
+                    });
+                }
+                for data in &datas {
+                    let checksum = block_checksum(data);
+                    reqs.push(Request::ShardPut {
+                        id: n,
+                        key: key.clone(),
+                        data: data.clone(),
+                        checksum,
+                        client: n,
+                        seq: n,
+                    });
+                    reqs.push(Request::ChainPut {
+                        id: n,
+                        key: key.clone(),
+                        data: data.clone(),
+                        checksum,
+                        client: 0,
+                        seq: n,
+                        epoch: 1,
+                        rest: vec![n as u16],
+                    });
+                }
+            }
+        }
+        for r in reqs {
+            assert_eq!(Response::decode(&r.encode()), None, "{r:?}");
+        }
+    }
+
     #[test]
     fn malformed_input_rejected_not_panicking() {
         assert_eq!(Request::decode(&[]), None);

@@ -174,15 +174,11 @@ impl FleetNode {
             }
         }
         if now >= self.next_heartbeat {
-            let _ = stack.send_to(self.ctrl, self.coord.0, self.coord.1, heartbeat(self.id));
+            let _ = stack.send_to(self.ctrl, self.coord.0, self.coord.1, &[&heartbeat(self.id)]);
             self.next_heartbeat = now + HEARTBEAT_EVERY;
         }
         let _ = self.demux.poll(stack, now);
-        let mut msgs = Vec::new();
-        while let Some(m) = self.demux.recv() {
-            msgs.push(m);
-        }
-        for (peer, msg) in msgs {
+        while let Some((peer, msg)) = self.demux.recv() {
             self.dispatch(stack, now, peer, &msg);
         }
         let _ = self.demux.on_tick(stack, now);
@@ -192,8 +188,20 @@ impl FleetNode {
     /// and responses on one session; ids are globally unique (clients
     /// embed their host, sync ids use the high bit), so a message that
     /// matches in-flight response state *is* that response.
+    ///
+    /// Both kinds carry the request id at bytes 1..9, and the two
+    /// response handlers act only on an id in `syncing` or `pending`. So
+    /// a message is parsed as a response only when its id is one of
+    /// those, and every other message is parsed once, as a request —
+    /// request and response tags overlap, and parsing a `Get` as a
+    /// `GetOk` would allocate its key before failing.
     fn dispatch(&mut self, stack: &mut NetStack, now: u64, peer: Peer, msg: &[u8]) {
-        if let Some(resp) = Response::decode(msg) {
+        let id = msg.get(1..9).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
+        let awaited = id.is_some_and(|id| {
+            self.syncing.contains_key(&id) || self.pending.iter().any(|p| p.id == id)
+        });
+        let resp = if awaited { Response::decode(msg) } else { None };
+        if let Some(resp) = resp {
             if self.on_sync_blocks(&resp) {
                 return;
             }

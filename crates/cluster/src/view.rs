@@ -82,11 +82,9 @@ impl View {
 }
 
 /// Encodes a node's heartbeat datagram.
-pub fn heartbeat(node: u16) -> Vec<u8> {
-    let mut out = Vec::with_capacity(3);
-    out.push(TAG_HEARTBEAT);
-    out.extend_from_slice(&node.to_le_bytes());
-    out
+pub fn heartbeat(node: u16) -> [u8; 3] {
+    let [lo, hi] = node.to_le_bytes();
+    [TAG_HEARTBEAT, lo, hi]
 }
 
 /// The membership coordinator: one socket, heartbeat bookkeeping, view
@@ -146,7 +144,7 @@ impl Coordinator {
         if now >= self.next_broadcast {
             let msg = self.view.encode();
             for (ip, port) in &self.targets {
-                let _ = stack.send_to(self.sock, *ip, *port, msg.clone());
+                let _ = stack.send_to(self.sock, *ip, *port, &[&msg]);
             }
             self.next_broadcast = now + VIEW_EVERY;
         }

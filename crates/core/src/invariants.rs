@@ -224,7 +224,7 @@ fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, St
         // Ablation: fire-and-forget datagrams, no transport.
         for m in &sent {
             net.host(0)
-                .send_to(sa, ip1, 7001, m.clone())
+                .send_to(sa, ip1, 7001, &[m])
                 .map_err(|e| format!("send: {e:?}"))?;
         }
         for _ in 0..200 {

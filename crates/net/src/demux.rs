@@ -22,7 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::ip::IpAddr;
-use crate::rdt::{RdtEndpoint, RdtEvent};
+use crate::rdt::RdtEndpoint;
 use crate::socket::{SocketError, SocketId};
 use crate::stack::NetStack;
 
@@ -106,27 +106,18 @@ impl RdtDemux {
     }
 
     /// Drains the shared socket once, routing each datagram to its
-    /// peer's session. Returns the events tagged with the peer they
-    /// belong to.
-    pub fn poll(
-        &mut self,
-        stack: &mut NetStack,
-        now: u64,
-    ) -> Result<Vec<(Peer, RdtEvent)>, SocketError> {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
+    /// peer's session. Returns how many messages became available to
+    /// [`RdtDemux::recv`].
+    pub fn poll(&mut self, stack: &mut NetStack, now: u64) -> Result<usize, SocketError> {
+        let mut delivered = 0;
         while let Some((src, sport, data)) = stack.recv_from(self.sock)? {
             let i = self.index_of((src, sport));
-            events.clear();
-            self.sessions[i].1.on_datagram(stack, now, &data, &mut events)?;
-            for ev in events.drain(..) {
-                if ev == RdtEvent::Delivered {
-                    self.ready.push_back(i);
-                }
-                out.push(((src, sport), ev));
+            if self.sessions[i].1.on_datagram(stack, now, data)? {
+                self.ready.push_back(i);
+                delivered += 1;
             }
         }
-        Ok(out)
+        Ok(delivered)
     }
 
     /// Clock tick: retransmission timers for every session with data in

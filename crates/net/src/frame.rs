@@ -42,6 +42,44 @@ impl EtherType {
     }
 }
 
+/// Frame header length in bytes: dst(6) src(6) ethertype(2).
+pub const ETH_HEADER: usize = 14;
+
+/// A frame header: the layout lives here once. [`EthHeader::write`]
+/// fills the front of a frame in place and [`EthHeader::parse`] reads
+/// it off a wire slice without copying the payload; [`EthFrame`] is the
+/// owned form built on the two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EthHeader {
+    /// Destination MAC.
+    pub dst: Mac,
+    /// Source MAC.
+    pub src: Mac,
+    /// Payload type.
+    pub ethertype: EtherType,
+}
+
+impl EthHeader {
+    /// Writes the header over the first [`ETH_HEADER`] bytes of `frame`.
+    pub fn write(&self, frame: &mut [u8]) {
+        crate::put_at(frame, 0, &self.dst.0);
+        crate::put_at(frame, 6, &self.src.0);
+        crate::put_at(frame, 12, &self.ethertype.to_u16().to_be_bytes());
+    }
+
+    /// Splits wire bytes into header and payload; `None` when shorter
+    /// than a header.
+    pub fn parse(frame: &[u8]) -> Option<(EthHeader, &[u8])> {
+        let payload = frame.get(ETH_HEADER..)?;
+        let header = EthHeader {
+            dst: Mac(crate::take_arr(frame, 0)),
+            src: Mac(crate::take_arr(frame, 6)),
+            ethertype: EtherType::from_u16(u16::from_be_bytes(crate::take_arr(frame, 12))),
+        };
+        Some((header, payload))
+    }
+}
+
 /// An Ethernet-style frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EthFrame {
@@ -55,30 +93,27 @@ pub struct EthFrame {
     pub payload: Vec<u8>,
 }
 
-/// Frame header length in bytes.
-pub const ETH_HEADER: usize = 14;
-
 impl EthFrame {
     /// Serializes the frame to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETH_HEADER + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = crate::with_headroom(ETH_HEADER, &[&self.payload]);
+        EthHeader {
+            dst: self.dst,
+            src: self.src,
+            ethertype: self.ethertype,
+        }
+        .write(&mut out);
         out
     }
 
     /// Parses wire bytes; `None` when shorter than a header.
     pub fn decode(bytes: &[u8]) -> Option<EthFrame> {
-        if bytes.len() < ETH_HEADER {
-            return None;
-        }
+        let (h, payload) = EthHeader::parse(bytes)?;
         Some(EthFrame {
-            dst: Mac(crate::take_arr(bytes, 0)),
-            src: Mac(crate::take_arr(bytes, 6)),
-            ethertype: EtherType::from_u16(u16::from_be_bytes(crate::take_arr(bytes, 12))),
-            payload: bytes[14..].to_vec(),
+            dst: h.dst,
+            src: h.src,
+            ethertype: h.ethertype,
+            payload: payload.to_vec(),
         })
     }
 }
@@ -114,5 +149,25 @@ mod tests {
         };
         let d = EthFrame::decode(&f.encode()).unwrap();
         assert_eq!(d.ethertype, EtherType::Unknown(0x1234));
+    }
+
+    #[test]
+    fn parse_accepts_exactly_a_header_and_borrows_the_rest() {
+        let mut rng = veros_spec::rng::SpecRng::seeded(9);
+        let mut frames = vec![vec![], vec![0xff; 13], vec![0xff; 14], vec![7; 15]];
+        for len in [1usize, 6, 13, 14, 15, 64, 1536] {
+            frames.push((0..len).map(|_| rng.next_u64() as u8).collect());
+        }
+        for f in frames {
+            let parsed = EthHeader::parse(&f);
+            assert_eq!(parsed.is_some(), f.len() >= ETH_HEADER, "{} bytes", f.len());
+            if let Some((h, payload)) = parsed {
+                assert_eq!(payload, &f[ETH_HEADER..]);
+                let mut rewritten = f.clone();
+                rewritten[..ETH_HEADER].fill(0);
+                h.write(&mut rewritten);
+                assert_eq!(rewritten, f, "write is parse's inverse");
+            }
+        }
     }
 }

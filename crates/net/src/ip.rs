@@ -84,43 +84,86 @@ pub fn checksum(bytes: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-impl IpPacket {
-    /// Serializes the packet, computing the header checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(IP_HEADER + self.payload.len());
-        out.extend_from_slice(&self.src.0.to_be_bytes());
-        out.extend_from_slice(&self.dst.0.to_be_bytes());
-        out.push(self.proto.to_u8());
-        out.push(self.ttl);
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-        let ck = checksum(&out[..IP_HEADER]);
-        out[12..14].copy_from_slice(&ck.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+/// An IP header: the layout lives here once. The length and checksum
+/// fields are not stored: [`IpHeader::write`] derives them from the
+/// packet it writes into, and [`IpHeader::parse`] checks them.
+/// [`IpPacket`] is the owned form built on the two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IpHeader {
+    /// Source address.
+    pub src: IpAddr,
+    /// Destination address.
+    pub dst: IpAddr,
+    /// Transport protocol.
+    pub proto: Proto,
+    /// Time to live.
+    pub ttl: u8,
+}
+
+impl IpHeader {
+    /// Writes the header over the first [`IP_HEADER`] bytes of `packet`,
+    /// whose remainder is the payload: the length field is the
+    /// remainder's length and the checksum covers the written header.
+    pub fn write(&self, packet: &mut [u8]) {
+        let len = packet.len().saturating_sub(IP_HEADER) as u16;
+        let mut h = [0u8; IP_HEADER];
+        crate::put_at(&mut h, 0, &self.src.0.to_be_bytes());
+        crate::put_at(&mut h, 4, &self.dst.0.to_be_bytes());
+        crate::put_at(&mut h, 8, &[self.proto.to_u8(), self.ttl]);
+        crate::put_at(&mut h, 10, &len.to_be_bytes());
+        let ck = checksum(&h);
+        crate::put_at(&mut h, 12, &ck.to_be_bytes());
+        crate::put_at(packet, 0, &h);
     }
 
-    /// Parses and validates (length + checksum); `None` on corruption.
-    pub fn decode(bytes: &[u8]) -> Option<IpPacket> {
-        if bytes.len() < IP_HEADER {
-            return None;
-        }
-        let header = &bytes[..IP_HEADER];
+    /// Validates (length + checksum) and splits a packet into header and
+    /// payload; `None` on corruption.
+    pub fn parse(packet: &[u8]) -> Option<(IpHeader, &[u8])> {
+        let header = packet.get(..IP_HEADER)?;
+        let payload = packet.get(IP_HEADER..)?;
         // A valid header checksums to zero with the checksum field
         // included.
         if checksum(header) != 0 {
             return None;
         }
         let len = u16::from_be_bytes(crate::take_arr(header, 10)) as usize;
-        if bytes.len() != IP_HEADER + len {
+        if payload.len() != len {
             return None;
         }
-        Some(IpPacket {
+        let [proto, ttl] = crate::take_arr(header, 8);
+        let h = IpHeader {
             src: IpAddr(u32::from_be_bytes(crate::take_arr(header, 0))),
             dst: IpAddr(u32::from_be_bytes(crate::take_arr(header, 4))),
-            proto: Proto::from_u8(header[8]),
-            ttl: header[9],
-            payload: bytes[IP_HEADER..].to_vec(),
+            proto: Proto::from_u8(proto),
+            ttl,
+        };
+        Some((h, payload))
+    }
+}
+
+impl IpPacket {
+    /// Serializes the packet, computing the header checksum.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = crate::with_headroom(IP_HEADER, &[&self.payload]);
+        IpHeader {
+            src: self.src,
+            dst: self.dst,
+            proto: self.proto,
+            ttl: self.ttl,
+        }
+        .write(&mut out);
+        out
+    }
+
+    /// Parses and validates (length + checksum); `None` on corruption.
+    pub fn decode(bytes: &[u8]) -> Option<IpPacket> {
+        let (h, payload) = IpHeader::parse(bytes)?;
+        Some(IpPacket {
+            src: h.src,
+            dst: h.dst,
+            proto: h.proto,
+            ttl: h.ttl,
+            payload: payload.to_vec(),
         })
     }
 }

@@ -8,6 +8,10 @@
 //! * [`ip`] — a minimal IP layer: 32-bit addresses, protocol numbers,
 //!   TTL, and a header checksum.
 //! * [`udp`] — datagrams with ports.
+//!
+//!   Each of the three states its header layout once, as an in-place
+//!   writer and a slice parser (`EthHeader`, `IpHeader`, `UdpHeader`);
+//!   the owned `encode`/`decode` codecs are wrappers over them.
 //! * [`rdt`] — reliable data transfer over UDP: go-back-N with
 //!   cumulative acks and virtual-clock retransmission. Its spec is the
 //!   classic one: *the receiver delivers a prefix of the sender's
@@ -16,7 +20,8 @@
 //! * [`demux`] — many-peer reliable serving: one socket demultiplexed
 //!   into per-peer go-back-N sessions (the fleet-node server path).
 //! * [`socket`] — a UDP socket table (bind / send_to / recv_from).
-//! * [`stack`] — one host's stack: NIC ↔ IP demux ↔ sockets.
+//! * [`stack`] — one host's stack: NIC ↔ IP demux ↔ sockets, one buffer
+//!   per datagram.
 //! * [`sim`] — the wire: moves frames between NICs with deterministic
 //!   fault injection.
 //!
@@ -41,6 +46,29 @@ pub(crate) fn take_arr<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
     out
 }
 
+/// Copies `src` into `buf` at `off`: the write-side twin of
+/// [`take_arr`]. Header writers are handed a buffer at least a header
+/// long; a write that would run past the end is skipped rather than
+/// panicking.
+pub(crate) fn put_at(buf: &mut [u8], off: usize, src: &[u8]) {
+    if let Some(dst) = buf.get_mut(off..off + src.len()) {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// One buffer, allocated once at its final size: `headroom` zero bytes
+/// followed by the concatenated `parts`. The header writers then fill
+/// the headroom in place.
+pub(crate) fn with_headroom(headroom: usize, parts: &[&[u8]]) -> Vec<u8> {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(headroom + len);
+    out.resize(headroom, 0);
+    for p in parts {
+        out.extend_from_slice(p);
+    }
+    out
+}
+
 pub mod demux;
 pub mod frame;
 pub mod ip;
@@ -54,7 +82,7 @@ pub mod udp;
 pub use demux::RdtDemux;
 pub use frame::{EthFrame, EtherType, Mac};
 pub use ip::{IpAddr, IpPacket, Proto};
-pub use rdt::{RdtEndpoint, RdtEvent};
+pub use rdt::RdtEndpoint;
 pub use sim::{FaultPlan, Network};
 pub use socket::SocketId;
 pub use stack::NetStack;

@@ -11,6 +11,13 @@
 //! the peer's [`RdtEndpoint::send`] accepted, in order, without
 //! duplicates; and if the wire delivers infinitely often, every sent
 //! message is eventually delivered.
+//!
+//! A message is not copied on its way through: a DATA frame is
+//! gathered straight from the window's payload behind its 9-byte header
+//! (`type u8 | seq u64`) into the one buffer [`NetStack::send_to`]
+//! allocates, an ACK from a stack array, and on receipt the buffer the
+//! NIC received is the one [`RdtEndpoint::recv`] returns, with the
+//! network and rdt headers stripped in place.
 
 use std::collections::VecDeque;
 
@@ -22,20 +29,14 @@ use crate::stack::NetStack;
 const MSG_DATA: u8 = 1;
 const MSG_ACK: u8 = 2;
 
+/// Message header length: type(1) seq(8, little-endian).
+const HEADER: usize = 9;
+
 /// Default send-window size (go-back-N `N`).
 pub const DEFAULT_WINDOW: usize = 8;
 
 /// Default retransmission timeout in virtual ticks.
 pub const DEFAULT_TIMEOUT: u64 = 4;
-
-/// Events surfaced by [`RdtEndpoint::poll`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RdtEvent {
-    /// A new in-order message became available via `recv`.
-    Delivered,
-    /// The peer acknowledged everything below `seq`.
-    AckedUpTo(u64),
-}
 
 /// A reliable endpoint bound to a socket and fixed to one peer.
 pub struct RdtEndpoint {
@@ -67,11 +68,7 @@ fn transmit_data(
     seq: u64,
     payload: &[u8],
 ) -> Result<(), SocketError> {
-    let mut msg = Vec::with_capacity(9 + payload.len());
-    msg.push(MSG_DATA);
-    msg.extend_from_slice(&seq.to_le_bytes());
-    msg.extend_from_slice(payload);
-    stack.send_to(sock, peer.0, peer.1, msg)
+    stack.send_to(sock, peer.0, peer.1, &[&[MSG_DATA], &seq.to_le_bytes(), payload])
 }
 
 impl RdtEndpoint {
@@ -142,10 +139,8 @@ impl RdtEndpoint {
     }
 
     fn transmit_ack(&mut self, stack: &mut NetStack) -> Result<(), SocketError> {
-        let mut msg = Vec::with_capacity(9);
-        msg.push(MSG_ACK);
-        msg.extend_from_slice(&self.expected.to_le_bytes());
-        stack.send_to(self.sock, self.peer.0, self.peer.1, msg)
+        let msg = [&[MSG_ACK][..], &self.expected.to_le_bytes()];
+        stack.send_to(self.sock, self.peer.0, self.peer.1, &msg)
     }
 
     /// Clock tick: retransmits the whole window on timeout (go-back-N).
@@ -163,50 +158,55 @@ impl RdtEndpoint {
         Ok(())
     }
 
-    /// Drains the socket, processing DATA and ACK messages. Returns the
-    /// events that occurred.
-    pub fn poll(&mut self, stack: &mut NetStack, now: u64) -> Result<Vec<RdtEvent>, SocketError> {
-        let mut events = Vec::new();
+    /// Drains the socket, processing DATA and ACK messages. Returns how
+    /// many messages became available to [`RdtEndpoint::recv`].
+    pub fn poll(&mut self, stack: &mut NetStack, now: u64) -> Result<usize, SocketError> {
+        let mut delivered = 0;
         while let Some((src, sport, data)) = stack.recv_from(self.sock)? {
             if (src, sport) != self.peer {
                 continue; // Not our peer: ignore.
             }
-            self.on_datagram(stack, now, &data, &mut events)?;
+            delivered += usize::from(self.on_datagram(stack, now, data)?);
         }
-        Ok(events)
+        Ok(delivered)
     }
 
     /// Processes one datagram already attributed to this endpoint's
     /// peer. [`RdtEndpoint::poll`] filters and calls this; a demux
     /// ([`crate::demux::RdtDemux`]) that routes one shared socket to
     /// many per-peer sessions calls it directly.
+    ///
+    /// The datagram is taken by value: an in-order DATA message has its
+    /// header stripped in place and is queued for `recv` in the buffer it
+    /// arrived in. Returns whether it delivered a message.
     pub fn on_datagram(
         &mut self,
         stack: &mut NetStack,
         now: u64,
-        data: &[u8],
-        events: &mut Vec<RdtEvent>,
-    ) -> Result<(), SocketError> {
-        if data.is_empty() {
-            return Ok(());
+        mut data: Vec<u8>,
+    ) -> Result<bool, SocketError> {
+        if data.len() < HEADER {
+            return Ok(false); // Malformed: drop.
         }
+        let seq = u64::from_le_bytes(crate::take_arr(&data, 1));
         match data[0] {
-            MSG_DATA if data.len() >= 9 => {
-                let seq = u64::from_le_bytes(crate::take_arr(data, 1));
-                if seq == self.expected {
-                    self.delivered.push_back(data[9..].to_vec());
+            MSG_DATA => {
+                // A go-back-N receiver has no buffer: only the next
+                // in-order message is accepted.
+                let fresh = seq == self.expected;
+                if fresh {
+                    data.drain(..HEADER);
+                    self.delivered.push_back(data);
                     self.expected += 1;
-                    events.push(RdtEvent::Delivered);
-                    // Deliver any... go-back-N receiver has no
-                    // buffer: only in-order accepted.
                 }
                 // Always (re-)ack the cumulative frontier: acks for
                 // duplicates re-synchronize a sender whose ack was
                 // lost.
                 self.transmit_ack(stack)?;
+                Ok(fresh)
             }
-            MSG_ACK if data.len() >= 9 => {
-                let ack = u64::from_le_bytes(crate::take_arr(data, 1));
+            MSG_ACK => {
+                let ack = seq;
                 if ack > self.send_base {
                     while self
                         .unacked
@@ -221,13 +221,12 @@ impl RdtEndpoint {
                     } else {
                         Some(now + self.timeout)
                     };
-                    events.push(RdtEvent::AckedUpTo(ack));
                     self.pump(stack, now)?;
                 }
+                Ok(false)
             }
-            _ => {} // Malformed: drop.
+            _ => Ok(false), // Malformed: drop.
         }
-        Ok(())
     }
 
     /// Takes the next delivered in-order message.

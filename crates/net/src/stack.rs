@@ -1,13 +1,24 @@
 //! One host's network stack: NIC ↔ IP demux ↔ sockets.
+//!
+//! A datagram is one buffer from the sender's gather list to the
+//! receiving socket. [`NetStack::send_to`] allocates the frame once, at
+//! its final size, copies the payload parts in behind [`HEADROOM`] bytes
+//! and writes the Ethernet, IP and UDP headers in place.
+//! [`NetStack::poll`] validates a received frame by slice — every check
+//! a layer makes, each counted in `rx_dropped` — then strips the headers
+//! in place and hands the NIC's own buffer to the socket.
 
 use std::collections::BTreeMap;
 
 use veros_hw::SimNic;
 
-use crate::frame::{EthFrame, EtherType, Mac};
-use crate::ip::{IpAddr, IpPacket, Proto};
+use crate::frame::{EthHeader, EtherType, Mac, ETH_HEADER};
+use crate::ip::{IpAddr, IpHeader, Proto, IP_HEADER};
 use crate::socket::{Received, SocketError, SocketId, SocketTable};
-use crate::udp::UdpDatagram;
+use crate::udp::{UdpHeader, UDP_HEADER};
+
+/// Header bytes in front of every datagram's payload on the wire.
+pub const HEADROOM: usize = ETH_HEADER + IP_HEADER + UDP_HEADER;
 
 /// Per-stack counters for tests and observability.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,35 +87,33 @@ impl NetStack {
         self.sockets.close(sock)
     }
 
-    /// Sends a datagram from `sock` to `dst:dst_port`.
+    /// Sends a datagram from `sock` to `dst:dst_port` whose payload is
+    /// the concatenation of `payload`'s parts: one allocation, one copy.
     pub fn send_to(
         &mut self,
         sock: SocketId,
         dst: IpAddr,
         dst_port: u16,
-        payload: Vec<u8>,
+        payload: &[&[u8]],
     ) -> Result<(), SocketError> {
         let src_port = self.sockets.port_of(sock)?;
-        let udp = UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        };
-        let ip = IpPacket {
+        let mut frame = crate::with_headroom(HEADROOM, payload);
+        EthHeader {
+            dst: self.arp.get(&dst).copied().unwrap_or(Mac::BROADCAST),
+            src: self.mac,
+            ethertype: EtherType::Ip,
+        }
+        .write(&mut frame);
+        let packet = &mut frame[ETH_HEADER..];
+        IpHeader {
             src: self.ip,
             dst,
             proto: Proto::Udp,
             ttl: 64,
-            payload: udp.encode(),
-        };
-        let dst_mac = self.arp.get(&dst).copied().unwrap_or(Mac::BROADCAST);
-        let frame = EthFrame {
-            dst: dst_mac,
-            src: self.mac,
-            ethertype: EtherType::Ip,
-            payload: ip.encode(),
-        };
-        self.nic.transmit(frame.encode());
+        }
+        .write(packet);
+        UdpHeader { src_port, dst_port }.write(&mut packet[IP_HEADER..]);
+        self.nic.transmit(frame);
         self.stats.tx_udp += 1;
         Ok(())
     }
@@ -118,41 +127,37 @@ impl NetStack {
     /// Returns the number of datagrams delivered.
     pub fn poll(&mut self) -> usize {
         let mut delivered = 0;
-        while let Some(raw) = self.nic.receive() {
-            let Some(frame) = EthFrame::decode(&raw) else {
+        while let Some(mut frame) = self.nic.receive() {
+            let Some((src, src_port, dst_port)) = self.accept(&frame) else {
                 self.stats.rx_dropped += 1;
                 continue;
             };
-            if frame.dst != self.mac && frame.dst != Mac::BROADCAST {
-                self.stats.rx_dropped += 1;
-                continue;
-            }
-            if frame.ethertype != EtherType::Ip {
-                self.stats.rx_dropped += 1;
-                continue;
-            }
-            let Some(packet) = IpPacket::decode(&frame.payload) else {
-                self.stats.rx_dropped += 1;
-                continue;
-            };
-            if packet.dst != self.ip || packet.ttl == 0 {
-                self.stats.rx_dropped += 1;
-                continue;
-            }
-            if packet.proto != Proto::Udp {
-                self.stats.rx_dropped += 1;
-                continue;
-            }
-            let Some(udp) = UdpDatagram::decode(&packet.payload) else {
-                self.stats.rx_dropped += 1;
-                continue;
-            };
-            self.sockets
-                .deliver(udp.dst_port, packet.src, udp.src_port, udp.payload);
+            // Accepted, so the frame is at least `HEADROOM` long and the
+            // rest is exactly the UDP payload.
+            frame.drain(..HEADROOM);
+            self.sockets.deliver(dst_port, src, src_port, frame);
             self.stats.rx_udp += 1;
             delivered += 1;
         }
         delivered
+    }
+
+    /// Every check the layers make on a received frame, in layer order,
+    /// by slice: length, MAC filter, ethertype, IP checksum and length
+    /// field, destination IP, TTL, protocol, UDP length field. Returns
+    /// the datagram's `(source IP, source port, destination port)`, or
+    /// `None` to drop the frame.
+    fn accept(&self, frame: &[u8]) -> Option<(IpAddr, u16, u16)> {
+        let (eth, packet) = EthHeader::parse(frame)?;
+        if (eth.dst != self.mac && eth.dst != Mac::BROADCAST) || eth.ethertype != EtherType::Ip {
+            return None;
+        }
+        let (ip, datagram) = IpHeader::parse(packet)?;
+        if ip.dst != self.ip || ip.ttl == 0 || ip.proto != Proto::Udp {
+            return None;
+        }
+        let (udp, _) = UdpHeader::parse(datagram)?;
+        Some((ip.src, udp.src_port, udp.dst_port))
     }
 }
 
@@ -180,7 +185,7 @@ mod tests {
         let (mut a, mut b) = pair();
         let sa = a.bind(1000).unwrap();
         let sb = b.bind(2000).unwrap();
-        a.send_to(sa, b.ip(), 2000, b"ping".to_vec()).unwrap();
+        a.send_to(sa, b.ip(), 2000, &[b"ping"]).unwrap();
         patch_cable(&mut a, &mut b);
         assert_eq!(b.poll(), 1);
         let (src, sport, data) = b.recv_from(sb).unwrap().unwrap();
@@ -195,7 +200,7 @@ mod tests {
         let sa = a.bind(1000).unwrap();
         // Address a host that is not b at the IP layer but b's MAC is
         // unknown, so the frame broadcasts and b's IP filter drops it.
-        a.send_to(sa, IpAddr::host(9), 2000, b"nope".to_vec()).unwrap();
+        a.send_to(sa, IpAddr::host(9), 2000, &[b"nope"]).unwrap();
         patch_cable(&mut a, &mut b);
         assert_eq!(b.poll(), 0);
         assert_eq!(b.stats().rx_dropped, 1);
@@ -214,7 +219,7 @@ mod tests {
     fn unbound_port_drops_silently() {
         let (mut a, mut b) = pair();
         let sa = a.bind(1000).unwrap();
-        a.send_to(sa, b.ip(), 4444, b"void".to_vec()).unwrap();
+        a.send_to(sa, b.ip(), 4444, &[b"void"]).unwrap();
         patch_cable(&mut a, &mut b);
         // Counted as received UDP (valid packet) but no socket sees it.
         assert_eq!(b.poll(), 1);

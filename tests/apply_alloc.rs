@@ -10,7 +10,7 @@
 
 mod counting_alloc;
 
-use counting_alloc::bytes_allocated_by;
+use counting_alloc::allocated_by;
 use veros_blockstore::wire::block_checksum;
 use veros_blockstore::BlockStore;
 use veros_fs::journal::{FsOp, JournaledFs};
@@ -21,7 +21,7 @@ const VALUE: usize = 1024;
 /// Mean bytes allocated by each call of `op`, over `n` calls. Averaging
 /// absorbs the amortised doubling of the disk's sector table.
 fn bytes_per_call(n: usize, mut op: impl FnMut(usize)) -> u64 {
-    bytes_allocated_by(|| (0..n).for_each(&mut op)) / n as u64
+    allocated_by(|| (0..n).for_each(&mut op)).bytes / n as u64
 }
 
 /// `apply(WriteAt 1 KiB)` + `commit` with `population` files present.

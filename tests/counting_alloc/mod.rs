@@ -1,24 +1,28 @@
-//! A global allocator that counts every byte requested, for the tests
-//! that assert exact allocation counts. Each of them is its own test
-//! binary (a binary has one `#[global_allocator]`) with a single
-//! `#[test]`, so that nothing else allocates while it counts.
+//! A global allocator that counts every allocation and every byte
+//! requested, for the tests that assert exact allocation counts. Each
+//! of them is its own test binary (a binary has one
+//! `#[global_allocator]`) with a single `#[test]`, so that nothing else
+//! allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every byte requested (a growing `Vec` counts its new size in
-/// full: `realloc` defaults to `alloc` + copy).
+/// Counts every allocation and the bytes it requested (a growing `Vec`
+/// counts one more block and its new size in full: `realloc` defaults
+/// to `alloc` + copy).
 struct Counting;
 
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static BLOCKS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: defers to `System` unchanged; the counter is a relaxed
-// statistic that publishes nothing.
+// SAFETY: defers to `System` unchanged; the counters are relaxed
+// statistics that publish nothing.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: a `GlobalAlloc` method — the caller upholds the trait's
     // contract for `layout`, which reaches `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -32,9 +36,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Bytes requested while `f` ran.
-pub fn bytes_allocated_by(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATED.load(Ordering::Relaxed);
+/// What a closure allocated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Allocated {
+    /// Allocations made.
+    pub blocks: u64,
+    /// Bytes they requested.
+    pub bytes: u64,
+}
+
+/// What was allocated while `f` ran.
+pub fn allocated_by(f: impl FnOnce()) -> Allocated {
+    let (blocks, bytes) = (BLOCKS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     f();
-    ALLOCATED.load(Ordering::Relaxed) - before
+    Allocated {
+        blocks: BLOCKS.load(Ordering::Relaxed) - blocks,
+        bytes: BYTES.load(Ordering::Relaxed) - bytes,
+    }
 }

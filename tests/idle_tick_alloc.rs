@@ -16,7 +16,7 @@
 mod common;
 mod counting_alloc;
 
-use counting_alloc::bytes_allocated_by;
+use counting_alloc::allocated_by;
 use veros_cluster::fleet::OP_BUDGET;
 use veros_cluster::{Fleet, FleetConfig, Op};
 
@@ -50,27 +50,30 @@ fn what_fleet_step_skips_allocates_nothing() {
     // The skipped work itself: polling every quiet client, over and over.
     let mut fleet = warmed_up();
     let (first, now) = (fleet.nodes.len() + 1, fleet.now());
-    let skipped = bytes_allocated_by(|| {
+    let skipped = allocated_by(|| {
         for _ in 0..TICKS {
             for c in 0..CLIENTS {
                 fleet.clients[c].poll(fleet.net.host(first + c), now);
             }
         }
     });
-    assert_eq!(skipped, 0, "polling quiet clients allocated");
+    assert_eq!(skipped.bytes, 0, "polling quiet clients allocated");
 
     // Whole idle ticks: the stepper that visits nine hosts a tick and
     // the one that visits all 1009 allocate the same (the control
     // plane's heartbeats and views), so neither pays for whom it visits.
     let mut fleet = warmed_up();
-    let stepped = bytes_allocated_by(|| fleet.run(TICKS));
+    let stepped = allocated_by(|| fleet.run(TICKS));
     let mut fleet = warmed_up();
     let (alive, start) = (vec![true; fleet.nodes.len()], fleet.now());
-    let polled_everyone = bytes_allocated_by(|| {
+    let polled_everyone = allocated_by(|| {
         for now in start..start + TICKS {
             common::step_all(&mut fleet, &alive, now);
         }
     });
     assert_eq!(stepped, polled_everyone);
-    eprintln!("{TICKS} idle ticks: {stepped} B allocated by either stepper, 0 B by {CLIENTS} quiet clients");
+    eprintln!(
+        "{TICKS} idle ticks: {} B in {} blocks allocated by either stepper, 0 B by {CLIENTS} quiet clients",
+        stepped.bytes, stepped.blocks
+    );
 }
