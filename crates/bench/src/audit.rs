@@ -22,6 +22,7 @@
 use std::time::Duration;
 
 use veros_spec::vc::{VcReport, VcStatus};
+use veros_telemetry::registry::json_str;
 
 use crate::baseline::{field_num, Better, Current, Gate, GateResult};
 
@@ -49,8 +50,8 @@ pub fn audit_json(report: &VcReport, wall: Duration) -> String {
     for (i, o) in report.outcomes.iter().enumerate() {
         let comma = if i + 1 == report.outcomes.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"kind\": \"{}\", \"duration_ns\": {}, \"passed\": {} }}{comma}\n",
-            escape(&o.vc.name),
+            "    {{ \"name\": {}, \"kind\": \"{}\", \"duration_ns\": {}, \"passed\": {} }}{comma}\n",
+            json_str(&o.vc.name),
             o.vc.kind.label(),
             ns(o.duration),
             o.status == VcStatus::Passed
@@ -76,10 +77,6 @@ pub fn baseline_json(report: &VcReport, wall: Duration, invariant_families: usiz
     out.push_str("  \"min_invariant_schedules\": 8\n");
     out.push_str("}\n");
     out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Doc↔code coverage for the end-to-end invariant families: what
@@ -243,17 +240,17 @@ pub fn invariant_sweep_json(
             .map_or(0, |(_, n)| *n);
         let comma = if i + 1 == cov.families.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{ \"family\": \"{}\", \"anchor\": \"invariant::{}::*\", \"vcs\": {vcs}, \
+            "    {{ \"family\": {}, \"anchor\": {}, \"vcs\": {vcs}, \
              \"schedules_swept\": {swept} }}{comma}\n",
-            escape(family),
-            escape(family),
+            json_str(family),
+            json_str(&format!("invariant::{family}::*")),
         ));
     }
     out.push_str("  ],\n");
     let list = |items: &[String]| {
         items
             .iter()
-            .map(|s| format!("\"{}\"", escape(s)))
+            .map(|s| json_str(s))
             .collect::<Vec<_>>()
             .join(", ")
     };

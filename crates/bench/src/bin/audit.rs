@@ -11,8 +11,9 @@
 //!   Figure-1a CDF series) and gates itself against the committed
 //!   `BENCH_audit.json` (`--baseline FILE`): fewer registered
 //!   obligations than its `vcs_total` fails.
-//! * `--write-baseline` re-emits `results/BENCH_audit.json` from this
-//!   run, for refreshing the committed file.
+//! * Every run also writes `results/BENCH_audit.json`, the baseline
+//!   this run would commit, like every other gated bench: refresh the
+//!   committed file by copying it.
 //! * Every run also checks the registered `invariant::*` families
 //!   against the backticked anchors in `INVARIANTS.md` — loud in both
 //!   directions — and writes `results/INVARIANTS_SWEEP.json` with the
@@ -22,7 +23,7 @@
 //!   clamped up so the pinned corner schedules are never dropped.
 //!
 //! Usage: `cargo run --release -p veros-bench --bin audit [--schedules N]
-//! [--baseline FILE] [--write-baseline]`
+//! [--baseline FILE]`
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -40,14 +41,12 @@ use veros_spec::VcEngine;
 struct Args {
     schedules: Option<usize>,
     baseline: Option<PathBuf>,
-    write_baseline: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         schedules: None,
         baseline: None,
-        write_baseline: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -65,7 +64,6 @@ fn parse_args() -> Args {
                 }))
             }
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline"))),
-            "--write-baseline" => args.write_baseline = true,
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -275,14 +273,12 @@ fn main() {
         eprintln!("cannot write INVARIANTS_SWEEP.json: {e}");
         std::process::exit(2);
     }
-    if args.write_baseline {
-        if let Err(e) = veros_bench::out::write_result(
-            "BENCH_audit.json",
-            &baseline_json(&report, wall, inv_cov.families.len()),
-        ) {
-            eprintln!("cannot write BENCH_audit.json: {e}");
-            std::process::exit(2);
-        }
+    if let Err(e) = veros_bench::out::write_result(
+        "BENCH_audit.json",
+        &baseline_json(&report, wall, inv_cov.families.len()),
+    ) {
+        eprintln!("cannot write BENCH_audit.json: {e}");
+        std::process::exit(2);
     }
     veros_bench::out::finish(
         "audit.txt",

@@ -10,28 +10,27 @@
 //! JSON snapshot into the results directory (schema in
 //! OBSERVABILITY.md).
 //!
+//! The run passes or fails on one rule list,
+//! [`veros_telemetry::default_rules`], evaluated over the snapshot:
+//! integrity counters held at zero, tail-latency ceilings, and liveness
+//! floors proving each subsystem's watched activity happened. Every
+//! metric a rule names must be registered — `evaluate` skips absent
+//! metrics, so a rule naming a metric nobody exports would otherwise
+//! pass vacuously.
+//!
 //! With `--no-default-features` the same binary still produces a
 //! structurally complete snapshot whose `telemetry_enabled` field is
-//! `false` and whose values are all zero.
+//! `false` and whose values are all zero; the liveness floors skip
+//! themselves and the rest pass on zeros.
 //!
-//! With `--check`, the run additionally evaluates the standing alert
-//! policy ([`veros_telemetry::default_rules`]) against the snapshot and
-//! fails on any violation. Check mode skips the deliberate
-//! checksum-rejection probe — its whole point is to tick the counter
-//! the policy says must stay at zero — so a clean stack passes and a
-//! real integrity failure or replay-lag blowup trips the gate.
-//!
-//! Usage: `cargo run --release -p veros-bench --bin telemetry_report
-//! [--check]`
+//! Usage: `cargo run --release -p veros-bench --bin telemetry_report`
 
-use veros_blockstore::wire::block_checksum;
-use veros_blockstore::BlockStore;
 use veros_fs::journal::FsOp;
 use veros_fs::JournaledFs;
 use veros_hw::SimDisk;
 use veros_kernel::{Kernel, KernelConfig, Syscall};
 use veros_net::FaultPlan;
-use veros_telemetry::Registry;
+use veros_telemetry::{default_rules, evaluate, Registry};
 
 /// NR: drive the contended execute_mut hot path (combiner batching, log
 /// appends, replay lag) plus the resolve/range paths.
@@ -147,8 +146,7 @@ fn exercise_uring() {
 /// histograms, the per-node/per-shard banks and the replication lag
 /// histogram, then a chain-node kill plus follow-up reads drive a
 /// failover (view epoch bump, shard sync, failover-time sample).
-/// Outside check mode, a direct checksum rejection follows.
-fn exercise_fleet(check: bool) {
+fn exercise_fleet() {
     use veros_cluster::{Fleet, FleetConfig, Op};
     let mut f = Fleet::new(FleetConfig {
         nodes: 6,
@@ -178,15 +176,6 @@ fn exercise_fleet(check: bool) {
         f.run_op(0, Op::Get { key }, BUDGET).expect("fleet get after failover");
     }
     f.run_op(0, Op::Delete { key: "fleet-0".into() }, BUDGET).expect("fleet delete acked");
-
-    // A client-side checksum mismatch, rejected before storage. The
-    // probe proves the rejection path is live, but it also ticks the
-    // exact counter the alert policy holds at zero, so check mode
-    // leaves it out.
-    if !check {
-        let mut store = BlockStore::format(1 << 12);
-        assert!(store.put("bad", b"data", block_checksum(b"data") ^ 1).is_err());
-    }
 }
 
 /// Invariants: one two-schedule mini-sweep per family, so every
@@ -216,12 +205,11 @@ fn exercise_fs() {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
     exercise_nr();
     exercise_kernel();
     exercise_uring();
     exercise_fs();
-    exercise_fleet(check);
+    exercise_fleet();
     exercise_invariants();
 
     let mut reg = Registry::new();
@@ -234,78 +222,30 @@ fn main() {
     veros_cluster::metrics::export(&mut reg);
     veros_core::metrics::export(&mut reg);
 
+    let rules = default_rules();
     let names = reg.metric_names();
-    let prefixes = [
-        "nr.",
-        "kernel.",
-        "fs.",
-        "net.",
-        "blockstore.",
-        "uring.",
-        "cluster.",
-        "invariant.",
-    ];
-    let all_crates_covered = prefixes
+    let mut unregistered: Vec<&str> = rules
         .iter()
-        .all(|p| names.iter().any(|n| n.starts_with(p)));
-    let enough_metrics = reg.metric_count() >= 12;
-
-    // With instruments live, the workloads above must have left visible
-    // traces in each subsystem; with telemetry off, every value is zero
-    // by construction and only the structural checks gate.
+        .flat_map(|r| r.metrics())
+        .filter(|m| !names.contains(m))
+        .collect();
+    unregistered.sort_unstable();
+    unregistered.dedup();
+    for m in &unregistered {
+        eprintln!("ALERT: rule names unregistered metric {m}");
+    }
     let snapshot = reg.snapshot();
-    let observed = if veros_telemetry::enabled() {
-        let counter_value = |name: &str| {
-            snapshot
-                .metrics
-                .iter()
-                .find(|m| m.name == name)
-                .and_then(|m| match &m.value {
-                    veros_telemetry::registry::MetricValue::Counter(v) => Some(*v),
-                    veros_telemetry::registry::MetricValue::Gauge(v) => Some(*v),
-                    _ => None,
-                })
-                .unwrap_or(0)
-        };
-        counter_value("nr.log.appends") > 0
-            && counter_value("kernel.tlb.misses") > 0
-            && counter_value("uring.cqe.posted") > 0
-            && counter_value("uring.pending.parked") > 0
-            && counter_value("uring.poller.sweeps") > 0
-            && counter_value("uring.poller.fairness_deferrals") > 0
-            && counter_value("uring.chain.dispatched") > 0
-            && counter_value("uring.chain.aborts") > 0
-            && counter_value("uring.chain.links_cancelled") > 0
-            && counter_value("uring.chain.atomicity_violations") == 0
-            && counter_value("fs.journal.commits") > 0
-            && counter_value("net.sim.delivered") > 0
-            && counter_value("cluster.ops.completed") > 0
-            && counter_value("cluster.shard.syncs") > 0
-            && counter_value("cluster.view.epoch") > 0
-            && counter_value("invariant.schedules_swept") >= 12
-            && counter_value("invariant.violations") == 0
-            && (check || counter_value("blockstore.checksum_failures") > 0)
-    } else {
-        true
-    };
-
-    let mut ok = all_crates_covered && enough_metrics && observed;
-    if check {
-        let alerts = veros_telemetry::evaluate(&snapshot, &veros_telemetry::default_rules());
-        for a in &alerts {
-            eprintln!("ALERT: {}", a.message);
-        }
-        if alerts.is_empty() {
-            eprintln!("telemetry_report --check: no alerts");
-        } else {
-            ok = false;
-        }
+    let alerts = evaluate(&snapshot, &rules);
+    for a in &alerts {
+        eprintln!("ALERT: {}", a.message);
     }
     eprintln!(
-        "telemetry_report: {} metrics, all crates covered: {all_crates_covered}, \
-         observations recorded: {observed} (enabled: {})",
+        "telemetry_report: {} metrics, {} rules, {} alerts (enabled: {})",
         reg.metric_count(),
+        rules.len(),
+        unregistered.len() + alerts.len(),
         veros_telemetry::enabled()
     );
+    let ok = unregistered.is_empty() && alerts.is_empty();
     veros_bench::out::finish("TELEMETRY.json", &snapshot.to_json(), ok);
 }

@@ -178,13 +178,27 @@ mod tests {
         assert_eq!(got_ck, ck);
     }
 
+    /// Runs `op` and asserts it ticked `blockstore.checksum_failures`
+    /// (telemetry builds only). The counter is process-global and other
+    /// tests may tick it in parallel, so the check is "advanced by at
+    /// least one", not an exact delta.
+    fn ticks_checksum_failures(op: impl FnOnce()) {
+        let before = crate::metrics::CHECKSUM_FAILURES.get();
+        op();
+        if veros_telemetry::enabled() {
+            assert!(crate::metrics::CHECKSUM_FAILURES.get() > before);
+        }
+    }
+
     #[test]
     fn wrong_checksum_rejected_before_storing() {
         let mut s = BlockStore::format(4096);
-        assert_eq!(
-            s.put("k", b"data", 12345),
-            Err(StoreError::ChecksumMismatch)
-        );
+        ticks_checksum_failures(|| {
+            assert_eq!(
+                s.put("k", b"data", 12345),
+                Err(StoreError::ChecksumMismatch)
+            )
+        });
         assert_eq!(s.get("k"), Err(StoreError::NotFound));
     }
 
@@ -305,6 +319,6 @@ mod tests {
         let path = Path::parse(&key_path("k")).unwrap();
         let ino = s.fs.fs.lookup(&path).unwrap();
         s.fs.fs.write_at(ino, 9, b"X").unwrap();
-        assert_eq!(s.get("k"), Err(StoreError::Corrupt));
+        ticks_checksum_failures(|| assert_eq!(s.get("k"), Err(StoreError::Corrupt)));
     }
 }

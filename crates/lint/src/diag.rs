@@ -1,9 +1,9 @@
 //! Diagnostics: stable lint IDs, severities, and the `file:line` report
-//! format (human-readable or JSON).
+//! format.
 
 use std::fmt;
 
-/// How severe a finding is. `Error` findings fail `--deny`; `Warning`
+/// How severe a finding is. `Error` findings fail the run; `Warning`
 /// findings are advisory and never affect the exit code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -49,13 +49,6 @@ impl Diagnostic {
             message: message.into(),
         }
     }
-
-    /// The identity used for baseline matching: line numbers are
-    /// deliberately excluded so unrelated edits above a baselined
-    /// finding do not un-suppress it.
-    pub fn key(&self) -> (String, String, String) {
-        (self.lint.to_string(), self.file.clone(), self.message.clone())
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -72,45 +65,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON document (the same shape `--baseline`
-/// files use, so a run's output can be saved as the next baseline).
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(d.lint),
-            d.severity.as_str(),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message)
-        ));
-        if i + 1 < diags.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,22 +76,5 @@ mod tests {
             d.to_string(),
             "error: [doc-header] crates/hw/src/lib.rs:1: msg"
         );
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let diags = vec![
-            Diagnostic::new("unsafe-audit", Severity::Error, "a.rs", 3, "m1"),
-            Diagnostic::new("panic-freedom", Severity::Warning, "b.rs", 9, "m2"),
-        ];
-        let j = to_json(&diags);
-        assert!(j.contains("\"findings\""));
-        assert!(j.contains("\"lint\": \"unsafe-audit\""));
-        assert!(j.contains("\"line\": 9"));
     }
 }

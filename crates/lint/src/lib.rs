@@ -8,18 +8,19 @@
 //! module documents its role. This crate makes those conventions
 //! machine-checked: a hand-rolled lexer ([`lexer`]), a workspace model
 //! ([`source`]) (both hosted by `veros-atlas` and shared with its item
-//! graph), a lint registry ([`lints`]), flow-aware concurrency-protocol
-//! passes over the atlas access table ([`protocol`]), and baseline
-//! support ([`baseline`]) behind a `veros-lint` binary. No external
+//! graph), a lint registry ([`lints`]) and flow-aware
+//! concurrency-protocol passes over the atlas access table
+//! ([`protocol`]), behind a `veros-lint` binary. No external
 //! dependencies, so it builds offline with the rest of the workspace.
 //!
-//! Run it as CI does:
+//! A finding is accepted in one way only: a reasoned inline
+//! `// lint: allow(<id>) — reason` next to the code it excuses. There
+//! is no findings list kept elsewhere. Run it as CI does:
 //!
 //! ```text
-//! cargo run -p veros-lint -- --deny --baseline lint-baseline.json --report --gate
+//! cargo run -p veros-lint -- --gate
 //! ```
 
-pub mod baseline;
 pub mod diag;
 pub mod lints;
 pub mod protocol;

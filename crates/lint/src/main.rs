@@ -3,72 +3,48 @@
 //! `file:line` findings.
 //!
 //! ```text
-//! veros-lint [--root DIR] [--json] [--deny] [--baseline FILE]
-//!            [--write-baseline FILE] [--list] [--report] [--gate]
+//! veros-lint [--root DIR] [--list] [--gate]
 //! ```
 //!
-//! `--report` mirrors the protocol counters to `LINT.json` in
-//! `$VEROS_RESULTS_DIR` (default `./results`); `--gate` additionally
-//! enforces the anti-vacuity floors so CI fails when the analysis goes
-//! vacuous rather than silently passing an empty population.
+//! Every error-severity finding fails the run; the only way to accept
+//! one is a reasoned inline `// lint: allow(<id>) — reason`. `--gate`
+//! also writes the protocol counters to `LINT.json` in
+//! `$VEROS_RESULTS_DIR` (default `<root>/results`) and enforces the
+//! anti-vacuity floors, so CI fails when the analysis goes vacuous
+//! rather than silently passing an empty population.
 //!
-//! Exit codes: 0 clean (or all findings baselined / not denied), 1 when
-//! `--deny` and at least one non-baselined error-severity finding (or a
-//! `--gate` floor fails), 2 on usage or I/O errors.
+//! Exit codes: 0 clean, 1 on an error-severity finding or a failed
+//! `--gate` floor, 2 on usage or I/O errors.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use veros_lint::baseline::{self, Baseline};
-use veros_lint::diag::{to_json, Severity};
+use veros_lint::diag::Severity;
 use veros_lint::protocol::{self, Counters};
 use veros_lint::source::Workspace;
 use veros_lint::lints;
 
 struct Args {
     root: PathBuf,
-    json: bool,
-    deny: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     list: bool,
-    report: bool,
     gate: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        json: false,
-        deny: false,
-        baseline: None,
-        write_baseline: None,
         list: false,
-        report: false,
         gate: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
-            "--json" => args.json = true,
-            "--deny" => args.deny = true,
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--write-baseline" => {
-                args.write_baseline =
-                    Some(PathBuf::from(it.next().ok_or("--write-baseline needs a value")?))
-            }
             "--list" => args.list = true,
-            "--report" => args.report = true,
             "--gate" => args.gate = true,
             "--help" | "-h" => {
-                println!(
-                    "veros-lint [--root DIR] [--json] [--deny] [--baseline FILE] \
-                     [--write-baseline FILE] [--list] [--report] [--gate]"
-                );
+                println!("veros-lint [--root DIR] [--list] [--gate]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -78,9 +54,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Renders the protocol counters as the `LINT.json` artifact.
-fn counters_json(c: &Counters, findings: usize, baselined: usize) -> String {
+fn counters_json(c: &Counters, findings: usize) -> String {
     format!(
-        "{{\n  \"bench\": \"lint\",\n  \"findings\": {findings},\n  \"baselined\": {baselined},\n  \
+        "{{\n  \"bench\": \"lint\",\n  \"findings\": {findings},\n  \
          \"atomic_fields\": {},\n  \"accesses\": {},\n  \"publication_pairs\": {},\n  \
          \"seqlock_fields\": {},\n  \"guard_fields\": {},\n  \"guards_resolved\": {},\n  \
          \"unresolved_guards\": {},\n  \"unknown_orderings\": {},\n  \
@@ -181,60 +157,29 @@ fn main() -> ExitCode {
     let counters = analysis.run(&mut all);
     all.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
 
-    if let Some(path) = &args.write_baseline {
-        if let Err(e) = std::fs::write(path, to_json(&all)) {
-            eprintln!("veros-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("veros-lint: wrote {} findings to {}", all.len(), path.display());
+    for d in &all {
+        println!("{d}");
     }
+    let errors = all.iter().filter(|d| d.severity == Severity::Error).count();
+    let warnings = all.len() - errors;
+    println!(
+        "veros-lint: {} files, {errors} errors, {warnings} warnings",
+        ws.files.len()
+    );
+    println!(
+        "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs, \
+         {} seqlock fields, {}/{} guards resolved",
+        counters.atomic_fields,
+        counters.accesses,
+        counters.publication_pairs,
+        counters.seqlock_fields,
+        counters.guards_resolved,
+        counters.guard_fields,
+    );
 
-    let bl = match &args.baseline {
-        None => Baseline::default(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Err(e) => {
-                eprintln!("veros-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            Ok(text) => match Baseline::from_json(&text) {
-                Ok(bl) => bl,
-                Err(e) => {
-                    eprintln!("veros-lint: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-        },
-    };
-    let (fresh, baselined) = baseline::apply(all, &bl);
-
-    if args.json {
-        print!("{}", to_json(&fresh));
-    } else {
-        for d in &fresh {
-            println!("{d}");
-        }
-        let errors = fresh.iter().filter(|d| d.severity == Severity::Error).count();
-        let warnings = fresh.len() - errors;
-        println!(
-            "veros-lint: {} files, {errors} errors, {warnings} warnings, {} baselined",
-            ws.files.len(),
-            baselined.len()
-        );
-        println!(
-            "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs, \
-             {} seqlock fields, {}/{} guards resolved",
-            counters.atomic_fields,
-            counters.accesses,
-            counters.publication_pairs,
-            counters.seqlock_fields,
-            counters.guards_resolved,
-            counters.guard_fields,
-        );
-    }
-
-    let mut failed = false;
-    if args.report {
-        let json = counters_json(&counters, fresh.len(), baselined.len());
+    let mut failed = errors > 0;
+    if args.gate {
+        let json = counters_json(&counters, all.len());
         let dir = match std::env::var_os("VEROS_RESULTS_DIR") {
             Some(d) => PathBuf::from(d),
             None => args.root.join("results"),
@@ -251,8 +196,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if args.gate {
         let violations = gate_failures(&counters);
         for v in &violations {
             eprintln!("veros-lint: gate: {v}");
@@ -263,8 +206,6 @@ fn main() -> ExitCode {
         failed |= !violations.is_empty();
     }
 
-    let deny_hits = fresh.iter().any(|d| d.severity == Severity::Error);
-    failed |= args.deny && deny_hits;
     if failed {
         ExitCode::FAILURE
     } else {

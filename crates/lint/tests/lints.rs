@@ -1,11 +1,9 @@
 //! Fixture-tree integration tests: each tree under `tests/fixtures/`
-//! trips exactly one lint at known `file:line` positions, and the
-//! baseline machinery round-trips those findings through JSON.
+//! trips exactly one lint at known `file:line` positions.
 
 use std::path::PathBuf;
 
-use veros_lint::baseline::{self, Baseline};
-use veros_lint::diag::{to_json, Diagnostic, Severity};
+use veros_lint::diag::{Diagnostic, Severity};
 use veros_lint::lints;
 use veros_lint::source::Workspace;
 
@@ -86,30 +84,4 @@ fn l5_missing_doc_header() {
 #[test]
 fn clean_tree_is_clean() {
     assert!(run_tree("tree_clean").is_empty());
-}
-
-#[test]
-fn baseline_round_trips_fixture_findings() {
-    // Findings serialized to JSON, parsed back as a baseline, and
-    // re-applied to a fresh run must all be recognized: the (lint,
-    // file, message) key survives the round trip.
-    let out = run_tree("tree_l2");
-    assert!(!out.is_empty());
-    let bl = Baseline::from_json(&to_json(&out)).expect("own JSON parses");
-    let (fresh, baselined) = baseline::apply(run_tree("tree_l2"), &bl);
-    assert!(fresh.is_empty(), "all findings must match the baseline");
-    assert_eq!(baselined.len(), out.len());
-}
-
-#[test]
-fn baseline_is_insensitive_to_line_drift() {
-    // A baseline entry keyed on (lint, file, message) still matches
-    // after the finding moves to another line.
-    let out = run_tree("tree_l1");
-    let bl = Baseline::from_json(&to_json(&out)).expect("parses");
-    let mut moved = run_tree("tree_l1");
-    moved[0].line += 40;
-    let (fresh, baselined) = baseline::apply(moved, &bl);
-    assert!(fresh.is_empty());
-    assert_eq!(baselined.len(), 1);
 }

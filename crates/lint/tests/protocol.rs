@@ -30,7 +30,7 @@ fn run_binary(args: &[&str]) -> std::process::Output {
 }
 
 /// Each seeded tree must produce at least one finding of exactly its
-/// pass, deny-fail, and mention no other protocol pass.
+/// pass, fail the run, and mention no other protocol pass.
 #[test]
 fn seeded_trees_trip_their_pass_and_only_it() {
     let cases = [
@@ -40,12 +40,9 @@ fn seeded_trees_trip_their_pass_and_only_it() {
     ];
     for (tree, pass) in cases {
         let root = fixture(tree);
-        let out = run_binary(&["--root", root.to_str().expect("utf-8 path"), "--deny"]);
+        let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            !out.status.success(),
-            "{tree}: expected nonzero exit\n{text}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{tree}: expected exit 1\n{text}");
         assert!(
             text.contains(&format!("[{pass}]")),
             "{tree}: expected a {pass} finding\n{text}"
@@ -61,12 +58,12 @@ fn seeded_trees_trip_their_pass_and_only_it() {
     }
 }
 
-/// Every clean twin passes `--deny` outright.
+/// Every clean twin passes outright.
 #[test]
 fn clean_twins_pass() {
     for tree in ["tree_p1_clean", "tree_p2_clean", "tree_p3_clean"] {
         let root = fixture(tree);
-        let out = run_binary(&["--root", root.to_str().expect("utf-8 path"), "--deny"]);
+        let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
         assert!(
             out.status.success(),
             "{tree}: expected clean pass\nstdout:\n{}",
@@ -155,24 +152,15 @@ fn workspace_is_protocol_clean_and_non_vacuous() {
     );
 }
 
-/// `--gate` passes on the real workspace and `--report` writes the
-/// LINT.json artifact with the counters.
+/// `--gate` passes on the real workspace and writes the LINT.json
+/// artifact with the counters.
 #[test]
 fn gate_and_report_run_on_the_workspace() {
     let root = repo_root();
     let dir = std::env::temp_dir().join(format!("veros-lint-gate-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp results dir");
-    let baseline = root.join("lint-baseline.json");
     let out = Command::new(env!("CARGO_BIN_EXE_veros-lint"))
-        .args([
-            "--root",
-            root.to_str().expect("utf-8 path"),
-            "--deny",
-            "--baseline",
-            baseline.to_str().expect("utf-8 path"),
-            "--report",
-            "--gate",
-        ])
+        .args(["--root", root.to_str().expect("utf-8 path"), "--gate"])
         .env("VEROS_RESULTS_DIR", &dir)
         .output()
         .expect("veros-lint binary runs");

@@ -4,16 +4,18 @@
 //! rule against a [`Snapshot`] and returns
 //! the violations. The standing fleet policy lives in
 //! [`default_rules`]: data-integrity counters that must never tick
-//! (a checksum failure is corruption reaching the client boundary) and
+//! (a checksum failure is corruption reaching the client boundary),
 //! tail-latency bounds on distributions whose blowup signals a stalled
-//! subsystem (a replica that stopped replaying the shared log).
+//! subsystem (a replica that stopped replaying the shared log), and
+//! liveness floors proving each subsystem's watched activity happened.
 //!
-//! `telemetry_report --check` is the consumer: it evaluates the default
-//! rules after running the representative workloads and exits nonzero
-//! on any violation, which is the CI form of "the instruments say the
-//! system is healthy". With telemetry compiled out every reading is
-//! zero, so evaluation passes trivially — the check gates observations,
-//! not build configuration.
+//! `telemetry_report` is the consumer and this list is its only
+//! pass/fail rule: it evaluates the default rules after running the
+//! representative workloads and exits nonzero on any violation, which
+//! is the CI form of "the instruments say the system is healthy". With
+//! telemetry compiled out every reading is zero and the floors skip
+//! themselves, so evaluation passes trivially — the check gates
+//! observations, not build configuration.
 
 use crate::registry::{MetricValue, Snapshot};
 
@@ -68,6 +70,15 @@ impl Rule {
             Rule::RatioAtMost { numerator, .. } => numerator,
         }
     }
+
+    /// Every metric name this rule reads: both operands of a ratio,
+    /// the one watched metric otherwise.
+    pub fn metrics(&self) -> Vec<&'static str> {
+        match self {
+            Rule::RatioAtMost { numerator, denominator, .. } => vec![numerator, denominator],
+            _ => vec![self.metric()],
+        }
+    }
 }
 
 /// A rule violation: which metric, what was observed, what was allowed.
@@ -83,9 +94,30 @@ pub struct Alert {
     pub message: String,
 }
 
-/// The standing alert policy checked by `telemetry_report --check`.
+/// Activities `telemetry_report`'s workloads must visibly drive, one
+/// `CounterAtLeast { min: 1 }` floor each: a crate whose export went
+/// unwired, or a workload that stopped reaching a path, fails the
+/// report instead of passing on all-zero readings.
+const LIVENESS_FLOORS: [&str; 14] = [
+    "nr.log.appends",
+    "kernel.tlb.misses",
+    "uring.cqe.posted",
+    "uring.pending.parked",
+    "uring.poller.sweeps",
+    "uring.poller.fairness_deferrals",
+    "uring.chain.dispatched",
+    "uring.chain.aborts",
+    "uring.chain.links_cancelled",
+    "fs.journal.commits",
+    "net.sim.delivered",
+    "cluster.ops.completed",
+    "cluster.shard.syncs",
+    "cluster.view.epoch",
+];
+
+/// The standing alert policy checked by `telemetry_report`.
 pub fn default_rules() -> Vec<Rule> {
-    vec![
+    let mut rules = vec![
         // Corruption must never reach the client boundary silently:
         // every checksum rejection in a healthy run is deliberate test
         // traffic, so in the health check the budget is zero.
@@ -126,9 +158,12 @@ pub fn default_rules() -> Vec<Rule> {
         Rule::CounterAtMost { metric: "invariant.violations", max: 0 },
         // And the sweeps must actually run: a report that registers the
         // invariant instruments but swept nothing is a vacuous health
-        // check, not a healthy system.
-        Rule::CounterAtLeast { metric: "invariant.schedules_swept", min: 1 },
-    ]
+        // check, not a healthy system. `telemetry_report` sweeps two
+        // schedules in each of the six families.
+        Rule::CounterAtLeast { metric: "invariant.schedules_swept", min: 12 },
+    ];
+    rules.extend(LIVENESS_FLOORS.map(|metric| Rule::CounterAtLeast { metric, min: 1 }));
+    rules
 }
 
 /// Evaluates `rules` against a snapshot, returning every violation.
@@ -321,8 +356,45 @@ mod tests {
             .iter()
             .any(|r| matches!(r, Rule::CounterAtMost { metric: "invariant.violations", max: 0 })));
         assert!(rules.iter().any(
-            |r| matches!(r, Rule::CounterAtLeast { metric: "invariant.schedules_swept", .. })
+            |r| matches!(r, Rule::CounterAtLeast { metric: "invariant.schedules_swept", min: 12 })
         ));
+    }
+
+    /// Over a registry holding every metric the policy names at zero,
+    /// exactly the liveness floors fire, each once and naming its
+    /// metric; with telemetry compiled out nothing fires.
+    #[test]
+    fn zero_readings_trip_exactly_the_liveness_floors() {
+        let rules = default_rules();
+        let mut reg = Registry::new();
+        for rule in &rules {
+            for name in rule.metrics() {
+                if reg.metric_names().contains(&name) {
+                    continue;
+                }
+                match rule {
+                    Rule::P99AtMost { .. } => {
+                        reg.histogram(name, "units", Box::leak(Box::new(Histogram::new())))
+                    }
+                    _ => reg.counter(name, "units", Box::leak(Box::new(Counter::new()))),
+                }
+            }
+        }
+        let fired: Vec<&str> = evaluate(&reg.snapshot(), &rules)
+            .iter()
+            .map(|a| a.metric)
+            .collect();
+        let floors: Vec<&str> = rules
+            .iter()
+            .filter(|r| matches!(r, Rule::CounterAtLeast { .. }))
+            .map(Rule::metric)
+            .collect();
+        assert_eq!(floors.len(), 15);
+        if crate::enabled() {
+            assert_eq!(fired, floors);
+        } else {
+            assert!(fired.is_empty(), "{fired:?}");
+        }
     }
 
     static FLOOR: Counter = Counter::new();

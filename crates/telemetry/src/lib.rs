@@ -15,10 +15,10 @@
 //!
 //! A [`Registry`] collects references to the instruments each crate
 //! exports (every instrumented crate has a `metrics` module with a
-//! `pub fn export(&mut Registry)`) and renders one JSON snapshot in the
-//! `results/` report format (honouring `VEROS_RESULTS_DIR`). The
-//! [`alerts`] module evaluates threshold rules over those snapshots —
-//! the health-check half of the report pipeline.
+//! `pub fn export(&mut Registry)`) and renders one [`Snapshot`] as the
+//! JSON report document, which the reporting binary mirrors into
+//! `results/`. The [`alerts`] module evaluates threshold rules over
+//! those snapshots — the health-check half of the report pipeline.
 //!
 //! # The no-overhead contract
 //!

@@ -14,9 +14,6 @@
 //! all zero and whose `telemetry_enabled` field is `false`, so report
 //! consumers need no second code path.
 
-use std::io::Write as _;
-use std::path::PathBuf;
-
 use crate::counter::Counter;
 use crate::histogram::{bucket_upper_bound, Histogram, HistogramSnapshot};
 use crate::trace::{TraceEvent, TraceRing};
@@ -146,26 +143,6 @@ impl Registry {
             metrics,
         }
     }
-
-    /// Renders [`Registry::snapshot`] as the JSON report document.
-    pub fn to_json(&self) -> String {
-        self.snapshot().to_json()
-    }
-
-    /// Writes the snapshot JSON to `<results_dir>/<name>`, where the
-    /// results directory is `$VEROS_RESULTS_DIR` or `./results`,
-    /// creating it first. Returns the written path.
-    pub fn write_json(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = match std::env::var_os("VEROS_RESULTS_DIR") {
-            Some(dir) => PathBuf::from(dir),
-            None => PathBuf::from("results"),
-        };
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(name);
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.to_json().as_bytes())?;
-        Ok(path)
-    }
 }
 
 /// One named metric in a [`Snapshot`].
@@ -281,9 +258,11 @@ fn metric_json(m: &Metric, indent: &str) -> String {
     }
 }
 
-/// Minimal JSON string escaping (names are static identifiers, but the
-/// writer refuses to emit malformed documents regardless).
-fn json_str(s: &str) -> String {
+/// Renders `s` as a quoted JSON string literal, escaping quotes,
+/// backslashes and every control character (names are static
+/// identifiers, but the writer refuses to emit malformed documents
+/// regardless). The workspace's one JSON string escaper.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -334,7 +313,7 @@ mod tests {
         C.add(3);
         H.record(100);
         R.record(1, 7);
-        let json = registry().to_json();
+        let json = registry().snapshot().to_json();
         assert!(json.contains("\"report\": \"telemetry\""));
         assert!(json.contains("\"name\": \"test.counter\""));
         assert!(json.contains("\"kind\": \"gauge\", \"value\": 42"));
@@ -354,18 +333,5 @@ mod tests {
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_str("x\ny"), "\"x\\ny\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn write_json_honours_results_dir_override() {
-        let dir = std::env::temp_dir().join(format!("veros-telemetry-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("VEROS_RESULTS_DIR", &dir);
-        let path = registry().write_json("probe.json").expect("writes");
-        std::env::remove_var("VEROS_RESULTS_DIR");
-        assert!(path.exists());
-        let body = std::fs::read_to_string(&path).expect("readable");
-        assert!(body.contains("\"report\": \"telemetry\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
