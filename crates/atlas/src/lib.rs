@@ -72,11 +72,6 @@ impl ItemGraph {
         }
     }
 
-    /// Innermost non-preamble item containing 1-based `line` of `file`.
-    pub fn item_at(&self, file: usize, line: usize) -> Option<usize> {
-        model::innermost_item(&self.items, file, line)
-    }
-
     /// The per-atomic-field access table over this graph's files.
     pub fn access_table(&self) -> access::AccessTable {
         access::AccessTable::build(&self.files, &self.items)

@@ -3,28 +3,35 @@
 //! fresh run to it.
 //!
 //! The audit always runs the whole registered population, serially, in
-//! registration order. Three gates ride on the baseline:
+//! registration order. Three gates hold every run:
 //!
-//! * **Population floor** ([`population_gate`], through the shared gate
-//!   engine): a run that registers fewer obligations than the baseline's
-//!   `vcs_total` fails. A dropped registration is a check nobody runs
-//!   any more, and it would otherwise pass silently.
-//! * **Invariant coverage** (enforced with or without a baseline): the
-//!   backticked `invariant::<family>::*` globs in `INVARIANTS.md` and
-//!   the registered `invariant::*` VC families must match exactly, both
-//!   directions — a documented invariant nothing sweeps and a swept
-//!   family nothing documents are equally hard failures — and the
-//!   family count must reach `min_invariant_families`.
-//! * **Sweep floor**: every family must sweep at least
-//!   `min_invariant_schedules` fault schedules, read from the telemetry
-//!   counters. A telemetry-off build reads zeros, so it skips loudly.
+//! * **Population floors** ([`gates`], through the shared gate engine):
+//!   a run that registers fewer obligations than the baseline's
+//!   `vcs_total`, or fewer invariant families than its
+//!   `invariant_families`, fails. A dropped registration is a check
+//!   nobody runs any more, and it would otherwise pass silently.
+//! * **Invariant coverage** (a property of the tree, not of the
+//!   baseline): the backticked `invariant::<family>::*` globs in
+//!   `INVARIANTS.md` and the registered `invariant::*` VC families must
+//!   match exactly, both directions — a documented invariant nothing
+//!   sweeps and a swept family nothing documents are equally hard
+//!   failures.
+//! * **Sweep floor**: every `FAMILIES` row must sweep at least
+//!   [`MIN_SCHEDULES`] fault schedules, read from its telemetry
+//!   counter. A telemetry-off build reads zeros, so it skips loudly.
 
 use std::time::Duration;
 
 use veros_spec::vc::{VcReport, VcStatus};
 use veros_telemetry::registry::json_str;
 
-use crate::baseline::{field_num, Better, Current, Gate, GateResult};
+use crate::baseline::{Better, Current, Gate, GateResult};
+
+/// The fewest fault schedules an invariant family may sweep:
+/// `FaultSchedule::sweep` pins every wire tier × crash corner only from
+/// 8 schedules up. The sweep floor holds every family to it, and
+/// `audit --schedules` clamps shallower requests up to it.
+pub const MIN_SCHEDULES: usize = 8;
 
 fn ns(d: Duration) -> u128 {
     d.as_nanos()
@@ -62,9 +69,8 @@ pub fn audit_json(report: &VcReport, wall: Duration) -> String {
     out
 }
 
-/// Renders the committed `BENCH_audit.json` baseline: the population
-/// and wall clock of a reference run, plus the floors the next run is
-/// held to.
+/// Renders the committed `BENCH_audit.json` baseline: the population,
+/// family count and wall clock of a reference run.
 pub fn baseline_json(report: &VcReport, wall: Duration, invariant_families: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -72,9 +78,7 @@ pub fn baseline_json(report: &VcReport, wall: Duration, invariant_families: usiz
     out.push_str(&format!(
         "  \"invariant_families\": {invariant_families},\n"
     ));
-    out.push_str(&format!("  \"wall_ns\": {},\n", ns(wall)));
-    out.push_str("  \"min_invariant_families\": 6,\n");
-    out.push_str("  \"min_invariant_schedules\": 8\n");
+    out.push_str(&format!("  \"wall_ns\": {}\n", ns(wall)));
     out.push_str("}\n");
     out
 }
@@ -151,15 +155,21 @@ pub fn invariant_coverage(doc: &str, names: &[String]) -> InvariantCoverage {
     InvariantCoverage { documented, families, unbacked, undocumented }
 }
 
-/// Gates the invariant population against the committed baseline:
-/// doc↔code mismatches, the family-count floor, and the per-family
-/// schedule floor (read from the telemetry counters in `sweeps`, so a
-/// telemetry-off build skips it loudly).
+/// The fault schedules `sweeps` records for `family` (0 if none).
+pub fn swept(sweeps: &[(String, u64)], family: &str) -> u64 {
+    sweeps
+        .iter()
+        .find(|(f, _)| f == family)
+        .map_or(0, |(_, n)| *n)
+}
+
+/// Gates the invariant population: doc↔code mismatches, and the
+/// per-family [`MIN_SCHEDULES`] floor (read from the telemetry counters
+/// in `sweeps`, so a telemetry-off build skips it loudly).
 pub fn gate_invariants(
     cov: &InvariantCoverage,
     sweeps: &[(String, u64)],
     telemetry: bool,
-    baseline: &str,
 ) -> GateResult {
     let mut out = GateResult::default();
     for g in &cov.unbacked {
@@ -174,21 +184,14 @@ pub fn gate_invariants(
              the sweep runs but its contract is undocumented"
         ));
     }
-    let min_families = field_num(baseline, "min_invariant_families").unwrap_or(6.0) as usize;
-    if cov.families.len() < min_families {
-        out.violations.push(format!(
-            "invariant coverage: {} famil{} registered, baseline requires >= {min_families}",
-            cov.families.len(),
-            if cov.families.len() == 1 { "y" } else { "ies" },
-        ));
-    } else if cov.unbacked.is_empty() && cov.undocumented.is_empty() {
+    if out.violations.is_empty() {
         out.notes.push(format!(
             "invariant coverage: PASS ({} families, all documented and backed)",
             cov.families.len()
         ));
     }
 
-    let min_schedules = field_num(baseline, "min_invariant_schedules").unwrap_or(8.0) as u64;
+    let min_schedules = MIN_SCHEDULES as u64;
     if !telemetry {
         out.notes.push(
             "invariant sweep floor: SKIPPED (telemetry compiled out; schedule counters read 0)"
@@ -201,7 +204,7 @@ pub fn gate_invariants(
                 shallow += 1;
                 out.violations.push(format!(
                     "invariant sweep floor: `invariant::{family}::*` swept {swept} fault \
-                     schedule(s), baseline requires >= {min_schedules}"
+                     schedule(s), the floor is {min_schedules}"
                 ));
             }
         }
@@ -234,10 +237,7 @@ pub fn invariant_sweep_json(
     out.push_str(&format!("  \"violations\": {violations},\n"));
     out.push_str("  \"sweeps\": [\n");
     for (i, (family, vcs)) in cov.families.iter().enumerate() {
-        let swept = sweeps
-            .iter()
-            .find(|(f, _)| f == family)
-            .map_or(0, |(_, n)| *n);
+        let swept = swept(sweeps, family);
         let comma = if i + 1 == cov.families.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{ \"family\": {}, \"anchor\": {}, \"vcs\": {vcs}, \
@@ -263,20 +263,23 @@ pub fn invariant_sweep_json(
     out
 }
 
-/// The audit's one baseline-gated value: the registered population may
-/// not fall below the baseline's `vcs_total`, exactly.
-pub fn population_gate(registered: usize) -> Gate {
-    Gate {
-        key: "vcs_total",
+/// The audit's baseline-gated values, both exact floors: the registered
+/// obligations may not fall below the baseline's `vcs_total`, nor the
+/// registered invariant families below its `invariant_families`.
+pub fn gates(vcs_total: usize, invariant_families: usize) -> [Gate; 2] {
+    let floor = |key, registered: usize| Gate {
+        key,
         better: Better::Higher,
         tolerance: 0.0,
         current: Current::Field(registered as f64),
-    }
+    };
+    [floor("vcs_total", vcs_total), floor("invariant_families", invariant_families)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{check, field_num};
     use veros_spec::vc::{VcEngine, VcKind};
 
     fn sample_report(n: usize) -> VcReport {
@@ -305,8 +308,6 @@ mod tests {
         assert_eq!(field_num(&json, "vcs_total"), Some(3.0));
         assert_eq!(field_num(&json, "invariant_families"), Some(5.0));
         assert_eq!(field_num(&json, "wall_ns"), Some(1_000_000.0));
-        assert_eq!(field_num(&json, "min_invariant_families"), Some(6.0));
-        assert_eq!(field_num(&json, "min_invariant_schedules"), Some(8.0));
     }
 
     const DOC: &str = "## 1. Durability\n\
@@ -366,31 +367,26 @@ mod tests {
 
     #[test]
     fn invariant_gate_fails_on_mismatch_and_family_floor() {
-        let baseline = baseline_json(&sample_report(2), WALL, 5);
         // Mismatch in either direction is a hard violation.
         let cov = invariant_coverage(DOC, &names(&["invariant::ghost::z_s0"]));
-        let gate = gate_invariants(&cov, &[], true, &baseline);
+        let gate = gate_invariants(&cov, &[], true);
         assert!(!gate.ok());
         assert!(gate.violations.iter().any(|v| v.contains("never swept")));
         assert!(gate.violations.iter().any(|v| v.contains("undocumented")));
-        // Two balanced families still sit under the committed floor of 6.
-        let cov = invariant_coverage(
-            DOC,
-            &names(&[
-                "invariant::durability::x_s0",
-                "invariant::exactly_once::y_s0",
-            ]),
+        // A family dropped against the baseline fails its exact floor.
+        let baseline = baseline_json(&sample_report(2), WALL, 5);
+        assert!(check(&baseline, &gates(2, 5)).ok());
+        let dropped = check(&baseline, &gates(2, 4));
+        assert!(
+            dropped.violations.len() == 1
+                && dropped.violations[0].starts_with("invariant_families: 4"),
+            "{:?}",
+            dropped.violations
         );
-        let gate = gate_invariants(&cov, &[], true, &baseline);
-        assert!(gate
-            .violations
-            .iter()
-            .any(|v| v.contains("baseline requires >= 6")));
     }
 
     #[test]
     fn sweep_floor_gates_every_run_and_skips_loudly_without_telemetry() {
-        let baseline = baseline_json(&sample_report(2), WALL, 5);
         let cov = invariant_coverage(
             DOC,
             &names(&[
@@ -402,7 +398,7 @@ mod tests {
             ("durability".to_string(), 32),
             ("exactly_once".to_string(), 32),
         ];
-        let gate = gate_invariants(&cov, &deep, true, &baseline);
+        let gate = gate_invariants(&cov, &deep, true);
         assert!(gate.notes.iter().any(|n| n.contains("sweep floor: PASS")));
 
         // A shallow family is a violation…
@@ -410,13 +406,13 @@ mod tests {
             ("durability".to_string(), 3),
             ("exactly_once".to_string(), 32),
         ];
-        let gate = gate_invariants(&cov, &shallow, true, &baseline);
+        let gate = gate_invariants(&cov, &shallow, true);
         assert!(gate
             .violations
             .iter()
             .any(|v| v.contains("durability") && v.contains("swept 3")));
         // …but a telemetry-off build, whose counters read 0, skips loudly.
-        let gate = gate_invariants(&cov, &shallow, false, &baseline);
+        let gate = gate_invariants(&cov, &shallow, false);
         assert!(!gate.violations.iter().any(|v| v.contains("sweep")));
         assert!(gate
             .notes

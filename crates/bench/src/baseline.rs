@@ -296,8 +296,8 @@ mod tests {
     }
 
     fn audit(doc: &str) -> Vec<Gate> {
-        let registered = field_num(doc, "vcs_total").expect("committed field") as usize;
-        vec![crate::audit::population_gate(registered)]
+        let n = |key| field_num(doc, key).expect("committed field") as usize;
+        crate::audit::gates(n("vcs_total"), n("invariant_families")).to_vec()
     }
 
     type Rebuild = fn(&str) -> Vec<Gate>;
@@ -308,7 +308,7 @@ mod tests {
         ("BENCH_nr.json", include_str!("../../../BENCH_nr.json"), nr, 5),
         ("BENCH_uring.json", include_str!("../../../BENCH_uring.json"), uring, 13),
         ("BENCH_blockstore.json", include_str!("../../../BENCH_blockstore.json"), blockstore, 2),
-        ("BENCH_audit.json", include_str!("../../../BENCH_audit.json"), audit, 1),
+        ("BENCH_audit.json", include_str!("../../../BENCH_audit.json"), audit, 2),
     ];
 
     /// The first gated value of `g`: its label and this run's value.

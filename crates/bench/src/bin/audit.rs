@@ -10,17 +10,20 @@
 //! * Every run writes `results/AUDIT.json` (per-VC durations and the
 //!   Figure-1a CDF series) and gates itself against the committed
 //!   `BENCH_audit.json` (`--baseline FILE`): fewer registered
-//!   obligations than its `vcs_total` fails.
+//!   obligations than its `vcs_total`, or fewer invariant families
+//!   than its `invariant_families`, fails.
 //! * Every run also writes `results/BENCH_audit.json`, the baseline
 //!   this run would commit, like every other gated bench: refresh the
 //!   committed file by copying it.
 //! * Every run also checks the registered `invariant::*` families
 //!   against the backticked anchors in `INVARIANTS.md` — loud in both
-//!   directions — and writes `results/INVARIANTS_SWEEP.json` with the
-//!   per-family fault-schedule counters (floor-gated).
+//!   directions — and writes `results/INVARIANTS_SWEEP.json` with each
+//!   `FAMILIES` row's fault-schedule counter, each held to
+//!   `MIN_SCHEDULES`.
 //! * `--schedules N` deepens every invariant sweep to N fault
-//!   schedules per VC (nightly deep sweeps). Values below 8 are
-//!   clamped up so the pinned corner schedules are never dropped.
+//!   schedules per VC (nightly deep sweeps). Values below
+//!   `MIN_SCHEDULES` are clamped up so the pinned corner schedules are
+//!   never dropped.
 //!
 //! Usage: `cargo run --release -p veros-bench --bin audit [--schedules N]
 //! [--baseline FILE]`
@@ -30,10 +33,12 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use veros_bench::audit::{
-    audit_json, baseline_json, gate_invariants, invariant_coverage, invariant_sweep_json,
-    population_gate,
+    audit_json, baseline_json, gate_invariants, gates, invariant_coverage, invariant_sweep_json,
+    swept, MIN_SCHEDULES,
 };
 use veros_bench::baseline;
+use veros_bench::ratio::workspace_root;
+use veros_core::invariants::FAMILIES;
 use veros_core::vcs::{register_all_with, Profile};
 use veros_spec::report::{human_duration, render_cdf};
 use veros_spec::VcEngine;
@@ -73,47 +78,20 @@ fn parse_args() -> Args {
     args
 }
 
-/// Locates the workspace root that holds `INVARIANTS.md` and the default
-/// baseline: `$VEROS_WORKSPACE_ROOT`, else the nearest ancestor of the
-/// current directory that looks like the workspace, else the
-/// compile-time manifest location.
-fn workspace_root() -> PathBuf {
-    if let Ok(p) = std::env::var("VEROS_WORKSPACE_ROOT") {
-        return PathBuf::from(p);
-    }
-    if let Ok(mut d) = std::env::current_dir() {
-        loop {
-            if d.join("Cargo.toml").exists() && d.join("crates").is_dir() {
-                return d;
-            }
-            if !d.pop() {
-                break;
-            }
-        }
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("bench crate lives two levels under the workspace root")
-        .to_path_buf()
-}
-
 fn main() {
     let args = parse_args();
     let root = workspace_root();
 
     // --schedules deepens the per-VC fault-schedule sweep without
-    // changing the VC population. Fewer than 8 schedules would drop the
-    // pinned corner schedules (`FaultSchedule::sweep` covers every wire
-    // tier × crash corner only from 8 up), so shallow requests are
-    // clamped, loudly.
+    // changing the VC population. Shallower requests would drop the
+    // pinned corner schedules, so they are clamped, loudly.
     let schedules = args.schedules.map(|n| {
-        if n < 8 {
+        if n < MIN_SCHEDULES {
             eprintln!(
-                "--schedules {n} clamped to 8: corner schedules (wire tiers x crash \
-                 corners) are only all pinned from 8 schedules up"
+                "--schedules {n} clamped to {MIN_SCHEDULES}: corner schedules (wire tiers x \
+                 crash corners) are only all pinned from {MIN_SCHEDULES} schedules up"
             );
-            8
+            MIN_SCHEDULES
         } else {
             n
         }
@@ -161,22 +139,9 @@ fn main() {
 
     // Per-family fault-schedule counters, read after the run so they
     // reflect exactly what the population swept.
-    let swept_by = |family: &str| -> u64 {
-        use veros_core::metrics as m;
-        match family {
-            "durability" => m::DURABILITY_SCHEDULES.get(),
-            "exactly_once" => m::EXACTLY_ONCE_SCHEDULES.get(),
-            "fs_journal" => m::FS_JOURNAL_SCHEDULES.get(),
-            "frames" => m::FRAMES_SCHEDULES.get(),
-            "uring_chain" => m::URING_CHAIN_SCHEDULES.get(),
-            "cluster_durability" => m::CLUSTER_DURABILITY_SCHEDULES.get(),
-            _ => 0, // a new family must also add its counter
-        }
-    };
-    let sweeps: Vec<(String, u64)> = inv_cov
-        .families
+    let sweeps: Vec<(String, u64)> = FAMILIES
         .iter()
-        .map(|(f, _)| (f.clone(), swept_by(f)))
+        .map(|f| (f.name.to_string(), f.counter.get()))
         .collect();
 
     // Gate against the committed baseline. An explicit --baseline that
@@ -196,18 +161,12 @@ fn main() {
     };
     let gate = baseline_text
         .as_ref()
-        .map(|b| baseline::check(b, &[population_gate(report.total())]));
+        .map(|b| baseline::check(b, &gates(report.total(), inv_cov.families.len())));
 
     // The invariant gate runs with or without a committed baseline —
     // doc↔code coverage is a property of the tree, not of a reference
-    // measurement (missing baseline fields fall back to the committed
-    // defaults).
-    let mut inv_gate = gate_invariants(
-        &inv_cov,
-        &sweeps,
-        veros_telemetry::enabled(),
-        baseline_text.as_deref().unwrap_or(""),
-    );
+    // measurement.
+    let mut inv_gate = gate_invariants(&inv_cov, &sweeps, veros_telemetry::enabled());
     if invariants_doc.is_err() {
         inv_gate.violations.insert(
             0,
@@ -225,7 +184,7 @@ fn main() {
         let _ = writeln!(
             out,
             "  invariant::{family}::*  {vcs} VC(s), swept {} fault schedule(s)",
-            swept_by(family)
+            swept(&sweeps, family)
         );
     }
     for n in &inv_gate.notes {

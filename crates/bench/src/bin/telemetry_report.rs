@@ -178,17 +178,15 @@ fn exercise_fleet() {
     f.run_op(0, Op::Delete { key: "fleet-0".into() }, BUDGET).expect("fleet delete acked");
 }
 
-/// Invariants: one two-schedule mini-sweep per family, so every
+/// Invariants: one two-schedule mini-sweep per `FAMILIES` row, so every
 /// `invariant.*` counter is visibly nonzero in the snapshot while
 /// `invariant.violations` stays at the zero the alert policy pins.
 fn exercise_invariants() {
-    use veros_core::invariants::{self, Ablation};
-    invariants::durability(0, 2, Ablation::None).expect("durability sweep");
-    invariants::exactly_once(0, 2, Ablation::None).expect("exactly-once sweep");
-    invariants::fs_journal(0, 2, Ablation::None).expect("fs-journal sweep");
-    invariants::frames(0, 2, Ablation::None).expect("frames sweep");
-    invariants::uring_chain(0, 2, Ablation::None).expect("uring-chain sweep");
-    invariants::cluster_durability(0, 2, Ablation::None).expect("cluster-durability sweep");
+    use veros_core::invariants::{Ablation, FAMILIES};
+    for family in &FAMILIES {
+        (family.run)(0, 2, Ablation::None)
+            .unwrap_or_else(|e| panic!("{} sweep: {e}", family.name));
+    }
 }
 
 /// Filesystem: committed transactions plus a recovery replay.

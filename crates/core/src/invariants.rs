@@ -1,23 +1,27 @@
 //! End-to-end safety invariants swept under fault schedules.
 //!
 //! `INVARIANTS.md` states what the whole stack guarantees; this module
-//! is the executable side of that contract. Each public function here is
-//! one invariant *family*: it enumerates [`FaultSchedule`]s with
+//! is the executable side of that contract. Each row of [`FAMILIES`] is
+//! one invariant *family*: its sweep enumerates [`FaultSchedule`]s with
 //! [`FaultSchedule::sweep`] (crash points, wire faults, torn writes —
 //! never a single lucky seed) and drives the real subsystems through
 //! each schedule, failing with the schedule's description on the first
-//! violation. The VC registrations in [`crate::vcs`] name these families
-//! `invariant::<family>::*`, which is exactly the anchor format
-//! `INVARIANTS.md` uses, so the audit's invariant-coverage check can
-//! verify doc ↔ code agreement in both directions.
+//! violation. Every consumer iterates the table: [`crate::vcs`]
+//! registers each row as `invariant::<name>::*` VCs (exactly the anchor
+//! format `INVARIANTS.md` uses, so the audit's invariant-coverage check
+//! can verify doc ↔ code agreement in both directions),
+//! [`crate::metrics::export`] exports each row's schedule counter, and
+//! the audit, `telemetry_report` and the `invariant_regression` test
+//! read the rows. Adding a family is its sweep function, one row here
+//! plus one `INVARIANTS.md` section.
 //!
 //! Every family takes an [`Ablation`]: [`Ablation::None`] is the real
 //! system, while each other variant disables exactly one fault-injected
 //! defense (a journal barrier, replication, retransmission, rollback
 //! accounting, resume-at-boundary recovery). The
-//! `invariant_regression` integration test asserts each family *fails*
-//! under its ablation — the anti-vacuity guard demanded by the sweep
-//! discipline.
+//! `invariant_regression` integration test asserts each row's sweep
+//! *fails* under the row's ablation — the anti-vacuity guard demanded by
+//! the sweep discipline.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,17 +31,104 @@ use veros_telemetry::Counter;
 
 use crate::metrics;
 
-/// The invariant families and their VC-name anchors, in the order they
-/// appear in `INVARIANTS.md`. The audit's invariant-coverage check
-/// matches the doc's backticked anchors against registered VC names;
-/// this table is the code-side source of truth for family names.
-pub const FAMILIES: [(&str, &str); 6] = [
-    ("durability", "invariant::durability::*"),
-    ("exactly_once", "invariant::exactly_once::*"),
-    ("fs_journal", "invariant::fs_journal::*"),
-    ("frames", "invariant::frames::*"),
-    ("uring_chain", "invariant::uring_chain::*"),
-    ("cluster_durability", "invariant::cluster_durability::*"),
+/// One end-to-end invariant family: everything the VC registry, the
+/// telemetry export, the audit and the anti-vacuity regression know
+/// about it.
+pub struct Family {
+    /// The `invariant::<name>::*` anchor segment, the
+    /// [`FaultSchedule::sweep`] seed domain, and the prefix of every
+    /// violation the sweep reports.
+    pub name: &'static str,
+    /// The VC leaf: seed `s` registers `invariant::<name>::<vc>_s<s>`.
+    pub vc: &'static str,
+    /// The telemetry name of `counter`: `invariant.<name>.schedules`.
+    pub metric: &'static str,
+    /// Schedules this family swept.
+    pub counter: Counter,
+    /// The sweep: `run(family_seed, schedules, ablation)`.
+    pub run: fn(u64, usize, Ablation) -> Result<(), String>,
+    /// The one defense the anti-vacuity regression disables.
+    pub ablation: Ablation,
+    /// The schedule count at which the sweep must fail under `ablation`
+    /// (and pass without it)…
+    pub fails_at: usize,
+    /// …and why those schedules expose the missing defense.
+    pub fails_because: &'static str,
+}
+
+/// The invariant families, in the order they appear in `INVARIANTS.md`:
+/// the one declaration of each. The audit's invariant-coverage check
+/// matches the doc's backticked anchors against the VC names registered
+/// from these rows.
+pub static FAMILIES: [Family; 6] = [
+    Family {
+        name: "durability",
+        vc: "acked_survives_crash",
+        metric: "invariant.durability.schedules",
+        counter: Counter::new(),
+        run: durability,
+        ablation: Ablation::UnreplicatedChain,
+        fails_at: 3,
+        fails_because: "ordinal 0 exercises the failover mode: a put acked by a 1-wide \
+                        chain is lost the moment its head dies",
+    },
+    Family {
+        name: "exactly_once",
+        vc: "applied_once_in_order",
+        metric: "invariant.exactly_once.schedules",
+        counter: Counter::new(),
+        run: exactly_once,
+        ablation: Ablation::RawDatagrams,
+        fails_at: 4,
+        fails_because: "four schedules include mild and hostile wire tiers: a raw \
+                        datagram stream loses, duplicates, or reorders at least one of them",
+    },
+    Family {
+        name: "fs_journal",
+        vc: "recovers_committed_boundary",
+        metric: "invariant.fs_journal.schedules",
+        counter: Counter::new(),
+        run: fs_journal,
+        ablation: Ablation::SkipCommitBarrier,
+        fails_at: 3,
+        fails_because: "ordinal 0 crashes at the zero boundary: with the flush barrier \
+                        skipped, the committed records are still volatile and vanish",
+    },
+    Family {
+        name: "frames",
+        vc: "conservation_under_pressure",
+        metric: "invariant.frames.schedules",
+        counter: Counter::new(),
+        run: frames,
+        ablation: Ablation::LeakFrames,
+        fails_at: 3,
+        fails_because: "ordinal 0 puts the allocation-pressure point at step 0, so the \
+                        ablated release path holds frames back and teardown comes up short",
+    },
+    Family {
+        name: "uring_chain",
+        vc: "crash_leaves_exact_prefix",
+        metric: "invariant.uring_chain.schedules",
+        counter: Counter::new(),
+        run: uring_chain,
+        ablation: Ablation::ReplayLogTwice,
+        fails_at: 5,
+        fails_because: "mid-stream crash points leave a non-empty dispatch log; replaying \
+                        it twice re-executes non-idempotent links (opens, maps, even clock \
+                        reads) and diverges from the crashed kernel",
+    },
+    Family {
+        name: "cluster_durability",
+        vc: "acked_survives_any_chain_loss",
+        metric: "invariant.cluster_durability.schedules",
+        counter: Counter::new(),
+        run: cluster_durability,
+        ablation: Ablation::UnreplicatedChain,
+        fails_at: 2,
+        fails_because: "with every chain one replica wide, schedule 0 kills the acked \
+                        write's only holder: the promoted owner syncs an empty shard and \
+                        serves NotFound — the ack bought nothing",
+    },
 ];
 
 /// Deliberate single-defense breakage, one per family. The sweeps must
@@ -61,9 +152,28 @@ pub enum Ablation {
     UnreplicatedChain,
 }
 
-fn swept(family: &'static Counter) {
-    metrics::SCHEDULES_SWEPT.inc();
-    family.inc();
+/// The one sweep driver: runs `check` on each of `schedules` fault
+/// schedules of the family `name`, ticking `invariant.schedules_swept`
+/// and the family's row counter, and fails on the first violation with
+/// the family and the schedule named.
+fn sweep(
+    name: &str,
+    family_seed: u64,
+    schedules: usize,
+    ablation: Ablation,
+    mut check: impl FnMut(&FaultSchedule) -> Result<(), String>,
+) -> Result<(), String> {
+    let family = FAMILIES
+        .iter()
+        .find(|f| f.name == name)
+        .expect("every sweep is declared by a FAMILIES row");
+    for sched in FaultSchedule::sweep(family.name, family_seed, schedules) {
+        metrics::SCHEDULES_SWEPT.inc();
+        family.counter.inc();
+        check(&sched)
+            .map_err(|e| violation(ablation, format!("{name}: {e} [{}]", sched.describe())))?;
+    }
+    Ok(())
 }
 
 /// Wraps a violation message; real (non-ablated) violations tick the
@@ -84,13 +194,10 @@ fn violation(ablation: Ablation, msg: String) -> String {
 /// replicated pair — head disk crash (torn or clean), head process
 /// death with failover to the tail, or both — with contents and
 /// checksum intact.
-pub fn durability(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
-    for sched in FaultSchedule::sweep("durability", family_seed, schedules) {
-        swept(&metrics::DURABILITY_SCHEDULES);
-        durability_one(&sched, ablation)
-            .map_err(|e| violation(ablation, format!("durability: {e} [{}]", sched.describe())))?;
-    }
-    Ok(())
+fn durability(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+    sweep("durability", family_seed, schedules, ablation, |sched| {
+        durability_one(sched, ablation)
+    })
 }
 
 fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
@@ -182,16 +289,14 @@ fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
 /// applies every sent message exactly once, in order, no matter how the
 /// wire loses, duplicates, or reorders frames — and on lossy schedules
 /// the transport must actually retransmit (the sweep is not vacuous).
-pub fn exactly_once(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+fn exactly_once(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
     let mut retransmissions = 0u64;
     let mut hostile_swept = false;
-    for sched in FaultSchedule::sweep("exactly_once", family_seed, schedules) {
-        swept(&metrics::EXACTLY_ONCE_SCHEDULES);
+    sweep("exactly_once", family_seed, schedules, ablation, |sched| {
         hostile_swept |= sched.wire == veros_spec::fault::WireFaults::hostile();
-        retransmissions += exactly_once_one(&sched, ablation).map_err(|e| {
-            violation(ablation, format!("exactly_once: {e} [{}]", sched.describe()))
-        })?;
-    }
+        retransmissions += exactly_once_one(sched, ablation)?;
+        Ok(())
+    })?;
     if ablation == Ablation::None && hostile_swept && retransmissions == 0 {
         return Err(violation(
             ablation,
@@ -293,17 +398,15 @@ fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, St
 /// the same history twice: at its own point, `crash_point(dirty)`, and
 /// with the whole record kept (only the barrier missing). The sweep
 /// must recover both C and C′, or it checked one side of the "iff".
-pub fn fs_journal(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+fn fs_journal(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
     let mut outcomes = [false; 2];
-    for sched in FaultSchedule::sweep("fs_journal", family_seed, schedules) {
-        swept(&metrics::FS_JOURNAL_SCHEDULES);
+    sweep("fs_journal", family_seed, schedules, ablation, |sched| {
         for whole in [false, true] {
-            let landed = fs_journal_one(&sched, ablation, whole).map_err(|e| {
-                violation(ablation, format!("fs_journal: {e} [{}]", sched.describe()))
-            })?;
+            let landed = fs_journal_one(sched, ablation, whole)?;
             outcomes[landed as usize] = true;
         }
-    }
+        Ok(())
+    })?;
     if ablation == Ablation::None && outcomes != [true, true] {
         return Err(violation(
             ablation,
@@ -446,13 +549,8 @@ fn fs_journal_history(
 /// one free list ([`veros_kernel::BuddyAllocator::audit_conservation`]),
 /// and tearing the whole address space down returns the allocator to
 /// zero frames held.
-pub fn frames(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
-    for sched in FaultSchedule::sweep("frames", family_seed, schedules) {
-        swept(&metrics::FRAMES_SCHEDULES);
-        frames_one(&sched, ablation)
-            .map_err(|e| violation(ablation, format!("frames: {e} [{}]", sched.describe())))?;
-    }
-    Ok(())
+fn frames(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+    sweep("frames", family_seed, schedules, ablation, |sched| frames_one(sched, ablation))
 }
 
 fn frames_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
@@ -546,13 +644,10 @@ fn frames_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
 /// failure, nothing after), no link executed twice, and replaying the
 /// dispatch log once from a fresh kernel reproduces the crashed
 /// kernel's abstract state exactly.
-pub fn uring_chain(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
-    for sched in FaultSchedule::sweep("uring_chain", family_seed, schedules) {
-        swept(&metrics::URING_CHAIN_SCHEDULES);
-        uring_chain_one(&sched, ablation)
-            .map_err(|e| violation(ablation, format!("uring_chain: {e} [{}]", sched.describe())))?;
-    }
-    Ok(())
+fn uring_chain(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+    sweep("uring_chain", family_seed, schedules, ablation, |sched| {
+        uring_chain_one(sched, ablation)
+    })
 }
 
 fn uring_chain_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
@@ -729,21 +824,10 @@ fn uring_chain_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Stri
 /// member per schedule; `FaultSchedule::victim_of` walks every chain
 /// position across consecutive ordinals, so "any single chain node" is
 /// covered, not sampled.
-pub fn cluster_durability(
-    family_seed: u64,
-    schedules: usize,
-    ablation: Ablation,
-) -> Result<(), String> {
-    for sched in FaultSchedule::sweep("cluster_durability", family_seed, schedules) {
-        swept(&metrics::CLUSTER_DURABILITY_SCHEDULES);
-        cluster_durability_one(&sched, ablation).map_err(|e| {
-            violation(
-                ablation,
-                format!("cluster_durability: {e} [{}]", sched.describe()),
-            )
-        })?;
-    }
-    Ok(())
+fn cluster_durability(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
+    sweep("cluster_durability", family_seed, schedules, ablation, |sched| {
+        cluster_durability_one(sched, ablation)
+    })
 }
 
 fn cluster_durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
@@ -806,31 +890,4 @@ fn cluster_durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The quick-profile VCs already sweep each family; these tests pin
-    // the family table and the telemetry contract.
-
-    #[test]
-    fn family_table_matches_the_anchor_format() {
-        for (name, anchor) in FAMILIES {
-            assert_eq!(*anchor, format!("invariant::{name}::*"));
-        }
-    }
-
-    #[test]
-    fn sweeps_tick_the_schedule_counters() {
-        let before = metrics::SCHEDULES_SWEPT.get();
-        let frames_before = metrics::FRAMES_SCHEDULES.get();
-        frames(7, 2, Ablation::None).unwrap();
-        if veros_telemetry::enabled() {
-            assert_eq!(metrics::SCHEDULES_SWEPT.get(), before + 2);
-            assert_eq!(metrics::FRAMES_SCHEDULES.get(), frames_before + 2);
-        }
-        assert_eq!(metrics::VIOLATIONS.get(), 0);
-    }
 }

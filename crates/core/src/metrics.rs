@@ -2,7 +2,8 @@
 //!
 //! The `invariant::*` VC families ([`crate::invariants`]) sweep fault
 //! schedules; these process-global counters record how many schedules
-//! each family actually explored and how many violations were observed.
+//! were explored and how many violations were observed. Each family's
+//! own schedule counter lives in its [`FAMILIES`] row.
 //! `invariant.violations` is pinned at 0 by a standing alert rule
 //! (`veros_telemetry::alerts::default_rules`), and the per-family
 //! schedule counters let `telemetry_report` prove the sweeps are not
@@ -11,32 +12,10 @@
 
 use veros_telemetry::{Counter, Registry};
 
+use crate::invariants::FAMILIES;
+
 /// Fault schedules swept, summed over every invariant family.
 pub static SCHEDULES_SWEPT: Counter = Counter::new();
-
-/// Schedules swept by `invariant::durability::*` (blockstore crash +
-/// failover durability).
-pub static DURABILITY_SCHEDULES: Counter = Counter::new();
-
-/// Schedules swept by `invariant::exactly_once::*` (transport-level
-/// exactly-once apply under retransmission).
-pub static EXACTLY_ONCE_SCHEDULES: Counter = Counter::new();
-
-/// Schedules swept by `invariant::fs_journal::*` (journal crash
-/// consistency under torn writes).
-pub static FS_JOURNAL_SCHEDULES: Counter = Counter::new();
-
-/// Schedules swept by `invariant::frames::*` (physical frame
-/// conservation).
-pub static FRAMES_SCHEDULES: Counter = Counter::new();
-
-/// Schedules swept by `invariant::uring_chain::*` (chain atomicity
-/// under mid-chain crash).
-pub static URING_CHAIN_SCHEDULES: Counter = Counter::new();
-
-/// Schedules swept by `invariant::cluster_durability::*` (sharded-fleet
-/// durability under loss of any single chain member).
-pub static CLUSTER_DURABILITY_SCHEDULES: Counter = Counter::new();
 
 /// End-to-end invariant violations observed by non-ablated sweeps.
 /// Alert-pinned at 0: any increment is a verification failure, never
@@ -44,18 +23,12 @@ pub static CLUSTER_DURABILITY_SCHEDULES: Counter = Counter::new();
 pub static VIOLATIONS: Counter = Counter::new();
 
 /// Registers every invariant-sweep instrument with `reg` under the
-/// `invariant.` prefix.
+/// `invariant.` prefix: the total, one counter per [`FAMILIES`] row in
+/// table order, then the violations.
 pub fn export(reg: &mut Registry) {
     reg.counter("invariant.schedules_swept", "schedules", &SCHEDULES_SWEPT);
-    reg.counter("invariant.durability.schedules", "schedules", &DURABILITY_SCHEDULES);
-    reg.counter("invariant.exactly_once.schedules", "schedules", &EXACTLY_ONCE_SCHEDULES);
-    reg.counter("invariant.fs_journal.schedules", "schedules", &FS_JOURNAL_SCHEDULES);
-    reg.counter("invariant.frames.schedules", "schedules", &FRAMES_SCHEDULES);
-    reg.counter("invariant.uring_chain.schedules", "schedules", &URING_CHAIN_SCHEDULES);
-    reg.counter(
-        "invariant.cluster_durability.schedules",
-        "schedules",
-        &CLUSTER_DURABILITY_SCHEDULES,
-    );
+    for family in &FAMILIES {
+        reg.counter(family.metric, "schedules", &family.counter);
+    }
     reg.counter("invariant.violations", "violations", &VIOLATIONS);
 }

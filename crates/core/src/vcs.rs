@@ -365,51 +365,21 @@ pub fn register_all_with(
     );
 
     // --- end-to-end invariants under fault schedules ---------------------------
-    // The INVARIANTS.md families. Each VC sweeps a seeded *enumeration*
-    // of fault schedules (crash point × wire faults × torn writes, via
+    // The INVARIANTS.md families, one VC per `FAMILIES` row and seed,
+    // seed-major. Each VC sweeps a seeded *enumeration* of fault
+    // schedules (crash point × wire faults × torn writes, via
     // `veros_spec::fault`), never a single seed. The names self-anchor
     // to the doc's backticked `invariant::<family>::*` globs; the
     // audit's invariant-coverage check enforces that mapping in both
     // directions.
-    {
-        use crate::invariants::{self, Ablation};
-        for seed in 0..p.invariant_seeds {
-            let n = p.invariant_schedules;
+    for seed in 0..p.invariant_seeds {
+        for family in &crate::invariants::FAMILIES {
+            let (run, n) = (family.run, p.invariant_schedules);
             engine.register(
                 MODULE,
                 VcKind::Invariant,
-                format!("invariant::durability::acked_survives_crash_s{seed}"),
-                move || invariants::durability(seed, n, Ablation::None),
-            );
-            engine.register(
-                MODULE,
-                VcKind::Invariant,
-                format!("invariant::exactly_once::applied_once_in_order_s{seed}"),
-                move || invariants::exactly_once(seed, n, Ablation::None),
-            );
-            engine.register(
-                MODULE,
-                VcKind::Invariant,
-                format!("invariant::fs_journal::recovers_committed_boundary_s{seed}"),
-                move || invariants::fs_journal(seed, n, Ablation::None),
-            );
-            engine.register(
-                MODULE,
-                VcKind::Invariant,
-                format!("invariant::frames::conservation_under_pressure_s{seed}"),
-                move || invariants::frames(seed, n, Ablation::None),
-            );
-            engine.register(
-                MODULE,
-                VcKind::Invariant,
-                format!("invariant::uring_chain::crash_leaves_exact_prefix_s{seed}"),
-                move || invariants::uring_chain(seed, n, Ablation::None),
-            );
-            engine.register(
-                MODULE,
-                VcKind::Invariant,
-                format!("invariant::cluster_durability::acked_survives_any_chain_loss_s{seed}"),
-                move || invariants::cluster_durability(seed, n, Ablation::None),
+                format!("invariant::{}::{}_s{seed}", family.name, family.vc),
+                move || run(seed, n, crate::invariants::Ablation::None),
             );
         }
     }

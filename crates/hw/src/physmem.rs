@@ -55,11 +55,6 @@ impl PhysMem {
         self.frames.len() as u64 * PAGE_4K
     }
 
-    /// Number of frames.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// True when `pa..pa+len` lies inside the memory.
     pub fn contains(&self, pa: PAddr, len: u64) -> bool {
         pa.0.checked_add(len).is_some_and(|end| end <= self.size())

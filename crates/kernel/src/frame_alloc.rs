@@ -61,11 +61,6 @@ impl BuddyAllocator {
         a
     }
 
-    /// Total frames owned.
-    pub fn total_frames(&self) -> usize {
-        self.frames
-    }
-
     /// Currently allocated frames.
     pub fn allocated_frames(&self) -> usize {
         self.allocated_frames

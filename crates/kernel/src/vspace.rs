@@ -86,18 +86,6 @@ impl VSpace {
         self.mapped_bytes
     }
 
-    /// Maps an existing physical range (e.g. shared or device memory).
-    pub fn map_existing(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        req: MapRequest,
-    ) -> Result<(), PtError> {
-        self.table.as_ops().map_frame(mem, alloc, req)?;
-        self.mapped_bytes += req.size.bytes();
-        Ok(())
-    }
-
     /// Allocates a zeroed backing frame and maps it at `va`.
     ///
     /// This is the syscall-level `vspace_map` operation: the caller names

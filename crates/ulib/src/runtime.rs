@@ -702,11 +702,6 @@ impl Runtime {
         self.exit_codes.get(&tid).copied()
     }
 
-    /// Number of unfinished tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Runs the system for up to `max_ticks` timer ticks across all
     /// cores, stepping whichever task's thread each core schedules.
     /// Returns `true` when every attached task finished.

@@ -95,11 +95,6 @@ impl RingSet {
         self.sweeps
     }
 
-    /// Borrows one engine (VCs inspect dispatch logs through this).
-    pub fn engine_mut(&mut self, index: usize) -> Option<&mut Engine> {
-        self.engines.get_mut(index)
-    }
-
     /// Entries parked in pending tables plus links buffered in
     /// incomplete chains, summed over the set — the "work may still
     /// arrive" signal a drain loop polls before stopping.
