@@ -77,26 +77,6 @@ pub static SYSCALL_NAMES: [&str; SYSCALL_VARIANTS] = [
     "clock_read",
 ];
 
-/// The trace-ring legend decoding [`SYSCALL_TRACE`] codes.
-pub static SYSCALL_LEGEND: [(u64, &str); SYSCALL_VARIANTS] = [
-    (0, "spawn"),
-    (1, "exit"),
-    (2, "wait"),
-    (3, "map"),
-    (4, "unmap"),
-    (5, "open"),
-    (6, "read"),
-    (7, "write"),
-    (8, "seek"),
-    (9, "close"),
-    (10, "unlink"),
-    (11, "futex_wait"),
-    (12, "futex_wake"),
-    (13, "thread_spawn"),
-    (14, "yield"),
-    (15, "clock_read"),
-];
-
 /// Maps a syscall to its stable instrument index (the order of
 /// [`SYSCALL_NAMES`]).
 pub fn syscall_index(call: &Syscall) -> usize {
@@ -156,7 +136,7 @@ pub fn export(reg: &mut Registry) {
     for (name, hist) in LATENCY_NAMES.iter().zip(SYSCALL_LATENCY.iter()) {
         reg.histogram(name, "ns", hist);
     }
-    reg.trace("kernel.syscall.trace", &SYSCALL_TRACE, &SYSCALL_LEGEND);
+    reg.trace("kernel.syscall.trace", &SYSCALL_TRACE, &SYSCALL_NAMES);
 }
 
 #[cfg(test)]
@@ -191,14 +171,6 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "every index covered");
         assert_eq!(SYSCALL_NAMES.len(), calls.len());
-    }
-
-    #[test]
-    fn legend_matches_names() {
-        for (i, &(code, name)) in SYSCALL_LEGEND.iter().enumerate() {
-            assert_eq!(code, i as u64);
-            assert_eq!(name, SYSCALL_NAMES[i]);
-        }
     }
 
     #[test]

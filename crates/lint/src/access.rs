@@ -1,5 +1,5 @@
 //! Per-atomic-field access extraction: the table the concurrency
-//! protocol passes in `veros-lint` consume.
+//! protocol passes ([`crate::protocol`]) consume.
 //!
 //! For every atomic field or static declared in a runtime crate, this
 //! module records **every** load/store/RMW of it — with the parsed
@@ -13,7 +13,7 @@
 //! // guarded-by: <lock-field>
 //! ```
 //!
-//! The analysis is lexical and conservative in the atlas tradition:
+//! The analysis is lexical and conservative, like the item graph:
 //! extra accesses or touches only make the lint passes stricter, and
 //! everything the extractor *cannot* bind is counted loudly —
 //! [`AccessTable::unbound`] (an `Ordering`-carrying call whose receiver
@@ -26,11 +26,12 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::lexer;
-use crate::model::{self, AtlasFile, Item, ItemKind};
+use crate::model::{self, Item, ItemKind};
+use crate::source::SourceFile;
 
-/// Crates the protocol passes never look at: the analyzers themselves
-/// and the bench harness (not shipped runtime code).
-pub const PROTOCOL_EXCLUDED_CRATES: &[&str] = &["bench", "lint", "atlas"];
+/// Crates the protocol passes never look at: the analyzer itself and
+/// the bench harness (not shipped runtime code).
+pub const PROTOCOL_EXCLUDED_CRATES: &[&str] = &["bench", "lint"];
 
 /// Atomic-method ordering halves, parsed from the call arguments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -93,7 +94,6 @@ pub struct FieldDecl {
     /// `pub`/`pub(...)` — touches are searched crate-wide instead of
     /// declaration-file-only.
     pub public: bool,
-    pub type_text: String,
     pub annotations: Vec<Annotation>,
 }
 
@@ -145,11 +145,7 @@ pub struct Touch {
 #[derive(Clone, Debug)]
 pub struct LockDecl {
     pub crate_key: String,
-    pub holder: String,
     pub name: String,
-    pub file: usize,
-    pub line: usize,
-    pub type_text: String,
 }
 
 /// Something the extractor could not resolve, anchored for diagnosis.
@@ -213,10 +209,8 @@ const ATOMIC_TYPES: &[&str] = &[
     "AtomicPtr",
 ];
 
-fn file_in_scope(f: &AtlasFile) -> bool {
-    f.runtime_src
-        && !f.src.test_path
-        && !PROTOCOL_EXCLUDED_CRATES.contains(&f.crate_key.as_str())
+fn file_in_scope(f: &SourceFile) -> bool {
+    f.shipped && !PROTOCOL_EXCLUDED_CRATES.contains(&f.crate_key.as_str())
 }
 
 fn mentions_atomic_primitive(ty: &str) -> bool {
@@ -310,20 +304,12 @@ fn split_top_commas(s: &str) -> Vec<String> {
 }
 
 /// Reads the protocol annotations attached to declaration line `idx`
-/// (0-based): its own comment, then pure-comment/attribute lines
-/// directly above — the same chain the lint suppression walk uses.
-fn annotations_at(file: &AtlasFile, idx: usize) -> Vec<Annotation> {
+/// (0-based): the same comment chain a lint suppression attaches
+/// through ([`SourceFile::attached_comments`]).
+fn annotations_at(file: &SourceFile, idx: usize) -> Vec<Annotation> {
     let mut out = Vec::new();
-    collect_annotations(&file.src.lines[idx].comment, &mut out);
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &file.src.lines[i];
-        let pure_comment = l.is_code_blank() && !l.comment.is_empty();
-        if !(pure_comment || l.is_attr()) {
-            break;
-        }
-        collect_annotations(&l.comment, &mut out);
+    for comment in file.attached_comments(idx) {
+        collect_annotations(comment, &mut out);
     }
     out
 }
@@ -353,7 +339,7 @@ fn collect_annotations(comment: &str, out: &mut Vec<Annotation>) {
 
 impl AccessTable {
     /// Builds the table over `files` and their extracted `items`.
-    pub fn build(files: &[AtlasFile], items: &[Item]) -> AccessTable {
+    pub fn build(files: &[SourceFile], items: &[Item]) -> AccessTable {
         let mut table = AccessTable::default();
 
         // ---- Phase 1: declarations -------------------------------------
@@ -375,7 +361,7 @@ impl AccessTable {
                         // Header-line members: a tuple struct
                         // `struct Name(T, U);` or a single-line body
                         // `struct Name { a: T }`.
-                        let header = &file.src.lines[start - 1].code;
+                        let header = &file.lines[start - 1].code;
                         if model::header_of(header).is_some_and(|(k, _)| k == ItemKind::Type) {
                             if let Some(p) = header.find('{') {
                                 let inner = header[p + 1..]
@@ -415,12 +401,12 @@ impl AccessTable {
                                 }
                             }
                         }
-                        for l in start..end.min(file.src.lines.len()) {
+                        for l in start..end.min(file.lines.len()) {
                             // Body lines only (skip the header itself).
-                            let line = &file.src.lines[l];
+                            let line = &file.lines[l];
                             if l == start - 1
                                 || line.is_attr()
-                                || file.src.in_test[l]
+                                || file.in_test[l]
                                 || model::header_of(&line.code).is_some()
                             {
                                 continue;
@@ -444,8 +430,8 @@ impl AccessTable {
                     }
                     ItemKind::Const => {
                         let line0 = it.ranges[0].0;
-                        let code = &file.src.lines[line0 - 1].code;
-                        if file.src.in_test[line0 - 1] {
+                        let code = &file.lines[line0 - 1].code;
+                        if file.in_test[line0 - 1] {
                             continue;
                         }
                         let (t, public) = strip_visibility(code.trim_start());
@@ -514,11 +500,7 @@ impl AccessTable {
             if rf.type_text.contains("Mutex") || rf.type_text.contains("Lock") {
                 table.locks.push(LockDecl {
                     crate_key: rf.crate_key.clone(),
-                    holder: rf.holder.clone(),
                     name: rf.name.clone(),
-                    file: rf.file,
-                    line: rf.line,
-                    type_text: rf.type_text.clone(),
                 });
             }
             let atomic = is_atomic_ty(&rf.crate_key, &rf.type_text);
@@ -553,7 +535,6 @@ impl AccessTable {
                 line: rf.line,
                 atomic,
                 public: rf.public,
-                type_text: rf.type_text,
                 annotations,
             });
         }
@@ -567,9 +548,9 @@ impl AccessTable {
             if !file_in_scope(file) {
                 continue;
             }
-            let lines = &file.src.lines;
+            let lines = &file.lines;
             for (i, line) in lines.iter().enumerate() {
-                if file.src.in_test[i]
+                if file.in_test[i]
                     || !model::header_of(&line.code)
                         .is_some_and(|(k, _)| k == ItemKind::Fn)
                 {
@@ -598,7 +579,7 @@ impl AccessTable {
             // `let bump = |cell: &AtomicU64, n: u64| ...` — the body's
             // `cell.store(..)` must resolve somewhere.
             for (i, line) in lines.iter().enumerate() {
-                if file.src.in_test[i] {
+                if file.in_test[i] {
                     continue;
                 }
                 let Some(b0) = line.code.find('|') else { continue };
@@ -616,9 +597,9 @@ impl AccessTable {
                 continue;
             }
             let aliases = local_aliases(file, &index);
-            let lines = &file.src.lines;
+            let lines = &file.lines;
             for (i, line) in lines.iter().enumerate() {
-                if file.src.in_test[i] {
+                if file.in_test[i] {
                     continue;
                 }
                 for (dot, method) in method_calls(&line.code) {
@@ -741,8 +722,8 @@ impl AccessTable {
                 if !public && fi != decl_file {
                     continue;
                 }
-                for (i, line) in file.src.lines.iter().enumerate() {
-                    if file.src.in_test[i] {
+                for (i, line) in file.lines.iter().enumerate() {
+                    if file.in_test[i] {
                         continue;
                     }
                     for _ in projections(&line.code, &name) {
@@ -923,7 +904,7 @@ fn ordering_tokens(args: &str) -> Vec<MemOrder> {
 /// shadowing a tracked field name in its crate is ambiguous and loud.
 fn bind_atomic_params(
     inner: &str,
-    file: &AtlasFile,
+    file: &SourceFile,
     fi: usize,
     i: usize,
     index: &mut HashMap<(String, String), usize>,
@@ -967,7 +948,6 @@ fn bind_atomic_params(
             line: i + 1,
             atomic: true,
             public: false,
-            type_text: ty.to_string(),
             annotations: Vec::new(),
         });
     }
@@ -994,7 +974,7 @@ fn pat_idents(pat: &str) -> Vec<String> {
 /// the nearest binding at or above it, so rebindings of a name (the
 /// usual `let theirs = ...` shadowing) do not leak backwards.
 fn local_aliases(
-    file: &AtlasFile,
+    file: &SourceFile,
     index: &HashMap<(String, String), usize>,
 ) -> HashMap<String, Vec<(usize, String)>> {
     // Fields projected (or statics mentioned) in `text`; bind only if
@@ -1020,9 +1000,9 @@ fn local_aliases(
         }
     };
     let mut out: HashMap<String, Vec<(usize, String)>> = HashMap::new();
-    let lines = &file.src.lines;
+    let lines = &file.lines;
     for (i, line) in lines.iter().enumerate() {
-        if file.src.in_test[i] {
+        if file.in_test[i] {
             continue;
         }
         let t = line.code.trim_start();
@@ -1117,11 +1097,8 @@ fn projections(code: &str, name: &str) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn build(sources: &[(&str, &str)]) -> (Vec<AtlasFile>, Vec<Item>, AccessTable) {
-        let files: Vec<AtlasFile> = sources
-            .iter()
-            .map(|(p, s)| AtlasFile::from_source(p, s))
-            .collect();
+    fn build(sources: &[(&str, &str)]) -> (Vec<SourceFile>, Vec<Item>, AccessTable) {
+        let files = crate::source::Workspace::from_sources(sources).files;
         let mut items = Vec::new();
         for (i, f) in files.iter().enumerate() {
             model::extract_items(i, f, &mut items);

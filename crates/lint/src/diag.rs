@@ -12,7 +12,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -34,7 +34,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    pub fn new(
+    pub(crate) fn new(
         lint: &'static str,
         severity: Severity,
         file: impl Into<String>,

@@ -1,4 +1,5 @@
-//! Conservative name resolution over the item graph.
+//! The item graph: every item of the loaded workspace plus conservative
+//! callee/use edges between them.
 //!
 //! Edges are computed from lexical references: `a::b::c` paths, `f(...)`
 //! calls, `.m(...)` method calls, `name!` macro invocations, and bare
@@ -7,12 +8,111 @@
 //! `crate::`/`self::` stay local), and anything ambiguous resolves to
 //! *every* candidate — over-approximation is the design invariant, so
 //! every heuristic here errs toward more edges. Consumers state what an
-//! extra edge means for them (`veros-lint`'s guard pass: a lock taken
-//! anywhere in an item's closure counts as held).
+//! extra edge means for them (the guard pass: a lock taken anywhere in
+//! an item's closure counts as held).
+//!
+//! The extractor is lexical, so it can be blind: a shipped file whose
+//! code yields no items, or an item header it failed to open, would
+//! drop out of the analysis silently. [`ItemGraph::blind_spots`] counts
+//! both, and `veros-lint --gate` holds them at zero.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crate::model::{AtlasFile, Item, ItemKind};
+use crate::model::{self, Item, ItemKind};
+use crate::source::SourceFile;
+
+/// What the item extractor could not see, over shipped source files.
+#[derive(Clone, Debug, Default)]
+pub struct BlindSpots {
+    /// Shipped source files with code but no extracted items. Must stay 0.
+    pub unparsed: Vec<String>,
+    /// `file:line` of preamble lines that look like item headers the
+    /// extractor missed. Must stay 0.
+    pub stray_headers: Vec<String>,
+}
+
+/// The items of a workspace's files and the edges between them.
+pub struct ItemGraph {
+    pub items: Vec<Item>,
+    /// Adjacency list over item ids.
+    edges: Vec<BTreeSet<usize>>,
+}
+
+impl ItemGraph {
+    /// Extracts every item of `files` and resolves its references.
+    pub fn build(files: &[SourceFile]) -> ItemGraph {
+        let mut items = Vec::new();
+        for (i, f) in files.iter().enumerate() {
+            model::extract_items(i, f, &mut items);
+        }
+        let idx = Index::build(files, &items);
+        let imports: Vec<Imports> = files.iter().map(imports_of).collect();
+        let edges = edges_of(files, &items, &idx, &imports);
+        ItemGraph { items, edges }
+    }
+
+    /// Transitive closure from `seeds` (inclusive).
+    pub fn closure(&self, seeds: &BTreeSet<usize>) -> BTreeSet<usize> {
+        let mut seen = seeds.clone();
+        let mut q: VecDeque<usize> = seeds.iter().copied().collect();
+        while let Some(n) = q.pop_front() {
+            for &m in &self.edges[n] {
+                if seen.insert(m) {
+                    q.push_back(m);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The extractor's blind spots over the shipped files among
+    /// `files` (the files this graph was built from).
+    pub fn blind_spots(&self, files: &[SourceFile]) -> BlindSpots {
+        let mut has_items = vec![false; files.len()];
+        let mut preamble: Vec<Option<&Item>> = vec![None; files.len()];
+        for it in &self.items {
+            match it.kind {
+                ItemKind::Preamble => preamble[it.file] = Some(it),
+                _ => has_items[it.file] = true,
+            }
+        }
+        let mut out = BlindSpots::default();
+        for (i, f) in files.iter().enumerate() {
+            if !f.shipped {
+                continue;
+            }
+            // Pure re-export files (the root facade is all `pub use`)
+            // legitimately have no items; `use` lines and attributes
+            // don't count as unparseable code.
+            let has_code = f.lines.iter().any(|l| {
+                let t = l.code.trim_start();
+                !l.is_code_blank()
+                    && !l.is_attr()
+                    && !t.starts_with("use ")
+                    && !t.starts_with("pub use ")
+                    && !t.starts_with("pub(crate) use ")
+                    && t != "};"
+                    && !t.chars().all(|c| "{}();,".contains(c) || c.is_whitespace())
+            });
+            if has_code && !has_items[i] {
+                out.unparsed.push(f.rel_path.clone());
+            }
+            // Preamble lines that still look like definitions: the
+            // extractor failed on them.
+            let Some(pre) = preamble[i] else { continue };
+            for &(a, b) in &pre.ranges {
+                for l in a..=b.min(f.lines.len()) {
+                    if let Some((k, _)) = model::header_of(&f.lines[l - 1].code) {
+                        if !matches!(k, ItemKind::Const | ItemKind::Mod) {
+                            out.stray_headers.push(format!("{}:{}", f.rel_path, l));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
 
 /// Names that are Rust keywords, primitives, or ubiquitous std items —
 /// never resolved to workspace items.
@@ -37,16 +137,16 @@ fn is_reserved(name: &str) -> bool {
 
 /// Per-file import view.
 #[derive(Debug, Default)]
-pub struct Imports {
+struct Imports {
     /// Crate keys this file pulls items from (via `use veros_x::...`).
-    pub crates: BTreeSet<String>,
+    crates: BTreeSet<String>,
     /// Imported leaf name (or `as` alias) → crate key it came from.
-    pub names: HashMap<String, String>,
+    names: HashMap<String, String>,
 }
 
 /// Maps a `use` path head (or qualified-path head) to a crate key.
 /// Returns `None` for std/external heads that resolve nowhere.
-pub fn crate_of_head(head: &str, own: &str) -> Option<String> {
+fn crate_of_head(head: &str, own: &str) -> Option<String> {
     match head {
         "crate" | "self" | "super" => Some(own.to_string()),
         "std" | "core" | "alloc" | "libc" => None,
@@ -63,9 +163,9 @@ pub fn crate_of_head(head: &str, own: &str) -> Option<String> {
 }
 
 /// Parses every `use` statement of a file into an [`Imports`] view.
-pub fn imports_of(file: &AtlasFile) -> Imports {
+fn imports_of(file: &SourceFile) -> Imports {
     let mut imp = Imports::default();
-    let lines = &file.src.lines;
+    let lines = &file.lines;
     let mut i = 0;
     while i < lines.len() {
         let t = lines[i].code.trim_start();
@@ -213,18 +313,14 @@ fn collect_leaf(leaf: &str, target: &str, imp: &mut Imports) {
 
 /// One lexical reference found in item code.
 #[derive(Debug)]
-pub struct RRef {
-    pub path: Vec<String>,
+struct RRef {
+    path: Vec<String>,
     /// Preceded by `.` — a method call.
-    pub method: bool,
-    /// Followed by `!` — a macro invocation.
-    pub mac: bool,
-    /// Followed by `(` — called.
-    pub called: bool,
+    method: bool,
 }
 
 /// Extracts all references from blanked code text.
-pub fn refs_in(code: &str) -> Vec<RRef> {
+fn refs_in(code: &str) -> Vec<RRef> {
     let b = code.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -257,31 +353,23 @@ pub fn refs_in(code: &str) -> Vec<RRef> {
             }
             break;
         }
-        let mac = i < b.len() && b[i] == b'!';
-        let mut j = i + usize::from(mac);
-        while j < b.len() && (b[j] as char).is_whitespace() {
-            j += 1;
-        }
-        let called = j < b.len() && (b[j] == b'(' || (mac && (b[j] == b'[' || b[j] == b'{')));
         out.push(RRef {
             path,
             method: prev == '.',
-            mac,
-            called,
         });
     }
     out
 }
 
 /// Item lookup index: crate key → item name → item ids.
-pub struct Index {
+struct Index {
     by_name: HashMap<(String, String), Vec<usize>>,
     /// Children of each impl/trait block: (crate, parent, fn-name) → ids.
     by_parent: HashMap<(String, String, String), Vec<usize>>,
 }
 
 impl Index {
-    pub fn build(files: &[AtlasFile], items: &[Item]) -> Index {
+    fn build(files: &[SourceFile], items: &[Item]) -> Index {
         let mut by_name: HashMap<(String, String), Vec<usize>> = HashMap::new();
         let mut by_parent: HashMap<(String, String, String), Vec<usize>> = HashMap::new();
         for (id, it) in items.iter().enumerate() {
@@ -316,7 +404,7 @@ impl Index {
 }
 
 /// Resolves one reference to candidate item ids.
-pub fn resolve(r: &RRef, own: &str, imp: &Imports, idx: &Index, out: &mut BTreeSet<usize>) {
+fn resolve(r: &RRef, own: &str, imp: &Imports, idx: &Index, out: &mut BTreeSet<usize>) {
     if r.path.len() == 1 {
         let n = &r.path[0];
         if is_reserved(n) {
@@ -383,92 +471,122 @@ pub fn resolve(r: &RRef, own: &str, imp: &Imports, idx: &Index, out: &mut BTreeS
     }
 }
 
-/// The dependency graph: adjacency list over item ids.
-pub struct Graph {
-    pub edges: Vec<BTreeSet<usize>>,
-}
-
-impl Graph {
-    /// Builds edges for every item: references in its code, an implicit
-    /// edge to its file's preamble, and preamble → imported crates'
-    /// `lib.rs` preambles (so cross-crate closure always reaches the
-    /// target crate's root wiring).
-    pub fn build(files: &[AtlasFile], items: &[Item], idx: &Index, imports: &[Imports]) -> Graph {
-        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); items.len()];
-        // Preamble id per file, crate roots.
-        let mut preamble: HashMap<usize, usize> = HashMap::new();
-        let mut crate_root_pre: HashMap<String, usize> = HashMap::new();
-        for (id, it) in items.iter().enumerate() {
-            if it.kind == ItemKind::Preamble {
-                preamble.insert(it.file, id);
-                let f = &files[it.file];
-                if f.rel_path.ends_with("/src/lib.rs") || f.rel_path == "src/lib.rs" {
-                    crate_root_pre.insert(f.crate_key.clone(), id);
-                }
+/// Edges for every item: references in its code, an implicit edge to
+/// its file's preamble, and preamble → imported crates' `lib.rs`
+/// preambles (so cross-crate closure always reaches the target crate's
+/// root wiring).
+fn edges_of(
+    files: &[SourceFile],
+    items: &[Item],
+    idx: &Index,
+    imports: &[Imports],
+) -> Vec<BTreeSet<usize>> {
+    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); items.len()];
+    // Preamble id per file, crate roots.
+    let mut preamble: HashMap<usize, usize> = HashMap::new();
+    let mut crate_root_pre: HashMap<String, usize> = HashMap::new();
+    for (id, it) in items.iter().enumerate() {
+        if it.kind == ItemKind::Preamble {
+            preamble.insert(it.file, id);
+            let f = &files[it.file];
+            if f.rel_path.ends_with("/src/lib.rs") || f.rel_path == "src/lib.rs" {
+                crate_root_pre.insert(f.crate_key.clone(), id);
             }
         }
-        for (id, it) in items.iter().enumerate() {
-            let file = &files[it.file];
-            let own = &file.crate_key;
-            let imp = &imports[it.file];
-            if let Some(&p) = preamble.get(&it.file) {
-                if p != id {
+    }
+    for (id, it) in items.iter().enumerate() {
+        let file = &files[it.file];
+        let own = &file.crate_key;
+        let imp = &imports[it.file];
+        if let Some(&p) = preamble.get(&it.file) {
+            if p != id {
+                edges[id].insert(p);
+            }
+        }
+        if it.kind == ItemKind::Preamble {
+            for ck in &imp.crates {
+                if let Some(&p) = crate_root_pre.get(ck) {
                     edges[id].insert(p);
                 }
             }
-            if it.kind == ItemKind::Preamble {
-                for ck in &imp.crates {
-                    if let Some(&p) = crate_root_pre.get(ck) {
-                        edges[id].insert(p);
-                    }
-                }
-            }
-            // Resolve references line by line over the item's ranges.
-            // `use` lines are skipped: imports only bring names into
-            // scope, and items referencing those names already get
-            // direct edges through the imports map. Resolving the use
-            // lines themselves would weld every item of a file to the
-            // union of everything the file imports (core/vcs.rs imports
-            // every crate) and collapse all closures into one.
-            let mut in_use_stmt = false;
-            for &(a, b) in &it.ranges {
-                for l in a..=b.min(file.src.lines.len()) {
-                    let code = &file.src.lines[l - 1].code;
-                    let t = code.trim_start();
-                    if !in_use_stmt
-                        && (t.starts_with("use ")
-                            || t.starts_with("pub use ")
-                            || t.starts_with("pub(crate) use "))
-                    {
-                        in_use_stmt = true;
-                    }
-                    if in_use_stmt {
-                        if code.contains(';') {
-                            in_use_stmt = false;
-                        }
-                        continue;
-                    }
-                    for r in refs_in(code) {
-                        resolve(&r, own, imp, idx, &mut edges[id]);
-                    }
-                }
-            }
-            edges[id].remove(&id);
         }
-        Graph { edges }
+        // Resolve references line by line over the item's ranges.
+        // `use` lines are skipped: imports only bring names into
+        // scope, and items referencing those names already get
+        // direct edges through the imports map. Resolving the use
+        // lines themselves would weld every item of a file to the
+        // union of everything the file imports (core/vcs.rs imports
+        // every crate) and collapse all closures into one.
+        let mut in_use_stmt = false;
+        for &(a, b) in &it.ranges {
+            for l in a..=b.min(file.lines.len()) {
+                let code = &file.lines[l - 1].code;
+                let t = code.trim_start();
+                if !in_use_stmt
+                    && (t.starts_with("use ")
+                        || t.starts_with("pub use ")
+                        || t.starts_with("pub(crate) use "))
+                {
+                    in_use_stmt = true;
+                }
+                if in_use_stmt {
+                    if code.contains(';') {
+                        in_use_stmt = false;
+                    }
+                    continue;
+                }
+                for r in refs_in(code) {
+                    resolve(&r, own, imp, idx, &mut edges[id]);
+                }
+            }
+        }
+        edges[id].remove(&id);
+    }
+    edges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::Workspace;
+
+    fn graph(sources: &[(&str, &str)]) -> (Vec<SourceFile>, ItemGraph) {
+        let files = Workspace::from_sources(sources).files;
+        let g = ItemGraph::build(&files);
+        (files, g)
     }
 
-    /// Transitive closure from `seeds` (inclusive).
-    pub fn closure(&self, seeds: &BTreeSet<usize>) -> BTreeSet<usize> {
-        let mut seen = seeds.clone();
-        let mut q: VecDeque<usize> = seeds.iter().copied().collect();
-        while let Some(n) = q.pop_front() {
-            for &m in &self.edges[n] {
-                if seen.insert(m) {
-                    q.push_back(m);
-                }
-            }
-        }
-        seen
+    #[test]
+    fn clean_sources_have_no_blind_spots() {
+        let (files, g) = graph(&[
+            (
+                "crates/alpha/src/lib.rs",
+                "//! Alpha.\npub mod inner;\npub use inner::work;\npub fn entry() -> u64 { inner::work(7) }\n",
+            ),
+            ("crates/alpha/src/inner.rs", "//! Inner.\npub fn work(x: u64) -> u64 { x * 2 }\n"),
+        ]);
+        let spots = g.blind_spots(&files);
+        assert!(spots.unparsed.is_empty(), "{:?}", spots.unparsed);
+        assert!(spots.stray_headers.is_empty(), "{:?}", spots.stray_headers);
+        let names: Vec<&str> = g.items.iter().map(|i| i.name.as_str()).collect();
+        assert!(names.contains(&"entry") && names.contains(&"work"));
+    }
+
+    #[test]
+    fn blind_spots_name_the_file_and_line() {
+        let (files, g) = graph(&[
+            // Code, but nothing the extractor recognises as an item.
+            ("crates/alpha/src/lib.rs", "//! Alpha.\nlet x = 5;\n"),
+            // A header whose body never opens lands in the preamble.
+            (
+                "crates/beta/src/lib.rs",
+                "pub fn ok() -> u64 { 1 }\nfn dangling(x: u64)\n",
+            ),
+            // Test and example code is out of scope.
+            ("tests/t.rs", "let y = 6;\n"),
+        ]);
+        let spots = g.blind_spots(&files);
+        assert_eq!(spots.unparsed, ["crates/alpha/src/lib.rs"]);
+        assert_eq!(spots.stray_headers, ["crates/beta/src/lib.rs:2"]);
     }
 }

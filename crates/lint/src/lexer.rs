@@ -220,7 +220,13 @@ pub fn scan(src: &str) -> Vec<ScannedLine> {
 
 /// True when `code` contains `word` as a standalone token (not part of a
 /// longer identifier).
-pub fn has_word(code: &str, word: &str) -> bool {
+pub(crate) fn has_word(code: &str, word: &str) -> bool {
+    word_pos(code, word).is_some()
+}
+
+/// Byte position of the first standalone-token occurrence of `word` in
+/// `code`.
+pub(crate) fn word_pos(code: &str, word: &str) -> Option<usize> {
     let bytes = code.as_bytes();
     let mut start = 0;
     while let Some(pos) = code[start..].find(word) {
@@ -235,11 +241,11 @@ pub fn has_word(code: &str, word: &str) -> bool {
             !(b.is_ascii_alphanumeric() || b == b'_')
         };
         if before_ok && after_ok {
-            return true;
+            return Some(at);
         }
         start = at + word.len();
     }
-    false
+    None
 }
 
 #[cfg(test)]

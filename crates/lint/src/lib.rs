@@ -7,11 +7,11 @@
 //! relaxed atomics in the NR layer are individually reviewed, and every
 //! module documents its role. This crate makes those conventions
 //! machine-checked: a hand-rolled lexer ([`lexer`]), a workspace model
-//! ([`source`]) (both hosted by `veros-atlas` and shared with its item
-//! graph), a lint registry ([`lints`]) and flow-aware
-//! concurrency-protocol passes over the atlas access table
-//! ([`protocol`]), behind a `veros-lint` binary. No external
-//! dependencies, so it builds offline with the rest of the workspace.
+//! that walks the tree once ([`source`]), a check registry ([`lints`]),
+//! and flow-aware concurrency-protocol passes ([`protocol`]) over an
+//! item graph (`model`, `graph`) and a per-field atomic access table
+//! (`access`), behind a `veros-lint` binary. No external dependencies,
+//! so it builds offline with the rest of the workspace.
 //!
 //! A finding is accepted in one way only: a reasoned inline
 //! `// lint: allow(<id>) — reason` next to the code it excuses. There
@@ -21,26 +21,40 @@
 //! cargo run -p veros-lint -- --gate
 //! ```
 
+mod access;
 pub mod diag;
+mod graph;
+pub mod lexer;
 pub mod lints;
+mod model;
 pub mod protocol;
-
-// The lexer and workspace model moved into `veros-atlas` so the atlas
-// item graph and the lints share one scanner; re-export them under the
-// historical paths so `veros_lint::source::Workspace` keeps working.
-pub use veros_atlas::{lexer, source};
+pub mod source;
 
 use std::io;
 use std::path::Path;
 
-/// Loads the workspace at `root` and runs the full registry plus the
-/// protocol passes, returning findings sorted by file and line.
-pub fn check(root: &Path) -> io::Result<Vec<diag::Diagnostic>> {
+/// What one run over a workspace found.
+pub struct Report {
+    /// Number of `.rs` files loaded.
+    pub files: usize,
+    /// Every check's findings, sorted by file, line and ID.
+    pub findings: Vec<diag::Diagnostic>,
+    /// The protocol passes' anti-vacuity counters.
+    pub counters: protocol::Counters,
+}
+
+/// Loads the workspace at `root` once and runs every check over it: the
+/// line lints, then the protocol passes.
+pub fn check(root: &Path) -> io::Result<Report> {
     let ws = source::Workspace::load(root)?;
-    let mut out = lints::run_all(&ws);
-    protocol::Analysis::load(root)?.run(&mut out);
-    out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    Ok(out)
+    let mut findings = lints::run_all(&ws);
+    let counters = protocol::Analysis::new(&ws).run(&mut findings);
+    findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
+    Ok(Report {
+        files: ws.files.len(),
+        findings,
+        counters,
+    })
 }
 
 #[cfg(test)]
@@ -50,7 +64,7 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_stable() {
-        let ids: Vec<&str> = lints::registry().iter().map(|l| l.id()).collect();
+        let ids: Vec<&str> = lints::REGISTRY.iter().map(|l| l.id).collect();
         assert_eq!(
             ids,
             [
@@ -58,7 +72,10 @@ mod tests {
                 "panic-freedom",
                 "obligation-coverage",
                 "atomics-ordering",
-                "doc-header"
+                "doc-header",
+                "publication-pairing",
+                "seqlock-discipline",
+                "guard-discipline"
             ]
         );
     }

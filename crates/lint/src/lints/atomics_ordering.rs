@@ -12,49 +12,44 @@
 //! checkers can miss on a lucky schedule. Reviewed sites carry
 //! `// lint: allow(atomics-ordering) — <why Relaxed is sound here>`.
 
+use super::Lint;
 use crate::diag::{Diagnostic, Severity};
 use crate::source::Workspace;
 
-pub struct AtomicsOrdering;
+const ID: &str = "atomics-ordering";
 
-pub const ID: &str = "atomics-ordering";
+pub const LINT: Lint = Lint {
+    id: ID,
+    describe:
+        "`Ordering::Relaxed` in crates/{nr,uring,ulib,telemetry,kernel} outside reviewed sites",
+    run: Some(run),
+};
 
-impl super::Lint for AtomicsOrdering {
-    fn id(&self) -> &'static str {
-        ID
-    }
-
-    fn describe(&self) -> &'static str {
-        "`Ordering::Relaxed` in crates/{nr,uring,ulib,telemetry,kernel} outside reviewed sites"
-    }
-
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for file in &ws.files {
-            let in_scope = matches!(
-                file.crate_name.as_deref(),
-                Some("nr" | "uring" | "ulib" | "telemetry" | "kernel")
-            ) && !file.test_path
-                && file.rel_path.contains("/src/");
-            if !in_scope {
+fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        let in_scope = matches!(
+            file.crate_key.as_str(),
+            "nr" | "uring" | "ulib" | "telemetry" | "kernel"
+        );
+        if !(in_scope && file.shipped) {
+            continue;
+        }
+        for (idx, line) in file.lines.iter().enumerate() {
+            if file.in_test[idx] || !line.code.contains("Ordering::Relaxed") {
                 continue;
             }
-            for (idx, line) in file.lines.iter().enumerate() {
-                if file.in_test[idx] || !line.code.contains("Ordering::Relaxed") {
-                    continue;
-                }
-                if file.is_suppressed(ID, idx) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    ID,
-                    Severity::Error,
-                    file.rel_path.clone(),
-                    idx + 1,
-                    format!(
-                        "`Ordering::Relaxed` outside the reviewed-site allowlist; justify with `// lint: allow({ID}) — reason`"
-                    ),
-                ));
+            if file.is_suppressed(ID, idx) {
+                continue;
             }
+            out.push(Diagnostic::new(
+                ID,
+                Severity::Error,
+                file.rel_path.clone(),
+                idx + 1,
+                format!(
+                    "`Ordering::Relaxed` outside the reviewed-site allowlist; justify with `// lint: allow({ID}) — reason`"
+                ),
+            ));
         }
     }
 }
@@ -62,12 +57,11 @@ impl super::Lint for AtomicsOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Lint;
 
     fn run_on(path: &str, src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(&[(path, src)]);
         let mut out = Vec::new();
-        AtomicsOrdering.run(&ws, &mut out);
+        run(&ws, &mut out);
         out
     }
 

@@ -3,54 +3,48 @@
 //! its place in the verified stack up front; a file without a header is
 //! a file whose spec role nobody wrote down.
 
+use super::Lint;
 use crate::diag::{Diagnostic, Severity};
 use crate::source::Workspace;
 
-pub struct DocHeader;
+const ID: &str = "doc-header";
 
-pub const ID: &str = "doc-header";
+pub const LINT: Lint = Lint {
+    id: ID,
+    describe: "src/*.rs files must start with a `//!` module doc comment",
+    run: Some(run),
+};
 
-impl super::Lint for DocHeader {
-    fn id(&self) -> &'static str {
-        ID
-    }
-
-    fn describe(&self) -> &'static str {
-        "src/*.rs files must start with a `//!` module doc comment"
-    }
-
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for file in &ws.files {
-            if file.test_path || !file.rel_path.contains("src/") {
-                continue;
-            }
-            let ok = file
-                .lines
-                .first()
-                .is_some_and(|l| l.comment.trim_start().starts_with("//!"));
-            if ok || file.is_suppressed(ID, 0) {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                ID,
-                Severity::Error,
-                file.rel_path.clone(),
-                1,
-                "file does not start with a `//!` module doc header",
-            ));
+fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        if !file.shipped {
+            continue;
         }
+        let ok = file
+            .lines
+            .first()
+            .is_some_and(|l| l.comment.trim_start().starts_with("//!"));
+        if ok || file.is_suppressed(ID, 0) {
+            continue;
+        }
+        out.push(Diagnostic::new(
+            ID,
+            Severity::Error,
+            file.rel_path.clone(),
+            1,
+            "file does not start with a `//!` module doc header",
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Lint;
 
     fn run_on(path: &str, src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(&[(path, src)]);
         let mut out = Vec::new();
-        DocHeader.run(&ws, &mut out);
+        run(&ws, &mut out);
         out
     }
 

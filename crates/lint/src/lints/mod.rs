@@ -1,44 +1,61 @@
-//! The lint registry: each lint walks the [`Workspace`] and emits
-//! [`Diagnostic`]s with a stable ID.
+//! The check registry: every line lint walks the [`Workspace`] and
+//! emits [`Diagnostic`]s with a stable ID; the protocol passes are
+//! listed here too, so one table names every ID.
 
 use crate::diag::Diagnostic;
+use crate::protocol;
 use crate::source::Workspace;
 
-pub mod atomics_ordering;
-pub mod doc_header;
-pub mod obligation_coverage;
-pub mod panic_freedom;
-pub mod unsafe_audit;
+mod atomics_ordering;
+mod doc_header;
+mod obligation_coverage;
+mod panic_freedom;
+mod unsafe_audit;
 
-/// One workspace lint.
-pub trait Lint {
-    /// Stable lint ID (also the suppression key).
-    fn id(&self) -> &'static str;
+/// One check `veros-lint` runs.
+pub struct Lint {
+    /// Stable ID: what `--list` prints and a `// lint: allow(<id>)`
+    /// names.
+    pub id: &'static str,
     /// One-line description for `--list`.
-    fn describe(&self) -> &'static str;
-    /// Runs over the whole workspace, appending findings.
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);
+    pub describe: &'static str,
+    /// Runs a line lint over the whole workspace, appending findings.
+    /// `None` for a protocol pass: the three share one analysis and run
+    /// together in [`protocol::Analysis::run`].
+    pub run: Option<fn(&Workspace, &mut Vec<Diagnostic>)>,
 }
 
-/// The full registry, in reporting order.
-pub fn registry() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(unsafe_audit::UnsafeAudit),
-        Box::new(panic_freedom::PanicFreedom),
-        Box::new(obligation_coverage::ObligationCoverage),
-        Box::new(atomics_ordering::AtomicsOrdering),
-        Box::new(doc_header::DocHeader),
-    ]
-}
+/// Every check, in reporting and `--list` order: the line lints, then
+/// the protocol passes.
+pub const REGISTRY: [Lint; 8] = [
+    unsafe_audit::LINT,
+    panic_freedom::LINT,
+    obligation_coverage::LINT,
+    atomics_ordering::LINT,
+    doc_header::LINT,
+    Lint {
+        id: protocol::PUBLICATION,
+        describe: "releasing stores must pair with acquiring loads",
+        run: None,
+    },
+    Lint {
+        id: protocol::SEQLOCK,
+        describe: "`protocol: seqlock(..)` fields bracketed by stamp accesses",
+        run: None,
+    },
+    Lint {
+        id: protocol::GUARD,
+        describe: "`guarded-by:` fields touched only under their lock",
+        run: None,
+    },
+];
 
-/// Runs every lint and returns findings sorted by file, line, lint.
+/// Runs every line lint and returns findings sorted by file, line, lint.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for lint in registry() {
-        lint.run(ws, &mut out);
+    for run in REGISTRY.iter().filter_map(|l| l.run) {
+        run(ws, &mut out);
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint))
-    });
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
     out
 }

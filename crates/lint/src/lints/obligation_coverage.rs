@@ -10,12 +10,17 @@
 //! declared, not inferred: an explicit annotation is auditable in review
 //! and diffable, where name-matching heuristics silently rot.
 
+use super::Lint;
 use crate::diag::{Diagnostic, Severity};
 use crate::source::{SourceFile, Workspace};
 
-pub struct ObligationCoverage;
+const ID: &str = "obligation-coverage";
 
-pub const ID: &str = "obligation-coverage";
+pub const LINT: Lint = Lint {
+    id: ID,
+    describe: "public ops of verified surfaces lacking a registered VC",
+    run: Some(run),
+};
 
 /// A verified op surface: enum `name` defined in `file`.
 struct Surface {
@@ -33,64 +38,54 @@ const SURFACES: &[Surface] = &[
 /// Files whose `// covers:` annotations declare VC coverage.
 const COVERAGE_FILES: &[&str] = &["crates/core/src/vcs.rs", "crates/pagetable/src/vcs.rs"];
 
-impl super::Lint for ObligationCoverage {
-    fn id(&self) -> &'static str {
-        ID
-    }
-
-    fn describe(&self) -> &'static str {
-        "public ops of verified surfaces lacking a registered VC"
-    }
-
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        // If none of the surface files exist we are not looking at the
-        // veros workspace (e.g. a fixture tree): stay quiet unless the
-        // fixture recreates the paths.
-        let covered = collect_covers(ws);
-        for surface in SURFACES {
-            let Some(file) = ws.find(surface.file) else {
+fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    // If none of the surface files exist we are not looking at the
+    // veros workspace (e.g. a fixture tree): stay quiet unless the
+    // fixture recreates the paths.
+    let covered = collect_covers(ws);
+    for surface in SURFACES {
+        let Some(file) = ws.find(surface.file) else {
+            continue;
+        };
+        for (variant, line) in enum_variants(file, surface.name) {
+            let qualified = format!("{}::{}", surface.name, variant);
+            if covered.iter().any(|(c, _, _)| *c == qualified) {
                 continue;
-            };
-            for (variant, line) in enum_variants(file, surface.name) {
-                let qualified = format!("{}::{}", surface.name, variant);
-                if covered.iter().any(|(c, _, _)| *c == qualified) {
-                    continue;
-                }
-                if file.is_suppressed(ID, line - 1) {
-                    continue;
-                }
+            }
+            if file.is_suppressed(ID, line - 1) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                ID,
+                Severity::Error,
+                file.rel_path.clone(),
+                line,
+                format!(
+                    "op `{qualified}` has no registered VC (no `// covers: {qualified}` in {})",
+                    COVERAGE_FILES.join(" or ")
+                ),
+            ));
+        }
+    }
+    // Typo guard: every annotation must name a real variant.
+    let mut known = Vec::new();
+    for surface in SURFACES {
+        if let Some(file) = ws.find(surface.file) {
+            for (v, _) in enum_variants(file, surface.name) {
+                known.push(format!("{}::{}", surface.name, v));
+            }
+        }
+    }
+    if !known.is_empty() {
+        for (c, file, line) in &covered {
+            if !known.contains(c) {
                 out.push(Diagnostic::new(
                     ID,
-                    Severity::Error,
-                    file.rel_path.clone(),
-                    line,
-                    format!(
-                        "op `{qualified}` has no registered VC (no `// covers: {qualified}` in {})",
-                        COVERAGE_FILES.join(" or ")
-                    ),
+                    Severity::Warning,
+                    file.clone(),
+                    *line,
+                    format!("`// covers: {c}` names no known op variant"),
                 ));
-            }
-        }
-        // Typo guard: every annotation must name a real variant.
-        let mut known = Vec::new();
-        for surface in SURFACES {
-            if let Some(file) = ws.find(surface.file) {
-                for (v, _) in enum_variants(file, surface.name) {
-                    known.push(format!("{}::{}", surface.name, v));
-                }
-            }
-        }
-        if !known.is_empty() {
-            for (c, file, line) in &covered {
-                if !known.contains(c) {
-                    out.push(Diagnostic::new(
-                        ID,
-                        Severity::Warning,
-                        file.clone(),
-                        *line,
-                        format!("`// covers: {c}` names no known op variant"),
-                    ));
-                }
             }
         }
     }
@@ -122,7 +117,7 @@ fn collect_covers(ws: &Workspace) -> Vec<(String, String, usize)> {
 /// `pub enum <name>` in `file`, by brace-depth tracking: a variant is an
 /// uppercase-initial identifier at depth exactly one inside the enum
 /// body (struct-variant fields sit deeper and are skipped).
-pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, usize)> {
+fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, usize)> {
     let open = format!("enum {name}");
     let mut out = Vec::new();
     let mut depth_in_enum: Option<i64> = None;
@@ -186,7 +181,6 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Lint;
 
     const ENUM_SRC: &str = "\
 /// Ops.
@@ -217,7 +211,7 @@ pub enum Syscall {
             ("crates/core/src/vcs.rs", vcs),
         ]);
         let mut out = Vec::new();
-        ObligationCoverage.run(&ws, &mut out);
+        run(&ws, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("Syscall::Exit"));
         assert_eq!(out[0].line, 5);
@@ -231,7 +225,7 @@ pub enum Syscall {
             ("crates/core/src/vcs.rs", vcs),
         ]);
         let mut out = Vec::new();
-        ObligationCoverage.run(&ws, &mut out);
+        run(&ws, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].severity, Severity::Warning);
         assert!(out[0].message.contains("Frobnicate"));
@@ -241,12 +235,12 @@ pub enum Syscall {
     fn absent_surfaces_stay_quiet() {
         let ws = Workspace::from_sources(&[("crates/other/src/lib.rs", "fn f() {}\n")]);
         let mut out = Vec::new();
-        ObligationCoverage.run(&ws, &mut out);
+        run(&ws, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn id_matches() {
-        assert_eq!(ObligationCoverage.id(), ID);
+        assert_eq!(LINT.id, ID);
     }
 }

@@ -8,12 +8,17 @@
 //! indexing-heavy lines are warned about. Sites whose panic is
 //! provably unreachable carry `// lint: allow(panic-freedom) — <reason>`.
 
+use super::Lint;
 use crate::diag::{Diagnostic, Severity};
 use crate::source::Workspace;
 
-pub struct PanicFreedom;
+const ID: &str = "panic-freedom";
 
-pub const ID: &str = "panic-freedom";
+pub const LINT: Lint = Lint {
+    id: ID,
+    describe: "panicking constructs in kernel-path crates outside test code",
+    run: Some(run),
+};
 
 /// Denied call/macro patterns, matched against blanked code.
 const DENIED: &[(&str, &str)] = &[
@@ -27,46 +32,38 @@ const DENIED: &[(&str, &str)] = &[
 /// Lines with at least this many index expressions get a warning.
 const INDEX_HEAVY: usize = 3;
 
-impl super::Lint for PanicFreedom {
-    fn id(&self) -> &'static str {
-        ID
-    }
-
-    fn describe(&self) -> &'static str {
-        "panicking constructs in kernel-path crates outside test code"
-    }
-
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for file in &ws.files {
-            if !file.is_kernel_path_src() {
+fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        if !file.is_kernel_path_src() {
+            continue;
+        }
+        for (idx, line) in file.lines.iter().enumerate() {
+            if file.in_test[idx] {
                 continue;
             }
-            for (idx, line) in file.lines.iter().enumerate() {
-                if file.in_test[idx] {
-                    continue;
-                }
-                let code = &line.code;
-                for (pat, what) in DENIED {
-                    if code.contains(pat) && !file.is_suppressed(ID, idx) {
-                        out.push(Diagnostic::new(
-                            ID,
-                            Severity::Error,
-                            file.rel_path.clone(),
-                            idx + 1,
-                            format!("{what}; return an error or justify with `// lint: allow({ID}) — reason`"),
-                        ));
-                    }
-                }
-                let indexes = count_index_exprs(code);
-                if indexes >= INDEX_HEAVY && !file.is_suppressed(ID, idx) {
+            let code = &line.code;
+            for (pat, what) in DENIED {
+                if code.contains(pat) && !file.is_suppressed(ID, idx) {
                     out.push(Diagnostic::new(
                         ID,
-                        Severity::Warning,
+                        Severity::Error,
                         file.rel_path.clone(),
                         idx + 1,
-                        format!("indexing-heavy line ({indexes} index expressions); prefer `get`/iterators"),
+                        format!("{what}; return an error or justify with `// lint: allow({ID}) — reason`"),
                     ));
                 }
+            }
+            let indexes = count_index_exprs(code);
+            if indexes >= INDEX_HEAVY && !file.is_suppressed(ID, idx) {
+                out.push(Diagnostic::new(
+                    ID,
+                    Severity::Warning,
+                    file.rel_path.clone(),
+                    idx + 1,
+                    format!(
+                        "indexing-heavy line ({indexes} index expressions); prefer `get`/iterators"
+                    ),
+                ));
             }
         }
     }
@@ -92,12 +89,11 @@ fn count_index_exprs(code: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Lint;
 
     fn run_on(path: &str, src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(&[(path, src)]);
         let mut out = Vec::new();
-        PanicFreedom.run(&ws, &mut out);
+        run(&ws, &mut out);
         out
     }
 

@@ -4,80 +4,65 @@
 //! the spec machinery reasons about safe Rust, so each `unsafe` site is
 //! an axiom that must carry its proof obligation in prose.
 
+use super::Lint;
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::has_word;
 use crate::source::{SourceFile, Workspace};
 
-pub struct UnsafeAudit;
+const ID: &str = "unsafe-audit";
 
-pub const ID: &str = "unsafe-audit";
+pub const LINT: Lint = Lint {
+    id: ID,
+    describe: "`unsafe` without a `// SAFETY:` justification comment",
+    run: Some(run),
+};
 
-impl super::Lint for UnsafeAudit {
-    fn id(&self) -> &'static str {
-        ID
-    }
-
-    fn describe(&self) -> &'static str {
-        "`unsafe` without a `// SAFETY:` justification comment"
-    }
-
-    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for file in &ws.files {
-            for (idx, line) in file.lines.iter().enumerate() {
-                if !has_word(&line.code, "unsafe") {
-                    continue;
-                }
-                // `#![forbid(unsafe_code)]`-style attributes are not
-                // unsafe sites. (`unsafe_code` itself fails the word
-                // match; `#[allow(unsafe ...)]` shapes would not.)
-                if line.is_attr() {
-                    continue;
-                }
-                if has_safety_comment(file, idx) || file.is_suppressed(ID, idx) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    ID,
-                    Severity::Error,
-                    file.rel_path.clone(),
-                    idx + 1,
-                    "`unsafe` without a preceding `// SAFETY:` comment",
-                ));
+fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for file in &ws.files {
+        for (idx, line) in file.lines.iter().enumerate() {
+            if !has_word(&line.code, "unsafe") {
+                continue;
             }
+            // `#![forbid(unsafe_code)]`-style attributes are not
+            // unsafe sites. (`unsafe_code` itself fails the word
+            // match; `#[allow(unsafe ...)]` shapes would not.)
+            if line.is_attr() {
+                continue;
+            }
+            if has_safety_comment(file, idx) || file.is_suppressed(ID, idx) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                ID,
+                Severity::Error,
+                file.rel_path.clone(),
+                idx + 1,
+                "`unsafe` without a preceding `// SAFETY:` comment",
+            ));
         }
     }
 }
 
-/// Looks for `SAFETY:` in the line's own comment or in the contiguous
-/// comment/attribute block directly above it.
+/// Looks for `SAFETY:` in the line's attached comments or on the code
+/// line that ends that chain: a trailing `// SAFETY:` there argues for
+/// the line directly below it too.
 fn has_safety_comment(file: &SourceFile, idx: usize) -> bool {
-    if file.lines[idx].comment.contains("SAFETY:") {
-        return true;
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let l = &file.lines[i];
-        if l.comment.contains("SAFETY:") {
-            return true;
-        }
-        let pure_comment = l.is_code_blank() && !l.comment.is_empty();
-        if !(pure_comment || l.is_attr()) {
-            return false;
-        }
-    }
-    false
+    let reach = file.attached_comments(idx).count() + 1;
+    file.lines[..=idx]
+        .iter()
+        .rev()
+        .take(reach)
+        .any(|l| l.comment.contains("SAFETY:"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Lint;
 
     fn run_on(src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(&[("crates/nr/src/x.rs", src)]);
         let mut out = Vec::new();
-        UnsafeAudit.run(&ws, &mut out);
+        run(&ws, &mut out);
         out
     }
 
@@ -116,6 +101,6 @@ mod tests {
 
     #[test]
     fn id_matches() {
-        assert_eq!(UnsafeAudit.id(), ID);
+        assert_eq!(LINT.id, ID);
     }
 }

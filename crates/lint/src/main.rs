@@ -21,9 +21,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use veros_lint::diag::Severity;
-use veros_lint::protocol::{self, Counters};
-use veros_lint::source::Workspace;
 use veros_lint::lints;
+use veros_lint::protocol::Counters;
 
 struct Args {
     root: PathBuf,
@@ -126,45 +125,32 @@ fn main() -> ExitCode {
     };
 
     if args.list {
-        for lint in lints::registry() {
-            println!("{:<22} {}", lint.id(), lint.describe());
-        }
-        for (id, what) in [
-            (protocol::PUBLICATION, "releasing stores must pair with acquiring loads"),
-            (protocol::SEQLOCK, "`protocol: seqlock(..)` fields bracketed by stamp accesses"),
-            (protocol::GUARD, "`guarded-by:` fields touched only under their lock"),
-        ] {
-            println!("{id:<22} {what}");
+        for lint in &lints::REGISTRY {
+            println!("{:<22} {}", lint.id, lint.describe);
         }
         return ExitCode::SUCCESS;
     }
 
-    let ws = match Workspace::load(&args.root) {
-        Ok(ws) => ws,
+    let report = match veros_lint::check(&args.root) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("veros-lint: cannot load workspace at {}: {e}", args.root.display());
+            eprintln!(
+                "veros-lint: cannot load workspace at {}: {e}",
+                args.root.display()
+            );
             return ExitCode::from(2);
         }
     };
-    let mut all = lints::run_all(&ws);
-    let analysis = match protocol::Analysis::load(&args.root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("veros-lint: cannot build the protocol analysis: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let counters = analysis.run(&mut all);
-    all.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
+    let (all, counters) = (&report.findings, &report.counters);
 
-    for d in &all {
+    for d in all {
         println!("{d}");
     }
     let errors = all.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = all.len() - errors;
     println!(
         "veros-lint: {} files, {errors} errors, {warnings} warnings",
-        ws.files.len()
+        report.files
     );
     println!(
         "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs, \
@@ -179,7 +165,7 @@ fn main() -> ExitCode {
 
     let mut failed = errors > 0;
     if args.gate {
-        let json = counters_json(&counters, all.len());
+        let json = counters_json(counters, all.len());
         let dir = match std::env::var_os("VEROS_RESULTS_DIR") {
             Some(d) => PathBuf::from(d),
             None => args.root.join("results"),
@@ -196,7 +182,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        let violations = gate_failures(&counters);
+        let violations = gate_failures(counters);
         for v in &violations {
             eprintln!("veros-lint: gate: {v}");
         }

@@ -1,7 +1,6 @@
-//! The atlas file/item model: every workspace `.rs` file lexed via the
-//! shared [`crate::lexer`], and a brace-depth item extractor that
-//! recovers `fn`/`impl`/`struct`/`enum`/`trait`/`mod`/`macro_rules!`
-//! definitions with their line ranges.
+//! The item model: a brace-depth extractor that recovers
+//! `fn`/`impl`/`struct`/`enum`/`trait`/`mod`/`macro_rules!` definitions
+//! with their line ranges from each lexed [`SourceFile`].
 //!
 //! The extractor is deliberately lexical, not a parser: it only needs
 //! line ranges and names good enough for conservative name resolution.
@@ -9,14 +8,8 @@
 //! which every item of the file implicitly depends on — so a miss makes
 //! closures larger, never smaller.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
+use crate::lexer;
 use crate::source::SourceFile;
-
-/// Directory names never descended into (mirrors veros-lint).
-const EXCLUDED_DIRS: &[&str] = &["target", ".git", ".github", "results"];
 
 /// What kind of definition an [`Item`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,93 +46,6 @@ impl Item {
     pub fn contains_line(&self, line: usize) -> bool {
         self.ranges.iter().any(|&(a, b)| a <= line && line <= b)
     }
-}
-
-/// One workspace file in the atlas.
-pub struct AtlasFile {
-    pub rel_path: String,
-    /// Lexed view: code with literals blanked, comments split out,
-    /// test-region flags.
-    pub src: SourceFile,
-    /// Resolution namespace: crate dir under `crates/`, `"veros"` for
-    /// the root package `src/`, `"root"` for top-level tests/examples.
-    pub crate_key: String,
-    /// True for shipped library code (`crates/*/src/**`, root `src/**`):
-    /// the only files the protocol passes and the blind-spot counters
-    /// look at.
-    pub runtime_src: bool,
-}
-
-/// Computes the resolution namespace for a workspace-relative path.
-pub fn crate_key_of(rel_path: &str) -> String {
-    if let Some(rest) = rel_path.strip_prefix("crates/") {
-        if let Some(c) = rest.split('/').next() {
-            return c.to_string();
-        }
-    }
-    if rel_path.starts_with("src/") {
-        return "veros".to_string();
-    }
-    "root".to_string()
-}
-
-/// True for shipped library code.
-fn is_runtime_src(rel_path: &str) -> bool {
-    if rel_path.starts_with("src/") {
-        return true;
-    }
-    rel_path.starts_with("crates/")
-        && rel_path.contains("/src/")
-        && !rel_path.contains("/fixtures/")
-}
-
-impl AtlasFile {
-    pub fn from_source(rel_path: &str, text: &str) -> AtlasFile {
-        AtlasFile {
-            rel_path: rel_path.to_string(),
-            src: SourceFile::from_source(rel_path, text),
-            crate_key: crate_key_of(rel_path),
-            runtime_src: is_runtime_src(rel_path),
-        }
-    }
-}
-
-/// Walks `root` collecting every `.rs` file, sorted by path (mirrors
-/// `crate::source::Workspace::load`).
-pub fn load_files(root: &Path) -> io::Result<Vec<AtlasFile>> {
-    let mut files = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<PathBuf> = fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_dir() {
-                if EXCLUDED_DIRS.contains(&name) {
-                    continue;
-                }
-                let rel = rel_of(root, &path);
-                if rel.starts_with("crates/lint/tests/fixtures") {
-                    continue;
-                }
-                stack.push(path);
-            } else if name.ends_with(".rs") {
-                let text = fs::read_to_string(&path)?;
-                files.push(AtlasFile::from_source(&rel_of(root, &path), &text));
-            }
-        }
-    }
-    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    Ok(files)
-}
-
-fn rel_of(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
 }
 
 /// Reads the item header (if any) that a code line begins: strips
@@ -247,7 +153,7 @@ fn impl_name(rest: &str) -> String {
         Some(p) => &head[..p],
         None => head,
     };
-    let target = match find_word_pos(head, "for") {
+    let target = match lexer::word_pos(head, "for") {
         Some(p) => &head[p + 3..],
         None => head,
     };
@@ -264,29 +170,6 @@ fn impl_name(rest: &str) -> String {
         .filter(|s| !s.is_empty())
         .unwrap_or("impl")
         .to_string()
-}
-
-/// Position of `word` as a standalone token in `s`.
-fn find_word_pos(s: &str, word: &str) -> Option<usize> {
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = s[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0 || {
-            let b = bytes[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || {
-            let b = bytes[end];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        start = at + word.len();
-    }
-    None
 }
 
 /// Innermost non-preamble item containing 1-based `line` of `file`
@@ -328,9 +211,9 @@ struct Open {
 
 /// Extracts all items of `file` (appending to `items`), including the
 /// trailing preamble pseudo-item. `file_idx` is stored on each item.
-pub fn extract_items(file_idx: usize, file: &AtlasFile, items: &mut Vec<Item>) {
+pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) {
     let first = items.len();
-    let lines = &file.src.lines;
+    let lines = &file.lines;
     let mut depth: i64 = 0;
     let mut pending: Option<Pending> = None;
     // Paren/bracket nesting carried across lines while a header is

@@ -1,8 +1,8 @@
-//! Flow-aware concurrency-protocol passes over the atlas item graph.
+//! Flow-aware concurrency-protocol passes over the item graph.
 //!
 //! Where the registry lints ([`crate::lints`]) judge single lines, the
-//! passes here consume `veros-atlas`'s per-atomic-field access table
-//! ([`veros_atlas::access`]) and judge *protocols*:
+//! passes here consume the per-atomic-field access table (`access`)
+//! and judge *protocols*:
 //!
 //! - [`PUBLICATION`] — a field stored with Release/SeqCst must have at
 //!   least one Acquire/SeqCst load somewhere in the workspace, and an
@@ -14,9 +14,9 @@
 //!   readers re-check; the bracketing shape is what's checkable
 //!   lexically).
 //! - [`GUARD`] — a field annotated `// guarded-by: <lock>` may only be
-//!   touched from items whose transitive atlas footprint acquires that
-//!   lock. The lock must resolve to a lock-typed declaration; failures
-//!   feed the `unresolved-guard` counter, gated to 0.
+//!   touched from items whose transitive item-graph footprint acquires
+//!   that lock. The lock must resolve to a lock-typed declaration;
+//!   failures feed the `unresolved-guard` counter, gated to 0.
 //!
 //! Conservativeness: the table over-approximates touches (any `.field`
 //! projection counts) and the guard check over-approximates acquisition
@@ -29,14 +29,12 @@
 //! syntax.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::Path;
 
-use veros_atlas::access::{AccessTable, MemOrder};
-use veros_atlas::model::AtlasFile;
-use veros_atlas::{lexer, ItemGraph};
-
+use crate::access::{AccessTable, MemOrder};
 use crate::diag::{Diagnostic, Severity};
+use crate::graph::ItemGraph;
+use crate::lexer;
+use crate::source::{SourceFile, Workspace};
 
 pub const PUBLICATION: &str = "publication-pairing";
 pub const SEQLOCK: &str = "seqlock-discipline";
@@ -79,7 +77,7 @@ pub struct Counters {
     pub unbound_accesses: usize,
     /// Field names tracked under two declarations. Gated to 0.
     pub ambiguous_fields: usize,
-    /// Runtime files the item extractor found no items in. The guard
+    /// Shipped files the item extractor found no items in. The guard
     /// pass skips a touch it cannot bind to an item, so a blind file
     /// would drop out silently. Gated to 0.
     pub unparsed: Vec<String>,
@@ -87,30 +85,29 @@ pub struct Counters {
     pub stray_headers: Vec<String>,
 }
 
-/// The loaded analysis: item graph plus access table.
-pub struct Analysis {
-    pub graph: ItemGraph,
+/// The analysis of a loaded workspace: item graph plus access table.
+pub struct Analysis<'w> {
+    files: &'w [SourceFile],
+    graph: ItemGraph,
     pub table: AccessTable,
 }
 
-impl Analysis {
-    pub fn load(root: &Path) -> io::Result<Analysis> {
-        Ok(Self::new(ItemGraph::load(root)?))
-    }
-
-    pub fn from_sources(sources: &[(&str, &str)]) -> Analysis {
-        Self::new(ItemGraph::from_sources(sources))
-    }
-
-    fn new(graph: ItemGraph) -> Analysis {
-        let table = graph.access_table();
-        Analysis { graph, table }
+impl<'w> Analysis<'w> {
+    /// Builds the item graph and access table over `ws`'s files.
+    pub fn new(ws: &'w Workspace) -> Analysis<'w> {
+        let graph = ItemGraph::build(&ws.files);
+        let table = AccessTable::build(&ws.files, &graph.items);
+        Analysis {
+            files: &ws.files,
+            graph,
+            table,
+        }
     }
 
     /// Runs all three passes, appending findings and returning the
     /// counters.
     pub fn run(&self, out: &mut Vec<Diagnostic>) -> Counters {
-        let blind = self.graph.blind_spots();
+        let blind = self.graph.blind_spots(self.files);
         let mut c = Counters {
             atomic_fields: self.table.fields.iter().filter(|f| f.atomic).count(),
             accesses: self.table.accesses.len(),
@@ -128,16 +125,12 @@ impl Analysis {
         c
     }
 
-    fn files(&self) -> &[AtlasFile] {
-        &self.graph.files
-    }
-
     fn rel(&self, file: usize) -> String {
-        self.files()[file].rel_path.clone()
+        self.files[file].rel_path.clone()
     }
 
     fn suppressed(&self, id: &str, file: usize, line: usize) -> bool {
-        self.files()[file].src.is_suppressed(id, line - 1)
+        self.files[file].is_suppressed(id, line - 1)
     }
 
     /// Everything the extractor could not bind becomes a finding — the
@@ -362,10 +355,7 @@ impl Analysis {
                 }
             }
             for (item, (file, line)) in by_item {
-                let closure = self
-                    .graph
-                    .graph
-                    .closure(&BTreeSet::from([item]));
+                let closure = self.graph.closure(&BTreeSet::from([item]));
                 let guarded = closure.iter().any(|&id| {
                     *acquire_memo
                         .entry((id, lock.to_string()))
@@ -394,10 +384,10 @@ impl Analysis {
     /// acquire-shaped call on the same line.
     fn item_acquires(&self, item: usize, lock: &str) -> bool {
         let it = &self.graph.items[item];
-        let file = &self.files()[it.file];
+        let file = &self.files[it.file];
         for &(a, b) in &it.ranges {
-            for l in a..=b.min(file.src.lines.len()) {
-                let code = &file.src.lines[l - 1].code;
+            for l in a..=b.min(file.lines.len()) {
+                let code = &file.lines[l - 1].code;
                 if lexer::has_word(code, lock)
                     && ACQUIRE_CALLS.iter().any(|p| code.contains(p))
                 {
@@ -414,7 +404,8 @@ mod tests {
     use super::*;
 
     fn run(sources: &[(&str, &str)]) -> (Vec<Diagnostic>, Counters) {
-        let analysis = Analysis::from_sources(sources);
+        let ws = Workspace::from_sources(sources);
+        let analysis = Analysis::new(&ws);
         let mut out = Vec::new();
         let c = analysis.run(&mut out);
         (out, c)

@@ -1,5 +1,6 @@
-//! The workspace model: scanned source files with per-line test-region
-//! flags, kernel-path classification, and suppression lookup.
+//! The workspace model: the one directory walk, scanned source files
+//! with per-line test-region flags and path classification, and the
+//! comment chain that suppressions and field annotations attach through.
 
 use crate::lexer::{self, ScannedLine};
 use std::fs;
@@ -12,8 +13,16 @@ use std::path::{Path, PathBuf};
 /// ring executor: its poller pump sits on every ring-routed syscall,
 /// so a panic there takes down the data plane as surely as one in the
 /// engine.
-pub const KERNEL_PATH_CRATES: &[&str] =
-    &["kernel", "pagetable", "nr", "hw", "fs", "net", "uring", "ulib"];
+pub(crate) const KERNEL_PATH_CRATES: &[&str] = &[
+    "kernel",
+    "pagetable",
+    "nr",
+    "hw",
+    "fs",
+    "net",
+    "uring",
+    "ulib",
+];
 
 /// One scanned workspace file.
 #[derive(Clone, Debug)]
@@ -24,71 +33,70 @@ pub struct SourceFile {
     pub lines: Vec<ScannedLine>,
     /// Per-line flag: inside a `#[cfg(test)]` region or a `#[test]` fn.
     pub in_test: Vec<bool>,
-    /// Crate directory name under `crates/` (e.g. `nr`), if any.
-    pub crate_name: Option<String>,
-    /// True for `tests/`, `benches/`, `examples/`, `build.rs` — code
-    /// outside the shipped library/binary.
-    pub test_path: bool,
+    /// Resolution namespace: the crate directory under `crates/` (e.g.
+    /// `nr`), `"veros"` for the root package's `src/`, `"root"` for
+    /// top-level tests and examples.
+    pub crate_key: String,
+    /// True for shipped library/binary code: the root package's `src/`
+    /// and each crate's `src/`, minus `tests/`, `benches/`, `examples/`
+    /// and `build.rs`.
+    pub shipped: bool,
 }
 
 impl SourceFile {
     /// Scans `src`, classifying lines and path. `rel_path` must use `/`
     /// separators.
-    pub fn from_source(rel_path: &str, src: &str) -> SourceFile {
+    pub(crate) fn from_source(rel_path: &str, src: &str) -> SourceFile {
         let lines = lexer::scan(src);
         let in_test = mark_test_regions(&lines);
-        let crate_name = rel_path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .map(str::to_string);
+        let crate_key = match rel_path.strip_prefix("crates/") {
+            Some(rest) => rest.split_once('/').map_or(rest, |(c, _)| c),
+            None if rel_path.starts_with("src/") => "veros",
+            None => "root",
+        };
         let test_path = rel_path.contains("/tests/")
             || rel_path.contains("/benches/")
             || rel_path.contains("/examples/")
             || rel_path.ends_with("build.rs");
+        let in_src = rel_path.starts_with("src/")
+            || (rel_path.starts_with("crates/") && rel_path.contains("/src/"));
         SourceFile {
             rel_path: rel_path.to_string(),
             lines,
             in_test,
-            crate_name,
-            test_path,
+            crate_key: crate_key.to_string(),
+            shipped: in_src && !test_path,
         }
     }
 
-    /// True when the file lives in a kernel-path crate's `src/` tree.
-    pub fn is_kernel_path_src(&self) -> bool {
-        !self.test_path
-            && self.rel_path.contains("/src/")
-            && self
-                .crate_name
-                .as_deref()
-                .is_some_and(|c| KERNEL_PATH_CRATES.contains(&c))
+    /// True when the file is shipped code of a kernel-path crate.
+    pub(crate) fn is_kernel_path_src(&self) -> bool {
+        self.shipped && KERNEL_PATH_CRATES.contains(&self.crate_key.as_str())
+    }
+
+    /// The comments attached to 0-based line `idx`, nearest first: its
+    /// own, then those of the contiguous comment-only or attribute
+    /// lines directly above it. A line with code of its own ends the
+    /// chain: its trailing comment belongs to that line, not to the
+    /// lines below it.
+    pub(crate) fn attached_comments(&self, idx: usize) -> impl Iterator<Item = &str> {
+        let above = self.lines[..idx]
+            .iter()
+            .rev()
+            .take_while(|l| (l.is_code_blank() && !l.comment.is_empty()) || l.is_attr());
+        std::iter::once(&self.lines[idx])
+            .chain(above)
+            .map(|l| l.comment.as_str())
     }
 
     /// True when a suppression for `lint_id` covers 0-based line `idx`.
     ///
     /// Syntax: `// lint: allow(<lint-id>) — reason` (a `-` works too).
     /// The directive must carry a non-empty reason and may sit on the
-    /// flagged line itself or on the comment lines directly above it.
-    pub fn is_suppressed(&self, lint_id: &str, idx: usize) -> bool {
-        if suppresses(&self.lines[idx].comment, lint_id) {
-            return true;
-        }
-        // Walk upward over comment-only / attribute lines. A line with
-        // code of its own ends the chain: its trailing suppression
-        // belongs to that line, not to the lines below it.
-        let mut i = idx;
-        while i > 0 {
-            i -= 1;
-            let l = &self.lines[i];
-            let pure_comment = l.is_code_blank() && !l.comment.is_empty();
-            if !(pure_comment || l.is_attr()) {
-                break;
-            }
-            if suppresses(&l.comment, lint_id) {
-                return true;
-            }
-        }
-        false
+    /// flagged line itself or among its [attached
+    /// comments](Self::attached_comments).
+    pub(crate) fn is_suppressed(&self, lint_id: &str, idx: usize) -> bool {
+        self.attached_comments(idx).any(|c| suppresses(c, lint_id))
     }
 }
 
@@ -165,9 +173,8 @@ fn mark_test_regions(lines: &[ScannedLine]) -> Vec<bool> {
 
 /// The loaded workspace: every `.rs` file under the root, minus
 /// excluded trees.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Workspace {
-    pub root: PathBuf,
     pub files: Vec<SourceFile>,
 }
 
@@ -177,7 +184,8 @@ const EXCLUDED_DIRS: &[&str] = &["target", ".git", ".github", "results"];
 impl Workspace {
     /// Walks `root` collecting all `.rs` files, excluding build output
     /// and the lint crate's own test fixtures (which intentionally
-    /// violate every lint).
+    /// violate every lint). The only directory walk: the item graph and
+    /// access table are built from the files loaded here.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let mut stack = vec![root.to_path_buf()];
@@ -204,16 +212,13 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 
-    /// Builds a workspace from in-memory sources (fixture tests).
-    pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
+    /// Builds a workspace from in-memory sources (unit tests).
+    #[cfg(test)]
+    pub(crate) fn from_sources(sources: &[(&str, &str)]) -> Workspace {
         Workspace {
-            root: PathBuf::new(),
             files: sources
                 .iter()
                 .map(|(p, s)| SourceFile::from_source(p, s))
@@ -221,7 +226,7 @@ impl Workspace {
         }
     }
 
-    pub fn find(&self, rel_path: &str) -> Option<&SourceFile> {
+    pub(crate) fn find(&self, rel_path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel_path == rel_path)
     }
 }

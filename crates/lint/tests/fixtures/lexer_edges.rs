@@ -1,4 +1,4 @@
-//! Fixture: lexer edge cases shared by the atlas and lint test suites.
+//! Fixture: lexer edge cases for `tests/lexer_edges.rs`.
 
 fn edges() {
     let url = r"not//comment";

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use veros_lint::protocol::{self, Analysis};
+use veros_lint::source::Workspace;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -79,7 +80,8 @@ fn clean_twins_pass() {
 /// code, not an empty population.
 #[test]
 fn workspace_is_protocol_clean_and_non_vacuous() {
-    let analysis = Analysis::load(&repo_root()).expect("analysis builds");
+    let ws = Workspace::load(&repo_root()).expect("workspace loads");
+    let analysis = Analysis::new(&ws);
     let mut out = Vec::new();
     let c = analysis.run(&mut out);
     let msgs: Vec<String> = out.iter().map(|d| d.to_string()).collect();

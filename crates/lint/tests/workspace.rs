@@ -1,7 +1,7 @@
 //! The real-workspace gate: `veros-lint` over this repository must
 //! report zero errors — every accepted finding carries a reasoned
-//! inline allow — and the shipped binary must exit 1 on each bad
-//! fixture tree.
+//! inline allow — the shipped binary must exit 1 on each bad fixture
+//! tree, and README's lint table must name the registry's IDs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -77,4 +77,24 @@ fn binary_passes_repository() {
         "repository must be lint-clean:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+/// README's *Static analysis* table lists exactly the registry's IDs,
+/// in order: an ID copied from it into a `// lint: allow(<id>)` must be
+/// one the analyzer knows, or the allow suppresses nothing.
+#[test]
+fn readme_lint_table_lists_the_registry() {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md reads");
+    let table = readme
+        .split("| lint | checks |")
+        .nth(1)
+        .expect("README has the lint table");
+    let listed: Vec<&str> = table
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect();
+    let registry: Vec<&str> = lints::REGISTRY.iter().map(|l| l.id).collect();
+    assert_eq!(listed, registry);
 }

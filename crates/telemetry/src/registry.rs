@@ -18,8 +18,8 @@ use crate::counter::Counter;
 use crate::histogram::{bucket_upper_bound, Histogram, HistogramSnapshot};
 use crate::trace::{TraceEvent, TraceRing};
 
-/// A legend mapping trace-event codes to human-readable names.
-pub type TraceLegend = &'static [(u64, &'static str)];
+/// A legend naming trace-event codes: the code is the index.
+pub type TraceLegend = &'static [&'static str];
 
 enum Entry {
     Counter {
@@ -237,7 +237,8 @@ fn metric_json(m: &Metric, indent: &str) -> String {
         } => {
             let legend_json: Vec<String> = legend
                 .iter()
-                .map(|&(code, name)| format!("[{code}, {}]", json_str(name)))
+                .enumerate()
+                .map(|(code, name)| format!("[{code}, {}]", json_str(name)))
                 .collect();
             let events_json: Vec<String> = events
                 .iter()
@@ -287,7 +288,7 @@ mod tests {
     static C: Counter = Counter::new();
     static H: Histogram = Histogram::new();
     static R: TraceRing = TraceRing::new();
-    static LEGEND: &[(u64, &str)] = &[(0, "alpha"), (1, "beta")];
+    static LEGEND: &[&str] = &["alpha", "beta"];
 
     fn registry() -> Registry {
         let mut reg = Registry::new();
@@ -319,7 +320,7 @@ mod tests {
         assert!(json.contains("\"kind\": \"gauge\", \"value\": 42"));
         assert!(json.contains("\"kind\": \"histogram\""));
         assert!(json.contains("\"kind\": \"trace\""));
-        assert!(json.contains("\"beta\""));
+        assert!(json.contains("\"legend\": [[0, \"alpha\"], [1, \"beta\"]]"));
         if crate::enabled() {
             assert!(json.contains("\"telemetry_enabled\": true"));
         } else {
