@@ -18,8 +18,9 @@ pub static GET_LATENCY: Histogram = Histogram::new();
 /// `delete` latency (journal transaction + commit), ns.
 pub static DELETE_LATENCY: Histogram = Histogram::new();
 
-/// Checksum failures: client-supplied mismatches rejected by `put` plus
-/// stored-block corruption detected by `get`.
+/// Checksum failures: client-supplied mismatches rejected by `put`,
+/// stored-block corruption detected by `get`, and `GetOk` answers whose
+/// data a fleet client found not to match their checksum.
 pub static CHECKSUM_FAILURES: Counter = Counter::new();
 
 /// Registers every block-store instrument with `reg` under the

@@ -4,14 +4,16 @@
 //! Every message round-trips; corrupted tags decode to `None` rather
 //! than panicking. Data integrity is end-to-end: `ShardPut` carries the
 //! client-computed checksum, every chain member verifies it before
-//! storing, and `GetOk` carries the stored checksum for the client to
-//! verify.
+//! storing, and `GetOk` carries the stored checksum, which the client
+//! verifies before it accepts the data. The checksum is
+//! [`veros_spec::checksum::checksum64`]: any change confined to one
+//! aligned 8-byte word of a block is always caught.
 //!
 //! Tags are stable wire bytes. Request tags 1, 3 and 4 and response
 //! tag 5 belonged to the retired standalone protocol and stay
 //! unassigned: they decode to `None` like any other unknown tag.
 
-use veros_spec::rng::fnv1a;
+use veros_spec::checksum::checksum64;
 
 /// A request from client to node, or from a chain member to its
 /// successor.
@@ -155,7 +157,7 @@ pub enum Response {
 
 /// Computes the protocol checksum of a block.
 pub fn block_checksum(data: &[u8]) -> u64 {
-    fnv1a(data)
+    checksum64(data)
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {

@@ -81,7 +81,8 @@ pub struct OpResult {
     pub completed_at: u64,
     /// Re-issues (timeouts and `Retry` responses).
     pub retries: u32,
-    /// Terminal success (`PutOk`/`DeleteOk`/`GetOk`/`NotFound`).
+    /// Terminal success (`PutOk`/`DeleteOk`/`NotFound`, or a `GetOk`
+    /// whose data matches its checksum).
     pub ok: bool,
     /// `GetOk` payload, checksum-verified.
     pub read: Option<Vec<u8>>,
@@ -275,7 +276,13 @@ impl FleetClient {
                         Response::PutOk { .. }
                         | Response::DeleteOk { .. }
                         | Response::NotFound { .. } => (true, None),
-                        Response::GetOk { data, .. } => (true, Some(data.clone())),
+                        Response::GetOk { data, checksum, .. } if block_checksum(data) == *checksum => {
+                            (true, Some(data.clone()))
+                        }
+                        Response::GetOk { .. } => {
+                            veros_blockstore::metrics::CHECKSUM_FAILURES.inc();
+                            (false, None)
+                        }
                         _ => (false, None),
                     };
                     let infl = self.inflight.take().expect("checked above");
@@ -345,5 +352,46 @@ mod tests {
             resp: Response::NotFound { id: 0 },
         };
         assert_eq!(r.latency(), 90);
+    }
+
+    /// A `GetOk` whose data does not match its checksum completes the
+    /// get as failed, like `Error`, and counts as corruption at the
+    /// client boundary. A stand-in node on host 0 answers the client's
+    /// `Get` with a well-formed `GetOk`, its checksum right or off by
+    /// one bit.
+    #[test]
+    fn a_get_ok_failing_its_checksum_is_a_failed_read() {
+        use crate::node::NODE_SERVE;
+        use veros_net::sim::{FaultPlan, Network};
+
+        for corrupt in [false, true] {
+            let mut net = Network::new(2, FaultPlan::reliable(), 1);
+            let mut node = RdtDemux::new(net.host(0).bind(NODE_SERVE).expect("node port"));
+            let mut client = FleetClient::new(1, ShardMap::new(1, 1, 1, 8), net.host(1));
+            client.submit(0, Op::Get { key: "k".into() });
+            let failures = veros_blockstore::metrics::CHECKSUM_FAILURES.get();
+            for now in 0..20 {
+                client.poll(net.host(1), now);
+                node.poll(net.host(0), now).expect("node poll");
+                while let Some((peer, msg)) = node.recv() {
+                    let id = Request::decode(&msg).expect("a request").id();
+                    let data = b"block".to_vec();
+                    let checksum = block_checksum(&data) ^ u64::from(corrupt);
+                    let resp = Response::GetOk { id, data, checksum }.encode();
+                    node.send(net.host(0), now, peer, resp).expect("node send");
+                }
+                node.on_tick(net.host(0), now).expect("node tick");
+                net.step();
+            }
+            let [r] = &client.results[..] else {
+                panic!("corrupt {corrupt}: {} results", client.results.len());
+            };
+            assert!(matches!(r.resp, Response::GetOk { .. }), "{:?}", r.resp);
+            assert_eq!(r.ok, !corrupt);
+            assert_eq!(r.read.as_deref(), (!corrupt).then_some(&b"block"[..]));
+            if corrupt && veros_telemetry::enabled() {
+                assert!(veros_blockstore::metrics::CHECKSUM_FAILURES.get() > failures);
+            }
+        }
     }
 }

@@ -15,7 +15,12 @@
 //! operations packed back to back, each framed by the same marshalling
 //! discipline as the syscall layer, and one checksum over `len` and the
 //! operations, so a record of which the drive kept only some sectors, or
-//! a torn one, is detected rather than misparsed.
+//! a torn one, is detected rather than misparsed. The checksum is the
+//! 32-bit form of the workspace's integrity checksum,
+//! [`veros_spec::checksum::checksum32`]: a single-bit flip changes it
+//! (pinned at every offset of inputs of 0–72, 1 024 and 1 032 bytes),
+//! and the 64-bit value it is cut from changes whenever the damage stays
+//! within one aligned 8-byte word.
 //!
 //! A mutation runs *validate → stage → apply*: the operation is checked
 //! against the live tree without touching it, encoded into the open
@@ -47,6 +52,7 @@
 //! too.)
 
 use veros_hw::{SimDisk, SECTOR_SIZE};
+use veros_spec::checksum::checksum32;
 
 use crate::memfs::{Checked, FsError, MemFs};
 use crate::path::Path;
@@ -245,16 +251,6 @@ const MAX_OPS_LEN: usize = 1 << 24;
 /// Sectors a record carrying `ops_len` bytes of operations occupies.
 fn record_sectors(ops_len: usize) -> u64 {
     (HEADER + ops_len + TRAILER).div_ceil(SECTOR_SIZE) as u64
-}
-
-/// FNV-1a checksum (matches `veros_spec::rng::fnv1a` truncated to u32).
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// A journaled filesystem: a [`MemFs`] whose mutations reach a disk
@@ -457,7 +453,7 @@ impl JournaledFs {
         let sectors = record_sectors(ops_len);
         let first = self.write_pos / SECTOR_SIZE as u64;
         rec[4..HEADER].copy_from_slice(&(ops_len as u32).to_le_bytes());
-        let sum = checksum(&rec[4..]);
+        let sum = checksum32(&rec[4..]);
         rec.extend_from_slice(&sum.to_le_bytes());
         rec.resize(sectors as usize * SECTOR_SIZE, 0);
         for (sector, data) in (first..).zip(rec.as_chunks::<SECTOR_SIZE>().0) {
@@ -502,7 +498,7 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(Vec<FsOp>, u64)> {
     for (sector, buf) in (first..).zip(raw.as_chunks_mut::<SECTOR_SIZE>().0) {
         disk.read(sector, buf).ok()?;
     }
-    if checksum(raw.get(4..HEADER + len)?) != le_u32_at(&raw, HEADER + len) {
+    if checksum32(raw.get(4..HEADER + len)?) != le_u32_at(&raw, HEADER + len) {
         return None;
     }
     let ops = FsOp::decode_all(raw.get(HEADER..HEADER + len)?)?;
@@ -512,6 +508,7 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(Vec<FsOp>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veros_spec::checksum::checksum64;
     use veros_spec::rng::SpecRng;
 
     fn ops_round_trip(op: FsOp) {
@@ -589,11 +586,20 @@ mod tests {
             image.extend_from_slice(&buf);
         }
         // The three headers: MAGIC, then `len`, at sectors 0, 3 and 4.
-        for (sector, len) in [(0, 1244u32), (3, 57), (4, 644)] {
+        let records = [(0, 1244u32), (3, 57), (4, 644)];
+        for (sector, len) in records {
             let head = &image[sector * SECTOR_SIZE..][..HEADER];
             assert_eq!(head, [MAGIC.to_le_bytes(), len.to_le_bytes()].concat());
         }
-        assert_eq!(veros_spec::rng::fnv1a(&image), 3520003027720616690);
+        // With the three 4-byte checksum fields zeroed, the image is the
+        // one the byte-serial FNV-1a journal wrote: only those 12 bytes
+        // depend on the checksum function.
+        let mut masked = image.clone();
+        for (sector, len) in records {
+            masked[sector * SECTOR_SIZE + HEADER + len as usize..][..TRAILER].fill(0);
+        }
+        assert_eq!(checksum64(&masked), 0x3bdd_4e02_e257_839d);
+        assert_eq!(checksum64(&image), 0x98c2_3282_e414_3d83);
     }
 
     /// A commit with nothing staged writes no record, but it is still a

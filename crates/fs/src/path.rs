@@ -66,13 +66,11 @@ impl Path {
         &self.raw
     }
 
-    /// The components, in order (empty for the root).
-    pub fn components(&self) -> Vec<&str> {
-        if self.raw == "/" {
-            Vec::new()
-        } else {
-            self.raw[1..].split('/').collect()
-        }
+    /// The components, in order (none for the root).
+    pub fn components(&self) -> impl Iterator<Item = &str> {
+        // No trailing '/', so `split_terminator` only drops the root's
+        // one empty piece.
+        self.raw[1..].split_terminator('/')
     }
 
     /// The parent path and final component; `None` for the root.
@@ -136,7 +134,7 @@ mod tests {
     #[test]
     fn components_and_split() {
         let p = Path::parse("/a/b/c").unwrap();
-        assert_eq!(p.components(), vec!["a", "b", "c"]);
+        assert!(p.components().eq(["a", "b", "c"]));
         let (parent, last) = p.split_last().unwrap();
         assert_eq!(parent.as_str(), "/a/b");
         assert_eq!(last, "c");
@@ -145,7 +143,7 @@ mod tests {
         assert_eq!(gp.as_str(), "/");
         assert_eq!(last, "a");
         assert!(Path::root().split_last().is_none());
-        assert!(Path::root().components().is_empty());
+        assert_eq!(Path::root().components().next(), None);
     }
 
     #[test]

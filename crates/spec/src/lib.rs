@@ -24,9 +24,12 @@
 //! * [`vc`] — a verification-condition engine that names, runs, and
 //!   *times* each obligation; its report regenerates Figure 1a (the CDF
 //!   of verification-condition times).
+//! * [`checksum`] — the one integrity checksum that blockstore blocks
+//!   and journal records carry.
 //!
 //! [Verus]: https://github.com/verus-lang/verus
 
+pub mod checksum;
 pub mod explorer;
 pub mod fault;
 pub mod history;

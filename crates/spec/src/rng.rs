@@ -104,7 +104,12 @@ impl SpecRng {
     }
 }
 
-/// FNV-1a hash, used to derive stable seeds from obligation names.
+/// FNV-1a hash. Frozen, because it has two roles whose outputs are
+/// pinned throughout the workspace: it derives every VC and fault-sweep
+/// seed from a name ([`SpecRng::for_obligation`],
+/// [`crate::FaultSchedule::sweep`]), and it places every key and shard
+/// on the fleet's consistent-hash ring. Changing it reshuffles both. It
+/// is not an integrity checksum: that is [`crate::checksum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
