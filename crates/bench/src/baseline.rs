@@ -1,5 +1,5 @@
-//! The one gate engine for the committed `BENCH_*.json` baselines, its
-//! scanner, and the one `--flag value` parser the gate binaries share.
+//! The one gate engine for the committed `BENCH_*.json` baselines and
+//! its scanner.
 //!
 //! A report declares only what it gates — a [`Gate`] per value key: which
 //! way is worse, how far past the baseline a value may move, and this
@@ -7,6 +7,9 @@
 //! out of the baseline, decides pass or fail, and returns a
 //! [`GateResult`]. [`render`] prints it as the `baseline check vs <path>`
 //! block, and [`gate`] is read + check + print for the hot-path binaries.
+//! Every gate binary holds its run to the committed file of its own name
+//! at the workspace root ([`read_committed`]); there is no other
+//! baseline to point it at, so a missing committed file fails the run.
 //!
 //! The documents are machine-written, one field or one cell object per
 //! line, so the scanner is for exactly that shape, not a JSON parser: it
@@ -42,12 +45,6 @@ pub fn cells(json: &str, value_key: &str) -> Vec<(String, f64)> {
     json.lines()
         .filter_map(|line| Some((field_str(line, "name")?, field_num(line, value_key)?)))
         .collect()
-}
-
-/// The argument following `flag`, if both are present.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    args.get(idx + 1).cloned()
 }
 
 /// Which way a gated value improves; the other way, past the tolerance,
@@ -184,17 +181,26 @@ pub fn render(path: &str, result: &GateResult) -> String {
     out
 }
 
-/// Reads the baseline at `path`, checks `gates` against it and prints the
-/// block to stderr. An unreadable file fails like a violation.
-pub fn gate(path: &str, gates: &[Gate]) -> bool {
-    match std::fs::read_to_string(path) {
+/// The committed baseline `name` (`BENCH_<bench>.json`) at the
+/// workspace root, or the message naming why it cannot be read.
+pub fn read_committed(name: &str) -> Result<String, String> {
+    let path = crate::ratio::workspace_root().join(name);
+    std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))
+}
+
+/// Reads the committed baseline `name`, checks `gates` against it and
+/// prints the block to stderr. A missing or unreadable file fails like a
+/// violation.
+pub fn gate(name: &str, gates: &[Gate]) -> bool {
+    match read_committed(name) {
         Ok(json) => {
             let result = check(&json, gates);
-            eprint!("{}", render(path, &result));
+            eprint!("{}", render(name, &result));
             result.ok()
         }
         Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
+            eprintln!("{e}");
             false
         }
     }
@@ -222,17 +228,6 @@ mod tests {
         assert_eq!(field_num("\"fault_p99_ticks\": 3", "p99_ticks"), None);
         assert_eq!(field_str("\"name\": \"unterminated", "name"), None);
         assert!(cells("{ \"name\": \"a\", \"ops\": 5.0 }", "ops_per_sec").is_empty());
-    }
-
-    #[test]
-    fn flag_value_takes_the_following_argument() {
-        let args: Vec<String> = ["bin", "--baseline", "B.json", "--quick"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--baseline").as_deref(), Some("B.json"));
-        assert_eq!(flag_value(&args, "--quick"), None);
-        assert_eq!(flag_value(&args, "--schedules"), None);
     }
 
     // Each report kind rebuilt from a baseline document's own values,

@@ -9,9 +9,10 @@
 //!
 //! * Every run writes `results/AUDIT.json` (per-VC durations and the
 //!   Figure-1a CDF series) and gates itself against the committed
-//!   `BENCH_audit.json` (`--baseline FILE`): fewer registered
+//!   `BENCH_audit.json` at the workspace root: fewer registered
 //!   obligations than its `vcs_total`, or fewer invariant families
-//!   than its `invariant_families`, fails.
+//!   than its `invariant_families`, fails. A missing or unreadable
+//!   committed file exits 2 before anything runs.
 //! * Every run also writes `results/BENCH_audit.json`, the baseline
 //!   this run would commit, like every other gated bench: refresh the
 //!   committed file by copying it.
@@ -25,11 +26,9 @@
 //!   `MIN_SCHEDULES` are clamped up so the pinned corner schedules are
 //!   never dropped.
 //!
-//! Usage: `cargo run --release -p veros-bench --bin audit [--schedules N]
-//! [--baseline FILE]`
+//! Usage: `cargo run --release -p veros-bench --bin audit [--schedules N]`
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use veros_bench::audit::{
@@ -43,44 +42,15 @@ use veros_core::vcs::{register_all_with, Profile};
 use veros_spec::report::{human_duration, render_cdf};
 use veros_spec::VcEngine;
 
-struct Args {
-    schedules: Option<usize>,
-    baseline: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        schedules: None,
-        baseline: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--schedules" => {
-                args.schedules = Some(value("--schedules").parse().unwrap_or_else(|_| {
-                    eprintln!("--schedules needs a number");
-                    std::process::exit(2);
-                }))
-            }
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline"))),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
+const BASELINE: &str = "BENCH_audit.json";
 
 fn main() {
-    let args = parse_args();
+    let args = veros_bench::args::from_env(&["--schedules"]);
     let root = workspace_root();
+    let baseline_text = baseline::read_committed(BASELINE).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     // --schedules deepens the per-VC fault-schedule sweep without
     // changing the VC population. Shallower requests would drop the
@@ -144,27 +114,12 @@ fn main() {
         .map(|f| (f.name.to_string(), f.counter.get()))
         .collect();
 
-    // Gate against the committed baseline. An explicit --baseline that
-    // does not exist is an error; the default is best-effort so the
-    // binary still runs from a bare checkout.
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("BENCH_audit.json"));
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(b) => Some(b),
-        Err(e) if args.baseline.is_some() => {
-            eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-            std::process::exit(2);
-        }
-        Err(_) => None,
-    };
-    let gate = baseline_text
-        .as_ref()
-        .map(|b| baseline::check(b, &gates(report.total(), inv_cov.families.len())));
+    let gate = baseline::check(
+        &baseline_text,
+        &gates(report.total(), inv_cov.families.len()),
+    );
 
-    // The invariant gate runs with or without a committed baseline —
-    // doc↔code coverage is a property of the tree, not of a reference
+    // Doc↔code coverage is a property of the tree, not of a reference
     // measurement.
     let mut inv_gate = gate_invariants(&inv_cov, &sweeps, veros_telemetry::enabled());
     if invariants_doc.is_err() {
@@ -195,20 +150,7 @@ fn main() {
     }
 
     let _ = writeln!(out);
-    let gates_ok = match &gate {
-        Some(g) => {
-            out.push_str(&baseline::render(&baseline_path.display().to_string(), g));
-            g.ok()
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "baseline check: no {} — skipped",
-                baseline_path.display()
-            );
-            true
-        }
-    };
+    out.push_str(&baseline::render(BASELINE, &gate));
 
     if !report.all_passed() {
         let _ = writeln!(out, "\nFAILURES:");
@@ -233,7 +175,7 @@ fn main() {
         std::process::exit(2);
     }
     if let Err(e) = veros_bench::out::write_result(
-        "BENCH_audit.json",
+        BASELINE,
         &baseline_json(&report, wall, inv_cov.families.len()),
     ) {
         eprintln!("cannot write BENCH_audit.json: {e}");
@@ -242,6 +184,6 @@ fn main() {
     veros_bench::out::finish(
         "audit.txt",
         &out,
-        report.all_passed() && gates_ok && inv_gate.ok(),
+        report.all_passed() && gate.ok() && inv_gate.ok(),
     );
 }

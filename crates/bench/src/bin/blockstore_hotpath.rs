@@ -5,8 +5,7 @@
 //! through the results mirror.
 //!
 //! Usage:
-//!   `cargo run --release -p veros-bench --bin blockstore_hotpath
-//!   [--baseline <path>]`
+//!   `cargo run --release -p veros-bench --bin blockstore_hotpath`
 //!
 //! Everything is measured in deterministic simulation ticks — a run
 //! produces identical numbers on any host — so unlike the wall-clock
@@ -21,16 +20,17 @@
 //! * **Failover**: after the hot key's read-serving chain tail is
 //!   fail-stopped, the next read returns the acknowledged payload
 //!   within `max_failover_ticks`.
-//! * **Baseline** (with `--baseline`): throughput may not fall more than
-//!   the tolerance below the committed value, p99 may not rise more than
-//!   the tolerance above it; a baseline that lacks a gated key fails the
-//!   run.
+//! * **Baseline** (every run, against the committed
+//!   `BENCH_blockstore.json`): throughput may not fall more than the
+//!   tolerance below the committed value, p99 may not rise more than the
+//!   tolerance above it; a missing baseline, or one that lacks a gated
+//!   key, fails the run.
 
-use veros_bench::baseline::{self, flag_value};
+use veros_bench::baseline;
 use veros_bench::blockstore::measure;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    veros_bench::args::from_env(&[]);
 
     eprintln!("blockstore_hotpath: 1000 clients, 8 nodes...");
     let report = measure();
@@ -67,9 +67,7 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = flag_value(&args, "--baseline") {
-        ok &= baseline::gate(&path, &report.gates());
-    }
+    ok &= baseline::gate("BENCH_blockstore.json", &report.gates());
 
     veros_bench::out::finish("BENCH_blockstore.json", &json, ok);
 }

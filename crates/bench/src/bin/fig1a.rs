@@ -11,7 +11,7 @@ use veros_spec::report::{human_duration, render_cdf};
 use veros_spec::VcEngine;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = veros_bench::args::from_env(&["--quick"]).quick;
     let profile = if quick { Profile::Quick } else { Profile::Paper };
     eprintln!("running {VC_COUNT} verification conditions ({profile:?} profile)...");
 

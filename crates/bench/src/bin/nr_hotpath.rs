@@ -3,20 +3,18 @@
 //! `BENCH_nr.json` through the results mirror.
 //!
 //! Usage:
-//!   `cargo run --release -p veros-bench --bin nr_hotpath [--quick]
-//!   [--baseline <path>]`
+//!   `cargo run --release -p veros-bench --bin nr_hotpath [--quick]`
 //!
-//! With `--baseline`, the run is additionally compared against a
-//! committed `BENCH_nr.json`: any throughput cell more than
-//! `hotpath::TOLERANCE` (18%) below its baseline value fails the run
-//! with a nonzero exit, which is how CI gates regressions.
+//! Every run is compared against the committed `BENCH_nr.json` at the
+//! workspace root: any throughput cell more than `hotpath::TOLERANCE`
+//! (18%) below its baseline value, or a missing baseline, fails the run
+//! with exit 1, which is how CI gates regressions.
 
-use veros_bench::baseline::{self, flag_value};
+use veros_bench::baseline;
 use veros_bench::hotpath::HotpathReport;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = veros_bench::args::from_env(&["--quick"]).quick;
 
     eprintln!(
         "nr_hotpath: {} run...",
@@ -35,9 +33,7 @@ fn main() {
         && report.range_batched_ns > 0.0
         && report.range_per_page_ns > 0.0;
 
-    if let Some(path) = flag_value(&args, "--baseline") {
-        ok &= baseline::gate(&path, &[report.gate()]);
-    }
+    ok &= baseline::gate("BENCH_nr.json", &[report.gate()]);
 
     veros_bench::out::finish("BENCH_nr.json", &json, ok);
 }

@@ -5,8 +5,7 @@
 //! through the results mirror.
 //!
 //! Usage:
-//!   `cargo run --release -p veros-bench --bin uring_hotpath [--quick]
-//!   [--baseline <path>]`
+//!   `cargo run --release -p veros-bench --bin uring_hotpath [--quick]`
 //!
 //! Four gates decide the exit status:
 //!
@@ -25,17 +24,20 @@
 //!   open→read→close must beat the unchained 3-submission sequence.
 //!   The saving is structural (one poller round instead of three), not
 //!   entry-overhead amortization, so it must hold everywhere.
-//! * **Baseline** (with `--baseline`): any gated latency cell more than
-//!   `uring::TOLERANCE` (35%) *above* its committed value fails the
-//!   run — inverted relative to the NR throughput gate because lower is
-//!   better here. p99 and chain cells are recorded, never gated.
+//! * **Baseline** (telemetry builds only): any gated latency cell more
+//!   than `uring::TOLERANCE` (35%) *above* its value in the committed
+//!   `BENCH_uring.json` fails the run — inverted relative to the NR
+//!   throughput gate because lower is better here. p99 and chain cells
+//!   are recorded, never gated. The committed cells were measured with
+//!   telemetry, and erasing it does not make every cell faster (the
+//!   single-ring poller cells measured slower with it erased), so a
+//!   telemetry-off run skips this gate loudly.
 
-use veros_bench::baseline::{self, flag_value};
+use veros_bench::baseline;
 use veros_bench::uring::{UringReport, SCALING_GATE_MIN_CORES, SCALING_MIN_MILLI};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = veros_bench::args::from_env(&["--quick"]).quick;
 
     eprintln!(
         "uring_hotpath: {} run...",
@@ -112,8 +114,13 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = flag_value(&args, "--baseline") {
-        ok &= baseline::gate(&path, &[report.gate()]);
+    if veros_telemetry::enabled() {
+        ok &= baseline::gate("BENCH_uring.json", &[report.gate()]);
+    } else {
+        eprintln!(
+            "telemetry compiled out: skipping baseline check \
+             (BENCH_uring.json was measured with telemetry)"
+        );
     }
 
     veros_bench::out::finish("BENCH_uring.json", &json, ok);

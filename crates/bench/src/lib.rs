@@ -20,9 +20,10 @@
 //! This library holds the shared machinery: the survey data behind the
 //! tables, the multi-threaded NR map/unmap sweep behind Figures 1b/1c,
 //! the line-classification logic behind the ratio, the hot-path reports,
-//! and the one gate engine ([`baseline`]) every committed baseline is
-//! checked through.
+//! the one gate engine ([`baseline`]) every committed baseline is
+//! checked through, and the one command-line reader ([`args`]).
 
+pub mod args;
 pub mod audit;
 pub mod baseline;
 pub mod blockstore;

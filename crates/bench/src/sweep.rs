@@ -191,7 +191,7 @@ pub fn sweep(op: SweepOp) -> ! {
         SweepOp::Map => ("1b", "Map"),
         SweepOp::Unmap => ("1c", "Unmap"),
     };
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = crate::args::from_env(&["--quick"]).quick;
     let ops = if quick { 512 } else { 8192 };
     eprintln!("figure {fig} sweep: {ops} ops/thread across {CORE_POINTS:?} threads...");
     let (unverified, verified) = run_figure(op, ops);

@@ -17,7 +17,7 @@
 //!   centric spec the paper argues for.
 //! * [`sys`] — the `Sys` handle of §3: typed operations whose `ensures`
 //!   clauses (the spec transitions) are checked against the before/after
-//!   views on every call in audit mode.
+//!   views on every call.
 //! * [`obligations`] — the three §3 proof obligations, executable:
 //!   marshalling round-trips, the mapping obligation, and data-race
 //!   freedom over syscall buffers.

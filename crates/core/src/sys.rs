@@ -2,11 +2,13 @@
 //!
 //! §3 shows the shape: `pub fn read(sys: &mut Sys, ...) requires ...
 //! ensures read_spec(old(sys).view(), sys.view(), ...)`. Verus erases
-//! those clauses after proving them; here they are *checked*: in audit
-//! mode every operation snapshots `view()` before and after, predicts
-//! the transition with the abstract spec, and asserts both the return
-//! value and the entire post-view match. An application written against
-//! `Sys` therefore runs against exactly the contract the paper proposes.
+//! those clauses after proving them; here they are *checked*: every
+//! operation snapshots `view()` before and after, predicts the
+//! transition with the abstract spec, and asserts both the return value
+//! and the entire post-view match. There is no unchecked mode — an
+//! unchecked `Sys` would only be a second copy of ulib's trap path — so
+//! an application written against `Sys` runs against exactly the
+//! contract the paper proposes.
 //!
 //! `&mut Sys` in every signature is the data-race-freedom obligation
 //! discharged by Rust's ownership, as the paper argues: "the mutable
@@ -22,10 +24,9 @@ use crate::view::view;
 pub struct Sys<'k> {
     kernel: &'k mut Kernel,
     caller: (Pid, Tid),
-    audit: bool,
 }
 
-/// A contract violation discovered in audit mode.
+/// A contract violation: a call whose requires or ensures clause failed.
 #[derive(Debug)]
 pub struct ContractViolation {
     /// The operation that violated its ensures clause.
@@ -41,14 +42,10 @@ impl std::fmt::Display for ContractViolation {
 }
 
 impl<'k> Sys<'k> {
-    /// Wraps a kernel for `caller`. With `audit`, every call checks its
-    /// ensures clause against the abstract spec.
-    pub fn new(kernel: &'k mut Kernel, caller: (Pid, Tid), audit: bool) -> Self {
-        Self {
-            kernel,
-            caller,
-            audit,
-        }
+    /// Wraps a kernel for `caller`. Every call checks its requires and
+    /// ensures clauses against the abstract spec.
+    pub fn new(kernel: &'k mut Kernel, caller: (Pid, Tid)) -> Self {
+        Self { kernel, caller }
     }
 
     /// The caller identity.
@@ -61,14 +58,8 @@ impl<'k> Sys<'k> {
         view(self.kernel)
     }
 
-    /// Performs `call` through the register ABI, checking the contract
-    /// in audit mode.
+    /// Performs `call` through the register ABI, checking the contract.
     pub fn call(&mut self, call: Syscall) -> Result<SysRet, ContractViolation> {
-        if !self.audit {
-            let regs = abi::encode_regs(&call);
-            let (status, value) = self.kernel.syscall_regs(self.caller, regs);
-            return Ok(abi::decode_ret(status, value).expect("well-formed return"));
-        }
         // requires: the calling thread must exist and be runnable —
         // otherwise the transition is not enabled.
         let pre = self.view();
@@ -105,15 +96,15 @@ impl<'k> Sys<'k> {
 
     /// The paper's worked example: `read` with its ensures clause.
     ///
-    /// Returns `(read_len, data)`; in audit mode additionally checks the
-    /// literal `read_spec` predicate over the fd fragment of the views.
+    /// Returns `(read_len, data)`, additionally checking the literal
+    /// `read_spec` predicate over the fd fragment of the views.
     pub fn read(
         &mut self,
         fd: u32,
         buf_ptr: u64,
         buf_len: u64,
     ) -> Result<Result<(u64, Vec<u8>), SysError>, ContractViolation> {
-        let pre = self.audit.then(|| self.view());
+        let pre = self.view();
         let ret = self.call(Syscall::Read {
             fd,
             buf_ptr,
@@ -127,44 +118,33 @@ impl<'k> Sys<'k> {
             .kernel
             .read_user(self.caller.0, buf_ptr, read_len)
             .expect("buffer was just written");
-        if let Some(pre) = pre {
-            let post = self.view();
-            if !crate::obligations::read_ensures(&pre, &post, self.caller.0 .0, fd, &data, read_len)
-            {
-                return Err(ContractViolation {
-                    call: format!("read(fd={fd})"),
-                    detail: "read_spec rejected the transition".into(),
-                });
-            }
+        let post = self.view();
+        if !crate::obligations::read_ensures(&pre, &post, self.caller.0 .0, fd, &data, read_len) {
+            return Err(ContractViolation {
+                call: format!("read(fd={fd})"),
+                detail: "read_spec rejected the transition".into(),
+            });
         }
         Ok(Ok((read_len, data)))
     }
 
-    /// Direct user-memory load through the execution model (checked
-    /// against the abstract memory in audit mode).
+    /// Direct user-memory load through the execution model, checked
+    /// against the abstract memory.
     pub fn mem_read(&mut self, va: u64, len: u64) -> Result<Vec<u8>, SysError> {
         let got = self.kernel.read_user(self.caller.0, va, len);
-        if self.audit {
-            let want = self.view().mem_read(self.caller.0 .0, va, len);
-            assert_eq!(got, want, "execution-model load diverged from the spec");
-        }
+        let want = self.view().mem_read(self.caller.0 .0, va, len);
+        assert_eq!(got, want, "execution-model load diverged from the spec");
         got
     }
 
-    /// Direct user-memory store through the execution model.
+    /// Direct user-memory store through the execution model, checked
+    /// against the abstract memory.
     pub fn mem_write(&mut self, va: u64, data: &[u8]) -> Result<(), SysError> {
-        let want = if self.audit {
-            let mut spec = self.view();
-            let r = spec.mem_write(self.caller.0 .0, va, data);
-            Some((spec, r))
-        } else {
-            None
-        };
+        let mut spec = self.view();
+        let want = spec.mem_write(self.caller.0 .0, va, data);
         let got = self.kernel.write_user(self.caller.0, va, data);
-        if let Some((spec, want_ret)) = want {
-            assert_eq!(got, want_ret, "execution-model store result diverged");
-            assert_eq!(self.view(), spec, "execution-model store state diverged");
-        }
+        assert_eq!(got, want, "execution-model store result diverged");
+        assert_eq!(self.view(), spec, "execution-model store state diverged");
         got
     }
 }
@@ -225,7 +205,7 @@ mod tests {
     #[test]
     fn audited_calls_pass_their_contracts() {
         let (mut k, c) = booted();
-        let mut sys = Sys::new(&mut k, c, true);
+        let mut sys = Sys::new(&mut k, c);
         sys.call(Syscall::Map {
             va: 0x4000,
             pages: 2,
@@ -260,7 +240,7 @@ mod tests {
     #[test]
     fn error_paths_match_the_spec_too() {
         let (mut k, c) = booted();
-        let mut sys = Sys::new(&mut k, c, true);
+        let mut sys = Sys::new(&mut k, c);
         assert_eq!(
             sys.call(Syscall::Unmap { va: 0x4000, pages: 1 }).unwrap(),
             Err(SysError::NotMapped)
@@ -278,7 +258,7 @@ mod tests {
     #[test]
     fn spawn_and_lifecycle_audited() {
         let (mut k, c) = booted();
-        let mut sys = Sys::new(&mut k, c, true);
+        let mut sys = Sys::new(&mut k, c);
         let child = sys.call(Syscall::Spawn).unwrap().unwrap();
         assert_eq!(
             sys.call(Syscall::Wait { pid: child }).unwrap(),
@@ -288,18 +268,5 @@ mod tests {
         // be rejected by the *requires* clause.
         let err = sys.call(Syscall::Yield).unwrap_err();
         assert!(err.detail.contains("not runnable"), "{err}");
-    }
-
-    #[test]
-    fn unaudited_calls_still_work() {
-        let (mut k, c) = booted();
-        let mut sys = Sys::new(&mut k, c, false);
-        sys.call(Syscall::Map {
-            va: 0x4000,
-            pages: 1,
-            writable: true,
-        })
-        .unwrap()
-        .unwrap();
     }
 }

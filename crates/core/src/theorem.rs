@@ -41,7 +41,6 @@ pub fn refinement_run(seed: u64, steps: usize, view_every: usize) -> Result<RunS
         frames: 8192,
         cores: 2,
         disk_sectors: 1 << 14,
-        ..Default::default()
     };
     let mut kernel = Kernel::boot(config).map_err(|e| format!("{e:?}"))?;
     let mut spec = SysState::boot(kernel.sched.cores() as u64);

@@ -31,7 +31,11 @@ use crate::syscall::{abi, SysError, SysRet, Syscall};
 use crate::thread::{BlockReason, Tid};
 use crate::vspace::{PtKind, VSpace};
 
-/// Kernel construction parameters.
+/// TLB capacity of the machine the kernel boots on.
+const TLB_ENTRIES: usize = 64;
+
+/// Kernel construction parameters. Address spaces are always backed by
+/// the verified page table ([`PtKind::Verified`]).
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
     /// Physical memory size in 4 KiB frames.
@@ -40,10 +44,6 @@ pub struct KernelConfig {
     pub cores: usize,
     /// Disk size in sectors (journal space).
     pub disk_sectors: u64,
-    /// Which page-table implementation backs address spaces.
-    pub pt_kind: PtKind,
-    /// TLB capacity of the machine.
-    pub tlb_entries: usize,
 }
 
 impl Default for KernelConfig {
@@ -52,8 +52,6 @@ impl Default for KernelConfig {
             frames: 4096,
             cores: 2,
             disk_sectors: 4096,
-            pt_kind: PtKind::Verified,
-            tlb_entries: 64,
         }
     }
 }
@@ -88,7 +86,6 @@ pub struct Kernel {
     vspaces: BTreeMap<Pid, VSpace>,
     /// The virtual clock, advanced by the run loop.
     pub clock: VirtualClock,
-    pt_kind: PtKind,
     /// The init process.
     pub init_pid: Pid,
     /// The init process's first thread.
@@ -99,7 +96,7 @@ impl Kernel {
     /// Boots a kernel: initializes memory management, the filesystem,
     /// and an init process with one thread.
     pub fn boot(config: KernelConfig) -> Result<Self, KernelError> {
-        let machine = Machine::new(config.frames, config.tlb_entries);
+        let machine = Machine::new(config.frames, TLB_ENTRIES);
         // Frames 0..64 are kernel-reserved (as NrOS reserves low memory);
         // the buddy allocator manages the rest.
         let managed = config.frames.checked_sub(64).ok_or(KernelError::OutOfMemory)?;
@@ -118,7 +115,6 @@ impl Kernel {
             fd_tables: BTreeMap::new(),
             vspaces: BTreeMap::new(),
             clock: VirtualClock::new(),
-            pt_kind: config.pt_kind,
             init_pid: Pid(0),
             init_tid: Tid(0),
         };
@@ -140,7 +136,7 @@ impl Kernel {
 
     fn spawn_process(&mut self, parent: Option<Pid>) -> Result<(Pid, Tid), SysError> {
         let pid = self.procs.spawn(parent);
-        let vspace = VSpace::new(&mut self.machine.mem, &mut self.alloc, self.pt_kind)
+        let vspace = VSpace::new(&mut self.machine.mem, &mut self.alloc, PtKind::Verified)
             .map_err(|_| SysError::NoMem)?;
         self.vspaces.insert(pid, vspace);
         self.fd_tables.insert(pid, BTreeMap::new());

@@ -43,11 +43,11 @@ pub struct RdtDemux {
     /// session not fully acked is here (entered by `send`, pruned by
     /// `on_tick` once acked).
     active: Vec<usize>,
-    window: usize,
 }
 
 impl RdtDemux {
-    /// Creates a demux serving `sock`.
+    /// Creates a demux serving `sock`. Every session it opens uses the
+    /// go-back-N window [`crate::rdt::DEFAULT_WINDOW`].
     pub fn new(sock: SocketId) -> Self {
         Self {
             sock,
@@ -55,14 +55,7 @@ impl RdtDemux {
             index: HashMap::new(),
             ready: VecDeque::new(),
             active: Vec::new(),
-            window: crate::rdt::DEFAULT_WINDOW,
         }
-    }
-
-    /// Sets the go-back-N window applied to newly created sessions.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
     }
 
     /// Number of live sessions (peers that ever made contact or were
@@ -83,7 +76,7 @@ impl RdtDemux {
         if let Some(&i) = self.index.get(&peer) {
             return i;
         }
-        let ep = RdtEndpoint::new(self.sock, peer).with_window(self.window);
+        let ep = RdtEndpoint::new(self.sock, peer);
         self.sessions.push((peer, ep));
         let i = self.sessions.len() - 1;
         self.index.insert(peer, i);

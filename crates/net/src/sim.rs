@@ -129,19 +129,9 @@ impl Network {
     /// Creates a network of `n` hosts (host `i` gets `Mac::host(i)` and
     /// `IpAddr::host(i)`), with full neighbour tables. Host counts are
     /// 16-bit: fleet simulations address thousands of client hosts.
+    /// This is the fleet shape with every host a hub.
     pub fn new(n: u16, plan: FaultPlan, seed: u64) -> Self {
-        let mut hosts: Vec<NetStack> = (0..n)
-            .map(|i| NetStack::new(Mac::host(i), IpAddr::host(i)))
-            .collect();
-        for i in 0..n as usize {
-            for j in 0..n as usize {
-                if i != j {
-                    let (ip, mac) = (hosts[j].ip(), hosts[j].mac());
-                    hosts[i].add_neighbor(ip, mac);
-                }
-            }
-        }
-        Self::over(hosts, plan, seed)
+        Self::new_fleet(n, n, plan, seed)
     }
 
     /// Creates a fleet-shaped network of `n` hosts where only the first
@@ -165,11 +155,6 @@ impl Network {
                 }
             }
         }
-        Self::over(hosts, plan, seed)
-    }
-
-    /// The wire over `hosts` whose neighbour tables are already filled.
-    fn over(hosts: Vec<NetStack>, plan: FaultPlan, seed: u64) -> Self {
         let by_mac = hosts.iter().enumerate().map(|(i, h)| (h.mac(), i)).collect();
         Self {
             touched: HostSet::new(hosts.len()),

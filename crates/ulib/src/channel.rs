@@ -306,8 +306,8 @@ mod tests {
     /// Ping-pong through the fused send+recv path: the pinger sends on
     /// A and parks for the pong on B in one chained submission; the
     /// ponger echoes with the plain attempts. Identical behaviour on
-    /// the trap path, one shared ring, and per-thread rings.
-    fn scenario_chained_ping_pong(mode: u8) {
+    /// the trap path and on the ring.
+    fn scenario_chained_ping_pong(uring: bool) {
         let kernel = Kernel::boot(KernelConfig {
             cores: 2,
             ..Default::default()
@@ -315,10 +315,8 @@ mod tests {
         .unwrap();
         let (pid, tid) = (kernel.init_pid, kernel.init_tid);
         let mut rt = Runtime::new(kernel);
-        match mode {
-            1 => rt.enable_uring(8),
-            2 => rt.enable_uring_per_thread(8),
-            _ => {}
+        if uring {
+            rt.enable_uring(8);
         }
         rt.kernel.sched.timeslice = 1;
         rt.kernel
@@ -410,17 +408,12 @@ mod tests {
 
     #[test]
     fn chained_ping_pong_sync() {
-        scenario_chained_ping_pong(0);
+        scenario_chained_ping_pong(false);
     }
 
     #[test]
     fn chained_ping_pong_on_the_ring() {
-        scenario_chained_ping_pong(1);
-    }
-
-    #[test]
-    fn chained_ping_pong_on_per_thread_rings() {
-        scenario_chained_ping_pong(2);
+        scenario_chained_ping_pong(true);
     }
 
     /// When both sides are ready the fused step chains two wakes and

@@ -14,8 +14,9 @@
 //! The runtime has two syscall entry paths. The default is the
 //! synchronous register ABI (one trap per call). Enabling the ring
 //! ([`Runtime::enable_uring`]) reroutes [`Ctx::sys`] through a
-//! [`RingExec`] — an executor over a `veros-uring` submission/completion
-//! queue pair — while preserving synchronous *semantics*: non-blocking
+//! [`RingExec`] — an executor over one `veros-uring`
+//! submission/completion queue pair, shared by every task thread of the
+//! owning process — while preserving synchronous *semantics*: non-blocking
 //! calls submit, drain, and return their CQE result inline; blocking
 //! calls park the calling task thread until its completion arrives, and
 //! the task observes exactly the return values the trap path produces
@@ -137,17 +138,22 @@ impl Ctx<'_> {
     /// chain order. Blocking calls are only legal as the final link
     /// (the chain-tail rule the kernel engine enforces); a blocking
     /// tail parks the caller and yields the trap path's surrogate
-    /// return, exactly like [`Ctx::sys`].
+    /// return, exactly like [`Ctx::sys`]. A chain of more than
+    /// [`MAX_CHAIN`] links is refused whole on either path, as the
+    /// engine refuses it: every link `Err(Invalid)`, none dispatched.
     pub fn sys_chain(&mut self, links: &[ChainLink]) -> ChainResults {
+        if links.len() > MAX_CHAIN {
+            return ChainResults {
+                len: links.len(),
+                ..ChainResults::EMPTY
+            };
+        }
         if links.is_empty() {
             return ChainResults::EMPTY;
         }
         if let Some(ring) = self.ring.as_deref_mut() {
             let ring_ok = ring.owns(self.pid)
-                && links.len() <= MAX_CHAIN
-                && !links
-                    .iter()
-                    .any(|l| matches!(l.call, Syscall::Exit { .. }));
+                && !links.iter().any(|l| matches!(l.call, Syscall::Exit { .. }));
             if ring_ok {
                 if let Some(out) = ring.route_chain(self.kernel, self.tid, links) {
                     return out;
@@ -247,19 +253,17 @@ impl ChainLink {
 }
 
 /// The results of a [`Ctx::sys_chain`]: one [`SysRet`] per link, in
-/// chain order. Dereferences to a slice (`rs[0]`, `rs.len()`,
-/// `rs.iter()`).
+/// chain order (`rs[0]`, `rs.len()`, `rs.iter()`).
 ///
-/// Chains the ring accepts are bounded by [`MAX_CHAIN`], so results
-/// live in a fixed inline buffer and the chain hot path never touches
-/// the allocator — a per-chain allocation would eat the submission
-/// round trips chaining exists to save. Longer chains (possible only
-/// through the trap-path emulation) spill to the heap off the hot
-/// path.
+/// A dispatched chain has at most [`MAX_CHAIN`] links, so results live
+/// in a fixed inline buffer and the chain hot path never touches the
+/// allocator — a per-chain allocation would eat the submission round
+/// trips chaining exists to save. A refused overlong chain stores no
+/// result at all: its `len` exceeds [`MAX_CHAIN`] and every slot keeps
+/// the buffer's initial `Err(Invalid)`, which every index reads.
 pub struct ChainResults {
     inline: [SysRet; MAX_CHAIN],
     len: usize,
-    spill: Vec<SysRet>,
 }
 
 impl ChainResults {
@@ -267,46 +271,47 @@ impl ChainResults {
     pub const EMPTY: ChainResults = ChainResults {
         inline: [Err(SysError::Invalid); MAX_CHAIN],
         len: 0,
-        spill: Vec::new(),
     };
 
     fn push(&mut self, r: SysRet) {
-        if self.len < MAX_CHAIN {
-            self.inline[self.len] = r;
-            self.len += 1;
-        } else {
-            // Cold: only trap-path emulation of an overlong chain.
-            if self.spill.is_empty() {
-                self.spill.reserve(self.len + 1);
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push(r);
-            self.len += 1;
-        }
+        self.inline[self.len] = r;
+        self.len += 1;
+    }
+
+    /// One result per link of the chain.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for the empty chain.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The results in chain order.
+    pub fn iter(&self) -> impl Iterator<Item = &SysRet> {
+        (0..self.len).map(|i| &self[i])
     }
 }
 
-impl std::ops::Deref for ChainResults {
-    type Target = [SysRet];
+impl std::ops::Index<usize> for ChainResults {
+    type Output = SysRet;
 
-    fn deref(&self) -> &[SysRet] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
+    fn index(&self, i: usize) -> &SysRet {
+        assert!(i < self.len, "link {i} of a {}-link chain", self.len);
+        &self.inline[i.min(MAX_CHAIN - 1)]
     }
 }
 
 impl std::fmt::Debug for ChainResults {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl<T: AsRef<[SysRet]>> PartialEq<T> for ChainResults {
     fn eq(&self, other: &T) -> bool {
-        **self == *other.as_ref()
+        self.iter().eq(other.as_ref())
     }
 }
 
@@ -317,19 +322,12 @@ pub type TaskFn = Box<dyn FnMut(&mut Ctx<'_>) -> Step>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ticket(pub u64);
 
-/// The asynchronous syscall executor: the user sides of one or more
-/// `veros-uring` queue pairs plus the kernel-side [`RingSet`] poller
-/// that drives them.
+/// The asynchronous syscall executor: the user side of one
+/// `veros-uring` queue pair, shared by every task thread of the owning
+/// process, plus the kernel-side [`RingSet`] poller that drives its
+/// engine.
 ///
-/// By default the executor owns a single ring shared by every task
-/// thread ([`Runtime::enable_uring`]); in per-thread mode
-/// ([`Runtime::enable_uring_per_thread`]) each task thread submits on
-/// its own ring and one SQPOLL-style poller sweep drains them all —
-/// round-robin with a per-ring burst budget, so no ring's backlog can
-/// starve another (the fairness bound argued in `veros-uring`'s
-/// ring-set module).
-///
-/// Two usage styles share the rings:
+/// Two usage styles share the ring:
 ///
 /// * **Explicit async**: [`RingExec::submit`] returns a [`Ticket`];
 ///   [`RingExec::poll`] / [`RingExec::wait`] retrieve its completion.
@@ -341,22 +339,15 @@ pub struct Ticket(pub u64);
 ///   (`Ok(0)` for a blocked futex wait, `Err(StillRunning)` for an
 ///   unfinished child wait, which the task retries).
 ///
-/// Tickets are allocated from one counter across all rings, so a
-/// completion is identified by ticket alone no matter which ring
-/// carried it. Retries are recognized by the `(thread, register
-/// image)` pair: a woken task re-issuing the identical call picks up
-/// the stored completion instead of double-submitting.
+/// Tickets are allocated from one counter, so a completion is
+/// identified by ticket alone. Retries are recognized by the `(thread,
+/// register image)` pair: a woken task re-issuing the identical call
+/// picks up the stored completion instead of double-submitting.
 pub struct RingExec {
-    /// User-side rings, indexed in step with the poller's engines.
-    users: Vec<UserRing>,
-    /// The kernel-side poller over every ring's engine.
+    /// The user side of the ring.
+    user: UserRing,
+    /// The kernel-side poller over the ring's engine.
     set: RingSet,
-    /// Which ring each task thread submits on (falls back to ring 0).
-    ring_of: BTreeMap<u64, usize>,
-    /// Ring depth, reused when per-thread rings are added.
-    depth: usize,
-    /// Whether [`Runtime::spawn_task`] should give new threads rings.
-    per_thread: bool,
     owner: (Pid, Tid),
     next_ticket: u64,
     /// Completions waiting to be claimed, by ticket.
@@ -371,68 +362,28 @@ pub struct RingExec {
 }
 
 impl RingExec {
-    /// Builds a single ring of at least `depth` slots owned by `owner`,
-    /// shared by every task thread.
+    /// Builds a ring of at least `depth` slots owned by `owner`, shared
+    /// by every task thread.
     pub fn new(depth: usize, owner: (Pid, Tid)) -> Self {
-        Self::with_mode(depth, owner, false)
-    }
-
-    /// Builds an executor whose [`Runtime`] gives each spawned task
-    /// thread its own ring; `owner`'s thread gets ring 0.
-    pub fn new_per_thread(depth: usize, owner: (Pid, Tid)) -> Self {
-        Self::with_mode(depth, owner, true)
-    }
-
-    fn with_mode(depth: usize, owner: (Pid, Tid), per_thread: bool) -> Self {
-        let mut exec = Self {
-            users: Vec::new(),
-            // Budget one full ring per sweep: fairness between rings
-            // comes from the every-ring-every-sweep rule; the burst
-            // bound keeps one flooded ring from monopolizing a sweep.
-            set: RingSet::new(depth.max(1)),
-            ring_of: BTreeMap::new(),
-            depth,
-            per_thread,
+        let (user, kring) = pair(depth);
+        // Budget one full ring per sweep.
+        let mut set = RingSet::new(depth.max(1));
+        set.add(Engine::new(kring, owner));
+        Self {
+            user,
+            set,
             owner,
             next_ticket: 0,
             completions: BTreeMap::new(),
             outstanding: BTreeMap::new(),
             parked: BTreeMap::new(),
-        };
-        exec.add_ring_for(owner.1);
-        exec
+        }
     }
 
-    /// Adds a dedicated ring for `tid`'s submissions; returns its index
-    /// in the set. Threads without a dedicated ring share ring 0.
-    pub fn add_ring_for(&mut self, tid: Tid) -> usize {
-        let (user, kring) = pair(self.depth);
-        self.users.push(user);
-        let index = self.set.add(Engine::new(kring, (self.owner.0, tid)));
-        self.ring_of.insert(tid.0, index);
-        index
-    }
-
-    /// Whether `pid` is the rings' owning process (only its syscalls
-    /// may route through the rings).
+    /// Whether `pid` is the ring's owning process (only its syscalls
+    /// may route through the ring).
     pub fn owns(&self, pid: Pid) -> bool {
         self.owner.0 == pid
-    }
-
-    /// Whether [`Runtime::spawn_task`] gives new threads their own
-    /// rings.
-    pub fn per_thread(&self) -> bool {
-        self.per_thread
-    }
-
-    /// Number of rings in the set.
-    pub fn rings(&self) -> usize {
-        self.users.len()
-    }
-
-    /// The ring index `tid` submits on.
-    pub fn ring_for(&self, tid: Tid) -> usize {
-        self.ring_of.get(&tid.0).copied().unwrap_or(0)
     }
 
     /// Poller sweeps performed so far.
@@ -441,18 +392,17 @@ impl RingExec {
     }
 
     /// Entries parked kernel-side (blocked submissions) plus links
-    /// buffered in incomplete chains, across all rings.
+    /// buffered in incomplete chains.
     pub fn pending_len(&self) -> usize {
         self.set.outstanding()
     }
 
-    /// Submits a syscall asynchronously (on ring 0). The entry is
-    /// queued; the kernel dispatches it at the next [`RingExec::pump`]
-    /// (or any poll/wait/route). `Err(SqFull)` is backpressure: pump
-    /// and retry.
+    /// Submits a syscall asynchronously. The entry is queued; the
+    /// kernel dispatches it at the next [`RingExec::pump`] (or any
+    /// poll/wait/route). `Err(SqFull)` is backpressure: pump and retry.
     pub fn submit(&mut self, call: &Syscall) -> Result<Ticket, SqFull> {
         let ticket = self.next_ticket;
-        self.users[0].submit(ticket, call)?;
+        self.user.submit(ticket, call)?;
         self.next_ticket += 1;
         Ok(Ticket(ticket))
     }
@@ -492,9 +442,9 @@ impl RingExec {
         }
     }
 
-    /// The [`Ctx::sys`] entry: synchronous semantics over the calling
-    /// thread's ring. Returns `None` when the caller should fall back
-    /// to the trap path (persistent submission-queue backpressure).
+    /// The [`Ctx::sys`] entry: synchronous semantics over the ring.
+    /// Returns `None` when the caller should fall back to the trap path
+    /// (persistent submission-queue backpressure).
     pub(crate) fn route(&mut self, k: &mut Kernel, tid: Tid, call: &Syscall) -> Option<SysRet> {
         let regs = abi::encode_regs(call);
         if let Some(&(out_regs, ticket)) = self.outstanding.get(&tid.0) {
@@ -514,11 +464,10 @@ impl RingExec {
             self.outstanding.remove(&tid.0);
             self.completions.remove(&ticket);
         }
-        let ring = self.ring_for(tid);
         let ticket = self.next_ticket;
-        if self.users[ring].submit(ticket, call).is_err() {
+        if self.user.submit(ticket, call).is_err() {
             self.pump(k);
-            if self.users[ring].submit(ticket, call).is_err() {
+            if self.user.submit(ticket, call).is_err() {
                 return None;
             }
         }
@@ -536,28 +485,26 @@ impl RingExec {
     }
 
     /// The [`Ctx::sys_chain`] entry: submits the whole chain as one
-    /// batch of flagged SQEs on `tid`'s ring and collects one result
-    /// per link. A blocking tail parks the caller exactly like
-    /// [`RingExec::route`]. Returns `None` when the chain does not fit
-    /// the submission queue even after a pump (fall back to the trap
-    /// path).
+    /// batch of flagged SQEs and collects one result per link. A
+    /// blocking tail parks the caller exactly like [`RingExec::route`].
+    /// Returns `None` when the chain does not fit the submission queue
+    /// even after a pump (fall back to the trap path).
     pub(crate) fn route_chain(
         &mut self,
         k: &mut Kernel,
         tid: Tid,
         links: &[ChainLink],
     ) -> Option<ChainResults> {
-        let ring = self.ring_for(tid);
-        if (self.users[ring].sq_free() as usize) < links.len() {
+        if (self.user.sq_free() as usize) < links.len() {
             self.pump(k);
-            if (self.users[ring].sq_free() as usize) < links.len() {
+            if (self.user.sq_free() as usize) < links.len() {
                 return None;
             }
         }
         let first = self.next_ticket;
         for (i, l) in links.iter().enumerate() {
             let flags = SqeFlags { link: i + 1 < links.len(), subst: l.subst };
-            self.users[ring]
+            self.user
                 .submit_flagged(first + i as u64, &l.call, flags)
                 // lint: allow(panic-freedom) — sq_free() >= links.len()
                 // was checked above; nothing else consumes slots here.
@@ -596,23 +543,20 @@ impl RingExec {
     }
 
     fn drain_cq(&mut self, k: &mut Kernel) {
-        for user in &mut self.users {
-            while let Some(cqe) = user.complete() {
-                match self.parked.remove(&cqe.user_data) {
-                    Some((tid, retry)) => {
-                        let _ = k.sched.unblock(tid);
-                        if retry {
-                            self.completions.insert(cqe.user_data, cqe.result);
-                        } else {
-                            // The surrogate return already was the
-                            // final result (futex wait: Ok(0));
-                            // nothing to claim.
-                            self.outstanding.remove(&tid.0);
-                        }
-                    }
-                    None => {
+        while let Some(cqe) = self.user.complete() {
+            match self.parked.remove(&cqe.user_data) {
+                Some((tid, retry)) => {
+                    let _ = k.sched.unblock(tid);
+                    if retry {
                         self.completions.insert(cqe.user_data, cqe.result);
+                    } else {
+                        // The surrogate return already was the final
+                        // result (futex wait: Ok(0)); nothing to claim.
+                        self.outstanding.remove(&tid.0);
                     }
+                }
+                None => {
+                    self.completions.insert(cqe.user_data, cqe.result);
                 }
             }
         }
@@ -648,27 +592,12 @@ impl Runtime {
     }
 
     /// Switches [`Ctx::sys`] onto an asynchronous ring of at least
-    /// `depth` slots, owned by the init process. Tasks keep working
-    /// unmodified — the executor preserves trap-path semantics.
+    /// `depth` slots, owned by the init process and shared by all its
+    /// task threads. Tasks keep working unmodified — the executor
+    /// preserves trap-path semantics.
     pub fn enable_uring(&mut self, depth: usize) {
         let owner = (self.kernel.init_pid, self.kernel.init_tid);
         self.ring = Some(RingExec::new(depth, owner));
-    }
-
-    /// Like [`Runtime::enable_uring`], but every task thread spawned
-    /// through [`Runtime::spawn_task`] gets its own ring of `depth`
-    /// slots (the init thread gets ring 0), all drained by one
-    /// SQPOLL-style poller sweep per pump. Tasks still work
-    /// unmodified; they just stop contending for one submission queue.
-    pub fn enable_uring_per_thread(&mut self, depth: usize) {
-        let owner = (self.kernel.init_pid, self.kernel.init_tid);
-        self.ring = Some(RingExec::new_per_thread(depth, owner));
-    }
-
-    /// The ring executor, when enabled — for explicit async
-    /// ([`RingExec::submit`] / [`RingExec::poll`]) use.
-    pub fn ring_mut(&mut self) -> Option<&mut RingExec> {
-        self.ring.as_mut()
     }
 
     /// Attaches a task to an existing thread.
@@ -688,11 +617,6 @@ impl Runtime {
             affinity_plus_one: affinity.map_or(0, |c| c as u64 + 1),
         };
         let tid = Tid(self.kernel.syscall(caller, call)?);
-        if let Some(ring) = &mut self.ring {
-            if ring.per_thread() && ring.owns(caller.0) {
-                ring.add_ring_for(tid);
-            }
-        }
         self.tasks.insert(tid, (caller.0, task));
         Ok(tid)
     }
@@ -756,24 +680,21 @@ mod tests {
         (Runtime::new(kernel), pid, tid)
     }
 
-    /// The three syscall entry paths every scenario runs through: the
-    /// trap path, one shared ring, and one ring per task thread.
+    /// The two syscall entry paths every scenario runs through: the
+    /// trap path (the oracle) and the ring.
     #[derive(Clone, Copy)]
     enum Mode {
         Sync,
         Ring,
-        PerThread,
     }
 
-    /// Same scenario set, run through every syscall entry path: the
-    /// mode is the only difference between the `*_sync`,
-    /// `*_on_the_ring`, and `*_on_per_thread_rings` tests below.
+    /// Same scenario set, run through both syscall entry paths: the
+    /// mode is the only difference between the `*_sync` and
+    /// `*_on_the_ring` tests below.
     fn boot_runtime_with(mode: Mode) -> (Runtime, Pid, Tid) {
         let (mut rt, pid, tid) = boot_runtime();
-        match mode {
-            Mode::Sync => {}
-            Mode::Ring => rt.enable_uring(8),
-            Mode::PerThread => rt.enable_uring_per_thread(8),
+        if let Mode::Ring = mode {
+            rt.enable_uring(8);
         }
         (rt, pid, tid)
     }
@@ -991,36 +912,6 @@ mod tests {
         scenario_wait_for_child(Mode::Ring);
     }
 
-    #[test]
-    fn syscalls_work_from_tasks_on_per_thread_rings() {
-        scenario_syscalls_from_tasks(Mode::PerThread);
-    }
-
-    #[test]
-    fn blocked_tasks_are_not_stepped_on_per_thread_rings() {
-        scenario_blocked_tasks_not_stepped(Mode::PerThread);
-    }
-
-    #[test]
-    fn wait_for_child_on_per_thread_rings() {
-        scenario_wait_for_child(Mode::PerThread);
-    }
-
-    #[test]
-    fn spawned_tasks_get_their_own_rings() {
-        let (mut rt, pid, tid) = boot_runtime_with(Mode::PerThread);
-        rt.attach(pid, tid, Box::new(|_| Step::Done(0)));
-        let spawned = rt
-            .spawn_task((pid, tid), None, Box::new(|_| Step::Done(0)))
-            .unwrap();
-        let ring = rt.ring_mut().unwrap();
-        assert!(ring.per_thread());
-        assert_eq!(ring.rings(), 2, "init ring plus one per spawned task");
-        assert_eq!(ring.ring_for(tid), 0);
-        assert_eq!(ring.ring_for(spawned), 1);
-        assert!(rt.run(50));
-    }
-
     /// The chain runs through every entry path with identical results:
     /// completed prefix, first failure, cancelled suffix.
     fn scenario_chain_abort(mode: Mode) {
@@ -1061,9 +952,46 @@ mod tests {
         scenario_chain_abort(Mode::Ring);
     }
 
+    /// A chain longer than the engine accepts is refused whole on both
+    /// paths: one `Err(Invalid)` per link, nothing dispatched.
+    fn scenario_overlong_chain_refused(mode: Mode) {
+        let (mut rt, pid, tid) = boot_runtime_with(mode);
+        rt.attach(
+            pid,
+            tid,
+            Box::new(move |ctx| {
+                let links: Vec<ChainLink> = (0..MAX_CHAIN as u64 + 1)
+                    .map(|i| {
+                        ChainLink::plain(Syscall::Map {
+                            va: 0x80_0000 + i * 0x1000,
+                            pages: 1,
+                            writable: true,
+                        })
+                    })
+                    .collect();
+                let rs = ctx.sys_chain(&links);
+                assert_eq!(rs, vec![Err(SysError::Invalid); MAX_CHAIN + 1]);
+                for l in &links {
+                    let Syscall::Map { va, .. } = l.call else {
+                        unreachable!()
+                    };
+                    assert_eq!(ctx.read_u32(va), Err(SysError::BadAddress), "{va:#x}");
+                }
+                Step::Done(0)
+            }),
+        );
+        assert!(rt.run(50));
+        assert_eq!(rt.exit_code(tid), Some(0));
+    }
+
     #[test]
-    fn chain_abort_on_per_thread_rings() {
-        scenario_chain_abort(Mode::PerThread);
+    fn overlong_chain_refused_sync() {
+        scenario_overlong_chain_refused(Mode::Sync);
+    }
+
+    #[test]
+    fn overlong_chain_refused_on_the_ring() {
+        scenario_overlong_chain_refused(Mode::Ring);
     }
 
     /// A chain whose tail blocks parks the task exactly like a plain
@@ -1133,10 +1061,6 @@ mod tests {
         scenario_chain_blocking_tail(Mode::Ring);
     }
 
-    #[test]
-    fn chain_blocking_tail_on_per_thread_rings() {
-        scenario_chain_blocking_tail(Mode::PerThread);
-    }
 
     #[test]
     fn explicit_async_submit_and_poll() {

@@ -3,7 +3,7 @@
 //!
 //! This is the paper's pitch in one file: an application written against
 //! the `Sys` interface, with every syscall's ensures clause *checked*
-//! against the abstract specification while it runs (audit mode).
+//! against the abstract specification while it runs.
 //!
 //! Run: `cargo run --example quickstart`
 
@@ -17,9 +17,9 @@ fn main() {
     let caller = (kernel.init_pid, kernel.init_tid);
     println!("booted: init pid {:?}, tid {:?}", caller.0, caller.1);
 
-    // The Sys handle in audit mode: every call is checked against the
-    // high-level spec (the §3 contract).
-    let mut sys = Sys::new(&mut kernel, caller, true);
+    // The Sys handle: every call is checked against the high-level spec
+    // (the §3 contract).
+    let mut sys = Sys::new(&mut kernel, caller);
 
     // Map memory — the virtual-memory part of the execution model.
     sys.call(Syscall::Map {
@@ -71,7 +71,7 @@ fn main() {
     kernel
         .syscall((veros::kernel::Pid(child), child_tid), Syscall::Exit { code: 42 })
         .expect("exit");
-    let mut sys = Sys::new(&mut kernel, caller, true);
+    let mut sys = Sys::new(&mut kernel, caller);
     let code = sys
         .call(Syscall::Wait { pid: child })
         .expect("contract")

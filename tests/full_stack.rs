@@ -1,5 +1,5 @@
 //! Cross-crate integration: the whole stack exercised together, kernel
-//! to application, with audit-mode contract checking on.
+//! to application, with every `Sys` call checked against its contract.
 
 use veros::core::Sys;
 use veros::kernel::syscall::SysError;
@@ -14,7 +14,7 @@ fn boot() -> (Kernel, (Pid, veros::kernel::Tid)) {
 #[test]
 fn audited_application_session() {
     let (mut kernel, c) = boot();
-    let mut sys = Sys::new(&mut kernel, c, true);
+    let mut sys = Sys::new(&mut kernel, c);
 
     // Memory.
     sys.call(Syscall::Map { va: 0x20_0000, pages: 8, writable: true })
