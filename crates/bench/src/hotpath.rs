@@ -14,9 +14,10 @@
 //!   the full 4-level tree walk), plus batched range ops once they
 //!   exist.
 //!
-//! The JSON mirror doubles as the CI regression baseline: the binary's
-//! `--baseline <path>` flag re-reads a committed report and fails when
-//! any throughput cell falls more than [`TOLERANCE`] below it.
+//! The JSON mirror doubles as the CI regression baseline: every run of
+//! the binary reads the committed `BENCH_nr.json` at the workspace root
+//! and fails when any throughput cell falls more than [`TOLERANCE`]
+//! below it. The binary takes no baseline path.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;

@@ -4,16 +4,15 @@
 //! For every atomic field or static declared in a runtime crate, this
 //! module records **every** load/store/RMW of it — with the parsed
 //! `Ordering` halves, the enclosing item, and `file:line` — plus the
-//! raw "touches" (field projections) of protocol-annotated fields.
-//! Two annotation forms are read from the comment on (or directly
-//! above) a field declaration:
+//! raw "touches" (field projections) of seqlock-annotated fields. The
+//! annotation is read from the comment on (or directly above) a field
+//! declaration:
 //!
 //! ```text
 //! // protocol: seqlock(<stamp-field>)
-//! // guarded-by: <lock-field>
 //! ```
 //!
-//! The analysis is lexical and conservative, like the item graph:
+//! The analysis is lexical and conservative, like the item extractor:
 //! extra accesses or touches only make the lint passes stricter, and
 //! everything the extractor *cannot* bind is counted loudly —
 //! [`AccessTable::unbound`] (an `Ordering`-carrying call whose receiver
@@ -66,16 +65,6 @@ impl MemOrder {
     }
 }
 
-/// A protocol annotation attached to a field declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Annotation {
-    /// `// protocol: seqlock(<stamp>)` — writes are bracketed by stamp
-    /// bumps, reads re-check the stamp.
-    Seqlock(String),
-    /// `// guarded-by: <lock>` — only touched under that lock.
-    GuardedBy(String),
-}
-
 /// One tracked field or static declaration.
 #[derive(Clone, Debug)]
 pub struct FieldDecl {
@@ -94,23 +83,9 @@ pub struct FieldDecl {
     /// `pub`/`pub(...)` — touches are searched crate-wide instead of
     /// declaration-file-only.
     pub public: bool,
-    pub annotations: Vec<Annotation>,
-}
-
-impl FieldDecl {
-    pub fn seqlock_stamp(&self) -> Option<&str> {
-        self.annotations.iter().find_map(|a| match a {
-            Annotation::Seqlock(s) => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    pub fn guarded_by(&self) -> Option<&str> {
-        self.annotations.iter().find_map(|a| match a {
-            Annotation::GuardedBy(l) => Some(l.as_str()),
-            _ => None,
-        })
-    }
+    /// The stamp of a `// protocol: seqlock(<stamp>)` annotation: writes
+    /// are bracketed by stamp bumps, reads re-check the stamp.
+    pub seqlock: Option<String>,
 }
 
 /// One atomic operation on a tracked field.
@@ -131,21 +106,12 @@ pub struct Access {
 }
 
 /// One raw projection (`.field`) of an annotated field — the unit the
-/// seqlock and guard passes reason about.
+/// seqlock pass reasons about.
 #[derive(Clone, Debug)]
 pub struct Touch {
     pub field: usize,
     pub item: Option<usize>,
-    pub file: usize,
     pub line: usize,
-}
-
-/// A declaration whose type looks like a lock — the candidates
-/// `guarded-by:` annotations resolve against.
-#[derive(Clone, Debug)]
-pub struct LockDecl {
-    pub crate_key: String,
-    pub name: String,
 }
 
 /// Something the extractor could not resolve, anchored for diagnosis.
@@ -163,8 +129,6 @@ pub struct AccessTable {
     pub fields: Vec<FieldDecl>,
     pub accesses: Vec<Access>,
     pub touches: Vec<Touch>,
-    /// Lock-typed declarations (any type mentioning `Mutex`/`Lock`).
-    pub locks: Vec<LockDecl>,
     /// Ordering-carrying calls bound to no field. Must stay 0.
     pub unbound: Vec<Unresolved>,
     /// Tracked-field ops with unreadable ordering tokens. Must stay 0.
@@ -303,38 +267,16 @@ fn split_top_commas(s: &str) -> Vec<String> {
     parts
 }
 
-/// Reads the protocol annotations attached to declaration line `idx`
+/// Reads the seqlock stamp annotated on declaration line `idx`
 /// (0-based): the same comment chain a lint suppression attaches
 /// through ([`SourceFile::attached_comments`]).
-fn annotations_at(file: &SourceFile, idx: usize) -> Vec<Annotation> {
-    let mut out = Vec::new();
-    for comment in file.attached_comments(idx) {
-        collect_annotations(comment, &mut out);
-    }
-    out
-}
-
-fn collect_annotations(comment: &str, out: &mut Vec<Annotation>) {
-    if let Some(pos) = comment.find("protocol: seqlock(") {
+fn seqlock_at(file: &SourceFile, idx: usize) -> Option<String> {
+    file.attached_comments(idx).find_map(|comment| {
+        let pos = comment.find("protocol: seqlock(")?;
         let rest = &comment[pos + "protocol: seqlock(".len()..];
-        if let Some(close) = rest.find(')') {
-            let stamp = rest[..close].trim();
-            if !stamp.is_empty() {
-                out.push(Annotation::Seqlock(stamp.to_string()));
-            }
-        }
-    }
-    if let Some(pos) = comment.find("guarded-by:") {
-        let rest = comment[pos + "guarded-by:".len()..].trim_start();
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !(c.is_alphanumeric() || *c == '_'))
-            .map(|(i, _)| i)
-            .unwrap_or(rest.len());
-        if end > 0 {
-            out.push(Annotation::GuardedBy(rest[..end].to_string()));
-        }
-    }
+        let stamp = rest[..rest.find(')')?].trim();
+        (!stamp.is_empty()).then(|| stamp.to_string())
+    })
 }
 
 impl AccessTable {
@@ -497,15 +439,9 @@ impl AccessTable {
         // type, keyed (crate, name); duplicates are loud.
         let mut index: HashMap<(String, String), usize> = HashMap::new();
         for rf in raw {
-            if rf.type_text.contains("Mutex") || rf.type_text.contains("Lock") {
-                table.locks.push(LockDecl {
-                    crate_key: rf.crate_key.clone(),
-                    name: rf.name.clone(),
-                });
-            }
             let atomic = is_atomic_ty(&rf.crate_key, &rf.type_text);
-            let annotations = annotations_at(&files[rf.file], rf.line - 1);
-            if !atomic && annotations.is_empty() {
+            let seqlock = seqlock_at(&files[rf.file], rf.line - 1);
+            if !atomic && seqlock.is_none() {
                 continue;
             }
             let key = (rf.crate_key.clone(), rf.name.clone());
@@ -535,7 +471,7 @@ impl AccessTable {
                 line: rf.line,
                 atomic,
                 public: rf.public,
-                annotations,
+                seqlock,
             });
         }
 
@@ -703,12 +639,12 @@ impl AccessTable {
             }
         }
 
-        // ---- Phase 6: raw touches of annotated fields -------------------
+        // ---- Phase 6: raw touches of seqlock fields ---------------------
         // `.field` projections (not method calls), searched across the
         // declaring crate for public fields and the declaring file for
         // private ones — private fields cannot be projected elsewhere.
         for f in 0..table.fields.len() {
-            if table.fields[f].annotations.is_empty() {
+            if table.fields[f].seqlock.is_none() {
                 continue;
             }
             let (ck, name, public, decl_file) = {
@@ -730,7 +666,6 @@ impl AccessTable {
                         table.touches.push(Touch {
                             field: f,
                             item: model::innermost_item(items, fi, i + 1),
-                            file: fi,
                             line: i + 1,
                         });
                     }
@@ -948,7 +883,7 @@ fn bind_atomic_params(
             line: i + 1,
             atomic: true,
             public: false,
-            annotations: Vec::new(),
+            seqlock: None,
         });
     }
 }
@@ -1233,7 +1168,7 @@ impl Cell2 {
         let (_, _, t) = build(&[("crates/demo/src/lib.rs", src)]);
         let val = t.field_index("demo", "val").unwrap();
         assert!(!t.fields[val].atomic);
-        assert_eq!(t.fields[val].seqlock_stamp(), Some("seq"));
+        assert_eq!(t.fields[val].seqlock.as_deref(), Some("seq"));
         let touch_lines: Vec<usize> = t
             .touches
             .iter()
@@ -1244,18 +1179,17 @@ impl Cell2 {
     }
 
     #[test]
-    fn guard_annotation_and_ambiguity() {
+    fn duplicate_field_names_are_ambiguous() {
         let src = "\
 use std::sync::atomic::{AtomicU64, Ordering};
 pub struct A {
-    // guarded-by: lock
     pub n: AtomicU64,
 }
 pub struct B { pub n: AtomicU64 }
 ";
         let (_, _, t) = build(&[("crates/demo/src/lib.rs", src)]);
         assert_eq!(t.fields.len(), 1, "duplicate dropped");
-        assert_eq!(t.fields[0].guarded_by(), Some("lock"));
+        assert_eq!(t.fields[0].holder, "A");
         assert_eq!(t.ambiguous.len(), 1, "{:?}", t.ambiguous);
     }
 

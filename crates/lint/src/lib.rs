@@ -8,10 +8,12 @@
 //! module documents its role. This crate makes those conventions
 //! machine-checked: a hand-rolled lexer ([`lexer`]), a workspace model
 //! that walks the tree once ([`source`]), a check registry ([`lints`]),
-//! and flow-aware concurrency-protocol passes ([`protocol`]) over an
-//! item graph (`model`, `graph`) and a per-field atomic access table
-//! (`access`), behind a `veros-lint` binary. No external dependencies,
-//! so it builds offline with the rest of the workspace.
+//! and concurrency-protocol passes ([`protocol`]) over the extracted
+//! items (`model`) and a per-field atomic access table (`access`),
+//! behind a `veros-lint` binary. Lock discipline is left to the type
+//! checker: a field touched only under a lock lives inside the value
+//! the lock guards. No external dependencies, so it builds offline with
+//! the rest of the workspace.
 //!
 //! A finding is accepted in one way only: a reasoned inline
 //! `// lint: allow(<id>) — reason` next to the code it excuses. There
@@ -23,7 +25,6 @@
 
 mod access;
 pub mod diag;
-mod graph;
 pub mod lexer;
 pub mod lints;
 mod model;
@@ -74,8 +75,7 @@ mod tests {
                 "atomics-ordering",
                 "doc-header",
                 "publication-pairing",
-                "seqlock-discipline",
-                "guard-discipline"
+                "seqlock-discipline"
             ]
         );
     }

@@ -20,14 +20,14 @@ pub struct Lint {
     /// One-line description for `--list`.
     pub describe: &'static str,
     /// Runs a line lint over the whole workspace, appending findings.
-    /// `None` for a protocol pass: the three share one analysis and run
+    /// `None` for a protocol pass: the two share one analysis and run
     /// together in [`protocol::Analysis::run`].
     pub run: Option<fn(&Workspace, &mut Vec<Diagnostic>)>,
 }
 
 /// Every check, in reporting and `--list` order: the line lints, then
 /// the protocol passes.
-pub const REGISTRY: [Lint; 8] = [
+pub const REGISTRY: [Lint; 7] = [
     unsafe_audit::LINT,
     panic_freedom::LINT,
     obligation_coverage::LINT,
@@ -41,11 +41,6 @@ pub const REGISTRY: [Lint; 8] = [
     Lint {
         id: protocol::SEQLOCK,
         describe: "`protocol: seqlock(..)` fields bracketed by stamp accesses",
-        run: None,
-    },
-    Lint {
-        id: protocol::GUARD,
-        describe: "`guarded-by:` fields touched only under their lock",
         run: None,
     },
 ];

@@ -57,17 +57,13 @@ fn counters_json(c: &Counters, findings: usize) -> String {
     format!(
         "{{\n  \"bench\": \"lint\",\n  \"findings\": {findings},\n  \
          \"atomic_fields\": {},\n  \"accesses\": {},\n  \"publication_pairs\": {},\n  \
-         \"seqlock_fields\": {},\n  \"guard_fields\": {},\n  \"guards_resolved\": {},\n  \
-         \"unresolved_guards\": {},\n  \"unknown_orderings\": {},\n  \
+         \"seqlock_fields\": {},\n  \"unknown_orderings\": {},\n  \
          \"unbound_accesses\": {},\n  \"ambiguous_fields\": {},\n  \
          \"unparsed\": {},\n  \"stray_headers\": {}\n}}\n",
         c.atomic_fields,
         c.accesses,
         c.publication_pairs,
         c.seqlock_fields,
-        c.guard_fields,
-        c.guards_resolved,
-        c.unresolved_guards,
         c.unknown_orderings,
         c.unbound_accesses,
         c.ambiguous_fields,
@@ -89,14 +85,11 @@ fn gate_failures(c: &Counters) -> Vec<String> {
     floor("atomic_fields", c.atomic_fields, 20);
     floor("publication_pairs", c.publication_pairs, 10);
     floor("seqlock_fields", c.seqlock_fields, 1);
-    floor("guard_fields", c.guard_fields, 1);
-    floor("guards_resolved", c.guards_resolved, 1);
     let mut zero = |name: &str, got: usize| {
         if got != 0 {
             out.push(format!("{name} = {got} (must be 0)"));
         }
     };
-    zero("unresolved_guards", c.unresolved_guards);
     zero("unknown_orderings", c.unknown_orderings);
     zero("unbound_accesses", c.unbound_accesses);
     zero("ambiguous_fields", c.ambiguous_fields);
@@ -154,13 +147,11 @@ fn main() -> ExitCode {
     );
     println!(
         "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs, \
-         {} seqlock fields, {}/{} guards resolved",
+         {} seqlock fields",
         counters.atomic_fields,
         counters.accesses,
         counters.publication_pairs,
         counters.seqlock_fields,
-        counters.guards_resolved,
-        counters.guard_fields,
     );
 
     let mut failed = errors > 0;
@@ -209,8 +200,6 @@ mod tests {
             atomic_fields: 20,
             publication_pairs: 10,
             seqlock_fields: 1,
-            guard_fields: 1,
-            guards_resolved: 1,
             ..Counters::default()
         }
     }

@@ -3,10 +3,12 @@
 //! with their line ranges from each lexed [`SourceFile`].
 //!
 //! The extractor is deliberately lexical, not a parser: it only needs
-//! line ranges and names good enough for conservative name resolution.
-//! Anything it cannot place lands in the file's *preamble* pseudo-item,
-//! which every item of the file implicitly depends on — so a miss makes
-//! closures larger, never smaller.
+//! line ranges and names good enough to say which item an access sits
+//! in. Anything it cannot place lands in the file's *preamble*
+//! pseudo-item. Being lexical, it can be blind: a shipped file whose
+//! code yields no items, or an item header it failed to open, would
+//! drop out of the analysis silently. [`blind_spots`] counts both, and
+//! `veros-lint --gate` holds them at zero.
 
 use crate::lexer;
 use crate::source::SourceFile;
@@ -37,9 +39,6 @@ pub struct Item {
     /// 1-based inclusive line ranges. Single range for real items; the
     /// preamble may be scattered.
     pub ranges: Vec<(usize, usize)>,
-    /// For `fn` items inside an `impl`/`trait` block: the block's name,
-    /// enabling `Type::method` qualified resolution.
-    pub parent: Option<String>,
 }
 
 impl Item {
@@ -206,7 +205,6 @@ struct Open {
     /// Brace depth just before the opening `{`; the item closes when
     /// depth returns here.
     entry: i64,
-    parent: Option<String>,
 }
 
 /// Extracts all items of `file` (appending to `items`), including the
@@ -236,17 +234,11 @@ pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) 
                 ')' | ']' => pb -= 1,
                 '{' => {
                     if let Some(p) = pending.take() {
-                        let parent = stack
-                            .iter()
-                            .rev()
-                            .find(|o| matches!(o.kind, ItemKind::Impl | ItemKind::Type))
-                            .map(|o| o.name.clone());
                         stack.push(Open {
                             kind: p.kind,
                             name: p.name,
                             start: p.line,
                             entry: depth,
-                            parent,
                         });
                     }
                     depth += 1;
@@ -260,7 +252,6 @@ pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) 
                             name: top.name,
                             file: file_idx,
                             ranges: vec![(top.start + 1, i + 1)],
-                            parent: top.parent,
                         });
                     }
                 }
@@ -273,7 +264,6 @@ pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) 
                             name: p.name,
                             file: file_idx,
                             ranges: vec![(p.line + 1, i + 1)],
-                            parent: stack.last().map(|o| o.name.clone()),
                         });
                     }
                 }
@@ -288,18 +278,16 @@ pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) 
             name: top.name,
             file: file_idx,
             ranges: vec![(top.start + 1, lines.len().max(1))],
-            parent: top.parent,
         });
     }
 
-    // Preamble: non-blank code lines not covered by any top-level item.
+    // Preamble: non-blank code lines not covered by any item (a nested
+    // item lies inside its enclosing item's range).
     let mut covered = vec![false; lines.len()];
     for it in &items[first..] {
-        if it.parent.is_none() {
-            for &(a, b) in &it.ranges {
-                for l in a..=b.min(lines.len()) {
-                    covered[l - 1] = true;
-                }
+        for &(a, b) in &it.ranges {
+            for l in a..=b.min(lines.len()) {
+                covered[l - 1] = true;
             }
         }
     }
@@ -319,7 +307,113 @@ pub fn extract_items(file_idx: usize, file: &SourceFile, items: &mut Vec<Item>) 
             name: format!("<preamble:{}>", file.rel_path),
             file: file_idx,
             ranges,
-            parent: None,
         });
+    }
+}
+
+/// What the item extractor could not see, over shipped source files.
+#[derive(Clone, Debug, Default)]
+pub struct BlindSpots {
+    /// Shipped source files with code but no extracted items. Must stay 0.
+    pub unparsed: Vec<String>,
+    /// `file:line` of preamble lines that look like item headers the
+    /// extractor missed. Must stay 0.
+    pub stray_headers: Vec<String>,
+}
+
+/// The extractor's blind spots over the shipped files among `files`,
+/// given the `items` extracted from them.
+pub fn blind_spots(files: &[SourceFile], items: &[Item]) -> BlindSpots {
+    let mut has_items = vec![false; files.len()];
+    let mut preamble: Vec<Option<&Item>> = vec![None; files.len()];
+    for it in items {
+        match it.kind {
+            ItemKind::Preamble => preamble[it.file] = Some(it),
+            _ => has_items[it.file] = true,
+        }
+    }
+    let mut out = BlindSpots::default();
+    for (i, f) in files.iter().enumerate() {
+        if !f.shipped {
+            continue;
+        }
+        // Pure re-export files (the root facade is all `pub use`)
+        // legitimately have no items; `use` lines and attributes
+        // don't count as unparseable code.
+        let has_code = f.lines.iter().any(|l| {
+            let t = l.code.trim_start();
+            !l.is_code_blank()
+                && !l.is_attr()
+                && !t.starts_with("use ")
+                && !t.starts_with("pub use ")
+                && !t.starts_with("pub(crate) use ")
+                && t != "};"
+                && !t.chars().all(|c| "{}();,".contains(c) || c.is_whitespace())
+        });
+        if has_code && !has_items[i] {
+            out.unparsed.push(f.rel_path.clone());
+        }
+        // Preamble lines that still look like definitions: the
+        // extractor failed on them.
+        let Some(pre) = preamble[i] else { continue };
+        for &(a, b) in &pre.ranges {
+            for l in a..=b.min(f.lines.len()) {
+                if let Some((k, _)) = header_of(&f.lines[l - 1].code) {
+                    if !matches!(k, ItemKind::Const | ItemKind::Mod) {
+                        out.stray_headers.push(format!("{}:{}", f.rel_path, l));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::source::Workspace;
+
+    fn extract(sources: &[(&str, &str)]) -> (Vec<SourceFile>, Vec<Item>) {
+        let files = Workspace::from_sources(sources).files;
+        let mut items = Vec::new();
+        for (i, f) in files.iter().enumerate() {
+            extract_items(i, f, &mut items);
+        }
+        (files, items)
+    }
+
+    #[test]
+    fn clean_sources_have_no_blind_spots() {
+        let (files, items) = extract(&[
+            (
+                "crates/alpha/src/lib.rs",
+                "//! Alpha.\npub mod inner;\npub use inner::work;\npub fn entry() -> u64 { inner::work(7) }\n",
+            ),
+            ("crates/alpha/src/inner.rs", "//! Inner.\npub fn work(x: u64) -> u64 { x * 2 }\n"),
+        ]);
+        let spots = blind_spots(&files, &items);
+        assert!(spots.unparsed.is_empty(), "{:?}", spots.unparsed);
+        assert!(spots.stray_headers.is_empty(), "{:?}", spots.stray_headers);
+        let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+        assert!(names.contains(&"entry") && names.contains(&"work"));
+    }
+
+    #[test]
+    fn blind_spots_name_the_file_and_line() {
+        let (files, items) = extract(&[
+            // Code, but nothing the extractor recognises as an item.
+            ("crates/alpha/src/lib.rs", "//! Alpha.\nlet x = 5;\n"),
+            // A header whose body never opens lands in the preamble.
+            (
+                "crates/beta/src/lib.rs",
+                "pub fn ok() -> u64 { 1 }\nfn dangling(x: u64)\n",
+            ),
+            // Test and example code is out of scope.
+            ("tests/t.rs", "let y = 6;\n"),
+        ]);
+        let spots = blind_spots(&files, &items);
+        assert_eq!(spots.unparsed, ["crates/alpha/src/lib.rs"]);
+        assert_eq!(spots.stray_headers, ["crates/beta/src/lib.rs:2"]);
     }
 }

@@ -1,4 +1,4 @@
-//! Flow-aware concurrency-protocol passes over the item graph.
+//! Concurrency-protocol passes over the extracted items.
 //!
 //! Where the registry lints ([`crate::lints`]) judge single lines, the
 //! passes here consume the per-atomic-field access table (`access`)
@@ -13,44 +13,28 @@
 //!   the first touch and after the last one (writers bump odd/even,
 //!   readers re-check; the bracketing shape is what's checkable
 //!   lexically).
-//! - [`GUARD`] — a field annotated `// guarded-by: <lock>` may only be
-//!   touched from items whose transitive item-graph footprint acquires
-//!   that lock. The lock must resolve to a lock-typed declaration;
-//!   failures feed the `unresolved-guard` counter, gated to 0.
+//!
+//! A field that must only be touched under a lock needs no pass: it
+//! lives inside the value the lock guards, and the borrow checker
+//! refuses any other access.
 //!
 //! Conservativeness: the table over-approximates touches (any `.field`
-//! projection counts) and the guard check over-approximates acquisition
-//! (a lock-word + acquire-call anywhere in the footprint). What cannot
-//! be bound is *loud* — unbound atomic ops, unreadable orderings, and
-//! ambiguous field names all become findings and gate counters, and
-//! files or item headers the extractor cannot see are gate counters
-//! too, so the analysis fails open, never silently. Reviewed sites are
-//! suppressed with the standard `// lint: allow(<pass-id>) — reason`
-//! syntax.
+//! projection counts). What cannot be bound is *loud* — unbound atomic
+//! ops, unreadable orderings, and ambiguous field names all become
+//! findings and gate counters, and files or item headers the extractor
+//! cannot see are gate counters too, so the analysis fails open, never
+//! silently. Reviewed sites are suppressed with the standard
+//! `// lint: allow(<pass-id>) — reason` syntax.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::access::{AccessTable, MemOrder};
 use crate::diag::{Diagnostic, Severity};
-use crate::graph::ItemGraph;
-use crate::lexer;
+use crate::model::{self, Item};
 use crate::source::{SourceFile, Workspace};
 
 pub const PUBLICATION: &str = "publication-pairing";
 pub const SEQLOCK: &str = "seqlock-discipline";
-pub const GUARD: &str = "guard-discipline";
-
-/// Call shapes that acquire a lock when they share a line with the
-/// lock's name.
-const ACQUIRE_CALLS: &[&str] = &[
-    ".lock(",
-    ".read(",
-    ".write(",
-    ".try_read(",
-    ".try_write(",
-    ".try_lock(",
-    ".acquire(",
-];
 
 /// Anti-vacuity counters for `results/LINT.json` — proof the analyzer
 /// saw a real population, not an empty one.
@@ -65,19 +49,13 @@ pub struct Counters {
     pub publication_pairs: usize,
     /// Fields carrying a `protocol: seqlock(..)` annotation.
     pub seqlock_fields: usize,
-    /// Fields carrying a `guarded-by:` annotation.
-    pub guard_fields: usize,
-    /// Guard annotations whose lock resolved to a lock-typed decl.
-    pub guards_resolved: usize,
-    /// Guard annotations that resolved to nothing. Gated to 0.
-    pub unresolved_guards: usize,
     /// Tracked-field ops with unreadable orderings. Gated to 0.
     pub unknown_orderings: usize,
     /// Atomic ops bound to no field. Gated to 0.
     pub unbound_accesses: usize,
     /// Field names tracked under two declarations. Gated to 0.
     pub ambiguous_fields: usize,
-    /// Shipped files the item extractor found no items in. The guard
+    /// Shipped files the item extractor found no items in. The seqlock
     /// pass skips a touch it cannot bind to an item, so a blind file
     /// would drop out silently. Gated to 0.
     pub unparsed: Vec<String>,
@@ -85,29 +63,32 @@ pub struct Counters {
     pub stray_headers: Vec<String>,
 }
 
-/// The analysis of a loaded workspace: item graph plus access table.
+/// The analysis of a loaded workspace: extracted items plus access
+/// table.
 pub struct Analysis<'w> {
     files: &'w [SourceFile],
-    graph: ItemGraph,
+    items: Vec<Item>,
     pub table: AccessTable,
 }
 
 impl<'w> Analysis<'w> {
-    /// Builds the item graph and access table over `ws`'s files.
+    /// Extracts the items of `ws`'s files and builds the access table.
     pub fn new(ws: &'w Workspace) -> Analysis<'w> {
-        let graph = ItemGraph::build(&ws.files);
-        let table = AccessTable::build(&ws.files, &graph.items);
+        let mut items = Vec::new();
+        for (i, f) in ws.files.iter().enumerate() {
+            model::extract_items(i, f, &mut items);
+        }
+        let table = AccessTable::build(&ws.files, &items);
         Analysis {
             files: &ws.files,
-            graph,
+            items,
             table,
         }
     }
 
-    /// Runs all three passes, appending findings and returning the
-    /// counters.
+    /// Runs both passes, appending findings and returning the counters.
     pub fn run(&self, out: &mut Vec<Diagnostic>) -> Counters {
-        let blind = self.graph.blind_spots(self.files);
+        let blind = model::blind_spots(self.files, &self.items);
         let mut c = Counters {
             atomic_fields: self.table.fields.iter().filter(|f| f.atomic).count(),
             accesses: self.table.accesses.len(),
@@ -121,7 +102,6 @@ impl<'w> Analysis<'w> {
         self.extraction_findings(out);
         self.publication(&mut c, out);
         self.seqlock(&mut c, out);
-        self.guard(&mut c, out);
         c
     }
 
@@ -232,7 +212,7 @@ impl<'w> Analysis<'w> {
     /// touch run, per touching item.
     fn seqlock(&self, c: &mut Counters, out: &mut Vec<Diagnostic>) {
         for (fi, field) in self.table.fields.iter().enumerate() {
-            let Some(stamp) = field.seqlock_stamp() else { continue };
+            let Some(stamp) = field.seqlock.as_deref() else { continue };
             c.seqlock_fields += 1;
             let label = format!("`{}.{}`", field.holder, field.name);
             let stamp_idx = self
@@ -281,7 +261,7 @@ impl<'w> Analysis<'w> {
                 if ok {
                     continue;
                 }
-                let it = &self.graph.items[item];
+                let it = &self.items[item];
                 if self.suppressed(SEQLOCK, it.file, first) {
                     continue;
                 }
@@ -300,102 +280,6 @@ impl<'w> Analysis<'w> {
                 ));
             }
         }
-    }
-
-    /// Pass 3: guard discipline — every touching item's transitive
-    /// footprint must acquire the named lock.
-    fn guard(&self, c: &mut Counters, out: &mut Vec<Diagnostic>) {
-        // Memo: item id -> directly acquires `lock` (by name).
-        let mut acquire_memo: BTreeMap<(usize, String), bool> = BTreeMap::new();
-        for (fi, field) in self.table.fields.iter().enumerate() {
-            let Some(lock) = field.guarded_by() else { continue };
-            c.guard_fields += 1;
-            let label = format!("`{}.{}`", field.holder, field.name);
-            let resolved = self
-                .table
-                .locks
-                .iter()
-                .any(|l| l.crate_key == field.crate_key && l.name == lock);
-            if !resolved {
-                c.unresolved_guards += 1;
-                out.push(Diagnostic::new(
-                    GUARD,
-                    Severity::Error,
-                    self.rel(field.file),
-                    field.line,
-                    format!(
-                        "{label} is `guarded-by: {lock}` but `{lock}` resolves to no \
-                         lock-typed declaration in crate `{}` (unresolved-guard)",
-                        field.crate_key
-                    ),
-                ));
-                continue;
-            }
-            c.guards_resolved += 1;
-            // Touching items and their first touch line.
-            let mut by_item: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-            let touch_points = self
-                .table
-                .accesses
-                .iter()
-                .filter(|a| a.field == fi)
-                .map(|a| (a.item, a.file, a.line))
-                .chain(
-                    self.table
-                        .touches
-                        .iter()
-                        .filter(|t| t.field == fi)
-                        .map(|t| (t.item, t.file, t.line)),
-                );
-            for (item, file, line) in touch_points {
-                let Some(item) = item else { continue };
-                let e = by_item.entry(item).or_insert((file, line));
-                if line < e.1 {
-                    *e = (file, line);
-                }
-            }
-            for (item, (file, line)) in by_item {
-                let closure = self.graph.closure(&BTreeSet::from([item]));
-                let guarded = closure.iter().any(|&id| {
-                    *acquire_memo
-                        .entry((id, lock.to_string()))
-                        .or_insert_with(|| self.item_acquires(id, lock))
-                });
-                if guarded || self.suppressed(GUARD, file, line) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    GUARD,
-                    Severity::Error,
-                    self.rel(file),
-                    line,
-                    format!(
-                        "`{}` touches {label} (guarded-by: {lock}) but neither it nor \
-                         anything in its footprint acquires `{lock}`; take the lock or \
-                         justify with `// lint: allow({GUARD}) — reason`",
-                        self.graph.items[item].name
-                    ),
-                ));
-            }
-        }
-    }
-
-    /// True when any code line of `item` names `lock` and makes an
-    /// acquire-shaped call on the same line.
-    fn item_acquires(&self, item: usize, lock: &str) -> bool {
-        let it = &self.graph.items[item];
-        let file = &self.files[it.file];
-        for &(a, b) in &it.ranges {
-            for l in a..=b.min(file.lines.len()) {
-                let code = &file.lines[l - 1].code;
-                if lexer::has_word(code, lock)
-                    && ACQUIRE_CALLS.iter().any(|p| code.contains(p))
-                {
-                    return true;
-                }
-            }
-        }
-        false
     }
 }
 
@@ -535,68 +419,6 @@ pub struct Cell2 {{
         let (out, _) = run(&[("crates/demo/src/lib.rs", &src)]);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("names no tracked atomic field"));
-    }
-
-    #[test]
-    fn guard_violation_clean_twin_and_unresolved() {
-        let mk = |guarded: &str, lockty: &str| {
-            format!(
-                "{HEADER}\
-use std::sync::Mutex;
-pub struct S {{
-    lock: {lockty},
-    // guarded-by: {guarded}
-    pub count: AtomicU64,
-}}
-impl S {{
-    pub fn good(&self) {{
-        let _g = self.lock.lock();
-        self.count.store(1, Ordering::Relaxed);
-    }}
-    pub fn bad(&self) -> u64 {{
-        self.count.load(Ordering::Relaxed)
-    }}
-}}
-"
-            )
-        };
-        let (out, c) = run(&[("crates/demo/src/lib.rs", &mk("lock", "Mutex<u64>"))]);
-        assert_eq!(c.guard_fields, 1);
-        assert_eq!(c.guards_resolved, 1);
-        assert_eq!(c.unresolved_guards, 0);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].lint, GUARD);
-        assert!(out[0].message.contains("`bad`"), "{}", out[0].message);
-
-        // Lock name that resolves to nothing: loud unresolved-guard.
-        let (out, c) = run(&[("crates/demo/src/lib.rs", &mk("nolock", "Mutex<u64>"))]);
-        assert_eq!(c.unresolved_guards, 1);
-        assert!(out.iter().any(|d| d.message.contains("unresolved-guard")));
-    }
-
-    #[test]
-    fn guard_acquisition_through_callee_counts() {
-        let src = format!(
-            "{HEADER}\
-use std::sync::Mutex;
-pub struct S {{
-    lock: Mutex<u64>,
-    // guarded-by: lock
-    pub count: AtomicU64,
-}}
-impl S {{
-    fn with_lock(&self) {{
-        let _g = self.lock.lock();
-    }}
-    pub fn outer(&self) {{
-        self.with_lock();
-        self.count.store(1, Ordering::Relaxed);
-    }}
-}}
-"
-        );
-        let (out, _) = run(&[("crates/demo/src/lib.rs", &src)]);
-        assert!(out.is_empty(), "footprint acquisition suffices: {out:?}");
     }
 
     #[test]

@@ -184,8 +184,8 @@ const EXCLUDED_DIRS: &[&str] = &["target", ".git", ".github", "results"];
 impl Workspace {
     /// Walks `root` collecting all `.rs` files, excluding build output
     /// and the lint crate's own test fixtures (which intentionally
-    /// violate every lint). The only directory walk: the item graph and
-    /// access table are built from the files loaded here.
+    /// violate every lint). The only directory walk: the extracted items
+    /// and the access table are built from the files loaded here.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let mut stack = vec![root.to_path_buf()];

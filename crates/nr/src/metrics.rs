@@ -4,14 +4,10 @@
 //! `veros-telemetry`; with the `telemetry` feature disabled all of them
 //! compile to no-ops and `export` registers nothing that can observe
 //! anything. The combiner is the only NR code that touches these, and
-//! its per-pass cost is one uncontended load + store on a replica-local
-//! accumulator: the shared counter and histogram are only touched once
-//! [`FLUSH_OPS`] operations have piled up, in an outlined cold flush —
-//! see `DESIGN.md` §10 for the overhead argument.
-
-use std::sync::atomic::AtomicU64;
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::Ordering;
+//! its per-pass cost is one add to an accumulator inside the value the
+//! replica's lock guards: the shared counter and histogram are only
+//! touched once [`FLUSH_OPS`] operations have piled up, in an outlined
+//! cold flush — see `DESIGN.md` §10 for the overhead argument.
 
 use veros_telemetry::{Counter, Histogram, Registry};
 
@@ -35,8 +31,8 @@ pub const FLUSH_OPS: u64 = 64;
 /// Records one combiner pass that collected `collected` operations,
 /// accumulating into the replica's `pending` slot.
 ///
-/// `pending` is combiner-exclusive (the caller is *the* combiner for
-/// its replica), so the fast path is one uncontended L1 load + store —
+/// `pending` lives inside the value the replica's lock guards, so only
+/// the combiner can borrow it and the fast path is a plain add —
 /// measured cheaper than a thread-local slot, which cost ~4ns/op on
 /// the single-thread sweep (DESIGN.md §10). Once [`FLUSH_OPS`]
 /// operations have piled up, the accumulated count lands in
@@ -45,20 +41,12 @@ pub const FLUSH_OPS: u64 = 64;
 /// contended) tail loads behind the closure. A no-op without the
 /// `telemetry` feature.
 #[inline]
-pub fn combine_pass(pending: &AtomicU64, collected: u64, lag: impl FnOnce() -> u64) {
+pub fn combine_pass(pending: &mut u64, collected: u64, lag: impl FnOnce() -> u64) {
     #[cfg(feature = "telemetry")]
     {
-        // lint: allow(atomics-ordering) — pending is combiner-exclusive
-        // (guarded by the replica's combiner lock); no thread ever reads
-        // another thread's in-flight value, so Relaxed suffices.
-        let total = pending.load(Ordering::Relaxed) + collected;
-        if total >= FLUSH_OPS {
-            // lint: allow(atomics-ordering) — same combiner-exclusive slot.
-            pending.store(0, Ordering::Relaxed);
-            flush_combine(total, lag());
-        } else {
-            // lint: allow(atomics-ordering) — same combiner-exclusive slot.
-            pending.store(total, Ordering::Relaxed);
+        *pending += collected;
+        if *pending >= FLUSH_OPS {
+            flush_combine(std::mem::take(pending), lag());
         }
     }
     #[cfg(not(feature = "telemetry"))]
@@ -90,11 +78,11 @@ mod tests {
 
     #[test]
     fn combine_pass_flushes_at_the_op_threshold() {
-        let pending = AtomicU64::new(0);
+        let mut pending = 0u64;
         let before = LOG_APPENDS.get();
         let mut lag_evals = 0u32;
         for _ in 0..(2 * FLUSH_OPS) {
-            combine_pass(&pending, 1, || {
+            combine_pass(&mut pending, 1, || {
                 lag_evals += 1;
                 0
             });
@@ -105,6 +93,6 @@ mod tests {
         // same process-global instrument.
         assert!(LOG_APPENDS.get() - before >= 2 * FLUSH_OPS);
         assert_eq!(lag_evals, 2);
-        assert_eq!(pending.load(Ordering::Relaxed), 0);
+        assert_eq!(pending, 0);
     }
 }

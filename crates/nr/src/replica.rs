@@ -6,6 +6,18 @@ use crate::log::{Log, LogEntry};
 use crate::pad::CachePadded;
 use crate::rwlock::DistRwLock;
 
+/// What a replica's [`DistRwLock`] guards: the data copy and the
+/// combiner's telemetry accumulator. Only a write-guard holder can name
+/// the accumulator, so the compiler, not a checker, keeps it
+/// combiner-exclusive.
+pub(crate) struct Guarded<D> {
+    pub(crate) data: D,
+    /// Operations appended but not yet flushed to the process-global
+    /// counter (see `metrics::combine_pass`). Present (and zero) even
+    /// with telemetry off so the layout does not depend on the feature.
+    pub(crate) pending_appends: u64,
+}
+
 /// One replica of the data structure.
 ///
 /// The replica's data sits behind a [`DistRwLock`]; the write side doubles
@@ -22,16 +34,8 @@ use crate::rwlock::DistRwLock;
 /// response stamp shares no line with its neighbours.
 pub struct Replica<D: Dispatch> {
     pub(crate) id: usize,
-    pub(crate) data: DistRwLock<D>,
+    pub(crate) data: DistRwLock<Guarded<D>>,
     pub(crate) contexts: Vec<CachePadded<Context<D>>>,
-    /// Telemetry accumulator: operations appended but not yet flushed to
-    /// the process-global counter (see `metrics::combine_pass`). Only
-    /// the combiner — which holds this replica's write lock — touches
-    /// it, so it rides the combiner's cache traffic for free. Present
-    /// (and zero) even with telemetry off so the struct layout does not
-    /// depend on the feature.
-    // guarded-by: data
-    pub(crate) pending_appends: CachePadded<core::sync::atomic::AtomicU64>,
 }
 
 impl<D: Dispatch> Replica<D> {
@@ -39,11 +43,16 @@ impl<D: Dispatch> Replica<D> {
     pub fn new(id: usize, threads: usize, data: D) -> Self {
         Self {
             id,
-            data: DistRwLock::new(threads, data),
+            data: DistRwLock::new(
+                threads,
+                Guarded {
+                    data,
+                    pending_appends: 0,
+                },
+            ),
             contexts: (0..threads)
                 .map(|_| CachePadded::new(Context::default()))
                 .collect(),
-            pending_appends: CachePadded::new(core::sync::atomic::AtomicU64::new(0)),
         }
     }
 

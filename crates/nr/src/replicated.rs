@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dispatch::Dispatch;
 use crate::log::Log;
-use crate::replica::Replica;
+use crate::replica::{Guarded, Replica};
 
 /// A registered thread's handle: which replica it belongs to and which
 /// context slot it owns.
@@ -158,10 +158,10 @@ impl<D: Dispatch> NodeReplicated<D> {
                 // ltail only advances, so the state we read contains at
                 // least everything up to `t_tail`; mutations require the
                 // write lock, which our read guard excludes.
-                return guard.dispatch(op);
+                return guard.data.dispatch(op);
             }
             if let Some(mut guard) = replica.data.try_write() {
-                replica.apply_log(&self.log, &mut guard);
+                replica.apply_log(&self.log, &mut guard.data);
             } else {
                 backoff.wait();
             }
@@ -178,7 +178,7 @@ impl<D: Dispatch> NodeReplicated<D> {
                 return;
             }
             if let Some(mut guard) = replica.data.try_write() {
-                replica.apply_log(&self.log, &mut guard);
+                replica.apply_log(&self.log, &mut guard.data);
                 return;
             }
             backoff.wait();
@@ -188,7 +188,7 @@ impl<D: Dispatch> NodeReplicated<D> {
     /// The combiner: collect, append (helping lagging replicas when the
     /// log is full), apply. Ops move from context cells into the batch
     /// and from the batch into the log — no clones anywhere on the path.
-    fn combine(&self, replica_idx: usize, data: &mut D) {
+    fn combine(&self, replica_idx: usize, state: &mut Guarded<D>) {
         let replica = &self.replicas[replica_idx];
         let mut batch = Vec::with_capacity(replica.max_threads());
         replica.collect(&mut batch);
@@ -197,17 +197,17 @@ impl<D: Dispatch> NodeReplicated<D> {
             while !self.log.try_append(&mut batch) {
                 // The ring is full: consume on our own replica first,
                 // then help lagging remote replicas drain.
-                replica.apply_log(&self.log, data);
+                replica.apply_log(&self.log, &mut state.data);
                 self.help_lagging(replica_idx);
             }
         }
         // Instrumented after the append so the accumulator's L1 traffic
         // overlaps the append's store-buffer drain; the lag closure is
         // only evaluated on a flush, pre-apply (the interesting lag).
-        crate::metrics::combine_pass(&replica.pending_appends, collected, || {
+        crate::metrics::combine_pass(&mut state.pending_appends, collected, || {
             self.log.tail().saturating_sub(self.log.ltail(replica_idx)) as u64
         });
-        replica.apply_log(&self.log, data);
+        replica.apply_log(&self.log, &mut state.data);
     }
 
     /// Advances lagging replicas that nobody else is advancing, so a full
@@ -220,7 +220,7 @@ impl<D: Dispatch> NodeReplicated<D> {
                 continue;
             }
             if let Some(mut guard) = other.data.try_write() {
-                other.apply_log(&self.log, &mut guard);
+                other.apply_log(&self.log, &mut guard.data);
             }
         }
     }
