@@ -82,9 +82,8 @@ fn exercise_kernel() {
 
 /// Uring: a submission-ring batch through the engine, including one
 /// parked-and-woken futex wait so the pending-table instruments tick;
-/// then the multi-ring poller (a flooded ring against a trickling one,
-/// so the fairness-deferral counter engages) and the chain dispatcher
-/// (one clean chain, one mid-chain failure whose suffix cancels).
+/// then engine passes over the chain dispatcher (one clean chain, one
+/// mid-chain failure whose suffix cancels).
 fn exercise_uring() {
     let mut k = Kernel::boot(KernelConfig::default()).expect("default config boots");
     let owner = (k.init_pid, k.init_tid);
@@ -103,41 +102,25 @@ fn exercise_uring() {
         .expect("wake the parked worker");
     engine.reap(&mut k);
     while user.complete().is_some() {}
-    engine.shutdown(&mut k);
 
-    // Poller: burst 1 over two rings, ring 0 flooded past the budget —
-    // every sweep defers ring 0 until the flood drains, then the idle
-    // sweeps pull the deferral/sweep ratio back under the alert bound.
-    let mut set = veros_uring::RingSet::new(1);
-    let (mut u0, kr0) = veros_uring::pair(8);
-    let (mut u1, kr1) = veros_uring::pair(8);
-    set.add(veros_uring::Engine::new(kr0, owner));
-    set.add(veros_uring::Engine::new(kr1, owner));
-    for i in 0..6u64 {
-        u0.submit(i, &Syscall::ClockRead).expect("sq has room");
-    }
-    u1.submit(100, &Syscall::ClockRead).expect("sq has room");
-    while !set.sweep(&mut k).idle() {}
-
-    // Chains on ring 0: a clean LINKed triple, then a chain whose
-    // second link fails (bad fd) and cancels its suffix — aborts and
+    // Chains: a clean LINKed triple, then a chain whose second link
+    // fails (bad fd) and cancels its suffix — aborts and
     // links-cancelled tick, the atomicity self-check stays silent.
     use veros_uring::SqeFlags;
     let link = SqeFlags { link: true, subst: None };
     for ud in [200u64, 201] {
-        u0.submit_flagged(ud, &Syscall::ClockRead, link).expect("sq has room");
+        user.submit_flagged(ud, &Syscall::ClockRead, link).expect("sq has room");
     }
-    u0.submit_flagged(202, &Syscall::ClockRead, SqeFlags::NONE)
+    user.submit_flagged(202, &Syscall::ClockRead, SqeFlags::NONE)
         .expect("sq has room");
-    u0.submit_flagged(300, &Syscall::ClockRead, link).expect("sq has room");
-    u0.submit_flagged(301, &Syscall::Seek { fd: 99, offset: 0 }, link)
+    user.submit_flagged(300, &Syscall::ClockRead, link).expect("sq has room");
+    user.submit_flagged(301, &Syscall::Seek { fd: 99, offset: 0 }, link)
         .expect("sq has room");
-    u0.submit_flagged(302, &Syscall::ClockRead, SqeFlags::NONE)
+    user.submit_flagged(302, &Syscall::ClockRead, SqeFlags::NONE)
         .expect("sq has room");
-    while !set.sweep(&mut k).idle() {}
-    while u0.complete().is_some() {}
-    while u1.complete().is_some() {}
-    set.shutdown_all(&mut k);
+    while engine.pass(&mut k) {}
+    while user.complete().is_some() {}
+    engine.shutdown(&mut k);
 }
 
 /// Net + blockstore + fleet: a sharded chain-replicated fleet over a
@@ -215,7 +198,7 @@ fn main() {
     let names = reg.metric_names();
     let mut unregistered: Vec<&str> = rules
         .iter()
-        .flat_map(|r| r.metrics())
+        .map(|r| r.metric())
         .filter(|m| !names.contains(m))
         .collect();
     unregistered.sort_unstable();

@@ -101,7 +101,7 @@ mod tests {
             }
         }
         let names = reg.metric_names();
-        let alerted: Vec<&str> = default_rules().iter().flat_map(|r| r.metrics()).collect();
+        let alerted: Vec<&str> = default_rules().iter().map(|r| r.metric()).collect();
         for &(row, _, mult, _, read_by) in &rows {
             let n = names.iter().filter(|name| covers(row, name)).count();
             if n != mult {

@@ -1,7 +1,7 @@
 //! The `nr_hotpath` workload: contended NR dispatch throughput and
 //! address-translation latency, before/after the hot-path overhaul.
 //!
-//! Two families of measurements, emitted as `BENCH_nr.json`:
+//! Three families of measurements, emitted as `BENCH_nr.json`:
 //!
 //! * **Contended `execute_mut` throughput** across threads×replicas
 //!   cells: every thread hammers a replicated counter through the flat
@@ -11,8 +11,9 @@
 //!   what this cell isolates.
 //! * **Resolve latency** through a `VSpaceDispatch`: a hot working set
 //!   (small enough for the translation cache) vs. a cold sweep (forcing
-//!   the full 4-level tree walk), plus batched range ops once they
-//!   exist.
+//!   the full 4-level tree walk).
+//! * **Range map+unmap cost per page**: batched range ops
+//!   (`range_batched_ns`) vs. the per-page loop (`range_per_page_ns`).
 //!
 //! The JSON mirror doubles as the CI regression baseline: every run of
 //! the binary reads the committed `BENCH_nr.json` at the workspace root

@@ -707,7 +707,7 @@ fn uring_chain_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Stri
         if room == 0 {
             return 0;
         }
-        let (c, _) = engine.submit_batch_bounded(ka, max.min(room));
+        let c = engine.submit_batch_bounded(ka, max.min(room));
         *consumed += c;
         while user.complete().is_some() {}
         c

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use veros_kernel::syscall::{abi, SysError, SysRet, Syscall};
 use veros_kernel::{Kernel, KernelConfig, Pid};
 use veros_spec::rng::SpecRng;
-use veros_uring::{pair, Cqe, Engine, RingSet, SetTwin, SqeFlags, SubstSource, SyncTwin, UserRing};
+use veros_uring::{pair, Cqe, Engine, SqeFlags, SubstSource, SyncTwin};
 
 use crate::view::view;
 
@@ -360,175 +360,6 @@ pub fn ring_exactly_once(seed: u64, steps: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// One random non-blocking-or-futex operation for the multi-ring runs
-/// (no `Spawn`/`Wait`: child lifecycle events have no natural quiesced
-/// point once several rings drain concurrently).
-fn gen_ring_op(rng: &mut SpecRng) -> Syscall {
-    match rng.below(11) {
-        0 => Syscall::Map {
-            va: *rng.choose(&MAP_VAS),
-            pages: 1 + rng.below(3),
-            writable: true,
-        },
-        1 => Syscall::Unmap { va: *rng.choose(&MAP_VAS), pages: 1 + rng.below(3) },
-        2 => Syscall::ClockRead,
-        3 => Syscall::Yield,
-        4 => Syscall::FutexWait {
-            va: *rng.choose(&FUTEX_VAS),
-            expected: if rng.chance(1, 3) { 7 } else { 0 },
-        },
-        5 => Syscall::FutexWake { va: *rng.choose(&FUTEX_VAS), count: 1 + rng.below(2) as u32 },
-        6 => Syscall::Open { path_ptr: PATH_VA, path_len: PATH.len() as u64, create: true },
-        7 => Syscall::Write {
-            fd: 3 + rng.below(3) as u32,
-            buf_ptr: SHARED_VA + 0x100,
-            buf_len: 1 + rng.below(32),
-        },
-        8 => Syscall::Read {
-            fd: 3 + rng.below(3) as u32,
-            buf_ptr: SHARED_VA + 0x200,
-            buf_len: 1 + rng.below(32),
-        },
-        9 => Syscall::Seek { fd: 3 + rng.below(3) as u32, offset: rng.below(16) },
-        _ => Syscall::Close { fd: 3 + rng.below(3) as u32 },
-    }
-}
-
-/// The multi-ring linearization obligation: `rings` rings drained by
-/// one [`RingSet`] poller produce, ring for ring and completion for
-/// completion, the results of a [`SetTwin`] that mirrors the poller's
-/// policy (rotating cursor, per-ring burst budget, per-ring pending
-/// scans) on a second identically-booted kernel — and the final
-/// abstract kernel states are identical. Per-ring FIFO of non-blocking
-/// submissions is checked on the way.
-pub fn multi_ring_differential(seed: u64, rings: usize, steps: usize) -> Result<(), String> {
-    const DEPTH: usize = 8;
-    let burst = 2 + (seed as usize % 3); // 2..=4: the budget engages.
-    let mut ka = boot()?;
-    let mut kb = boot()?;
-    let owner_a = (ka.init_pid, ka.init_tid);
-    let owner_b = (kb.init_pid, kb.init_tid);
-
-    let mut users: Vec<UserRing> = Vec::new();
-    let mut set = RingSet::new(burst);
-    let mut tset = SetTwin::new(burst);
-    for _ in 0..rings {
-        let (user, kring) = pair(DEPTH);
-        users.push(user);
-        set.add(Engine::new(kring, owner_a));
-        tset.add(owner_b);
-    }
-
-    let mut rng = SpecRng::seeded(seed ^ 0x3a7_11d0);
-    let mut token = 0u64;
-    let mut ring_cqes: Vec<Vec<Cqe>> = vec![Vec::new(); rings];
-    let mut blocking_tokens = Vec::new();
-
-    let sweep_both = |ka: &mut Kernel,
-                          kb: &mut Kernel,
-                          set: &mut RingSet,
-                          tset: &mut SetTwin,
-                          users: &mut [UserRing],
-                          ring_cqes: &mut [Vec<Cqe>]| {
-        set.sweep(ka);
-        tset.sweep(kb);
-        for (r, user) in users.iter_mut().enumerate() {
-            drain(user, &mut ring_cqes[r]);
-        }
-    };
-
-    for step in 0..steps {
-        let r = rng.below(rings as u64) as usize;
-        let call = gen_ring_op(&mut rng);
-        if may_block(&call) {
-            blocking_tokens.push(token);
-        }
-        let mut tries = 0;
-        while users[r].submit(token, &call).is_err() {
-            // Backpressure: the burst budget may need several sweeps
-            // to open a slot (both sides sweep in lockstep, keeping
-            // the rotating cursors aligned).
-            sweep_both(&mut ka, &mut kb, &mut set, &mut tset, &mut users, &mut ring_cqes);
-            tries += 1;
-            if tries > DEPTH {
-                return Err(format!("seed {seed} step {step}: ring {r} SQ never drained"));
-            }
-        }
-        tset.enqueue(r, token, abi::encode_regs(&call), SqeFlags::NONE.encode());
-        token += 1;
-        if rng.chance(1, 3) {
-            sweep_both(&mut ka, &mut kb, &mut set, &mut tset, &mut users, &mut ring_cqes);
-        }
-    }
-
-    // Drain: sweep in lockstep until both sides are quiet, waking
-    // every futex on both kernels between passes — a `FutexWait` still
-    // queued in an SQ (or deferred by the burst budget) when a wake
-    // lands is dispatched by a *later* sweep and parks, so a one-shot
-    // wake-all up front would strand it forever.
-    for _ in 0..(steps + 16) {
-        sweep_both(&mut ka, &mut kb, &mut set, &mut tset, &mut users, &mut ring_cqes);
-        if set.outstanding() == 0 && tset.outstanding() == 0 {
-            break;
-        }
-        for k in [&mut ka, &mut kb] {
-            let c = (k.init_pid, k.init_tid);
-            for va in FUTEX_VAS {
-                k.syscall(c, Syscall::FutexWake { va, count: u32::MAX })
-                    .map_err(|e| format!("wake-all: {e:?}"))?;
-            }
-        }
-    }
-    if set.outstanding() != 0 || tset.outstanding() != 0 {
-        return Err(format!(
-            "seed {seed}: outstanding work did not drain (set {}, twin {})",
-            set.outstanding(),
-            tset.outstanding()
-        ));
-    }
-
-    // 1. Per-ring completion sequences agree entry for entry.
-    for (r, cqes) in ring_cqes.iter().enumerate() {
-        let twin_cqes = tset.ring_completions(r);
-        if cqes.len() != twin_cqes.len() {
-            return Err(format!(
-                "seed {seed}: ring {r} posted {} completions, twin {} ",
-                cqes.len(),
-                twin_cqes.len()
-            ));
-        }
-        for (i, (a, b)) in cqes.iter().zip(twin_cqes).enumerate() {
-            if a != b {
-                return Err(format!(
-                    "seed {seed}: ring {r} completion {i} diverges: set {a:?}, twin {b:?}"
-                ));
-            }
-        }
-        // 2. Non-blocking completions stay FIFO within their ring.
-        let mut last = None;
-        for cqe in cqes {
-            if blocking_tokens.contains(&cqe.user_data) {
-                continue;
-            }
-            if let Some(prev) = last {
-                if cqe.user_data <= prev {
-                    return Err(format!(
-                        "seed {seed}: ring {r} non-blocking token {} completed after {}",
-                        cqe.user_data, prev
-                    ));
-                }
-            }
-            last = Some(cqe.user_data);
-        }
-    }
-
-    // 3. The abstract kernel states are identical.
-    if view(&ka) != view(&kb) {
-        return Err(format!("seed {seed}: final kernel views diverge after {token} ops"));
-    }
-    Ok(())
-}
-
 /// The chain-atomicity obligation: on a deliberately tiny (depth-4)
 /// ring — so chains wrap the queue and split across drains — every
 /// chain completes as an exact prefix of successes, at most one real
@@ -685,98 +516,6 @@ pub fn chain_atomicity(seed: u64, steps: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The poller fairness obligation: with a per-ring budget of `burst`
-/// SQEs per sweep, an entry sitting at backlog position `b` in its
-/// ring completes within `ceil((b+1)/burst)` sweeps, no matter how
-/// hard the other rings flood — the starvation bound the ring-set
-/// module argues.
-pub fn poller_fairness_bound(seed: u64, rounds: usize) -> Result<(), String> {
-    const RINGS: usize = 3;
-    const DEPTH: usize = 8;
-    let burst = 1 + (seed as usize % 3); // 1..=3.
-    let mut k = Kernel::boot(KernelConfig::default()).map_err(|e| format!("boot: {e:?}"))?;
-    let owner = (k.init_pid, k.init_tid);
-
-    let mut users: Vec<UserRing> = Vec::new();
-    let mut set = RingSet::new(burst);
-    for _ in 0..RINGS {
-        let (user, kring) = pair(DEPTH);
-        users.push(user);
-        set.add(Engine::new(kring, owner));
-    }
-
-    let mut rng = SpecRng::seeded(seed ^ 0x000f_a1b0);
-    let mut token = 0u64;
-    // Backlog depth per ring (all ops are non-blocking, so the SQ
-    // backlog is exactly submitted-minus-completed).
-    let mut backlog = [0usize; RINGS];
-    // token -> (submit-time sweep count, completion deadline in sweeps).
-    let mut deadlines: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-
-    for round in 0..rounds {
-        for (r, user) in users.iter_mut().enumerate() {
-            // Ring 0 floods (up to its free slots); the others trickle.
-            let want = if r == 0 { burst * 2 } else { rng.below(2) as usize };
-            let n = want.min(user.sq_free() as usize);
-            for _ in 0..n {
-                let call = if rng.chance(1, 2) { Syscall::ClockRead } else { Syscall::Yield };
-                user.submit(token, &call)
-                    .map_err(|_| format!("seed {seed} round {round}: SQ full at free>0"))?;
-                let bound = ((backlog[r] + 1).div_ceil(burst)) as u64;
-                deadlines.insert(token, (set.sweeps(), bound));
-                backlog[r] += 1;
-                token += 1;
-            }
-        }
-        set.sweep(&mut k);
-        let now = set.sweeps();
-        for (r, user) in users.iter_mut().enumerate() {
-            while let Some(cqe) = user.complete() {
-                backlog[r] -= 1;
-                let (at, bound) = deadlines
-                    .remove(&cqe.user_data)
-                    .ok_or_else(|| format!("seed {seed}: unknown token {}", cqe.user_data))?;
-                let waited = now - at;
-                if waited > bound {
-                    return Err(format!(
-                        "seed {seed}: token {} on ring {r} took {waited} sweeps, bound {bound} \
-                         (burst {burst})",
-                        cqe.user_data
-                    ));
-                }
-            }
-        }
-    }
-    // Drain what the budget deferred; the bound keeps holding.
-    while !deadlines.is_empty() {
-        let before = deadlines.len();
-        set.sweep(&mut k);
-        let now = set.sweeps();
-        for (r, user) in users.iter_mut().enumerate() {
-            while let Some(cqe) = user.complete() {
-                backlog[r] -= 1;
-                let (at, bound) = deadlines
-                    .remove(&cqe.user_data)
-                    .ok_or_else(|| format!("seed {seed}: unknown token {}", cqe.user_data))?;
-                if now - at > bound {
-                    return Err(format!(
-                        "seed {seed}: drain token {} took {} sweeps, bound {bound}",
-                        cqe.user_data,
-                        now - at
-                    ));
-                }
-            }
-        }
-        if deadlines.len() == before {
-            return Err(format!(
-                "seed {seed}: {} tokens never completed",
-                deadlines.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Telemetry coherence for the ring instruments: with the feature on, a
 /// known workload moves the counters by at least its known floors (they
 /// are process-global, so concurrent tests can only inflate them); with
@@ -789,7 +528,6 @@ pub fn telemetry_counters_coherent() -> Result<(), String> {
     let rejected0 = m::SQ_FULL_REJECTIONS.get();
     let parked0 = m::OPS_PARKED.get();
     let sweeps0 = m::POLLER_SWEEPS.get();
-    let deferrals0 = m::FAIRNESS_DEFERRALS.get();
     let chains0 = m::CHAINS_DISPATCHED.get();
     let aborts0 = m::CHAIN_ABORTS.get();
     let cancelled0 = m::CHAIN_LINKS_CANCELLED.get();
@@ -818,34 +556,19 @@ pub fn telemetry_counters_coherent() -> Result<(), String> {
     engine.reap(&mut k);
     while user.complete().is_some() {}
 
-    // A two-ring poller sweep: one active ring, one ring whose flood
-    // exceeds the burst budget (a counted fairness deferral).
-    let mut set = RingSet::new(1);
-    let (mut u0, r0) = pair(4);
-    let (mut u1, r1) = pair(4);
-    set.add(Engine::new(r0, owner));
-    set.add(Engine::new(r1, owner));
-    u0.submit(0, &Syscall::ClockRead).map_err(|_| "poller submit")?;
-    for t in 0..2 {
-        u1.submit(10 + t, &Syscall::ClockRead).map_err(|_| "poller flood")?;
-    }
-    set.sweep(&mut k);
-    set.sweep(&mut k);
-    while u0.complete().is_some() {}
-    while u1.complete().is_some() {}
     // An aborting chain: ClockRead → Close(bad fd) → ClockRead, whose
-    // tail must be cancelled.
-    u0.submit_flagged(20, &Syscall::ClockRead, veros_uring::SqeFlags::NONE.linked())
+    // tail must be cancelled, driven by engine passes until one is idle.
+    user.submit_flagged(20, &Syscall::ClockRead, SqeFlags::NONE.linked())
         .map_err(|_| "chain head")?;
-    u0.submit_flagged(21, &Syscall::Close { fd: 99 }, veros_uring::SqeFlags::NONE.linked())
+    user.submit_flagged(21, &Syscall::Close { fd: 99 }, SqeFlags::NONE.linked())
         .map_err(|_| "chain mid")?;
-    u0.submit_flagged(22, &Syscall::ClockRead, veros_uring::SqeFlags::NONE)
+    user.submit_flagged(22, &Syscall::ClockRead, SqeFlags::NONE)
         .map_err(|_| "chain tail")?;
-    // Burst 1: the chain crosses three sweeps before its tail lands.
-    for _ in 0..3 {
-        set.sweep(&mut k);
+    let mut passes = 1;
+    while engine.pass(&mut k) {
+        passes += 1;
     }
-    while u0.complete().is_some() {}
+    while user.complete().is_some() {}
 
     if !veros_telemetry::enabled() {
         if m::SQES_SUBMITTED.get() != 0
@@ -853,7 +576,6 @@ pub fn telemetry_counters_coherent() -> Result<(), String> {
             || m::CQES_POSTED.get() != 0
             || m::OPS_PARKED.get() != 0
             || m::POLLER_SWEEPS.get() != 0
-            || m::FAIRNESS_DEFERRALS.get() != 0
             || m::CHAINS_DISPATCHED.get() != 0
             || m::CHAIN_ABORTS.get() != 0
             || m::CHAIN_LINKS_CANCELLED.get() != 0
@@ -875,11 +597,8 @@ pub fn telemetry_counters_coherent() -> Result<(), String> {
     if m::OPS_PARKED.get() - parked0 < 1 {
         return Err("parked futex wait not counted".into());
     }
-    if m::POLLER_SWEEPS.get() - sweeps0 < 5 {
-        return Err("5 poller sweeps under-counted".into());
-    }
-    if m::FAIRNESS_DEFERRALS.get() - deferrals0 < 1 {
-        return Err("burst-budget deferral not counted".into());
+    if m::POLLER_SWEEPS.get() - sweeps0 < passes {
+        return Err(format!("{passes} engine passes under-counted"));
     }
     if m::CHAINS_DISPATCHED.get() - chains0 < 1 {
         return Err("dispatched chain not counted".into());
@@ -920,23 +639,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_ring_quick_seeds_pass() {
-        for seed in 0..2 {
-            multi_ring_differential(seed, 2 + (seed as usize % 3), 24).unwrap();
-        }
-    }
-
-    #[test]
     fn chain_atomicity_quick_seeds_pass() {
         for seed in 0..2 {
             chain_atomicity(seed, 24).unwrap();
-        }
-    }
-
-    #[test]
-    fn poller_fairness_quick_seeds_pass() {
-        for seed in 0..2 {
-            poller_fairness_bound(seed, 24).unwrap();
         }
     }
 }

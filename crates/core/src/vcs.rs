@@ -279,19 +279,6 @@ pub fn register_all_with(
         "uring::telemetry_counters_coherent",
         crate::uring::telemetry_counters_coherent,
     );
-    // Multi-ring linearization: several per-thread rings drained by one
-    // SQPOLL-style poller still linearize, ring for ring, against a
-    // poller-policy-mirroring twin — and the kernels converge.
-    for seed in 0..p.uring_seeds {
-        let steps = p.uring_steps;
-        let rings = 2 + (seed as usize % 3);
-        engine.register(
-            MODULE,
-            VcKind::Linearizability,
-            format!("uring::multi_ring_linearizes_s{seed}"),
-            move || crate::uring::multi_ring_differential(seed, rings, steps),
-        );
-    }
     // Chain atomicity: a failing link cancels exactly its suffix —
     // never the completed prefix, never a later chain — across
     // wraparound and drain-split chains on a tiny ring.
@@ -302,17 +289,6 @@ pub fn register_all_with(
             VcKind::Property,
             format!("uring::chain_atomicity_s{seed}"),
             move || crate::uring::chain_atomicity(seed, steps),
-        );
-    }
-    // Poller fairness: the per-ring burst budget bounds how many sweeps
-    // any entry waits, no matter how hard other rings flood.
-    for seed in 0..p.uring_seeds {
-        let rounds = p.uring_steps / 2;
-        engine.register(
-            MODULE,
-            VcKind::Property,
-            format!("uring::poller_fairness_bound_s{seed}"),
-            move || crate::uring::poller_fairness_bound(seed, rounds),
         );
     }
 

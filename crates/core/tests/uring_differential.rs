@@ -25,97 +25,9 @@ fn tiny_ring_under_backpressure_delivers_exactly_once() {
 }
 
 #[test]
-fn multi_ring_poller_linearizes_against_the_set_twin() {
-    for seed in 0..4u64 {
-        veros_core::uring::multi_ring_differential(seed, 2 + (seed as usize % 3), 72)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
-}
-
-#[test]
 fn chains_on_a_tiny_ring_abort_exactly_their_suffix() {
     for seed in 0..4u64 {
         veros_core::uring::chain_atomicity(seed, 72)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
-}
-
-#[test]
-fn burst_budget_bounds_sweeps_to_completion() {
-    for seed in 0..4u64 {
-        veros_core::uring::poller_fairness_bound(seed, 96)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
-}
-
-/// The SQPOLL-style poller is a scheduling policy, not a semantics
-/// change: when per-ring workloads commute (disjoint address ranges,
-/// no cross-ring state), sweeping the rings round-robin with a burst
-/// budget leaves the kernel in exactly the state an inline
-/// ring-at-a-time drain produces.
-#[test]
-fn poller_sweep_equals_inline_drain_on_commuting_workloads() {
-    use veros_kernel::syscall::Syscall;
-    use veros_kernel::{Kernel, KernelConfig};
-    use veros_uring::{pair, Engine, RingSet};
-
-    const RINGS: usize = 3;
-    // Disjoint per-ring VA pools: the rings' operations commute.
-    let va_of = |r: usize, i: u64| 0x40_0000 + (r as u64) * 0x10_0000 + i * 0x1000;
-
-    let build = |k: &Kernel| {
-        let owner = (k.init_pid, k.init_tid);
-        let mut users = Vec::new();
-        let mut engines = Vec::new();
-        for _ in 0..RINGS {
-            let (user, kring) = pair(8);
-            users.push(user);
-            engines.push(Engine::new(kring, owner));
-        }
-        (users, engines)
-    };
-    let submit_all = |users: &mut Vec<veros_uring::UserRing>| {
-        let mut token = 0u64;
-        for (r, user) in users.iter_mut().enumerate() {
-            for i in 0..3u64 {
-                user.submit(token, &Syscall::Map { va: va_of(r, i), pages: 1, writable: true })
-                    .unwrap();
-                token += 1;
-            }
-            user.submit(token, &Syscall::Unmap { va: va_of(r, 1), pages: 1 }).unwrap();
-            token += 1;
-            user.submit(token, &Syscall::ClockRead).unwrap();
-            token += 1;
-        }
-    };
-
-    // Kernel A: poller sweeps, burst 2 (interleaves the rings).
-    let mut ka = Kernel::boot(KernelConfig::default()).unwrap();
-    let (mut users_a, engines_a) = build(&ka);
-    let mut set = RingSet::new(2);
-    for e in engines_a {
-        set.add(e);
-    }
-    submit_all(&mut users_a);
-    while !set.sweep(&mut ka).idle() {}
-
-    // Kernel B: inline drain, ring by ring (no interleaving).
-    let mut kb = Kernel::boot(KernelConfig::default()).unwrap();
-    let (mut users_b, mut engines_b) = build(&kb);
-    submit_all(&mut users_b);
-    for e in &mut engines_b {
-        e.submit_batch(&mut kb);
-        e.reap(&mut kb);
-    }
-
-    for (r, (ua, ub)) in users_a.iter_mut().zip(users_b.iter_mut()).enumerate() {
-        let a: Vec<_> = std::iter::from_fn(|| ua.complete()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| ub.complete()).collect();
-        assert_eq!(a, b, "ring {r} completions diverge between poller and inline drain");
-    }
-    assert_eq!(
-        veros_core::view(&ka),
-        veros_core::view(&kb),
-        "poller sweep and inline drain left different kernel states"
-    );
 }

@@ -47,36 +47,15 @@ pub enum Rule {
         /// Inclusive upper bound on the p99 bucket estimate.
         max: u64,
     },
-    /// The ratio of two counters must not exceed `max_milli`/1000.
-    /// A zero denominator passes (no activity to bound); the rule is
-    /// skipped unless both metrics are present.
-    RatioAtMost {
-        /// Dotted name of the numerator counter.
-        numerator: &'static str,
-        /// Dotted name of the denominator counter.
-        denominator: &'static str,
-        /// Inclusive upper bound, in thousandths (1000 = ratio 1.0).
-        max_milli: u64,
-    },
 }
 
 impl Rule {
-    /// The metric name this rule watches (the numerator, for ratios).
+    /// The metric name this rule watches.
     pub fn metric(&self) -> &'static str {
         match self {
             Rule::CounterAtMost { metric, .. }
             | Rule::CounterAtLeast { metric, .. }
             | Rule::P99AtMost { metric, .. } => metric,
-            Rule::RatioAtMost { numerator, .. } => numerator,
-        }
-    }
-
-    /// Every metric name this rule reads: both operands of a ratio,
-    /// the one watched metric otherwise.
-    pub fn metrics(&self) -> Vec<&'static str> {
-        match self {
-            Rule::RatioAtMost { numerator, denominator, .. } => vec![numerator, denominator],
-            _ => vec![self.metric()],
         }
     }
 }
@@ -98,13 +77,12 @@ pub struct Alert {
 /// `CounterAtLeast { min: 1 }` floor each: a crate whose export went
 /// unwired, or a workload that stopped reaching a path, fails the
 /// report instead of passing on all-zero readings.
-const LIVENESS_FLOORS: [&str; 14] = [
+const LIVENESS_FLOORS: [&str; 13] = [
     "nr.log.appends",
     "kernel.tlb.misses",
     "uring.cqe.posted",
     "uring.pending.parked",
     "uring.poller.sweeps",
-    "uring.poller.fairness_deferrals",
     "uring.chain.dispatched",
     "uring.chain.aborts",
     "uring.chain.links_cancelled",
@@ -132,15 +110,6 @@ pub fn default_rules() -> Vec<Rule> {
         // suffix cancelled, nothing else) ticking even once means the
         // chain dispatcher broke its contract.
         Rule::CounterAtMost { metric: "uring.chain.atomicity_violations", max: 0 },
-        // The burst budget may defer a flooded ring transiently, but on
-        // average fewer than one ring per sweep: a ratio at or above
-        // 1.0 means some ring's backlog outruns the poller on every
-        // pass — the budget is starving, not smoothing.
-        Rule::RatioAtMost {
-            numerator: "uring.poller.fairness_deferrals",
-            denominator: "uring.poller.sweeps",
-            max_milli: 999,
-        },
         // Chain replication lag is bounded by one chain traversal plus
         // wire retransmissions: a p99 past this means a head is
         // forwarding into a wedged successor instead of a lossy wire
@@ -174,48 +143,6 @@ pub fn default_rules() -> Vec<Rule> {
 pub fn evaluate(snapshot: &Snapshot, rules: &[Rule]) -> Vec<Alert> {
     let mut alerts = Vec::new();
     for rule in rules {
-        if let Rule::RatioAtMost { numerator, denominator, max_milli } = rule {
-            // Both metrics present (else skipped, like the scalar
-            // rules) and both counter-shaped (else loud, like the
-            // scalar rules); a zero denominator passes — no activity
-            // to bound.
-            let lookup = |name: &str| snapshot.metrics.iter().find(|m| m.name == name);
-            let (Some(n), Some(d)) = (lookup(numerator), lookup(denominator)) else {
-                continue;
-            };
-            let (
-                MetricValue::Counter(num) | MetricValue::Gauge(num),
-                MetricValue::Counter(den) | MetricValue::Gauge(den),
-            ) = (&n.value, &d.value)
-            else {
-                alerts.push(Alert {
-                    metric: numerator,
-                    observed: 0,
-                    allowed: 0,
-                    message: format!(
-                        "{numerator}/{denominator}: ratio rule needs counters on both sides"
-                    ),
-                });
-                continue;
-            };
-            let (num, den) = (*num, *den);
-            if den == 0 {
-                continue;
-            }
-            let milli = num.saturating_mul(1000) / den;
-            if milli > *max_milli {
-                alerts.push(Alert {
-                    metric: numerator,
-                    observed: milli,
-                    allowed: *max_milli,
-                    message: format!(
-                        "{numerator}/{denominator} = {num}/{den} ({milli} milli), \
-                         allowed at most {max_milli} milli"
-                    ),
-                });
-            }
-            continue;
-        }
         let Some(metric) = snapshot.metrics.iter().find(|m| m.name == rule.metric()) else {
             continue;
         };
@@ -345,9 +272,6 @@ mod tests {
             .any(|r| r.metric() == "uring.chain.atomicity_violations"));
         assert!(rules
             .iter()
-            .any(|r| r.metric() == "uring.poller.fairness_deferrals"));
-        assert!(rules
-            .iter()
             .any(|r| matches!(r, Rule::P99AtMost { metric: "cluster.replication.lag", .. })));
         assert!(rules
             .iter()
@@ -368,16 +292,15 @@ mod tests {
         let rules = default_rules();
         let mut reg = Registry::new();
         for rule in &rules {
-            for name in rule.metrics() {
-                if reg.metric_names().contains(&name) {
-                    continue;
+            let name = rule.metric();
+            if reg.metric_names().contains(&name) {
+                continue;
+            }
+            match rule {
+                Rule::P99AtMost { .. } => {
+                    reg.histogram(name, "units", Box::leak(Box::new(Histogram::new())))
                 }
-                match rule {
-                    Rule::P99AtMost { .. } => {
-                        reg.histogram(name, "units", Box::leak(Box::new(Histogram::new())))
-                    }
-                    _ => reg.counter(name, "units", Box::leak(Box::new(Counter::new()))),
-                }
+                _ => reg.counter(name, "units", Box::leak(Box::new(Counter::new()))),
             }
         }
         let fired: Vec<&str> = evaluate(&reg.snapshot(), &rules)
@@ -389,7 +312,7 @@ mod tests {
             .filter(|r| matches!(r, Rule::CounterAtLeast { .. }))
             .map(Rule::metric)
             .collect();
-        assert_eq!(floors.len(), 15);
+        assert_eq!(floors.len(), 14);
         if crate::enabled() {
             assert_eq!(fired, floors);
         } else {
@@ -416,63 +339,5 @@ mod tests {
         }
         // Satisfied floor (or telemetry compiled out): no alerts.
         assert!(evaluate(&reg.snapshot(), &rules).is_empty());
-    }
-
-    static RATIO_NUM: Counter = Counter::new();
-    static RATIO_DEN: Counter = Counter::new();
-
-    fn ratio_snapshot() -> Snapshot {
-        let mut reg = Registry::new();
-        reg.counter("test.deferrals", "rings", &RATIO_NUM);
-        reg.counter("test.sweeps", "sweeps", &RATIO_DEN);
-        reg.histogram("test.lag", "entries", &LAG);
-        reg.snapshot()
-    }
-
-    #[test]
-    fn ratio_rule_bounds_numerator_against_denominator() {
-        if !crate::enabled() {
-            return;
-        }
-        let rule = |max_milli| {
-            [Rule::RatioAtMost {
-                numerator: "test.deferrals",
-                denominator: "test.sweeps",
-                max_milli,
-            }]
-        };
-        // Zero denominator: no activity, no alert even at bound 0.
-        assert!(evaluate(&ratio_snapshot(), &rule(0)).is_empty());
-        for _ in 0..10 {
-            RATIO_DEN.inc();
-        }
-        for _ in 0..7 {
-            RATIO_NUM.inc();
-        }
-        // 7/10 = 700 milli: inside 999, outside 500.
-        assert!(evaluate(&ratio_snapshot(), &rule(999)).is_empty());
-        let alerts = evaluate(&ratio_snapshot(), &rule(500));
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].observed, 700);
-        assert_eq!(alerts[0].allowed, 500);
-        // Absent metrics skip the rule, like the scalar kinds.
-        let absent = [Rule::RatioAtMost {
-            numerator: "test.not_registered",
-            denominator: "test.sweeps",
-            max_milli: 0,
-        }];
-        assert!(evaluate(&ratio_snapshot(), &absent).is_empty());
-    }
-
-    #[test]
-    fn ratio_rule_rejects_histogram_operands_loudly() {
-        let rules = [Rule::RatioAtMost {
-            numerator: "test.lag",
-            denominator: "test.sweeps",
-            max_milli: 1000,
-        }];
-        let alerts = evaluate(&ratio_snapshot(), &rules);
-        assert_eq!(alerts.len(), 1);
-        assert!(alerts[0].message.contains("needs counters"));
     }
 }

@@ -150,16 +150,26 @@ impl Engine {
         self.log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
+    /// One poller pass: drain the submission queue, then reap woken
+    /// blocked entries. Counts one `uring.poller.sweeps`. Returns true
+    /// when the pass consumed or completed anything — a false return is
+    /// the idle pass a drain loop stops on.
+    pub fn pass(&mut self, k: &mut Kernel) -> bool {
+        let consumed = self.submit_batch(k);
+        let reaped = self.reap(k);
+        metrics::POLLER_SWEEPS.inc();
+        consumed > 0 || reaped > 0
+    }
+
     /// Drains the submission queue, dispatching every entry. Returns
     /// the number of SQEs consumed.
     pub fn submit_batch(&mut self, k: &mut Kernel) -> usize {
-        self.submit_batch_bounded(k, usize::MAX).0
+        self.submit_batch_bounded(k, usize::MAX)
     }
 
-    /// Drains at most `max` SQEs — the poller's per-ring burst budget.
-    /// Returns `(consumed, more)`, where `more` means entries remained
-    /// after the budget ran out (the caller's fairness-deferral signal).
-    pub fn submit_batch_bounded(&mut self, k: &mut Kernel, max: usize) -> (usize, bool) {
+    /// Drains at most `max` SQEs (a crash schedule's dispatch budget).
+    /// Returns the number consumed.
+    pub fn submit_batch_bounded(&mut self, k: &mut Kernel, max: usize) -> usize {
         self.flush_backlog();
         let mut drained = 0;
         while drained < max {
@@ -175,7 +185,7 @@ impl Engine {
             };
             self.admit(k, sqe);
         }
-        (drained, !self.ring.sq.is_empty())
+        drained
     }
 
     /// Routes one decoded SQE: the flag-free singleton takes the PR-4

@@ -26,28 +26,24 @@
 //! head-of-line-blocks the ring; everything else completes in
 //! submission order.
 //!
-//! Two data-plane extensions scale the single ring out:
+//! **Chained SQEs** ([`entry::SqeFlags`]) extend the single ring: a
+//! linked run of entries executes as one kernel-side chain — a later
+//! link can consume an earlier link's result ([`entry::SubstSource`]),
+//! and the first failure cancels the rest of the chain exactly
+//! (`SysError::Cancelled`), never the completed prefix.
 //!
-//! * **Chained SQEs** ([`entry::SqeFlags`]): a linked run of entries
-//!   executes as one kernel-side chain — a later link can consume an
-//!   earlier link's result ([`entry::SubstSource`]), and the first
-//!   failure cancels the rest of the chain exactly
-//!   (`SysError::Cancelled`), never the completed prefix.
-//! * **Ring sets** ([`ringset::RingSet`]): one ring per owner thread,
-//!   drained by an SQPOLL-style poller sweep — round-robin from a
-//!   rotating cursor with a per-ring burst budget, which bounds how
-//!   long any ring can wait while another makes progress.
+//! The ring's poller is its engine: one [`Engine::pass`] drains the
+//! submission queue and reaps woken blocked entries, and a drain loop
+//! repeats passes until one finds nothing to do.
 
 pub mod engine;
 pub mod entry;
 pub mod metrics;
 pub mod ring;
-pub mod ringset;
 pub mod spsc;
 pub mod twin;
 
 pub use engine::{DispatchRecord, Engine, MAX_CHAIN};
 pub use entry::{Cqe, CqeBytes, Sqe, SqeBytes, SqeFlags, SubstSource, CQE_BYTES, SQE_BYTES};
 pub use ring::{pair, KernelRing, SqFull, UserRing};
-pub use ringset::{RingSet, SweepStats};
-pub use twin::{SetTwin, SyncTwin};
+pub use twin::SyncTwin;

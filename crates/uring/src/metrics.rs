@@ -44,14 +44,9 @@ pub static CHAIN_LINKS_CANCELLED: Counter = Counter::new();
 /// an engine bug, not a workload property.
 pub static CHAIN_ATOMICITY_VIOLATIONS: Counter = Counter::new();
 
-/// Poller sweeps over the ring set (one count per full round-robin
-/// pass, however many rings it visits).
+/// Engine passes ([`crate::Engine::pass`]: one submit drain plus one
+/// reap of the pending table).
 pub static POLLER_SWEEPS: Counter = Counter::new();
-
-/// Rings whose drain was truncated by the per-ring burst budget and
-/// deferred to the next sweep — the fairness mechanism engaging, not a
-/// starvation event. Bounded relative to sweeps by an alert rule.
-pub static FAIRNESS_DEFERRALS: Counter = Counter::new();
 
 /// Registers every ring instrument under the `uring.` prefix.
 pub fn export(reg: &mut Registry) {
@@ -68,7 +63,6 @@ pub fn export(reg: &mut Registry) {
         &CHAIN_ATOMICITY_VIOLATIONS,
     );
     reg.counter("uring.poller.sweeps", "sweeps", &POLLER_SWEEPS);
-    reg.counter("uring.poller.fairness_deferrals", "rings", &FAIRNESS_DEFERRALS);
 }
 
 #[cfg(test)]
@@ -80,10 +74,10 @@ mod tests {
         let mut reg = Registry::new();
         export(&mut reg);
         let names = reg.metric_names();
-        assert_eq!(reg.metric_count(), 10);
+        assert_eq!(reg.metric_count(), 9);
         assert!(names.iter().all(|n| n.starts_with("uring.")));
         assert!(names.contains(&"uring.sq.full_rejections"));
-        assert!(names.contains(&"uring.poller.fairness_deferrals"));
+        assert!(names.contains(&"uring.poller.sweeps"));
         assert!(names.contains(&"uring.chain.atomicity_violations"));
     }
 }

@@ -313,109 +313,3 @@ impl SyncTwin {
 fn is_blocked(k: &Kernel, tid: Tid) -> bool {
     matches!(k.sched.thread(tid).map(|t| t.state), Some(ThreadState::Blocked(_)))
 }
-
-/// One ring of a [`SetTwin`]: its synchronous twin plus the queue of
-/// submissions not yet consumed by a sweep (the mirror of the engine's
-/// submission queue).
-struct TwinRing {
-    twin: SyncTwin,
-    queue: VecDeque<(u64, Regs, u64)>,
-}
-
-/// The multi-ring reference execution: mirrors
-/// [`crate::ringset::RingSet`]'s poller policy — round-robin from a
-/// cursor that rotates one position per sweep, at most `burst`
-/// submissions consumed per ring per sweep, pending tables pumped after
-/// each ring's drain — with every dispatch going through the
-/// instrumented synchronous [`Kernel::syscall`] path.
-pub struct SetTwin {
-    rings: Vec<TwinRing>,
-    cursor: usize,
-    burst: usize,
-}
-
-impl SetTwin {
-    /// An empty set with the same burst budget as the ring set under
-    /// test.
-    pub fn new(burst: usize) -> Self {
-        Self { rings: Vec::new(), cursor: 0, burst: burst.max(1) }
-    }
-
-    /// Adds a ring owned by `owner`; returns its index (must be added
-    /// in the same order as the engines of the [`crate::ringset::RingSet`]).
-    pub fn add(&mut self, owner: (Pid, Tid)) -> usize {
-        self.rings.push(TwinRing { twin: SyncTwin::new(owner), queue: VecDeque::new() });
-        self.rings.len() - 1
-    }
-
-    /// Number of rings.
-    pub fn len(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// True when the set has no rings.
-    pub fn is_empty(&self) -> bool {
-        self.rings.is_empty()
-    }
-
-    /// Queues one submission on ring `index` (the mirror of pushing an
-    /// SQE; nothing dispatches until a sweep reaches the ring).
-    pub fn enqueue(&mut self, index: usize, user_data: u64, regs: Regs, raw_flags: u64) {
-        if let Some(ring) = self.rings.get_mut(index) {
-            ring.queue.push_back((user_data, regs, raw_flags));
-        }
-    }
-
-    /// One sweep, mirroring [`crate::ringset::RingSet::sweep`]: every
-    /// ring visited round-robin from the rotating cursor, up to `burst`
-    /// submissions dispatched, pending table pumped. Returns the number
-    /// of submissions consumed.
-    pub fn sweep(&mut self, k: &mut Kernel) -> usize {
-        let n = self.rings.len();
-        let mut consumed = 0;
-        for offset in 0..n {
-            let i = (self.cursor + offset) % n;
-            // lint: allow(panic-freedom) — i < n by construction of the
-            // modulus; indexing cannot fail.
-            let ring = &mut self.rings[i];
-            for _ in 0..self.burst {
-                let Some((user_data, regs, raw_flags)) = ring.queue.pop_front() else {
-                    break;
-                };
-                consumed += 1;
-                ring.twin.submit_sqe(k, user_data, regs, raw_flags);
-            }
-            ring.twin.pump(k);
-        }
-        if n > 0 {
-            self.cursor = (self.cursor + 1) % n;
-        }
-        consumed
-    }
-
-    /// Submissions still queued plus entries parked or chain-buffered,
-    /// summed over the set.
-    pub fn outstanding(&self) -> usize {
-        self.rings
-            .iter()
-            .map(|r| r.queue.len() + r.twin.pending_len() + r.twin.chain_buffered())
-            .sum()
-    }
-
-    /// Completions of ring `index`, in completion order.
-    pub fn ring_completions(&self, index: usize) -> &[Cqe] {
-        self.rings.get(index).map(|r| r.twin.completions()).unwrap_or(&[])
-    }
-
-    /// Shuts every ring's twin down. Returns the number cancelled.
-    /// Submissions still queued are dropped without a completion — the
-    /// mirror of SQEs an engine never drained.
-    pub fn shutdown_all(&mut self, k: &mut Kernel) -> usize {
-        let mut cancelled = 0;
-        for ring in &mut self.rings {
-            ring.queue.clear();
-            cancelled += ring.twin.shutdown(k);
-        }
-        cancelled
-    }
-}
