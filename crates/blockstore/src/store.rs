@@ -10,7 +10,7 @@ use veros_fs::journal::{FsOp, JournaledFs};
 use veros_fs::{FsError, Path};
 use veros_hw::SimDisk;
 
-use crate::wire::block_checksum;
+use crate::wire::{block_checksum, Response};
 
 /// Storage errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,26 +116,51 @@ impl BlockStore {
 
     /// Fetches a block and its stored checksum, verifying integrity.
     pub fn get(&self, key: &str) -> Result<(Vec<u8>, u64), StoreError> {
+        self.read(key, |len, fill| {
+            let mut data = vec![0; len];
+            let checksum = fill(&mut data)?;
+            Ok((data, checksum))
+        })
+    }
+
+    /// The encoded `GetOk` answering request `id` with the block under
+    /// `key`: the block is read from its file straight into the reply
+    /// and verified there, so the reply is the read's one allocation
+    /// besides the file's path.
+    pub fn get_reply(&self, id: u64, key: &str) -> Result<Vec<u8>, StoreError> {
+        self.read(key, |len, fill| Response::encode_get_ok(id, len, fill))
+    }
+
+    /// Looks up the block under `key` and hands its length to `build`,
+    /// with a `fill` that reads the block into a slot of that length,
+    /// verifies it there against the stored checksum and returns that
+    /// checksum. The checksum prefix and the block go straight into
+    /// their final homes: one copy of the block, not file -> scratch ->
+    /// result.
+    fn read<T>(
+        &self,
+        key: &str,
+        build: impl FnOnce(usize, &dyn Fn(&mut [u8]) -> Result<u64, StoreError>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
-        let path = Path::parse(&key_path(key)).expect("hex path");
+        let path = Path::from_string(key_path(key)).expect("hex path");
         let fs = &self.fs.fs;
         let ino = fs.lookup(&path).map_err(|_| StoreError::NotFound)?;
         let len = fs.len_of(ino).map_err(|_| StoreError::NotFound)?;
         if len < 8 {
             return Err(StoreError::Corrupt);
         }
-        // Checksum prefix and block are read straight into their final
-        // homes: one copy of the block, not file -> scratch -> result.
-        let mut prefix = [0u8; 8];
-        let mut data = vec![0; len as usize - 8];
-        fs.read_at(ino, 0, &mut prefix).map_err(|_| StoreError::NotFound)?;
-        fs.read_at(ino, 8, &mut data).map_err(|_| StoreError::NotFound)?;
-        let checksum = u64::from_le_bytes(prefix);
-        if block_checksum(&data) != checksum {
-            crate::metrics::CHECKSUM_FAILURES.inc();
-            return Err(StoreError::Corrupt);
-        }
-        Ok((data, checksum))
+        build(len as usize - 8, &|data| {
+            let mut prefix = [0u8; 8];
+            fs.read_at(ino, 0, &mut prefix).map_err(|_| StoreError::NotFound)?;
+            fs.read_at(ino, 8, data).map_err(|_| StoreError::NotFound)?;
+            let checksum = u64::from_le_bytes(prefix);
+            if block_checksum(data) != checksum {
+                crate::metrics::CHECKSUM_FAILURES.inc();
+                return Err(StoreError::Corrupt);
+            }
+            Ok(checksum)
+        })
     }
 
     /// Deletes a block (committed transaction).
@@ -176,6 +201,10 @@ mod tests {
         let (got, got_ck) = s.get("obj/1").unwrap();
         assert_eq!(got, data);
         assert_eq!(got_ck, ck);
+        // Read straight into a reply: the same bytes as encoding it.
+        let reply = Response::GetOk { id: 5, data, checksum: ck }.encode();
+        assert_eq!(s.get_reply(5, "obj/1"), Ok(reply));
+        assert_eq!(s.get_reply(5, "absent"), Err(StoreError::NotFound));
     }
 
     /// Runs `op` and asserts it ticked `blockstore.checksum_failures`
@@ -320,5 +349,6 @@ mod tests {
         let ino = s.fs.fs.lookup(&path).unwrap();
         s.fs.fs.write_at(ino, 9, b"X").unwrap();
         ticks_checksum_failures(|| assert_eq!(s.get("k"), Err(StoreError::Corrupt)));
+        ticks_checksum_failures(|| assert_eq!(s.get_reply(1, "k"), Err(StoreError::Corrupt)));
     }
 }

@@ -9,9 +9,18 @@
 //! [`veros_spec::checksum::checksum64`]: any change confined to one
 //! aligned 8-byte word of a block is always caught.
 //!
+//! Every message is one allocation: `encode` adds up the message's
+//! encoded size first and allocates exactly that, so no message grows
+//! by doubling on its way out. A `GetOk` read from a file is no
+//! exception: [`Response::encode_get_ok`], which `encode` also uses,
+//! lets the store read the block straight into its slot of the reply.
+//! Decoding never reserves more than the input can hold.
+//!
 //! Tags are stable wire bytes. Request tags 1, 3 and 4 and response
 //! tag 5 belonged to the retired standalone protocol and stay
 //! unassigned: they decode to `None` like any other unknown tag.
+
+use std::convert::Infallible;
 
 use veros_spec::checksum::checksum64;
 
@@ -160,6 +169,26 @@ pub fn block_checksum(data: &[u8]) -> u64 {
     checksum64(data)
 }
 
+/// Starts a message: one allocation of exactly its encoded size, the
+/// tag and the id (every message leads with both) already written, and
+/// `body` more bytes to come.
+fn message(tag: u8, id: u64, body: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + 8 + body);
+    out.push(tag);
+    out.extend_from_slice(&id.to_le_bytes());
+    out
+}
+
+/// Encoded size of a length-prefixed string or byte run.
+fn run_len(b: &[u8]) -> usize {
+    4 + b.len()
+}
+
+/// Encoded size of a chain-member list.
+fn hosts_len(hosts: &[u16]) -> usize {
+    4 + 2 * hosts.len()
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -177,11 +206,15 @@ fn put_hosts(out: &mut Vec<u8>, hosts: &[u16]) {
     }
 }
 
+/// The fewest bytes one `SyncBlocks` entry encodes to: an empty key and
+/// an empty block (two length prefixes) and the checksum.
+const MIN_SYNC_BLOCK: usize = 4 + 4 + 8;
+
 struct Reader<'a>(&'a [u8], usize);
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() - self.1 < n {
+        if self.remaining() < n {
             return None;
         }
         let s = &self.0[self.1..self.1 + n];
@@ -223,20 +256,23 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.bytes()?).ok()
     }
 
+    fn remaining(&self) -> usize {
+        self.0.len() - self.1
+    }
+
     fn done(&self) -> bool {
         self.1 == self.0.len()
     }
 }
 
 impl Request {
-    /// Serializes the request.
+    /// Serializes the request into one exact-size allocation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
+        let out = match self {
             Request::Get { id, key } => {
-                out.push(2);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(2, *id, run_len(key.as_bytes()));
                 put_str(&mut out, key);
+                out
             }
             Request::ShardPut {
                 id,
@@ -246,20 +282,20 @@ impl Request {
                 client,
                 seq,
             } => {
-                out.push(5);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(5, *id, run_len(key.as_bytes()) + run_len(data) + 3 * 8);
                 put_str(&mut out, key);
                 put_bytes(&mut out, data);
                 out.extend_from_slice(&checksum.to_le_bytes());
                 out.extend_from_slice(&client.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
+                out
             }
             Request::ShardDelete { id, key, client, seq } => {
-                out.push(6);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(6, *id, run_len(key.as_bytes()) + 2 * 8);
                 put_str(&mut out, key);
                 out.extend_from_slice(&client.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
+                out
             }
             Request::ChainPut {
                 id,
@@ -271,8 +307,8 @@ impl Request {
                 epoch,
                 rest,
             } => {
-                out.push(7);
-                out.extend_from_slice(&id.to_le_bytes());
+                let body = run_len(key.as_bytes()) + run_len(data) + 4 * 8 + hosts_len(rest);
+                let mut out = message(7, *id, body);
                 put_str(&mut out, key);
                 put_bytes(&mut out, data);
                 out.extend_from_slice(&checksum.to_le_bytes());
@@ -280,6 +316,7 @@ impl Request {
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&epoch.to_le_bytes());
                 put_hosts(&mut out, rest);
+                out
             }
             Request::ChainDelete {
                 id,
@@ -289,20 +326,21 @@ impl Request {
                 epoch,
                 rest,
             } => {
-                out.push(8);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(8, *id, run_len(key.as_bytes()) + 3 * 8 + hosts_len(rest));
                 put_str(&mut out, key);
                 out.extend_from_slice(&client.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&epoch.to_le_bytes());
                 put_hosts(&mut out, rest);
+                out
             }
             Request::SyncShard { id, shard } => {
-                out.push(9);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(9, *id, 4);
                 out.extend_from_slice(&shard.to_le_bytes());
+                out
             }
-        }
+        };
+        debug_assert_eq!(out.len(), out.capacity(), "miscounted {self:?}");
         out
     }
 
@@ -366,52 +404,79 @@ impl Request {
             | Request::SyncShard { id, .. } => *id,
         }
     }
+
+    /// Restamps the request id (a client's next attempt at the same op).
+    pub fn set_id(&mut self, new: u64) {
+        match self {
+            Request::Get { id, .. }
+            | Request::ShardPut { id, .. }
+            | Request::ShardDelete { id, .. }
+            | Request::ChainPut { id, .. }
+            | Request::ChainDelete { id, .. }
+            | Request::SyncShard { id, .. } => *id = new,
+        }
+    }
 }
 
 impl Response {
-    /// Serializes the response.
+    /// Serializes the response into one exact-size allocation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::PutOk { id } => {
-                out.push(1);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+        let out = match self {
+            Response::PutOk { id } => message(1, *id, 0),
             Response::GetOk { id, data, checksum } => {
-                out.push(2);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_bytes(&mut out, data);
-                out.extend_from_slice(&checksum.to_le_bytes());
+                let Ok(out) = Response::encode_get_ok(*id, data.len(), |slot| {
+                    slot.copy_from_slice(data);
+                    Ok::<_, Infallible>(*checksum)
+                });
+                out
             }
-            Response::NotFound { id } => {
-                out.push(3);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-            Response::DeleteOk { id } => {
-                out.push(4);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+            Response::NotFound { id } => message(3, *id, 0),
+            Response::DeleteOk { id } => message(4, *id, 0),
             Response::Error { id, reason } => {
-                out.push(6);
-                out.extend_from_slice(&id.to_le_bytes());
+                let mut out = message(6, *id, run_len(reason.as_bytes()));
                 put_str(&mut out, reason);
+                out
             }
-            Response::Retry { id } => {
-                out.push(7);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
+            Response::Retry { id } => message(7, *id, 0),
             Response::SyncBlocks { id, blocks } => {
-                out.push(8);
-                out.extend_from_slice(&id.to_le_bytes());
+                let body: usize = blocks
+                    .iter()
+                    .map(|(key, data, _)| run_len(key.as_bytes()) + run_len(data) + 8)
+                    .sum();
+                let mut out = message(8, *id, 4 + body);
                 out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
                 for (key, data, checksum) in blocks {
                     put_str(&mut out, key);
                     put_bytes(&mut out, data);
                     out.extend_from_slice(&checksum.to_le_bytes());
                 }
+                out
             }
-        }
+        };
+        debug_assert_eq!(out.len(), out.capacity(), "miscounted {self:?}");
         out
+    }
+
+    /// Writes a `GetOk` answering request `id` with a `len`-byte block:
+    /// the one writer of `GetOk` bytes, whether the block is in memory
+    /// ([`Response::encode`]) or still in a file
+    /// ([`crate::BlockStore::get_reply`]). `fill` writes the block into
+    /// its slot of the message and returns the checksum to send; the
+    /// message is one exact-size allocation, and `fill`'s error aborts
+    /// it.
+    pub fn encode_get_ok<E>(
+        id: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<u64, E>,
+    ) -> Result<Vec<u8>, E> {
+        // Length prefix, block, checksum.
+        let mut out = message(2, id, 4 + len + 8);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        let start = out.len();
+        out.resize(start + len, 0);
+        let checksum = fill(&mut out[start..])?;
+        out.extend_from_slice(&checksum.to_le_bytes());
+        Ok(out)
     }
 
     /// Parses a response; `None` on malformed input.
@@ -437,7 +502,10 @@ impl Response {
                 if n > (1 << 16) {
                     return None;
                 }
-                let mut blocks = Vec::with_capacity(n);
+                // Reserve only what the rest of the message can hold:
+                // a block takes at least its two length prefixes and
+                // its checksum.
+                let mut blocks = Vec::with_capacity(n.min(r.remaining() / MIN_SYNC_BLOCK));
                 for _ in 0..n {
                     blocks.push((r.string()?, r.bytes()?, r.u64()?));
                 }
@@ -504,11 +572,33 @@ mod tests {
             },
             Request::SyncShard { id: 15, shard: 37 },
         ];
+        // The bytes themselves: an encoder that changed the format in
+        // step with its decoder would still round-trip.
+        let put = Request::ShardPut {
+            id: 11,
+            key: "ab".into(),
+            data: vec![9; 3],
+            checksum: 0x0807_0605_0403_0201,
+            client: 1003,
+            seq: 42,
+        };
+        #[rustfmt::skip]
+        let golden = [
+            5,                       // tag
+            11, 0, 0, 0, 0, 0, 0, 0, // id
+            2, 0, 0, 0, b'a', b'b',  // key
+            3, 0, 0, 0, 9, 9, 9,     // block
+            1, 2, 3, 4, 5, 6, 7, 8,  // checksum
+            0xeb, 3, 0, 0, 0, 0, 0, 0, // client (1003)
+            42, 0, 0, 0, 0, 0, 0, 0, // seq
+        ];
+        assert_eq!(put.encode(), golden);
         for r in reqs {
             assert_eq!(Request::decode(&r.encode()), Some(r.clone()));
             assert!(r.id() >= 10);
             // Truncations never decode.
             let full = r.encode();
+            assert_eq!(full.capacity(), full.len(), "{r:?} is one exact-size allocation");
             for cut in 1..full.len() {
                 assert_eq!(Request::decode(&full[..cut]), None, "{r:?} cut {cut}");
             }
@@ -540,8 +630,22 @@ mod tests {
             },
         ];
         for r in resps {
-            assert_eq!(Response::decode(&r.encode()), Some(r.clone()));
+            let full = r.encode();
+            assert_eq!(full.capacity(), full.len(), "{r:?} is one exact-size allocation");
+            assert_eq!(Response::decode(&full), Some(r.clone()));
         }
+        // The bytes themselves: an encoder that changed the format in
+        // step with its decoder would still round-trip.
+        let get_ok = Response::GetOk { id: 2, data: b"xyz".to_vec(), checksum: 99 };
+        #[rustfmt::skip]
+        let golden = [
+            2,                      // tag
+            2, 0, 0, 0, 0, 0, 0, 0, // id
+            3, 0, 0, 0,             // block length
+            b'x', b'y', b'z',       // block
+            99, 0, 0, 0, 0, 0, 0, 0, // checksum
+        ];
+        assert_eq!(get_ok.encode(), golden);
     }
 
     /// Request and response tags overlap (2, 6, 7 and 8 are both), and
@@ -608,6 +712,12 @@ mod tests {
         assert_eq!(Request::decode(&[]), None);
         assert_eq!(Request::decode(&[99, 0, 0]), None);
         assert_eq!(Response::decode(&[2, 1]), None);
+        // A `SyncBlocks` header claiming the most blocks the decoder
+        // takes, with none behind it.
+        let mut header = vec![8];
+        header.extend_from_slice(&7u64.to_le_bytes());
+        header.extend_from_slice(&(1u32 << 16).to_le_bytes());
+        assert_eq!(Response::decode(&header), None);
     }
 
     /// Well-formed messages of the retired standalone protocol (request

@@ -100,12 +100,13 @@ impl OpResult {
 }
 
 struct Inflight {
-    op: Op,
+    /// The op's request, built once: the op's key and data moved in, the
+    /// per-client write sequence (dedup key) constant across retries,
+    /// and the current attempt's request id (fresh per attempt).
+    req: Request,
+    /// The shard the op's key belongs to.
+    shard: u32,
     arrival: u64,
-    /// Per-client write sequence — constant across retries (dedup key).
-    seq: u64,
-    /// Current attempt's request id (fresh per attempt).
-    id: u64,
     target: u16,
     deadline: u64,
     /// `Some(tick)`: waiting out a `Retry` backoff until that tick.
@@ -113,13 +114,46 @@ struct Inflight {
     retries: u32,
 }
 
+impl Op {
+    /// The request that issues this op for `client`: the key and data
+    /// move in, and the checksum is computed here, once per op. Each
+    /// attempt restamps only the id.
+    fn into_request(self, client: u64, seq: u64) -> Request {
+        match self {
+            Op::Put { key, data } => Request::ShardPut {
+                id: 0,
+                key,
+                checksum: block_checksum(&data),
+                data,
+                client,
+                seq,
+            },
+            Op::Delete { key } => Request::ShardDelete { id: 0, key, client, seq },
+            Op::Get { key } => Request::Get { id: 0, key },
+        }
+    }
+
+    /// The op [`Op::into_request`] built `req` from: the key and data
+    /// move back.
+    fn from_request(req: Request) -> Op {
+        match req {
+            Request::ShardPut { key, data, .. } => Op::Put { key, data },
+            Request::ShardDelete { key, .. } => Op::Delete { key },
+            Request::Get { key, .. } => Op::Get { key },
+            other => unreachable!("a client never issues {other:?}"),
+        }
+    }
+}
+
 /// One simulated client host.
 pub struct FleetClient {
     host: u16,
     demux: RdtDemux,
     map: ShardMap,
-    /// Locally suspected-dead nodes (timeout evidence, not gossip).
-    dead: BTreeSet<u16>,
+    /// The nodes this client believes live: all but those it suspects
+    /// dead on timeout evidence (not gossip). Kept, not rebuilt per
+    /// attempt.
+    live: BTreeSet<u16>,
     queue: VecDeque<(u64, Op)>,
     inflight: Option<Inflight>,
     next_seq: u64,
@@ -136,8 +170,8 @@ impl FleetClient {
         Self {
             host,
             demux: RdtDemux::new(sock),
+            live: map.all_live(),
             map,
-            dead: BTreeSet::new(),
             queue: VecDeque::new(),
             inflight: None,
             next_seq: 1,
@@ -172,58 +206,31 @@ impl FleetClient {
         self.queue.len()
     }
 
-    /// The live set as this client believes it (all minus suspected).
-    fn believed_live(&mut self) -> BTreeSet<u16> {
-        let live: BTreeSet<u16> = (0..self.map.nodes())
-            .filter(|n| !self.dead.contains(n))
-            .collect();
-        if live.is_empty() {
-            // Everyone suspected: suspicions must be wrong — restart.
-            self.dead.clear();
-            return (0..self.map.nodes()).collect();
-        }
-        live
-    }
-
     /// Sends the current in-flight op to the chain computed under the
     /// client's believed live set. Writes target the head, reads the
     /// tail.
     fn issue(&mut self, stack: &mut NetStack, now: u64) {
-        let live = self.believed_live();
+        if self.live.is_empty() {
+            // Everyone suspected: suspicions must be wrong — restart.
+            self.live = self.map.all_live();
+        }
         let Some(infl) = &mut self.inflight else {
             return;
         };
-        let chain = self.map.chain_for_key(infl.op.key(), &live);
-        let Some(target) = (if infl.op.is_write() {
-            chain.first()
-        } else {
+        let chain = self.map.chain(infl.shard, &self.live);
+        let Some(target) = (if matches!(infl.req, Request::Get { .. }) {
             chain.last()
+        } else {
+            chain.first()
         }) else {
             return; // No live nodes at all; the timeout path retries.
         };
         infl.target = *target;
-        infl.id = self.next_id;
+        infl.req.set_id(self.next_id);
         self.next_id += 1;
         infl.deadline = now + OP_TIMEOUT;
         infl.backoff_until = None;
-        let req = match &infl.op {
-            Op::Put { key, data } => Request::ShardPut {
-                id: infl.id,
-                key: key.clone(),
-                data: data.clone(),
-                checksum: block_checksum(data),
-                client: self.host as u64,
-                seq: infl.seq,
-            },
-            Op::Delete { key } => Request::ShardDelete {
-                id: infl.id,
-                key: key.clone(),
-                client: self.host as u64,
-                seq: infl.seq,
-            },
-            Op::Get { key } => Request::Get { id: infl.id, key: key.clone() },
-        };
-        let _ = self.demux.send(stack, now, node_peer(infl.target), req.encode());
+        let _ = self.demux.send(stack, now, node_peer(infl.target), infl.req.encode());
     }
 
     /// One poll round: start due work, absorb responses, drive retries.
@@ -240,10 +247,9 @@ impl FleetClient {
                         0
                     };
                     self.inflight = Some(Inflight {
-                        op,
+                        shard: self.map.shard_of(op.key()),
+                        req: op.into_request(self.host as u64, seq),
                         arrival,
-                        seq,
-                        id: 0,
                         target: 0,
                         deadline: 0,
                         backoff_until: None,
@@ -261,7 +267,7 @@ impl FleetClient {
             let Some(infl) = &mut self.inflight else {
                 continue; // Late duplicate of a finished op.
             };
-            if resp.id() != infl.id {
+            if resp.id() != infl.req.id() {
                 continue; // Response to an abandoned attempt.
             }
             match resp {
@@ -289,7 +295,7 @@ impl FleetClient {
                     metrics::OPS_COMPLETED.inc();
                     self.results.push(OpResult {
                         host: self.host,
-                        op: infl.op,
+                        op: Op::from_request(infl.req),
                         issued_at: infl.arrival,
                         completed_at: now,
                         retries: infl.retries,
@@ -305,7 +311,7 @@ impl FleetClient {
                 Some(t) => now >= t,
                 None if now >= infl.deadline => {
                     // No answer inside the budget: suspect the target.
-                    self.dead.insert(infl.target);
+                    self.live.remove(&infl.target);
                     true
                 }
                 None => false,

@@ -48,7 +48,7 @@ use veros_net::sim::{FaultPlan, Network};
 
 use crate::client::{FleetClient, Op, OpResult};
 use crate::node::{FleetNode, COORD_PORT, NODE_CTRL};
-use crate::shard::ShardMap;
+use crate::shard::{Chain, ShardMap};
 use crate::view::Coordinator;
 
 /// Default step budget for blocking test helpers.
@@ -245,7 +245,7 @@ impl Fleet {
     }
 
     /// The chain currently serving `key` under the coordinator's view.
-    pub fn chain_for_key(&self, key: &str) -> Vec<u16> {
+    pub fn chain_for_key(&self, key: &str) -> Chain {
         self.map.chain_for_key(key, &self.coordinator.view().live)
     }
 }

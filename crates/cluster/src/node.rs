@@ -276,16 +276,16 @@ impl FleetNode {
             Request::Get { id, key } => {
                 let shard = self.map.shard_of(&key);
                 let chain = self.map.chain(shard, &self.view.live);
-                let resp = if !chain.contains(&self.id) || !self.is_ready(shard) {
-                    Response::Retry { id }
+                let reply = if !chain.contains(&self.id) || !self.is_ready(shard) {
+                    Response::Retry { id }.encode()
                 } else {
-                    match self.store.get(&key) {
-                        Ok((data, checksum)) => Response::GetOk { id, data, checksum },
-                        Err(StoreError::NotFound) => Response::NotFound { id },
-                        Err(e) => Response::Error { id, reason: e.to_string() },
+                    match self.store.get_reply(id, &key) {
+                        Ok(reply) => reply,
+                        Err(StoreError::NotFound) => Response::NotFound { id }.encode(),
+                        Err(e) => Response::Error { id, reason: e.to_string() }.encode(),
                     }
                 };
-                let _ = self.demux.send(stack, now, peer, resp.encode());
+                let _ = self.demux.send(stack, now, peer, reply);
             }
             Request::SyncShard { id, shard } => {
                 let blocks: Vec<(String, Vec<u8>, u64)> = self

@@ -14,9 +14,64 @@
 //!   `O(K·M/N)` keys, never the whole keyspace.
 
 use std::collections::BTreeSet;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use veros_spec::rng::fnv1a;
+
+/// The longest replication chain a [`ShardMap`] builds.
+pub const MAX_REPLICATION: usize = 8;
+
+/// A replication chain, held inline: routing a request allocates
+/// nothing. It reads as the slice of its members (`chain[0]` the head,
+/// the last entry the tail) and iterates them like one, or by value.
+#[derive(Clone, Copy)]
+pub struct Chain {
+    len: usize,
+    members: [u16; MAX_REPLICATION],
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain { len: 0, members: [0; MAX_REPLICATION] };
+
+    fn push(&mut self, node: u16) {
+        self.members[self.len] = node;
+        self.len += 1;
+    }
+}
+
+impl Deref for Chain {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        &self.members[..self.len]
+    }
+}
+
+impl IntoIterator for Chain {
+    type Item = u16;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u16, MAX_REPLICATION>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.members.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Chain {
+    type Item = &'a u16;
+    type IntoIter = std::slice::Iter<'a, u16>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Chain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// The fleet's sharding geometry. Pure data + pure functions: every
 /// node and client computes identical chains from identical live sets,
@@ -37,7 +92,15 @@ impl ShardMap {
     /// Builds the map for physical nodes `0..nodes`, `replication`-way
     /// chains, `shards` key partitions, and `vnodes` ring points per
     /// physical node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `replication` exceeds [`MAX_REPLICATION`].
     pub fn new(nodes: u16, replication: usize, shards: u32, vnodes: usize) -> Self {
+        assert!(
+            replication <= MAX_REPLICATION,
+            "replication {replication} exceeds MAX_REPLICATION ({MAX_REPLICATION})"
+        );
         let mut ring = Vec::with_capacity(nodes as usize * vnodes);
         for n in 0..nodes {
             for v in 0..vnodes {
@@ -81,8 +144,8 @@ impl ShardMap {
     /// position (fewer when fewer than `M` nodes are live). `chain[0]`
     /// is the head (all writes enter here), the last entry the tail
     /// (preferred read replica).
-    pub fn chain(&self, shard: u32, live: &BTreeSet<u16>) -> Vec<u16> {
-        let mut out = Vec::with_capacity(self.replication);
+    pub fn chain(&self, shard: u32, live: &BTreeSet<u16>) -> Chain {
+        let mut out = Chain::EMPTY;
         if self.ring.is_empty() {
             return out;
         }
@@ -101,7 +164,7 @@ impl ShardMap {
     }
 
     /// The replication chain serving `key` under `live`.
-    pub fn chain_for_key(&self, key: &str, live: &BTreeSet<u16>) -> Vec<u16> {
+    pub fn chain_for_key(&self, key: &str, live: &BTreeSet<u16>) -> Chain {
         self.chain(self.shard_of(key), live)
     }
 
@@ -152,7 +215,7 @@ mod tests {
             let key = format!("obj-{}", rng.next_u64());
             let shard = m.shard_of(&key);
             assert!(shard < m.shards());
-            assert_eq!(m.chain_for_key(&key, &live), m.chain(shard, &live));
+            assert_eq!(&*m.chain_for_key(&key, &live), &*m.chain(shard, &live));
         }
     }
 
@@ -172,7 +235,7 @@ mod tests {
             for shard in 0..m.shards() {
                 let before = m.chain(shard, &full);
                 let after = m.chain(shard, &live);
-                if before == after {
+                if *before == *after {
                     continue;
                 }
                 changed += 1;
@@ -218,8 +281,16 @@ mod tests {
         let m = map();
         let live: BTreeSet<u16> = [2u16].into_iter().collect();
         for shard in 0..m.shards() {
-            assert_eq!(m.chain(shard, &live), vec![2]);
+            assert_eq!(&*m.chain(shard, &live), [2]);
         }
         assert!(m.chain(0, &BTreeSet::new()).is_empty());
+    }
+
+    /// A chain is held inline, so the map refuses a replication factor
+    /// it cannot hold, naming the bound.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_REPLICATION (8)")]
+    fn replication_beyond_the_inline_chain_is_refused() {
+        ShardMap::new(16, MAX_REPLICATION + 1, 64, 16);
     }
 }

@@ -30,30 +30,43 @@ pub enum PathError {
 /// Maximum accepted path length in bytes.
 pub const MAX_PATH: usize = 4096;
 
+/// Checks the [`Path`] invariant.
+fn validate(s: &str) -> Result<(), PathError> {
+    if s.len() > MAX_PATH {
+        return Err(PathError::TooLong);
+    }
+    if !s.starts_with('/') {
+        return Err(PathError::NotAbsolute);
+    }
+    if s.contains('\0') {
+        return Err(PathError::BadByte);
+    }
+    if s == "/" {
+        return Ok(());
+    }
+    for comp in s[1..].split('/') {
+        if comp.is_empty() {
+            return Err(PathError::EmptyComponent);
+        }
+        if comp == "." || comp == ".." {
+            return Err(PathError::DotComponent);
+        }
+    }
+    Ok(())
+}
+
 impl Path {
     /// Parses and validates a path string.
     pub fn parse(s: &str) -> Result<Path, PathError> {
-        if s.len() > MAX_PATH {
-            return Err(PathError::TooLong);
-        }
-        if !s.starts_with('/') {
-            return Err(PathError::NotAbsolute);
-        }
-        if s.contains('\0') {
-            return Err(PathError::BadByte);
-        }
-        if s == "/" {
-            return Ok(Path { raw: s.to_string() });
-        }
-        for comp in s[1..].split('/') {
-            if comp.is_empty() {
-                return Err(PathError::EmptyComponent);
-            }
-            if comp == "." || comp == ".." {
-                return Err(PathError::DotComponent);
-            }
-        }
+        validate(s)?;
         Ok(Path { raw: s.to_string() })
+    }
+
+    /// Validates an owned path string and keeps it: the one allocation
+    /// is the caller's.
+    pub fn from_string(s: String) -> Result<Path, PathError> {
+        validate(&s)?;
+        Ok(Path { raw: s })
     }
 
     /// The root path.
@@ -115,6 +128,7 @@ mod tests {
     fn valid_paths_parse() {
         for p in ["/", "/a", "/a/b/c", "/with space/x", "/utf8-ähm"] {
             assert!(Path::parse(p).is_ok(), "{p}");
+            assert_eq!(Path::from_string(p.to_string()), Path::parse(p));
         }
     }
 
@@ -129,6 +143,7 @@ mod tests {
         assert_eq!(Path::parse("/a/../b"), Err(PathError::DotComponent));
         assert_eq!(Path::parse("/a\0b"), Err(PathError::BadByte));
         assert_eq!(Path::parse(&format!("/{}", "x".repeat(5000))), Err(PathError::TooLong));
+        assert_eq!(Path::from_string("/a/../b".into()), Err(PathError::DotComponent));
     }
 
     #[test]
