@@ -83,7 +83,6 @@ mod tests {
         for m in reg.snapshot().metrics {
             let kind = match m.value {
                 MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
                 MetricValue::Histogram(_) => "histogram",
                 MetricValue::Trace { .. } => continue,
             };

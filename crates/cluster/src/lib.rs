@@ -36,7 +36,7 @@
 //!
 //! With the `telemetry` feature (default) the fleet maintains the
 //! instruments in [`metrics`] — op/retry counters, replication-lag and
-//! failover-time histograms, a view-epoch gauge, and banked per-node
+//! failover-time histograms, a view-epoch counter, and banked per-node
 //! counters — registered under the `cluster.` prefix; see
 //! `OBSERVABILITY.md`.
 

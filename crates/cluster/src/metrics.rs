@@ -10,9 +10,6 @@
 
 use veros_telemetry::{Counter, Histogram, Registry};
 
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Client operations acknowledged end to end (all replicas applied).
 pub static OPS_COMPLETED: Counter = Counter::new();
 
@@ -34,10 +31,10 @@ pub static FAILOVER_TIME: Histogram = Histogram::new();
 /// Shard synchronizations completed by newly promoted chain members.
 pub static SHARD_SYNCS: Counter = Counter::new();
 
-/// The coordinator's current membership epoch (bumped per detected
-/// death). A plain feature-gated atomic rather than a [`Counter`]:
-/// epochs are *set* to the coordinator's value, not accumulated.
-pub static VIEW_EPOCH: EpochGauge = EpochGauge::new();
+/// Membership epochs published: ticked wherever a coordinator bumps
+/// its view's epoch (once per detected death). With one fleet in the
+/// process it reads the coordinator's current epoch.
+pub static VIEW_EPOCH: Counter = Counter::new();
 
 /// Width of the per-node metric bank.
 pub const BANK: usize = 16;
@@ -51,57 +48,6 @@ pub fn node_served(node: u16) {
     NODE_SERVED[node as usize % BANK].inc();
 }
 
-/// A set-to-value gauge backing store (epochs, not event counts).
-/// Const-constructible and feature-gated to a no-op like [`Counter`].
-pub struct EpochGauge {
-    #[cfg(feature = "telemetry")]
-    value: AtomicU64,
-}
-
-impl EpochGauge {
-    /// Creates the gauge at zero.
-    pub const fn new() -> Self {
-        Self {
-            #[cfg(feature = "telemetry")]
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Publishes a new reading. (Named `set`, not `store`: the protocol
-    /// lint's access extractor reads `.store(` sites as raw atomic ops
-    /// and would demand an `Ordering` it cannot see through the wrapper.)
-    #[inline]
-    pub fn set(&self, v: u64) {
-        #[cfg(feature = "telemetry")]
-        // lint: allow(atomics-ordering) — statistical instrument: the
-        // snapshot reader tolerates lag, no payload is published under
-        // this store.
-        self.value.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = v;
-    }
-
-    /// Current reading (zero with telemetry off).
-    pub fn get(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            // lint: allow(atomics-ordering) — statistical read of an
-            // instrument value; see `store`.
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
-    }
-}
-
-impl Default for EpochGauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Registers every fleet instrument with `reg` under the `cluster.`
 /// prefix.
 pub fn export(reg: &mut Registry) {
@@ -111,7 +57,7 @@ pub fn export(reg: &mut Registry) {
     reg.histogram("cluster.replication.lag", "ticks", &REPLICATION_LAG);
     reg.histogram("cluster.failover.time", "ticks", &FAILOVER_TIME);
     reg.counter("cluster.shard.syncs", "syncs", &SHARD_SYNCS);
-    reg.gauge("cluster.view.epoch", "epoch", || VIEW_EPOCH.get());
+    reg.counter("cluster.view.epoch", "epoch", &VIEW_EPOCH);
     for (i, served) in NODE_SERVED.iter().enumerate() {
         let name: &'static str = format!("cluster.node{i:02}.served").leak();
         reg.counter(name, "ops", served);
@@ -143,18 +89,6 @@ mod tests {
             assert_eq!(NODE_SERVED[1].get() - before, 2);
         } else {
             assert_eq!(NODE_SERVED[1].get(), 0);
-        }
-    }
-
-    #[test]
-    fn epoch_gauge_stores_latest_value() {
-        static G: EpochGauge = EpochGauge::new();
-        G.set(5);
-        G.set(9);
-        if veros_telemetry::enabled() {
-            assert_eq!(G.get(), 9);
-        } else {
-            assert_eq!(G.get(), 0);
         }
     }
 }

@@ -138,7 +138,7 @@ impl Coordinator {
         });
         if died {
             self.view.epoch += 1;
-            crate::metrics::VIEW_EPOCH.set(self.view.epoch);
+            crate::metrics::VIEW_EPOCH.inc();
             self.next_broadcast = now; // Push the new view immediately.
         }
         if now >= self.next_broadcast {

@@ -348,8 +348,8 @@ fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, St
         return Ok(0);
     }
 
-    let mut a = RdtEndpoint::new(sa, (ip1, 7001)).with_window(4);
-    let mut b = RdtEndpoint::new(sb, (ip0, 7000)).with_window(4);
+    let mut a = RdtEndpoint::new(sa, (ip1, 7001));
+    let mut b = RdtEndpoint::new(sb, (ip0, 7000));
     for m in &sent {
         a.send(net.host(0), 0, m.clone()).map_err(|e| format!("send: {e:?}"))?;
     }

@@ -1,10 +1,11 @@
-//! Physical memory management: a buddy allocator with per-node caches.
+//! Physical memory management: one buddy allocator.
 //!
 //! NrOS manages physical memory with per-NUMA-node allocators ("NCache")
-//! feeding smaller caches; the buddy scheme keeps coalescing cheap. This
-//! allocator owns a physical range, hands out power-of-two blocks of
-//! frames, and implements [`veros_hw::FrameSource`] so the verified page
-//! table can draw directory frames from it directly.
+//! feeding smaller caches; this model has no per-node layer, only the
+//! buddy scheme, which keeps coalescing cheap. The allocator owns a
+//! physical range, hands out power-of-two blocks of frames, and
+//! implements [`veros_hw::FrameSource`] so the verified page table can
+//! draw directory frames from it directly.
 
 use veros_hw::{FrameSource, PAddr, PAGE_4K};
 

@@ -7,8 +7,8 @@
 //! managing every address space and node replication from `veros-nr`
 //! scaling the replicated state:
 //!
-//! * [`frame_alloc`] — physical memory management: a buddy allocator
-//!   with per-node caches (NrOS's NCache design).
+//! * [`frame_alloc`] — physical memory management: one buddy allocator
+//!   over the kernel's managed physical range, with a double-free bitmap.
 //! * [`vspace`] — address spaces over the verified page table, including
 //!   the NR-replicated variant ([`vspace::VSpaceDispatch`]) used by the
 //!   Figure 1b/1c benchmarks.

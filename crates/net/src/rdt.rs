@@ -32,7 +32,7 @@ const MSG_ACK: u8 = 2;
 /// Message header length: type(1) seq(8, little-endian).
 const HEADER: usize = 9;
 
-/// Default send-window size (go-back-N `N`).
+/// Send-window size (go-back-N `N`) of every endpoint.
 pub const DEFAULT_WINDOW: usize = 8;
 
 /// Default retransmission timeout in virtual ticks.
@@ -45,7 +45,6 @@ pub struct RdtEndpoint {
     // Sender state.
     send_base: u64,
     next_seq: u64,
-    window: usize,
     /// Unsent backlog (window full).
     backlog: VecDeque<Vec<u8>>,
     /// In-flight: (seq, payload), `send_base..next_seq`.
@@ -79,7 +78,6 @@ impl RdtEndpoint {
             peer,
             send_base: 0,
             next_seq: 0,
-            window: DEFAULT_WINDOW,
             backlog: VecDeque::new(),
             unacked: VecDeque::new(),
             timer_deadline: None,
@@ -88,12 +86,6 @@ impl RdtEndpoint {
             delivered: VecDeque::new(),
             retransmissions: 0,
         }
-    }
-
-    /// Sets the go-back-N window size.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
     }
 
     /// Total retransmitted data messages (for the loss-recovery tests).
@@ -120,7 +112,7 @@ impl RdtEndpoint {
 
     /// Moves backlog into the window.
     fn pump(&mut self, stack: &mut NetStack, now: u64) -> Result<(), SocketError> {
-        while self.unacked.len() < self.window {
+        while self.unacked.len() < DEFAULT_WINDOW {
             let Some(payload) = self.backlog.pop_front() else {
                 break;
             };

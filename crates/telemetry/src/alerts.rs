@@ -22,16 +22,16 @@ use crate::registry::{MetricValue, Snapshot};
 /// One alerting rule.
 #[derive(Clone, Copy, Debug)]
 pub enum Rule {
-    /// The named counter (or gauge) must not exceed `max`.
+    /// The named counter must not exceed `max`.
     CounterAtMost {
         /// Dotted metric name to match in the snapshot.
         metric: &'static str,
         /// Inclusive upper bound.
         max: u64,
     },
-    /// The named counter (or gauge) must reach at least `min` — a
-    /// liveness floor proving a watched activity actually happened
-    /// (e.g. fault schedules swept). Evaluated only in telemetry-enabled
+    /// The named counter must reach at least `min` — a liveness floor
+    /// proving a watched activity actually happened (e.g. fault
+    /// schedules swept). Evaluated only in telemetry-enabled
     /// builds: with instruments compiled out every counter reads zero,
     /// and a floor on a no-op is noise, not health.
     CounterAtLeast {
@@ -147,10 +147,7 @@ pub fn evaluate(snapshot: &Snapshot, rules: &[Rule]) -> Vec<Alert> {
             continue;
         };
         match (rule, &metric.value) {
-            (
-                Rule::CounterAtMost { metric: name, max },
-                MetricValue::Counter(v) | MetricValue::Gauge(v),
-            ) => {
+            (Rule::CounterAtMost { metric: name, max }, MetricValue::Counter(v)) => {
                 if v > max {
                     alerts.push(Alert {
                         metric: name,
@@ -160,10 +157,7 @@ pub fn evaluate(snapshot: &Snapshot, rules: &[Rule]) -> Vec<Alert> {
                     });
                 }
             }
-            (
-                Rule::CounterAtLeast { metric: name, min },
-                MetricValue::Counter(v) | MetricValue::Gauge(v),
-            ) => {
+            (Rule::CounterAtLeast { metric: name, min }, MetricValue::Counter(v)) => {
                 if crate::enabled() && v < min {
                     alerts.push(Alert {
                         metric: name,

@@ -1,131 +1,44 @@
-//! Exact event counters with per-thread cells.
+//! Exact event counters: one `AtomicU64` each.
 //!
-//! The design target is the NR/TLB fast paths, where a `lock xadd` per
-//! event (~6 ns uncontended, far worse contended) would be measurable
-//! against operations that complete in single-digit nanoseconds. A
-//! [`Counter`] therefore never issues an atomic read-modify-write on
-//! the increment path:
+//! [`Counter::add`] is a `fetch_add(n, Relaxed)`, so no increment is
+//! ever lost, however many threads write; [`Counter::get`] is a load.
+//! `Relaxed` is enough because a counter publishes nothing: a reader
+//! may see another thread's most recent increments late, never wrongly,
+//! and after a `join` it sees them all.
 //!
-//! * Each thread owns a lazily allocated, leaked cell array (a
-//!   *shard*). The thread-local handle is a const-initialized raw
-//!   pointer, so the common-case increment is one TLS load, a
-//!   predicted null check, and a plain relaxed load/add/store on a
-//!   cell only this thread ever writes.
-//! * Because every cell has exactly one writer, no update is ever
-//!   lost: totals are exact, unlike a racy shared-cell counter.
-//! * [`Counter::get`] sums the cell across all shards ever created
-//!   (shards are leaked, so counts survive thread exit). Increments by
-//!   *other* threads use `Relaxed` stores and may be observed late; a
-//!   thread always observes its own increments immediately.
-//!
-//! Counter identity is a process-wide slot index handed out on first
-//! use. The slot space is [`MAX_COUNTERS`]; counters allocated past
-//! capacity alias the final slot (their totals merge) rather than
-//! failing — acceptable for an instrument, and far above the stack's
-//! real counter population.
+//! The read-modify-write costs a `lock xadd` per event, which is why
+//! the two paths where that would show carry no counter bump: NR's
+//! combiner adds into a plain `u64` inside its guarded value and
+//! flushes once per 64 ops, and translation-cache hits are not counted
+//! at all (only the cold, outlined miss path is).
 
 #[cfg(feature = "telemetry")]
-use std::cell::Cell;
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "telemetry")]
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Capacity of the per-thread cell arrays: the maximum number of
-/// distinct [`Counter`]s before slot aliasing begins.
-pub const MAX_COUNTERS: usize = 256;
-
-#[cfg(feature = "telemetry")]
-struct Shard {
-    cells: [AtomicU64; MAX_COUNTERS],
-}
-
-/// Every shard ever created, for [`Counter::get`] summation. Shards
-/// are leaked so a thread's contribution outlives the thread.
-#[cfg(feature = "telemetry")]
-static SHARDS: Mutex<Vec<&'static Shard>> = Mutex::new(Vec::new());
-
-/// Process-wide slot allocator.
-#[cfg(feature = "telemetry")]
-static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
-
-#[cfg(feature = "telemetry")]
-thread_local! {
-    /// This thread's shard. Const-initialized to null so the increment
-    /// fast path is a single TLS load plus a predicted branch — no
-    /// lazy-init state machine.
-    static SHARD: Cell<*const Shard> = const { Cell::new(std::ptr::null()) };
-}
-
-/// Allocates, leaks, registers, and installs this thread's shard.
-#[cfg(feature = "telemetry")]
-#[cold]
-fn init_shard() -> *const Shard {
-    let shard: &'static Shard = Box::leak(Box::new(Shard {
-        cells: [const { AtomicU64::new(0) }; MAX_COUNTERS],
-    }));
-    match SHARDS.lock() {
-        Ok(mut all) => all.push(shard),
-        Err(poisoned) => poisoned.into_inner().push(shard),
-    }
-    SHARD.set(shard);
-    shard
-}
-
-/// An exact, monotonically increasing event count (see the module docs
-/// for the sharding design). Const-constructible, so instrumented
-/// crates declare counters as plain `static`s.
+/// An exact, monotonically increasing event count. Const-constructible,
+/// so instrumented crates declare counters as plain `static`s.
 pub struct Counter {
     #[cfg(feature = "telemetry")]
-    id: OnceLock<usize>,
+    total: AtomicU64,
 }
 
 impl Counter {
-    /// Creates a counter. Its process-wide slot is assigned on first
-    /// use, not at construction, so unused counters cost nothing.
+    /// Creates a counter at zero.
     pub const fn new() -> Self {
         Self {
             #[cfg(feature = "telemetry")]
-            id: OnceLock::new(),
+            total: AtomicU64::new(0),
         }
     }
 
-    #[cfg(feature = "telemetry")]
-    fn slot(&self) -> usize {
-        *self
-            .id
-            // lint: allow(atomics-ordering) — pure ID allocation: only
-            // uniqueness of the fetched value matters, no payload is
-            // published under it.
-            .get_or_init(|| NEXT_ID.fetch_add(1, Ordering::Relaxed).min(MAX_COUNTERS - 1))
-    }
-
-    /// Adds `n` to the counter. Never issues an atomic
-    /// read-modify-write; see the module docs for the cost model.
+    /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(feature = "telemetry")]
-        {
-            let slot = self.slot();
-            let mut ptr = SHARD.get();
-            if ptr.is_null() {
-                ptr = init_shard();
-            }
-            // SAFETY: non-null shard pointers come from `Box::leak` in
-            // `init_shard` and are never freed, so the dereference is
-            // valid for the remainder of the program.
-            let cell = unsafe { &(*ptr).cells[slot] };
-            cell.store(
-                // lint: allow(atomics-ordering) — single-writer cell:
-                // the shard is thread-local, so this load/store pair is
-                // a private read-modify-write; readers tolerate lag by
-                // the documented exactness model.
-                cell.load(Ordering::Relaxed).wrapping_add(n),
-                // lint: allow(atomics-ordering) — same single-writer
-                // cell store.
-                Ordering::Relaxed,
-            );
-        }
+        // lint: allow(atomics-ordering) — statistical instrument: the
+        // RMW keeps the total exact, and no payload is published under
+        // it.
+        self.total.fetch_add(n, Ordering::Relaxed);
         #[cfg(not(feature = "telemetry"))]
         let _ = n;
     }
@@ -136,25 +49,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total: the sum of this counter's cell across every
-    /// thread's shard. Exact with respect to the calling thread's own
-    /// increments; other threads' most recent increments may not be
-    /// visible yet (`Relaxed` stores).
+    /// Current total. Other threads' most recent increments may not be
+    /// visible yet (`Relaxed`); everything a joined thread added is.
     pub fn get(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            let slot = self.slot();
-            let shards = match SHARDS.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            shards
-                .iter()
-                // lint: allow(atomics-ordering) — statistical read: the
-                // sum may lag in-flight writers by design (the module's
-                // exactness model); an acquire edge would not close it.
-                .map(|s| s.cells[slot].load(Ordering::Relaxed))
-                .fold(0u64, u64::wrapping_add)
+            // lint: allow(atomics-ordering) — statistical read of an
+            // instrument value; see `add`.
+            self.total.load(Ordering::Relaxed)
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -229,6 +131,21 @@ mod tests {
             .expect("worker");
         if crate::enabled() {
             assert_eq!(SURVIVOR.get() - before, 7);
+        }
+    }
+
+    #[test]
+    fn hundreds_of_counters_never_share_a_total() {
+        const N: usize = 300;
+        static MANY: [Counter; N] = [const { Counter::new() }; N];
+        for (i, c) in MANY.iter().enumerate() {
+            for _ in 0..=i {
+                c.inc();
+            }
+        }
+        for (i, c) in MANY.iter().enumerate() {
+            let want = if crate::enabled() { i as u64 + 1 } else { 0 };
+            assert_eq!(c.get(), want, "counter {i}");
         }
     }
 }

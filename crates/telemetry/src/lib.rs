@@ -2,9 +2,9 @@
 //!
 //! Three instruments, one registry:
 //!
-//! * [`Counter`] — an exact, monotonically increasing event count.
-//!   Increments go to a per-thread cell (no `lock`-prefixed
-//!   instructions, no lost updates), reads sum every thread's cell.
+//! * [`Counter`] — an exact, monotonically increasing event count:
+//!   one `AtomicU64`, bumped by a relaxed `fetch_add`, so no update is
+//!   ever lost.
 //! * [`Histogram`] — a log2-bucketed value distribution with
 //!   `count`/`sum`/`max` and quantile estimates (p50/p95/p99). Updates
 //!   are plain relaxed load/store pairs: statistically faithful, not

@@ -27,11 +27,6 @@ enum Entry {
         unit: &'static str,
         counter: &'static Counter,
     },
-    Gauge {
-        name: &'static str,
-        unit: &'static str,
-        read: fn() -> u64,
-    },
     Histogram {
         name: &'static str,
         unit: &'static str,
@@ -62,12 +57,6 @@ impl Registry {
         self.entries.push(Entry::Counter { name, unit, counter });
     }
 
-    /// Registers a derived value, sampled by calling `read` at snapshot
-    /// time.
-    pub fn gauge(&mut self, name: &'static str, unit: &'static str, read: fn() -> u64) {
-        self.entries.push(Entry::Gauge { name, unit, read });
-    }
-
     /// Registers a histogram; `unit` describes the recorded values
     /// (`"ns"`, `"ops"`).
     pub fn histogram(
@@ -84,8 +73,8 @@ impl Registry {
         self.entries.push(Entry::Trace { name, ring, legend });
     }
 
-    /// Number of registered scalar metrics (counters, gauges,
-    /// histograms; trace rings are events, not metrics).
+    /// Number of registered scalar metrics (counters and histograms;
+    /// trace rings are events, not metrics).
     pub fn metric_count(&self) -> usize {
         self.entries
             .iter()
@@ -98,9 +87,7 @@ impl Registry {
         self.entries
             .iter()
             .filter_map(|e| match e {
-                Entry::Counter { name, .. }
-                | Entry::Gauge { name, .. }
-                | Entry::Histogram { name, .. } => Some(*name),
+                Entry::Counter { name, .. } | Entry::Histogram { name, .. } => Some(*name),
                 Entry::Trace { .. } => None,
             })
             .collect()
@@ -116,11 +103,6 @@ impl Registry {
                     name,
                     unit,
                     value: MetricValue::Counter(counter.get()),
-                },
-                Entry::Gauge { name, unit, read } => Metric {
-                    name,
-                    unit,
-                    value: MetricValue::Gauge(read()),
                 },
                 Entry::Histogram { name, unit, histogram } => Metric {
                     name,
@@ -159,8 +141,6 @@ pub struct Metric {
 pub enum MetricValue {
     /// Exact monotone event count.
     Counter(u64),
-    /// Derived value sampled at snapshot time.
-    Gauge(u64),
     /// Distribution summary.
     Histogram(HistogramSnapshot),
     /// Recent events plus the code legend.
@@ -211,7 +191,6 @@ fn metric_json(m: &Metric, indent: &str) -> String {
     );
     match &m.value {
         MetricValue::Counter(v) => format!("{head}\"kind\": \"counter\", \"value\": {v} }}"),
-        MetricValue::Gauge(v) => format!("{head}\"kind\": \"gauge\", \"value\": {v} }}"),
         MetricValue::Histogram(h) => {
             let buckets: Vec<String> = h
                 .buckets
@@ -293,7 +272,6 @@ mod tests {
     fn registry() -> Registry {
         let mut reg = Registry::new();
         reg.counter("test.counter", "count", &C);
-        reg.gauge("test.gauge", "count", || 42);
         reg.histogram("test.hist", "ns", &H);
         reg.trace("test.trace", &R, LEGEND);
         reg
@@ -302,11 +280,8 @@ mod tests {
     #[test]
     fn metric_count_excludes_trace_rings() {
         let reg = registry();
-        assert_eq!(reg.metric_count(), 3);
-        assert_eq!(
-            reg.metric_names(),
-            vec!["test.counter", "test.gauge", "test.hist"]
-        );
+        assert_eq!(reg.metric_count(), 2);
+        assert_eq!(reg.metric_names(), vec!["test.counter", "test.hist"]);
     }
 
     #[test]
@@ -317,7 +292,6 @@ mod tests {
         let json = registry().snapshot().to_json();
         assert!(json.contains("\"report\": \"telemetry\""));
         assert!(json.contains("\"name\": \"test.counter\""));
-        assert!(json.contains("\"kind\": \"gauge\", \"value\": 42"));
         assert!(json.contains("\"kind\": \"histogram\""));
         assert!(json.contains("\"kind\": \"trace\""));
         assert!(json.contains("\"legend\": [[0, \"alpha\"], [1, \"beta\"]]"));
