@@ -6,7 +6,7 @@
 //! * **Translation cache** — a miss counter on the [`crate::vspace`]
 //!   resolve path and an epoch-invalidation counter bumped by every
 //!   unmap. The hit path is deliberately *not* instrumented: a cache
-//!   hit costs ~5ns and even a sharded counter add is measurable there
+//!   hit costs ~5ns and even one atomic counter add is measurable there
 //!   (DESIGN.md §10 records the measurement that forced this). Misses
 //!   already pay for a multi-level table walk, so the bump is noise.
 //! * **Syscalls** — a per-variant latency histogram plus a trace ring

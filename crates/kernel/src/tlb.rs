@@ -6,11 +6,10 @@
 //! # Structure
 //!
 //! A direct-mapped array of `SLOTS` entries keyed by the 4 KiB page of
-//! the queried address. Each slot is a tiny seqlock: a stamp (`seq`,
-//! even = stable, odd = a fill is in flight) guarding a `(page, data,
-//! epoch)` triple. All three fields are individual `AtomicU64`s, so no
-//! read can tear; the stamp only guards *pair* consistency — a lookup
-//! must not combine the page key of one fill with the data of another.
+//! the queried address. Each slot is a [`SeqSlot`] holding a `[page,
+//! data, fill_epoch]` triple, so a lookup never combines the page key
+//! of one fill with the data of another, and a never-filled slot reads
+//! as empty rather than as page 0.
 //!
 //! # Invalidation
 //!
@@ -34,42 +33,14 @@
 //! traffic; the `translation_cache_coherent` verification condition and
 //! the threaded test below exercise exactly that contract.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use veros_hw::{PAddr, VAddr};
 use veros_pagetable::{MapFlags, PageSize, ResolveAnswer};
+use veros_telemetry::SeqSlot;
 
 /// Number of direct-mapped slots. A power of two so the index is a mask.
 const SLOTS: usize = 128;
-
-/// One direct-mapped slot: a seqlock-stamped `(page, data, epoch)`
-/// triple.
-struct Slot {
-    /// Seqlock stamp: even = stable, odd = a fill is in flight.
-    seq: AtomicU64,
-    /// The 4 KiB page key (`va >> 12`) this slot caches.
-    // protocol: seqlock(seq)
-    page: AtomicU64,
-    /// Packed answer; see [`pack`].
-    // protocol: seqlock(seq)
-    data: AtomicU64,
-    /// Value of the cache epoch the filler observed before its walk.
-    /// (Named `fill_epoch` to keep it distinct from the cache-wide
-    /// [`TranslationCache::epoch`] counter it snapshots.)
-    // protocol: seqlock(seq)
-    fill_epoch: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            page: AtomicU64::new(u64::MAX),
-            data: AtomicU64::new(0),
-            fill_epoch: AtomicU64::new(0),
-        }
-    }
-}
 
 /// Packs a successful resolve into one word. The mapping's physical
 /// base is at least 4 KiB-aligned, so its low 12 bits are free for the
@@ -112,7 +83,9 @@ fn unpack(va: u64, data: u64) -> ResolveAnswer {
 
 /// The per-address-space translation cache.
 pub struct TranslationCache {
-    slots: Vec<Slot>,
+    /// `[page key (va >> 12), packed answer (see [`pack`]), the cache
+    /// epoch the filler observed before its walk]`.
+    slots: Vec<SeqSlot<3>>,
     epoch: AtomicU64,
 }
 
@@ -126,7 +99,7 @@ impl TranslationCache {
     /// An empty cache.
     pub fn new() -> Self {
         TranslationCache {
-            slots: (0..SLOTS).map(|_| Slot::new()).collect(),
+            slots: (0..SLOTS).map(|_| SeqSlot::new()).collect(),
             epoch: AtomicU64::new(0),
         }
     }
@@ -146,29 +119,8 @@ impl TranslationCache {
     /// its page exists.
     pub fn lookup(&self, va: VAddr) -> Option<ResolveAnswer> {
         let page = va.0 >> 12;
-        let slot = &self.slots[(page as usize) & (SLOTS - 1)];
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 & 1 != 0 {
-            return None;
-        }
-        // lint: allow(atomics-ordering) — seqlock triple reads: the
-        // acquire load of `seq` above orders them after the stamp, and
-        // the fence below orders them before the re-read; the fields
-        // themselves need no individual edges.
-        let k = slot.page.load(Ordering::Relaxed);
-        // lint: allow(atomics-ordering) — same seqlock triple read.
-        let d = slot.data.load(Ordering::Relaxed);
-        // lint: allow(atomics-ordering) — same seqlock triple read.
-        let e = slot.fill_epoch.load(Ordering::Relaxed);
-        // Order the triple reads before the stamp re-read: if the stamp
-        // is unchanged and even, no fill overlapped them and the triple
-        // is a consistent snapshot (each field is atomic, so the only
-        // hazard is mixing fields of different fills).
-        fence(Ordering::Acquire);
-        // lint: allow(atomics-ordering) — the acquire *fence* above is
-        // the ordering edge for this re-read; a Relaxed load suffices.
-        let s2 = slot.seq.load(Ordering::Relaxed);
-        if s1 != s2 || k != page || e != self.epoch.load(Ordering::Acquire) {
+        let [k, d, e] = self.slots[(page as usize) & (SLOTS - 1)].read()?;
+        if k != page || e != self.epoch.load(Ordering::Acquire) {
             return None;
         }
         Some(unpack(va.0, d))
@@ -181,31 +133,7 @@ impl TranslationCache {
     pub fn fill(&self, va: VAddr, ans: &ResolveAnswer, epoch_at_walk: u64) {
         let page = va.0 >> 12;
         let slot = &self.slots[(page as usize) & (SLOTS - 1)];
-        // lint: allow(atomics-ordering) — opportunistic stamp probe;
-        // the CAS below is the synchronizing access, this load only
-        // picks the expected value (a stale read just fails the CAS).
-        let s = slot.seq.load(Ordering::Relaxed);
-        if s & 1 != 0 {
-            return;
-        }
-        if slot
-            .seq
-            // lint: allow(atomics-ordering) — Relaxed on *failure* only:
-            // a failed claim publishes nothing and reads nothing guarded.
-            .compare_exchange(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        // lint: allow(atomics-ordering) — seqlock triple writes: the
-        // odd stamp from the CAS above already invalidates the slot for
-        // readers, and the Release store below publishes all three.
-        slot.page.store(page, Ordering::Relaxed);
-        // lint: allow(atomics-ordering) — same seqlock triple write.
-        slot.data.store(pack(va.0, ans), Ordering::Relaxed);
-        // lint: allow(atomics-ordering) — same seqlock triple write.
-        slot.fill_epoch.store(epoch_at_walk, Ordering::Relaxed);
-        slot.seq.store(s + 2, Ordering::Release);
+        slot.try_write([page, pack(va.0, ans), epoch_at_walk]);
     }
 }
 

@@ -1,20 +1,13 @@
 //! Per-atomic-field access extraction: the table the concurrency
-//! protocol passes ([`crate::protocol`]) consume.
+//! protocol pass ([`crate::protocol`]) consumes.
 //!
 //! For every atomic field or static declared in a runtime crate, this
 //! module records **every** load/store/RMW of it — with the parsed
-//! `Ordering` halves, the enclosing item, and `file:line` — plus the
-//! raw "touches" (field projections) of seqlock-annotated fields. The
-//! annotation is read from the comment on (or directly above) a field
-//! declaration:
-//!
-//! ```text
-//! // protocol: seqlock(<stamp-field>)
-//! ```
+//! `Ordering` halves and `file:line`.
 //!
 //! The analysis is lexical and conservative, like the item extractor:
-//! extra accesses or touches only make the lint passes stricter, and
-//! everything the extractor *cannot* bind is counted loudly —
+//! extra accesses only make the pairing pass stricter, and everything
+//! the extractor *cannot* bind is counted loudly —
 //! [`AccessTable::unbound`] (an `Ordering`-carrying call whose receiver
 //! resolves to no declared field), [`AccessTable::unknown_order`] (an
 //! access of a tracked field whose ordering token is unreadable), and
@@ -28,7 +21,7 @@ use crate::lexer;
 use crate::model::{self, Item, ItemKind};
 use crate::source::SourceFile;
 
-/// Crates the protocol passes never look at: the analyzer itself and
+/// Crates the protocol pass never looks at: the analyzer itself and
 /// the bench harness (not shipped runtime code).
 pub const PROTOCOL_EXCLUDED_CRATES: &[&str] = &["bench", "lint"];
 
@@ -65,10 +58,10 @@ impl MemOrder {
     }
 }
 
-/// One tracked field or static declaration.
+/// One tracked field or static declaration: its type is atomic or an
+/// all-atomic carrier.
 #[derive(Clone, Debug)]
 pub struct FieldDecl {
-    pub crate_key: String,
     /// Declaring struct name, `<static>`, or `<param>` (an atomic
     /// reference taken as a function parameter).
     pub holder: String,
@@ -76,16 +69,6 @@ pub struct FieldDecl {
     pub file: usize,
     /// 1-based declaration line.
     pub line: usize,
-    /// Declared with an atomic (or all-atomic carrier) type. Annotated
-    /// non-atomic fields (e.g. an `UnsafeCell` seqlock payload) are
-    /// tracked with `atomic: false`.
-    pub atomic: bool,
-    /// `pub`/`pub(...)` — touches are searched crate-wide instead of
-    /// declaration-file-only.
-    pub public: bool,
-    /// The stamp of a `// protocol: seqlock(<stamp>)` annotation: writes
-    /// are bracketed by stamp bumps, reads re-check the stamp.
-    pub seqlock: Option<String>,
 }
 
 /// One atomic operation on a tracked field.
@@ -93,25 +76,13 @@ pub struct FieldDecl {
 pub struct Access {
     /// Index into [`AccessTable::fields`].
     pub field: usize,
-    /// Innermost enclosing non-preamble item, if any.
-    pub item: Option<usize>,
     pub file: usize,
     /// 1-based line of the method call.
     pub line: usize,
-    pub method: String,
     /// Ordering of the read half, when the op reads.
     pub load: Option<MemOrder>,
     /// Ordering of the write half, when the op writes.
     pub store: Option<MemOrder>,
-}
-
-/// One raw projection (`.field`) of an annotated field — the unit the
-/// seqlock pass reasons about.
-#[derive(Clone, Debug)]
-pub struct Touch {
-    pub field: usize,
-    pub item: Option<usize>,
-    pub line: usize,
 }
 
 /// Something the extractor could not resolve, anchored for diagnosis.
@@ -128,7 +99,6 @@ pub struct Unresolved {
 pub struct AccessTable {
     pub fields: Vec<FieldDecl>,
     pub accesses: Vec<Access>,
-    pub touches: Vec<Touch>,
     /// Ordering-carrying calls bound to no field. Must stay 0.
     pub unbound: Vec<Unresolved>,
     /// Tracked-field ops with unreadable ordering tokens. Must stay 0.
@@ -188,15 +158,13 @@ struct RawField {
     name: String,
     file: usize,
     line: usize,
-    public: bool,
     type_text: String,
 }
 
 /// Parses `pub name: Type,` declarations (used inside `struct` bodies).
-/// Returns `(name, type_text, public)`.
-fn parse_named_field(code: &str) -> Option<(String, String, bool)> {
-    let t = code.trim_start();
-    let (t, public) = strip_visibility(t);
+/// Returns `(name, type_text)`.
+fn parse_named_field(code: &str) -> Option<(String, String)> {
+    let t = strip_visibility(code.trim_start());
     let bytes = t.as_bytes();
     let mut end = 0;
     while end < bytes.len()
@@ -224,19 +192,19 @@ fn parse_named_field(code: &str) -> Option<(String, String, bool)> {
     if ty.is_empty() {
         return None;
     }
-    Some((name.to_string(), ty.to_string(), public))
+    Some((name.to_string(), ty.to_string()))
 }
 
-fn strip_visibility(t: &str) -> (&str, bool) {
+fn strip_visibility(t: &str) -> &str {
     if let Some(r) = t.strip_prefix("pub(") {
         if let Some(close) = r.find(')') {
-            return (r[close + 1..].trim_start(), true);
+            return r[close + 1..].trim_start();
         }
     }
     if let Some(r) = t.strip_prefix("pub ") {
-        return (r.trim_start(), true);
+        return r.trim_start();
     }
-    (t, false)
+    t
 }
 
 /// Splits `s` on commas at angle/paren/bracket depth 0.
@@ -265,18 +233,6 @@ fn split_top_commas(s: &str) -> Vec<String> {
         parts.push(cur.trim().to_string());
     }
     parts
-}
-
-/// Reads the seqlock stamp annotated on declaration line `idx`
-/// (0-based): the same comment chain a lint suppression attaches
-/// through ([`SourceFile::attached_comments`]).
-fn seqlock_at(file: &SourceFile, idx: usize) -> Option<String> {
-    file.attached_comments(idx).find_map(|comment| {
-        let pos = comment.find("protocol: seqlock(")?;
-        let rest = &comment[pos + "protocol: seqlock(".len()..];
-        let stamp = rest[..rest.find(')')?].trim();
-        (!stamp.is_empty()).then(|| stamp.to_string())
-    })
 }
 
 impl AccessTable {
@@ -311,8 +267,7 @@ impl AccessTable {
                                     .map(|(a, _)| a)
                                     .unwrap_or(&header[p + 1..]);
                                 for part in split_top_commas(inner) {
-                                    let Some((name, ty, public)) = parse_named_field(&part)
-                                    else {
+                                    let Some((name, ty)) = parse_named_field(&part) else {
                                         continue;
                                     };
                                     members
@@ -325,7 +280,6 @@ impl AccessTable {
                                         name,
                                         file: fi,
                                         line: start,
-                                        public,
                                         type_text: ty,
                                     });
                                 }
@@ -335,7 +289,7 @@ impl AccessTable {
                                     .map(|(a, _)| a)
                                     .unwrap_or(&header[p + 1..]);
                                 for ty in split_top_commas(inner) {
-                                    let ty = strip_visibility(&ty).0.to_string();
+                                    let ty = strip_visibility(&ty).to_string();
                                     members
                                         .entry((file.crate_key.clone(), it.name.clone()))
                                         .or_default()
@@ -353,7 +307,7 @@ impl AccessTable {
                             {
                                 continue;
                             }
-                            if let Some((name, ty, public)) = parse_named_field(&line.code) {
+                            if let Some((name, ty)) = parse_named_field(&line.code) {
                                 members
                                     .entry((file.crate_key.clone(), it.name.clone()))
                                     .or_default()
@@ -364,7 +318,6 @@ impl AccessTable {
                                     name,
                                     file: fi,
                                     line: l + 1,
-                                    public,
                                     type_text: ty,
                                 });
                             }
@@ -376,13 +329,11 @@ impl AccessTable {
                         if file.in_test[line0 - 1] {
                             continue;
                         }
-                        let (t, public) = strip_visibility(code.trim_start());
+                        let t = strip_visibility(code.trim_start());
                         let Some(rest) = t.strip_prefix("static ") else { continue };
                         let rest = rest.trim_start();
                         let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-                        let Some((name, ty, _)) =
-                            parse_named_field(rest)
-                        else {
+                        let Some((name, ty)) = parse_named_field(rest) else {
                             continue;
                         };
                         let ty = ty.split('=').next().unwrap_or(&ty).trim().to_string();
@@ -392,7 +343,6 @@ impl AccessTable {
                             name,
                             file: fi,
                             line: line0,
-                            public,
                             type_text: ty,
                         });
                     }
@@ -435,13 +385,11 @@ impl AccessTable {
         };
 
         // ---- Phase 3: tracked fields -----------------------------------
-        // Atomic-typed declarations plus annotated declarations of any
-        // type, keyed (crate, name); duplicates are loud.
+        // Atomic-typed declarations, keyed (crate, name); duplicates are
+        // loud.
         let mut index: HashMap<(String, String), usize> = HashMap::new();
         for rf in raw {
-            let atomic = is_atomic_ty(&rf.crate_key, &rf.type_text);
-            let seqlock = seqlock_at(&files[rf.file], rf.line - 1);
-            if !atomic && seqlock.is_none() {
+            if !is_atomic_ty(&rf.crate_key, &rf.type_text) {
                 continue;
             }
             let key = (rf.crate_key.clone(), rf.name.clone());
@@ -464,14 +412,10 @@ impl AccessTable {
             }
             index.insert(key, table.fields.len());
             table.fields.push(FieldDecl {
-                crate_key: rf.crate_key,
                 holder: rf.holder,
                 name: rf.name,
                 file: rf.file,
                 line: rf.line,
-                atomic,
-                public: rf.public,
-                seqlock,
             });
         }
 
@@ -580,16 +524,14 @@ impl AccessTable {
                         // the receiver IS a tracked atomic, in which
                         // case the ordering is just unreadable: loud.
                         if let Some(f) = fidx {
-                            if table.fields[f].atomic {
-                                table.unknown_order.push(Unresolved {
-                                    file: fi,
-                                    line: i + 1,
-                                    what: format!(
-                                        "ordering of `{}.{}` unreadable",
-                                        table.fields[f].name, method
-                                    ),
-                                });
-                            }
+                            table.unknown_order.push(Unresolved {
+                                file: fi,
+                                line: i + 1,
+                                what: format!(
+                                    "ordering of `{}.{}` unreadable",
+                                    table.fields[f].name, method
+                                ),
+                            });
                         }
                         continue;
                     }
@@ -605,14 +547,11 @@ impl AccessTable {
                         });
                         continue;
                     };
-                    let item = model::innermost_item(items, fi, i + 1);
                     let push = |table: &mut AccessTable, load, store| {
                         table.accesses.push(Access {
                             field: f,
-                            item,
                             file: fi,
                             line: i + 1,
-                            method: method.clone(),
                             load,
                             store,
                         });
@@ -639,40 +578,6 @@ impl AccessTable {
             }
         }
 
-        // ---- Phase 6: raw touches of seqlock fields ---------------------
-        // `.field` projections (not method calls), searched across the
-        // declaring crate for public fields and the declaring file for
-        // private ones — private fields cannot be projected elsewhere.
-        for f in 0..table.fields.len() {
-            if table.fields[f].seqlock.is_none() {
-                continue;
-            }
-            let (ck, name, public, decl_file) = {
-                let fd = &table.fields[f];
-                (fd.crate_key.clone(), fd.name.clone(), fd.public, fd.file)
-            };
-            for (fi, file) in files.iter().enumerate() {
-                if !file_in_scope(file) || file.crate_key != ck {
-                    continue;
-                }
-                if !public && fi != decl_file {
-                    continue;
-                }
-                for (i, line) in file.lines.iter().enumerate() {
-                    if file.in_test[i] {
-                        continue;
-                    }
-                    for _ in projections(&line.code, &name) {
-                        table.touches.push(Touch {
-                            field: f,
-                            item: model::innermost_item(items, fi, i + 1),
-                            line: i + 1,
-                        });
-                    }
-                }
-            }
-        }
-
         table
             .ambiguous
             .sort_by(|a, b| (a.file, a.line, &a.what).cmp(&(b.file, b.line, &b.what)));
@@ -680,12 +585,6 @@ impl AccessTable {
             .ambiguous
             .dedup_by(|a, b| (a.file, a.line, &a.what) == (b.file, b.line, &b.what));
         table
-    }
-
-    pub fn field_index(&self, crate_key: &str, name: &str) -> Option<usize> {
-        self.fields
-            .iter()
-            .position(|f| f.crate_key == crate_key && f.name == name)
     }
 }
 
@@ -876,14 +775,10 @@ fn bind_atomic_params(
         }
         index.insert(key, table.fields.len());
         table.fields.push(FieldDecl {
-            crate_key: file.crate_key.clone(),
             holder: "<param>".to_string(),
             name: name.to_string(),
             file: fi,
             line: i + 1,
-            atomic: true,
-            public: false,
-            seqlock: None,
         });
     }
 }
@@ -1032,6 +927,10 @@ fn projections(code: &str, name: &str) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    fn field_index(t: &AccessTable, name: &str) -> Option<usize> {
+        t.fields.iter().position(|f| f.name == name)
+    }
+
     fn build(sources: &[(&str, &str)]) -> (Vec<SourceFile>, Vec<Item>, AccessTable) {
         let files = crate::source::Workspace::from_sources(sources).files;
         let mut items = Vec::new();
@@ -1062,12 +961,11 @@ impl Ring {
         let (_, _, t) = build(&[("crates/demo/src/lib.rs", src)]);
         assert_eq!(t.fields.len(), 1, "{:?}", t.fields);
         assert_eq!(t.fields[0].name, "head");
-        assert!(t.fields[0].atomic);
         assert_eq!(t.accesses.len(), 2);
-        let store = t.accesses.iter().find(|a| a.method == "store").unwrap();
+        let store = t.accesses.iter().find(|a| a.store.is_some()).unwrap();
         assert_eq!(store.store, Some(MemOrder::Release));
         assert_eq!(store.load, None);
-        let load = t.accesses.iter().find(|a| a.method == "load").unwrap();
+        let load = t.accesses.iter().find(|a| a.load.is_some()).unwrap();
         assert!(load.load.unwrap().acquires());
         assert!(t.unbound.is_empty(), "{:?}", t.unbound);
     }
@@ -1095,7 +993,7 @@ impl Shared {
         assert!(names.contains(&"head") && names.contains(&"tail"), "{names:?}");
         assert_eq!(t.accesses.len(), 2);
         assert!(t.unbound.is_empty(), "{:?}", t.unbound);
-        let head = t.field_index("demo", "head").unwrap();
+        let head = field_index(&t, "head").unwrap();
         assert!(t.accesses.iter().any(|a| a.field == head));
     }
 
@@ -1140,42 +1038,11 @@ pub fn drain(pending: &AtomicU64) -> u64 {
 ";
         let (_, _, t) = build(&[("crates/demo/src/lib.rs", src)]);
         assert!(t.unbound.is_empty(), "{:?}", t.unbound);
-        let cells = t.field_index("demo", "cells").unwrap();
+        let cells = field_index(&t, "cells").unwrap();
         assert_eq!(t.accesses.iter().filter(|a| a.field == cells).count(), 2);
-        let pending = t.field_index("demo", "pending").unwrap();
+        let pending = field_index(&t, "pending").unwrap();
         assert_eq!(t.fields[pending].holder, "<param>");
         assert_eq!(t.accesses.iter().filter(|a| a.field == pending).count(), 1);
-    }
-
-    #[test]
-    fn annotations_parse_and_touches_found() {
-        let src = "\
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-pub struct Cell2 {
-    seq: AtomicUsize,
-    // protocol: seqlock(seq)
-    val: UnsafeCell<u64>,
-}
-impl Cell2 {
-    fn publish(&self, v: u64) {
-        let s = self.seq.load(Ordering::Relaxed);
-        unsafe { *self.val.get() = v };
-        self.seq.store(s + 1, Ordering::Release);
-    }
-}
-";
-        let (_, _, t) = build(&[("crates/demo/src/lib.rs", src)]);
-        let val = t.field_index("demo", "val").unwrap();
-        assert!(!t.fields[val].atomic);
-        assert_eq!(t.fields[val].seqlock.as_deref(), Some("seq"));
-        let touch_lines: Vec<usize> = t
-            .touches
-            .iter()
-            .filter(|x| x.field == val)
-            .map(|x| x.line)
-            .collect();
-        assert_eq!(touch_lines, vec![11], "decl/init lines are not touches");
     }
 
     #[test]

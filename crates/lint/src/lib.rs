@@ -8,12 +8,13 @@
 //! module documents its role. This crate makes those conventions
 //! machine-checked: a hand-rolled lexer ([`lexer`]), a workspace model
 //! that walks the tree once ([`source`]), a check registry ([`lints`]),
-//! and concurrency-protocol passes ([`protocol`]) over the extracted
+//! and a concurrency-protocol pass ([`protocol`]) over the extracted
 //! items (`model`) and a per-field atomic access table (`access`),
-//! behind a `veros-lint` binary. Lock discipline is left to the type
-//! checker: a field touched only under a lock lives inside the value
-//! the lock guards. No external dependencies, so it builds offline with
-//! the rest of the workspace.
+//! behind a `veros-lint` binary. Lock and seqlock discipline are left
+//! to the type checker: a field touched only under a lock lives inside
+//! the value the lock guards, and seqlock-published words live inside
+//! `veros_telemetry::SeqSlot`. No external dependencies, so it builds
+//! offline with the rest of the workspace.
 //!
 //! A finding is accepted in one way only: a reasoned inline
 //! `// lint: allow(<id>) — reason` next to the code it excuses. There
@@ -40,12 +41,12 @@ pub struct Report {
     pub files: usize,
     /// Every check's findings, sorted by file, line and ID.
     pub findings: Vec<diag::Diagnostic>,
-    /// The protocol passes' anti-vacuity counters.
+    /// The protocol pass's anti-vacuity counters.
     pub counters: protocol::Counters,
 }
 
 /// Loads the workspace at `root` once and runs every check over it: the
-/// line lints, then the protocol passes.
+/// line lints, then the protocol pass.
 pub fn check(root: &Path) -> io::Result<Report> {
     let ws = source::Workspace::load(root)?;
     let mut findings = lints::run_all(&ws);
@@ -74,8 +75,7 @@ mod tests {
                 "obligation-coverage",
                 "atomics-ordering",
                 "doc-header",
-                "publication-pairing",
-                "seqlock-discipline"
+                "publication-pairing"
             ]
         );
     }

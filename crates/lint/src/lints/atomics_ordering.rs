@@ -6,9 +6,10 @@
 //! `Relaxed` would silently unorder, the ulib ring executor's
 //! park/unpark handshake rides those same edges, the telemetry
 //! instruments deliberately trade exactness for Relaxed traffic (each
-//! trade carries its own argument), and the kernel's translation cache
-//! is a seqlock whose Relaxed triple reads are sound only under its
-//! fence; all of these are exactly the kind of bug the linearizability
+//! trade carries its own argument), and the kernel has no Relaxed site
+//! at all (its translation cache publishes through the all-`SeqCst`
+//! `veros_telemetry::SeqSlot`), so a new one there changes a protocol;
+//! all of these are exactly the kind of bug the linearizability
 //! checkers can miss on a lucky schedule. Reviewed sites carry
 //! `// lint: allow(atomics-ordering) — <why Relaxed is sound here>`.
 

@@ -1,6 +1,6 @@
 //! The check registry: every line lint walks the [`Workspace`] and
-//! emits [`Diagnostic`]s with a stable ID; the protocol passes are
-//! listed here too, so one table names every ID.
+//! emits [`Diagnostic`]s with a stable ID; the protocol pass is listed
+//! here too, so one table names every ID.
 
 use crate::diag::Diagnostic;
 use crate::protocol;
@@ -20,14 +20,14 @@ pub struct Lint {
     /// One-line description for `--list`.
     pub describe: &'static str,
     /// Runs a line lint over the whole workspace, appending findings.
-    /// `None` for a protocol pass: the two share one analysis and run
-    /// together in [`protocol::Analysis::run`].
+    /// `None` for the protocol pass, which runs over its own analysis
+    /// in [`protocol::Analysis::run`].
     pub run: Option<fn(&Workspace, &mut Vec<Diagnostic>)>,
 }
 
 /// Every check, in reporting and `--list` order: the line lints, then
-/// the protocol passes.
-pub const REGISTRY: [Lint; 7] = [
+/// the protocol pass.
+pub const REGISTRY: [Lint; 6] = [
     unsafe_audit::LINT,
     panic_freedom::LINT,
     obligation_coverage::LINT,
@@ -36,11 +36,6 @@ pub const REGISTRY: [Lint; 7] = [
     Lint {
         id: protocol::PUBLICATION,
         describe: "releasing stores must pair with acquiring loads",
-        run: None,
-    },
-    Lint {
-        id: protocol::SEQLOCK,
-        describe: "`protocol: seqlock(..)` fields bracketed by stamp accesses",
         run: None,
     },
 ];

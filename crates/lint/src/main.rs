@@ -1,5 +1,5 @@
 //! The `veros-lint` binary: run the spec-discipline lints and the
-//! concurrency-protocol passes over a workspace tree and report
+//! concurrency-protocol pass over a workspace tree and report
 //! `file:line` findings.
 //!
 //! ```text
@@ -57,13 +57,12 @@ fn counters_json(c: &Counters, findings: usize) -> String {
     format!(
         "{{\n  \"bench\": \"lint\",\n  \"findings\": {findings},\n  \
          \"atomic_fields\": {},\n  \"accesses\": {},\n  \"publication_pairs\": {},\n  \
-         \"seqlock_fields\": {},\n  \"unknown_orderings\": {},\n  \
+         \"unknown_orderings\": {},\n  \
          \"unbound_accesses\": {},\n  \"ambiguous_fields\": {},\n  \
          \"unparsed\": {},\n  \"stray_headers\": {}\n}}\n",
         c.atomic_fields,
         c.accesses,
         c.publication_pairs,
-        c.seqlock_fields,
         c.unknown_orderings,
         c.unbound_accesses,
         c.ambiguous_fields,
@@ -84,7 +83,6 @@ fn gate_failures(c: &Counters) -> Vec<String> {
     };
     floor("atomic_fields", c.atomic_fields, 20);
     floor("publication_pairs", c.publication_pairs, 10);
-    floor("seqlock_fields", c.seqlock_fields, 1);
     let mut zero = |name: &str, got: usize| {
         if got != 0 {
             out.push(format!("{name} = {got} (must be 0)"));
@@ -146,12 +144,8 @@ fn main() -> ExitCode {
         report.files
     );
     println!(
-        "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs, \
-         {} seqlock fields",
-        counters.atomic_fields,
-        counters.accesses,
-        counters.publication_pairs,
-        counters.seqlock_fields,
+        "veros-lint: protocols: {} atomic fields, {} accesses, {} publication pairs",
+        counters.atomic_fields, counters.accesses, counters.publication_pairs,
     );
 
     let mut failed = errors > 0;
@@ -199,7 +193,6 @@ mod tests {
         Counters {
             atomic_fields: 20,
             publication_pairs: 10,
-            seqlock_fields: 1,
             ..Counters::default()
         }
     }

@@ -3,11 +3,11 @@
 //! with their line ranges from each lexed [`SourceFile`].
 //!
 //! The extractor is deliberately lexical, not a parser: it only needs
-//! line ranges and names good enough to say which item an access sits
-//! in. Anything it cannot place lands in the file's *preamble*
-//! pseudo-item. Being lexical, it can be blind: a shipped file whose
-//! code yields no items, or an item header it failed to open, would
-//! drop out of the analysis silently. [`blind_spots`] counts both, and
+//! line ranges and names good enough to find the struct and static
+//! declarations the access table reads. Anything it cannot place lands
+//! in the file's *preamble* pseudo-item. Being lexical, it can be
+//! blind: a shipped file whose code yields no items, or an item header
+//! it failed to open, would drop out of the analysis silently. [`blind_spots`] counts both, and
 //! `veros-lint --gate` holds them at zero.
 
 use crate::lexer;
@@ -39,12 +39,6 @@ pub struct Item {
     /// 1-based inclusive line ranges. Single range for real items; the
     /// preamble may be scattered.
     pub ranges: Vec<(usize, usize)>,
-}
-
-impl Item {
-    pub fn contains_line(&self, line: usize) -> bool {
-        self.ranges.iter().any(|&(a, b)| a <= line && line <= b)
-    }
 }
 
 /// Reads the item header (if any) that a code line begins: strips
@@ -169,24 +163,6 @@ fn impl_name(rest: &str) -> String {
         .filter(|s| !s.is_empty())
         .unwrap_or("impl")
         .to_string()
-}
-
-/// Innermost non-preamble item containing 1-based `line` of `file`
-/// (smallest covering range wins, so an `fn` beats its `impl` block).
-pub fn innermost_item(items: &[Item], file: usize, line: usize) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    let mut best_span = usize::MAX;
-    for (id, it) in items.iter().enumerate() {
-        if it.file != file || it.kind == ItemKind::Preamble || !it.contains_line(line) {
-            continue;
-        }
-        let span: usize = it.ranges.iter().map(|&(a, b)| b - a + 1).sum();
-        if span < best_span {
-            best = Some(id);
-            best_span = span;
-        }
-    }
-    best
 }
 
 /// A header whose body/terminator has not been seen yet.

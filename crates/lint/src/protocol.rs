@@ -1,32 +1,25 @@
-//! Concurrency-protocol passes over the extracted items.
+//! The concurrency-protocol pass over the extracted items.
 //!
 //! Where the registry lints ([`crate::lints`]) judge single lines, the
-//! passes here consume the per-atomic-field access table (`access`)
-//! and judge *protocols*:
+//! pass here consumes the per-atomic-field access table (`access`) and
+//! judges a *protocol*: [`PUBLICATION`] — a field stored with
+//! Release/SeqCst must have at least one Acquire/SeqCst load somewhere
+//! in the workspace, and an Acquire load of a field whose stores are
+//! all Relaxed synchronizes with nothing. Both directions are pure
+//! waste or a latent bug.
 //!
-//! - [`PUBLICATION`] — a field stored with Release/SeqCst must have at
-//!   least one Acquire/SeqCst load somewhere in the workspace, and an
-//!   Acquire load of a field whose stores are all Relaxed synchronizes
-//!   with nothing. Both directions are pure waste or a latent bug.
-//! - [`SEQLOCK`] — a field annotated `// protocol: seqlock(<stamp>)`
-//!   may only be touched by items that also access the stamp before
-//!   the first touch and after the last one (writers bump odd/even,
-//!   readers re-check; the bracketing shape is what's checkable
-//!   lexically).
+//! Two protocols need no pass because a type holds them. A field that
+//! must only be touched under a lock lives inside the value the lock
+//! guards, and the borrow checker refuses any other access. Words
+//! published under a seqlock stamp live inside `veros_telemetry::
+//! SeqSlot`, whose private fields only its own bracketed methods reach.
 //!
-//! A field that must only be touched under a lock needs no pass: it
-//! lives inside the value the lock guards, and the borrow checker
-//! refuses any other access.
-//!
-//! Conservativeness: the table over-approximates touches (any `.field`
-//! projection counts). What cannot be bound is *loud* — unbound atomic
+//! Conservativeness: what cannot be bound is *loud* — unbound atomic
 //! ops, unreadable orderings, and ambiguous field names all become
 //! findings and gate counters, and files or item headers the extractor
 //! cannot see are gate counters too, so the analysis fails open, never
 //! silently. Reviewed sites are suppressed with the standard
 //! `// lint: allow(<pass-id>) — reason` syntax.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::access::{AccessTable, MemOrder};
 use crate::diag::{Diagnostic, Severity};
@@ -34,7 +27,6 @@ use crate::model::{self, Item};
 use crate::source::{SourceFile, Workspace};
 
 pub const PUBLICATION: &str = "publication-pairing";
-pub const SEQLOCK: &str = "seqlock-discipline";
 
 /// Anti-vacuity counters for `results/LINT.json` — proof the analyzer
 /// saw a real population, not an empty one.
@@ -47,19 +39,20 @@ pub struct Counters {
     /// Fields with both a store and a load access — the pairing pass
     /// made a nontrivial decision for each.
     pub publication_pairs: usize,
-    /// Fields carrying a `protocol: seqlock(..)` annotation.
-    pub seqlock_fields: usize,
     /// Tracked-field ops with unreadable orderings. Gated to 0.
     pub unknown_orderings: usize,
     /// Atomic ops bound to no field. Gated to 0.
     pub unbound_accesses: usize,
     /// Field names tracked under two declarations. Gated to 0.
     pub ambiguous_fields: usize,
-    /// Shipped files the item extractor found no items in. The seqlock
-    /// pass skips a touch it cannot bind to an item, so a blind file
-    /// would drop out silently. Gated to 0.
+    /// Shipped files the item extractor found no items in. The access
+    /// table's Phase 1 reads every struct field and static from
+    /// extracted items, so a blind file's atomic fields would drop out
+    /// of the pairing pass silently. Gated to 0.
     pub unparsed: Vec<String>,
-    /// `file:line` of item headers the extractor missed. Gated to 0.
+    /// `file:line` of item headers the extractor missed: a struct or
+    /// static whose header is missed contributes no declaration either.
+    /// Gated to 0.
     pub stray_headers: Vec<String>,
 }
 
@@ -68,7 +61,7 @@ pub struct Counters {
 pub struct Analysis<'w> {
     files: &'w [SourceFile],
     items: Vec<Item>,
-    pub table: AccessTable,
+    table: AccessTable,
 }
 
 impl<'w> Analysis<'w> {
@@ -86,11 +79,11 @@ impl<'w> Analysis<'w> {
         }
     }
 
-    /// Runs both passes, appending findings and returning the counters.
+    /// Runs the pass, appending findings and returning the counters.
     pub fn run(&self, out: &mut Vec<Diagnostic>) -> Counters {
         let blind = model::blind_spots(self.files, &self.items);
         let mut c = Counters {
-            atomic_fields: self.table.fields.iter().filter(|f| f.atomic).count(),
+            atomic_fields: self.table.fields.len(),
             accesses: self.table.accesses.len(),
             unknown_orderings: self.table.unknown_order.len(),
             unbound_accesses: self.table.unbound.len(),
@@ -101,7 +94,6 @@ impl<'w> Analysis<'w> {
         };
         self.extraction_findings(out);
         self.publication(&mut c, out);
-        self.seqlock(&mut c, out);
         c
     }
 
@@ -132,17 +124,14 @@ impl<'w> Analysis<'w> {
                 Severity::Error,
                 self.rel(u.file),
                 u.line,
-                format!("{} — the protocol passes cannot see this site", u.what),
+                format!("{} — the protocol pass cannot see this site", u.what),
             ));
         }
     }
 
-    /// Pass 1: publication pairing.
+    /// Publication pairing.
     fn publication(&self, c: &mut Counters, out: &mut Vec<Diagnostic>) {
         for (fi, field) in self.table.fields.iter().enumerate() {
-            if !field.atomic {
-                continue;
-            }
             let accs: Vec<_> = self
                 .table
                 .accesses
@@ -207,80 +196,6 @@ impl<'w> Analysis<'w> {
             }
         }
     }
-
-    /// Pass 2: seqlock discipline — stamp accesses must bracket every
-    /// touch run, per touching item.
-    fn seqlock(&self, c: &mut Counters, out: &mut Vec<Diagnostic>) {
-        for (fi, field) in self.table.fields.iter().enumerate() {
-            let Some(stamp) = field.seqlock.as_deref() else { continue };
-            c.seqlock_fields += 1;
-            let label = format!("`{}.{}`", field.holder, field.name);
-            let stamp_idx = self
-                .table
-                .field_index(&field.crate_key, stamp)
-                .filter(|&s| self.table.fields[s].atomic);
-            let Some(stamp_idx) = stamp_idx else {
-                out.push(Diagnostic::new(
-                    SEQLOCK,
-                    Severity::Error,
-                    self.rel(field.file),
-                    field.line,
-                    format!(
-                        "{label} is `protocol: seqlock({stamp})` but `{stamp}` names no \
-                         tracked atomic field in crate `{}`",
-                        field.crate_key
-                    ),
-                ));
-                continue;
-            };
-            // Touch lines per item (accesses and raw projections).
-            let mut by_item: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-            for a in self.table.accesses.iter().filter(|a| a.field == fi) {
-                if let Some(it) = a.item {
-                    by_item.entry(it).or_default().insert(a.line);
-                }
-            }
-            for t in self.table.touches.iter().filter(|t| t.field == fi) {
-                if let Some(it) = t.item {
-                    by_item.entry(it).or_default().insert(t.line);
-                }
-            }
-            // Stamp access lines per item.
-            let mut stamp_lines: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-            for a in self.table.accesses.iter().filter(|a| a.field == stamp_idx) {
-                if let Some(it) = a.item {
-                    stamp_lines.entry(it).or_default().insert(a.line);
-                }
-            }
-            for (item, lines) in by_item {
-                let first = *lines.iter().next().expect("non-empty");
-                let last = *lines.iter().next_back().expect("non-empty");
-                let ok = stamp_lines.get(&item).is_some_and(|sl| {
-                    sl.iter().any(|&l| l <= first) && sl.iter().any(|&l| l >= last)
-                });
-                if ok {
-                    continue;
-                }
-                let it = &self.items[item];
-                if self.suppressed(SEQLOCK, it.file, first) {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    SEQLOCK,
-                    Severity::Error,
-                    self.rel(it.file),
-                    first,
-                    format!(
-                        "`{}` touches seqlock field {label} without bracketing `{stamp}` \
-                         accesses (writers bump before/after the write, readers re-check \
-                         after the read); fix the protocol or justify with \
-                         `// lint: allow({SEQLOCK}) — reason`",
-                        it.name
-                    ),
-                ));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +210,7 @@ mod tests {
         (out, c)
     }
 
-    const HEADER: &str = "use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};\n";
+    const HEADER: &str = "use std::sync::atomic::{AtomicU64, Ordering};\n";
 
     #[test]
     fn unpaired_release_store_flagged() {
@@ -352,73 +267,6 @@ impl R {{
         let allow = "// lint: allow(publication-pairing) — hardware fence elsewhere.";
         let (out, _) = run(&[("crates/demo/src/lib.rs", &body(allow))]);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn seqlock_violation_and_clean_twin() {
-        let bad = format!(
-            "{HEADER}\
-use std::cell::UnsafeCell;
-pub struct Cell2 {{
-    seq: AtomicUsize,
-    // protocol: seqlock(seq)
-    val: UnsafeCell<u64>,
-}}
-impl Cell2 {{
-    pub fn write(&self, v: u64) {{
-        unsafe {{ *self.val.get() = v }};
-    }}
-}}
-"
-        );
-        let (out, c) = run(&[("crates/demo/src/lib.rs", &bad)]);
-        assert_eq!(c.seqlock_fields, 1);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].lint, SEQLOCK);
-        assert!(out[0].message.contains("seqlock"));
-
-        let good = format!(
-            "{HEADER}\
-use std::cell::UnsafeCell;
-pub struct Cell2 {{
-    seq: AtomicUsize,
-    // protocol: seqlock(seq)
-    val: UnsafeCell<u64>,
-}}
-impl Cell2 {{
-    pub fn write(&self, v: u64) {{
-        let s = self.seq.load(Ordering::Relaxed);
-        unsafe {{ *self.val.get() = v }};
-        self.seq.store(s + 2, Ordering::Release);
-    }}
-    pub fn read(&self) -> u64 {{
-        let s1 = self.seq.load(Ordering::Acquire);
-        let v = unsafe {{ *self.val.get() }};
-        let s2 = self.seq.load(Ordering::Acquire);
-        if s1 == s2 {{ v }} else {{ 0 }}
-    }}
-}}
-"
-        );
-        let (out, c) = run(&[("crates/demo/src/lib.rs", &good)]);
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(c.seqlock_fields, 1);
-    }
-
-    #[test]
-    fn seqlock_stamp_must_resolve() {
-        let src = format!(
-            "{HEADER}\
-use std::cell::UnsafeCell;
-pub struct Cell2 {{
-    // protocol: seqlock(missing)
-    val: UnsafeCell<u64>,
-}}
-"
-        );
-        let (out, _) = run(&[("crates/demo/src/lib.rs", &src)]);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("names no tracked atomic field"));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Protocol-pass gates: each seeded fixture tree trips exactly its
-//! pass (and the clean twin passes), and the real workspace's access
-//! table is non-vacuous — the counters the CI gate enforces are
-//! asserted here too, so a refactor that silently empties the analysis
-//! fails in `cargo test` before it fails in CI. Lock discipline has no
-//! pass: a field touched only under a lock lives inside the value the
-//! lock guards, so the borrow checker holds it.
+//! Protocol-pass gates: the seeded fixture tree trips the pass (and
+//! its clean twin passes), and the real workspace's access table is
+//! non-vacuous — the counters the CI gate enforces are asserted here
+//! too, so a refactor that silently empties the analysis fails in
+//! `cargo test` before it fails in CI. Lock and seqlock discipline have
+//! no pass: a field touched only under a lock lives inside the value
+//! the lock guards, and seqlock-published words live inside
+//! `veros_telemetry::SeqSlot`, so the type checker holds both (the
+//! `SeqSlot` module's `compile_fail` doctest shows the rule can fail).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -32,52 +34,33 @@ fn run_binary(args: &[&str]) -> std::process::Output {
         .expect("veros-lint binary runs")
 }
 
-/// Each seeded tree must produce at least one finding of exactly its
-/// pass, fail the run, and mention no other protocol pass.
+/// The seeded tree produces a finding of the pass and fails the run.
 #[test]
-fn seeded_trees_trip_their_pass_and_only_it() {
-    let cases = [
-        ("tree_p1", protocol::PUBLICATION),
-        ("tree_p2", protocol::SEQLOCK),
-    ];
-    for (tree, pass) in cases {
-        let root = fixture(tree);
-        let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(1), "{tree}: expected exit 1\n{text}");
-        assert!(
-            text.contains(&format!("[{pass}]")),
-            "{tree}: expected a {pass} finding\n{text}"
-        );
-        for other in [protocol::PUBLICATION, protocol::SEQLOCK] {
-            if other != pass {
-                assert!(
-                    !text.contains(&format!("[{other}]")),
-                    "{tree}: unexpected {other} finding\n{text}"
-                );
-            }
-        }
-    }
+fn seeded_tree_trips_the_pass() {
+    let root = fixture("tree_p1");
+    let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "expected exit 1\n{text}");
+    let pass = protocol::PUBLICATION;
+    assert!(text.contains(&format!("[{pass}]")), "expected a {pass} finding\n{text}");
 }
 
-/// Every clean twin passes outright.
+/// The clean twin passes outright.
 #[test]
-fn clean_twins_pass() {
-    for tree in ["tree_p1_clean", "tree_p2_clean"] {
-        let root = fixture(tree);
-        let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
-        assert!(
-            out.status.success(),
-            "{tree}: expected clean pass\nstdout:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
+fn clean_twin_passes() {
+    let root = fixture("tree_p1_clean");
+    let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
+    assert!(
+        out.status.success(),
+        "expected clean pass\nstdout:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 /// The real workspace is protocol-clean and the analysis is
 /// non-vacuous: the anti-vacuity floors the CI `--gate` enforces hold,
-/// and the flagship seqlock annotation in the kernel TLB actually binds
-/// — so the passes exercised real code, not an empty population.
+/// so the pass exercised real code, not an empty population. No
+/// protocol annotation is left in shipped code for nothing to check.
 #[test]
 fn workspace_is_protocol_clean_and_non_vacuous() {
     let ws = Workspace::load(&repo_root()).expect("workspace loads");
@@ -98,7 +81,6 @@ fn workspace_is_protocol_clean_and_non_vacuous() {
         "publication_pairs = {}",
         c.publication_pairs
     );
-    assert!(c.seqlock_fields >= 1, "seqlock_fields = {}", c.seqlock_fields);
     assert_eq!(c.unknown_orderings, 0, "unknown orderings");
     assert_eq!(c.unbound_accesses, 0, "unbound accesses");
     assert_eq!(c.ambiguous_fields, 0, "ambiguous fields");
@@ -113,41 +95,36 @@ fn workspace_is_protocol_clean_and_non_vacuous() {
         c.stray_headers
     );
 
-    // The flagship annotation bound to a real declaration — the
-    // seqlock pass had something to check.
-    let seq_field = analysis
-        .table
-        .fields
-        .iter()
-        .find(|f| f.name == "fill_epoch")
-        .expect("field `fill_epoch` tracked");
-    assert_eq!(
-        seq_field.seqlock.as_deref(),
-        Some("seq"),
-        "TLB fill_epoch carries its seqlock annotation"
-    );
-
-    // No pass reads a lock annotation any more, so one left in shipped
-    // code would bind to nothing and pass silently. The marker is
-    // spelled in two halves so this file does not carry it.
-    let marker = ["guarded", "by:"].join("-");
-    let stale: Vec<String> = ws
-        .files
-        .iter()
-        .filter(|f| f.shipped)
-        .flat_map(|f| {
-            f.lines
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.comment.contains(&marker))
-                .map(move |(i, _)| format!("{}:{}", f.rel_path, i + 1))
-        })
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "lock annotations nothing checks; move the field inside the value \
-         its lock guards instead: {stale:?}"
-    );
+    // No pass reads a lock or seqlock annotation any more, so one left
+    // in shipped code would bind to nothing and pass silently. Each
+    // marker is spelled in two halves so this file does not carry it.
+    for (marker, instead) in [
+        (
+            ["guarded", "by:"].join("-"),
+            "move the field inside the value its lock guards",
+        ),
+        (
+            ["protocol: seq", "lock("].concat(),
+            "publish the words through `veros_telemetry::SeqSlot`",
+        ),
+    ] {
+        let stale: Vec<String> = ws
+            .files
+            .iter()
+            .filter(|f| f.shipped)
+            .flat_map(|f| {
+                f.lines
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.comment.contains(&marker))
+                    .map(move |(i, _)| format!("{}:{}", f.rel_path, i + 1))
+            })
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "`{marker}` annotations nothing checks; {instead} instead: {stale:?}"
+        );
+    }
 }
 
 /// `--gate` passes on the real workspace and writes the LINT.json
@@ -172,7 +149,6 @@ fn gate_and_report_run_on_the_workspace() {
     for key in [
         "\"atomic_fields\"",
         "\"publication_pairs\"",
-        "\"seqlock_fields\"",
         "\"unparsed\": 0",
         "\"stray_headers\": 0",
     ] {

@@ -32,7 +32,6 @@ use crate::dispatch::Dispatch;
 /// `take` odd→even.
 pub(crate) struct SeqCell<T> {
     seq: AtomicUsize,
-    // protocol: seqlock(seq)
     val: UnsafeCell<Option<T>>,
 }
 

@@ -13,6 +13,11 @@
 //! * [`TraceRing`] — a fixed-capacity lock-free ring of timestamped
 //!   `(code, value)` events for "what happened recently" forensics.
 //!
+//! Both [`TraceRing`] and the kernel's translation cache publish their
+//! slots through [`SeqSlot`], a seqlock whose fields only its own
+//! methods reach. It is not an instrument, so it stays live with the
+//! feature off.
+//!
 //! A [`Registry`] collects references to the instruments each crate
 //! exports (every instrumented crate has a `metrics` module with a
 //! `pub fn export(&mut Registry)`) and renders one [`Snapshot`] as the
@@ -35,12 +40,14 @@ pub mod alerts;
 pub mod counter;
 pub mod histogram;
 pub mod registry;
+pub mod seqlock;
 pub mod trace;
 
 pub use alerts::{default_rules, evaluate, Alert, Rule};
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot, Timer};
 pub use registry::{Registry, Snapshot};
+pub use seqlock::SeqSlot;
 pub use trace::{TraceEvent, TraceRing};
 
 /// True when this build carries live instruments (the `telemetry`

@@ -1,22 +1,22 @@
 //! A fixed-capacity lock-free ring of timestamped events.
 //!
 //! A [`TraceRing`] answers "what happened recently": writers take an
-//! index with one `fetch_add` on the head, claim the slot by swapping
-//! a `WRITING` marker into its sequence stamp, publish the event
-//! fields, then release the slot by storing its sequence number.
-//! Readers ([`TraceRing::events`]) walk the last [`CAPACITY`] slots
-//! and keep only the ones whose sequence stamp is stable across the
-//! field reads — a torn slot (mid-overwrite by a lapping writer) is
-//! skipped, never misreported. If two writers a full ring-lap apart
-//! collide on one slot, the one that finds the `WRITING` marker
-//! forfeits its event instead of interleaving fields. Nothing blocks
-//! and nothing allocates on the write path.
+//! index with one `fetch_add` on the head and publish
+//! `[index, ts_ns, code, value]` into that index's slot, a
+//! [`SeqSlot`]. Readers ([`TraceRing::events`]) walk the last
+//! [`CAPACITY`] slots and keep a slot only when it reads stable and
+//! still holds the index they expect — a slot mid-overwrite by a
+//! lapping writer is skipped, never misreported. If two writers a full
+//! ring-lap apart collide on one slot, the one that finds it claimed
+//! forfeits its event instead of interleaving words. Nothing blocks and
+//! nothing allocates on the write path.
 //!
-//! Slot accesses use `SeqCst` throughout: rings record control-path
-//! events (syscall entries, replication acks — microsecond-scale
-//! paths), so tens of nanoseconds per event buy an ordering argument
-//! that needs no subtlety. The data-path instruments ([`crate::Counter`],
-//! [`crate::Histogram`]) are where the cost model gets aggressive.
+//! Slot accesses are `SeqCst` (the slot type's own choice): rings
+//! record control-path events (syscall entries, replication acks —
+//! microsecond-scale paths), so tens of nanoseconds per event buy an
+//! ordering argument that needs no subtlety. The data-path instruments
+//! ([`crate::Counter`], [`crate::Histogram`]) are where the cost model
+//! gets aggressive.
 //!
 //! Event payloads are two `u64`s: a `code` (an index into a legend the
 //! instrumented crate registers alongside the ring — e.g. the
@@ -31,6 +31,9 @@ use std::sync::OnceLock;
 #[cfg(feature = "telemetry")]
 use std::time::Instant;
 
+#[cfg(feature = "telemetry")]
+use crate::SeqSlot;
+
 /// Number of slots a ring retains (events beyond it are overwritten
 /// oldest-first).
 pub const CAPACITY: usize = 256;
@@ -41,37 +44,6 @@ fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Sequence-stamp marker for "a writer holds this slot". Unreachable
-/// as a real stamp (`2^64` events would have to be recorded first).
-#[cfg(feature = "telemetry")]
-const WRITING: u64 = u64::MAX;
-
-#[cfg(feature = "telemetry")]
-struct Slot {
-    /// 0 = never written; `i + 1` = holds the `i`-th event (1-based so
-    /// the empty state is distinguishable); [`WRITING`] = claimed by a
-    /// writer mid-publish.
-    seq: AtomicU64,
-    // protocol: seqlock(seq)
-    ts_ns: AtomicU64,
-    // protocol: seqlock(seq)
-    code: AtomicU64,
-    // protocol: seqlock(seq)
-    value: AtomicU64,
-}
-
-#[cfg(feature = "telemetry")]
-impl Slot {
-    const fn new() -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            ts_ns: AtomicU64::new(0),
-            code: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-        }
-    }
 }
 
 /// One decoded event from a [`TraceRing`] snapshot.
@@ -94,7 +66,7 @@ pub struct TraceRing {
     #[cfg(feature = "telemetry")]
     head: AtomicU64,
     #[cfg(feature = "telemetry")]
-    slots: [Slot; CAPACITY],
+    slots: [SeqSlot<4>; CAPACITY],
 }
 
 impl TraceRing {
@@ -104,7 +76,7 @@ impl TraceRing {
             #[cfg(feature = "telemetry")]
             head: AtomicU64::new(0),
             #[cfg(feature = "telemetry")]
-            slots: [const { Slot::new() }; CAPACITY],
+            slots: [const { SeqSlot::new() }; CAPACITY],
         }
     }
 
@@ -119,17 +91,9 @@ impl TraceRing {
             // out positions; slot contents are published by the slot's
             // own SeqCst stamp protocol, not by this counter.
             let i = self.head.fetch_add(1, Ordering::Relaxed);
+            // A lost claim (another writer holds the slot) forfeits.
             let slot = &self.slots[(i % CAPACITY as u64) as usize];
-            // Claim: the marker both excludes the colliding writer and
-            // invalidates the slot for readers before any field store.
-            if slot.seq.swap(WRITING, Ordering::SeqCst) == WRITING {
-                return; // Another writer holds the slot; forfeit.
-            }
-            slot.ts_ns.store(now_ns(), Ordering::SeqCst);
-            slot.code.store(code, Ordering::SeqCst);
-            slot.value.store(value, Ordering::SeqCst);
-            // Publish: readers accept the fields only under this stamp.
-            slot.seq.store(i + 1, Ordering::SeqCst);
+            slot.try_write([i, now_ns(), code, value]);
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -152,37 +116,28 @@ impl TraceRing {
     }
 
     /// The retained events, oldest first. Slots being overwritten
-    /// concurrently (sequence stamp unstable across the field reads)
-    /// are skipped rather than misreported, so under active writing
-    /// the result can have gaps.
+    /// concurrently (stamp unstable across the word reads) are skipped
+    /// rather than misreported, so under active writing the result can
+    /// have gaps.
     pub fn events(&self) -> Vec<TraceEvent> {
         #[cfg(feature = "telemetry")]
         {
             // lint: allow(atomics-ordering) — the head is only a
             // position counter: every store to it is a Relaxed
             // `fetch_add`, so an acquiring load here would synchronize
-            // with nothing. Slot consistency comes from the `seq`
-            // stamps, not the head.
+            // with nothing. Slot consistency comes from each slot's
+            // stamp, not the head.
             let head = self.head.load(Ordering::Relaxed);
             let start = head.saturating_sub(CAPACITY as u64);
             let mut out = Vec::new();
             for i in start..head {
-                let slot = &self.slots[(i % CAPACITY as u64) as usize];
-                let seq_before = slot.seq.load(Ordering::SeqCst);
-                if seq_before != i + 1 {
-                    continue; // Never written, lapped, or mid-write.
-                }
-                let ev = TraceEvent {
-                    seq: i,
-                    ts_ns: slot.ts_ns.load(Ordering::SeqCst),
-                    code: slot.code.load(Ordering::SeqCst),
-                    value: slot.value.load(Ordering::SeqCst),
-                };
-                // Re-check: a writer that started overwriting mid-read
-                // swapped the claim marker in first, so the stamp can
-                // no longer read `i + 1` if any field was replaced.
-                if slot.seq.load(Ordering::SeqCst) == i + 1 {
-                    out.push(ev);
+                // Never written, lapped, or mid-write: skip.
+                if let Some([seq, ts_ns, code, value]) =
+                    self.slots[(i % CAPACITY as u64) as usize].read()
+                {
+                    if seq == i {
+                        out.push(TraceEvent { seq, ts_ns, code, value });
+                    }
                 }
             }
             out
