@@ -13,12 +13,13 @@
 //!
 //! # Invalidation
 //!
-//! A single global epoch, bumped on every unmap. Lookups compare the
-//! slot's fill-time epoch against the current one, so one bump
-//! invalidates the whole cache in O(1). Maps never invalidate: a
-//! successful map cannot change an existing translation (overlapping
-//! maps are rejected with `AlreadyMapped`) and negative results are
-//! never cached, so every cached entry stays correct across maps.
+//! A single global epoch (a [`Published`] word), bumped on every
+//! unmap. Lookups compare the slot's fill-time epoch against the
+//! current one, so one bump invalidates the whole cache in O(1). Maps
+//! never invalidate: a successful map cannot change an existing
+//! translation (overlapping maps are rejected with `AlreadyMapped`) and
+//! negative results are never cached, so every cached entry stays
+//! correct across maps.
 //!
 //! # Why fills stamp the epoch read *before* the walk
 //!
@@ -33,11 +34,9 @@
 //! traffic; the `translation_cache_coherent` verification condition and
 //! the threaded test below exercise exactly that contract.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use veros_hw::{PAddr, VAddr};
 use veros_pagetable::{MapFlags, PageSize, ResolveAnswer};
-use veros_telemetry::SeqSlot;
+use veros_telemetry::{Published, SeqSlot};
 
 /// Number of direct-mapped slots. A power of two so the index is a mask.
 const SLOTS: usize = 128;
@@ -86,7 +85,7 @@ pub struct TranslationCache {
     /// `[page key (va >> 12), packed answer (see [`pack`]), the cache
     /// epoch the filler observed before its walk]`.
     slots: Vec<SeqSlot<3>>,
-    epoch: AtomicU64,
+    epoch: Published,
 }
 
 impl Default for TranslationCache {
@@ -100,19 +99,19 @@ impl TranslationCache {
     pub fn new() -> Self {
         TranslationCache {
             slots: (0..SLOTS).map(|_| SeqSlot::new()).collect(),
-            epoch: AtomicU64::new(0),
+            epoch: Published::new(0),
         }
     }
 
     /// The current invalidation epoch. Read this *before* walking the
     /// page table and hand it to [`fill`](Self::fill).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.load()
     }
 
     /// Invalidates every cached translation in O(1).
     pub fn invalidate_all(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.epoch.fetch_add(1);
     }
 
     /// Looks `va` up; `Some` only if a stable, current-epoch entry for
@@ -120,7 +119,7 @@ impl TranslationCache {
     pub fn lookup(&self, va: VAddr) -> Option<ResolveAnswer> {
         let page = va.0 >> 12;
         let [k, d, e] = self.slots[(page as usize) & (SLOTS - 1)].read()?;
-        if k != page || e != self.epoch.load(Ordering::Acquire) {
+        if k != page || e != self.epoch.load() {
             return None;
         }
         Some(unpack(va.0, d))

@@ -221,12 +221,6 @@ pub fn scan(src: &str) -> Vec<ScannedLine> {
 /// True when `code` contains `word` as a standalone token (not part of a
 /// longer identifier).
 pub(crate) fn has_word(code: &str, word: &str) -> bool {
-    word_pos(code, word).is_some()
-}
-
-/// Byte position of the first standalone-token occurrence of `word` in
-/// `code`.
-pub(crate) fn word_pos(code: &str, word: &str) -> Option<usize> {
     let bytes = code.as_bytes();
     let mut start = 0;
     while let Some(pos) = code[start..].find(word) {
@@ -241,11 +235,11 @@ pub(crate) fn word_pos(code: &str, word: &str) -> Option<usize> {
             !(b.is_ascii_alphanumeric() || b == b'_')
         };
         if before_ok && after_ok {
-            return Some(at);
+            return true;
         }
         start = at + word.len();
     }
-    None
+    false
 }
 
 #[cfg(test)]

@@ -4,32 +4,30 @@
 //! conventions no type checker enforces: `unsafe` sites carry audited
 //! `SAFETY:` arguments, kernel-path code never panics, every public op
 //! of a verified surface has a registered verification condition,
-//! relaxed atomics in the NR layer are individually reviewed, and every
-//! module documents its role. This crate makes those conventions
-//! machine-checked: a hand-rolled lexer ([`lexer`]), a workspace model
-//! that walks the tree once ([`source`]), a check registry ([`lints`]),
-//! and a concurrency-protocol pass ([`protocol`]) over the extracted
-//! items (`model`) and a per-field atomic access table (`access`),
-//! behind a `veros-lint` binary. Lock and seqlock discipline are left
-//! to the type checker: a field touched only under a lock lives inside
-//! the value the lock guards, and seqlock-published words live inside
-//! `veros_telemetry::SeqSlot`. No external dependencies, so it builds
-//! offline with the rest of the workspace.
+//! explicit atomic orderings in the NR, uring, ulib, telemetry and
+//! kernel crates are individually reviewed, and every module documents
+//! its role. This crate makes those conventions machine-checked: a
+//! hand-rolled lexer ([`lexer`]), a workspace model that walks the tree
+//! once ([`source`]) and a registry of line lints ([`lints`]), behind a
+//! `veros-lint` binary. Concurrency protocols are left to the type
+//! checker: a field touched only under a lock lives inside the value
+//! the lock guards, seqlock-published words live inside
+//! `veros_telemetry::SeqSlot`, and a word published with release
+//! stores and read with acquire loads is a `veros_telemetry::Published`,
+//! which takes no ordering from its callers. No external dependencies,
+//! so it builds offline with the rest of the workspace.
 //!
 //! A finding is accepted in one way only: a reasoned inline
 //! `// lint: allow(<id>) — reason` next to the code it excuses. There
 //! is no findings list kept elsewhere. Run it as CI does:
 //!
 //! ```text
-//! cargo run -p veros-lint -- --gate
+//! cargo run -p veros-lint
 //! ```
 
-mod access;
 pub mod diag;
 pub mod lexer;
 pub mod lints;
-mod model;
-pub mod protocol;
 pub mod source;
 
 use std::io;
@@ -39,23 +37,16 @@ use std::path::Path;
 pub struct Report {
     /// Number of `.rs` files loaded.
     pub files: usize,
-    /// Every check's findings, sorted by file, line and ID.
+    /// Every lint's findings, sorted by file, line and ID.
     pub findings: Vec<diag::Diagnostic>,
-    /// The protocol pass's anti-vacuity counters.
-    pub counters: protocol::Counters,
 }
 
-/// Loads the workspace at `root` once and runs every check over it: the
-/// line lints, then the protocol pass.
+/// Loads the workspace at `root` once and runs every lint over it.
 pub fn check(root: &Path) -> io::Result<Report> {
     let ws = source::Workspace::load(root)?;
-    let mut findings = lints::run_all(&ws);
-    let counters = protocol::Analysis::new(&ws).run(&mut findings);
-    findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     Ok(Report {
         files: ws.files.len(),
-        findings,
-        counters,
+        findings: lints::run_all(&ws),
     })
 }
 
@@ -74,8 +65,7 @@ mod tests {
                 "panic-freedom",
                 "obligation-coverage",
                 "atomics-ordering",
-                "doc-header",
-                "publication-pairing"
+                "doc-header"
             ]
         );
     }

@@ -1,17 +1,22 @@
-//! L4 `atomics-ordering`: `Ordering::Relaxed` in `crates/nr`,
-//! `crates/uring`, `crates/ulib`, `crates/telemetry`, and
-//! `crates/kernel` must be an explicitly reviewed site. The NR log's
-//! correctness argument leans on acquire/release edges, the uring SPSC
-//! rings publish slot contents with a Release store that a stray
-//! `Relaxed` would silently unorder, the ulib ring executor's
-//! park/unpark handshake rides those same edges, the telemetry
-//! instruments deliberately trade exactness for Relaxed traffic (each
-//! trade carries its own argument), and the kernel has no Relaxed site
-//! at all (its translation cache publishes through the all-`SeqCst`
-//! `veros_telemetry::SeqSlot`), so a new one there changes a protocol;
-//! all of these are exactly the kind of bug the linearizability
-//! checkers can miss on a lucky schedule. Reviewed sites carry
-//! `// lint: allow(atomics-ordering) — <why Relaxed is sound here>`.
+//! L4 `atomics-ordering`: an explicit `Ordering::Relaxed`, `Acquire`,
+//! `Release` or `AcqRel` in `crates/nr`, `crates/uring`, `crates/ulib`,
+//! `crates/telemetry` and `crates/kernel` must be an explicitly
+//! reviewed site. `SeqCst` stays free: a `SeqCst` operation both
+//! releases and acquires, so it cannot be the unpaired half of an edge
+//! (NR's `DistRwLock` flags and `veros_telemetry::SeqSlot` use it).
+//!
+//! A word that publishes data goes through
+//! `veros_telemetry::Published`, whose stores release and whose loads
+//! acquire, with no way for a caller to pick another ordering; its five
+//! sites are the only reviewed acquire/release sites, so a releasing
+//! store with no acquiring partner cannot be written elsewhere. A
+//! `Relaxed` site trades ordering away on purpose: NR's registration
+//! counter and `DistRwLock`'s spins and failed CASes publish nothing,
+//! and the telemetry instruments trade exactness for traffic. Each
+//! trade carries its own argument, because an ordering bug is exactly
+//! the kind the linearizability checkers can miss on a lucky schedule.
+//! Reviewed sites carry
+//! `// lint: allow(atomics-ordering) — <why this ordering is sound here>`.
 
 use super::Lint;
 use crate::diag::{Diagnostic, Severity};
@@ -19,11 +24,18 @@ use crate::source::Workspace;
 
 const ID: &str = "atomics-ordering";
 
+/// The orderings a site must justify.
+const REVIEWED: [&str; 4] = [
+    "Ordering::Relaxed",
+    "Ordering::Acquire",
+    "Ordering::Release",
+    "Ordering::AcqRel",
+];
+
 pub const LINT: Lint = Lint {
     id: ID,
-    describe:
-        "`Ordering::Relaxed` in crates/{nr,uring,ulib,telemetry,kernel} outside reviewed sites",
-    run: Some(run),
+    describe: "`Ordering::{Relaxed,Acquire,Release,AcqRel}` in crates/{nr,uring,ulib,telemetry,kernel} outside reviewed sites",
+    run,
 };
 
 fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -36,9 +48,12 @@ fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             continue;
         }
         for (idx, line) in file.lines.iter().enumerate() {
-            if file.in_test[idx] || !line.code.contains("Ordering::Relaxed") {
+            if file.in_test[idx] {
                 continue;
             }
+            let Some(ordering) = REVIEWED.iter().find(|o| line.code.contains(*o)) else {
+                continue;
+            };
             if file.is_suppressed(ID, idx) {
                 continue;
             }
@@ -48,7 +63,7 @@ fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 file.rel_path.clone(),
                 idx + 1,
                 format!(
-                    "`Ordering::Relaxed` outside the reviewed-site allowlist; justify with `// lint: allow({ID}) — reason`"
+                    "`{ordering}` outside the reviewed-site allowlist; publish through `veros_telemetry::Published` or justify with `// lint: allow({ID}) — reason`"
                 ),
             ));
         }
@@ -107,7 +122,25 @@ mod tests {
     }
 
     #[test]
-    fn acquire_release_untouched() {
-        assert!(run_on("crates/nr/src/log.rs", "a.load(Ordering::Acquire);\n").is_empty());
+    fn acquire_and_release_need_review_too() {
+        let out = run_on("crates/nr/src/log.rs", "a.store(1, Ordering::Release);\n");
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("Ordering::Release"));
+        let src = "// lint: allow(atomics-ordering) — the release half of a reviewed edge.\n\
+                   a.store(1, Ordering::Release);\n";
+        assert!(run_on("crates/nr/src/log.rs", src).is_empty());
+        let out = run_on("crates/nr/src/log.rs", "a.load(Ordering::Acquire);\n");
+        assert_eq!(out.len(), 1);
+        let cas = "a.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);\n";
+        assert_eq!(
+            run_on("crates/nr/src/log.rs", cas).len(),
+            1,
+            "one finding per line"
+        );
+    }
+
+    #[test]
+    fn seq_cst_stays_free() {
+        assert!(run_on("crates/nr/src/rwlock.rs", "a.load(Ordering::SeqCst);\n").is_empty());
     }
 }

@@ -12,7 +12,7 @@ const ID: &str = "doc-header";
 pub const LINT: Lint = Lint {
     id: ID,
     describe: "src/*.rs files must start with a `//!` module doc comment",
-    run: Some(run),
+    run,
 };
 
 fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {

@@ -19,7 +19,7 @@ const ID: &str = "obligation-coverage";
 pub const LINT: Lint = Lint {
     id: ID,
     describe: "public ops of verified surfaces lacking a registered VC",
-    run: Some(run),
+    run,
 };
 
 /// A verified op surface: enum `name` defined in `file`.

@@ -17,7 +17,7 @@ const ID: &str = "panic-freedom";
 pub const LINT: Lint = Lint {
     id: ID,
     describe: "panicking constructs in kernel-path crates outside test code",
-    run: Some(run),
+    run,
 };
 
 /// Denied call/macro patterns, matched against blanked code.

@@ -14,7 +14,7 @@ const ID: &str = "unsafe-audit";
 pub const LINT: Lint = Lint {
     id: ID,
     describe: "`unsafe` without a `// SAFETY:` justification comment",
-    run: Some(run),
+    run,
 };
 
 fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {

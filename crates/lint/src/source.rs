@@ -1,6 +1,6 @@
 //! The workspace model: the one directory walk, scanned source files
 //! with per-line test-region flags and path classification, and the
-//! comment chain that suppressions and field annotations attach through.
+//! comment chain that suppressions and `SAFETY:` audits attach through.
 
 use crate::lexer::{self, ScannedLine};
 use std::fs;
@@ -33,9 +33,9 @@ pub struct SourceFile {
     pub lines: Vec<ScannedLine>,
     /// Per-line flag: inside a `#[cfg(test)]` region or a `#[test]` fn.
     pub in_test: Vec<bool>,
-    /// Resolution namespace: the crate directory under `crates/` (e.g.
-    /// `nr`), `"veros"` for the root package's `src/`, `"root"` for
-    /// top-level tests and examples.
+    /// The crate directory under `crates/` (e.g. `nr`), `"veros"` for
+    /// the root package's `src/`, `"root"` for top-level tests and
+    /// examples.
     pub crate_key: String,
     /// True for shipped library/binary code: the root package's `src/`
     /// and each crate's `src/`, minus `tests/`, `benches/`, `examples/`
@@ -184,8 +184,8 @@ const EXCLUDED_DIRS: &[&str] = &["target", ".git", ".github", "results"];
 impl Workspace {
     /// Walks `root` collecting all `.rs` files, excluding build output
     /// and the lint crate's own test fixtures (which intentionally
-    /// violate every lint). The only directory walk: the extracted items
-    /// and the access table are built from the files loaded here.
+    /// violate every lint). The only directory walk: every lint runs
+    /// over the files loaded here.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let mut stack = vec![root.to_path_buf()];

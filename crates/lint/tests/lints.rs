@@ -68,8 +68,13 @@ fn l4_relaxed_atomic_in_nr() {
     let out = run_tree("tree_l4");
     assert_eq!(
         shape(&out),
-        [("atomics-ordering", "crates/nr/src/lib.rs", 6, Severity::Error)]
+        [
+            ("atomics-ordering", "crates/nr/src/lib.rs", 7, Severity::Error),
+            ("atomics-ordering", "crates/nr/src/lib.rs", 11, Severity::Error),
+        ]
     );
+    assert!(out[0].message.contains("Ordering::Relaxed"));
+    assert!(out[1].message.contains("Ordering::Acquire"));
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The real-workspace gate: `veros-lint` over this repository must
 //! report zero errors — every accepted finding carries a reasoned
 //! inline allow — the shipped binary must exit 1 on each bad fixture
-//! tree, and README's lint table must name the registry's IDs.
+//! tree, README's lint table must name the registry's IDs, and no
+//! concurrency-protocol annotation may be left in shipped code.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -37,6 +38,45 @@ fn repository_is_lint_clean() {
         "lint errors in the workspace:\n{}",
         errors.join("\n")
     );
+}
+
+/// No pass reads a lock or seqlock annotation: a field touched only
+/// under a lock lives inside the value the lock guards, and seqlock
+/// words live inside `veros_telemetry::SeqSlot`, so the type checker
+/// holds both (the `SeqSlot` and `Published` modules' `compile_fail`
+/// doctests show the rules can fail). An annotation left in shipped
+/// code would bind to nothing and pass silently. Each marker is spelled
+/// in two halves so this file does not carry it.
+#[test]
+fn no_protocol_annotation_is_left_in_shipped_code() {
+    let ws = Workspace::load(&repo_root()).expect("workspace loads");
+    for (marker, instead) in [
+        (
+            ["guarded", "by:"].join("-"),
+            "move the field inside the value its lock guards",
+        ),
+        (
+            ["protocol: seq", "lock("].concat(),
+            "publish the words through `veros_telemetry::SeqSlot`",
+        ),
+    ] {
+        let stale: Vec<String> = ws
+            .files
+            .iter()
+            .filter(|f| f.shipped)
+            .flat_map(|f| {
+                f.lines
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.comment.contains(&marker))
+                    .map(move |(i, _)| format!("{}:{}", f.rel_path, i + 1))
+            })
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "`{marker}` annotations nothing checks; {instead} instead: {stale:?}"
+        );
+    }
 }
 
 fn run_binary(args: &[&str]) -> std::process::Output {

@@ -23,15 +23,17 @@
 //!    next round happens-after step 2 of this one.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+
+use veros_telemetry::Published;
 
 use crate::dispatch::Dispatch;
 
 /// A single-producer/single-consumer slot with a seqlock-style stamp:
 /// even sequence = empty, odd = full. `publish` transitions even→odd,
-/// `take` odd→even.
+/// `take` odd→even. The stamp is a [`Published`] word, so its every
+/// store releases and its every load acquires.
 pub(crate) struct SeqCell<T> {
-    seq: AtomicUsize,
+    seq: Published,
     val: UnsafeCell<Option<T>>,
 }
 
@@ -48,7 +50,7 @@ unsafe impl<T: Send> Sync for SeqCell<T> {}
 impl<T> Default for SeqCell<T> {
     fn default() -> Self {
         Self {
-            seq: AtomicUsize::new(0),
+            seq: Published::new(0),
             val: UnsafeCell::new(None),
         }
     }
@@ -61,13 +63,7 @@ impl<T> SeqCell<T> {
     /// and the cell is empty — the protocol above guarantees both, and
     /// the debug assert checks the stamp actually is even.
     pub(crate) fn publish(&self, v: T) {
-        // lint: allow(atomics-ordering) — this load carries no payload:
-        // the producer's right to write is established by the protocol
-        // (the consumer's even-stamp store from the previous round
-        // happens-before this call via the *other* cell's
-        // release/acquire chain, step 4 in the module docs), so only
-        // the stamp's value is needed, not an ordering edge.
-        let s = self.seq.load(Ordering::Relaxed);
+        let s = self.seq.load();
         debug_assert!(s.is_multiple_of(2), "publish into a full cell");
         // SAFETY: Stamp is even, so the (unique, serialized) consumer
         // will not touch `val` until the odd store below; we are the
@@ -75,7 +71,7 @@ impl<T> SeqCell<T> {
         unsafe {
             *self.val.get() = Some(v);
         }
-        self.seq.store(s + 1, Ordering::Release);
+        self.seq.store(s + 1);
     }
 
     /// Takes the published value, if any.
@@ -83,7 +79,7 @@ impl<T> SeqCell<T> {
     /// Caller contract: the calling thread is the cell's unique consumer
     /// (for op cells, the write-lock-holding combiner).
     pub(crate) fn take(&self) -> Option<T> {
-        let s = self.seq.load(Ordering::Acquire);
+        let s = self.seq.load();
         if s.is_multiple_of(2) {
             return None;
         }
@@ -92,7 +88,7 @@ impl<T> SeqCell<T> {
         // not write again until it observes our even store below.
         let v = unsafe { (*self.val.get()).take() };
         debug_assert!(v.is_some(), "odd stamp over an empty cell");
-        self.seq.store(s + 1, Ordering::Release);
+        self.seq.store(s + 1);
         v
     }
 
@@ -103,7 +99,7 @@ impl<T> SeqCell<T> {
     /// protocol tests.
     #[cfg(test)]
     pub(crate) fn is_full(&self) -> bool {
-        self.seq.load(Ordering::Acquire) % 2 == 1
+        self.seq.load() % 2 == 1
     }
 }
 

@@ -6,10 +6,13 @@
 //! logs them atomically"), publish each slot with a release-store of its
 //! version, and replicas consume entries in order, each tracking its own
 //! local tail. Garbage collection is implicit: a slot is reusable once
-//! every replica's local tail has passed it.
+//! every replica's local tail has passed it. The tail, the local tails
+//! and the versions are [`Published`] words over `u64` logical
+//! positions, so every store of them releases and every load acquires.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+
+use veros_telemetry::Published;
 
 use crate::pad::CachePadded;
 
@@ -29,7 +32,7 @@ struct Slot<T> {
     /// Logical-index-plus-one of the entry stored here; 0 = never
     /// written. A slot at ring position `p` holds logical index `i`
     /// (where `i % capacity == p`) iff `version == i + 1`.
-    version: AtomicUsize,
+    version: Published,
     value: UnsafeCell<Option<LogEntry<T>>>,
 }
 
@@ -45,10 +48,10 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 /// The shared circular operation log.
 pub struct Log<T> {
     slots: Vec<Slot<T>>,
-    tail: CachePadded<AtomicUsize>,
+    tail: CachePadded<Published>,
     /// Per-replica local tails: the next logical index each replica will
     /// consume.
-    ltails: Vec<CachePadded<AtomicUsize>>,
+    ltails: Vec<CachePadded<Published>>,
 }
 
 impl<T> Log<T> {
@@ -62,12 +65,14 @@ impl<T> Log<T> {
         Self {
             slots: (0..capacity)
                 .map(|_| Slot {
-                    version: AtomicUsize::new(0),
+                    version: Published::new(0),
                     value: UnsafeCell::new(None),
                 })
                 .collect(),
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            ltails: (0..replicas).map(|_| CachePadded::new(AtomicUsize::new(0))).collect(),
+            tail: CachePadded::new(Published::new(0)),
+            ltails: (0..replicas)
+                .map(|_| CachePadded::new(Published::new(0)))
+                .collect(),
         }
     }
 
@@ -82,20 +87,20 @@ impl<T> Log<T> {
     }
 
     /// The global tail (next logical index to be reserved).
-    pub fn tail(&self) -> usize {
-        self.tail.load(Ordering::Acquire)
+    pub fn tail(&self) -> u64 {
+        self.tail.load()
     }
 
     /// Replica `r`'s local tail.
-    pub fn ltail(&self, r: usize) -> usize {
-        self.ltails[r].load(Ordering::Acquire)
+    pub fn ltail(&self, r: usize) -> u64 {
+        self.ltails[r].load()
     }
 
     /// The slowest replica's local tail — everything below is reclaimable.
-    pub fn head(&self) -> usize {
+    pub fn head(&self) -> u64 {
         self.ltails
             .iter()
-            .map(|t| t.load(Ordering::Acquire))
+            .map(|t| t.load())
             .min()
             // lint: allow(panic-freedom) — `Log::new` rejects zero
             // replicas, so `ltails` is never empty.
@@ -110,39 +115,34 @@ impl<T> Log<T> {
     /// space (the caller must then help lagging replicas consume and
     /// retry — see [`crate::replicated::NodeReplicated`]).
     pub fn try_append(&self, batch: &mut Vec<LogEntry<T>>) -> bool {
-        let n = batch.len();
+        let (n, cap) = (batch.len() as u64, self.capacity() as u64);
         if n == 0 {
             return true;
         }
-        debug_assert!(n <= self.capacity(), "batch larger than the log");
+        debug_assert!(n <= cap, "batch larger than the log");
         // Cache the head across CAS retries: `head()` scans every
         // replica's ltail, and ltails only advance, so a stale value is
         // conservative — it can only under-report free space, never
         // admit an overwrite.
         let mut head = self.head();
         loop {
-            let tail = self.tail.load(Ordering::Acquire);
-            if tail + n > head + self.capacity() {
+            let tail = self.tail.load();
+            if tail + n > head + cap {
                 // Out of space against the cached head: refresh it once
                 // before giving up, in case other replicas consumed.
                 let fresh = self.head();
-                if tail + n > fresh + self.capacity() {
+                if tail + n > fresh + cap {
                     return false;
                 }
                 head = fresh;
             }
             // Reserve: CAS instead of fetch_add so we never reserve
             // beyond available space (a reservation cannot be undone).
-            if self
-                .tail
-                .compare_exchange_weak(tail, tail + n, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
+            if self.tail.compare_exchange_weak(tail, tail + n).is_err() {
                 continue;
             }
-            for (i, entry) in batch.drain(..).enumerate() {
-                let idx = tail + i;
-                let slot = &self.slots[idx % self.capacity()];
+            for (idx, entry) in (tail..).zip(batch.drain(..)) {
+                let slot = &self.slots[(idx % cap) as usize];
                 // SAFETY: We hold the unique reservation for logical
                 // index `idx`, and the space check above ensured every
                 // replica consumed the slot's previous entry, so no
@@ -150,7 +150,7 @@ impl<T> Log<T> {
                 unsafe {
                     *slot.value.get() = Some(entry);
                 }
-                slot.version.store(idx + 1, Ordering::Release);
+                slot.version.store(idx + 1);
             }
             return true;
         }
@@ -162,15 +162,16 @@ impl<T> Log<T> {
     /// `apply` receives each entry in log order exactly once per replica.
     /// Returns the number of entries applied.
     pub fn exec<F: FnMut(&LogEntry<T>)>(&self, r: usize, mut apply: F) -> usize {
-        let mut cur = self.ltails[r].load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
+        let mut cur = self.ltails[r].load();
+        let tail = self.tail.load();
+        let cap = self.capacity() as u64;
         let mut applied = 0;
         while cur < tail {
-            let slot = &self.slots[cur % self.capacity()];
+            let slot = &self.slots[(cur % cap) as usize];
             // Wait for the appender to publish this slot (it reserved
             // the range before `tail` moved past it).
             let mut backoff = crate::backoff::Backoff::new();
-            while slot.version.load(Ordering::Acquire) != cur + 1 {
+            while slot.version.load() != cur + 1 {
                 backoff.wait();
             }
             // SAFETY: The version matched, so the appender's release
@@ -182,7 +183,7 @@ impl<T> Log<T> {
             apply(entry);
             applied += 1;
             cur += 1;
-            self.ltails[r].store(cur, Ordering::Release);
+            self.ltails[r].store(cur);
         }
         applied
     }

@@ -51,6 +51,13 @@ impl<D: Dispatch> NodeReplicated<D> {
     /// Creates `replicas` replicas, each admitting `threads_per_replica`
     /// threads, sharing a log of `log_capacity` entries. `factory` builds
     /// each replica's initial (identical) state.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `replicas` or `threads_per_replica` is zero, or when
+    /// `threads_per_replica` exceeds `log_capacity`: a combiner appends
+    /// up to one op per thread of its replica as one batch, and a batch
+    /// larger than the log could never be appended.
     pub fn new(
         replicas: usize,
         threads_per_replica: usize,
@@ -58,6 +65,10 @@ impl<D: Dispatch> NodeReplicated<D> {
         factory: impl Fn() -> D,
     ) -> Self {
         assert!(replicas > 0 && threads_per_replica > 0);
+        assert!(
+            threads_per_replica <= log_capacity,
+            "a combiner batch of {threads_per_replica} ops cannot fit a log of {log_capacity}"
+        );
         Self {
             log: Log::new(log_capacity, replicas),
             replicas: (0..replicas)
@@ -205,7 +216,7 @@ impl<D: Dispatch> NodeReplicated<D> {
         // overlaps the append's store-buffer drain; the lag closure is
         // only evaluated on a flush, pre-apply (the interesting lag).
         crate::metrics::combine_pass(&mut state.pending_appends, collected, || {
-            self.log.tail().saturating_sub(self.log.ltail(replica_idx)) as u64
+            self.log.tail().saturating_sub(self.log.ltail(replica_idx))
         });
         replica.apply_log(&self.log, &mut state.data);
     }
@@ -248,6 +259,12 @@ mod tests {
         assert!(nr.register(0).is_some());
         assert!(nr.register(0).is_none());
         assert!(nr.register(1).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit a log")]
+    fn a_log_smaller_than_a_batch_is_rejected() {
+        NodeReplicated::new(1, 5, 4, Counter::default);
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!
 //! Both [`TraceRing`] and the kernel's translation cache publish their
 //! slots through [`SeqSlot`], a seqlock whose fields only its own
-//! methods reach. It is not an instrument, so it stays live with the
-//! feature off.
+//! methods reach. NR's log and context cells, the uring rings and the
+//! translation cache's epoch publish through [`Published`], a `u64`
+//! word whose stores release and whose loads acquire, with no way to
+//! pick another ordering. Neither is an instrument, so both stay live
+//! with the feature off.
 //!
 //! A [`Registry`] collects references to the instruments each crate
 //! exports (every instrumented crate has a `metrics` module with a
@@ -39,6 +42,7 @@
 pub mod alerts;
 pub mod counter;
 pub mod histogram;
+pub mod publish;
 pub mod registry;
 pub mod seqlock;
 pub mod trace;
@@ -46,6 +50,7 @@ pub mod trace;
 pub use alerts::{default_rules, evaluate, Alert, Rule};
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot, Timer};
+pub use publish::Published;
 pub use registry::{Registry, Snapshot};
 pub use seqlock::SeqSlot;
 pub use trace::{TraceEvent, TraceRing};

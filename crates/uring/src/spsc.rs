@@ -23,18 +23,21 @@
 //! written by the producer strictly before the release-store of the
 //! tail that covers it, and the consumer reads the slot only after an
 //! acquire-load observes that tail (and vice versa for reuse after the
-//! head store). Positions never wrap in practice (`u64` at one op per
+//! head store). Both positions are [`Published`] words, whose stores
+//! release and whose loads acquire, so no other ordering can be
+//! written. Positions never wrap in practice (`u64` at one op per
 //! nanosecond lasts five centuries), so full/empty tests are exact
 //! subtractions, never ambiguous modular compares.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use veros_telemetry::Published;
 
 /// Cache-line padding so the producer's and consumer's published
 /// positions do not false-share.
 #[repr(align(64))]
-struct Pad(AtomicU64);
+struct Pad(Published);
 
 /// The shared ring storage: published positions plus the slot array.
 struct Shared<T> {
@@ -86,8 +89,8 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let slots: Box<[UnsafeCell<Option<T>>]> =
         (0..cap).map(|_| UnsafeCell::new(None)).collect();
     let shared = Arc::new(Shared {
-        head: Pad(AtomicU64::new(0)),
-        tail: Pad(AtomicU64::new(0)),
+        head: Pad(Published::new(0)),
+        tail: Pad(Published::new(0)),
         mask: cap as u64 - 1,
         slots,
     });
@@ -107,7 +110,7 @@ impl<T> Producer<T> {
     /// the consumer has not freed one yet.
     pub fn push(&mut self, v: T) -> Result<(), Full<T>> {
         if self.tail - self.cached_head == self.capacity() {
-            self.cached_head = self.shared.head.0.load(Ordering::Acquire);
+            self.cached_head = self.shared.head.0.load();
             if self.tail - self.cached_head == self.capacity() {
                 return Err(Full(v));
             }
@@ -122,13 +125,13 @@ impl<T> Producer<T> {
             *self.shared.slots[idx].get() = Some(v);
         }
         self.tail += 1;
-        self.shared.tail.0.store(self.tail, Ordering::Release);
+        self.shared.tail.0.store(self.tail);
         Ok(())
     }
 
     /// Entries currently in the ring, as seen from the producer side.
     pub fn len(&self) -> u64 {
-        self.tail - self.shared.head.0.load(Ordering::Acquire)
+        self.tail - self.shared.head.0.load()
     }
 
     /// Whether the ring currently holds no entries.
@@ -146,7 +149,7 @@ impl<T> Consumer<T> {
     /// Takes the oldest published entry, if any.
     pub fn pop(&mut self) -> Option<T> {
         if self.head == self.cached_tail {
-            self.cached_tail = self.shared.tail.0.load(Ordering::Acquire);
+            self.cached_tail = self.shared.tail.0.load();
             if self.head == self.cached_tail {
                 return None;
             }
@@ -159,13 +162,13 @@ impl<T> Consumer<T> {
         let v = unsafe { (*self.shared.slots[idx].get()).take() };
         debug_assert!(v.is_some(), "published slot was empty");
         self.head += 1;
-        self.shared.head.0.store(self.head, Ordering::Release);
+        self.shared.head.0.store(self.head);
         v
     }
 
     /// Entries currently in the ring, as seen from the consumer side.
     pub fn len(&self) -> u64 {
-        self.shared.tail.0.load(Ordering::Acquire) - self.head
+        self.shared.tail.0.load() - self.head
     }
 
     /// Whether the ring currently holds no entries.
