@@ -15,8 +15,9 @@ fn main() {
     let _ = writeln!(out, "legend: y = yes, n = no, (y) = partial (paper's checkmark-in-parens)");
     let _ = writeln!(out);
     let _ = writeln!(out, "veros column provenance:");
-    let _ = writeln!(out, "  Kernel memory safety      safe Rust throughout; unsafe blocks only in");
-    let _ = writeln!(out, "                            veros-nr's log/lock with SAFETY protocols + stress tests");
+    let _ = writeln!(out, "  Kernel memory safety      safe Rust throughout; unsafe blocks only in veros-sync");
+    let _ = writeln!(out, "                            (every other crate root forbids unsafe_code), each with");
+    let _ = writeln!(out, "                            a clippy-enforced SAFETY argument + stress/Miri tests");
     let _ = writeln!(out, "  Specification refinement  veros-core::theorem (kernel refines Sys spec, checked)");
     let _ = writeln!(out, "  Security properties       not claimed (the paper defers these too)");
     let _ = writeln!(out, "  Multi-processor support   veros-nr, linearizability-checked (os-contract::nr VCs)");

@@ -92,11 +92,11 @@ pub fn contended_execute_mut(threads: usize, replicas: usize, ops_per_thread: u6
         let nr = Arc::clone(&nr);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
-            let tkn = nr.register(t % replicas).expect("slot");
+            let mut tkn = nr.register(t % replicas).expect("slot");
             barrier.wait();
             let start = epoch.elapsed();
             for _ in 0..ops_per_thread {
-                std::hint::black_box(nr.execute_mut(1, tkn));
+                std::hint::black_box(nr.execute_mut(1, &mut tkn));
             }
             (start, epoch.elapsed())
         }));

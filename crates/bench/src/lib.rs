@@ -24,6 +24,8 @@
 //! checked through, the one command-line reader ([`args`]), and the one
 //! telemetry registry ([`catalogue`]).
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod audit;
 pub mod baseline;

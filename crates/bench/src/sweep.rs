@@ -14,13 +14,13 @@
 //! preserved because both implementations run the identical NR path.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use veros_kernel::vspace::{PtKind, VSpaceDispatch, VSpaceWriteOp};
 use veros_nr::NodeReplicated;
 use veros_spec::report::render_series;
+use veros_sync::RelaxedCounter;
 
 /// Which operation the sweep times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,8 +65,8 @@ pub fn run_cell(
         1024,
         move || VSpaceDispatch::new(1 << 17, kind),
     ));
-    let total_ns = Arc::new(AtomicU64::new(0));
-    let total_ops = Arc::new(AtomicU64::new(0));
+    let total_ns = Arc::new(RelaxedCounter::new(0));
+    let total_ops = Arc::new(RelaxedCounter::new(0));
 
     let mut handles = Vec::new();
     for t in 0..threads {
@@ -74,7 +74,7 @@ pub fn run_cell(
         let total_ns = Arc::clone(&total_ns);
         let total_ops = Arc::clone(&total_ops);
         handles.push(std::thread::spawn(move || {
-            let tkn = nr.register(t % replicas).expect("slot");
+            let mut tkn = nr.register(t % replicas).expect("slot");
             // Each thread works in a disjoint VA window so maps never
             // conflict: 1 GiB apart.
             let base = 0x40_0000_0000u64 + (t as u64) * 0x4000_0000;
@@ -95,7 +95,7 @@ pub fn run_cell(
                                 VSpaceWriteOp::MapNew {
                                     va: batch_base + i * 4096,
                                 },
-                                tkn,
+                                &mut tkn,
                             )
                             .expect("map in private window");
                         }
@@ -105,7 +105,7 @@ pub fn run_cell(
                                 VSpaceWriteOp::Unmap {
                                     va: batch_base + i * 4096,
                                 },
-                                tkn,
+                                &mut tkn,
                             )
                             .expect("unmap what we mapped");
                         }
@@ -117,7 +117,7 @@ pub fn run_cell(
                                 VSpaceWriteOp::MapNew {
                                     va: batch_base + i * 4096,
                                 },
-                                tkn,
+                                &mut tkn,
                             )
                             .expect("map in private window");
                         }
@@ -127,7 +127,7 @@ pub fn run_cell(
                                 VSpaceWriteOp::Unmap {
                                     va: batch_base + i * 4096,
                                 },
-                                tkn,
+                                &mut tkn,
                             )
                             .expect("unmap what we mapped");
                         }
@@ -136,15 +136,15 @@ pub fn run_cell(
                 }
                 done += BATCH;
             }
-            total_ns.fetch_add(local_ns, Ordering::Relaxed);
-            total_ops.fetch_add(done, Ordering::Relaxed);
+            total_ns.fetch_add(local_ns);
+            total_ops.fetch_add(done);
         }));
     }
     for h in handles {
         h.join().expect("worker");
     }
-    let ops = total_ops.load(Ordering::Relaxed);
-    let ns = total_ns.load(Ordering::Relaxed);
+    let ops = total_ops.load();
+    let ns = total_ns.load();
     SweepPoint {
         threads,
         mean_latency_us: ns as f64 / ops.max(1) as f64 / 1000.0,

@@ -17,12 +17,12 @@
 //! stable names and a gated cell regresses when it exceeds the committed
 //! value by more than [`TOLERANCE`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use veros_kernel::syscall::{abi, Syscall};
 use veros_kernel::{Kernel, KernelConfig};
+use veros_sync::Published;
 use veros_uring::{pair, Engine, SqeFlags, SubstSource, UserRing};
 
 use crate::baseline::{Better, Current, Gate};
@@ -137,7 +137,7 @@ pub fn chain_orc_ns_per_op(iters: u64, chained: bool) -> f64 {
     let open = Syscall::Open { path_ptr: PATH_VA, path_len: PATH.len() as u64, create: false };
     let read = Syscall::Read { fd: 0, buf_ptr: BUF_VA, buf_len: FILE_LEN };
     let close = Syscall::Close { fd: 0 };
-    let done = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(Published::new(0));
     let done_flag = Arc::clone(&done);
     let producer = std::thread::spawn(move || {
         let wait_cqe = |user: &mut UserRing| loop {
@@ -180,10 +180,10 @@ pub fn chain_orc_ns_per_op(iters: u64, chained: bool) -> f64 {
                 wait_cqe(&mut user).result.expect("close ok");
             }
         }
-        done_flag.store(1, Ordering::Release);
+        done_flag.store(1);
         t0.elapsed().as_nanos() as f64
     });
-    while done.load(Ordering::Acquire) == 0 {
+    while done.load() == 0 {
         if !engine.pass(&mut k) {
             std::thread::yield_now();
         }

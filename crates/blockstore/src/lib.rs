@@ -32,6 +32,8 @@
 //! `blockstore.` prefix; see `OBSERVABILITY.md`. Disabling the feature
 //! compiles every instrument to a no-op.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod store;
 pub mod wire;

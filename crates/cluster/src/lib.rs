@@ -40,6 +40,8 @@
 //! counters — registered under the `cluster.` prefix; see
 //! `OBSERVABILITY.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod fleet;
 pub mod metrics;

@@ -39,6 +39,8 @@
 //!   invariant families, and the above), complementing the page table's
 //!   220 VCs.
 
+#![forbid(unsafe_code)]
+
 pub mod invariants;
 pub mod metrics;
 pub mod obligations;

@@ -485,16 +485,16 @@ fn nr_linearizable(replicas: usize, threads: usize, ops_per_thread: usize) -> Re
         let nr = Arc::clone(&nr);
         let recorder = Arc::clone(&recorder);
         handles.push(std::thread::spawn(move || {
-            let tkn = nr.register(t % replicas).expect("slot");
+            let mut tkn = nr.register(t % replicas).expect("slot");
             for i in 0..ops_per_thread {
                 if i % 3 == 2 {
                     recorder.invoke(t, CounterOp::Get);
-                    let v = nr.execute((), tkn);
+                    let v = nr.execute((), &mut tkn);
                     recorder.response(t, v);
                 } else {
                     let add = (t * 10 + i + 1) as u64;
                     recorder.invoke(t, CounterOp::Add(add));
-                    let v = nr.execute_mut(add, tkn);
+                    let v = nr.execute_mut(add, &mut tkn);
                     recorder.response(t, v);
                 }
             }
@@ -525,7 +525,7 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
     let replicas = 2;
     let nr = NodeReplicated::new(replicas, 1, 32, || VSpaceDispatch::new(256, PtKind::Verified));
     let mut reference = VSpaceDispatch::new(256, PtKind::Verified);
-    let tkns: Vec<_> = (0..replicas)
+    let mut tkns: Vec<_> = (0..replicas)
         .map(|r| nr.register(r).ok_or(format!("replica {r} full")))
         .collect::<Result<_, _>>()?;
     let mut rng = SpecRng::seeded(seed ^ 0x5bace);
@@ -539,7 +539,7 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
                 } else {
                     VSpaceWriteOp::Unmap { va }
                 };
-                let got = nr.execute_mut(op, tkns[rng.index(replicas)]);
+                let got = nr.execute_mut(op, &mut tkns[rng.index(replicas)]);
                 let want = reference.dispatch_mut(&op);
                 if got != want {
                     return Err(format!(
@@ -554,7 +554,7 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
                 } else {
                     VSpaceWriteOp::UnmapRange { va, pages }
                 };
-                let got = nr.execute_mut(op, tkns[rng.index(replicas)]);
+                let got = nr.execute_mut(op, &mut tkns[rng.index(replicas)]);
                 let want = reference.dispatch_mut(&op);
                 if got != want {
                     return Err(format!(
@@ -565,12 +565,11 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
             3 | 4 => {
                 let op = VSpaceReadOp::Resolve { va };
                 let want = reference.dispatch(op);
-                for &tkn in &tkns {
+                for (r, tkn) in tkns.iter_mut().enumerate() {
                     let got = nr.execute(op, tkn);
                     if got != want {
                         return Err(format!(
-                            "seed {seed} step {step}: replica {} {op:?} -> {got:?}, reference {want:?}",
-                            tkn.replica
+                            "seed {seed} step {step}: replica {r} {op:?} -> {got:?}, reference {want:?}"
                         ));
                     }
                 }
@@ -578,12 +577,11 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
             _ => {
                 let op = VSpaceReadOp::MappedBytes;
                 let want = reference.dispatch(op);
-                for &tkn in &tkns {
+                for (r, tkn) in tkns.iter_mut().enumerate() {
                     let got = nr.execute(op, tkn);
                     if got != want {
                         return Err(format!(
-                            "seed {seed} step {step}: replica {} mapped bytes {got:?}, reference {want:?}",
-                            tkn.replica
+                            "seed {seed} step {step}: replica {r} mapped bytes {got:?}, reference {want:?}"
                         ));
                     }
                 }

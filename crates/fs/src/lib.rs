@@ -24,6 +24,8 @@
 //! register them under the `fs.` prefix; see `OBSERVABILITY.md`.
 //! Disabling the feature compiles every instrument to a no-op.
 
+#![forbid(unsafe_code)]
+
 pub mod file;
 pub mod inode;
 pub mod journal;

@@ -22,6 +22,8 @@
 //! * [`clock`] — a virtual clock driving timer interrupts and the
 //!   scheduler.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod clock;
 pub mod disk;

@@ -35,6 +35,8 @@
 //! prefix; see `OBSERVABILITY.md`.
 //! Disabling the feature compiles every instrument to a no-op.
 
+#![forbid(unsafe_code)]
+
 pub mod frame_alloc;
 pub mod futex;
 pub mod kernel;

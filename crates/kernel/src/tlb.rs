@@ -36,7 +36,7 @@
 
 use veros_hw::{PAddr, VAddr};
 use veros_pagetable::{MapFlags, PageSize, ResolveAnswer};
-use veros_telemetry::{Published, SeqSlot};
+use veros_sync::{Published, SeqSlot};
 
 /// Number of direct-mapped slots. A power of two so the index is a mask.
 const SLOTS: usize = 128;

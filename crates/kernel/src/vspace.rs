@@ -479,39 +479,39 @@ mod tests {
     #[test]
     fn replicated_range_ops_converge() {
         let nr = NodeReplicated::new(2, 2, 64, || VSpaceDispatch::new(512, PtKind::Verified));
-        let t0 = nr.register(0).unwrap();
-        let t1 = nr.register(1).unwrap();
+        let mut t0 = nr.register(0).unwrap();
+        let mut t1 = nr.register(1).unwrap();
         let base0 = nr
-            .execute_mut(VSpaceWriteOp::MapRange { va: 0x40_0000, pages: 6 }, t0)
+            .execute_mut(VSpaceWriteOp::MapRange { va: 0x40_0000, pages: 6 }, &mut t0)
             .unwrap();
         // Replicas replay the same log over identical initial states, so
         // the contiguous base is identical on both.
         for i in 0..6u64 {
             let pa = nr
-                .execute(VSpaceReadOp::Resolve { va: 0x40_0000 + i * PAGE_4K }, t1)
+                .execute(VSpaceReadOp::Resolve { va: 0x40_0000 + i * PAGE_4K }, &mut t1)
                 .unwrap();
             assert_eq!(pa, base0 + i * PAGE_4K);
         }
         let bytes = nr
-            .execute_mut(VSpaceWriteOp::UnmapRange { va: 0x40_0000, pages: 6 }, t1)
+            .execute_mut(VSpaceWriteOp::UnmapRange { va: 0x40_0000, pages: 6 }, &mut t1)
             .unwrap();
         assert_eq!(bytes, 6 * PAGE_4K);
-        assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, t0), Ok(0));
+        assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, &mut t0), Ok(0));
     }
 
     #[test]
     fn replicated_vspace_basic() {
         let nr = NodeReplicated::new(2, 2, 64, || VSpaceDispatch::new(512, PtKind::Verified));
-        let t0 = nr.register(0).unwrap();
-        let t1 = nr.register(1).unwrap();
-        let pa0 = nr.execute_mut(VSpaceWriteOp::MapNew { va: 0x4000 }, t0).unwrap();
+        let mut t0 = nr.register(0).unwrap();
+        let mut t1 = nr.register(1).unwrap();
+        let pa0 = nr.execute_mut(VSpaceWriteOp::MapNew { va: 0x4000 }, &mut t0).unwrap();
         // Replica 1 sees the same mapping at the same physical address —
         // replicas replay identical logs over identical initial states,
         // so they converge exactly.
-        let pa1 = nr.execute(VSpaceReadOp::Resolve { va: 0x4000 }, t1).unwrap();
+        let pa1 = nr.execute(VSpaceReadOp::Resolve { va: 0x4000 }, &mut t1).unwrap();
         assert_eq!(pa0, pa1);
-        nr.execute_mut(VSpaceWriteOp::Unmap { va: 0x4000 }, t1).unwrap();
-        assert!(nr.execute(VSpaceReadOp::Resolve { va: 0x4000 }, t0).is_err());
-        assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, t0), Ok(0));
+        nr.execute_mut(VSpaceWriteOp::Unmap { va: 0x4000 }, &mut t1).unwrap();
+        assert!(nr.execute(VSpaceReadOp::Resolve { va: 0x4000 }, &mut t0).is_err());
+        assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, &mut t0), Ok(0));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The lints need to know, per line, *what is code and what is not*:
 //! string/char-literal contents must not trigger keyword matches,
-//! comments must be separated out (they carry `SAFETY:` audits,
-//! `covers:` annotations, and suppression directives), and nested block
+//! comments must be separated out (they carry `covers:` annotations
+//! and suppression directives), and nested block
 //! comments, raw strings, and attributes must all be tracked. This is
 //! deliberately not a full Rust parser — the analyzer's whole point
 //! (per the layering argument of the paper's §3 tooling discussion) is
@@ -218,30 +218,6 @@ pub fn scan(src: &str) -> Vec<ScannedLine> {
     lines
 }
 
-/// True when `code` contains `word` as a standalone token (not part of a
-/// longer identifier).
-pub(crate) fn has_word(code: &str, word: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0 || {
-            let b = bytes[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || {
-            let b = bytes[end];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + word.len();
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,14 +273,6 @@ mod tests {
         assert!(lines[2].is_code_blank());
         assert!(lines[2].comment.contains("still comment"));
         assert_eq!(lines[3].code.trim(), "more();");
-    }
-
-    #[test]
-    fn word_boundaries() {
-        assert!(has_word("unsafe {", "unsafe"));
-        assert!(!has_word("unsafe_code", "unsafe"));
-        assert!(!has_word("not_unsafe", "unsafe"));
-        assert!(has_word("(unsafe)", "unsafe"));
     }
 
     #[test]

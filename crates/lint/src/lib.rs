@@ -1,21 +1,19 @@
 //! veros-lint: the workspace spec-discipline analyzer.
 //!
 //! The verified stack's guarantees (PAPER.md, DESIGN.md) rest on
-//! conventions no type checker enforces: `unsafe` sites carry audited
-//! `SAFETY:` arguments, kernel-path code never panics, every public op
-//! of a verified surface has a registered verification condition,
-//! explicit atomic orderings in the NR, uring, ulib, telemetry and
-//! kernel crates are individually reviewed, and every module documents
-//! its role. This crate makes those conventions machine-checked: a
-//! hand-rolled lexer ([`lexer`]), a workspace model that walks the tree
-//! once ([`source`]) and a registry of line lints ([`lints`]), behind a
-//! `veros-lint` binary. Concurrency protocols are left to the type
-//! checker: a field touched only under a lock lives inside the value
-//! the lock guards, seqlock-published words live inside
-//! `veros_telemetry::SeqSlot`, and a word published with release
-//! stores and read with acquire loads is a `veros_telemetry::Published`,
-//! which takes no ordering from its callers. No external dependencies,
-//! so it builds offline with the rest of the workspace.
+//! conventions no type checker enforces: kernel-path code never
+//! panics, every public op of a verified surface has a registered
+//! verification condition, and every module documents its role. This
+//! crate makes those conventions machine-checked: a hand-rolled lexer
+//! ([`lexer`]), a workspace model that walks the tree once ([`source`])
+//! and a registry of line lints ([`lints`]), behind a `veros-lint`
+//! binary. What the compiler can check is left to it: every `unsafe`
+//! block and every atomic lives in `veros-sync`, every other library
+//! root forbids `unsafe_code`, clippy denies an `unsafe` block without
+//! a `SAFETY:` comment, and the root `clippy.toml` disallows the atomic
+//! types outside `veros-sync`, whose types take no ordering from their
+//! callers. No external dependencies, so it builds offline with the
+//! rest of the workspace.
 //!
 //! A finding is accepted in one way only: a reasoned inline
 //! `// lint: allow(<id>) — reason` next to the code it excuses. There
@@ -24,6 +22,8 @@
 //! ```text
 //! cargo run -p veros-lint
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod diag;
 pub mod lexer;
@@ -60,21 +60,15 @@ mod tests {
         let ids: Vec<&str> = lints::REGISTRY.iter().map(|l| l.id).collect();
         assert_eq!(
             ids,
-            [
-                "unsafe-audit",
-                "panic-freedom",
-                "obligation-coverage",
-                "atomics-ordering",
-                "doc-header"
-            ]
+            ["panic-freedom", "obligation-coverage", "doc-header"]
         );
     }
 
     #[test]
     fn run_all_sorts_by_file_then_line() {
         let ws = source::Workspace::from_sources(&[
-            ("crates/nr/src/b.rs", "fn f() { unsafe { x() } }\n"),
-            ("crates/nr/src/a.rs", "v.unwrap();\nunsafe { y() }\n"),
+            ("crates/nr/src/b.rs", "fn f() { x().unwrap() }\n"),
+            ("crates/nr/src/a.rs", "v.unwrap();\ny().unwrap();\n"),
         ]);
         let out = lints::run_all(&ws);
         // Every finding present and ordered.

@@ -4,11 +4,9 @@
 use crate::diag::Diagnostic;
 use crate::source::Workspace;
 
-mod atomics_ordering;
 mod doc_header;
 mod obligation_coverage;
 mod panic_freedom;
-mod unsafe_audit;
 
 /// One check `veros-lint` runs.
 pub struct Lint {
@@ -22,13 +20,7 @@ pub struct Lint {
 }
 
 /// Every check, in reporting and `--list` order.
-pub const REGISTRY: [Lint; 5] = [
-    unsafe_audit::LINT,
-    panic_freedom::LINT,
-    obligation_coverage::LINT,
-    atomics_ordering::LINT,
-    doc_header::LINT,
-];
+pub const REGISTRY: [Lint; 3] = [panic_freedom::LINT, obligation_coverage::LINT, doc_header::LINT];
 
 /// Runs every lint and returns findings sorted by file, line, lint.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {

@@ -1,6 +1,6 @@
 //! The workspace model: the one directory walk, scanned source files
 //! with per-line test-region flags and path classification, and the
-//! comment chain that suppressions and `SAFETY:` audits attach through.
+//! comment chain that suppressions attach through.
 
 use crate::lexer::{self, ScannedLine};
 use std::fs;
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 /// applies only to these crates' `src/` trees. `ulib` joined with the
 /// ring executor: its poller pump sits on every ring-routed syscall,
 /// so a panic there takes down the data plane as surely as one in the
-/// engine.
+/// engine. `sync` holds the log, lock and ring code nr and uring run.
 pub(crate) const KERNEL_PATH_CRATES: &[&str] = &[
     "kernel",
     "pagetable",
@@ -22,6 +22,7 @@ pub(crate) const KERNEL_PATH_CRATES: &[&str] = &[
     "net",
     "uring",
     "ulib",
+    "sync",
 ];
 
 /// One scanned workspace file.
@@ -282,6 +283,8 @@ mod tests {
         assert!(!t.is_kernel_path_src());
         let u = SourceFile::from_source("crates/ulib/src/runtime.rs", "");
         assert!(u.is_kernel_path_src(), "the ring executor is kernel-path");
+        let s = SourceFile::from_source("crates/sync/src/log.rs", "");
+        assert!(s.is_kernel_path_src(), "the log nr runs is kernel-path");
         let b = SourceFile::from_source("crates/bench/src/uring.rs", "");
         assert!(!b.is_kernel_path_src());
         let root = SourceFile::from_source("src/lib.rs", "");
@@ -298,7 +301,7 @@ mod tests {
         assert!(f.is_suppressed("panic-freedom", 1));
         assert!(f.is_suppressed("panic-freedom", 2));
         assert!(!f.is_suppressed("panic-freedom", 3));
-        assert!(!f.is_suppressed("unsafe-audit", 1), "wrong lint id");
+        assert!(!f.is_suppressed("doc-header", 1), "wrong lint id");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Fixture: a file every lint is happy with.
 
 pub fn id(x: &u8) -> u8 {
-    let p: *const u8 = x;
-    // SAFETY: the pointer comes from a live reference one line up.
-    unsafe { *p }
+    *x
 }

@@ -1,8 +1,9 @@
 //! The real-workspace gate: `veros-lint` over this repository must
 //! report zero errors — every accepted finding carries a reasoned
 //! inline allow — the shipped binary must exit 1 on each bad fixture
-//! tree, README's lint table must name the registry's IDs, and no
-//! concurrency-protocol annotation may be left in shipped code.
+//! tree, README's lint table must name the registry's IDs, no
+//! concurrency-protocol annotation may be left in shipped code, and
+//! every library root but `veros-sync`'s must forbid `unsafe` code.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -42,9 +43,9 @@ fn repository_is_lint_clean() {
 
 /// No pass reads a lock or seqlock annotation: a field touched only
 /// under a lock lives inside the value the lock guards, and seqlock
-/// words live inside `veros_telemetry::SeqSlot`, so the type checker
-/// holds both (the `SeqSlot` and `Published` modules' `compile_fail`
-/// doctests show the rules can fail). An annotation left in shipped
+/// words live inside `veros_sync::SeqSlot`, so the type checker holds
+/// both (the `SeqSlot` and `Published` modules' `compile_fail` doctests
+/// show the rules can fail). An annotation left in shipped
 /// code would bind to nothing and pass silently. Each marker is spelled
 /// in two halves so this file does not carry it.
 #[test]
@@ -57,7 +58,7 @@ fn no_protocol_annotation_is_left_in_shipped_code() {
         ),
         (
             ["protocol: seq", "lock("].concat(),
-            "publish the words through `veros_telemetry::SeqSlot`",
+            "publish the words through `veros_sync::SeqSlot`",
         ),
     ] {
         let stale: Vec<String> = ws
@@ -79,6 +80,42 @@ fn no_protocol_annotation_is_left_in_shipped_code() {
     }
 }
 
+/// `veros-sync` is the trusted base: the one crate whose root may allow
+/// `unsafe` code. Every other library root forbids it, so a new crate
+/// cannot opt out of the compiler's check by omission.
+#[test]
+fn every_library_root_but_sync_forbids_unsafe() {
+    let ws = Workspace::load(&repo_root()).expect("workspace loads");
+    let roots: Vec<_> = ws
+        .files
+        .iter()
+        .filter(|f| {
+            let parts: Vec<&str> = f.rel_path.split('/').collect();
+            matches!(
+                parts[..],
+                ["src", "lib.rs"] | ["crates", _, "src", "lib.rs"]
+            )
+        })
+        .collect();
+    assert!(
+        roots.len() > 10,
+        "walker found the library roots: {}",
+        roots.len()
+    );
+    for root in roots {
+        let forbids = root
+            .lines
+            .iter()
+            .any(|l| l.code.trim() == "#![forbid(unsafe_code)]");
+        let trusted = root.rel_path == "crates/sync/src/lib.rs";
+        assert_eq!(
+            forbids, !trusted,
+            "{}: every library root but veros-sync's must say `#![forbid(unsafe_code)]`",
+            root.rel_path
+        );
+    }
+}
+
 fn run_binary(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_veros-lint"))
         .args(args)
@@ -88,7 +125,7 @@ fn run_binary(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn binary_denies_each_bad_fixture_tree() {
-    for tree in ["tree_l1", "tree_l2", "tree_l3", "tree_l4", "tree_l5"] {
+    for tree in ["tree_l2", "tree_l3", "tree_l5"] {
         let root = fixture(tree);
         let out = run_binary(&["--root", root.to_str().expect("utf-8 path")]);
         assert_eq!(

@@ -34,6 +34,8 @@
 //! prefix; see `OBSERVABILITY.md`. Disabling the feature compiles every
 //! instrument to a no-op.
 
+#![forbid(unsafe_code)]
+
 /// Copies `N` bytes of `buf` starting at `off` into an array, without a
 /// panicking `try_into` conversion. Callers check lengths before calling
 /// (decoders return `None` on truncation first); a short tail yields

@@ -11,16 +11,15 @@
 //!
 //! * [`Dispatch`] — the sequential data structure interface: read
 //!   operations against `&self`, write operations against `&mut self`.
-//! * [`Log`] — the shared circular operation log with per-replica
-//!   consumption tails and tail-min garbage collection.
-//! * [`DistRwLock`] — the distributed readers-writer lock guarding each
-//!   replica (per-reader flags, so uncontended readers never write to
-//!   shared cache lines).
-//! * [`Replica`] — one replica: a copy of the data structure, a flat
-//!   combining context per registered thread, and the apply loop.
 //! * [`NodeReplicated`] — the top-level API: register threads, then
 //!   `execute` (read) / `execute_mut` (write) with linearizable
-//!   semantics.
+//!   semantics, through the registered thread's [`ThreadToken`].
+//!
+//! The concurrent parts underneath — the shared circular operation log
+//! with per-replica cursors, the distributed readers-writer lock
+//! guarding each replica, and the rings that carry each thread's
+//! operation to the combiner and its response back — are `veros-sync`
+//! types, so this crate holds no `unsafe` and no atomic of its own.
 //!
 //! The correctness claim — a sequential structure replicated with NR
 //! remains linearizable — is what IronSync proved and what this
@@ -36,18 +35,11 @@
 //! [`metrics::export`] to register them under the `nr.` prefix; see
 //! `OBSERVABILITY.md` for names, units, and the snapshot schema. Disabling the feature compiles every instrument to a no-op.
 
-pub mod backoff;
-pub(crate) mod context;
-pub mod dispatch;
-pub mod log;
+#![forbid(unsafe_code)]
+
+mod dispatch;
 pub mod metrics;
-pub mod pad;
-pub mod replica;
-pub mod replicated;
-pub mod rwlock;
+mod replicated;
 
 pub use dispatch::Dispatch;
-pub use log::{Log, LogEntry};
-pub use replica::Replica;
 pub use replicated::{NodeReplicated, ThreadToken};
-pub use rwlock::DistRwLock;

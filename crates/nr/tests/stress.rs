@@ -13,11 +13,11 @@
 //! * after everything joins, every replica has converged on the exact
 //!   sum of all increments.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use veros_nr::{Dispatch, NodeReplicated};
 use veros_spec::rng::SpecRng;
+use veros_sync::RelaxedCounter;
 
 #[derive(Clone, Debug, Default)]
 struct Counter {
@@ -50,7 +50,7 @@ fn wraparound_stress_keeps_responses_exact() {
     // 4 slots per replica: 2 writers, 1 reader, 1 spare for the final
     // convergence check.
     let nr = Arc::new(NodeReplicated::new(REPLICAS, 4, 8, Counter::default));
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(RelaxedCounter::new(0));
     let mut writers = Vec::new();
     let mut expected_total = 0u64;
     for r in 0..REPLICAS {
@@ -61,10 +61,10 @@ fn wraparound_stress_keeps_responses_exact() {
             expected_total += increments.iter().sum::<u64>();
             let nr = Arc::clone(&nr);
             writers.push(std::thread::spawn(move || {
-                let tkn = nr.register(r).expect("writer slot");
+                let mut tkn = nr.register(r).expect("writer slot");
                 let mut last = 0u64;
                 for (i, inc) in increments.into_iter().enumerate() {
-                    let got = nr.execute_mut(inc, tkn);
+                    let got = nr.execute_mut(inc, &mut tkn);
                     assert!(
                         got >= last + inc,
                         "writer {seed} op {i}: response {got} skips below {last} + {inc} — \
@@ -80,10 +80,10 @@ fn wraparound_stress_keeps_responses_exact() {
         let nr = Arc::clone(&nr);
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
-            let tkn = nr.register(r).expect("reader slot");
+            let mut tkn = nr.register(r).expect("reader slot");
             let mut last = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let got = nr.execute((), tkn);
+            while stop.load() == 0 {
+                let got = nr.execute((), &mut tkn);
                 assert!(got >= last, "replica {r}: read {got} after {last} — time went backwards");
                 last = got;
             }
@@ -93,15 +93,15 @@ fn wraparound_stress_keeps_responses_exact() {
     for h in writers {
         h.join().unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.store(1);
     for h in readers {
         h.join().unwrap();
     }
     // Every replica must have converged on the exact total.
     for r in 0..REPLICAS {
-        let tkn = nr.register(r).expect("spare slot");
+        let mut tkn = nr.register(r).expect("spare slot");
         assert_eq!(
-            nr.execute((), tkn),
+            nr.execute((), &mut tkn),
             expected_total,
             "replica {r} diverged from the operation log"
         );

@@ -23,6 +23,8 @@
 //! [`impl_unverified`] is the baseline for Figures 1b/1c: the NrOS-style
 //! direct implementation with identical semantics and no ghost state.
 
+#![forbid(unsafe_code)]
+
 pub mod high_spec;
 pub mod impl_unverified;
 pub mod impl_verified;

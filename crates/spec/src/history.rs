@@ -7,8 +7,9 @@
 //! so that recording perturbs the concurrent execution as little as
 //! possible.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use veros_sync::RelaxedCounter;
 
 /// The two kinds of events in a history.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,7 +82,7 @@ impl<Op: Clone, Ret: Clone> History<Op, Ret> {
 /// simple; the timestamp is taken *inside* the critical section so the
 /// recorded order is exactly the order in which events entered the log.
 pub struct Recorder<Op, Ret> {
-    seq: AtomicU64,
+    seq: RelaxedCounter,
     events: Mutex<Vec<Event<Op, Ret>>>,
 }
 
@@ -95,7 +96,7 @@ impl<Op: Clone, Ret: Clone> Recorder<Op, Ret> {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         Self {
-            seq: AtomicU64::new(0),
+            seq: RelaxedCounter::new(0),
             events: Mutex::new(Vec::new()),
         }
     }
@@ -112,7 +113,7 @@ impl<Op: Clone, Ret: Clone> Recorder<Op, Ret> {
 
     fn push(&self, thread: usize, kind: EventKind<Op, Ret>) {
         let mut guard = self.events.lock().unwrap();
-        let timestamp = self.seq.fetch_add(1, Ordering::Relaxed);
+        let timestamp = self.seq.fetch_add(1);
         guard.push(Event {
             thread,
             timestamp,

@@ -29,6 +29,8 @@
 //!
 //! [Verus]: https://github.com/verus-lang/verus
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod explorer;
 pub mod fault;

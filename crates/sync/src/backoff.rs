@@ -17,12 +17,14 @@ const SPIN_LIMIT: u32 = 6;
 
 impl Backoff {
     /// Creates a fresh backoff.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Waits one round: spins with exponentially increasing length, then
     /// switches to `yield_now` once the spin budget is exhausted.
+    #[inline]
     pub fn wait(&mut self) {
         if self.step <= SPIN_LIMIT {
             for _ in 0..(1u32 << self.step) {

@@ -1,11 +1,10 @@
 //! A publication as a type: [`Published`] is one `u64` word whose
 //! every store releases and whose every load acquires.
 //!
-//! NR's shared log (its tail, each replica's local tail, each slot's
-//! version), NR's flat-combining context cells, the uring SPSC rings'
-//! head and tail, and the kernel translation cache's epoch each publish
-//! data through one word: a writer fills a payload and then stores the
-//! word, and a reader that loads the new value may then read the
+//! The shared log (its tail, each replica's local tail, each slot's
+//! version), the SPSC ring's head and tail, and the kernel translation
+//! cache's epoch each publish data through one word: a writer fills a
+//! payload and then stores the word, and a reader that loads the new value may then read the
 //! payload. That is sound only if the store is `Release` and the load
 //! `Acquire`. Because the atomic is private and no method takes an
 //! `Ordering`, a releasing store without an acquiring load cannot be
@@ -15,11 +14,8 @@
 //! On x86-64 an `Acquire` load and a `Release` store compile to plain
 //! moves, so the type costs its readers and writers nothing.
 //!
-//! The type is not an instrument: it is compiled in with or without
-//! the `telemetry` feature.
-//!
 //! ```
-//! let w = veros_telemetry::Published::new(1);
+//! let w = veros_sync::Published::new(1);
 //! assert_eq!(w.fetch_add(2), 1);
 //! while w.compare_exchange_weak(3, 5).is_err() {}
 //! assert_eq!(w.load(), 5);
@@ -30,7 +26,7 @@
 //! Code outside this module cannot choose an ordering:
 //!
 //! ```compile_fail
-//! let w = veros_telemetry::Published::new(0);
+//! let w = veros_sync::Published::new(0);
 //! w.store(7, std::sync::atomic::Ordering::Relaxed);
 //! ```
 
@@ -50,8 +46,6 @@ impl Published {
     /// this value there is visible after the call.
     #[inline]
     pub fn load(&self) -> u64 {
-        // lint: allow(atomics-ordering) — the acquire half of every
-        // publication edge this type carries.
         self.0.load(Ordering::Acquire)
     }
 
@@ -59,8 +53,6 @@ impl Published {
     /// before this call.
     #[inline]
     pub fn store(&self, v: u64) {
-        // lint: allow(atomics-ordering) — the release half of every
-        // publication edge this type carries.
         self.0.store(v, Ordering::Release);
     }
 
@@ -68,8 +60,6 @@ impl Published {
     /// Returns the previous value.
     #[inline]
     pub fn fetch_add(&self, v: u64) -> u64 {
-        // lint: allow(atomics-ordering) — a releasing increment; its
-        // readers acquire through `load`.
         self.0.fetch_add(v, Ordering::Release)
     }
 
@@ -79,16 +69,8 @@ impl Published {
     /// it returns, as [`load`](Self::load) does.
     #[inline]
     pub fn compare_exchange_weak(&self, current: u64, new: u64) -> Result<u64, u64> {
-        self.0.compare_exchange_weak(
-            current,
-            new,
-            // lint: allow(atomics-ordering) — a successful exchange is
-            // a load and a store of the word: it acquires and releases.
-            Ordering::AcqRel,
-            // lint: allow(atomics-ordering) — a failed exchange is a
-            // load: it acquires like `load`.
-            Ordering::Acquire,
-        )
+        self.0
+            .compare_exchange_weak(current, new, Ordering::AcqRel, Ordering::Acquire)
     }
 }
 

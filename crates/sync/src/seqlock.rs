@@ -1,7 +1,7 @@
 //! A seqlock as a type: [`SeqSlot`] keeps `N` words behind one stamp,
 //! and its two methods are the only code that can touch them.
 //!
-//! The kernel's translation cache and the [`crate::TraceRing`] both
+//! The kernel's translation cache and telemetry's `TraceRing` both
 //! publish a few words that a reader must see from one write, never
 //! mixed from two. Each word is an `AtomicU64`, so no single read can
 //! tear; the stamp only guards *consistency across the words*. Because
@@ -22,19 +22,16 @@
 //! argument. On x86-64 a `SeqCst` load is a plain load, so readers pay
 //! nothing for it; only writers pay for the stores.
 //!
-//! The type is not an instrument: it is compiled in with or without
-//! the `telemetry` feature.
-//!
 //! Code outside this module cannot reach the words around the stamp:
 //!
 //! ```
-//! let slot = veros_telemetry::SeqSlot::<2>::new();
+//! let slot = veros_sync::SeqSlot::<2>::new();
 //! assert!(slot.try_write([7, 8]));
 //! assert_eq!(slot.read(), Some([7, 8]));
 //! ```
 //!
 //! ```compile_fail
-//! let slot = veros_telemetry::SeqSlot::<2>::new();
+//! let slot = veros_sync::SeqSlot::<2>::new();
 //! slot.words[0].store(7, std::sync::atomic::Ordering::SeqCst);
 //! ```
 

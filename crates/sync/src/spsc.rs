@@ -1,15 +1,19 @@
 //! Lock-free single-producer/single-consumer rings with cached indices.
 //!
-//! The submission and completion queues are both instances of one
-//! primitive: a fixed-capacity power-of-two ring over monotonically
-//! increasing `u64` positions, in the style of the PR 2 NR context
-//! cells ([`veros-nr`'s `SeqCell`]) but carrying a *queue* instead of a
-//! single slot. Each side owns exactly one position:
+//! A fixed-capacity power-of-two ring over monotonically increasing
+//! `u64` positions. The uring submission and completion queues are
+//! rings, and so is each NR flat-combining cell: an operation goes from
+//! its thread to the combiner, and its response back, through a ring
+//! that never holds more than one entry. Each side owns exactly one
+//! position:
 //!
-//! * the producer owns `tail` — it is the only writer, so the handle
+//! * the [`Producer`] owns `tail` — it is the only writer, so the handle
 //!   keeps its authoritative copy as a plain field and only the
 //!   release-store publishes it;
-//! * the consumer owns `head` symmetrically.
+//! * the [`Consumer`] owns `head` symmetrically.
+//!
+//! Neither handle is `Clone` and both move methods take `&mut self`, so
+//! "single producer, single consumer" is a fact of the types.
 //!
 //! The opposite side's position is read through a *cached index*: the
 //! producer remembers the last `head` it loaded and refreshes it (one
@@ -28,23 +32,23 @@
 //! written. Positions never wrap in practice (`u64` at one op per
 //! nanosecond lasts five centuries), so full/empty tests are exact
 //! subtractions, never ambiguous modular compares.
+//!
+//! ```compile_fail
+//! let (_p, c) = veros_sync::spsc::ring::<u64>(2);
+//! let c2 = c.clone();
+//! ```
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-use veros_telemetry::Published;
-
-/// Cache-line padding so the producer's and consumer's published
-/// positions do not false-share.
-#[repr(align(64))]
-struct Pad(Published);
+use crate::{CachePadded, Published};
 
 /// The shared ring storage: published positions plus the slot array.
 struct Shared<T> {
     /// Consumer position: slots below `head` have been consumed.
-    head: Pad,
+    head: CachePadded<Published>,
     /// Producer position: slots below `tail` have been published.
-    tail: Pad,
+    tail: CachePadded<Published>,
     /// Power-of-two slot count.
     mask: u64,
     slots: Box<[UnsafeCell<Option<T>>]>,
@@ -89,8 +93,8 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let slots: Box<[UnsafeCell<Option<T>>]> =
         (0..cap).map(|_| UnsafeCell::new(None)).collect();
     let shared = Arc::new(Shared {
-        head: Pad(Published::new(0)),
-        tail: Pad(Published::new(0)),
+        head: CachePadded::new(Published::new(0)),
+        tail: CachePadded::new(Published::new(0)),
         mask: cap as u64 - 1,
         slots,
     });
@@ -110,7 +114,7 @@ impl<T> Producer<T> {
     /// the consumer has not freed one yet.
     pub fn push(&mut self, v: T) -> Result<(), Full<T>> {
         if self.tail - self.cached_head == self.capacity() {
-            self.cached_head = self.shared.head.0.load();
+            self.cached_head = self.shared.head.load();
             if self.tail - self.cached_head == self.capacity() {
                 return Err(Full(v));
             }
@@ -125,13 +129,13 @@ impl<T> Producer<T> {
             *self.shared.slots[idx].get() = Some(v);
         }
         self.tail += 1;
-        self.shared.tail.0.store(self.tail);
+        self.shared.tail.store(self.tail);
         Ok(())
     }
 
     /// Entries currently in the ring, as seen from the producer side.
     pub fn len(&self) -> u64 {
-        self.tail - self.shared.head.0.load()
+        self.tail - self.shared.head.load()
     }
 
     /// Whether the ring currently holds no entries.
@@ -149,7 +153,7 @@ impl<T> Consumer<T> {
     /// Takes the oldest published entry, if any.
     pub fn pop(&mut self) -> Option<T> {
         if self.head == self.cached_tail {
-            self.cached_tail = self.shared.tail.0.load();
+            self.cached_tail = self.shared.tail.load();
             if self.head == self.cached_tail {
                 return None;
             }
@@ -162,13 +166,13 @@ impl<T> Consumer<T> {
         let v = unsafe { (*self.shared.slots[idx].get()).take() };
         debug_assert!(v.is_some(), "published slot was empty");
         self.head += 1;
-        self.shared.head.0.store(self.head);
+        self.shared.head.store(self.head);
         v
     }
 
     /// Entries currently in the ring, as seen from the consumer side.
     pub fn len(&self) -> u64 {
-        self.shared.tail.0.load() - self.head
+        self.shared.tail.load() - self.head
     }
 
     /// Whether the ring currently holds no entries.

@@ -1,6 +1,6 @@
-//! Exact event counters: one `AtomicU64` each.
+//! Exact event counters: one [`veros_sync::RelaxedCounter`] each.
 //!
-//! [`Counter::add`] is a `fetch_add(n, Relaxed)`, so no increment is
+//! [`Counter::add`] is a relaxed `fetch_add`, so no increment is
 //! ever lost, however many threads write; [`Counter::get`] is a load.
 //! `Relaxed` is enough because a counter publishes nothing: a reader
 //! may see another thread's most recent increments late, never wrongly,
@@ -13,13 +13,13 @@
 //! at all (only the cold, outlined miss path is).
 
 #[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, Ordering};
+use veros_sync::RelaxedCounter;
 
 /// An exact, monotonically increasing event count. Const-constructible,
 /// so instrumented crates declare counters as plain `static`s.
 pub struct Counter {
     #[cfg(feature = "telemetry")]
-    total: AtomicU64,
+    total: RelaxedCounter,
 }
 
 impl Counter {
@@ -27,7 +27,7 @@ impl Counter {
     pub const fn new() -> Self {
         Self {
             #[cfg(feature = "telemetry")]
-            total: AtomicU64::new(0),
+            total: RelaxedCounter::new(0),
         }
     }
 
@@ -35,10 +35,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(feature = "telemetry")]
-        // lint: allow(atomics-ordering) — statistical instrument: the
-        // RMW keeps the total exact, and no payload is published under
-        // it.
-        self.total.fetch_add(n, Ordering::Relaxed);
+        self.total.fetch_add(n);
         #[cfg(not(feature = "telemetry"))]
         let _ = n;
     }
@@ -54,9 +51,7 @@ impl Counter {
     pub fn get(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — statistical read of an
-            // instrument value; see `add`.
-            self.total.load(Ordering::Relaxed)
+            self.total.load()
         }
         #[cfg(not(feature = "telemetry"))]
         {

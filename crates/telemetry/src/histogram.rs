@@ -8,7 +8,8 @@
 //! bucket's inclusive upper bound — a ≤2× overestimate, the standard
 //! log-bucket trade), and "worst ever".
 //!
-//! Updates are plain `Relaxed` load/add/store pairs, not atomic RMWs:
+//! Updates are plain load/add/store pairs on
+//! [`veros_sync::RelaxedCounter`] cells, not read-modify-writes:
 //! under concurrent recording a tick can be lost, making histograms
 //! *statistically* faithful rather than exact. That is the deliberate
 //! half of the telemetry cost model (DESIGN.md §10): counters — which
@@ -18,7 +19,7 @@
 //! (the NR combiner records once per 64-op flush).
 
 #[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, Ordering};
+use veros_sync::RelaxedCounter;
 #[cfg(feature = "telemetry")]
 use std::time::Instant;
 
@@ -30,13 +31,13 @@ pub const BUCKETS: usize = 64;
 /// crates declare histograms as plain `static`s.
 pub struct Histogram {
     #[cfg(feature = "telemetry")]
-    buckets: [AtomicU64; BUCKETS],
+    buckets: [RelaxedCounter; BUCKETS],
     #[cfg(feature = "telemetry")]
-    count: AtomicU64,
+    count: RelaxedCounter,
     #[cfg(feature = "telemetry")]
-    sum: AtomicU64,
+    sum: RelaxedCounter,
     #[cfg(feature = "telemetry")]
-    max: AtomicU64,
+    max: RelaxedCounter,
 }
 
 /// Bucket index for a value: 0 for 0, else `floor(log2(v)) + 1`,
@@ -65,13 +66,13 @@ impl Histogram {
     pub const fn new() -> Self {
         Self {
             #[cfg(feature = "telemetry")]
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            buckets: [const { RelaxedCounter::new(0) }; BUCKETS],
             #[cfg(feature = "telemetry")]
-            count: AtomicU64::new(0),
+            count: RelaxedCounter::new(0),
             #[cfg(feature = "telemetry")]
-            sum: AtomicU64::new(0),
+            sum: RelaxedCounter::new(0),
             #[cfg(feature = "telemetry")]
-            max: AtomicU64::new(0),
+            max: RelaxedCounter::new(0),
         }
     }
 
@@ -80,21 +81,15 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         #[cfg(feature = "telemetry")]
         {
-            let bump = |cell: &AtomicU64, n: u64| {
-                // lint: allow(atomics-ordering) — statistical cells:
-                // racing bumps may drop increments by the module's
-                // documented exactness model; no payload rides on them.
-                cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+            // Racing bumps may drop a tick: the module's exactness model.
+            let bump = |cell: &RelaxedCounter, n: u64| {
+                cell.store(cell.load().wrapping_add(n));
             };
             bump(&self.buckets[bucket_index(v)], 1);
             bump(&self.count, 1);
             bump(&self.sum, v);
-            // lint: allow(atomics-ordering) — statistical max: a racing
-            // larger value may win or lose either way; ordering cannot
-            // change that.
-            if v > self.max.load(Ordering::Relaxed) {
-                // lint: allow(atomics-ordering) — same statistical max.
-                self.max.store(v, Ordering::Relaxed);
+            if v > self.max.load() {
+                self.max.store(v);
             }
         }
         #[cfg(not(feature = "telemetry"))]
@@ -120,9 +115,7 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — statistical read;
-            // see the module exactness model.
-            self.count.load(Ordering::Relaxed)
+            self.count.load()
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -134,9 +127,7 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — statistical read;
-            // see the module exactness model.
-            self.sum.load(Ordering::Relaxed)
+            self.sum.load()
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -148,9 +139,7 @@ impl Histogram {
     pub fn max(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — statistical read;
-            // see the module exactness model.
-            self.max.load(Ordering::Relaxed)
+            self.max.load()
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -166,9 +155,7 @@ impl Histogram {
                 .buckets
                 .iter()
                 .enumerate()
-                // lint: allow(atomics-ordering) — statistical bucket
-                // snapshot; see the module exactness model.
-                .map(|(i, b)| (i, b.load(Ordering::Relaxed)))
+                .map(|(i, b)| (i, b.load()))
                 .filter(|&(_, n)| n > 0)
                 .collect();
             let counts: Vec<u64> = {

@@ -3,8 +3,8 @@
 //! Three instruments, one registry:
 //!
 //! * [`Counter`] — an exact, monotonically increasing event count:
-//!   one `AtomicU64`, bumped by a relaxed `fetch_add`, so no update is
-//!   ever lost.
+//!   one `veros_sync::RelaxedCounter`, bumped by a `fetch_add`, so no
+//!   update is ever lost.
 //! * [`Histogram`] — a log2-bucketed value distribution with
 //!   `count`/`sum`/`max` and quantile estimates (p50/p95/p99). Updates
 //!   are plain relaxed load/store pairs: statistically faithful, not
@@ -13,13 +13,10 @@
 //! * [`TraceRing`] — a fixed-capacity lock-free ring of timestamped
 //!   `(code, value)` events for "what happened recently" forensics.
 //!
-//! Both [`TraceRing`] and the kernel's translation cache publish their
-//! slots through [`SeqSlot`], a seqlock whose fields only its own
-//! methods reach. NR's log and context cells, the uring rings and the
-//! translation cache's epoch publish through [`Published`], a `u64`
-//! word whose stores release and whose loads acquire, with no way to
-//! pick another ordering. Neither is an instrument, so both stay live
-//! with the feature off.
+//! Every atomic under these instruments is a `veros-sync` type: the
+//! counters and the trace ring's head are `RelaxedCounter`s, and each
+//! trace slot is a `SeqSlot`. This crate names no atomic and no
+//! `unsafe` of its own.
 //!
 //! A [`Registry`] collects references to the instruments each crate
 //! exports (every instrumented crate has a `metrics` module with a
@@ -38,21 +35,18 @@
 //! §10). [`enabled`] reports which world this build is.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod alerts;
 pub mod counter;
 pub mod histogram;
-pub mod publish;
 pub mod registry;
-pub mod seqlock;
 pub mod trace;
 
 pub use alerts::{default_rules, evaluate, Alert, Rule};
 pub use counter::Counter;
 pub use histogram::{Histogram, HistogramSnapshot, Timer};
-pub use publish::Published;
 pub use registry::{Registry, Snapshot};
-pub use seqlock::SeqSlot;
 pub use trace::{TraceEvent, TraceRing};
 
 /// True when this build carries live instruments (the `telemetry`

@@ -1,9 +1,9 @@
 //! A fixed-capacity lock-free ring of timestamped events.
 //!
 //! A [`TraceRing`] answers "what happened recently": writers take an
-//! index with one `fetch_add` on the head and publish
-//! `[index, ts_ns, code, value]` into that index's slot, a
-//! [`SeqSlot`]. Readers ([`TraceRing::events`]) walk the last
+//! index with one `fetch_add` on the head (a
+//! [`veros_sync::RelaxedCounter`]) and publish `[index, ts_ns, code,
+//! value]` into that index's slot, a [`veros_sync::SeqSlot`]. Readers ([`TraceRing::events`]) walk the last
 //! [`CAPACITY`] slots and keep a slot only when it reads stable and
 //! still holds the index they expect — a slot mid-overwrite by a
 //! lapping writer is skipped, never misreported. If two writers a full
@@ -25,14 +25,12 @@
 //! orderings within a snapshot are comparable.
 
 #[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
 use std::sync::OnceLock;
 #[cfg(feature = "telemetry")]
 use std::time::Instant;
 
 #[cfg(feature = "telemetry")]
-use crate::SeqSlot;
+use veros_sync::{RelaxedCounter, SeqSlot};
 
 /// Number of slots a ring retains (events beyond it are overwritten
 /// oldest-first).
@@ -64,7 +62,7 @@ pub struct TraceEvent {
 /// `static`s.
 pub struct TraceRing {
     #[cfg(feature = "telemetry")]
-    head: AtomicU64,
+    head: RelaxedCounter,
     #[cfg(feature = "telemetry")]
     slots: [SeqSlot<4>; CAPACITY],
 }
@@ -74,7 +72,7 @@ impl TraceRing {
     pub const fn new() -> Self {
         Self {
             #[cfg(feature = "telemetry")]
-            head: AtomicU64::new(0),
+            head: RelaxedCounter::new(0),
             #[cfg(feature = "telemetry")]
             slots: [const { SeqSlot::new() }; CAPACITY],
         }
@@ -87,10 +85,7 @@ impl TraceRing {
     pub fn record(&self, code: u64, value: u64) {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — the head only hands
-            // out positions; slot contents are published by the slot's
-            // own SeqCst stamp protocol, not by this counter.
-            let i = self.head.fetch_add(1, Ordering::Relaxed);
+            let i = self.head.fetch_add(1);
             // A lost claim (another writer holds the slot) forfeits.
             let slot = &self.slots[(i % CAPACITY as u64) as usize];
             slot.try_write([i, now_ns(), code, value]);
@@ -105,9 +100,7 @@ impl TraceRing {
     pub fn recorded(&self) -> u64 {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — monotonic counter read
-            // for reporting; no payload is acquired through it.
-            self.head.load(Ordering::Relaxed)
+            self.head.load()
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -122,12 +115,7 @@ impl TraceRing {
     pub fn events(&self) -> Vec<TraceEvent> {
         #[cfg(feature = "telemetry")]
         {
-            // lint: allow(atomics-ordering) — the head is only a
-            // position counter: every store to it is a Relaxed
-            // `fetch_add`, so an acquiring load here would synchronize
-            // with nothing. Slot consistency comes from each slot's
-            // stamp, not the head.
-            let head = self.head.load(Ordering::Relaxed);
+            let head = self.head.load();
             let start = head.saturating_sub(CAPACITY as u64);
             let mut out = Vec::new();
             for i in start..head {

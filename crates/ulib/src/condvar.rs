@@ -100,8 +100,8 @@ impl UCondvar {
 mod tests {
     use super::*;
     use crate::runtime::{Runtime, Step};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use veros_kernel::{Kernel, KernelConfig};
 
     /// A producer/consumer handshake: consumers wait on a condvar until
@@ -128,8 +128,8 @@ mod tests {
                 },
             )
             .unwrap();
-        let premature = Arc::new(AtomicU64::new(0));
-        let woken_ok = Arc::new(AtomicU64::new(0));
+        let premature = Rc::new(Cell::new(0));
+        let woken_ok = Rc::new(Cell::new(0));
 
         const MUTEX: u64 = 0x10_0000;
         const SEQ: u64 = 0x10_0004;
@@ -165,8 +165,8 @@ mod tests {
         );
 
         for _ in 0..3 {
-            let premature = Arc::clone(&premature);
-            let woken_ok = Arc::clone(&woken_ok);
+            let premature = Rc::clone(&premature);
+            let woken_ok = Rc::clone(&woken_ok);
             let mut lock = LockState::default();
             let mut wait_phase = WaitPhase::default();
             // Consumer states: acquiring the lock for the first check,
@@ -197,7 +197,7 @@ mod tests {
                     }
                     // Holding the mutex: check the predicate.
                     if ctx.read_u32(FLAG).unwrap() == 1 {
-                        woken_ok.fetch_add(1, Ordering::Relaxed);
+                        woken_ok.set(woken_ok.get() + 1);
                         mutex.unlock(ctx).unwrap();
                         return Step::Done(0);
                     }
@@ -205,7 +205,7 @@ mod tests {
                     // holding" before the producer ran — never after a
                     // completed wait round that the producer notified.
                     if ctx.read_u32(SEQ).unwrap() != 0 && !waiting {
-                        premature.fetch_add(1, Ordering::Relaxed);
+                        premature.set(premature.get() + 1);
                     }
                     // Predicate false: start waiting (releases the
                     // mutex in the Start step).
@@ -224,8 +224,8 @@ mod tests {
             .unwrap();
         }
         assert!(rt.run(100_000), "condvar handshake wedged");
-        assert_eq!(premature.load(Ordering::Relaxed), 0);
-        assert_eq!(woken_ok.load(Ordering::Relaxed), 3);
+        assert_eq!(premature.get(), 0);
+        assert_eq!(woken_ok.get(), 3);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   lives in the process's own mapped memory.
 //! * [`io`] — file I/O wrappers over the syscall ABI.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod condvar;
 pub mod io;

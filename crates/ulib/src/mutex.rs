@@ -128,8 +128,8 @@ impl UMutex {
 mod tests {
     use super::*;
     use crate::runtime::{Runtime, Step};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use veros_kernel::{Kernel, KernelConfig};
 
     /// N contender tasks each enter a critical section `rounds` times,
@@ -157,17 +157,17 @@ mod tests {
                 },
             )
             .unwrap();
-        let violations = Arc::new(AtomicU64::new(0));
-        let remaining = Arc::new(AtomicU64::new(contenders as u64));
-        let final_total = Arc::new(AtomicU64::new(0));
+        let violations = Rc::new(Cell::new(0));
+        let remaining = Rc::new(Cell::new(contenders as u64));
+        let final_total = Rc::new(Cell::new(0));
 
         // The init task just idles until the others finish.
         rt.attach(pid, tid, Box::new(move |_| Step::Done(0)));
 
         for _ in 0..contenders {
-            let violations = Arc::clone(&violations);
-            let remaining = Arc::clone(&remaining);
-            let final_total = Arc::clone(&final_total);
+            let violations = Rc::clone(&violations);
+            let remaining = Rc::clone(&remaining);
+            let final_total = Rc::clone(&final_total);
             let mutex = UMutex::at(0x10_0000);
             let mut done_rounds = 0u32;
             let mut lock_state = LockState::Fresh;
@@ -185,7 +185,7 @@ mod tests {
                                 let a = ctx.read_u64(0x10_0010).unwrap();
                                 let b = ctx.read_u64(0x10_0018).unwrap();
                                 if a != b {
-                                    violations.fetch_add(1, Ordering::Relaxed);
+                                    violations.set(violations.get() + 1);
                                 }
                                 ctx.write_u64(0x10_0010, a + 1).unwrap();
                                 phase = 1;
@@ -202,9 +202,10 @@ mod tests {
                             if done_rounds == rounds {
                                 // The last finisher snapshots the counter
                                 // before the process's memory is freed.
-                                if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+                                remaining.set(remaining.get() - 1);
+                                if remaining.get() == 0 {
                                     let total = ctx.read_u64(0x10_0010).unwrap();
-                                    final_total.store(total, Ordering::Relaxed);
+                                    final_total.set(total);
                                 }
                                 Step::Done(0)
                             } else {
@@ -219,10 +220,10 @@ mod tests {
             .unwrap();
         }
         assert!(rt.run(200_000), "tasks wedged (lost wakeup?)");
-        assert_eq!(violations.load(Ordering::Relaxed), 0, "mutual exclusion violated");
+        assert_eq!(violations.get(), 0, "mutual exclusion violated");
         // Both halves saw every increment.
         assert_eq!(
-            final_total.load(Ordering::Relaxed),
+            final_total.get(),
             contenders as u64 * rounds as u64
         );
     }

@@ -734,8 +734,8 @@ mod tests {
                 },
             )
             .unwrap();
-        let waiter_steps = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let ws = std::sync::Arc::clone(&waiter_steps);
+        let waiter_steps = std::rc::Rc::new(std::cell::Cell::new(0));
+        let ws = std::rc::Rc::clone(&waiter_steps);
         // Main: keep trying to wake exactly one waiter; done once it
         // actually woke somebody (which requires the waiter to have
         // blocked first).
@@ -761,7 +761,7 @@ mod tests {
             (pid, tid),
             None,
             Box::new(move |ctx| {
-                ws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                ws.set(ws.get() + 1);
                 if !waited {
                     waited = true;
                     // Word is 0; this blocks the thread.
@@ -780,7 +780,7 @@ mod tests {
         assert!(rt.run(500));
         // The waiter stepped exactly twice: once to block, once after
         // the wake — while blocked it was never stepped.
-        assert_eq!(waiter_steps.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(waiter_steps.get(), 2);
         assert_eq!(rt.exit_code(tid), Some(0));
     }
 
@@ -1104,8 +1104,8 @@ mod tests {
     /// moves it.
     #[test]
     fn one_ring_pump_runs_a_pinned_number_of_passes() {
-        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-        use std::sync::Arc;
+        use std::cell::Cell;
+        use std::rc::Rc;
 
         // Every pump runs one pass per round of work plus the idle pass
         // it stops on; for this workload that totals exactly 29.
@@ -1118,23 +1118,23 @@ mod tests {
             .unwrap();
         let child = Pid(rt.kernel.syscall((pid, tid), Syscall::Spawn).unwrap());
         let child_tid = rt.kernel.processes().get(child).unwrap().threads[0];
-        let parent_waited = Arc::new(AtomicBool::new(false));
-        let wait_calls = Arc::new(AtomicU32::new(0));
+        let parent_waited = Rc::new(Cell::new(false));
+        let wait_calls = Rc::new(Cell::new(0));
 
         // The child runs until the parent's first wait has parked.
-        let waited = Arc::clone(&parent_waited);
+        let waited = Rc::clone(&parent_waited);
         rt.attach(
             child,
             child_tid,
             Box::new(move |ctx| {
-                if !waited.load(Ordering::Relaxed) {
+                if !waited.get() {
                     return Step::Yield;
                 }
                 ctx.sys(Syscall::Exit { code: 5 }).unwrap();
                 Step::Done(0)
             }),
         );
-        let (waited, calls) = (Arc::clone(&parent_waited), Arc::clone(&wait_calls));
+        let (waited, calls) = (Rc::clone(&parent_waited), Rc::clone(&wait_calls));
         let mut phase = 0;
         rt.attach(
             pid,
@@ -1152,11 +1152,11 @@ mod tests {
                     Step::Yield
                 }
                 _ => {
-                    calls.fetch_add(1, Ordering::Relaxed);
+                    calls.set(calls.get() + 1);
                     match ctx.sys(Syscall::Wait { pid: child.0 }) {
                         Ok(code) => Step::Done(code as i32),
                         Err(SysError::StillRunning) => {
-                            waited.store(true, Ordering::Relaxed);
+                            waited.set(true);
                             Step::Yield
                         }
                         Err(e) => panic!("unexpected wait error {e:?}"),
@@ -1177,7 +1177,7 @@ mod tests {
         .unwrap();
         assert!(rt.run(500));
         assert_eq!(rt.exit_code(tid), Some(5), "parent reaped the child's code");
-        assert_eq!(wait_calls.load(Ordering::Relaxed), 2, "the child wait was retried once");
+        assert_eq!(wait_calls.get(), 2, "the child wait was retried once");
         assert_eq!(rt.ring.as_ref().unwrap().sweeps(), PINNED_PASSES);
     }
 }

@@ -68,8 +68,8 @@ impl USemaphore {
 mod tests {
     use super::*;
     use crate::runtime::{Runtime, Step};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use veros_kernel::{Kernel, KernelConfig, Syscall as K};
 
     /// A semaphore initialized to `permits` gates `workers` tasks; at
@@ -100,11 +100,11 @@ mod tests {
             .unwrap();
         rt.attach(pid, tid, Box::new(|_| Step::Done(0)));
 
-        let inside = Arc::new(AtomicU64::new(0));
-        let max_inside = Arc::new(AtomicU64::new(0));
+        let inside = Rc::new(Cell::new(0));
+        let max_inside = Rc::new(Cell::new(0));
         for _ in 0..5 {
-            let inside = Arc::clone(&inside);
-            let max_inside = Arc::clone(&max_inside);
+            let inside = Rc::clone(&inside);
+            let max_inside = Rc::clone(&max_inside);
             let sem = USemaphore::at(0x10_0000);
             let mut phase = 0u8;
             let mut dwell = 0u8;
@@ -114,8 +114,8 @@ mod tests {
                 Box::new(move |ctx| match phase {
                     0 => match sem.wait_attempt(ctx).unwrap() {
                         SemAttempt::Acquired => {
-                            let now = inside.fetch_add(1, Ordering::Relaxed) + 1;
-                            max_inside.fetch_max(now, Ordering::Relaxed);
+                            inside.set(inside.get() + 1);
+                            max_inside.set(max_inside.get().max(inside.get()));
                             phase = 1;
                             Step::Yield
                         }
@@ -125,7 +125,7 @@ mod tests {
                         // Dwell inside for a few quanta.
                         dwell += 1;
                         if dwell >= 3 {
-                            inside.fetch_sub(1, Ordering::Relaxed);
+                            inside.set(inside.get() - 1);
                             sem.post(ctx).unwrap();
                             Step::Done(0)
                         } else {
@@ -139,7 +139,7 @@ mod tests {
         }
         assert!(rt.run(50_000), "semaphore wedged");
         assert!(
-            max_inside.load(Ordering::Relaxed) <= 2,
+            max_inside.get() <= 2,
             "more tasks inside than permits"
         );
     }

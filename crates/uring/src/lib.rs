@@ -17,9 +17,9 @@
 //!   the order the engine performed the dispatches, witnessed by its
 //!   dispatch log and checked by `veros-core`'s linearization VCs
 //!   against a synchronous twin execution ([`twin::SyncTwin`]).
-//! * The queues themselves ([`spsc`]) carry exactly-once delivery
-//!   obligations: no entry is lost or duplicated across wraparound,
-//!   full, or empty boundaries.
+//! * The queues themselves (`veros_sync::spsc` rings) carry
+//!   exactly-once delivery obligations: no entry is lost or duplicated
+//!   across wraparound, full, or empty boundaries.
 //!
 //! Blocking operations (futex wait, wait on a running child) complete
 //! *out of order* through a pending table so one stuck entry never
@@ -36,11 +36,12 @@
 //! submission queue and reaps woken blocked entries, and a drain loop
 //! repeats passes until one finds nothing to do.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod entry;
 pub mod metrics;
 pub mod ring;
-pub mod spsc;
 pub mod twin;
 
 pub use engine::{DispatchRecord, Engine, MAX_CHAIN};

@@ -13,7 +13,7 @@ use veros_kernel::syscall::Syscall;
 
 use crate::entry::{Cqe, CqeBytes, Sqe, SqeBytes, SqeFlags};
 use crate::metrics;
-use crate::spsc::{self, Consumer, Full, Producer};
+use veros_sync::spsc::{self, Consumer, Full, Producer};
 
 /// The user side: SQ producer + CQ consumer.
 pub struct UserRing {

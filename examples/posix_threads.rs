@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run --example posix_threads`
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use veros::kernel::{Kernel, KernelConfig, Syscall};
 use veros::ulib::{LockAttempt, LockState, Runtime, Step, UMutex};
@@ -38,18 +38,18 @@ fn main() {
         )
         .expect("map");
 
-    let finals = Arc::new(AtomicU64::new(0));
+    let finals = Rc::new(Cell::new(0));
     // Init idles; workers do the work.
     rt.attach(pid, tid, Box::new(|_| Step::Done(0)));
 
-    let remaining = Arc::new(AtomicU64::new(WORKERS as u64));
+    let remaining = Rc::new(Cell::new(WORKERS as u64));
     for w in 0..WORKERS {
         let mutex = UMutex::at(MUTEX);
         let mut lock_state = LockState::default();
         let mut rounds = 0u32;
         let mut in_cs = false;
-        let finals = Arc::clone(&finals);
-        let remaining = Arc::clone(&remaining);
+        let finals = Rc::clone(&finals);
+        let remaining = Rc::clone(&remaining);
         rt.spawn_task(
             (pid, tid),
             Some(w % 2), // Pin alternately to the two cores.
@@ -68,8 +68,9 @@ fn main() {
                 in_cs = false;
                 rounds += 1;
                 if rounds == ROUNDS {
-                    if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
-                        finals.store(ctx.read_u64(COUNTER).expect("load"), Ordering::Relaxed);
+                    remaining.set(remaining.get() - 1);
+                    if remaining.get() == 0 {
+                        finals.set(ctx.read_u64(COUNTER).expect("load"));
                     }
                     Step::Done(0)
                 } else {
@@ -81,7 +82,7 @@ fn main() {
     }
 
     assert!(rt.run(2_000_000), "threads wedged");
-    let total = finals.load(Ordering::Relaxed);
+    let total = finals.get();
     println!(
         "{WORKERS} threads x {ROUNDS} increments under the futex mutex = {total}"
     );

@@ -2,7 +2,8 @@
 //! under real threads, the user-space synchronization stack over the
 //! kernel futex, and the replicated address space the benchmarks use.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use veros::kernel::vspace::{PtKind, VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
@@ -19,21 +20,21 @@ fn replicated_vspace_under_concurrent_threads() {
     for t in 0..4usize {
         let nr = Arc::clone(&nr);
         handles.push(std::thread::spawn(move || {
-            let tkn = nr.register(t % 2).expect("slot");
+            let mut tkn = nr.register(t % 2).expect("slot");
             let base = 0x1_0000_0000u64 + t as u64 * 0x100_0000;
             for i in 0..50u64 {
                 let va = base + i * 4096;
                 let pa = nr
-                    .execute_mut(VSpaceWriteOp::MapNew { va }, tkn)
+                    .execute_mut(VSpaceWriteOp::MapNew { va }, &mut tkn)
                     .expect("map");
                 // Linearizable read-back through the replica.
                 let got = nr
-                    .execute(VSpaceReadOp::Resolve { va }, tkn)
+                    .execute(VSpaceReadOp::Resolve { va }, &mut tkn)
                     .expect("resolve");
                 assert_eq!(pa, got, "replicas must agree byte-for-byte");
             }
             for i in 0..50u64 {
-                nr.execute_mut(VSpaceWriteOp::Unmap { va: base + i * 4096 }, tkn)
+                nr.execute_mut(VSpaceWriteOp::Unmap { va: base + i * 4096 }, &mut tkn)
                     .expect("unmap");
             }
         }));
@@ -41,8 +42,8 @@ fn replicated_vspace_under_concurrent_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    let t = nr.register(0).expect("spare");
-    assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, t), Ok(0));
+    let mut t = nr.register(0).expect("spare");
+    assert_eq!(nr.execute(VSpaceReadOp::MappedBytes, &mut t), Ok(0));
 }
 
 #[test]
@@ -101,18 +102,18 @@ fn mutex_and_semaphore_compose_over_the_kernel() {
         .unwrap();
     }
 
-    let consumed = Arc::new(AtomicU64::new(0));
-    let consumed2 = Arc::clone(&consumed);
+    let consumed = Rc::new(Cell::new(0));
+    let consumed2 = Rc::clone(&consumed);
     rt.spawn_task(
         (pid, tid),
         None,
         Box::new(move |ctx| {
-            if consumed2.load(Ordering::Relaxed) == 2 * PER_PRODUCER as u64 {
+            if consumed2.get() == 2 * PER_PRODUCER as u64 {
                 return Step::Done(0);
             }
             match USemaphore::at(ITEMS).wait_attempt(ctx).unwrap() {
                 veros::ulib::semaphore::SemAttempt::Acquired => {
-                    consumed2.fetch_add(1, Ordering::Relaxed);
+                    consumed2.set(consumed2.get() + 1);
                     Step::Yield
                 }
                 _ => Step::Yield,
@@ -122,7 +123,7 @@ fn mutex_and_semaphore_compose_over_the_kernel() {
     .unwrap();
 
     assert!(rt.run(500_000), "producer/consumer wedged");
-    assert_eq!(consumed.load(Ordering::Relaxed), 2 * PER_PRODUCER as u64);
+    assert_eq!(consumed.get(), 2 * PER_PRODUCER as u64);
 }
 
 #[test]
@@ -168,16 +169,16 @@ fn nr_history_is_linearizable_under_threads() {
         let nr = Arc::clone(&nr);
         let rec = Arc::clone(&rec);
         handles.push(std::thread::spawn(move || {
-            let tkn = nr.register(t % 2).expect("slot");
+            let mut tkn = nr.register(t % 2).expect("slot");
             for i in 0..6u64 {
                 if (t + i as usize).is_multiple_of(2) {
                     let v = t as u64 * 100 + i;
                     rec.invoke(t, (true, v));
-                    let r = nr.execute_mut(v, tkn);
+                    let r = nr.execute_mut(v, &mut tkn);
                     rec.response(t, r);
                 } else {
                     rec.invoke(t, (false, 0));
-                    let r = nr.execute((), tkn);
+                    let r = nr.execute((), &mut tkn);
                     rec.response(t, r);
                 }
             }

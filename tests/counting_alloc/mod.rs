@@ -5,15 +5,15 @@
 //! allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use veros::sync::RelaxedCounter;
 
 /// Counts every allocation and the bytes it requested (a growing `Vec`
 /// counts one more block and its new size in full: `realloc` defaults
 /// to `alloc` + copy).
 struct Counting;
 
-static BLOCKS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+static BLOCKS: RelaxedCounter = RelaxedCounter::new(0);
+static BYTES: RelaxedCounter = RelaxedCounter::new(0);
 
 // SAFETY: defers to `System` unchanged; the counters are relaxed
 // statistics that publish nothing.
@@ -21,8 +21,8 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: a `GlobalAlloc` method — the caller upholds the trait's
     // contract for `layout`, which reaches `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        BLOCKS.fetch_add(1);
+        BYTES.fetch_add(layout.size() as u64);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -47,10 +47,10 @@ pub struct Allocated {
 
 /// What was allocated while `f` ran.
 pub fn allocated_by(f: impl FnOnce()) -> Allocated {
-    let (blocks, bytes) = (BLOCKS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let (blocks, bytes) = (BLOCKS.load(), BYTES.load());
     f();
     Allocated {
-        blocks: BLOCKS.load(Ordering::Relaxed) - blocks,
-        bytes: BYTES.load(Ordering::Relaxed) - bytes,
+        blocks: BLOCKS.load() - blocks,
+        bytes: BYTES.load() - bytes,
     }
 }
