@@ -27,15 +27,18 @@
 //! otherwise idle client still owes because its last acknowledgement
 //! was lost.
 //!
-//! `clients` is a public field and harnesses call
-//! `fleet.clients[c].submit(..)` directly, so the fleet cannot be told
-//! when a client gains work; it asks each client `quiet()` every tick
-//! instead. That scan is the one remaining O(clients) term of a tick
-//! (a few µs at a thousand clients); there is no timer heap because
-//! nothing measured yet asks for one. A harness that steps `net` itself
-//! owns the whole tick and must poll whom it woke, as
-//! `tests/common::step_all` (the poll-everything stepper this one
-//! replaced, kept as the test oracle) and the `e2e` bench do.
+//! A quiet client stays quiet until it is polled, a frame reaches it,
+//! or a harness changes it (`fleet.clients[c].submit(..)`). The fleet
+//! sees all three: `clients` is a [`Clients`], which hands out a
+//! `&mut FleetClient` only through `clients[c]` and marks `c` busy when
+//! it does, and the step keeps every client it polled that is still not
+//! quiet. So every client outside the busy set is quiet, and a tick
+//! visits the merge of the woken client hosts and the busy set, in
+//! ascending order, instead of asking every client: O(woken + busy),
+//! not O(clients). A harness that steps `net` itself owns the whole
+//! tick and must poll whom it woke, as `tests/common::step_all` (the
+//! poll-everything stepper this one replaced, kept as the test oracle)
+//! and the `e2e` bench do.
 //!
 //! [`Fleet::pair`] is the smallest replicated deployment — two nodes,
 //! one shard, one 2-way chain — so every write goes head → tail and
@@ -44,7 +47,7 @@
 
 use veros_blockstore::BlockStore;
 use veros_net::ip::IpAddr;
-use veros_net::sim::{FaultPlan, Network};
+use veros_net::sim::{FaultPlan, HostSet, Network};
 
 use crate::client::{FleetClient, Op, OpResult};
 use crate::node::{FleetNode, COORD_PORT, NODE_CTRL};
@@ -99,7 +102,7 @@ pub struct Fleet {
     /// The membership coordinator (host `nodes.len()`).
     pub coordinator: Coordinator,
     /// Clients, index `c` = host `nodes.len() + 1 + c`.
-    pub clients: Vec<FleetClient>,
+    pub clients: Clients,
     /// The shard map every participant routes by.
     pub map: ShardMap,
     alive: Vec<bool>,
@@ -107,6 +110,88 @@ pub struct Fleet {
     /// Death ticks not yet matched with a completed client operation —
     /// the `cluster.failover.time` samples in flight.
     pending_failovers: Vec<u64>,
+}
+
+/// The fleet's clients: a slice to read, and `clients[c]` to change
+/// client `c`.
+///
+/// Every `&mut FleetClient` it hands out marks its client busy, so
+/// [`Fleet::step`] learns who may have gained work without asking each
+/// client (see the module doc). The invariant it keeps with the step:
+/// **every client outside the busy set is quiet**, and so idle. Reads go
+/// through `Deref` to `[FleetClient]`; there is no `DerefMut` and no
+/// `iter_mut`, so the mark cannot be bypassed:
+///
+/// ```compile_fail
+/// # let mut fleet = veros_cluster::Fleet::pair(veros_net::sim::FaultPlan::reliable(), 1);
+/// let every: &mut [veros_cluster::FleetClient] = &mut fleet.clients[..];
+/// ```
+///
+/// ```compile_fail
+/// # let mut fleet = veros_cluster::Fleet::pair(veros_net::sim::FaultPlan::reliable(), 1);
+/// for client in fleet.clients.iter_mut() {}
+/// ```
+///
+/// Both compile on the plain `Vec` this type replaced:
+///
+/// ```
+/// # let mut fleet = veros_cluster::Fleet::pair(veros_net::sim::FaultPlan::reliable(), 1);
+/// let mut clients: Vec<veros_cluster::FleetClient> = Vec::new();
+/// let every: &mut [veros_cluster::FleetClient] = &mut clients[..];
+/// for client in clients.iter_mut() {}
+/// // Reads and `clients[c]` work as they did.
+/// let done = fleet.clients.iter().map(|c| c.results.len()).sum::<usize>();
+/// fleet.clients[0].submit(0, veros_cluster::Op::Get { key: "k".into() });
+/// # assert_eq!(done, 0);
+/// ```
+pub struct Clients {
+    all: Vec<FleetClient>,
+    /// Clients that may not be quiet: each one `clients[c]` handed out
+    /// mutably, and each one the last step left not quiet.
+    busy: HostSet,
+    /// The step's scratch: the busy set it builds for the next tick.
+    next: HostSet,
+}
+
+impl Clients {
+    fn new(all: Vec<FleetClient>) -> Self {
+        Self {
+            busy: HostSet::new(all.len()),
+            next: HostSet::new(all.len()),
+            all,
+        }
+    }
+
+    /// Whether every client is idle: those outside the busy set are
+    /// quiet, so only its members need asking.
+    fn all_idle(&self) -> bool {
+        self.busy.list().iter().all(|&c| self.all[c].idle())
+    }
+}
+
+impl std::ops::Deref for Clients {
+    type Target = [FleetClient];
+
+    fn deref(&self) -> &[FleetClient] {
+        &self.all
+    }
+}
+
+impl<I: std::slice::SliceIndex<[FleetClient]>> std::ops::Index<I> for Clients {
+    type Output = I::Output;
+
+    fn index(&self, i: I) -> &I::Output {
+        &self.all[i]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Clients {
+    /// Client `c`, marked busy: whatever the caller does to it, the next
+    /// [`Fleet::step`] visits it.
+    fn index_mut(&mut self, c: usize) -> &mut FleetClient {
+        self.busy.insert(c);
+        &mut self.all[c]
+    }
 }
 
 impl Fleet {
@@ -127,12 +212,14 @@ impl Fleet {
         let csock = net.host(n as usize).bind(COORD_PORT).expect("coord port");
         let targets = (0..n).map(|i| (IpAddr::host(i), NODE_CTRL)).collect();
         let coordinator = Coordinator::new(csock, n, targets);
-        let clients = (0..cfg.clients)
-            .map(|c| {
-                let host = n + 1 + c;
-                FleetClient::new(host, map.clone(), net.host(host as usize))
-            })
-            .collect();
+        let clients = Clients::new(
+            (0..cfg.clients)
+                .map(|c| {
+                    let host = n + 1 + c;
+                    FleetClient::new(host, map.clone(), net.host(host as usize))
+                })
+                .collect(),
+        );
         Self {
             net,
             nodes,
@@ -189,18 +276,30 @@ impl Fleet {
                 self.nodes[i].poll(self.net.host(i), self.now);
             }
         }
-        // `woken` is ascending and so is `host`: one cursor walks it.
-        let mut w = 0;
-        for c in 0..self.clients.len() {
-            let host = n + 1 + c;
-            let woken = self.net.woken();
-            while w < woken.len() && woken[w] < host {
-                w += 1;
+        // Both lists are ascending: one cursor walks each. Hosts `0..=n`
+        // are the nodes and the coordinator.
+        let Clients { all, busy, next } = &mut self.clients;
+        busy.sort();
+        let mut w = self.net.woken().partition_point(|&host| host <= n);
+        let mut b = 0;
+        loop {
+            let woken = self.net.woken().get(w).map(|&host| host - n - 1);
+            let marked = busy.list().get(b).copied();
+            let Some(c) = woken.into_iter().chain(marked).min() else {
+                break;
+            };
+            w += usize::from(woken == Some(c));
+            b += usize::from(marked == Some(c));
+            let client = &mut all[c];
+            if woken == Some(c) || !client.quiet() {
+                client.poll(self.net.host(n + 1 + c), self.now);
             }
-            if woken.get(w) == Some(&host) || !self.clients[c].quiet() {
-                self.clients[c].poll(self.net.host(host), self.now);
+            if !client.quiet() {
+                next.insert(c);
             }
         }
+        busy.clear();
+        std::mem::swap(busy, next);
         self.now += 1;
     }
 
@@ -236,12 +335,12 @@ impl Fleet {
     /// first.
     pub fn run_until_idle(&mut self, budget: u64) -> bool {
         for _ in 0..budget {
-            if self.clients.iter().all(FleetClient::idle) {
+            if self.clients.all_idle() {
                 return true;
             }
             self.step();
         }
-        self.clients.iter().all(FleetClient::idle)
+        self.clients.all_idle()
     }
 
     /// The chain currently serving `key` under the coordinator's view.
@@ -281,6 +380,28 @@ mod tests {
             .expect("delete completes");
         assert!(matches!(r.resp, Response::DeleteOk { .. }), "{:?}", r.resp);
         let r = f.run_op(0, get("obj-3"), OP_BUDGET).expect("get completes");
+        assert!(matches!(r.resp, Response::NotFound { .. }), "{:?}", r.resp);
+    }
+
+    /// Nobody is asked `quiet()` on a quiet fleet, so the op a harness
+    /// hands a client must reach the step through the mark `clients[c]`
+    /// leaves: the very next step issues it.
+    #[test]
+    fn an_op_submitted_on_a_quiet_thousand_client_fleet_is_issued_next_step() {
+        let mut f = Fleet::new(FleetConfig { clients: 1000, ..FleetConfig::default() });
+        f.run(8);
+        assert!(f.clients.iter().all(FleetClient::quiet));
+        assert!(f.clients.busy.list().is_empty());
+        let now = f.now();
+        f.clients[777].submit(now, get("k"));
+        f.step();
+        assert_eq!(f.clients[777].backlog(), 0, "the op was taken off the queue");
+        assert!(!f.clients[777].idle(), "the op is in flight");
+        assert_eq!(f.clients.busy.list(), [777], "only the busy client is kept");
+        assert!(f.run_until_idle(OP_BUDGET));
+        let [r] = &f.clients[777].results[..] else {
+            panic!("{} results", f.clients[777].results.len());
+        };
         assert!(matches!(r.resp, Response::NotFound { .. }), "{:?}", r.resp);
     }
 

@@ -23,6 +23,8 @@ const LOSSY: FaultPlan = FaultPlan {
 };
 
 const CLIENTS: u16 = 64;
+/// The client count of the `e2e` bench's `fleet_read_mostly`.
+const BENCH_CLIENTS: u16 = 1000;
 const OPS: usize = 400;
 const KILL_AT: u64 = 300;
 /// Ticks run after the last arrival: enough for an `OP_TIMEOUT` and the
@@ -79,15 +81,15 @@ impl Outcome {
     }
 }
 
-fn config(plan: FaultPlan, seed: u64) -> (FleetConfig, Vec<Arrival>) {
+fn config(plan: FaultPlan, seed: u64, clients: u16) -> (FleetConfig, Vec<Arrival>) {
     let fleet = FleetConfig {
-        clients: CLIENTS,
+        clients,
         plan,
         seed,
         ..FleetConfig::default()
     };
     let load = WorkloadConfig {
-        client_hosts: CLIENTS,
+        client_hosts: clients,
         keyspace: 48,
         read_milli: 500,
         delete_milli: 50,
@@ -99,8 +101,8 @@ fn config(plan: FaultPlan, seed: u64) -> (FleetConfig, Vec<Arrival>) {
     (fleet, schedule(&load))
 }
 
-fn run(plan: FaultPlan, seed: u64, kill: Kill, stepper: Stepper) -> Outcome {
-    let (cfg, arrivals) = config(plan, seed);
+fn run(plan: FaultPlan, seed: u64, kill: Kill, stepper: Stepper, clients: u16) -> Outcome {
+    let (cfg, arrivals) = config(plan, seed, clients);
     let mut fleet = Fleet::new(cfg);
     let mut alive = vec![true; cfg.nodes as usize];
     let end = arrivals.last().expect("non-empty schedule").tick + DRAIN;
@@ -183,16 +185,33 @@ fn fleet_step_is_indistinguishable_from_polling_everyone() {
     for (name, plan) in plans() {
         for kill in [Kill::None, Kill::Head, Kill::Tail] {
             for seed in 0..8u64 {
-                let oracle = run(plan, seed, kill, Stepper::All);
+                let oracle = run(plan, seed, kill, Stepper::All, CLIENTS);
                 let done: usize = oracle.results.iter().map(Vec::len).sum();
                 assert!(
                     done > OPS / 2,
                     "{name} {kill:?} seed {seed}: only {done} ops finished"
                 );
-                run(plan, seed, kill, Stepper::Fleet)
+                run(plan, seed, kill, Stepper::Fleet, CLIENTS)
                     .assert_is(&oracle, &format!("{name} {kill:?} seed {seed}"));
             }
         }
+    }
+}
+
+/// The busy set at the bench's client count: the same ops spread over a
+/// thousand clients leave almost all of them quiet on any tick, so
+/// nearly every poll `Fleet::step` makes is one the busy set or a wake
+/// asked for.
+#[test]
+fn fleet_step_is_indistinguishable_from_polling_everyone_at_a_thousand_clients() {
+    for kill in [Kill::None, Kill::Head] {
+        let oracle = run(LOSSY, 3, kill, Stepper::All, BENCH_CLIENTS);
+        let done: usize = oracle.results.iter().map(Vec::len).sum();
+        assert!(done > OPS / 2, "{kill:?}: only {done} ops finished");
+        run(LOSSY, 3, kill, Stepper::Fleet, BENCH_CLIENTS).assert_is(
+            &oracle,
+            &format!("lossy {kill:?} at {BENCH_CLIENTS} clients"),
+        );
     }
 }
 
@@ -201,8 +220,8 @@ fn fleet_step_is_indistinguishable_from_polling_everyone() {
 fn seeds_that_differ(rule: fn(&FleetClient, bool) -> bool) -> usize {
     (0..8u64)
         .filter(|&seed| {
-            run(LOSSY, seed, Kill::None, Stepper::Where(rule))
-                != run(LOSSY, seed, Kill::None, Stepper::All)
+            run(LOSSY, seed, Kill::None, Stepper::Where(rule), CLIENTS)
+                != run(LOSSY, seed, Kill::None, Stepper::All, CLIENTS)
         })
         .count()
 }

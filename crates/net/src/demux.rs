@@ -10,6 +10,13 @@
 //! go-back-N spec — per-peer streams stay prefix-ordered and exactly-
 //! once — while the drain cost is O(datagrams), not O(peers).
 //!
+//! A session holds no buffer while it is idle. Every in-order message
+//! goes straight into the demux's one delivery queue, which
+//! [`RdtDemux::recv`] pops, and a send whose window has room goes
+//! straight onto the wire, the oldest message in flight held inline; a
+//! session allocates only for a second message in flight, and queues a
+//! send only while its window is full.
+//!
 //! The clock tick is O(sessions with data in flight), not O(peers)
 //! either: every send goes through [`RdtDemux::send`], which files the
 //! session in an ascending index list that [`RdtDemux::on_tick`] walks
@@ -36,9 +43,10 @@ pub struct RdtDemux {
     sessions: Vec<(Peer, RdtEndpoint)>,
     /// Peer → index into `sessions`.
     index: HashMap<Peer, usize>,
-    /// Session indices with undelivered in-order messages, one entry
-    /// per delivered message, so `recv` never scans the session table.
-    ready: VecDeque<usize>,
+    /// Delivered in-order messages from every session, in delivery
+    /// order: the demux's one delivery queue, so `recv` never scans the
+    /// session table and a session holds no delivery buffer of its own.
+    ready: VecDeque<(Peer, Vec<u8>)>,
     /// Session indices that may have data in flight, ascending: every
     /// session not fully acked is here (entered by `send`, pruned by
     /// `on_tick` once acked).
@@ -104,9 +112,10 @@ impl RdtDemux {
     pub fn poll(&mut self, stack: &mut NetStack, now: u64) -> Result<usize, SocketError> {
         let mut delivered = 0;
         while let Some((src, sport, data)) = stack.recv_from(self.sock)? {
-            let i = self.index_of((src, sport));
-            if self.sessions[i].1.on_datagram(stack, now, data)? {
-                self.ready.push_back(i);
+            let peer = (src, sport);
+            let i = self.index_of(peer);
+            if let Some(message) = self.sessions[i].1.on_datagram(stack, now, data)? {
+                self.ready.push_back((peer, message));
                 delivered += 1;
             }
         }
@@ -128,12 +137,7 @@ impl RdtDemux {
     /// Takes the next delivered in-order message from any peer, in
     /// delivery order across the whole demux.
     pub fn recv(&mut self) -> Option<(Peer, Vec<u8>)> {
-        while let Some(i) = self.ready.pop_front() {
-            if let Some(m) = self.sessions[i].1.recv() {
-                return Some((self.sessions[i].0, m));
-            }
-        }
-        None
+        self.ready.pop_front()
     }
 }
 

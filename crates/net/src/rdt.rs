@@ -17,7 +17,15 @@
 //! (`type u8 | seq u64`) into the one buffer [`NetStack::send_to`]
 //! allocates, an ACK from a stack array, and on receipt the buffer the
 //! NIC received is the one [`RdtEndpoint::recv`] returns, with the
-//! network and rdt headers stripped in place.
+//! network and rdt headers stripped in place. [`RdtEndpoint::poll`]
+//! queues delivered messages in the endpoint; a demux session hands each
+//! to [`crate::demux::RdtDemux`]'s one delivery queue instead.
+//!
+//! An idle endpoint holds no buffer beyond what it once needed: a send
+//! goes straight into the window when the window has room (the backlog
+//! fills only while it is full), and the oldest message in flight is
+//! held inline, so one that never had two in flight at once has
+//! allocated nothing of its own.
 
 use std::collections::VecDeque;
 
@@ -45,17 +53,59 @@ pub struct RdtEndpoint {
     // Sender state.
     send_base: u64,
     next_seq: u64,
-    /// Unsent backlog (window full).
+    /// Unsent backlog: filled only while the window is full.
     backlog: VecDeque<Vec<u8>>,
-    /// In-flight: (seq, payload), `send_base..next_seq`.
-    unacked: VecDeque<(u64, Vec<u8>)>,
+    /// In flight: `send_base..next_seq`.
+    unacked: Window,
     timer_deadline: Option<u64>,
-    timeout: u64,
     // Receiver state.
     expected: u64,
+    /// In-order messages for [`RdtEndpoint::recv`]; only
+    /// [`RdtEndpoint::poll`] fills it.
     delivered: VecDeque<Vec<u8>>,
     // Counters.
     retransmissions: u64,
+}
+
+/// The go-back-N send window: `(seq, payload)` pairs, oldest first. The
+/// oldest lives inline and only the ones behind it on the heap, so a
+/// session that never had two messages in flight at once — a fleet
+/// client's, and a node's session serving one — holds no window buffer.
+#[derive(Default)]
+struct Window {
+    /// `None` only when the window is empty.
+    oldest: Option<(u64, Vec<u8>)>,
+    rest: VecDeque<(u64, Vec<u8>)>,
+}
+
+impl Window {
+    fn len(&self) -> usize {
+        usize::from(self.oldest.is_some()) + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.oldest.is_none()
+    }
+
+    fn front(&self) -> Option<&(u64, Vec<u8>)> {
+        self.oldest.as_ref()
+    }
+
+    fn push_back(&mut self, entry: (u64, Vec<u8>)) {
+        if self.oldest.is_none() {
+            self.oldest = Some(entry);
+        } else {
+            self.rest.push_back(entry);
+        }
+    }
+
+    fn pop_front(&mut self) {
+        self.oldest = self.rest.pop_front();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(u64, Vec<u8>)> {
+        self.oldest.iter().chain(&self.rest)
+    }
 }
 
 /// Sends one DATA message. Borrows the socket and peer rather than the
@@ -79,9 +129,8 @@ impl RdtEndpoint {
             send_base: 0,
             next_seq: 0,
             backlog: VecDeque::new(),
-            unacked: VecDeque::new(),
+            unacked: Window::default(),
             timer_deadline: None,
-            timeout: DEFAULT_TIMEOUT,
             expected: 0,
             delivered: VecDeque::new(),
             retransmissions: 0,
@@ -99,15 +148,38 @@ impl RdtEndpoint {
     }
 
     /// Accepts a message for reliable delivery; transmits immediately if
-    /// the window allows, otherwise queues it.
+    /// the window allows, otherwise queues it. A message that goes
+    /// straight out never touches the backlog, so a session whose window
+    /// never filled holds no backlog buffer.
     pub fn send(
         &mut self,
         stack: &mut NetStack,
         now: u64,
         payload: Vec<u8>,
     ) -> Result<(), SocketError> {
+        if self.backlog.is_empty() && self.unacked.len() < DEFAULT_WINDOW {
+            return self.transmit_next(stack, now, payload);
+        }
         self.backlog.push_back(payload);
         self.pump(stack, now)
+    }
+
+    /// Transmits `payload` under the next sequence number and holds it
+    /// in the window until acknowledged.
+    fn transmit_next(
+        &mut self,
+        stack: &mut NetStack,
+        now: u64,
+        payload: Vec<u8>,
+    ) -> Result<(), SocketError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        transmit_data(stack, self.sock, self.peer, seq, &payload)?;
+        self.unacked.push_back((seq, payload));
+        if self.timer_deadline.is_none() {
+            self.timer_deadline = Some(now + DEFAULT_TIMEOUT);
+        }
+        Ok(())
     }
 
     /// Moves backlog into the window.
@@ -116,13 +188,7 @@ impl RdtEndpoint {
             let Some(payload) = self.backlog.pop_front() else {
                 break;
             };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            transmit_data(stack, self.sock, self.peer, seq, &payload)?;
-            self.unacked.push_back((seq, payload));
-            if self.timer_deadline.is_none() {
-                self.timer_deadline = Some(now + self.timeout);
-            }
+            self.transmit_next(stack, now, payload)?;
         }
         if !self.backlog.is_empty() {
             crate::metrics::WINDOW_STALLS.inc();
@@ -139,12 +205,12 @@ impl RdtEndpoint {
     pub fn on_tick(&mut self, stack: &mut NetStack, now: u64) -> Result<(), SocketError> {
         if let Some(deadline) = self.timer_deadline {
             if now >= deadline && !self.unacked.is_empty() {
-                for (seq, payload) in &self.unacked {
+                for (seq, payload) in self.unacked.iter() {
                     transmit_data(stack, self.sock, self.peer, *seq, payload)?;
                     self.retransmissions += 1;
                     crate::metrics::RETRANSMITS.inc();
                 }
-                self.timer_deadline = Some(now + self.timeout);
+                self.timer_deadline = Some(now + DEFAULT_TIMEOUT);
             }
         }
         Ok(())
@@ -158,7 +224,10 @@ impl RdtEndpoint {
             if (src, sport) != self.peer {
                 continue; // Not our peer: ignore.
             }
-            delivered += usize::from(self.on_datagram(stack, now, data)?);
+            if let Some(message) = self.on_datagram(stack, now, data)? {
+                self.delivered.push_back(message);
+                delivered += 1;
+            }
         }
         Ok(delivered)
     }
@@ -169,16 +238,18 @@ impl RdtEndpoint {
     /// many per-peer sessions calls it directly.
     ///
     /// The datagram is taken by value: an in-order DATA message has its
-    /// header stripped in place and is queued for `recv` in the buffer it
-    /// arrived in. Returns whether it delivered a message.
+    /// header stripped in place and is returned in the buffer it arrived
+    /// in, for the caller to queue. `poll` queues it for
+    /// [`RdtEndpoint::recv`]; a demux queues it in its own one delivery
+    /// queue, so a demux session holds no delivery buffer.
     pub fn on_datagram(
         &mut self,
         stack: &mut NetStack,
         now: u64,
         mut data: Vec<u8>,
-    ) -> Result<bool, SocketError> {
+    ) -> Result<Option<Vec<u8>>, SocketError> {
         if data.len() < HEADER {
-            return Ok(false); // Malformed: drop.
+            return Ok(None); // Malformed: drop.
         }
         let seq = u64::from_le_bytes(crate::take_arr(&data, 1));
         match data[0] {
@@ -188,14 +259,13 @@ impl RdtEndpoint {
                 let fresh = seq == self.expected;
                 if fresh {
                     data.drain(..HEADER);
-                    self.delivered.push_back(data);
                     self.expected += 1;
                 }
                 // Always (re-)ack the cumulative frontier: acks for
                 // duplicates re-synchronize a sender whose ack was
                 // lost.
                 self.transmit_ack(stack)?;
-                Ok(fresh)
+                Ok(fresh.then_some(data))
             }
             MSG_ACK => {
                 let ack = seq;
@@ -211,13 +281,13 @@ impl RdtEndpoint {
                     self.timer_deadline = if self.unacked.is_empty() {
                         None
                     } else {
-                        Some(now + self.timeout)
+                        Some(now + DEFAULT_TIMEOUT)
                     };
                     self.pump(stack, now)?;
                 }
-                Ok(false)
+                Ok(None)
             }
-            _ => Ok(false), // Malformed: drop.
+            _ => Ok(None), // Malformed: drop.
         }
     }
 

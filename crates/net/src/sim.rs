@@ -15,10 +15,11 @@
 //! caller with a thousand mostly silent hosts learns whom to visit.
 //!
 //! A frame is one buffer from the sending stack to the receiving
-//! socket: the wire moves it from NIC to NIC by value and copies it only
-//! to duplicate or broadcast it. Its scratch vectors keep their capacity
-//! across steps, so a steady-state step of unicast frames allocates
-//! nothing.
+//! socket, and on through rdt to the one delivery queue of the
+//! receiving [`crate::demux::RdtDemux`]: the wire moves it from NIC to
+//! NIC by value and copies it only to duplicate or broadcast it. Its
+//! scratch vectors keep their capacity across steps, so a steady-state
+//! step of unicast frames allocates nothing.
 
 use std::collections::HashMap;
 
@@ -72,31 +73,46 @@ impl From<veros_spec::fault::WireFaults> for FaultPlan {
     }
 }
 
-/// A set of host indices: O(1) duplicate-free insert, iteration over
-/// the members only. Sized for every host at construction and never
-/// grown, so a step's bookkeeping allocates nothing however many hosts
-/// it touches.
-struct HostSet {
+/// A set of indices below a fixed bound: O(1) duplicate-free insert,
+/// iteration over the members only. Sized for every index at
+/// construction and never grown, so bookkeeping with it allocates
+/// nothing however many members it gains. The wire keeps whom it handed
+/// out and whom it woke in one; `veros_cluster::fleet` keeps its busy
+/// clients in another.
+pub struct HostSet {
     member: Vec<bool>,
     list: Vec<usize>,
 }
 
 impl HostSet {
-    fn new(hosts: usize) -> Self {
+    /// An empty set of indices in `0..bound`.
+    pub fn new(bound: usize) -> Self {
         Self {
-            member: vec![false; hosts],
-            list: Vec::with_capacity(hosts),
+            member: vec![false; bound],
+            list: Vec::with_capacity(bound),
         }
     }
 
-    fn insert(&mut self, i: usize) {
+    /// Adds `i`; a member already is left where it is.
+    pub fn insert(&mut self, i: usize) {
         if !self.member[i] {
             self.member[i] = true;
             self.list.push(i);
         }
     }
 
-    fn clear(&mut self) {
+    /// The members, in insertion order until [`HostSet::sort`].
+    pub fn list(&self) -> &[usize] {
+        &self.list
+    }
+
+    /// Puts the members in ascending order.
+    pub fn sort(&mut self) {
+        self.list.sort_unstable();
+    }
+
+    /// Removes every member, in O(members).
+    pub fn clear(&mut self) {
         for &i in &self.list {
             self.member[i] = false;
         }
@@ -181,7 +197,7 @@ impl Network {
     /// the only ones whose sockets can hold a datagram that was not
     /// there before it.
     pub fn woken(&self) -> &[usize] {
-        &self.woken.list
+        self.woken.list()
     }
 
     /// Number of hosts.
@@ -201,8 +217,8 @@ impl Network {
         // put on a NIC's receive side by hand wakes its host like one
         // the wire delivered.
         self.woken.clear();
-        self.touched.list.sort_unstable();
-        for &i in &self.touched.list {
+        self.touched.sort();
+        for &i in self.touched.list() {
             let nic = &mut self.hosts[i].nic;
             while let Some(f) = nic.wire_take_tx() {
                 self.in_flight.push(f);
@@ -264,8 +280,8 @@ impl Network {
             }
         }
         // Demux.
-        self.woken.list.sort_unstable();
-        for &i in &self.woken.list {
+        self.woken.sort();
+        for &i in self.woken.list() {
             self.hosts[i].poll();
         }
     }

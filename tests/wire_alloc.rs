@@ -22,8 +22,15 @@
 //!
 //! Decoding a malformed message allocates no more than a small multiple
 //! of its length: a `SyncBlocks` header claiming 65 536 blocks with none
-//! behind it reserves nothing. Its own test binary with a single
-//! `#[test]`: see `counting_alloc`.
+//! behind it reserves nothing.
+//!
+//! A new rdt session holds no buffer: the first message to a new peer
+//! and its ACK allocate the DATA frame and the ACK frame and nothing
+//! else. The sender keeps the one message in flight inline in its
+//! window and queues nothing in a backlog, and the receiving session
+//! queues nothing of its own: the message waits in its demux's one
+//! delivery queue. Its own test binary with a single `#[test]`: see
+//! `counting_alloc`.
 
 mod counting_alloc;
 
@@ -34,6 +41,7 @@ use veros_cluster::node::COORD_PORT;
 use veros_cluster::shard::ShardMap;
 use veros_cluster::view::HEARTBEAT_EVERY;
 use veros_cluster::{FleetClient, FleetNode, Op};
+use veros_net::demux::RdtDemux;
 use veros_net::sim::{FaultPlan, Network};
 use veros_net::stack::HEADROOM;
 use veros_net::IpAddr;
@@ -111,5 +119,59 @@ fn fleet_messages_allocate_once_and_decoding_reserves_only_what_the_input_holds(
         cost.bytes <= 4 * header.len() as u64,
         "decoding a {}-byte SyncBlocks header allocated {cost:?}",
         header.len()
+    );
+
+    a_new_session_holds_no_buffer();
+}
+
+/// Hosts 0 and 2 each talk to host 1, then host 0 opens a session to
+/// host 2: measured is that first message and its ACK.
+fn a_new_session_holds_no_buffer() {
+    const PORT: u16 = 7000;
+    let mut net = Network::new(3, FaultPlan::reliable(), 1);
+    let mut demux: Vec<RdtDemux> =
+        (0..3).map(|h| RdtDemux::new(net.host(h).bind(PORT).expect("bind"))).collect();
+    let peer = |h: u16| (IpAddr::host(h), PORT);
+    // Warm up: hosts 0 and 2 each have a session with host 1 and have
+    // received on it, so every table, queue and wire scratch vector on
+    // the measured path has its capacity.
+    for now in 0..4 {
+        for h in [0, 2] {
+            demux[h].send(net.host(h), now, peer(1), vec![h as u8]).expect("send");
+        }
+        net.step();
+        demux[1].poll(net.host(1), now).expect("poll");
+        while let Some((from, m)) = demux[1].recv() {
+            demux[1].send(net.host(1), now, from, m).expect("echo");
+        }
+        net.step();
+        for h in [0, 2] {
+            demux[h].poll(net.host(h), now).expect("poll");
+            assert!(demux[h].recv().is_some(), "host {h} got its echo");
+        }
+        net.step();
+        demux[1].poll(net.host(1), now).expect("poll");
+    }
+    let message = vec![7u8; BLOCK];
+    let mut got = None;
+    let cost = allocated_by(|| {
+        demux[0].send(net.host(0), 4, peer(2), message).expect("send");
+        net.step();
+        demux[2].poll(net.host(2), 4).expect("poll");
+        got = demux[2].recv();
+        net.step();
+        demux[0].poll(net.host(0), 4).expect("poll");
+    });
+    assert_eq!(got, Some((peer(0), vec![7u8; BLOCK])));
+    assert!(demux[0].quiescent() && demux[2].quiescent(), "the ACK arrived");
+    assert_eq!((demux[0].sessions(), demux[2].sessions()), (2, 2));
+    assert_eq!(
+        cost,
+        Allocated {
+            blocks: 2,
+            bytes: (HEADROOM + RDT_HEADER + BLOCK + HEADROOM + RDT_HEADER) as u64,
+        },
+        "a new session's first message should allocate its DATA frame and its ACK \
+         frame, and no window, backlog or delivery buffer"
     );
 }
