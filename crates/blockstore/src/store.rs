@@ -96,6 +96,10 @@ impl BlockStore {
             return Err(StoreError::ChecksumMismatch);
         }
         let path = key_path(key);
+        #[expect(
+            clippy::expect_used,
+            reason = "`key_path` hex-encodes the key into one valid path component"
+        )]
         let exists = self
             .fs
             .fs
@@ -143,6 +147,10 @@ impl BlockStore {
         build: impl FnOnce(usize, &dyn Fn(&mut [u8]) -> Result<u64, StoreError>) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
+        #[expect(
+            clippy::expect_used,
+            reason = "`key_path` hex-encodes the key into one valid path component"
+        )]
         let path = Path::from_string(key_path(key)).expect("hex path");
         let fs = &self.fs.fs;
         let ino = fs.lookup(&path).map_err(|_| StoreError::NotFound)?;
@@ -175,6 +183,10 @@ impl BlockStore {
 
     /// All keys, sorted.
     pub fn list(&self) -> Vec<String> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the root directory exists in every formatted or recovered store"
+        )]
         let mut keys: Vec<String> = self
             .fs
             .fs

@@ -135,6 +135,10 @@ impl Op {
 
     /// The op [`Op::into_request`] built `req` from: the key and data
     /// move back.
+    #[expect(
+        clippy::unreachable,
+        reason = "an in-flight request is only ever built by `Op::into_request`"
+    )]
     fn from_request(req: Request) -> Op {
         match req {
             Request::ShardPut { key, data, .. } => Op::Put { key, data },
@@ -166,6 +170,10 @@ impl FleetClient {
     /// Creates the client for network host `host`, binding its socket
     /// on `stack`.
     pub fn new(host: u16, map: ShardMap, stack: &mut NetStack) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "setup: a client host binds its one port on its own fresh stack"
+        )]
         let sock = stack.bind(CLIENT_PORT).expect("client port");
         Self {
             host,
@@ -236,27 +244,24 @@ impl FleetClient {
     /// One poll round: start due work, absorb responses, drive retries.
     pub fn poll(&mut self, stack: &mut NetStack, now: u64) {
         if self.inflight.is_none() {
-            if let Some(&(arrival, _)) = self.queue.front() {
-                if arrival <= now {
-                    let (arrival, op) = self.queue.pop_front().expect("checked front");
-                    let seq = if op.is_write() {
-                        let s = self.next_seq;
-                        self.next_seq += 1;
-                        s
-                    } else {
-                        0
-                    };
-                    self.inflight = Some(Inflight {
-                        shard: self.map.shard_of(op.key()),
-                        req: op.into_request(self.host as u64, seq),
-                        arrival,
-                        target: 0,
-                        deadline: 0,
-                        backoff_until: None,
-                        retries: 0,
-                    });
-                    self.issue(stack, now);
-                }
+            if let Some((arrival, op)) = self.queue.pop_front_if(|(arrival, _)| *arrival <= now) {
+                let seq = if op.is_write() {
+                    let s = self.next_seq;
+                    self.next_seq += 1;
+                    s
+                } else {
+                    0
+                };
+                self.inflight = Some(Inflight {
+                    shard: self.map.shard_of(op.key()),
+                    req: op.into_request(self.host as u64, seq),
+                    arrival,
+                    target: 0,
+                    deadline: 0,
+                    backoff_until: None,
+                    retries: 0,
+                });
+                self.issue(stack, now);
             }
         }
         let _ = self.demux.poll(stack, now);
@@ -291,7 +296,9 @@ impl FleetClient {
                         }
                         _ => (false, None),
                     };
-                    let infl = self.inflight.take().expect("checked above");
+                    let Some(infl) = self.inflight.take() else {
+                        continue;
+                    };
                     metrics::OPS_COMPLETED.inc();
                     self.results.push(OpResult {
                         host: self.host,

@@ -209,6 +209,10 @@ impl Fleet {
                 FleetNode::new(i, store, map.clone(), net.host(i as usize), coord_addr)
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "setup: the coordinator binds its one port on its own fresh host"
+        )]
         let csock = net.host(n as usize).bind(COORD_PORT).expect("coord port");
         let targets = (0..n).map(|i| (IpAddr::host(i), NODE_CTRL)).collect();
         let coordinator = Coordinator::new(csock, n, targets);

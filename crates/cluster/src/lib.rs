@@ -41,6 +41,7 @@
 //! `OBSERVABILITY.md`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 pub mod client;
 pub mod fleet;

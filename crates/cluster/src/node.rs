@@ -115,8 +115,14 @@ impl FleetNode {
     /// sockets on `stack`. The node starts ready for every shard it
     /// owns under the full initial view.
     pub fn new(id: u16, store: BlockStore, map: ShardMap, stack: &mut NetStack, coord: Peer) -> Self {
-        let data = stack.bind(NODE_SERVE).expect("node data port");
-        let ctrl = stack.bind(NODE_CTRL).expect("node ctrl port");
+        #[expect(
+            clippy::expect_used,
+            reason = "setup: a node binds its two distinct ports on its own fresh stack"
+        )]
+        let (data, ctrl) = (
+            stack.bind(NODE_SERVE).expect("node data port"),
+            stack.bind(NODE_CTRL).expect("node ctrl port"),
+        );
         let view = View::initial(map.nodes());
         let mut ready = BTreeMap::new();
         for shard in 0..map.shards() {

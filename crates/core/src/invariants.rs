@@ -214,7 +214,7 @@ fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
         shards: 1,
         vnodes: 8,
         clients: 1,
-        plan: sched.wire.into(),
+        plan: sched.wire,
         seed: sched.seed,
         ..FleetConfig::default()
     });
@@ -312,7 +312,7 @@ fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, St
     use veros_net::rdt::RdtEndpoint;
     use veros_net::sim::Network;
 
-    let mut net = Network::new(2, sched.wire.into(), sched.seed);
+    let mut net = Network::new(2, sched.wire, sched.seed);
     let sa = net.host(0).bind(7000).map_err(|e| format!("bind a: {e:?}"))?;
     let sb = net.host(1).bind(7001).map_err(|e| format!("bind b: {e:?}"))?;
     let (ip0, ip1) = (net.host(0).ip(), net.host(1).ip());
@@ -843,7 +843,7 @@ fn cluster_durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(
         shards: 16,
         vnodes: 8,
         clients: 1,
-        plan: sched.wire.into(),
+        plan: sched.wire,
         seed: sched.seed,
         sectors: 1 << 10,
     });

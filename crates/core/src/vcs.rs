@@ -156,14 +156,31 @@ pub fn register_all_with(
     }
 
     // --- §4.4 refinement theorem -------------------------------------------
-    // The random traces exercise the complete syscall surface; veros-lint's
-    // obligation-coverage check cross-references this list against the
-    // `Syscall` enum.
-    // covers: Syscall::Spawn, Syscall::Exit, Syscall::Wait, Syscall::Map
-    // covers: Syscall::Unmap, Syscall::Open, Syscall::Read, Syscall::Write
-    // covers: Syscall::Seek, Syscall::Close, Syscall::Unlink
-    // covers: Syscall::FutexWait, Syscall::FutexWake, Syscall::ThreadSpawn
-    // covers: Syscall::Yield, Syscall::ClockRead
+    // The random traces exercise the complete syscall surface. The match
+    // names every `Syscall` variant and has no wildcard, so a new syscall
+    // does not compile until it is listed here, beside the VC that covers
+    // it.
+    const _: fn(&veros_kernel::Syscall) = |call| {
+        use veros_kernel::Syscall as S;
+        match call {
+            S::Spawn
+            | S::Exit { .. }
+            | S::Wait { .. }
+            | S::Map { .. }
+            | S::Unmap { .. }
+            | S::Open { .. }
+            | S::Read { .. }
+            | S::Write { .. }
+            | S::Seek { .. }
+            | S::Close { .. }
+            | S::Unlink { .. }
+            | S::FutexWait { .. }
+            | S::FutexWake { .. }
+            | S::ThreadSpawn { .. }
+            | S::Yield
+            | S::ClockRead => {}
+        }
+    };
     for seed in 0..p.refine_seeds {
         let steps = p.refine_steps;
         engine.register(
@@ -198,10 +215,21 @@ pub fn register_all_with(
 
     // --- NR-replicated address space ------------------------------------------
     // Drives the replicated memory system (the Fig 1b/1c workload
-    // structure) against a sequential reference replica.
-    // covers: VSpaceWriteOp::MapNew, VSpaceWriteOp::Unmap
-    // covers: VSpaceWriteOp::MapRange, VSpaceWriteOp::UnmapRange
-    // covers: VSpaceReadOp::Resolve, VSpaceReadOp::MappedBytes
+    // structure) against a sequential reference replica, over every
+    // write and read op: the two matches have no wildcard, so a new op
+    // does not compile until it is listed here.
+    const _: fn(&veros_kernel::vspace::VSpaceWriteOp) = |op| {
+        use veros_kernel::vspace::VSpaceWriteOp as W;
+        match op {
+            W::MapNew { .. } | W::Unmap { .. } | W::MapRange { .. } | W::UnmapRange { .. } => {}
+        }
+    };
+    const _: fn(&veros_kernel::vspace::VSpaceReadOp) = |op| {
+        use veros_kernel::vspace::VSpaceReadOp as R;
+        match op {
+            R::Resolve { .. } | R::MappedBytes => {}
+        }
+    };
     for seed in 0..4u64 {
         let steps = p.mapping_steps;
         engine.register(

@@ -421,9 +421,11 @@ impl JournaledFs {
             for op in ops {
                 // Replay of a committed op cannot fail: it succeeded
                 // against this exact state before being journaled.
-                // lint: allow(panic-freedom) — see above; a replay
-                // failure means the journal invariant broke and recovery
-                // must not silently produce a wrong tree.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "see above; a replay failure means the journal invariant broke \
+                              and recovery must not silently produce a wrong tree"
+                )]
                 op.apply(&mut fs).expect("committed op replays");
             }
             pos = next;

@@ -83,16 +83,21 @@ impl MemFs {
     /// upheld by `create`/`mkdir`/`unlink`/`rmdir` — makes this
     /// infallible for inos obtained from `lookup`/`parent_dir`, which is
     /// the only way callers in this module produce one.
+    #[expect(
+        clippy::expect_used,
+        reason = "see doc comment: directory entries only reference live inodes; a miss is \
+                  tree corruption that must fail fast, not a user-visible error"
+    )]
     fn node(&self, ino: Ino) -> &crate::inode::Inode {
-        // lint: allow(panic-freedom) — see doc comment: directory
-        // entries only reference live inodes; a miss is tree corruption
-        // that must fail fast, not a user-visible error.
         self.inodes.get(ino).expect("live inode")
     }
 
     /// Mutable twin of [`MemFs::node`].
+    #[expect(
+        clippy::expect_used,
+        reason = "same invariant as `node`"
+    )]
     fn node_mut(&mut self, ino: Ino) -> &mut crate::inode::Inode {
-        // lint: allow(panic-freedom) — same invariant as `node`.
         self.inodes.get_mut(ino).expect("live inode")
     }
 

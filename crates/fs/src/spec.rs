@@ -254,9 +254,11 @@ pub fn view_flat(fs: &MemFs) -> FlatFs {
     let mut out = FlatFs::new();
     let mut stack = vec![Path::root()];
     while let Some(dir) = stack.pop() {
-        // lint: allow(panic-freedom) — `dir` was pushed only after a
-        // successful readdir observed it as a directory, and `fs` is
-        // borrowed immutably throughout the traversal.
+        #[expect(
+            clippy::expect_used,
+            reason = "`dir` was pushed only after a successful readdir observed it as a \
+                      directory, and `fs` is borrowed immutably throughout the traversal"
+        )]
         for name in fs.readdir(&dir).expect("dir exists") {
             let child = dir.join(&name);
             match fs.readdir(&child) {
@@ -265,10 +267,12 @@ pub fn view_flat(fs: &MemFs) -> FlatFs {
                     stack.push(child);
                 }
                 Err(_) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`child` came from its parent's listing, and readdir said it \
+                                  is not a directory, so it is a readable file"
+                    )]
                     out.files
-                        // lint: allow(panic-freedom) — `child` came from
-                        // its parent's listing, and readdir said it is
-                        // not a directory, so it is a readable file.
                         .insert(child.as_str().into(), fs.read_file(&child).expect("file"));
                 }
             }

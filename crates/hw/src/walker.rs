@@ -185,9 +185,11 @@ pub fn interpret_page_table(mem: &PhysMem, cr3: PAddr) -> BTreeMap<VAddr, Mappin
 fn insert_leaf(out: &mut BTreeMap<VAddr, Mapping>, mem: &PhysMem, cr3: PAddr, va: VAddr) {
     // Re-walk through the front door so the inserted mapping carries the
     // same accumulated permissions a real translation would.
-    // lint: allow(panic-freedom) — the caller just observed a present
-    // leaf for `va` in this same (immutable) memory, so the walk
-    // succeeds by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller just observed a present leaf for `va` in this same (immutable) \
+                  memory, so the walk succeeds by construction"
+    )]
     let m = walk(mem, cr3, va).expect("leaf just observed present");
     out.insert(m.va_base, m);
 }

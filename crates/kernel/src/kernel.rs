@@ -139,15 +139,20 @@ impl Kernel {
             .map_err(|_| SysError::NoMem)?;
         self.vspaces.insert(pid, vspace);
         self.fd_tables.insert(pid, BTreeMap::new());
+        #[expect(
+            clippy::expect_used,
+            reason = "model invariant: spawning with no affinity cannot be rejected by the \
+                      scheduler"
+        )]
         let tid = self
             .sched
             .spawn_thread(pid, None)
-            // lint: allow(panic-freedom) — model invariant: spawning
-            // with no affinity cannot be rejected by the scheduler.
             .expect("affinity None is always valid");
-        // lint: allow(panic-freedom) — the process was inserted alive
-        // two statements above; failure here is a kernel-model bug that
-        // must surface loudly, not be mapped to a user error.
+        #[expect(
+            clippy::expect_used,
+            reason = "the process was inserted alive two statements above; failure here is a \
+                      kernel-model bug that must surface loudly, not be mapped to a user error"
+        )]
         self.procs.add_thread(pid, tid).expect("fresh process is alive");
         Ok((pid, tid))
     }
@@ -298,9 +303,11 @@ impl Kernel {
                 let woken = self.futexes.wake(FutexKey { pid, va }, count as usize);
                 let n = woken.len() as u64;
                 for t in woken {
-                    // lint: allow(panic-freedom) — the futex table only
-                    // holds threads this kernel blocked; a miss is a
-                    // model bug the refinement tests must catch.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the futex table only holds threads this kernel blocked; a \
+                                  miss is a model bug the refinement tests must catch"
+                    )]
                     self.sched.unblock(t).expect("futex waiters are blocked");
                 }
                 Ok(n)
@@ -339,8 +346,11 @@ impl Kernel {
     fn do_exit(&mut self, pid: Pid, code: i32) -> Result<(), SysError> {
         let tids = self.procs.exit(pid, code).map_err(|_| SysError::NoSuchProcess)?;
         for t in tids {
-            // lint: allow(panic-freedom) — `procs.exit` returned only
-            // live tids of this process; an unknown tid is a model bug.
+            #[expect(
+                clippy::expect_used,
+                reason = "`procs.exit` returned only live tids of this process; an unknown tid \
+                          is a model bug"
+            )]
             self.sched.exit_thread(t).expect("live thread");
             self.futexes.remove_waiter(t);
         }
@@ -359,8 +369,11 @@ impl Kernel {
             .sched
             .blocked_threads(|r| matches!(r, BlockReason::Wait(p) if *p == pid));
         for w in waiters {
-            // lint: allow(panic-freedom) — `blocked_threads` selected
-            // exactly the blocked ones; failure is a model bug.
+            #[expect(
+                clippy::expect_used,
+                reason = "`blocked_threads` selected exactly the blocked ones; failure is a \
+                          model bug"
+            )]
             self.sched.unblock(w).expect("blocked");
         }
         Ok(())
@@ -384,11 +397,13 @@ impl Kernel {
                 Err(e) => {
                     // Roll back everything mapped so far.
                     for done in mapped {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "rollback of addresses mapped in this very loop; the page \
+                                      table cannot have lost them"
+                        )]
                         vspace
                             .unmap(&mut self.mem, &mut self.alloc, done)
-                            // lint: allow(panic-freedom) — rollback of
-                            // addresses mapped in this very loop; the
-                            // page table cannot have lost them.
                             .expect("just mapped");
                     }
                     return Err(match e {
@@ -465,10 +480,13 @@ impl Kernel {
             // A failed delivery must not consume the file offset (the
             // abstract spec's read transition fires atomically or not at
             // all).
+            #[expect(
+                clippy::expect_used,
+                reason = "restoring the offset of a handle we just read through; it cannot \
+                          have vanished"
+            )]
             self.open_files
                 .seek(handle, offset_before)
-                // lint: allow(panic-freedom) — restoring the offset of a
-                // handle we just read through; it cannot have vanished.
                 .expect("handle exists");
             return Err(e);
         }
@@ -521,10 +539,12 @@ impl Kernel {
         // block it wherever it is.
         if let Some(t) = self.sched.thread(tid) {
             if let crate::thread::ThreadState::Running { core } = t.state {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "we just observed the thread running on `core` under `&mut self`"
+                )]
                 self.sched
                     .block_current(core, reason)
-                    // lint: allow(panic-freedom) — we just observed the
-                    // thread running on `core` under `&mut self`.
                     .expect("current thread");
                 return;
             }
@@ -606,8 +626,10 @@ impl Kernel {
                 .sched
                 .blocked_threads(|r| matches!(r, BlockReason::Wait(p) if *p == pid));
             for w in waiters {
-                // lint: allow(panic-freedom) — `blocked_threads`
-                // selected exactly the blocked ones; see do_exit.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`blocked_threads` selected exactly the blocked ones; see do_exit"
+                )]
                 self.sched.unblock(w).expect("blocked");
             }
         }

@@ -36,6 +36,7 @@
 //! Disabling the feature compiles every instrument to a no-op.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 pub mod frame_alloc;
 pub mod futex;

@@ -100,9 +100,11 @@ impl Scheduler {
         }
         // Preempt: current thread (if still running) back to Ready.
         if let Some(cur) = self.current[core].take() {
-            // lint: allow(panic-freedom) — `current` only holds tids in
-            // `threads` (checked by `invariant()`); a miss is a
-            // scheduler bug that must not be papered over.
+            #[expect(
+                clippy::expect_used,
+                reason = "`current` only holds tids in `threads` (checked by `invariant()`); a \
+                          miss is a scheduler bug that must not be papered over"
+            )]
             let t = self.threads.get_mut(&cur).expect("current thread exists");
             if t.state == (ThreadState::Running { core }) {
                 t.state = ThreadState::Ready;
@@ -113,8 +115,10 @@ impl Scheduler {
         // Pop until a ready thread is found (stale queue entries for
         // blocked/exited threads are skipped).
         while let Some(tid) = self.queues[core].pop_front() {
-            // lint: allow(panic-freedom) — queues only hold tids in
-            // `threads` (checked by `invariant()`).
+            #[expect(
+                clippy::expect_used,
+                reason = "queues only hold tids in `threads` (checked by `invariant()`)"
+            )]
             let t = self.threads.get_mut(&tid).expect("queued thread exists");
             if t.state == ThreadState::Ready {
                 t.state = ThreadState::Running { core };
@@ -133,8 +137,10 @@ impl Scheduler {
     /// Blocks the thread currently running on `core`.
     pub fn block_current(&mut self, core: usize, reason: BlockReason) -> Result<Tid, SchedError> {
         let tid = self.current[core].ok_or(SchedError::NoSuchThread)?;
-        // lint: allow(panic-freedom) — `current` only holds tids in
-        // `threads` (checked by `invariant()`).
+        #[expect(
+            clippy::expect_used,
+            reason = "`current` only holds tids in `threads` (checked by `invariant()`)"
+        )]
         let t = self.threads.get_mut(&tid).expect("current thread exists");
         t.state = ThreadState::Blocked(reason);
         self.current[core] = None;
@@ -184,8 +190,10 @@ impl Scheduler {
         let Some(tid) = self.current.get(core).copied().flatten() else {
             return Ok(true); // Idle core: always try to schedule.
         };
-        // lint: allow(panic-freedom) — `current` only holds tids in
-        // `threads` (checked by `invariant()`).
+        #[expect(
+            clippy::expect_used,
+            reason = "`current` only holds tids in `threads` (checked by `invariant()`)"
+        )]
         let t = self.threads.get_mut(&tid).expect("current thread exists");
         t.runtime += 1;
         Ok(t.runtime.is_multiple_of(self.timeslice))

@@ -313,9 +313,12 @@ impl VSpaceDispatch {
         // memory), manage the rest.
         let mut alloc =
             crate::frame_alloc::BuddyAllocator::new(PAddr(16 * PAGE_4K), frames - 16);
-        // lint: allow(panic-freedom) — documented `# Panics` contract of
-        // this bench-facing constructor: with `frames >= 32` asserted
-        // above, the allocator always has a root frame to hand out.
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract of this bench-facing constructor: with \
+                      `frames >= 32` asserted above, the allocator always has a root frame to \
+                      hand out"
+        )]
         let vspace = VSpace::new(&mut mem, &mut alloc, kind).expect("root frame");
         Self { mem, alloc, vspace }
     }

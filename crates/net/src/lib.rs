@@ -35,6 +35,7 @@
 //! instrument to a no-op.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 /// Copies `N` bytes of `buf` starting at `off` into an array, without a
 /// panicking `try_into` conversion. Callers check lengths before calling

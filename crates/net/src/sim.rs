@@ -29,49 +29,9 @@ use crate::frame::{EthHeader, Mac};
 use crate::ip::IpAddr;
 use crate::stack::NetStack;
 
-/// Fault injection parameters (probabilities as `num/denom`).
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    /// Probability a frame is dropped.
-    pub loss: (u32, u32),
-    /// Probability a frame is duplicated.
-    pub duplicate: (u32, u32),
-    /// Shuffle in-flight frames each step.
-    pub reorder: bool,
-}
-
-impl FaultPlan {
-    /// A perfect wire.
-    pub fn reliable() -> Self {
-        Self {
-            loss: (0, 1),
-            duplicate: (0, 1),
-            reorder: false,
-        }
-    }
-
-    /// A hostile wire: 20% loss, 10% duplication, reordering.
-    pub fn hostile() -> Self {
-        Self {
-            loss: (1, 5),
-            duplicate: (1, 10),
-            reorder: true,
-        }
-    }
-}
-
-/// A fault-schedule wire spec maps directly onto a plan — this is how
-/// the `invariant::*` VC sweeps thread `veros_spec::fault` schedules
-/// through the simulated network.
-impl From<veros_spec::fault::WireFaults> for FaultPlan {
-    fn from(w: veros_spec::fault::WireFaults) -> Self {
-        Self {
-            loss: w.loss,
-            duplicate: w.duplicate,
-            reorder: w.reorder,
-        }
-    }
-}
+/// Fault injection parameters (probabilities as `num/denom`): the
+/// schedule sweeps' wire degrees, used as they are.
+pub use veros_spec::fault::WireFaults as FaultPlan;
 
 /// A set of indices below a fixed bound: O(1) duplicate-free insert,
 /// iteration over the members only. Sized for every index at
@@ -298,17 +258,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::frame::ETH_HEADER;
-
-    #[test]
-    fn fault_plan_from_wire_faults_preserves_every_degree() {
-        let plan = FaultPlan::from(veros_spec::fault::WireFaults::hostile());
-        assert_eq!(plan.loss, (1, 5));
-        assert_eq!(plan.duplicate, (1, 10));
-        assert!(plan.reorder);
-        let calm = FaultPlan::from(veros_spec::fault::WireFaults::reliable());
-        assert_eq!(calm.loss, (0, 1));
-        assert!(!calm.reorder);
-    }
 
     #[test]
     fn reliable_wire_delivers_everything() {

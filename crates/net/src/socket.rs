@@ -79,9 +79,11 @@ impl SocketTable {
     /// unbound or the queue is full).
     pub fn deliver(&mut self, port: u16, from: IpAddr, src_port: u16, payload: Vec<u8>) {
         if let Some(id) = self.by_port.get(&port) {
-            // lint: allow(panic-freedom) — `by_port` entries are removed
-            // together with their socket in `close`, so the id is live;
-            // a miss is table corruption that must fail fast.
+            #[expect(
+                clippy::expect_used,
+                reason = "`by_port` entries are removed together with their socket in `close`, \
+                          so the id is live; a miss is table corruption that must fail fast"
+            )]
             let s = self.sockets.get_mut(id).expect("bound socket");
             if s.rx.len() < RX_CAPACITY {
                 s.rx.push_back((from, src_port, payload));

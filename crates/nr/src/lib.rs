@@ -36,6 +36,7 @@
 //! `OBSERVABILITY.md` for names, units, and the snapshot schema. Disabling the feature compiles every instrument to a no-op.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 mod dispatch;
 pub mod metrics;

@@ -18,7 +18,7 @@ use veros_hw::{FrameSource, PAddr, PhysMem, PtEntry, PtFlags, VAddr, PAGE_4K};
 
 use crate::high_spec::AbsMapping;
 use crate::ops::{MapFlags, MapRequest, PageSize, PtError, ResolveAnswer};
-use crate::prefix_tree::PrefixTree;
+use crate::prefix_tree::{index_at, span_at, PrefixTree};
 use crate::PageTableOps;
 
 /// Flags given to directory entries: maximally permissive, so the leaf
@@ -57,21 +57,6 @@ pub fn decode_leaf(e: PtEntry) -> MapFlags {
 
 fn entry_addr(table: PAddr, idx: u16) -> PAddr {
     PAddr(table.0 + 8 * idx as u64)
-}
-
-fn index_at(va: VAddr, level: u8) -> u16 {
-    match level {
-        4 => va.pml4_index() as u16,
-        3 => va.pdpt_index() as u16,
-        2 => va.pd_index() as u16,
-        1 => va.pt_index() as u16,
-        _ => unreachable!("no level {level}"),
-    }
-}
-
-/// Span of one entry at `level`.
-fn span_at(level: u8) -> u64 {
-    PAGE_4K << (9 * (level - 1))
 }
 
 /// The verified page table.

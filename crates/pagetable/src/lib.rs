@@ -24,6 +24,7 @@
 //! direct implementation with identical semantics and no ghost state.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 pub mod high_spec;
 pub mod impl_unverified;

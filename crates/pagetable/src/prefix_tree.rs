@@ -39,8 +39,13 @@ pub struct PrefixTree {
     pub root: BTreeMap<u16, Node>,
 }
 
-/// Index of `va` at `level` (4 = PML4 … 1 = PT).
-fn index_at(va: VAddr, level: u8) -> u16 {
+/// Index of `va` at `level` (4 = PML4 … 1 = PT). Shared by the tree
+/// and the verified implementation, which walk the same levels.
+#[expect(
+    clippy::unreachable,
+    reason = "a table has exactly four levels and every walk runs 4..=1"
+)]
+pub(crate) fn index_at(va: VAddr, level: u8) -> u16 {
     match level {
         4 => va.pml4_index() as u16,
         3 => va.pdpt_index() as u16,
@@ -51,7 +56,7 @@ fn index_at(va: VAddr, level: u8) -> u16 {
 }
 
 /// The size of the region one entry at `level` spans.
-fn span_at(level: u8) -> u64 {
+pub(crate) fn span_at(level: u8) -> u64 {
     PAGE_4K << (9 * (level - 1))
 }
 

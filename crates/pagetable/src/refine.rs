@@ -96,50 +96,57 @@ impl OpUniverse {
     }
 }
 
-struct World {
-    mem: PhysMem,
-    alloc: StackFrameSource,
-    verified: Option<VerifiedPageTable>,
-    unverified: Option<UnverifiedPageTable>,
+/// The table under check: exactly one of the two implementations.
+enum Table {
+    Verified(VerifiedPageTable),
+    Unverified(UnverifiedPageTable),
 }
 
-fn fresh_world(which: Impl) -> World {
-    let mut mem = PhysMem::new(1024);
-    let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(1024 * PAGE_4K));
-    let (verified, unverified) = match which {
-        Impl::Verified => (
-            // lint: allow(panic-freedom) — checker-harness setup: the
-            // fresh 1024-frame arena always has a root frame, and an
-            // allocation failure here is a harness bug, not a result.
-            Some(VerifiedPageTable::new(&mut mem, &mut alloc, true).expect("root frame")),
-            None,
-        ),
-        Impl::Unverified => (
-            None,
-            // lint: allow(panic-freedom) — same harness setup as above.
-            Some(UnverifiedPageTable::new(&mut mem, &mut alloc).expect("root frame")),
-        ),
-    };
-    World {
-        mem,
-        alloc,
-        verified,
-        unverified,
+impl Table {
+    fn ops(&mut self) -> &mut dyn PageTableOps {
+        match self {
+            Table::Verified(v) => v,
+            Table::Unverified(u) => u,
+        }
+    }
+
+    fn root(&self) -> PAddr {
+        match self {
+            Table::Verified(v) => v.root(),
+            Table::Unverified(u) => u.root(),
+        }
     }
 }
 
-fn apply_impl(world: &mut World, op: &PtOp) -> Result<Option<crate::ops::ResolveAnswer>, PtError> {
-    let World {
-        mem,
-        alloc,
-        verified,
-        unverified,
-    } = world;
-    let pt: &mut dyn PageTableOps = match (verified, unverified) {
-        (Some(v), _) => v,
-        (_, Some(u)) => u,
-        _ => unreachable!(),
+struct World {
+    mem: PhysMem,
+    alloc: StackFrameSource,
+    table: Table,
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "checker-harness setup: the fresh 1024-frame arena always has \
+              a root frame, and an allocation failure here is a harness bug, \
+              not a result"
+)]
+fn fresh_world(which: Impl) -> World {
+    let mut mem = PhysMem::new(1024);
+    let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(1024 * PAGE_4K));
+    let table = match which {
+        Impl::Verified => {
+            Table::Verified(VerifiedPageTable::new(&mut mem, &mut alloc, true).expect("root frame"))
+        }
+        Impl::Unverified => {
+            Table::Unverified(UnverifiedPageTable::new(&mut mem, &mut alloc).expect("root frame"))
+        }
     };
+    World { mem, alloc, table }
+}
+
+fn apply_impl(world: &mut World, op: &PtOp) -> Result<Option<crate::ops::ResolveAnswer>, PtError> {
+    let World { mem, alloc, table } = world;
+    let pt = table.ops();
     match op {
         PtOp::Map(req) => pt.map_frame(mem, alloc, *req).map(|()| None),
         PtOp::Unmap(va) => pt.unmap_frame(mem, alloc, *va).map(|m| {
@@ -186,12 +193,7 @@ pub fn differential_vs_spec(
                 ));
             }
             if check_interp_each_step {
-                let root = match (&world.verified, &world.unverified) {
-                    (Some(v), _) => v.root(),
-                    (_, Some(u)) => u.root(),
-                    _ => unreachable!(),
-                };
-                crate::interp::interpretation_matches(&world.mem, root, &spec)
+                crate::interp::interpretation_matches(&world.mem, world.table.root(), &spec)
                     .map_err(|e| format!("after step {step} of {seq:?}: {e}"))?;
             }
         }
@@ -281,11 +283,7 @@ pub fn randomized_audit(
                 "seed {seed} step {step}: op {op:?} -> impl {got:?}, spec {want:?}"
             ));
         }
-        let root = match (&world.verified, &world.unverified) {
-            (Some(v), _) => v.root(),
-            (_, Some(u)) => u.root(),
-            _ => unreachable!(),
-        };
+        let root = world.table.root();
         if interp_every != 0 && step % interp_every == 0 {
             crate::interp::interpretation_matches(&world.mem, root, &spec)
                 .map_err(|e| format!("seed {seed} step {step} interpretation: {e}"))?;
@@ -295,20 +293,19 @@ pub fn randomized_audit(
                 .map_err(|e| format!("seed {seed} step {step} structure: {e}"))?;
         }
     }
-    let root = match (&world.verified, &world.unverified) {
-        (Some(v), _) => v.root(),
-        (_, Some(u)) => u.root(),
-        _ => unreachable!(),
-    };
+    let root = world.table.root();
     crate::interp::interpretation_matches(&world.mem, root, &spec)
         .map_err(|e| format!("seed {seed} final interpretation: {e}"))?;
     crate::invariants::check_structure(&world.mem, root)
         .map_err(|e| format!("seed {seed} final structure: {e}"))?;
-    if let Some(v) = &world.verified {
+    if let Table::Verified(v) = &world.table {
         // View correspondence: the implementation's ghost view (the
         // paper's `view()`) is exactly the spec map.
-        // lint: allow(panic-freedom) — `fresh_world` constructed the
-        // verified table with audit mode on, so the ghost view exists.
+        #[expect(
+            clippy::expect_used,
+            reason = "`fresh_world` constructed the verified table with audit \
+                      mode on, so the ghost view exists"
+        )]
         let ghost = v.ghost().expect("audit mode");
         if ghost.flatten() != spec.map {
             return Err(format!("seed {seed}: ghost view diverged from spec map"));

@@ -305,9 +305,11 @@ fn register_prefix_tree(engine: &mut VcEngine, p: &Params) {
         );
     }
     // Randomized long-run tree-vs-flat differential, 8 seeds. The op
-    // stream draws from the full `PtOp` surface; veros-lint's
-    // obligation-coverage check cross-references this list.
-    // covers: PtOp::Map, PtOp::Unmap, PtOp::Resolve
+    // stream draws from the full `PtOp` surface. The match has no
+    // wildcard, so a new op does not compile until it is listed here.
+    const _: fn(&PtOp) = |op| match op {
+        PtOp::Map(_) | PtOp::Unmap(_) | PtOp::Resolve(_) => {}
+    };
     for seed in 0..8u64 {
         let steps = p.tree_random_steps;
         engine.register(

@@ -21,10 +21,10 @@
 
 use crate::rng::{fnv1a, SpecRng};
 
-/// Wire fault degrees for a simulated network, decoupled from
-/// `net::sim::FaultPlan` so schedule enumeration lives in the zero-dep
-/// spec crate. `loss`/`duplicate` are probabilities `(num, denom)`;
-/// `(0, 1)` disables the axis.
+/// Wire fault degrees for a simulated network: `net::sim::FaultPlan` is
+/// this type, so a schedule's wire drives the simulator as it is.
+/// `loss`/`duplicate` are probabilities `(num, denom)`; `(0, 1)`
+/// disables the axis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireFaults {
     /// Per-frame drop probability.

@@ -54,6 +54,7 @@
 //! each of those blocks carries its `SAFETY:` argument where it stands.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 // The one crate the workspace `clippy.toml` lets name the atomic types.
 #![allow(clippy::disallowed_types)]
 

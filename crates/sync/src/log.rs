@@ -62,13 +62,15 @@ unsafe impl<T: Send + Sync> Sync for Shared<T> {}
 
 impl<T> Shared<T> {
     /// The slowest replica's local tail — everything below is reclaimable.
+    #[expect(
+        clippy::expect_used,
+        reason = "`Log::new` rejects zero replicas, so `ltails` is never empty"
+    )]
     fn head(&self) -> u64 {
         self.ltails
             .iter()
             .map(|t| t.load())
             .min()
-            // lint: allow(panic-freedom) — `Log::new` rejects zero
-            // replicas, so `ltails` is never empty.
             .expect("at least one replica")
     }
 }
@@ -208,8 +210,11 @@ impl<T> Cursor<T> {
             // overwritten until *our* ltail (still at `cur`) advances,
             // and this cursor is the only one for its replica.
             let entry = unsafe { (*slot.value.get()).as_ref() };
-            // lint: allow(panic-freedom) — the version protocol above
-            // guarantees the appender stored `Some` before publishing.
+            #[expect(
+                clippy::expect_used,
+                reason = "the version protocol above guarantees the appender stored `Some` \
+                          before publishing"
+            )]
             apply(entry.expect("published slot"));
             self.ltail = cur + 1;
             shared.ltails[self.replica].store(self.ltail);

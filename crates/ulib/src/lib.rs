@@ -20,6 +20,7 @@
 //! * [`io`] — file I/O wrappers over the syscall ABI.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 pub mod channel;
 pub mod condvar;

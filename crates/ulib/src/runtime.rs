@@ -61,6 +61,11 @@ impl Ctx<'_> {
     /// path); with a ring it goes through SQE/CQE marshalling instead,
     /// with identical observable semantics. `Exit` and calls from
     /// processes other than the ring owner always take the trap path.
+    #[expect(
+        clippy::expect_used,
+        reason = "the pair comes straight from abi::encode_ret, whose round trip \
+                  wire::typed_roundtrip VCs"
+    )]
     pub fn sys(&mut self, call: Syscall) -> SysRet {
         if let Some(ring) = self.ring.as_deref_mut() {
             if ring.owns(self.pid) && !matches!(call, Syscall::Exit { .. }) {
@@ -71,16 +76,16 @@ impl Ctx<'_> {
         }
         let regs = abi::encode_regs(&call);
         let (status, value) = self.kernel.syscall_regs((self.pid, self.tid), regs);
-        // lint: allow(panic-freedom) — the pair comes straight from
-        // abi::encode_ret, whose round trip wire::typed_roundtrip VCs.
         abi::decode_ret(status, value).expect("kernel emits well-formed returns")
     }
 
     /// Reads a `u32` from user memory.
+    #[expect(
+        clippy::expect_used,
+        reason = "read_user returns exactly the requested length on Ok"
+    )]
     pub fn read_u32(&mut self, va: u64) -> Result<u32, SysError> {
         let b = self.kernel.read_user(self.pid, va, 4)?;
-        // lint: allow(panic-freedom) — read_user returns exactly the
-        // requested length on Ok.
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
@@ -90,10 +95,12 @@ impl Ctx<'_> {
     }
 
     /// Reads a `u64` from user memory.
+    #[expect(
+        clippy::expect_used,
+        reason = "read_user returns exactly the requested length on Ok"
+    )]
     pub fn read_u64(&mut self, va: u64) -> Result<u64, SysError> {
         let b = self.kernel.read_user(self.pid, va, 8)?;
-        // lint: allow(panic-freedom) — read_user returns exactly the
-        // requested length on Ok.
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
@@ -505,10 +512,13 @@ impl RingExec {
         let first = self.next_ticket;
         for (i, l) in links.iter().enumerate() {
             let flags = SqeFlags { link: i + 1 < links.len(), subst: l.subst };
+            #[expect(
+                clippy::expect_used,
+                reason = "sq_free() >= links.len() was checked above; nothing else consumes \
+                          slots here"
+            )]
             self.user
                 .submit_flagged(first + i as u64, &l.call, flags)
-                // lint: allow(panic-freedom) — sq_free() >= links.len()
-                // was checked above; nothing else consumes slots here.
                 .expect("capacity reserved above");
         }
         self.next_ticket += links.len() as u64;

@@ -545,7 +545,6 @@ mod tests {
     use veros_kernel::KernelConfig;
 
     fn boot() -> (Kernel, (Pid, Tid)) {
-        // lint: allow(panic-freedom) — test setup.
         let k = Kernel::boot(KernelConfig::default()).expect("boot");
         let owner = (k.init_pid, k.init_tid);
         (k, owner)

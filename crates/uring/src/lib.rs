@@ -37,6 +37,7 @@
 //! repeats passes until one finds nothing to do.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 pub mod engine;
 pub mod entry;
