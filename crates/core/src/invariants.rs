@@ -284,11 +284,14 @@ fn durability_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), Strin
 // Invariant 2: exactly-once apply.
 // ---------------------------------------------------------------------
 
-/// **Exactly-once apply** (`invariant::exactly_once::*`): a
-/// non-idempotent application log fed from the reliable transport
-/// applies every sent message exactly once, in order, no matter how the
-/// wire loses, duplicates, or reorders frames — and on lossy schedules
-/// the transport must actually retransmit (the sweep is not vacuous).
+/// **Exactly-once apply** (`invariant::exactly_once::*`): two senders
+/// feed one receiving transport, which applies each message to that
+/// sender's non-idempotent log and answers it, the way a fleet node
+/// serves its clients. Every sender's log holds every message it sent
+/// exactly once, in order, and so does every sender's log of answers,
+/// no matter how the wire loses, duplicates, or reorders frames — and
+/// on lossy schedules the transport must actually retransmit (the sweep
+/// is not vacuous).
 fn exactly_once(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), String> {
     let mut retransmissions = 0u64;
     let mut hostile_swept = false;
@@ -309,79 +312,110 @@ fn exactly_once(family_seed: u64, schedules: usize, ablation: Ablation) -> Resul
 }
 
 fn exactly_once_one(sched: &FaultSchedule, ablation: Ablation) -> Result<u64, String> {
-    use veros_net::rdt::RdtEndpoint;
+    use veros_net::demux::RdtDemux;
     use veros_net::sim::Network;
 
-    let mut net = Network::new(2, sched.wire, sched.seed);
-    let sa = net.host(0).bind(7000).map_err(|e| format!("bind a: {e:?}"))?;
-    let sb = net.host(1).bind(7001).map_err(|e| format!("bind b: {e:?}"))?;
-    let (ip0, ip1) = (net.host(0).ip(), net.host(1).ip());
+    // Hosts 0 and 1 send; host 2 receives.
+    const SENDERS: usize = 2;
+    const RECEIVER: usize = SENDERS;
+    const PORT: u16 = 7000;
+    let mut net = Network::new(SENDERS as u16 + 1, sched.wire, sched.seed);
+    let socks = (0..=RECEIVER)
+        .map(|h| net.host(h).bind(PORT).map_err(|e| format!("bind {h}: {e:?}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let peers: Vec<_> = (0..=RECEIVER).map(|h| (net.host(h).ip(), PORT)).collect();
+    let sender_of = |from| {
+        peers[..SENDERS]
+            .iter()
+            .position(|&p| p == from)
+            .ok_or_else(|| format!("applied a message from {from:?}, which sent none"))
+    };
 
     let n = 12 + sched.ordinal % 6;
-    let sent: Vec<Vec<u8>> = (0..n)
-        .map(|i| vec![i as u8, (sched.seed >> (8 * (i % 8))) as u8])
-        .collect();
-    // The applied log is non-idempotent by construction: a duplicate or
-    // reordered apply is visible forever.
-    let mut applied: Vec<Vec<u8>> = Vec::new();
+    let message = |s: usize, i: usize| vec![s as u8, i as u8, (sched.seed >> (8 * (i % 8))) as u8];
+    let sent: Vec<Vec<Vec<u8>>> = (0..SENDERS).map(|s| (0..n).map(|i| message(s, i)).collect()).collect();
+    // The applied logs, one per sender, are non-idempotent by
+    // construction: a duplicate or reordered apply is visible forever.
+    let mut applied: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS];
 
     if ablation == Ablation::RawDatagrams {
         // Ablation: fire-and-forget datagrams, no transport.
-        for m in &sent {
-            net.host(0)
-                .send_to(sa, ip1, 7001, &[m])
-                .map_err(|e| format!("send: {e:?}"))?;
+        let (ip, port) = peers[RECEIVER];
+        for i in 0..n {
+            for (s, stream) in sent.iter().enumerate() {
+                net.host(s).send_to(socks[s], ip, port, &[&stream[i]]).map_err(|e| format!("send: {e:?}"))?;
+            }
         }
         for _ in 0..200 {
             net.step();
-            while let Some((_, _, d)) = net.host(1).recv_from(sb).map_err(|e| format!("{e:?}"))? {
-                applied.push(d);
+            let receiver = net.host(RECEIVER);
+            while let Some((ip, port, d)) =
+                receiver.recv_from(socks[RECEIVER]).map_err(|e| format!("{e:?}"))?
+            {
+                applied[sender_of((ip, port))?].push(d);
             }
         }
         if applied != sent {
             return Err(format!(
-                "applied {} messages for {} sent (raw wire broke exactly-once)",
-                applied.len(),
-                sent.len()
+                "applied {:?} messages for {n} sent by each sender (raw wire broke exactly-once)",
+                applied.iter().map(Vec::len).collect::<Vec<_>>(),
             ));
         }
         return Ok(0);
     }
 
-    let mut a = RdtEndpoint::new(sa, (ip1, 7001));
-    let mut b = RdtEndpoint::new(sb, (ip0, 7000));
-    for m in &sent {
-        a.send(net.host(0), 0, m.clone()).map_err(|e| format!("send: {e:?}"))?;
+    let mut demux: Vec<RdtDemux> = socks.into_iter().map(RdtDemux::new).collect();
+    for (s, stream) in sent.iter().enumerate() {
+        for m in stream {
+            demux[s]
+                .send(net.host(s), 0, peers[RECEIVER], m.clone())
+                .map_err(|e| format!("send: {e:?}"))?;
+        }
     }
+    // What each sender got back: the receiver answers every apply.
+    let mut answered: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SENDERS];
     for now in 0..8_000u64 {
         net.step();
-        a.poll(net.host(0), now).map_err(|e| format!("poll a: {e:?}"))?;
-        b.poll(net.host(1), now).map_err(|e| format!("poll b: {e:?}"))?;
-        a.on_tick(net.host(0), now).map_err(|e| format!("tick a: {e:?}"))?;
-        b.on_tick(net.host(1), now).map_err(|e| format!("tick b: {e:?}"))?;
-        while let Some(m) = b.recv() {
-            applied.push(m);
+        for (h, d) in demux.iter_mut().enumerate() {
+            let stack = net.host(h);
+            d.poll(stack, now).map_err(|e| format!("poll {h}: {e:?}"))?;
+            while let Some((from, m)) = d.recv() {
+                if h == RECEIVER {
+                    applied[sender_of(from)?].push(m.clone());
+                    d.send(stack, now, from, m).map_err(|e| format!("answer: {e:?}"))?;
+                } else {
+                    answered[h].push(m);
+                }
+            }
+            d.on_tick(stack, now).map_err(|e| format!("tick {h}: {e:?}"))?;
         }
-        // Mid-run: whatever has been applied is an exact prefix — the
-        // receiver never applied early, twice, or out of order.
-        if applied.len() > sent.len() || applied[..] != sent[..applied.len()] {
-            return Err(format!("applied log diverged at step {now}"));
+        for s in 0..SENDERS {
+            // Mid-run: whatever has been applied is an exact prefix —
+            // the receiver never applied early, twice, or out of order —
+            // and a sender with nothing left unacknowledged sees all of
+            // it applied.
+            if !sent[s].starts_with(&applied[s]) || !sent[s].starts_with(&answered[s]) {
+                return Err(format!("sender {s}'s log diverged at step {now}"));
+            }
+            if demux[s].quiescent() && applied[s] != sent[s] {
+                return Err(format!("sender {s} fully acked at step {now}, log short"));
+            }
         }
-        if a.fully_acked() && applied.len() == sent.len() {
+        if demux.iter().all(RdtDemux::quiescent) && answered == sent {
             break;
         }
     }
-    if applied != sent {
+    if applied != sent || answered != sent {
         return Err(format!(
-            "applied {} of {} messages after drain",
-            applied.len(),
-            sent.len()
+            "applied {:?} and answered {:?} of {n} messages per sender after drain",
+            applied.iter().map(Vec::len).collect::<Vec<_>>(),
+            answered.iter().map(Vec::len).collect::<Vec<_>>(),
         ));
     }
-    if !a.fully_acked() {
-        return Err("sender never drained".to_string());
+    if !demux.iter().all(RdtDemux::quiescent) {
+        return Err("a demux never drained".to_string());
     }
-    Ok(a.retransmissions())
+    Ok(demux.iter().map(RdtDemux::retransmissions).sum())
 }
 
 // ---------------------------------------------------------------------

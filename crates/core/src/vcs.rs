@@ -887,19 +887,18 @@ fn fs_crash_safety(seed: u64) -> Result<(), String> {
 
 /// The reliable transport's prefix-delivery spec under a hostile wire.
 fn rdt_prefix_spec(seed: u64) -> Result<(), String> {
-    use veros_net::rdt::RdtEndpoint;
+    use veros_net::demux::RdtDemux;
     use veros_net::sim::{FaultPlan, Network};
 
     let mut net = Network::new(2, FaultPlan::hostile(), seed ^ 0x2d7);
     let sa = net.host(0).bind(7000).map_err(|e| format!("{e:?}"))?;
     let sb = net.host(1).bind(7001).map_err(|e| format!("{e:?}"))?;
-    let ip0 = net.host(0).ip();
-    let ip1 = net.host(1).ip();
-    let mut a = RdtEndpoint::new(sa, (ip1, 7001));
-    let mut b = RdtEndpoint::new(sb, (ip0, 7000));
+    let (ip0, ip1) = (net.host(0).ip(), net.host(1).ip());
+    let mut a = RdtDemux::new(sa);
+    let mut b = RdtDemux::new(sb);
     let sent: Vec<Vec<u8>> = (0..25u8).map(|i| vec![i, i ^ 0x5a]).collect();
     for m in &sent {
-        a.send(net.host(0), 0, m.clone()).map_err(|e| format!("{e:?}"))?;
+        a.send(net.host(0), 0, (ip1, 7001), m.clone()).map_err(|e| format!("{e:?}"))?;
     }
     let mut got = Vec::new();
     let mut done_at = None;
@@ -909,14 +908,17 @@ fn rdt_prefix_spec(seed: u64) -> Result<(), String> {
         b.poll(net.host(1), now).map_err(|e| format!("{e:?}"))?;
         a.on_tick(net.host(0), now).map_err(|e| format!("{e:?}"))?;
         b.on_tick(net.host(1), now).map_err(|e| format!("{e:?}"))?;
-        while let Some(m) = b.recv() {
+        while let Some((from, m)) = b.recv() {
+            if from != (ip0, 7000) {
+                return Err(format!("seed {seed} t={now}: delivered from {from:?}"));
+            }
             got.push(m);
         }
         // Prefix property must hold at *every* instant, not just the end.
         if got.len() > sent.len() || got[..] != sent[..got.len()] {
             return Err(format!("seed {seed} t={now}: delivery is not a prefix"));
         }
-        if a.fully_acked() && done_at.is_none() {
+        if a.quiescent() && done_at.is_none() {
             done_at = Some(now);
         }
         if done_at.is_some() && got.len() == sent.len() {

@@ -1,21 +1,23 @@
-//! Many-peer reliable serving over one socket.
+//! The reliable transport: one socket, demultiplexed into per-peer
+//! go-back-N sessions.
 //!
-//! [`crate::rdt::RdtEndpoint`] is fixed to a single peer: its `poll`
-//! consumes and drops datagrams from anyone else, so two endpoints can
-//! never share a socket. A fleet node serving thousands of client hosts
-//! cannot afford a socket per peer either. [`RdtDemux`] closes the gap:
-//! it owns one socket, drains it once per poll, and routes each datagram
-//! to a per-peer [`RdtEndpoint`] session (created on first contact, all
-//! sharing the socket for transmission). Every session keeps the full
+//! [`RdtDemux`] owns one socket, drains it once per poll, and routes
+//! each datagram to its peer's [`crate::rdt`] session. A session is
+//! opened by the first send to a peer or by the first well-formed DATA
+//! message from one; a datagram too short for the rdt header, of an
+//! unknown type, or an ACK from a peer this demux never sent to is
+//! dropped without creating any state. Every session keeps the full
 //! go-back-N spec — per-peer streams stay prefix-ordered and exactly-
-//! once — while the drain cost is O(datagrams), not O(peers).
+//! once — while the drain cost is O(datagrams), not O(peers). A fleet
+//! client talks to every node through one demux, and a node serves
+//! every client and peer node through one.
 //!
-//! A session holds no buffer while it is idle. Every in-order message
-//! goes straight into the demux's one delivery queue, which
-//! [`RdtDemux::recv`] pops, and a send whose window has room goes
-//! straight onto the wire, the oldest message in flight held inline; a
-//! session allocates only for a second message in flight, and queues a
-//! send only while its window is full.
+//! A session holds no buffer while it is idle, and no delivery queue at
+//! all: every in-order message goes straight into the demux's one
+//! `ready` queue, which [`RdtDemux::recv`] pops, and a send whose window
+//! has room goes straight onto the wire, the oldest message in flight
+//! held inline; a session allocates only for a second message in flight,
+//! and queues a send only while its window is full.
 //!
 //! The clock tick is O(sessions with data in flight), not O(peers)
 //! either: every send goes through [`RdtDemux::send`], which files the
@@ -29,7 +31,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::ip::IpAddr;
-use crate::rdt::RdtEndpoint;
+use crate::rdt::{Link, Msg, Session};
 use crate::socket::{SocketError, SocketId};
 use crate::stack::NetStack;
 
@@ -40,17 +42,18 @@ pub type Peer = (IpAddr, u16);
 pub struct RdtDemux {
     sock: SocketId,
     /// Sessions in first-contact order (deterministic iteration).
-    sessions: Vec<(Peer, RdtEndpoint)>,
+    sessions: Vec<(Peer, Session)>,
     /// Peer → index into `sessions`.
     index: HashMap<Peer, usize>,
     /// Delivered in-order messages from every session, in delivery
     /// order: the demux's one delivery queue, so `recv` never scans the
-    /// session table and a session holds no delivery buffer of its own.
+    /// session table.
     ready: VecDeque<(Peer, Vec<u8>)>,
     /// Session indices that may have data in flight, ascending: every
     /// session not fully acked is here (entered by `send`, pruned by
     /// `on_tick` once acked).
     active: Vec<usize>,
+    retransmissions: u64,
 }
 
 impl RdtDemux {
@@ -63,13 +66,20 @@ impl RdtDemux {
             index: HashMap::new(),
             ready: VecDeque::new(),
             active: Vec::new(),
+            retransmissions: 0,
         }
     }
 
-    /// Number of live sessions (peers that ever made contact or were
-    /// sent to).
+    /// Number of live sessions (peers this demux sent to, or that sent
+    /// it a well-formed DATA message).
     pub fn sessions(&self) -> usize {
         self.sessions.len()
+    }
+
+    /// Data messages retransmitted by go-back-N timeouts, over every
+    /// session of this demux.
+    pub fn retransmissions(&self) -> u64 {
+        self.retransmissions
     }
 
     /// True when no session has data in flight and no delivered message
@@ -84,8 +94,7 @@ impl RdtDemux {
         if let Some(&i) = self.index.get(&peer) {
             return i;
         }
-        let ep = RdtEndpoint::new(self.sock, peer);
-        self.sessions.push((peer, ep));
+        self.sessions.push((peer, Session::default()));
         let i = self.sessions.len() - 1;
         self.index.insert(peer, i);
         i
@@ -103,7 +112,8 @@ impl RdtDemux {
         if let Err(at) = self.active.binary_search(&i) {
             self.active.insert(at, i);
         }
-        self.sessions[i].1.send(stack, now, payload)
+        let mut link = Link { stack, sock: self.sock, peer };
+        self.sessions[i].1.send(&mut link, now, payload)
     }
 
     /// Drains the shared socket once, routing each datagram to its
@@ -113,8 +123,17 @@ impl RdtDemux {
         let mut delivered = 0;
         while let Some((src, sport, data)) = stack.recv_from(self.sock)? {
             let peer = (src, sport);
-            let i = self.index_of(peer);
-            if let Some(message) = self.sessions[i].1.on_datagram(stack, now, data)? {
+            let Some(msg) = Msg::parse(&data) else {
+                continue; // Malformed: drop.
+            };
+            let i = match (self.index.get(&peer), msg) {
+                (Some(&i), _) => i,
+                (None, Msg::Data(_)) => self.index_of(peer),
+                // Acknowledges nothing this demux sent: drop.
+                (None, Msg::Ack(_)) => continue,
+            };
+            let mut link = Link { stack, sock: self.sock, peer };
+            if let Some(message) = self.sessions[i].1.on_message(&mut link, now, msg, data)? {
                 self.ready.push_back((peer, message));
                 delivered += 1;
             }
@@ -129,7 +148,9 @@ impl RdtDemux {
         let sessions = &self.sessions;
         self.active.retain(|&i| !sessions[i].1.fully_acked());
         for &i in &self.active {
-            self.sessions[i].1.on_tick(stack, now)?;
+            let (peer, session) = &mut self.sessions[i];
+            let mut link = Link { stack, sock: self.sock, peer: *peer };
+            self.retransmissions += session.on_tick(&mut link, now)?;
         }
         Ok(())
     }
@@ -146,68 +167,120 @@ mod tests {
     use super::*;
     use crate::sim::{FaultPlan, Network};
 
-    const SERVER_PORT: u16 = 9000;
-    const CLIENT_PORT: u16 = 9100;
+    const PORT: u16 = 7000;
 
-    /// One server demux at host 0, `n` single-peer clients behind it.
-    fn setup(net: &mut Network, n: u16) -> (RdtDemux, Vec<RdtEndpoint>) {
-        let ss = net.host(0).bind(SERVER_PORT).unwrap();
-        let server_ip = net.host(0).ip();
-        let demux = RdtDemux::new(ss);
-        let clients = (1..=n)
-            .map(|i| {
-                let cs = net.host(i as usize).bind(CLIENT_PORT).unwrap();
-                RdtEndpoint::new(cs, (server_ip, SERVER_PORT))
-            })
-            .collect();
-        (demux, clients)
+    fn peer(h: usize) -> Peer {
+        (IpAddr::host(h as u16), PORT)
     }
 
-    fn run(
-        net: &mut Network,
-        demux: &mut RdtDemux,
-        clients: &mut [RdtEndpoint],
-        steps: u64,
-    ) -> Vec<(Peer, Vec<u8>)> {
-        let mut got = Vec::new();
-        for now in 0..steps {
+    /// A demux on each of `net`'s first `n` hosts, every one on `PORT`.
+    fn demuxes(net: &mut Network, n: usize) -> Vec<RdtDemux> {
+        (0..n).map(|h| RdtDemux::new(net.host(h).bind(PORT).unwrap())).collect()
+    }
+
+    /// Steps the wire, then polls and ticks every demux, once per tick
+    /// from 0 until every demux is quiescent or `max_steps` elapse.
+    /// Returns what each host received.
+    fn run(net: &mut Network, demux: &mut [RdtDemux], max_steps: u64) -> Vec<Vec<(Peer, Vec<u8>)>> {
+        let mut got = vec![Vec::new(); demux.len()];
+        for now in 0..max_steps {
             net.step();
-            demux.poll(net.host(0), now).unwrap();
-            demux.on_tick(net.host(0), now).unwrap();
-            for (i, c) in clients.iter_mut().enumerate() {
-                c.poll(net.host(i + 1), now).unwrap();
-                c.on_tick(net.host(i + 1), now).unwrap();
+            for (h, d) in demux.iter_mut().enumerate() {
+                d.poll(net.host(h), now).unwrap();
+                d.on_tick(net.host(h), now).unwrap();
+                got[h].extend(std::iter::from_fn(|| d.recv()));
             }
-            while let Some(m) = demux.recv() {
-                got.push(m);
-            }
-            if clients.iter().all(|c| c.fully_acked()) {
+            if demux.iter().all(RdtDemux::quiescent) {
                 break;
             }
         }
         got
     }
 
+    /// The messages in `got` that came from `from`, in order.
+    fn stream(got: &[(Peer, Vec<u8>)], from: Peer) -> Vec<Vec<u8>> {
+        got.iter().filter(|(p, _)| *p == from).map(|(_, m)| m.clone()).collect()
+    }
+
+    fn bytes(range: std::ops::Range<u8>) -> Vec<Vec<u8>> {
+        range.map(|i| vec![i]).collect()
+    }
+
+    /// Sends `sent` from host 0 to host 1 over a two-host wire and runs
+    /// it for at most `max_steps`: returns what host 1 received from host
+    /// 0, and host 0's demux.
+    fn one_way(plan: FaultPlan, seed: u64, sent: &[Vec<u8>], max_steps: u64) -> (Vec<Vec<u8>>, RdtDemux) {
+        let mut net = Network::new(2, plan, seed);
+        let mut d = demuxes(&mut net, 2);
+        for m in sent {
+            d[0].send(net.host(0), 0, peer(1), m.clone()).unwrap();
+        }
+        let got = run(&mut net, &mut d, max_steps);
+        (stream(&got[1], peer(0)), d.swap_remove(0))
+    }
+
+    #[test]
+    fn reliable_wire_in_order_delivery() {
+        let sent: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i, i]).collect();
+        let (got, a) = one_way(FaultPlan::reliable(), 3, &sent, 100);
+        assert_eq!(got, sent);
+        assert_eq!(a.retransmissions(), 0, "no loss, no retransmits");
+    }
+
+    #[test]
+    fn hostile_wire_still_delivers_everything_in_order() {
+        for seed in 0..8u64 {
+            let (got, a) = one_way(FaultPlan::hostile(), seed, &bytes(0..30), 4000);
+            assert_eq!(got, bytes(0..30), "seed {seed}");
+            assert!(a.quiescent(), "seed {seed}: sender never drained");
+        }
+    }
+
+    #[test]
+    fn delivery_is_always_a_prefix_even_when_cut_short() {
+        // Stop pumping early: whatever was delivered must be a prefix of
+        // what was sent — the heart of the reliable-channel spec.
+        let sent = bytes(0..40);
+        let (got, _) = one_way(FaultPlan::hostile(), 11, &sent, 7);
+        assert!(got.len() <= sent.len());
+        assert_eq!(got[..], sent[..got.len()], "not a prefix");
+    }
+
+    #[test]
+    fn retransmission_happens_under_loss() {
+        let (_, a) = one_way(FaultPlan::hostile(), 5, &bytes(0..20), 4000);
+        assert!(a.retransmissions() > 0, "loss must trigger retransmits");
+    }
+
+    #[test]
+    fn bidirectional_traffic() {
+        let mut net = Network::new(2, FaultPlan::hostile(), 9);
+        let mut d = demuxes(&mut net, 2);
+        for i in 0..10u8 {
+            d[0].send(net.host(0), 0, peer(1), vec![i]).unwrap();
+            d[1].send(net.host(1), 0, peer(0), vec![100 + i]).unwrap();
+        }
+        let got = run(&mut net, &mut d, 4000);
+        assert_eq!(got[1], bytes(0..10).into_iter().map(|m| (peer(0), m)).collect::<Vec<_>>());
+        assert_eq!(got[0], bytes(100..110).into_iter().map(|m| (peer(1), m)).collect::<Vec<_>>());
+    }
+
     #[test]
     fn many_peers_share_one_socket() {
         let mut net = Network::new(5, FaultPlan::reliable(), 3);
-        let (mut demux, mut clients) = setup(&mut net, 4);
-        for (i, c) in clients.iter_mut().enumerate() {
+        let mut d = demuxes(&mut net, 5);
+        for (h, client) in d.iter_mut().enumerate().skip(1) {
             for k in 0..5u8 {
-                c.send(net.host(i + 1), 0, vec![i as u8, k]).unwrap();
+                client.send(net.host(h), 0, peer(0), vec![h as u8, k]).unwrap();
             }
         }
-        let got = run(&mut net, &mut demux, &mut clients, 200);
-        assert_eq!(got.len(), 20);
-        assert_eq!(demux.sessions(), 4);
+        let got = run(&mut net, &mut d, 200);
+        assert_eq!(got[0].len(), 20);
+        assert_eq!(d[0].sessions(), 4);
         // Per-peer streams are in order even though delivery interleaves.
-        for i in 0..4u8 {
-            let stream: Vec<u8> = got
-                .iter()
-                .filter(|(p, _)| *p == (crate::ip::IpAddr::host(i as u16 + 1), CLIENT_PORT))
-                .map(|(_, m)| m[1])
-                .collect();
-            assert_eq!(stream, (0..5).collect::<Vec<u8>>(), "peer {i}");
+        for h in 1..5 {
+            let want: Vec<Vec<u8>> = (0..5).map(|k| vec![h as u8, k]).collect();
+            assert_eq!(stream(&got[0], peer(h)), want, "peer {h}");
         }
     }
 
@@ -215,20 +288,15 @@ mod tests {
     fn hostile_wire_keeps_per_peer_prefix_order() {
         for seed in 0..4u64 {
             let mut net = Network::new(4, FaultPlan::hostile(), seed);
-            let (mut demux, mut clients) = setup(&mut net, 3);
-            for (i, c) in clients.iter_mut().enumerate() {
-                for k in 0..10u8 {
-                    c.send(net.host(i + 1), 0, vec![k]).unwrap();
+            let mut d = demuxes(&mut net, 4);
+            for (h, client) in d.iter_mut().enumerate().skip(1) {
+                for m in bytes(0..10) {
+                    client.send(net.host(h), 0, peer(0), m).unwrap();
                 }
             }
-            let got = run(&mut net, &mut demux, &mut clients, 4000);
-            for i in 1..=3u16 {
-                let stream: Vec<u8> = got
-                    .iter()
-                    .filter(|(p, _)| *p == (crate::ip::IpAddr::host(i), CLIENT_PORT))
-                    .map(|(_, m)| m[0])
-                    .collect();
-                assert_eq!(stream, (0..10).collect::<Vec<u8>>(), "seed {seed} peer {i}");
+            let got = run(&mut net, &mut d, 4000);
+            for h in 1..4 {
+                assert_eq!(stream(&got[0], peer(h)), bytes(0..10), "seed {seed} peer {h}");
             }
         }
     }
@@ -236,31 +304,31 @@ mod tests {
     #[test]
     fn replies_flow_back_through_sessions() {
         let mut net = Network::new(3, FaultPlan::hostile(), 17);
-        let (mut demux, mut clients) = setup(&mut net, 2);
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.send(net.host(i + 1), 0, vec![i as u8]).unwrap();
+        let mut d = demuxes(&mut net, 3);
+        for (h, client) in d.iter_mut().enumerate().skip(1) {
+            client.send(net.host(h), 0, peer(0), vec![h as u8]).unwrap();
         }
-        let mut echoed = vec![Vec::new(); 2];
+        let mut echoed = vec![Vec::new(); 3];
         for now in 0..4000 {
             net.step();
-            demux.poll(net.host(0), now).unwrap();
-            while let Some((peer, m)) = demux.recv() {
-                demux.send(net.host(0), now, peer, vec![m[0] + 100]).unwrap();
+            d[0].poll(net.host(0), now).unwrap();
+            while let Some((from, m)) = d[0].recv() {
+                d[0].send(net.host(0), now, from, vec![m[0] + 100]).unwrap();
             }
-            demux.on_tick(net.host(0), now).unwrap();
-            for (i, c) in clients.iter_mut().enumerate() {
-                c.poll(net.host(i + 1), now).unwrap();
-                c.on_tick(net.host(i + 1), now).unwrap();
-                while let Some(m) = c.recv() {
-                    echoed[i].push(m[0]);
+            d[0].on_tick(net.host(0), now).unwrap();
+            for (h, client) in d.iter_mut().enumerate().skip(1) {
+                client.poll(net.host(h), now).unwrap();
+                client.on_tick(net.host(h), now).unwrap();
+                while let Some((_, m)) = client.recv() {
+                    echoed[h].push(m[0]);
                 }
             }
-            if echoed.iter().enumerate().all(|(i, e)| e == &[i as u8 + 100]) {
+            if (1..3).all(|h| echoed[h] == [h as u8 + 100]) {
                 break;
             }
         }
-        assert_eq!(echoed[0], [100]);
         assert_eq!(echoed[1], [101]);
+        assert_eq!(echoed[2], [102]);
     }
 
     /// The frames host 0 has queued, taken off the wire, with the host
@@ -278,46 +346,95 @@ mod tests {
     #[test]
     fn tick_retransmits_in_first_contact_order_and_quiescence_waits_for_the_last_ack() {
         let mut net = Network::new(4, FaultPlan::reliable(), 1);
-        let (mut demux, mut clients) = setup(&mut net, 3);
-        let peer = |i: usize| (crate::ip::IpAddr::host(i as u16), CLIENT_PORT);
+        let mut d = demuxes(&mut net, 4);
         let hosts = |frames: &[(usize, Vec<u8>)]| frames.iter().map(|(h, _)| *h).collect::<Vec<_>>();
-        assert!(demux.quiescent());
+        assert!(d[0].quiescent());
         // First contact in the order 3, 1, 2, acknowledged at once.
-        for i in [3, 1, 2] {
-            demux.send(net.host(0), 0, peer(i), vec![i as u8]).unwrap();
+        for h in [3, 1, 2] {
+            d[0].send(net.host(0), 0, peer(h), vec![h as u8]).unwrap();
         }
-        assert!(!demux.quiescent());
+        assert!(!d[0].quiescent());
         for now in 0..2 {
             net.step();
-            for (i, c) in clients.iter_mut().enumerate() {
-                c.poll(net.host(i + 1), now).unwrap();
+            for (h, client) in d.iter_mut().enumerate().skip(1) {
+                client.poll(net.host(h), now).unwrap();
             }
-            demux.poll(net.host(0), now).unwrap();
+            d[0].poll(net.host(0), now).unwrap();
         }
-        assert!(demux.quiescent());
+        assert!(d[0].quiescent());
         // Second round in another order, and the wire loses all of it.
-        for i in [2, 3, 1] {
-            demux.send(net.host(0), 10, peer(i), vec![i as u8]).unwrap();
+        for h in [2, 3, 1] {
+            d[0].send(net.host(0), 10, peer(h), vec![h as u8]).unwrap();
         }
         assert_eq!(hosts(&take_queued(&mut net)), [2, 3, 1]);
-        demux.on_tick(net.host(0), 10 + crate::rdt::DEFAULT_TIMEOUT).unwrap();
+        d[0].on_tick(net.host(0), 10 + crate::rdt::DEFAULT_TIMEOUT).unwrap();
         let retransmits = take_queued(&mut net);
         assert_eq!(
             hosts(&retransmits),
             [3, 1, 2],
             "retransmits leave in first-contact order, not send order"
         );
+        assert_eq!(d[0].retransmissions(), 3);
         // Hand the retransmits over one at a time: each peer acks its own.
         for (acked, (host, frame)) in retransmits.into_iter().enumerate() {
-            assert!(!demux.quiescent(), "{acked} of 3 acked");
+            assert!(!d[0].quiescent(), "{acked} of 3 acked");
             net.host(host).nic.wire_deliver(frame);
             net.step();
-            clients[host - 1].poll(net.host(host), 20).unwrap();
+            d[host].poll(net.host(host), 20).unwrap();
             net.step();
-            demux.poll(net.host(0), 20).unwrap();
+            d[0].poll(net.host(0), 20).unwrap();
         }
-        assert!(demux.quiescent(), "the last ack arrived");
-        demux.on_tick(net.host(0), 100).unwrap();
+        assert!(d[0].quiescent(), "the last ack arrived");
+        d[0].on_tick(net.host(0), 100).unwrap();
         assert!(take_queued(&mut net).is_empty(), "nothing left to retransmit");
+    }
+
+    /// Sends `msg` from host `from`'s `sock` to host 0's `PORT`, around
+    /// any demux.
+    fn forge(net: &mut Network, from: usize, sock: SocketId, msg: &[u8]) {
+        net.host(from).send_to(sock, IpAddr::host(0), PORT, &[msg]).unwrap();
+    }
+
+    #[test]
+    fn an_ack_beyond_what_was_sent_acknowledges_nothing() {
+        let mut net = Network::new(2, FaultPlan::reliable(), 1);
+        let sock = net.host(1).bind(PORT).unwrap();
+        let mut d = vec![RdtDemux::new(net.host(0).bind(PORT).unwrap()), RdtDemux::new(sock)];
+        for m in bytes(0..3) {
+            d[0].send(net.host(0), 0, peer(1), m).unwrap();
+        }
+        // The wire loses all three, then an ACK of 8 arrives from the peer.
+        while net.host(0).nic.wire_take_tx().is_some() {}
+        forge(&mut net, 1, sock, &[[2u8].as_slice(), &8u64.to_le_bytes()].concat());
+        net.step();
+        d[0].poll(net.host(0), 0).unwrap();
+        assert!(!d[0].quiescent(), "an ACK of messages never sent emptied the window");
+        // The genuine ACK still counts: the retransmits get through and drain.
+        let got = run(&mut net, &mut d, 100);
+        assert_eq!(stream(&got[1], peer(0)), bytes(0..3));
+        assert!(d[0].quiescent(), "the real ACK was ignored");
+    }
+
+    #[test]
+    fn malformed_datagrams_open_no_session() {
+        let mut net = Network::new(3, FaultPlan::reliable(), 1);
+        let mut d = demuxes(&mut net, 2);
+        let stranger = net.host(2).bind(PORT).unwrap();
+        // One byte; a DATA header one byte short; an unknown type; an
+        // ACK from a peer the server never sent to.
+        let ack = [[2u8].as_slice(), &1u64.to_le_bytes()].concat();
+        for junk in [&[0xff][..], &[1; 8], &[9; 9], &ack] {
+            forge(&mut net, 2, stranger, junk);
+        }
+        net.step();
+        assert_eq!(d[0].poll(net.host(0), 0).unwrap(), 0);
+        assert_eq!(d[0].sessions(), 0, "malformed input opened a session");
+        assert!(d[0].quiescent());
+        // A well-formed DATA message is first contact.
+        d[1].send(net.host(1), 0, peer(0), vec![1]).unwrap();
+        net.step();
+        assert_eq!(d[0].poll(net.host(0), 0).unwrap(), 1);
+        assert_eq!(d[0].sessions(), 1);
+        assert_eq!(d[0].recv(), Some((peer(1), vec![1])));
     }
 }

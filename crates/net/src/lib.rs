@@ -12,13 +12,14 @@
 //!   Each of the three states its header layout once, as an in-place
 //!   writer and a slice parser (`EthHeader`, `IpHeader`, `UdpHeader`);
 //!   the owned `encode`/`decode` codecs are wrappers over them.
-//! * [`rdt`] — reliable data transfer over UDP: go-back-N with
-//!   cumulative acks and virtual-clock retransmission. Its spec is the
-//!   classic one: *the receiver delivers a prefix of the sender's
-//!   stream, in order, without duplicates* — checked under loss,
-//!   duplication, and reordering injected by the wire simulator.
-//! * [`demux`] — many-peer reliable serving: one socket demultiplexed
-//!   into per-peer go-back-N sessions (the fleet-node server path).
+//! * [`rdt`] — reliable data transfer over UDP: one peer's go-back-N
+//!   session, with cumulative acks and virtual-clock retransmission.
+//!   Its spec is the classic one: *the receiver delivers a prefix of
+//!   the sender's stream, in order, without duplicates* — checked under
+//!   loss, duplication, and reordering injected by the wire simulator.
+//! * [`demux`] — the reliable transport, [`RdtDemux`]: one socket
+//!   demultiplexed into per-peer rdt sessions. Every fleet client and
+//!   node talks through one, and every rdt test and VC drives one.
 //! * [`socket`] — a UDP socket table (bind / send_to / recv_from).
 //! * [`stack`] — one host's stack: NIC ↔ IP demux ↔ sockets, one buffer
 //!   per datagram.
@@ -85,7 +86,6 @@ pub mod udp;
 pub use demux::RdtDemux;
 pub use frame::{EthFrame, EtherType, Mac};
 pub use ip::{IpAddr, IpPacket, Proto};
-pub use rdt::RdtEndpoint;
 pub use sim::{FaultPlan, Network};
 pub use socket::SocketId;
 pub use stack::NetStack;

@@ -3,8 +3,8 @@
 //! All instruments are process-global `veros-telemetry` statics that
 //! compile to no-ops with the `telemetry` feature off. They complement
 //! (rather than replace) the per-instance counters the tests assert on
-//! — `RdtEndpoint::retransmissions` and `Network::wire_stats` stay
-//! instance-exact; these aggregate across every endpoint and simulated
+//! — `RdtDemux::retransmissions` and `Network::wire_stats` stay
+//! instance-exact; these aggregate across every demux and simulated
 //! wire in the process. [`export`] registers everything under the
 //! `net.` prefix; see `OBSERVABILITY.md`.
 

@@ -268,7 +268,7 @@ fn one_buffer_path_agrees_with_the_struct_codecs() {
 /// delivery is a prefix of the sent sequence at every instant.
 #[test]
 fn rdt_prefix_under_any_seed() {
-    use veros_net::rdt::RdtEndpoint;
+    use veros_net::demux::RdtDemux;
     use veros_net::sim::{FaultPlan, Network};
 
     let mut rng = SpecRng::for_obligation("net::tests::rdt_prefix_under_any_seed");
@@ -276,15 +276,12 @@ fn rdt_prefix_under_any_seed() {
         let seed = rng.next_u64();
         let cutoff = 10 + rng.below(190);
         let mut net = Network::new(2, FaultPlan::hostile(), seed);
-        let sa = net.host(0).bind(7000).expect("bind");
-        let sb = net.host(1).bind(7001).expect("bind");
-        let ip0 = net.host(0).ip();
-        let ip1 = net.host(1).ip();
-        let mut a = RdtEndpoint::new(sa, (ip1, 7001));
-        let mut b = RdtEndpoint::new(sb, (ip0, 7000));
+        let mut a = RdtDemux::new(net.host(0).bind(7000).expect("bind"));
+        let mut b = RdtDemux::new(net.host(1).bind(7001).expect("bind"));
+        let (ip0, ip1) = (net.host(0).ip(), net.host(1).ip());
         let sent: Vec<Vec<u8>> = (0..15u8).map(|i| vec![i]).collect();
         for m in &sent {
-            a.send(net.host(0), 0, m.clone()).expect("send");
+            a.send(net.host(0), 0, (ip1, 7001), m.clone()).expect("send");
         }
         let mut got: Vec<Vec<u8>> = Vec::new();
         for now in 0..cutoff {
@@ -293,7 +290,8 @@ fn rdt_prefix_under_any_seed() {
             b.poll(net.host(1), now).expect("poll b");
             a.on_tick(net.host(0), now).expect("tick a");
             b.on_tick(net.host(1), now).expect("tick b");
-            while let Some(m) = b.recv() {
+            while let Some((from, m)) = b.recv() {
+                assert_eq!(from, (ip0, 7000), "seed={seed}");
                 got.push(m);
             }
             assert!(got.len() <= sent.len());
