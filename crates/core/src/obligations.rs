@@ -35,59 +35,24 @@ pub fn marshalling_regs_roundtrip() -> Result<(), String> {
 }
 
 /// Randomized argument sweep: encode/decode identity over arbitrary
-/// in-domain argument values.
+/// in-domain argument values, drawn by [`Syscall::arbitrary`]. Fails
+/// if the budget leaves any variant undrawn.
 pub fn marshalling_random_args(seed: u64, iters: usize) -> Result<(), String> {
     let mut rng = SpecRng::seeded(seed ^ 0x3a5);
+    let mut drawn = [false; Syscall::COUNT];
     for _ in 0..iters {
-        let call = match rng.below(10) {
-            0 => Syscall::Wait { pid: rng.next_u64() },
-            1 => Syscall::Map {
-                va: rng.next_u64(),
-                pages: rng.next_u64(),
-                writable: rng.chance(1, 2),
-            },
-            2 => Syscall::Unmap {
-                va: rng.next_u64(),
-                pages: rng.next_u64(),
-            },
-            3 => Syscall::Open {
-                path_ptr: rng.next_u64(),
-                path_len: rng.next_u64(),
-                create: rng.chance(1, 2),
-            },
-            4 => Syscall::Read {
-                fd: rng.next_u64() as u32,
-                buf_ptr: rng.next_u64(),
-                buf_len: rng.next_u64(),
-            },
-            5 => Syscall::Write {
-                fd: rng.next_u64() as u32,
-                buf_ptr: rng.next_u64(),
-                buf_len: rng.next_u64(),
-            },
-            6 => Syscall::Seek {
-                fd: rng.next_u64() as u32,
-                offset: rng.next_u64(),
-            },
-            7 => Syscall::FutexWait {
-                va: rng.next_u64(),
-                expected: rng.next_u64() as u32,
-            },
-            8 => Syscall::FutexWake {
-                va: rng.next_u64(),
-                count: rng.next_u64() as u32,
-            },
-            _ => Syscall::Exit {
-                code: rng.next_u64() as u32 as i32,
-            },
-        };
+        let call = Syscall::arbitrary(&mut rng);
+        drawn[call.index()] = true;
         let back = abi::decode_regs(&abi::encode_regs(&call))
             .map_err(|e| format!("{call:?} rejected: {e:?}"))?;
         if back != call {
             return Err(format!("{call:?} -> {back:?}"));
         }
     }
-    Ok(())
+    match drawn.iter().position(|&d| !d) {
+        Some(i) => Err(format!("{iters} draws never drew `{}`", Syscall::NAMES[i])),
+        None => Ok(()),
+    }
 }
 
 /// Fuzz: decoding arbitrary register contents must never panic (errors
@@ -96,7 +61,7 @@ pub fn marshalling_decode_fuzz(seed: u64, iters: usize) -> Result<(), String> {
     let mut rng = SpecRng::seeded(seed ^ 0xf22);
     for _ in 0..iters {
         let regs = [
-            rng.below(24), // Bias toward near-valid numbers.
+            rng.below(abi::MAX_NR + 8), // Bias toward near-valid numbers.
             rng.next_u64(),
             rng.next_u64(),
             rng.next_u64(),
@@ -389,6 +354,12 @@ mod tests {
         marshalling_random_args(1, 500).unwrap();
         marshalling_decode_fuzz(1, 500).unwrap();
         marshalling_bytes_roundtrip(1, 200).unwrap();
+    }
+
+    #[test]
+    fn random_args_fails_when_a_variant_goes_undrawn() {
+        let err = marshalling_random_args(1, 3).unwrap_err();
+        assert!(err.contains("never drew"), "{err}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use veros_kernel::syscall::{abi, SysError, SysRet, Syscall};
+use veros_kernel::syscall::{abi, RingClass, SysError, SysRet, Syscall};
 use veros_kernel::{Kernel, KernelConfig, Pid};
 use veros_spec::rng::SpecRng;
 use veros_uring::{pair, Cqe, Engine, SqeFlags, SubstSource, SyncTwin};
@@ -125,10 +125,6 @@ fn gen_op(rng: &mut SpecRng, children: &[u64]) -> Syscall {
     }
 }
 
-fn may_block(call: &Syscall) -> bool {
-    matches!(call, Syscall::FutexWait { .. } | Syscall::Wait { .. })
-}
-
 fn drain(user: &mut veros_uring::UserRing, into: &mut Vec<Cqe>) {
     while let Some(cqe) = user.complete() {
         into.push(cqe);
@@ -161,7 +157,7 @@ pub fn differential_run(seed: u64, steps: usize) -> Result<(), String> {
         let batch: Vec<Syscall> = (0..n).map(|_| gen_op(&mut rng, &children)).collect();
         let base = token;
         for call in &batch {
-            if may_block(call) {
+            if call.ring_class() == RingClass::Blocking {
                 blocking_tokens.push(token);
             }
             if user.submit(token, call).is_err() {

@@ -230,7 +230,7 @@ impl Kernel {
 
     /// Typed syscall dispatch.
     pub fn syscall(&mut self, caller: (Pid, Tid), call: Syscall) -> SysRet {
-        let variant = crate::metrics::syscall_index(&call);
+        let variant = call.index();
         let _latency = crate::metrics::SYSCALL_LATENCY[variant].timer();
         let ret = self.syscall_inner(caller, call);
         crate::metrics::SYSCALL_TRACE.record(variant as u64, u64::from(ret.is_ok()));

@@ -36,60 +36,14 @@ pub fn tlb_miss() {
 /// Epoch bumps: every unmap invalidates the whole translation cache.
 pub static TLB_EPOCH_INVALIDATIONS: Counter = Counter::new();
 
-/// Number of [`Syscall`] variants (and latency histograms).
-pub const SYSCALL_VARIANTS: usize = 16;
-
 /// Per-variant syscall latency, in nanoseconds, indexed by
-/// [`syscall_index`].
-pub static SYSCALL_LATENCY: [Histogram; SYSCALL_VARIANTS] =
-    [const { Histogram::new() }; SYSCALL_VARIANTS];
+/// [`Syscall::index`].
+pub static SYSCALL_LATENCY: [Histogram; Syscall::COUNT] =
+    [const { Histogram::new() }; Syscall::COUNT];
 
-/// The most recent syscall dispatches: code = [`syscall_index`],
-/// value = 1 for `Ok`, 0 for `Err`.
+/// The most recent syscall dispatches: code = [`Syscall::index`],
+/// value = 1 for `Ok`, 0 for `Err`. The legend is [`Syscall::NAMES`].
 pub static SYSCALL_TRACE: TraceRing = TraceRing::new();
-
-/// Metric-name and trace-legend labels, indexed by [`syscall_index`].
-pub static SYSCALL_NAMES: [&str; SYSCALL_VARIANTS] = [
-    "spawn",
-    "exit",
-    "wait",
-    "map",
-    "unmap",
-    "open",
-    "read",
-    "write",
-    "seek",
-    "close",
-    "unlink",
-    "futex_wait",
-    "futex_wake",
-    "thread_spawn",
-    "yield",
-    "clock_read",
-];
-
-/// Maps a syscall to its stable instrument index (the order of
-/// [`SYSCALL_NAMES`]).
-pub fn syscall_index(call: &Syscall) -> usize {
-    match call {
-        Syscall::Spawn => 0,
-        Syscall::Exit { .. } => 1,
-        Syscall::Wait { .. } => 2,
-        Syscall::Map { .. } => 3,
-        Syscall::Unmap { .. } => 4,
-        Syscall::Open { .. } => 5,
-        Syscall::Read { .. } => 6,
-        Syscall::Write { .. } => 7,
-        Syscall::Seek { .. } => 8,
-        Syscall::Close { .. } => 9,
-        Syscall::Unlink { .. } => 10,
-        Syscall::FutexWait { .. } => 11,
-        Syscall::FutexWake { .. } => 12,
-        Syscall::ThreadSpawn { .. } => 13,
-        Syscall::Yield => 14,
-        Syscall::ClockRead => 15,
-    }
-}
 
 /// Registers every kernel instrument with `reg` under the `kernel.`
 /// prefix. Syscall latency histograms are registered per variant
@@ -101,11 +55,11 @@ pub fn export(reg: &mut Registry) {
         "invalidations",
         &TLB_EPOCH_INVALIDATIONS,
     );
-    for (name, hist) in SYSCALL_NAMES.iter().zip(SYSCALL_LATENCY.iter()) {
+    for (name, hist) in Syscall::NAMES.iter().zip(SYSCALL_LATENCY.iter()) {
         let name: &'static str = format!("kernel.syscall.latency.{name}").leak();
         reg.histogram(name, "ns", hist);
     }
-    reg.trace("kernel.syscall.trace", &SYSCALL_TRACE, &SYSCALL_NAMES);
+    reg.trace("kernel.syscall.trace", &SYSCALL_TRACE, &Syscall::NAMES);
 }
 
 #[cfg(test)]
@@ -113,41 +67,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn syscall_index_covers_every_variant_distinctly() {
-        let calls = [
-            Syscall::Spawn,
-            Syscall::Exit { code: 0 },
-            Syscall::Wait { pid: 1 },
-            Syscall::Map { va: 0, pages: 1, writable: true },
-            Syscall::Unmap { va: 0, pages: 1 },
-            Syscall::Open { path_ptr: 0, path_len: 0, create: false },
-            Syscall::Read { fd: 0, buf_ptr: 0, buf_len: 0 },
-            Syscall::Write { fd: 0, buf_ptr: 0, buf_len: 0 },
-            Syscall::Seek { fd: 0, offset: 0 },
-            Syscall::Close { fd: 0 },
-            Syscall::Unlink { path_ptr: 0, path_len: 0 },
-            Syscall::FutexWait { va: 0, expected: 0 },
-            Syscall::FutexWake { va: 0, count: 0 },
-            Syscall::ThreadSpawn { affinity_plus_one: 0 },
-            Syscall::Yield,
-            Syscall::ClockRead,
-        ];
-        let mut seen = [false; SYSCALL_VARIANTS];
-        for call in &calls {
-            let i = syscall_index(call);
-            assert!(!seen[i], "index {i} assigned twice");
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "every index covered");
-        assert_eq!(SYSCALL_NAMES.len(), calls.len());
-    }
-
-    #[test]
     fn export_registers_tlb_and_syscall_metrics() {
         let mut reg = Registry::new();
         export(&mut reg);
-        // 2 tlb metrics + 16 latency histograms (trace excluded).
-        assert_eq!(reg.metric_count(), 2 + SYSCALL_VARIANTS);
+        // 2 tlb metrics + one latency histogram per syscall (trace excluded).
+        assert_eq!(reg.metric_count(), 2 + Syscall::COUNT);
         assert!(reg.metric_names().contains(&"kernel.tlb.misses"));
         assert!(reg.metric_names().contains(&"kernel.syscall.latency.futex_wait"));
     }

@@ -6,144 +6,15 @@
 //! before transferring control to the syscall handler" (§3). This module
 //! *is* that model: a syscall is six 64-bit registers — number plus five
 //! arguments — and the obligations are that [`encode_regs`]/
-//! [`decode_regs`] and [`encode_ret`]/[`decode_ret`] round-trip.
+//! [`decode_regs`] and [`encode_ret`]/[`decode_ret`] round-trip. The
+//! call codec is generated from the syscall table in [`super`], so it
+//! cannot disagree with the enum it encodes.
 
-use super::{SysError, SysRet, Syscall};
+pub use super::codec::{decode_regs, encode_regs, sample_calls, MAX_NR};
+use super::{SysError, SysRet};
 
 /// The register file a syscall instruction delivers.
 pub type Regs = [u64; 6];
-
-/// Syscall numbers (register 0).
-#[repr(u64)]
-enum Nr {
-    Spawn = 1,
-    Exit = 2,
-    Wait = 3,
-    Map = 4,
-    Unmap = 5,
-    Open = 6,
-    Read = 7,
-    Write = 8,
-    Seek = 9,
-    Close = 10,
-    Unlink = 11,
-    FutexWait = 12,
-    FutexWake = 13,
-    ThreadSpawn = 14,
-    Yield = 15,
-    ClockRead = 16,
-}
-
-/// Packs a typed syscall into registers (the user-space side of the
-/// shim).
-pub fn encode_regs(call: &Syscall) -> Regs {
-    match *call {
-        Syscall::Spawn => [Nr::Spawn as u64, 0, 0, 0, 0, 0],
-        Syscall::Exit { code } => [Nr::Exit as u64, code as u32 as u64, 0, 0, 0, 0],
-        Syscall::Wait { pid } => [Nr::Wait as u64, pid, 0, 0, 0, 0],
-        Syscall::Map { va, pages, writable } => {
-            [Nr::Map as u64, va, pages, writable as u64, 0, 0]
-        }
-        Syscall::Unmap { va, pages } => [Nr::Unmap as u64, va, pages, 0, 0, 0],
-        Syscall::Open {
-            path_ptr,
-            path_len,
-            create,
-        } => [Nr::Open as u64, path_ptr, path_len, create as u64, 0, 0],
-        Syscall::Read { fd, buf_ptr, buf_len } => {
-            [Nr::Read as u64, fd as u64, buf_ptr, buf_len, 0, 0]
-        }
-        Syscall::Write { fd, buf_ptr, buf_len } => {
-            [Nr::Write as u64, fd as u64, buf_ptr, buf_len, 0, 0]
-        }
-        Syscall::Seek { fd, offset } => [Nr::Seek as u64, fd as u64, offset, 0, 0, 0],
-        Syscall::Close { fd } => [Nr::Close as u64, fd as u64, 0, 0, 0, 0],
-        Syscall::Unlink { path_ptr, path_len } => {
-            [Nr::Unlink as u64, path_ptr, path_len, 0, 0, 0]
-        }
-        Syscall::FutexWait { va, expected } => {
-            [Nr::FutexWait as u64, va, expected as u64, 0, 0, 0]
-        }
-        Syscall::FutexWake { va, count } => [Nr::FutexWake as u64, va, count as u64, 0, 0, 0],
-        Syscall::ThreadSpawn { affinity_plus_one } => {
-            [Nr::ThreadSpawn as u64, affinity_plus_one, 0, 0, 0, 0]
-        }
-        Syscall::Yield => [Nr::Yield as u64, 0, 0, 0, 0, 0],
-        Syscall::ClockRead => [Nr::ClockRead as u64, 0, 0, 0, 0, 0],
-    }
-}
-
-/// Unpacks registers into a typed syscall (the kernel side of the shim).
-///
-/// Returns `Err(BadSyscall)` for unknown numbers and `Err(Invalid)` for
-/// argument values outside their domain (e.g. an fd that does not fit
-/// `u32`) — corrupted registers must never panic the kernel.
-pub fn decode_regs(regs: &Regs) -> Result<Syscall, SysError> {
-    let a = regs;
-    let fd_of = |v: u64| u32::try_from(v).map_err(|_| SysError::Invalid);
-    Ok(match a[0] {
-        x if x == Nr::Spawn as u64 => Syscall::Spawn,
-        x if x == Nr::Exit as u64 => Syscall::Exit {
-            code: u32::try_from(a[1]).map_err(|_| SysError::Invalid)? as i32,
-        },
-        x if x == Nr::Wait as u64 => Syscall::Wait { pid: a[1] },
-        x if x == Nr::Map as u64 => Syscall::Map {
-            va: a[1],
-            pages: a[2],
-            writable: match a[3] {
-                0 => false,
-                1 => true,
-                _ => return Err(SysError::Invalid),
-            },
-        },
-        x if x == Nr::Unmap as u64 => Syscall::Unmap {
-            va: a[1],
-            pages: a[2],
-        },
-        x if x == Nr::Open as u64 => Syscall::Open {
-            path_ptr: a[1],
-            path_len: a[2],
-            create: match a[3] {
-                0 => false,
-                1 => true,
-                _ => return Err(SysError::Invalid),
-            },
-        },
-        x if x == Nr::Read as u64 => Syscall::Read {
-            fd: fd_of(a[1])?,
-            buf_ptr: a[2],
-            buf_len: a[3],
-        },
-        x if x == Nr::Write as u64 => Syscall::Write {
-            fd: fd_of(a[1])?,
-            buf_ptr: a[2],
-            buf_len: a[3],
-        },
-        x if x == Nr::Seek as u64 => Syscall::Seek {
-            fd: fd_of(a[1])?,
-            offset: a[2],
-        },
-        x if x == Nr::Close as u64 => Syscall::Close { fd: fd_of(a[1])? },
-        x if x == Nr::Unlink as u64 => Syscall::Unlink {
-            path_ptr: a[1],
-            path_len: a[2],
-        },
-        x if x == Nr::FutexWait as u64 => Syscall::FutexWait {
-            va: a[1],
-            expected: u32::try_from(a[2]).map_err(|_| SysError::Invalid)?,
-        },
-        x if x == Nr::FutexWake as u64 => Syscall::FutexWake {
-            va: a[1],
-            count: u32::try_from(a[2]).map_err(|_| SysError::Invalid)?,
-        },
-        x if x == Nr::ThreadSpawn as u64 => Syscall::ThreadSpawn {
-            affinity_plus_one: a[1],
-        },
-        x if x == Nr::Yield as u64 => Syscall::Yield,
-        x if x == Nr::ClockRead as u64 => Syscall::ClockRead,
-        _ => return Err(SysError::BadSyscall),
-    })
-}
 
 /// Packs a syscall result into the return-register pair
 /// `(status, value)`: status 0 = success.
@@ -169,10 +40,6 @@ pub fn decode_ret(status: u64, value: u64) -> Result<SysRet, SysError> {
 /// constant keeps user-side chain builders in sync with [`encode_regs`].
 pub const FD_REG: u8 = 1;
 
-/// Argument-register index of the buffer length for `Read`/`Write`
-/// (recv→write chains substitute the received length here).
-pub const LEN_REG: u8 = 3;
-
 /// Patches one argument register with a prior syscall's result — the
 /// kernel side of chained-SQE result forwarding.
 ///
@@ -189,59 +56,10 @@ pub fn substitute_reg(regs: &mut Regs, idx: u8, value: u64) -> Result<(), SysErr
     Ok(())
 }
 
-/// Every syscall variant with representative argument values, for
-/// exhaustive round-trip checks (used by tests and the marshalling VCs).
-pub fn sample_calls() -> Vec<Syscall> {
-    vec![
-        Syscall::Spawn,
-        Syscall::Exit { code: 0 },
-        Syscall::Exit { code: -1 },
-        Syscall::Wait { pid: 42 },
-        Syscall::Map {
-            va: 0x7fff_0000,
-            pages: 16,
-            writable: true,
-        },
-        Syscall::Unmap {
-            va: 0x7fff_0000,
-            pages: 16,
-        },
-        Syscall::Open {
-            path_ptr: 0x1000,
-            path_len: 9,
-            create: true,
-        },
-        Syscall::Read {
-            fd: 3,
-            buf_ptr: 0x2000,
-            buf_len: 4096,
-        },
-        Syscall::Write {
-            fd: u32::MAX,
-            buf_ptr: 0x3000,
-            buf_len: 1,
-        },
-        Syscall::Seek { fd: 3, offset: u64::MAX },
-        Syscall::Close { fd: 3 },
-        Syscall::Unlink {
-            path_ptr: 0x1000,
-            path_len: 9,
-        },
-        Syscall::FutexWait {
-            va: 0x5000,
-            expected: 7,
-        },
-        Syscall::FutexWake { va: 0x5000, count: 2 },
-        Syscall::ThreadSpawn { affinity_plus_one: 0 },
-        Syscall::ThreadSpawn { affinity_plus_one: 3 },
-        Syscall::Yield,
-        Syscall::ClockRead,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syscall::Syscall;
 
     #[test]
     fn regs_round_trip_every_variant() {
@@ -287,7 +105,8 @@ mod tests {
 
     #[test]
     fn corrupt_status_is_detected() {
-        assert_eq!(decode_ret(18, 0), Err(SysError::Invalid), "code 18 undefined");
+        let undefined = SysError::ALL.len() as u64 + 1;
+        assert_eq!(decode_ret(undefined, 0), Err(SysError::Invalid), "code {undefined}");
         assert_eq!(decode_ret(u64::MAX, 0), Err(SysError::Invalid));
     }
 

@@ -7,71 +7,12 @@ use veros_kernel::syscall::{abi, marshal, SysError, Syscall};
 
 const CASES: usize = 512;
 
-/// Draws one syscall uniformly over all 16 variants with random fields.
-fn arbitrary_syscall(rng: &mut SpecRng) -> Syscall {
-    match rng.below(16) {
-        0 => Syscall::Spawn,
-        1 => Syscall::Exit {
-            code: rng.next_u64() as i32,
-        },
-        2 => Syscall::Wait { pid: rng.next_u64() },
-        3 => Syscall::Map {
-            va: rng.next_u64(),
-            pages: rng.next_u64(),
-            writable: rng.chance(1, 2),
-        },
-        4 => Syscall::Unmap {
-            va: rng.next_u64(),
-            pages: rng.next_u64(),
-        },
-        5 => Syscall::Open {
-            path_ptr: rng.next_u64(),
-            path_len: rng.next_u64(),
-            create: rng.chance(1, 2),
-        },
-        6 => Syscall::Read {
-            fd: rng.next_u64() as u32,
-            buf_ptr: rng.next_u64(),
-            buf_len: rng.next_u64(),
-        },
-        7 => Syscall::Write {
-            fd: rng.next_u64() as u32,
-            buf_ptr: rng.next_u64(),
-            buf_len: rng.next_u64(),
-        },
-        8 => Syscall::Seek {
-            fd: rng.next_u64() as u32,
-            offset: rng.next_u64(),
-        },
-        9 => Syscall::Close {
-            fd: rng.next_u64() as u32,
-        },
-        10 => Syscall::Unlink {
-            path_ptr: rng.next_u64(),
-            path_len: rng.next_u64(),
-        },
-        11 => Syscall::FutexWait {
-            va: rng.next_u64(),
-            expected: rng.next_u64() as u32,
-        },
-        12 => Syscall::FutexWake {
-            va: rng.next_u64(),
-            count: rng.next_u64() as u32,
-        },
-        13 => Syscall::ThreadSpawn {
-            affinity_plus_one: rng.next_u64(),
-        },
-        14 => Syscall::Yield,
-        _ => Syscall::ClockRead,
-    }
-}
-
 /// Every well-formed syscall round-trips through the register ABI.
 #[test]
 fn regs_round_trip() {
     let mut rng = SpecRng::for_obligation("kernel::tests::regs_round_trip");
     for _ in 0..CASES {
-        let call = arbitrary_syscall(&mut rng);
+        let call = Syscall::arbitrary(&mut rng);
         let regs = abi::encode_regs(&call);
         assert_eq!(abi::decode_regs(&regs), Ok(call));
     }
@@ -86,9 +27,9 @@ fn decode_total_and_stable() {
     for _ in 0..CASES {
         let mut regs = [0u64; 6];
         for r in &mut regs {
-            // Bias the opcode register toward small values so a useful
-            // fraction of draws decode successfully.
-            *r = if rng.chance(1, 2) { rng.below(24) } else { rng.next_u64() };
+            // Bias the opcode register toward the table's numbers (and a
+            // few past them) so a useful fraction of draws decode.
+            *r = if rng.chance(1, 2) { rng.below(abi::MAX_NR + 8) } else { rng.next_u64() };
         }
         if let Ok(call) = abi::decode_regs(&regs) {
             let re = abi::encode_regs(&call);
@@ -105,8 +46,7 @@ fn rets_round_trip() {
         let ret = if rng.chance(1, 2) {
             Ok(rng.next_u64())
         } else {
-            let code = 1 + rng.below(17) as u32;
-            Err(SysError::from_code(code).expect("codes 1..=17 are defined"))
+            Err(*rng.choose(SysError::ALL))
         };
         let (s, v) = abi::encode_ret(ret);
         assert_eq!(abi::decode_ret(s, v), Ok(ret));

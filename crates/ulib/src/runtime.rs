@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use veros_kernel::syscall::{abi, SysError, SysRet, Syscall};
+use veros_kernel::syscall::{abi, RingClass, SysError, SysRet, Syscall};
 use veros_kernel::thread::BlockReason;
 use veros_kernel::{Kernel, Pid, Tid};
 use veros_uring::{pair, Engine, SqeFlags, SqFull, SubstSource, UserRing, MAX_CHAIN};
@@ -215,13 +215,13 @@ impl Ctx<'_> {
             abi::substitute_reg(&mut regs, reg, value)?;
         }
         let call = abi::decode_regs(&regs)?;
-        if matches!(call, Syscall::Exit { .. }) {
-            return Err(SysError::Invalid);
+        match call.ring_class() {
+            RingClass::TrapOnly => Err(SysError::Invalid),
+            RingClass::Blocking if !tail => Err(SysError::Invalid),
+            RingClass::Blocking | RingClass::Inline => {
+                self.kernel.syscall((self.pid, self.tid), call)
+            }
         }
-        if !tail && matches!(call, Syscall::FutexWait { .. } | Syscall::Wait { .. }) {
-            return Err(SysError::Invalid);
-        }
-        self.kernel.syscall((self.pid, self.tid), call)
     }
 }
 

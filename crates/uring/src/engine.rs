@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use veros_kernel::syscall::abi::{self, Regs};
 use veros_kernel::syscall::marshal::Encoder;
-use veros_kernel::syscall::{SysError, SysRet, Syscall};
+use veros_kernel::syscall::{RingClass, SysError, SysRet, Syscall};
 use veros_kernel::thread::ThreadState;
 use veros_kernel::{Kernel, Pid, Tid};
 
@@ -326,9 +326,9 @@ impl Engine {
             Ok(call) => call,
             Err(e) => return LinkRun::Refused(e),
         };
-        match call {
-            Syscall::Exit { .. } => LinkRun::Refused(SysError::Invalid),
-            Syscall::FutexWait { .. } | Syscall::Wait { .. } => {
+        match call.ring_class() {
+            RingClass::TrapOnly => LinkRun::Refused(SysError::Invalid),
+            RingClass::Blocking => {
                 if is_tail {
                     self.dispatch_blocking(k, link.user_data, call);
                     LinkRun::Parked
@@ -336,7 +336,7 @@ impl Engine {
                     LinkRun::Refused(SysError::Invalid)
                 }
             }
-            _ => {
+            RingClass::Inline => {
                 let result = k.syscall_batched(self.owner, call);
                 self.record(link.user_data, call, result);
                 self.post(Cqe { user_data: link.user_data, result });
@@ -360,16 +360,14 @@ impl Engine {
 
     /// Routes one decoded submission.
     fn dispatch(&mut self, k: &mut Kernel, user_data: u64, call: Syscall) {
-        match call {
-            // Tearing down the owner would tear down the ring (and
-            // every worker) mid-drain; process exit stays synchronous.
-            Syscall::Exit { .. } => {
+        match call.ring_class() {
+            RingClass::TrapOnly => {
                 self.post(Cqe { user_data, result: Err(SysError::Invalid) });
             }
-            Syscall::FutexWait { .. } | Syscall::Wait { .. } => {
+            RingClass::Blocking => {
                 self.dispatch_blocking(k, user_data, call);
             }
-            _ => {
+            RingClass::Inline => {
                 let result = k.syscall_batched(self.owner, call);
                 self.record(user_data, call, result);
                 self.post(Cqe { user_data, result });

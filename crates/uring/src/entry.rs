@@ -237,31 +237,10 @@ impl Cqe {
 mod tests {
     use super::*;
 
-    fn sample_calls() -> Vec<Syscall> {
-        vec![
-            Syscall::Spawn,
-            Syscall::Exit { code: -3 },
-            Syscall::Wait { pid: 7 },
-            Syscall::Map { va: 0x40_0000, pages: 4, writable: true },
-            Syscall::Unmap { va: 0x40_0000, pages: 4 },
-            Syscall::Open { path_ptr: 0x1000, path_len: 9, create: false },
-            Syscall::Read { fd: 3, buf_ptr: 0x2000, buf_len: 128 },
-            Syscall::Write { fd: 3, buf_ptr: 0x3000, buf_len: 64 },
-            Syscall::Seek { fd: 3, offset: 12 },
-            Syscall::Close { fd: 3 },
-            Syscall::Unlink { path_ptr: 0x1000, path_len: 9 },
-            Syscall::FutexWait { va: 0x50_0000, expected: 42 },
-            Syscall::FutexWake { va: 0x50_0000, count: u32::MAX },
-            Syscall::ThreadSpawn { affinity_plus_one: 2 },
-            Syscall::Yield,
-            Syscall::ClockRead,
-        ]
-    }
-
     #[test]
     fn sqe_round_trips_every_syscall_variant() {
         let mut scratch = Encoder::new();
-        for (i, call) in sample_calls().into_iter().enumerate() {
+        for (i, call) in abi::sample_calls().into_iter().enumerate() {
             let sqe = Sqe::new(0xa000 + i as u64, &call);
             let bytes = sqe.encode(&mut scratch);
             let back = Sqe::decode(&bytes).expect("well-formed SQE decodes");
@@ -274,9 +253,7 @@ mod tests {
     fn cqe_round_trips_ok_and_every_error_code() {
         let mut scratch = Encoder::new();
         let mut results: Vec<SysRet> = vec![Ok(0), Ok(u64::MAX), Ok(0x1234)];
-        for code in 1..=17u32 {
-            results.push(Err(SysError::from_code(code).expect("defined code")));
-        }
+        results.extend(SysError::ALL.iter().map(|&e| Err(e)));
         for (i, result) in results.into_iter().enumerate() {
             let cqe = Cqe { user_data: i as u64, result };
             let bytes = cqe.encode(&mut scratch);
@@ -321,7 +298,7 @@ mod tests {
         // Opcode 0 and out-of-range opcodes decode as bytes (the wire
         // layer cannot know the register schema) but fail the typed
         // re-derivation — the same BadSyscall a trap would produce.
-        for nr in [0u64, 17, 999, u64::MAX] {
+        for nr in [0u64, abi::MAX_NR + 1, 999, u64::MAX] {
             let sqe = Sqe { user_data: 5, flags: 0, regs: [nr, 0, 0, 0, 0, 0] };
             assert_eq!(sqe.syscall(), Err(SysError::BadSyscall), "nr {nr}");
         }

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use veros_kernel::syscall::abi::{self, Regs};
-use veros_kernel::syscall::{SysError, Syscall};
+use veros_kernel::syscall::{RingClass, SysError, Syscall};
 use veros_kernel::thread::ThreadState;
 use veros_kernel::{Kernel, Pid, Tid};
 
@@ -84,14 +84,14 @@ impl SyncTwin {
     /// Dispatches one submission synchronously, mirroring
     /// [`crate::engine::Engine`]'s routing.
     pub fn submit(&mut self, k: &mut Kernel, user_data: u64, call: Syscall) {
-        match call {
-            Syscall::Exit { .. } => {
+        match call.ring_class() {
+            RingClass::TrapOnly => {
                 self.done.push(Cqe { user_data, result: Err(SysError::Invalid) });
             }
-            Syscall::FutexWait { .. } | Syscall::Wait { .. } => {
+            RingClass::Blocking => {
                 self.dispatch_blocking(k, user_data, call);
             }
-            _ => {
+            RingClass::Inline => {
                 let result = k.syscall(self.owner, call);
                 self.done.push(Cqe { user_data, result });
             }
@@ -186,12 +186,12 @@ impl SyncTwin {
                     continue;
                 }
             };
-            match call {
-                Syscall::Exit { .. } => {
+            match call.ring_class() {
+                RingClass::TrapOnly => {
                     self.done.push(Cqe { user_data, result: Err(SysError::Invalid) });
                     aborted = true;
                 }
-                Syscall::FutexWait { .. } | Syscall::Wait { .. } => {
+                RingClass::Blocking => {
                     if i + 1 == n {
                         self.dispatch_blocking(k, user_data, call);
                     } else {
@@ -199,7 +199,7 @@ impl SyncTwin {
                         aborted = true;
                     }
                 }
-                _ => {
+                RingClass::Inline => {
                     let result = k.syscall(self.owner, call);
                     self.done.push(Cqe { user_data, result });
                     match result {
