@@ -8,8 +8,9 @@
 //! citing \[8\]). This crate is the node-local half of that
 //! application, built on the verified stack:
 //!
-//! * [`wire`] — the protocol clients and nodes speak, marshalled with
-//!   the same round-trip discipline as the syscall ABI.
+//! * [`wire`] — the protocol clients and nodes speak, written with
+//!   [`veros_spec::wire`], the byte codec the marshalling obligation
+//!   checks.
 //! * [`store`] — the local storage engine: checksummed blocks persisted
 //!   through the journaled filesystem (crash safety inherited from the
 //!   journal's spec).

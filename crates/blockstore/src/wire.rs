@@ -1,13 +1,15 @@
 //! The block-store protocol.
 //!
-//! Length-free tagged encoding (the transport delivers whole messages).
-//! Every message round-trips; corrupted tags decode to `None` rather
-//! than panicking. Data integrity is end-to-end: `ShardPut` carries the
-//! client-computed checksum, every chain member verifies it before
-//! storing, and `GetOk` carries the stored checksum, which the client
-//! verifies before it accepts the data. The checksum is
-//! [`veros_spec::checksum::checksum64`]: any change confined to one
-//! aligned 8-byte word of a block is always caught.
+//! Length-free tagged encoding (the transport delivers whole messages),
+//! written and read with [`veros_spec::wire`], the codec the
+//! marshalling obligation checks. Every message round-trips; corrupted
+//! tags decode to `None` rather than panicking. Data integrity is
+//! end-to-end: `ShardPut` carries the client-computed checksum, every
+//! chain member verifies it before storing, and `GetOk` carries the
+//! stored checksum, which the client verifies before it accepts the
+//! data. The checksum is [`veros_spec::checksum::checksum64`]: any
+//! change confined to one aligned 8-byte word of a block is always
+//! caught.
 //!
 //! Every message is one allocation: `encode` adds up the message's
 //! encoded size first and allocates exactly that, so no message grows
@@ -23,6 +25,7 @@
 use std::convert::Infallible;
 
 use veros_spec::checksum::checksum64;
+use veros_spec::wire::{field_len, Reader, WireError, Writer};
 
 /// A request from client to node, or from a chain member to its
 /// successor.
@@ -169,111 +172,58 @@ pub fn block_checksum(data: &[u8]) -> u64 {
     checksum64(data)
 }
 
-/// Starts a message: one allocation of exactly its encoded size, the
-/// tag and the id (every message leads with both) already written, and
-/// `body` more bytes to come.
-fn message(tag: u8, id: u64, body: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 8 + body);
-    out.push(tag);
-    out.extend_from_slice(&id.to_le_bytes());
-    out
-}
+/// Longest chain-member list a message carries (replication factors
+/// are single digits; anything bigger is malformed).
+const MAX_HOSTS: usize = 64;
 
-/// Encoded size of a length-prefixed string or byte run.
-fn run_len(b: &[u8]) -> usize {
-    4 + b.len()
-}
-
-/// Encoded size of a chain-member list.
-fn hosts_len(hosts: &[u16]) -> usize {
-    4 + 2 * hosts.len()
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_hosts(out: &mut Vec<u8>, hosts: &[u16]) {
-    out.extend_from_slice(&(hosts.len() as u32).to_le_bytes());
-    for h in hosts {
-        out.extend_from_slice(&h.to_le_bytes());
-    }
-}
+/// Most blocks one `SyncBlocks` carries.
+const MAX_SYNC_BLOCKS: usize = 1 << 16;
 
 /// The fewest bytes one `SyncBlocks` entry encodes to: an empty key and
 /// an empty block (two length prefixes) and the checksum.
-const MIN_SYNC_BLOCK: usize = 4 + 4 + 8;
+const MIN_SYNC_BLOCK: usize = field_len(0) + field_len(0) + 8;
 
-struct Reader<'a>(&'a [u8], usize);
+/// Encodes a message: one allocation of exactly its encoded size, the
+/// tag and the id (every message leads with both), then `body` more
+/// bytes written by `fill`.
+fn message(tag: u8, id: u64, body: usize, fill: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + 8 + body);
+    fill(Writer::new(&mut out).u8(tag).u64(id));
+    out
+}
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.remaining() < n {
-            return None;
-        }
-        let s = &self.0[self.1..self.1 + n];
-        self.1 += n;
-        Some(s)
-    }
+/// Encoded size of a chain-member list: a count, then two bytes a host.
+fn hosts_len(hosts: &[u16]) -> usize {
+    field_len(2 * hosts.len())
+}
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
+/// The request id of an encoded request or response (every message
+/// leads with its tag and id), read without decoding the rest.
+pub fn peek_id(bytes: &[u8]) -> Option<u64> {
+    let mut r = Reader::new(bytes);
+    r.u8().ok()?;
+    r.u64().ok()
+}
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// A chain-member list: bounded at 64 hosts (replication factors
-    /// are single digits; anything bigger is malformed).
-    fn hosts(&mut self) -> Option<Vec<u16>> {
-        let n = self.u32()? as usize;
-        if n > 64 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(u16::from_le_bytes(self.take(2)?.try_into().ok()?));
-        }
-        Some(out)
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize;
-        if len > (1 << 24) {
-            return None;
-        }
-        Some(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
-    }
-
-    fn remaining(&self) -> usize {
-        self.0.len() - self.1
-    }
-
-    fn done(&self) -> bool {
-        self.1 == self.0.len()
-    }
+/// Decodes a whole message with `read`, which returns `None` for an
+/// unknown tag; `None` as well if `read` fails or bytes remain.
+fn decode_whole<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<Option<T>, WireError>,
+) -> Option<T> {
+    let mut r = Reader::new(bytes);
+    let msg = read(&mut r).ok()??;
+    r.finish().ok()?;
+    Some(msg)
 }
 
 impl Request {
     /// Serializes the request into one exact-size allocation.
     pub fn encode(&self) -> Vec<u8> {
         let out = match self {
-            Request::Get { id, key } => {
-                let mut out = message(2, *id, run_len(key.as_bytes()));
-                put_str(&mut out, key);
-                out
-            }
+            Request::Get { id, key } => message(2, *id, field_len(key.len()), |w| {
+                w.str(key);
+            }),
             Request::ShardPut {
                 id,
                 key,
@@ -281,21 +231,13 @@ impl Request {
                 checksum,
                 client,
                 seq,
-            } => {
-                let mut out = message(5, *id, run_len(key.as_bytes()) + run_len(data) + 3 * 8);
-                put_str(&mut out, key);
-                put_bytes(&mut out, data);
-                out.extend_from_slice(&checksum.to_le_bytes());
-                out.extend_from_slice(&client.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out
-            }
+            } => message(5, *id, field_len(key.len()) + field_len(data.len()) + 3 * 8, |w| {
+                w.str(key).bytes(data).u64(*checksum).u64(*client).u64(*seq);
+            }),
             Request::ShardDelete { id, key, client, seq } => {
-                let mut out = message(6, *id, run_len(key.as_bytes()) + 2 * 8);
-                put_str(&mut out, key);
-                out.extend_from_slice(&client.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out
+                message(6, *id, field_len(key.len()) + 2 * 8, |w| {
+                    w.str(key).u64(*client).u64(*seq);
+                })
             }
             Request::ChainPut {
                 id,
@@ -307,16 +249,11 @@ impl Request {
                 epoch,
                 rest,
             } => {
-                let body = run_len(key.as_bytes()) + run_len(data) + 4 * 8 + hosts_len(rest);
-                let mut out = message(7, *id, body);
-                put_str(&mut out, key);
-                put_bytes(&mut out, data);
-                out.extend_from_slice(&checksum.to_le_bytes());
-                out.extend_from_slice(&client.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                put_hosts(&mut out, rest);
-                out
+                let body = field_len(key.len()) + field_len(data.len()) + 4 * 8 + hosts_len(rest);
+                message(7, *id, body, |w| {
+                    w.str(key).bytes(data).u64(*checksum).u64(*client).u64(*seq);
+                    w.u64(*epoch).u16s(rest);
+                })
             }
             Request::ChainDelete {
                 id,
@@ -325,20 +262,12 @@ impl Request {
                 seq,
                 epoch,
                 rest,
-            } => {
-                let mut out = message(8, *id, run_len(key.as_bytes()) + 3 * 8 + hosts_len(rest));
-                put_str(&mut out, key);
-                out.extend_from_slice(&client.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                put_hosts(&mut out, rest);
-                out
-            }
-            Request::SyncShard { id, shard } => {
-                let mut out = message(9, *id, 4);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out
-            }
+            } => message(8, *id, field_len(key.len()) + 3 * 8 + hosts_len(rest), |w| {
+                w.str(key).u64(*client).u64(*seq).u64(*epoch).u16s(rest);
+            }),
+            Request::SyncShard { id, shard } => message(9, *id, 4, |w| {
+                w.u32(*shard);
+            }),
         };
         debug_assert_eq!(out.len(), out.capacity(), "miscounted {self:?}");
         out
@@ -346,51 +275,51 @@ impl Request {
 
     /// Parses a request; `None` on malformed input.
     pub fn decode(bytes: &[u8]) -> Option<Request> {
-        let mut r = Reader(bytes, 1);
-        let req = match bytes.first()? {
-            2 => Request::Get {
-                id: r.u64()?,
-                key: r.string()?,
-            },
-            5 => Request::ShardPut {
-                id: r.u64()?,
-                key: r.string()?,
-                data: r.bytes()?,
-                checksum: r.u64()?,
-                client: r.u64()?,
-                seq: r.u64()?,
-            },
-            6 => Request::ShardDelete {
-                id: r.u64()?,
-                key: r.string()?,
-                client: r.u64()?,
-                seq: r.u64()?,
-            },
-            7 => Request::ChainPut {
-                id: r.u64()?,
-                key: r.string()?,
-                data: r.bytes()?,
-                checksum: r.u64()?,
-                client: r.u64()?,
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                rest: r.hosts()?,
-            },
-            8 => Request::ChainDelete {
-                id: r.u64()?,
-                key: r.string()?,
-                client: r.u64()?,
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                rest: r.hosts()?,
-            },
-            9 => Request::SyncShard {
-                id: r.u64()?,
-                shard: r.u32()?,
-            },
-            _ => return None,
-        };
-        r.done().then_some(req)
+        decode_whole(bytes, |r| {
+            Ok(Some(match r.u8()? {
+                2 => Request::Get {
+                    id: r.u64()?,
+                    key: r.str()?,
+                },
+                5 => Request::ShardPut {
+                    id: r.u64()?,
+                    key: r.str()?,
+                    data: r.bytes()?,
+                    checksum: r.u64()?,
+                    client: r.u64()?,
+                    seq: r.u64()?,
+                },
+                6 => Request::ShardDelete {
+                    id: r.u64()?,
+                    key: r.str()?,
+                    client: r.u64()?,
+                    seq: r.u64()?,
+                },
+                7 => Request::ChainPut {
+                    id: r.u64()?,
+                    key: r.str()?,
+                    data: r.bytes()?,
+                    checksum: r.u64()?,
+                    client: r.u64()?,
+                    seq: r.u64()?,
+                    epoch: r.u64()?,
+                    rest: r.u16s(MAX_HOSTS)?,
+                },
+                8 => Request::ChainDelete {
+                    id: r.u64()?,
+                    key: r.str()?,
+                    client: r.u64()?,
+                    seq: r.u64()?,
+                    epoch: r.u64()?,
+                    rest: r.u16s(MAX_HOSTS)?,
+                },
+                9 => Request::SyncShard {
+                    id: r.u64()?,
+                    shard: r.u32()?,
+                },
+                _ => return Ok(None),
+            }))
+        })
     }
 
     /// The request id.
@@ -422,7 +351,7 @@ impl Response {
     /// Serializes the response into one exact-size allocation.
     pub fn encode(&self) -> Vec<u8> {
         let out = match self {
-            Response::PutOk { id } => message(1, *id, 0),
+            Response::PutOk { id } => message(1, *id, 0, |_| ()),
             Response::GetOk { id, data, checksum } => {
                 let Ok(out) = Response::encode_get_ok(*id, data.len(), |slot| {
                     slot.copy_from_slice(data);
@@ -430,27 +359,23 @@ impl Response {
                 });
                 out
             }
-            Response::NotFound { id } => message(3, *id, 0),
-            Response::DeleteOk { id } => message(4, *id, 0),
-            Response::Error { id, reason } => {
-                let mut out = message(6, *id, run_len(reason.as_bytes()));
-                put_str(&mut out, reason);
-                out
-            }
-            Response::Retry { id } => message(7, *id, 0),
+            Response::NotFound { id } => message(3, *id, 0, |_| ()),
+            Response::DeleteOk { id } => message(4, *id, 0, |_| ()),
+            Response::Error { id, reason } => message(6, *id, field_len(reason.len()), |w| {
+                w.str(reason);
+            }),
+            Response::Retry { id } => message(7, *id, 0, |_| ()),
             Response::SyncBlocks { id, blocks } => {
                 let body: usize = blocks
                     .iter()
-                    .map(|(key, data, _)| run_len(key.as_bytes()) + run_len(data) + 8)
+                    .map(|(key, data, _)| field_len(key.len()) + field_len(data.len()) + 8)
                     .sum();
-                let mut out = message(8, *id, 4 + body);
-                out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for (key, data, checksum) in blocks {
-                    put_str(&mut out, key);
-                    put_bytes(&mut out, data);
-                    out.extend_from_slice(&checksum.to_le_bytes());
-                }
-                out
+                message(8, *id, 4 + body, |w| {
+                    w.u32(blocks.len() as u32);
+                    for (key, data, checksum) in blocks {
+                        w.str(key).bytes(data).u64(*checksum);
+                    }
+                })
             }
         };
         debug_assert_eq!(out.len(), out.capacity(), "miscounted {self:?}");
@@ -469,51 +394,47 @@ impl Response {
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> Result<u64, E>,
     ) -> Result<Vec<u8>, E> {
-        // Length prefix, block, checksum.
-        let mut out = message(2, id, 4 + len + 8);
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        let start = out.len();
-        out.resize(start + len, 0);
-        let checksum = fill(&mut out[start..])?;
-        out.extend_from_slice(&checksum.to_le_bytes());
+        // Length-prefixed block, then checksum.
+        let mut out = Vec::with_capacity(1 + 8 + field_len(len) + 8);
+        let mut w = Writer::new(&mut out);
+        let checksum = fill(w.u8(2).u64(id).bytes_slot(len))?;
+        w.u64(checksum);
         Ok(out)
     }
 
     /// Parses a response; `None` on malformed input.
     pub fn decode(bytes: &[u8]) -> Option<Response> {
-        let mut r = Reader(bytes, 1);
-        let resp = match bytes.first()? {
-            1 => Response::PutOk { id: r.u64()? },
-            2 => Response::GetOk {
-                id: r.u64()?,
-                data: r.bytes()?,
-                checksum: r.u64()?,
-            },
-            3 => Response::NotFound { id: r.u64()? },
-            4 => Response::DeleteOk { id: r.u64()? },
-            6 => Response::Error {
-                id: r.u64()?,
-                reason: r.string()?,
-            },
-            7 => Response::Retry { id: r.u64()? },
-            8 => {
-                let id = r.u64()?;
-                let n = u32::from_le_bytes(r.take(4)?.try_into().ok()?) as usize;
-                if n > (1 << 16) {
-                    return None;
+        decode_whole(bytes, |r| {
+            Ok(Some(match r.u8()? {
+                1 => Response::PutOk { id: r.u64()? },
+                2 => Response::GetOk {
+                    id: r.u64()?,
+                    data: r.bytes()?,
+                    checksum: r.u64()?,
+                },
+                3 => Response::NotFound { id: r.u64()? },
+                4 => Response::DeleteOk { id: r.u64()? },
+                6 => Response::Error {
+                    id: r.u64()?,
+                    reason: r.str()?,
+                },
+                7 => Response::Retry { id: r.u64()? },
+                8 => {
+                    let id = r.u64()?;
+                    let n = r.u32()? as usize;
+                    if n > MAX_SYNC_BLOCKS {
+                        return Err(WireError::LengthOverflow);
+                    }
+                    // Reserve only what the rest of the message can hold.
+                    let mut blocks = Vec::with_capacity(n.min(r.remaining() / MIN_SYNC_BLOCK));
+                    for _ in 0..n {
+                        blocks.push((r.str()?, r.bytes()?, r.u64()?));
+                    }
+                    Response::SyncBlocks { id, blocks }
                 }
-                // Reserve only what the rest of the message can hold:
-                // a block takes at least its two length prefixes and
-                // its checksum.
-                let mut blocks = Vec::with_capacity(n.min(r.remaining() / MIN_SYNC_BLOCK));
-                for _ in 0..n {
-                    blocks.push((r.string()?, r.bytes()?, r.u64()?));
-                }
-                Response::SyncBlocks { id, blocks }
-            }
-            _ => return None,
-        };
-        r.done().then_some(resp)
+                _ => return Ok(None),
+            }))
+        })
     }
 
     /// The echoed request id.
@@ -534,9 +455,9 @@ impl Response {
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
+    /// One request of every variant.
+    fn requests() -> [Request; 6] {
+        [
             Request::Get { id: 10, key: "k".into() },
             Request::ShardPut {
                 id: 11,
@@ -571,43 +492,12 @@ mod tests {
                 rest: vec![],
             },
             Request::SyncShard { id: 15, shard: 37 },
-        ];
-        // The bytes themselves: an encoder that changed the format in
-        // step with its decoder would still round-trip.
-        let put = Request::ShardPut {
-            id: 11,
-            key: "ab".into(),
-            data: vec![9; 3],
-            checksum: 0x0807_0605_0403_0201,
-            client: 1003,
-            seq: 42,
-        };
-        #[rustfmt::skip]
-        let golden = [
-            5,                       // tag
-            11, 0, 0, 0, 0, 0, 0, 0, // id
-            2, 0, 0, 0, b'a', b'b',  // key
-            3, 0, 0, 0, 9, 9, 9,     // block
-            1, 2, 3, 4, 5, 6, 7, 8,  // checksum
-            0xeb, 3, 0, 0, 0, 0, 0, 0, // client (1003)
-            42, 0, 0, 0, 0, 0, 0, 0, // seq
-        ];
-        assert_eq!(put.encode(), golden);
-        for r in reqs {
-            assert_eq!(Request::decode(&r.encode()), Some(r.clone()));
-            assert!(r.id() >= 10);
-            // Truncations never decode.
-            let full = r.encode();
-            assert_eq!(full.capacity(), full.len(), "{r:?} is one exact-size allocation");
-            for cut in 1..full.len() {
-                assert_eq!(Request::decode(&full[..cut]), None, "{r:?} cut {cut}");
-            }
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let resps = [
+    /// One response of every variant.
+    fn responses() -> [Response; 7] {
+        [
             Response::PutOk { id: 1 },
             Response::GetOk {
                 id: 2,
@@ -628,24 +518,41 @@ mod tests {
                     ("b".into(), vec![], block_checksum(&[])),
                 ],
             },
-        ];
-        for r in resps {
+        ]
+    }
+
+    #[test]
+    fn peek_id_reads_every_message_id() {
+        for r in requests() {
+            assert_eq!(peek_id(&r.encode()), Some(r.id()), "{r:?}");
+        }
+        for r in responses() {
+            assert_eq!(peek_id(&r.encode()), Some(r.id()), "{r:?}");
+        }
+        assert_eq!(peek_id(&[2, 1, 0, 0, 0, 0, 0, 0]), None, "an id one byte short");
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for r in requests() {
+            assert_eq!(Request::decode(&r.encode()), Some(r.clone()));
+            assert!(r.id() >= 10);
+            // Truncations never decode.
+            let full = r.encode();
+            assert_eq!(full.capacity(), full.len(), "{r:?} is one exact-size allocation");
+            for cut in 1..full.len() {
+                assert_eq!(Request::decode(&full[..cut]), None, "{r:?} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for r in responses() {
             let full = r.encode();
             assert_eq!(full.capacity(), full.len(), "{r:?} is one exact-size allocation");
             assert_eq!(Response::decode(&full), Some(r.clone()));
         }
-        // The bytes themselves: an encoder that changed the format in
-        // step with its decoder would still round-trip.
-        let get_ok = Response::GetOk { id: 2, data: b"xyz".to_vec(), checksum: 99 };
-        #[rustfmt::skip]
-        let golden = [
-            2,                      // tag
-            2, 0, 0, 0, 0, 0, 0, 0, // id
-            3, 0, 0, 0,             // block length
-            b'x', b'y', b'z',       // block
-            99, 0, 0, 0, 0, 0, 0, 0, // checksum
-        ];
-        assert_eq!(get_ok.encode(), golden);
     }
 
     /// Request and response tags overlap (2, 6, 7 and 8 are both), and
@@ -702,7 +609,7 @@ mod tests {
                 }
             }
         }
-        for r in reqs {
+        for r in requests() {
             assert_eq!(Response::decode(&r.encode()), None, "{r:?}");
         }
     }
@@ -725,26 +632,18 @@ mod tests {
     /// the malformed-input path.
     #[test]
     fn retired_tags_do_not_decode() {
-        let id = 7u64.to_le_bytes();
-        let mut put = vec![1];
-        put.extend_from_slice(&id);
-        put_str(&mut put, "k");
-        put_bytes(&mut put, &[1, 2, 3]);
-        put.extend_from_slice(&block_checksum(&[1, 2, 3]).to_le_bytes());
-        put.push(1);
-        let mut delete = vec![3];
-        delete.extend_from_slice(&id);
-        put_str(&mut delete, "k");
-        delete.push(1);
-        let mut list = vec![4];
-        list.extend_from_slice(&id);
+        let mut put = Vec::new();
+        Writer::new(&mut put).u8(1).u64(7).str("k").bytes(&[1, 2, 3]);
+        Writer::new(&mut put).u64(block_checksum(&[1, 2, 3])).u8(1);
+        let mut delete = Vec::new();
+        Writer::new(&mut delete).u8(3).u64(7).str("k").u8(1);
+        let mut list = Vec::new();
+        Writer::new(&mut list).u8(4).u64(7);
         for legacy in [put, delete, list] {
             assert_eq!(Request::decode(&legacy), None, "tag {}", legacy[0]);
         }
-        let mut keys = vec![5];
-        keys.extend_from_slice(&id);
-        keys.extend_from_slice(&1u32.to_le_bytes());
-        put_str(&mut keys, "k");
+        let mut keys = Vec::new();
+        Writer::new(&mut keys).u8(5).u64(7).u32(1).str("k");
         assert_eq!(Response::decode(&keys), None);
     }
 

@@ -25,6 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use veros_blockstore::store::StoreError;
+use veros_blockstore::wire::peek_id;
 use veros_blockstore::{BlockStore, Request, Response};
 use veros_net::demux::{Peer, RdtDemux};
 use veros_net::ip::IpAddr;
@@ -195,14 +196,14 @@ impl FleetNode {
     /// embed their host, sync ids use the high bit), so a message that
     /// matches in-flight response state *is* that response.
     ///
-    /// Both kinds carry the request id at bytes 1..9, and the two
+    /// Both kinds lead with the request id ([`peek_id`]), and the two
     /// response handlers act only on an id in `syncing` or `pending`. So
     /// a message is parsed as a response only when its id is one of
     /// those, and every other message is parsed once, as a request —
     /// request and response tags overlap, and parsing a `Get` as a
     /// `GetOk` would allocate its key before failing.
     fn dispatch(&mut self, stack: &mut NetStack, now: u64, peer: Peer, msg: &[u8]) {
-        let id = msg.get(1..9).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
+        let id = peek_id(msg);
         let awaited = id.is_some_and(|id| {
             self.syncing.contains_key(&id) || self.pending.iter().any(|p| p.id == id)
         });

@@ -19,6 +19,7 @@ use std::collections::BTreeSet;
 use veros_net::ip::IpAddr;
 use veros_net::socket::SocketId;
 use veros_net::stack::NetStack;
+use veros_spec::wire::{Reader, Writer};
 
 /// Heartbeat datagram tag.
 pub const TAG_HEARTBEAT: u8 = 0xB1;
@@ -52,39 +53,47 @@ impl View {
         }
     }
 
-    /// Serializes the view into a datagram payload.
+    /// Serializes the view into a datagram payload: tag, epoch, then
+    /// the live nodes as a counted list of `u16`s.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(13 + self.live.len() * 2);
-        out.push(TAG_VIEW);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.live.len() as u32).to_le_bytes());
-        for n in &self.live {
-            out.extend_from_slice(&n.to_le_bytes());
+        let mut out = Vec::with_capacity(1 + 8 + 4 + self.live.len() * 2);
+        let mut w = Writer::new(&mut out);
+        w.u8(TAG_VIEW).u64(self.epoch).u32(self.live.len() as u32);
+        for &n in &self.live {
+            w.u16(n);
         }
         out
     }
 
     /// Parses a view datagram; `None` on anything malformed.
     pub fn decode(bytes: &[u8]) -> Option<View> {
-        if bytes.len() < 13 || bytes[0] != TAG_VIEW {
+        let mut r = Reader::new(bytes);
+        if r.u8().ok()? != TAG_VIEW {
             return None;
         }
-        let epoch = u64::from_le_bytes(bytes[1..9].try_into().ok()?);
-        let n = u32::from_le_bytes(bytes[9..13].try_into().ok()?) as usize;
-        if n > u16::MAX as usize || bytes.len() != 13 + n * 2 {
-            return None;
-        }
-        let live = (0..n)
-            .map(|i| u16::from_le_bytes([bytes[13 + i * 2], bytes[14 + i * 2]]))
-            .collect();
+        let epoch = r.u64().ok()?;
+        // One exact-size list, which the set's bulk build reuses.
+        let live = r.u16s(u16::MAX as usize).ok()?.into_iter().collect();
+        r.finish().ok()?;
         Some(View { epoch, live })
     }
 }
 
-/// Encodes a node's heartbeat datagram.
+/// Encodes a node's heartbeat datagram: the tag and the node's id.
 pub fn heartbeat(node: u16) -> [u8; 3] {
     let [lo, hi] = node.to_le_bytes();
     [TAG_HEARTBEAT, lo, hi]
+}
+
+/// The node a heartbeat datagram names; `None` for anything else.
+pub fn parse_heartbeat(bytes: &[u8]) -> Option<u16> {
+    let mut r = Reader::new(bytes);
+    if r.u8().ok()? != TAG_HEARTBEAT {
+        return None;
+    }
+    let node = r.u16().ok()?;
+    r.finish().ok()?;
+    Some(node)
 }
 
 /// The membership coordinator: one socket, heartbeat bookkeeping, view
@@ -120,8 +129,7 @@ impl Coordinator {
     /// One tick: absorb heartbeats, declare the late dead, rebroadcast.
     pub fn step(&mut self, stack: &mut NetStack, now: u64) {
         while let Ok(Some((_, _, data))) = stack.recv_from(self.sock) {
-            if data.len() == 3 && data[0] == TAG_HEARTBEAT {
-                let node = u16::from_le_bytes([data[1], data[2]]);
+            if let Some(node) = parse_heartbeat(&data) {
                 if let Some(slot) = self.last_seen.iter_mut().find(|(n, _)| *n == node) {
                     slot.1 = now;
                 }
@@ -177,7 +185,12 @@ mod tests {
         let h = heartbeat(1001);
         assert_eq!(h.len(), 3);
         assert_eq!(h[0], TAG_HEARTBEAT);
-        assert_eq!(u16::from_le_bytes([h[1], h[2]]), 1001);
+        assert_eq!(parse_heartbeat(&h), Some(1001));
+        for cut in 0..h.len() {
+            assert_eq!(parse_heartbeat(&h[..cut]), None, "cut {cut}");
+        }
+        assert_eq!(parse_heartbeat(&[h.as_slice(), &[0]].concat()), None);
+        assert_eq!(parse_heartbeat(&View::initial(1).encode()), None);
     }
 
     #[test]

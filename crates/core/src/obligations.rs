@@ -3,9 +3,10 @@
 //! "It further entails three verification obligations: marshalling,
 //! mapping, and data-race freedom."
 
-use veros_kernel::syscall::{abi, marshal, SysError};
+use veros_kernel::syscall::{abi, SysError};
 use veros_kernel::{Kernel, KernelConfig, Syscall};
 use veros_spec::rng::SpecRng;
+use veros_spec::wire::{Reader, WireError, Writer};
 
 use crate::sys_spec::SysState;
 
@@ -74,65 +75,73 @@ pub fn marshalling_decode_fuzz(seed: u64, iters: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Byte-level serializer round-trips over random typed sequences.
+/// One field of a random schema, with its value.
+#[derive(Debug, PartialEq)]
+enum Field {
+    U8(u8),
+    U16(u16),
+    U32(u32),
+    U64(u64),
+    Bytes(Vec<u8>),
+    Str(String),
+    U16s(Vec<u16>),
+}
+
+/// Byte-level codec ([`veros_spec::wire`], the one every message,
+/// journal record and ring slot is written with) round-trips over random
+/// typed sequences, and every byte written is read back.
 pub fn marshalling_bytes_roundtrip(seed: u64, iters: usize) -> Result<(), String> {
     let mut rng = SpecRng::seeded(seed ^ 0xb17e);
     for _ in 0..iters {
         // A random schema of up to 8 fields.
-        let n = 1 + rng.index(8);
-        let mut enc = marshal::Encoder::new();
-        let mut fields: Vec<(u8, Vec<u8>)> = Vec::new();
-        for _ in 0..n {
-            match rng.below(5) {
-                0 => {
-                    let v = rng.next_u64() as u8;
-                    enc.u8(v);
-                    fields.push((0, vec![v]));
-                }
-                1 => {
-                    let v = rng.next_u64() as u32;
-                    enc.u32(v);
-                    fields.push((1, v.to_le_bytes().to_vec()));
-                }
-                2 => {
-                    let v = rng.next_u64();
-                    enc.u64(v);
-                    fields.push((2, v.to_le_bytes().to_vec()));
-                }
-                3 => {
-                    let mut b = vec![0u8; rng.index(64)];
-                    rng.fill(&mut b);
-                    enc.bytes(&b);
-                    fields.push((3, b));
-                }
-                _ => {
-                    let v = rng.chance(1, 2);
-                    enc.bool(v);
-                    fields.push((4, vec![v as u8]));
-                }
-            }
-        }
-        let wire = enc.finish();
-        let mut dec = marshal::Decoder::new(&wire);
-        for (kind, want) in &fields {
-            let ok = match kind {
-                0 => dec.u8().map(|v| vec![v] == *want).unwrap_or(false),
-                1 => dec
-                    .u32()
-                    .map(|v| v.to_le_bytes().to_vec() == *want)
-                    .unwrap_or(false),
-                2 => dec
-                    .u64()
-                    .map(|v| v.to_le_bytes().to_vec() == *want)
-                    .unwrap_or(false),
-                3 => dec.bytes().map(|v| v == *want).unwrap_or(false),
-                _ => dec.bool().map(|v| vec![v as u8] == *want).unwrap_or(false),
+        let fields: Vec<Field> = (0..1 + rng.index(8))
+            .map(|_| match rng.below(7) {
+                0 => Field::U8(rng.next_u64() as u8),
+                1 => Field::U16(rng.next_u64() as u16),
+                2 => Field::U32(rng.next_u64() as u32),
+                3 => Field::U64(rng.next_u64()),
+                4 => Field::Bytes((0..rng.index(64)).map(|_| rng.next_u64() as u8).collect()),
+                5 => Field::Str(
+                    (0..rng.index(16))
+                        .map(|_| char::from_u32(rng.below(0xd800) as u32).unwrap_or('?'))
+                        .collect(),
+                ),
+                _ => Field::U16s((0..rng.index(8)).map(|_| rng.next_u64() as u16).collect()),
+            })
+            .collect();
+        let mut wire = Vec::new();
+        let mut w = Writer::new(&mut wire);
+        for f in &fields {
+            match f {
+                Field::U8(v) => w.u8(*v),
+                Field::U16(v) => w.u16(*v),
+                Field::U32(v) => w.u32(*v),
+                Field::U64(v) => w.u64(*v),
+                Field::Bytes(v) => w.bytes(v),
+                Field::Str(v) => w.str(v),
+                Field::U16s(v) => w.u16s(v),
             };
-            if !ok {
-                return Err("field did not round-trip".into());
-            }
         }
-        dec.finish().map_err(|e| format!("trailing bytes: {e:?}"))?;
+        let mut r = Reader::new(&wire);
+        let back = fields
+            .iter()
+            .map(|f| {
+                Ok(match f {
+                    Field::U8(_) => Field::U8(r.u8()?),
+                    Field::U16(_) => Field::U16(r.u16()?),
+                    Field::U32(_) => Field::U32(r.u32()?),
+                    Field::U64(_) => Field::U64(r.u64()?),
+                    Field::Bytes(_) => Field::Bytes(r.bytes()?),
+                    Field::Str(_) => Field::Str(r.str()?),
+                    Field::U16s(_) => Field::U16s(r.u16s(8)?),
+                })
+            })
+            .collect::<Result<Vec<_>, WireError>>()
+            .map_err(|e| format!("{fields:?} did not decode: {e}"))?;
+        if back != fields {
+            return Err(format!("{fields:?} decoded as {back:?}"));
+        }
+        r.finish().map_err(|e| format!("{fields:?}: {e}"))?;
     }
     Ok(())
 }

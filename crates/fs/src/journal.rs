@@ -12,10 +12,11 @@
 //!
 //! Record format (little-endian, zero-padded to whole sectors):
 //! `MAGIC u32 | len u32 | op₁ … opₙ | checksum u32` — `len` bytes of
-//! operations packed back to back, each framed by the same marshalling
-//! discipline as the syscall layer, and one checksum over `len` and the
-//! operations, so a record of which the drive kept only some sectors, or
-//! a torn one, is detected rather than misparsed. The checksum is the
+//! operations packed back to back, each written with
+//! [`veros_spec::wire`] (the codec the marshalling obligation checks),
+//! and one checksum over `len` and the operations, so a record of which
+//! the drive kept only some sectors, or a torn one, is detected rather
+//! than misparsed. The checksum is the
 //! 32-bit form of the workspace's integrity checksum,
 //! [`veros_spec::checksum::checksum32`]: a single-bit flip changes it
 //! (pinned at every offset of inputs of 0–72, 1 024 and 1 032 bytes),
@@ -53,6 +54,7 @@
 
 use veros_hw::{SimDisk, SECTOR_SIZE};
 use veros_spec::checksum::checksum32;
+use veros_spec::wire::{field_len, Reader, Writer, MAX_FIELD};
 
 use crate::memfs::{Checked, FsError, MemFs};
 use crate::path::Path;
@@ -99,16 +101,18 @@ impl FsOp {
     /// Bytes [`FsOp::encode_into`] appends — known without encoding, so
     /// a transaction's journal space can be reserved up front.
     fn encoded_len(&self) -> usize {
-        // tag u8, then `len u32 | bytes` per string/blob and 8 per u64.
+        // tag u8, then a length-prefixed field per string/blob and 8 per u64.
         match self {
-            FsOp::Create(p) | FsOp::Mkdir(p) | FsOp::Unlink(p) | FsOp::Rmdir(p) => 1 + 4 + p.len(),
-            FsOp::WriteAt(p, _, data) => 1 + 4 + p.len() + 8 + 4 + data.len(),
-            FsOp::Truncate(p, _) => 1 + 4 + p.len() + 8,
+            FsOp::Create(p) | FsOp::Mkdir(p) | FsOp::Unlink(p) | FsOp::Rmdir(p) => {
+                1 + field_len(p.len())
+            }
+            FsOp::WriteAt(p, _, data) => 1 + field_len(p.len()) + 8 + field_len(data.len()),
+            FsOp::Truncate(p, _) => 1 + field_len(p.len()) + 8,
         }
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut e = wire::Encoder::new(buf);
+        let mut e = Writer::new(buf);
         match self {
             FsOp::Create(p) => {
                 e.u8(1).str(p);
@@ -131,7 +135,7 @@ impl FsOp {
         }
     }
 
-    fn decode(d: &mut wire::Decoder<'_>) -> Option<FsOp> {
+    fn decode(d: &mut Reader<'_>) -> Option<FsOp> {
         Some(match d.u8().ok()? {
             1 => FsOp::Create(d.str().ok()?),
             2 => FsOp::Mkdir(d.str().ok()?),
@@ -146,9 +150,9 @@ impl FsOp {
     /// Decodes operations packed back to back, as a record holds them;
     /// `None` unless `bytes` is exactly a sequence of whole operations.
     fn decode_all(bytes: &[u8]) -> Option<Vec<FsOp>> {
-        let mut d = wire::Decoder::new(bytes);
+        let mut d = Reader::new(bytes);
         let mut ops = Vec::new();
-        while !d.is_empty() {
+        while d.remaining() > 0 {
             ops.push(FsOp::decode(&mut d)?);
         }
         Some(ops)
@@ -159,94 +163,14 @@ fn parse(p: &str) -> Result<Path, FsError> {
     Path::parse(p).map_err(|_| FsError::NotFound)
 }
 
-/// Minimal standalone wire helpers (the fs crate must not depend on the
-/// kernel crate, so the tiny encoder is duplicated here with the same
-/// format; the cross-implementation round-trip is itself a test).
-mod wire {
-    /// Appends to a caller-owned buffer (the journal's record buffer).
-    pub struct Encoder<'a> {
-        buf: &'a mut Vec<u8>,
-    }
-
-    impl<'a> Encoder<'a> {
-        pub fn new(buf: &'a mut Vec<u8>) -> Self {
-            Self { buf }
-        }
-        pub fn u8(&mut self, v: u8) -> &mut Self {
-            self.buf.push(v);
-            self
-        }
-        pub fn u64(&mut self, v: u64) -> &mut Self {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-            self
-        }
-        pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-            self.buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(v);
-            self
-        }
-        pub fn str(&mut self, v: &str) -> &mut Self {
-            self.bytes(v.as_bytes())
-        }
-    }
-
-    pub struct Decoder<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Decoder<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Self { buf, pos: 0 }
-        }
-        fn take(&mut self, n: usize) -> Result<&'a [u8], ()> {
-            if self.buf.len() - self.pos < n {
-                return Err(());
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-        pub fn u8(&mut self) -> Result<u8, ()> {
-            Ok(self.take(1)?[0])
-        }
-        /// Reads exactly `N` bytes into an array; the element-wise copy
-        /// cannot fail and a short buffer already errored in `take`.
-        fn array<const N: usize>(&mut self) -> Result<[u8; N], ()> {
-            let s = self.take(N)?;
-            let mut out = [0u8; N];
-            for (d, b) in out.iter_mut().zip(s) {
-                *d = *b;
-            }
-            Ok(out)
-        }
-        pub fn u64(&mut self) -> Result<u64, ()> {
-            Ok(u64::from_le_bytes(self.array()?))
-        }
-        pub fn bytes(&mut self) -> Result<Vec<u8>, ()> {
-            let len = u32::from_le_bytes(self.array::<4>()?) as usize;
-            if len > (1 << 24) {
-                return Err(());
-            }
-            Ok(self.take(len)?.to_vec())
-        }
-        pub fn str(&mut self) -> Result<String, ()> {
-            String::from_utf8(self.bytes()?).map_err(|_| ())
-        }
-        pub fn is_empty(&self) -> bool {
-            self.pos == self.buf.len()
-        }
-    }
-}
-
 const MAGIC: u32 = 0x7665_4a4e; // "veJN"
 /// Record framing around the operations: `MAGIC u32 | len u32` before
 /// them, `checksum u32` after.
 const HEADER: usize = 8;
 const TRAILER: usize = 4;
-/// Largest `len` recovery reads back (the same bound the decoder puts
-/// on one blob), so staging refuses a transaction past it.
-const MAX_OPS_LEN: usize = 1 << 24;
+/// Largest `len` recovery reads back (the same bound the codec puts on
+/// one length-prefixed field), so staging refuses a transaction past it.
+const MAX_OPS_LEN: usize = MAX_FIELD;
 
 /// Sectors a record carrying `ops_len` bytes of operations occupies.
 fn record_sectors(ops_len: usize) -> u64 {
@@ -339,8 +263,7 @@ impl JournaledFs {
                 return Err(FsError::NoSpace);
             }
             if self.record.is_empty() {
-                self.record.extend_from_slice(&MAGIC.to_le_bytes());
-                self.record.extend_from_slice(&[0; 4]); // `len`, sealed by `commit`
+                Writer::new(&mut self.record).u32(MAGIC).u32(0); // `len`, sealed by `commit`
             }
             op.encode_into(&mut self.record);
             debug_assert_eq!(self.record.len(), HEADER + ops_len, "encoded_len matches encode_into");
@@ -468,16 +391,6 @@ impl JournaledFs {
     }
 }
 
-/// Reads a little-endian `u32` at `off`; the caller guarantees the four
-/// bytes exist (all call sites index into whole-sector buffers).
-fn le_u32_at(buf: &[u8], off: usize) -> u32 {
-    let mut w = [0u8; 4];
-    for (d, b) in w.iter_mut().zip(buf.iter().skip(off)) {
-        *d = *b;
-    }
-    u32::from_le_bytes(w)
-}
-
 /// The record at byte offset `pos` — its operations and the offset
 /// after it — if it parses and its checksum holds; `None` marks the end
 /// of the journal (never written, landed in part, or torn).
@@ -485,10 +398,11 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(Vec<FsOp>, u64)> {
     let first = pos / SECTOR_SIZE as u64;
     let mut head = [0u8; SECTOR_SIZE];
     disk.read(first, &mut head).ok()?;
-    if le_u32_at(&head, 0) != MAGIC {
+    let mut r = Reader::new(&head);
+    if r.u32().ok()? != MAGIC {
         return None;
     }
-    let len = le_u32_at(&head, 4) as usize;
+    let len = r.u32().ok()? as usize;
     if len > MAX_OPS_LEN {
         return None;
     }
@@ -500,7 +414,7 @@ fn read_record(disk: &SimDisk, pos: u64) -> Option<(Vec<FsOp>, u64)> {
     for (sector, buf) in (first..).zip(raw.as_chunks_mut::<SECTOR_SIZE>().0) {
         disk.read(sector, buf).ok()?;
     }
-    if checksum32(raw.get(4..HEADER + len)?) != le_u32_at(&raw, HEADER + len) {
+    if checksum32(raw.get(4..HEADER + len)?) != Reader::new(raw.get(HEADER + len..)?).u32().ok()? {
         return None;
     }
     let ops = FsOp::decode_all(raw.get(HEADER..HEADER + len)?)?;

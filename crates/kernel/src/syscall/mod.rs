@@ -9,9 +9,10 @@
 //! 2. [`abi`] — the register-level encoding (`[u64; 6]`): what an
 //!    unverified assembly shim would deliver. The *marshalling
 //!    obligation* is that encode/decode round-trips.
-//! 3. [`marshal`] — the byte-level serializer used for structured
-//!    payloads (paths) and by higher layers (the network protocol of the
-//!    block store).
+//! 3. [`veros_spec::wire`] — the byte-level codec: the ring's SQE and
+//!    CQE slots are read with it, and every higher-layer format (the
+//!    block store's protocol, the journal's records, membership views,
+//!    rdt headers) is written and read with it.
 //!
 //! Every per-syscall fact is one row of the table at the end of this
 //! file: the variant and its doc, its ABI number, its metric name, its
@@ -27,7 +28,6 @@
 //! handle it.
 
 pub mod abi;
-pub mod marshal;
 
 use veros_spec::rng::SpecRng;
 

@@ -2,8 +2,9 @@
 //! marshalling obligation, driven by the in-tree deterministic
 //! [`SpecRng`] (formerly proptest-based).
 
+use veros_kernel::syscall::{abi, SysError, Syscall};
 use veros_spec::rng::SpecRng;
-use veros_kernel::syscall::{abi, marshal, SysError, Syscall};
+use veros_spec::wire::{Reader, Writer};
 
 const CASES: usize = 512;
 
@@ -53,7 +54,7 @@ fn rets_round_trip() {
     }
 }
 
-/// The byte-level serializer: bytes and strings survive arbitrary
+/// The byte-level codec (`veros_spec::wire`): bytes and strings survive arbitrary
 /// content, and truncated input is always an error (never a panic, never
 /// a bogus success for scalar-prefix payloads).
 #[test]
@@ -68,17 +69,16 @@ fn marshal_bytes_round_trip() {
                 char::from_u32(rng.below(0xd7ff) as u32).unwrap_or('\u{fffd}')
             })
             .collect();
-        let mut e = marshal::Encoder::new();
-        e.bytes(&data).str(&s).u64(data.len() as u64);
-        let wire = e.finish();
-        let mut d = marshal::Decoder::new(&wire);
+        let mut wire = Vec::new();
+        Writer::new(&mut wire).bytes(&data).str(&s).u64(data.len() as u64);
+        let mut d = Reader::new(&wire);
         assert_eq!(d.bytes().expect("bytes decode"), data);
         assert_eq!(d.str().expect("str decodes"), s);
         assert_eq!(d.u64().expect("u64 decodes"), data.len() as u64);
         d.finish().expect("fully consumed");
         // Any strict prefix fails to decode fully.
         if !wire.is_empty() {
-            let mut d = marshal::Decoder::new(&wire[..wire.len() - 1]);
+            let mut d = Reader::new(&wire[..wire.len() - 1]);
             let r = d.bytes().and_then(|_| d.str()).and_then(|_| d.u64());
             assert!(r.is_err());
         }

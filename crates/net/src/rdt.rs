@@ -31,6 +31,8 @@
 
 use std::collections::VecDeque;
 
+use veros_spec::wire::Reader;
+
 use crate::demux::Peer;
 use crate::socket::{SocketError, SocketId};
 use crate::stack::NetStack;
@@ -62,11 +64,9 @@ impl Msg {
     /// Parses a datagram's header; `None` for a datagram shorter than
     /// the header or of an unknown type.
     pub(crate) fn parse(data: &[u8]) -> Option<Self> {
-        if data.len() < HEADER {
-            return None;
-        }
-        let seq = u64::from_le_bytes(crate::take_arr(data, 1));
-        match data[0] {
+        let mut r = Reader::new(data);
+        let (kind, seq) = (r.u8().ok()?, r.u64().ok()?);
+        match kind {
             MSG_DATA => Some(Self::Data(seq)),
             MSG_ACK => Some(Self::Ack(seq)),
             _ => None,

@@ -26,6 +26,8 @@
 //!   of verification-condition times).
 //! * [`checksum`] — the one integrity checksum that blockstore blocks
 //!   and journal records carry.
+//! * [`wire`] — the one little-endian byte codec every message, journal
+//!   record and ring slot is written with.
 //!
 //! [Verus]: https://github.com/verus-lang/verus
 
@@ -41,6 +43,7 @@ pub mod report;
 pub mod rng;
 pub mod state_machine;
 pub mod vc;
+pub mod wire;
 
 pub use explorer::{ExploreLimits, ExploreOutcome, ExploreStats, Explorer, Trace};
 pub use fault::{FaultSchedule, WireFaults};

@@ -25,7 +25,6 @@
 use std::collections::VecDeque;
 
 use veros_kernel::syscall::abi::{self, Regs};
-use veros_kernel::syscall::marshal::Encoder;
 use veros_kernel::syscall::{RingClass, SysError, SysRet, Syscall};
 use veros_kernel::thread::ThreadState;
 use veros_kernel::{Kernel, Pid, Tid};
@@ -96,7 +95,6 @@ pub struct Engine {
     workers: Vec<Tid>,
     backlog: VecDeque<Cqe>,
     chain: Vec<ChainLink>,
-    scratch: Encoder,
     log: Option<Vec<DispatchRecord>>,
 }
 
@@ -111,7 +109,6 @@ impl Engine {
             workers: Vec::new(),
             backlog: VecDeque::new(),
             chain: Vec::with_capacity(MAX_CHAIN),
-            scratch: Encoder::new(),
             log: None,
         }
     }
@@ -500,7 +497,7 @@ impl Engine {
             self.backlog.push_back(cqe);
             return;
         }
-        let bytes = cqe.encode(&mut self.scratch);
+        let bytes = cqe.encode();
         if self.ring.cq.push(bytes).is_err() {
             self.backlog.push_back(cqe);
         }
@@ -509,7 +506,7 @@ impl Engine {
     /// Moves overflowed CQEs into the queue as slots free up.
     fn flush_backlog(&mut self) {
         while let Some(cqe) = self.backlog.pop_front() {
-            let bytes = cqe.encode(&mut self.scratch);
+            let bytes = cqe.encode();
             if self.ring.cq.push(bytes).is_err() {
                 self.backlog.push_front(cqe);
                 break;
@@ -538,7 +535,6 @@ fn worker_state(k: &Kernel, tid: Tid) -> WorkerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::SQE_BYTES;
     use crate::ring::pair;
     use veros_kernel::KernelConfig;
 
@@ -580,13 +576,8 @@ mod tests {
         let (mut k, owner) = boot();
         let (mut user, kring) = pair(4);
         let mut eng = Engine::new(kring, owner);
-        let mut scratch = Encoder::new();
-        scratch.u64(77).u64(0); // token + empty flags word
-        for r in [999u64, 0, 0, 0, 0, 0] {
-            scratch.u64(r);
-        }
-        let mut raw = [0u8; SQE_BYTES];
-        raw.copy_from_slice(scratch.as_slice());
+        // Token 77, empty flags word, opcode 999.
+        let raw = Sqe { user_data: 77, flags: 0, regs: [999, 0, 0, 0, 0, 0] }.encode();
         user.submit_raw(raw).unwrap();
         assert_eq!(eng.submit_batch(&mut k), 1);
         let cqe = user.complete().expect("rejection still completes");

@@ -1,15 +1,16 @@
 //! Wire formats for submission and completion entries.
 //!
-//! Both entries reuse the kernel's marshalling layers rather than
+//! Both entries reuse the existing marshalling layers rather than
 //! inventing a new encoding: an SQE carries the caller's correlation
 //! token plus the *register image* of the syscall — exactly what
 //! [`veros_kernel::syscall::abi::encode_regs`] produces for the
-//! synchronous trap path — serialized with
-//! [`veros_kernel::syscall::marshal`]. The kernel side re-derives the
-//! typed [`Syscall`] through [`abi::decode_regs`], so a ring entry goes
-//! through the *same* marshalling obligation as a synchronous trap, and
-//! a bad opcode is rejected the same way (`SysError::BadSyscall`),
-//! just reported through a CQE instead of a register pair.
+//! synchronous trap path — as little-endian words written straight into
+//! the slot and read back with [`veros_spec::wire::Reader`]. The kernel
+//! side re-derives the typed [`Syscall`] through [`abi::decode_regs`],
+//! so a ring entry goes through the *same* marshalling obligation as a
+//! synchronous trap, and a bad opcode is rejected the same way
+//! (`SysError::BadSyscall`), just reported through a CQE instead of a
+//! register pair.
 //!
 //! A CQE is the mirror image: the correlation token plus the
 //! `(status, value)` pair of [`abi::encode_ret`].
@@ -23,8 +24,8 @@
 //! through reserved bits.
 
 use veros_kernel::syscall::abi::{self, Regs};
-use veros_kernel::syscall::marshal::{Decoder, Encoder, MarshalError};
 use veros_kernel::syscall::{SysError, SysRet, Syscall};
+use veros_spec::wire::{Reader, WireError};
 
 /// Serialized size of an SQE: token + flags + six registers.
 pub const SQE_BYTES: usize = 8 * 8;
@@ -171,23 +172,15 @@ impl Sqe {
         SqeFlags::decode(self.flags)
     }
 
-    /// Serializes into a ring slot through `scratch` (reused across
-    /// entries so the hot path never allocates).
-    pub fn encode(&self, scratch: &mut Encoder) -> SqeBytes {
-        scratch.clear();
-        scratch.u64(self.user_data).u64(self.flags);
-        for r in self.regs {
-            scratch.u64(r);
-        }
-        let mut out = [0u8; SQE_BYTES];
-        out.copy_from_slice(scratch.as_slice());
-        out
+    /// Serializes into a ring slot.
+    pub fn encode(&self) -> SqeBytes {
+        slot([self.user_data, self.flags].into_iter().chain(self.regs))
     }
 
     /// Deserializes a ring slot (or any byte buffer — short buffers are
     /// `Truncated`, long ones `TrailingBytes`).
-    pub fn decode(bytes: &[u8]) -> Result<Self, MarshalError> {
-        let mut d = Decoder::new(bytes);
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut d = Reader::new(bytes);
         let user_data = d.u64()?;
         let flags = d.u64()?;
         let mut regs: Regs = [0; 6];
@@ -209,28 +202,34 @@ pub struct Cqe {
 }
 
 impl Cqe {
-    /// Serializes into a ring slot through `scratch`.
-    pub fn encode(&self, scratch: &mut Encoder) -> CqeBytes {
+    /// Serializes into a ring slot.
+    pub fn encode(&self) -> CqeBytes {
         let (status, value) = abi::encode_ret(self.result);
-        scratch.clear();
-        scratch.u64(self.user_data).u64(status).u64(value);
-        let mut out = [0u8; CQE_BYTES];
-        out.copy_from_slice(scratch.as_slice());
-        out
+        slot([self.user_data, status, value])
     }
 
     /// Deserializes a ring slot; a status outside the `SysError` code
     /// domain is `Truncated`-style garbage and surfaces as an error
     /// rather than a fabricated result.
-    pub fn decode(bytes: &[u8]) -> Result<Self, MarshalError> {
-        let mut d = Decoder::new(bytes);
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut d = Reader::new(bytes);
         let user_data = d.u64()?;
         let status = d.u64()?;
         let value = d.u64()?;
         d.finish()?;
-        let result = abi::decode_ret(status, value).map_err(|_| MarshalError::Truncated)?;
+        let result = abi::decode_ret(status, value).map_err(|_| WireError::Truncated)?;
         Ok(Self { user_data, result })
     }
+}
+
+/// A slot image: `words` as little-endian `u64`s, back to back, in the
+/// layout [`Reader::u64`] reads them back from.
+fn slot<const N: usize>(words: impl IntoIterator<Item = u64>) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (bytes, w) in out.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *bytes = w.to_le_bytes();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -239,10 +238,9 @@ mod tests {
 
     #[test]
     fn sqe_round_trips_every_syscall_variant() {
-        let mut scratch = Encoder::new();
         for (i, call) in abi::sample_calls().into_iter().enumerate() {
             let sqe = Sqe::new(0xa000 + i as u64, &call);
-            let bytes = sqe.encode(&mut scratch);
+            let bytes = sqe.encode();
             let back = Sqe::decode(&bytes).expect("well-formed SQE decodes");
             assert_eq!(back, sqe);
             assert_eq!(back.syscall().expect("valid opcode"), call);
@@ -251,32 +249,30 @@ mod tests {
 
     #[test]
     fn cqe_round_trips_ok_and_every_error_code() {
-        let mut scratch = Encoder::new();
         let mut results: Vec<SysRet> = vec![Ok(0), Ok(u64::MAX), Ok(0x1234)];
         results.extend(SysError::ALL.iter().map(|&e| Err(e)));
         for (i, result) in results.into_iter().enumerate() {
             let cqe = Cqe { user_data: i as u64, result };
-            let bytes = cqe.encode(&mut scratch);
+            let bytes = cqe.encode();
             assert_eq!(Cqe::decode(&bytes).expect("well-formed CQE decodes"), cqe);
         }
     }
 
     #[test]
     fn truncated_buffers_are_rejected_at_every_length() {
-        let mut scratch = Encoder::new();
-        let sqe = Sqe::new(9, &Syscall::Yield).encode(&mut scratch);
+        let sqe = Sqe::new(9, &Syscall::Yield).encode();
         for len in 0..SQE_BYTES {
             assert_eq!(
                 Sqe::decode(&sqe[..len]),
-                Err(MarshalError::Truncated),
+                Err(WireError::Truncated),
                 "sqe truncated to {len}"
             );
         }
-        let cqe = Cqe { user_data: 9, result: Ok(1) }.encode(&mut scratch);
+        let cqe = Cqe { user_data: 9, result: Ok(1) }.encode();
         for len in 0..CQE_BYTES {
             assert_eq!(
                 Cqe::decode(&cqe[..len]),
-                Err(MarshalError::Truncated),
+                Err(WireError::Truncated),
                 "cqe truncated to {len}"
             );
         }
@@ -284,13 +280,12 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_trailing_bytes() {
-        let mut scratch = Encoder::new();
-        let mut long = Sqe::new(1, &Syscall::Yield).encode(&mut scratch).to_vec();
+        let mut long = Sqe::new(1, &Syscall::Yield).encode().to_vec();
         long.push(0);
-        assert_eq!(Sqe::decode(&long), Err(MarshalError::TrailingBytes));
-        let mut long = Cqe { user_data: 1, result: Ok(0) }.encode(&mut scratch).to_vec();
+        assert_eq!(Sqe::decode(&long), Err(WireError::TrailingBytes));
+        let mut long = Cqe { user_data: 1, result: Ok(0) }.encode().to_vec();
         long.push(0);
-        assert_eq!(Cqe::decode(&long), Err(MarshalError::TrailingBytes));
+        assert_eq!(Cqe::decode(&long), Err(WireError::TrailingBytes));
     }
 
     #[test]
@@ -327,10 +322,9 @@ mod tests {
 
     #[test]
     fn flagged_sqe_round_trips_through_the_wire() {
-        let mut scratch = Encoder::new();
         let call = Syscall::Read { fd: 0, buf_ptr: 0x2000, buf_len: 64 };
         let sqe = Sqe::with_flags(77, &call, SqeFlags::NONE.linked().subst_prev(1));
-        let back = Sqe::decode(&sqe.encode(&mut scratch)).expect("decodes");
+        let back = Sqe::decode(&sqe.encode()).expect("decodes");
         assert_eq!(back, sqe);
         assert_eq!(
             back.sqe_flags().expect("valid flags"),
@@ -359,10 +353,7 @@ mod tests {
 
     #[test]
     fn corrupt_cqe_status_does_not_fabricate_an_error() {
-        let mut scratch = Encoder::new();
-        scratch.u64(1).u64(9999).u64(0); // status 9999: no such SysError.
-        let mut bytes = [0u8; CQE_BYTES];
-        bytes.copy_from_slice(scratch.as_slice());
+        let bytes: CqeBytes = slot([1, 9999, 0]); // status 9999: no such SysError.
         assert!(Cqe::decode(&bytes).is_err());
     }
 }

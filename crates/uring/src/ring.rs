@@ -8,7 +8,6 @@
 //! the rings model a shared-memory mapping, so everything crossing them
 //! goes through the marshalling layer, same as the trap path.
 
-use veros_kernel::syscall::marshal::Encoder;
 use veros_kernel::syscall::Syscall;
 
 use crate::entry::{Cqe, CqeBytes, Sqe, SqeBytes, SqeFlags};
@@ -19,7 +18,6 @@ use veros_sync::spsc::{self, Consumer, Full, Producer};
 pub struct UserRing {
     sq: Producer<SqeBytes>,
     cq: Consumer<CqeBytes>,
-    scratch: Encoder,
 }
 
 /// The kernel side: SQ consumer + CQ producer. Driven by
@@ -39,7 +37,7 @@ pub fn pair(depth: usize) -> (UserRing, KernelRing) {
     let (sq_prod, sq_cons) = spsc::ring(depth);
     let (cq_prod, cq_cons) = spsc::ring(depth);
     (
-        UserRing { sq: sq_prod, cq: cq_cons, scratch: Encoder::new() },
+        UserRing { sq: sq_prod, cq: cq_cons },
         KernelRing { sq: sq_cons, cq: cq_prod },
     )
 }
@@ -52,7 +50,7 @@ impl UserRing {
 
     /// Submits a typed syscall under a caller-chosen correlation token.
     pub fn submit(&mut self, user_data: u64, call: &Syscall) -> Result<(), SqFull> {
-        let bytes = Sqe::new(user_data, call).encode(&mut self.scratch);
+        let bytes = Sqe::new(user_data, call).encode();
         self.submit_raw(bytes)
     }
 
@@ -67,7 +65,7 @@ impl UserRing {
         call: &Syscall,
         flags: SqeFlags,
     ) -> Result<(), SqFull> {
-        let bytes = Sqe::with_flags(user_data, call, flags).encode(&mut self.scratch);
+        let bytes = Sqe::with_flags(user_data, call, flags).encode();
         self.submit_raw(bytes)
     }
 
@@ -140,9 +138,8 @@ mod tests {
     #[test]
     fn completions_round_trip_through_the_cq() {
         let (mut user, mut kernel) = pair(2);
-        let mut scratch = Encoder::new();
         let cqe = Cqe { user_data: 9, result: Err(SysError::WouldBlock) };
-        kernel.cq.push(cqe.encode(&mut scratch)).unwrap();
+        kernel.cq.push(cqe.encode()).unwrap();
         assert_eq!(user.cq_len(), 1);
         assert_eq!(user.complete(), Some(cqe));
         assert_eq!(user.complete(), None);

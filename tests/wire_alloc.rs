@@ -22,7 +22,8 @@
 //!
 //! Decoding a malformed message allocates no more than a small multiple
 //! of its length: a `SyncBlocks` header claiming 65 536 blocks with none
-//! behind it reserves nothing.
+//! behind it reserves nothing, and neither does a `ChainPut` whose chain
+//! claims 64 hosts with none behind them.
 //!
 //! A new rdt session holds no buffer: the first message to a new peer
 //! and its ACK allocate the DATA frame and the ACK frame and nothing
@@ -36,7 +37,7 @@ mod counting_alloc;
 
 use counting_alloc::{allocated_by, Allocated};
 use veros_blockstore::wire::block_checksum;
-use veros_blockstore::{BlockStore, Response};
+use veros_blockstore::{BlockStore, Request, Response};
 use veros_cluster::node::COORD_PORT;
 use veros_cluster::shard::ShardMap;
 use veros_cluster::view::HEARTBEAT_EVERY;
@@ -120,6 +121,18 @@ fn fleet_messages_allocate_once_and_decoding_reserves_only_what_the_input_holds(
         "decoding a {}-byte SyncBlocks header allocated {cost:?}",
         header.len()
     );
+
+    // A `ChainPut` with an empty key and block whose chain claims 64
+    // hosts (the decoder's bound) with none behind them.
+    let mut chain_put = vec![7];
+    chain_put.extend_from_slice(&7u64.to_le_bytes());
+    chain_put.extend_from_slice(&[0; 2 * 4]); // empty key, empty block
+    chain_put.extend_from_slice(&[0; 4 * 8]); // checksum, client, seq, epoch
+    chain_put.extend_from_slice(&64u32.to_le_bytes());
+    let mut decoded = Some(Request::Get { id: 0, key: String::new() });
+    let cost = allocated_by(|| decoded = Request::decode(&chain_put));
+    assert_eq!(decoded, None);
+    assert_eq!(cost.bytes, 0, "decoding a hostless ChainPut reserved for its hosts");
 
     a_new_session_holds_no_buffer();
 }
