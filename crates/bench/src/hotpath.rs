@@ -23,7 +23,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use veros_kernel::vspace::{PtKind, VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
+use veros_kernel::vspace::{VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
 use veros_nr::{Dispatch, NodeReplicated};
 
 use crate::baseline::{Better, Current, Gate};
@@ -120,7 +120,7 @@ pub fn contended_execute_mut(threads: usize, replicas: usize, ops_per_thread: u6
 /// descent (cold path).
 #[inline(never)]
 pub fn resolve_latency_ns(pages: u64, iters: u64) -> f64 {
-    let mut d = VSpaceDispatch::new(1 << 13, PtKind::Verified);
+    let mut d: VSpaceDispatch = VSpaceDispatch::new(1 << 13);
     let base = 0x4000_0000u64;
     for i in 0..pages {
         d.dispatch_mut(&VSpaceWriteOp::MapNew {
@@ -151,7 +151,7 @@ pub fn resolve_latency_ns(pages: u64, iters: u64) -> f64 {
 /// or as the per-page loop the seed paid.
 #[inline(never)]
 pub fn range_ns_per_page(pages: u64, reps: u64, batched: bool) -> f64 {
-    let mut d = VSpaceDispatch::new(1 << 13, PtKind::Verified);
+    let mut d: VSpaceDispatch = VSpaceDispatch::new(1 << 13);
     let base = 0x4000_0000u64;
     let t0 = Instant::now();
     for _ in 0..reps {

@@ -17,8 +17,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use veros_kernel::vspace::{PtKind, VSpaceDispatch, VSpaceWriteOp};
+use veros_kernel::vspace::{VSpaceDispatch, VSpaceWriteOp};
 use veros_nr::NodeReplicated;
+use veros_pagetable::{PageTableOps, UnverifiedPageTable, VerifiedPageTable};
 use veros_spec::report::render_series;
 use veros_sync::RelaxedCounter;
 
@@ -50,9 +51,8 @@ pub fn replicas_for(threads: usize) -> usize {
 
 /// Runs one cell: `threads` threads, each performing `ops_per_thread`
 /// timed operations of `op` kind against a shared replicated address
-/// space backed by the chosen page-table implementation.
-pub fn run_cell(
-    kind: PtKind,
+/// space backed by the page table `P`.
+pub fn run_cell<P: PageTableOps + Send + Sync + 'static>(
     op: SweepOp,
     threads: usize,
     ops_per_thread: u64,
@@ -63,7 +63,7 @@ pub fn run_cell(
         replicas,
         threads_per_replica,
         1024,
-        move || VSpaceDispatch::new(1 << 17, kind),
+        || VSpaceDispatch::<P>::new(1 << 17),
     ));
     let total_ns = Arc::new(RelaxedCounter::new(0));
     let total_ops = Arc::new(RelaxedCounter::new(0));
@@ -161,21 +161,21 @@ pub fn run_figure(op: SweepOp, ops_per_thread: u64) -> (Vec<f64>, Vec<f64>) {
     // Warmup: the first cell in a fresh process otherwise pays one-time
     // costs (page faults for the first replica's memory, allocator
     // seeding) that would show up as a spurious gap at 1 thread.
-    let _ = run_cell(PtKind::Unverified, op, 1, 512);
-    let _ = run_cell(PtKind::Verified, op, 1, 512);
+    let _ = run_cell::<UnverifiedPageTable>(op, 1, 512);
+    let _ = run_cell::<VerifiedPageTable>(op, 1, 512);
     // Each cell is run twice and the faster run kept — the standard
     // latency-microbenchmark discipline, which suppresses one-off
     // scheduler/page-fault interference on a shared host.
-    let best = |kind, threads| {
+    let best = |cell: fn(SweepOp, usize, u64) -> SweepPoint, threads| {
         (0..2)
-            .map(|_| run_cell(kind, op, threads, ops_per_thread).mean_latency_us)
+            .map(|_| cell(op, threads, ops_per_thread).mean_latency_us)
             .fold(f64::INFINITY, f64::min)
     };
     let mut unverified = Vec::new();
     let mut verified = Vec::new();
     for &threads in &CORE_POINTS {
-        unverified.push(best(PtKind::Unverified, threads));
-        verified.push(best(PtKind::Verified, threads));
+        unverified.push(best(run_cell::<UnverifiedPageTable>, threads));
+        verified.push(best(run_cell::<VerifiedPageTable>, threads));
     }
     (unverified, verified)
 }
@@ -245,9 +245,11 @@ mod tests {
 
     #[test]
     fn single_thread_cell_runs() {
-        for kind in [PtKind::Verified, PtKind::Unverified] {
-            for op in [SweepOp::Map, SweepOp::Unmap] {
-                let p = run_cell(kind, op, 1, 128);
+        for op in [SweepOp::Map, SweepOp::Unmap] {
+            for p in [
+                run_cell::<VerifiedPageTable>(op, 1, 128),
+                run_cell::<UnverifiedPageTable>(op, 1, 128),
+            ] {
                 assert_eq!(p.ops, 128);
                 assert!(p.mean_latency_us > 0.0);
             }
@@ -256,7 +258,7 @@ mod tests {
 
     #[test]
     fn small_multithreaded_cell_runs() {
-        let p = run_cell(PtKind::Verified, SweepOp::Map, 3, 128);
+        let p = run_cell::<VerifiedPageTable>(SweepOp::Map, 3, 128);
         assert_eq!(p.ops, 3 * 128);
     }
 }

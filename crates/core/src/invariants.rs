@@ -589,13 +589,13 @@ fn frames(family_seed: u64, schedules: usize, ablation: Ablation) -> Result<(), 
 
 fn frames_one(sched: &FaultSchedule, ablation: Ablation) -> Result<(), String> {
     use veros_hw::{FrameSource, PAddr, PhysMem, VAddr, PAGE_4K};
-    use veros_kernel::vspace::{PtKind, VSpace};
+    use veros_kernel::vspace::VSpace;
     use veros_kernel::BuddyAllocator;
     use veros_pagetable::MapFlags;
 
     let mut mem = PhysMem::new(512);
     let mut alloc = BuddyAllocator::new(PAddr(16 * PAGE_4K), 496);
-    let mut v = VSpace::new(&mut mem, &mut alloc, PtKind::Verified).map_err(|e| format!("{e:?}"))?;
+    let mut v: VSpace = VSpace::new(&mut mem, &mut alloc).map_err(|e| format!("{e:?}"))?;
     let mut rng = SpecRng::seeded(sched.seed ^ 0xf7a3e5);
     let vas: Vec<u64> = (0..12).map(|i| 0x40_0000 + i * 0x1000).collect();
 

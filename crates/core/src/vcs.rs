@@ -547,12 +547,12 @@ fn nr_linearizable(replicas: usize, threads: usize, ops_per_thread: usize) -> Re
 /// `Resolve` returns — must equal the reference's, and reads must be
 /// fresh on whichever replica serves them.
 fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> {
-    use veros_kernel::vspace::{PtKind, VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
+    use veros_kernel::vspace::{VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
     use veros_nr::{Dispatch, NodeReplicated};
 
     let replicas = 2;
-    let nr = NodeReplicated::new(replicas, 1, 32, || VSpaceDispatch::new(256, PtKind::Verified));
-    let mut reference = VSpaceDispatch::new(256, PtKind::Verified);
+    let nr = NodeReplicated::new(replicas, 1, 32, || <VSpaceDispatch>::new(256));
+    let mut reference: VSpaceDispatch = VSpaceDispatch::new(256);
     let mut tkns: Vec<_> = (0..replicas)
         .map(|r| nr.register(r).ok_or(format!("replica {r} full")))
         .collect::<Result<_, _>>()?;
@@ -630,13 +630,13 @@ fn vspace_replication_consistent(seed: u64, steps: usize) -> Result<(), String> 
 /// entry outliving a remap — shows up as a spec mismatch here.
 fn translation_cache_coherent(seed: u64, steps: usize) -> Result<(), String> {
     use veros_hw::{PAddr, PhysMem, VAddr, PAGE_4K};
-    use veros_kernel::vspace::{PtKind, VSpace};
+    use veros_kernel::vspace::VSpace;
     use veros_kernel::BuddyAllocator;
     use veros_pagetable::{HighSpec, MapFlags, MapRequest, PageSize};
 
     let mut mem = PhysMem::new(512);
     let mut alloc = BuddyAllocator::new(PAddr(16 * PAGE_4K), 496);
-    let mut v = VSpace::new(&mut mem, &mut alloc, PtKind::Verified).map_err(|e| format!("{e:?}"))?;
+    let mut v: VSpace = VSpace::new(&mut mem, &mut alloc).map_err(|e| format!("{e:?}"))?;
     // The spec mirror: exactly the mappings the successful operations
     // installed. Failed operations change neither side.
     let mut spec = HighSpec::new();
@@ -720,7 +720,7 @@ fn translation_cache_coherent(seed: u64, steps: usize) -> Result<(), String> {
 fn telemetry_tlb_counters_coherent() -> Result<(), String> {
     use veros_hw::{PAddr, PhysMem, VAddr, PAGE_4K};
     use veros_kernel::metrics::{TLB_EPOCH_INVALIDATIONS, TLB_MISSES};
-    use veros_kernel::vspace::{PtKind, VSpace};
+    use veros_kernel::vspace::VSpace;
     use veros_kernel::BuddyAllocator;
     use veros_pagetable::MapFlags;
 
@@ -729,7 +729,7 @@ fn telemetry_tlb_counters_coherent() -> Result<(), String> {
 
     let mut mem = PhysMem::new(512);
     let mut alloc = BuddyAllocator::new(PAddr(16 * PAGE_4K), 496);
-    let mut v = VSpace::new(&mut mem, &mut alloc, PtKind::Verified).map_err(|e| format!("{e:?}"))?;
+    let mut v: VSpace = VSpace::new(&mut mem, &mut alloc).map_err(|e| format!("{e:?}"))?;
     let vas: Vec<u64> = (0..8).map(|i| 0x40_0000 + i * PAGE_4K).collect();
     for &va in &vas {
         v.map_new(&mut mem, &mut alloc, VAddr(va), MapFlags::user_rw())

@@ -344,15 +344,16 @@ mod tests {
 
     #[test]
     fn frame_source_interface_works_with_page_table() {
-        use veros_pagetable::{MapRequest, PageTableOps, VerifiedPageTable};
+        use veros_pagetable::{MapRequest, PageTableOps, Tracked, VerifiedPageTable};
         let mut mem = veros_hw::PhysMem::new(256);
         let mut a = BuddyAllocator::new(PAddr(0x10_000), 128);
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut a, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut a).unwrap();
         pt.map_frame(&mut mem, &mut a, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         assert_eq!(a.allocated_frames(), 4);
         pt.unmap_frame(&mut mem, &mut a, veros_hw::VAddr(0x1000)).unwrap();
         assert_eq!(a.allocated_frames(), 1);
+        pt.check_ghost(&mem).unwrap();
         pt.destroy(&mut mem, &mut a);
         assert_eq!(a.allocated_frames(), 0);
     }

@@ -29,10 +29,10 @@ use crate::process::{Pid, ProcError, ProcessTable};
 use crate::scheduler::Scheduler;
 use crate::syscall::{abi, SysError, SysRet, Syscall};
 use crate::thread::{BlockReason, Tid};
-use crate::vspace::{PtKind, VSpace};
+use crate::vspace::VSpace;
 
 /// Kernel construction parameters. Address spaces are always backed by
-/// the verified page table ([`PtKind::Verified`]).
+/// the verified page table ([`VSpace`]'s default).
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
     /// Physical memory size in 4 KiB frames.
@@ -135,7 +135,7 @@ impl Kernel {
 
     fn spawn_process(&mut self, parent: Option<Pid>) -> Result<(Pid, Tid), SysError> {
         let pid = self.procs.spawn(parent);
-        let vspace = VSpace::new(&mut self.mem, &mut self.alloc, PtKind::Verified)
+        let vspace = VSpace::new(&mut self.mem, &mut self.alloc)
             .map_err(|_| SysError::NoMem)?;
         self.vspaces.insert(pid, vspace);
         self.fd_tables.insert(pid, BTreeMap::new());

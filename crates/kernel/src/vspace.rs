@@ -11,43 +11,14 @@ use crate::tlb::TranslationCache;
 use veros_hw::{FrameSource, PAddr, PhysMem, VAddr, PAGE_4K};
 use veros_nr::Dispatch;
 use veros_pagetable::{
-    MapFlags, MapRequest, PageSize, PageTableOps, PtError, ResolveAnswer, UnverifiedPageTable,
+    AbsMapping, MapFlags, MapRequest, PageSize, PageTableOps, PtError, ResolveAnswer,
     VerifiedPageTable,
 };
 
-/// Which page-table implementation backs an address space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PtKind {
-    /// The layered implementation with ghost state available.
-    Verified,
-    /// The NrOS-style baseline.
-    Unverified,
-}
-
-enum Table {
-    Verified(VerifiedPageTable),
-    Unverified(UnverifiedPageTable),
-}
-
-impl Table {
-    fn as_ops(&mut self) -> &mut dyn PageTableOps {
-        match self {
-            Table::Verified(t) => t,
-            Table::Unverified(t) => t,
-        }
-    }
-
-    fn as_ops_ref(&self) -> &dyn PageTableOps {
-        match self {
-            Table::Verified(t) => t,
-            Table::Unverified(t) => t,
-        }
-    }
-}
-
-/// A process address space.
-pub struct VSpace {
-    table: Table,
+/// A process address space over the page table `P` (the verified one
+/// unless a harness picks another, as the Fig 1b/1c sweep does).
+pub struct VSpace<P: PageTableOps = VerifiedPageTable> {
+    table: P,
     /// Frames allocated as mapping backings (so exit can free them).
     owned_frames: Vec<(PAddr, PageSize)>,
     mapped_bytes: u64,
@@ -57,19 +28,11 @@ pub struct VSpace {
     cache: TranslationCache,
 }
 
-impl VSpace {
+impl<P: PageTableOps> VSpace<P> {
     /// Creates an empty address space.
-    pub fn new(
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        kind: PtKind,
-    ) -> Result<Self, PtError> {
-        let table = match kind {
-            PtKind::Verified => Table::Verified(VerifiedPageTable::new(mem, alloc, false)?),
-            PtKind::Unverified => Table::Unverified(UnverifiedPageTable::new(mem, alloc)?),
-        };
+    pub fn new(mem: &mut PhysMem, alloc: &mut dyn FrameSource) -> Result<Self, PtError> {
         Ok(Self {
-            table,
+            table: P::new(mem, alloc)?,
             owned_frames: Vec::new(),
             mapped_bytes: 0,
             cache: TranslationCache::new(),
@@ -78,7 +41,7 @@ impl VSpace {
 
     /// The page-table root.
     pub fn root(&self) -> PAddr {
-        self.table.as_ops_ref().root()
+        self.table.root()
     }
 
     /// Total bytes currently mapped.
@@ -105,7 +68,7 @@ impl VSpace {
             size: PageSize::Size4K,
             flags,
         };
-        match self.table.as_ops().map_frame(mem, alloc, req) {
+        match self.table.map_frame(mem, alloc, req) {
             Ok(()) => {
                 self.owned_frames.push((frame, PageSize::Size4K));
                 self.mapped_bytes += PAGE_4K;
@@ -126,19 +89,8 @@ impl VSpace {
         alloc: &mut dyn FrameSource,
         va: VAddr,
     ) -> Result<(), PtError> {
-        let mapping = self.table.as_ops().unmap_frame(mem, alloc, va)?;
-        self.cache.invalidate_all();
-        crate::metrics::TLB_EPOCH_INVALIDATIONS.inc();
-        self.mapped_bytes -= mapping.size.bytes();
-        let pa = PAddr(mapping.pa);
-        if let Some(pos) = self
-            .owned_frames
-            .iter()
-            .position(|(f, s)| *f == pa && *s == mapping.size)
-        {
-            self.owned_frames.swap_remove(pos);
-            alloc.free_frame(pa);
-        }
+        let mapping = self.table.unmap_frame(mem, alloc, va)?;
+        self.released(alloc, &[mapping]);
         Ok(())
     }
 
@@ -166,7 +118,7 @@ impl VSpace {
             size: PageSize::Size4K,
             flags,
         };
-        match self.table.as_ops().map_range(mem, alloc, req, pages) {
+        match self.table.map_range(mem, alloc, req, pages) {
             Ok(()) => {
                 for i in 0..pages {
                     self.owned_frames
@@ -194,11 +146,18 @@ impl VSpace {
         va: VAddr,
         pages: u64,
     ) -> Result<u64, PtError> {
-        let removed = self.table.as_ops().unmap_range(mem, alloc, va, pages)?;
+        let removed = self.table.unmap_range(mem, alloc, va, pages)?;
+        Ok(self.released(alloc, &removed))
+    }
+
+    /// Bookkeeping after an unmap removed `removed`: invalidates the
+    /// translation cache, returns owned backing frames to the allocator
+    /// and answers the bytes unmapped.
+    fn released(&mut self, alloc: &mut dyn FrameSource, removed: &[AbsMapping]) -> u64 {
         self.cache.invalidate_all();
         crate::metrics::TLB_EPOCH_INVALIDATIONS.inc();
         let mut bytes = 0u64;
-        for mapping in &removed {
+        for mapping in removed {
             bytes += mapping.size.bytes();
             let pa = PAddr(mapping.pa);
             if let Some(pos) = self
@@ -211,7 +170,7 @@ impl VSpace {
             }
         }
         self.mapped_bytes -= bytes;
-        Ok(bytes)
+        bytes
     }
 
     /// Resolves a virtual address, answering from the translation cache
@@ -226,7 +185,7 @@ impl VSpace {
         }
         crate::metrics::tlb_miss();
         let epoch = self.cache.epoch();
-        let ans = self.table.as_ops_ref().resolve(mem, va)?;
+        let ans = self.table.resolve(mem, va)?;
         self.cache.fill(va, &ans, epoch);
         Ok(ans)
     }
@@ -237,10 +196,7 @@ impl VSpace {
         for (frame, _size) in &self.owned_frames {
             alloc.free_frame(*frame);
         }
-        match self.table {
-            Table::Verified(t) => t.destroy(mem, alloc),
-            Table::Unverified(t) => t.destroy(mem, alloc),
-        }
+        self.table.destroy(mem, alloc);
     }
 }
 
@@ -293,20 +249,20 @@ pub type VSpaceResponse = Result<u64, PtError>;
 /// One replica's complete memory system: its own physical memory, frame
 /// allocator, and page table — replicated per node as in NrOS, kept
 /// consistent by replaying the same operation log.
-pub struct VSpaceDispatch {
+pub struct VSpaceDispatch<P: PageTableOps = VerifiedPageTable> {
     mem: PhysMem,
     alloc: crate::frame_alloc::BuddyAllocator,
-    vspace: VSpace,
+    vspace: VSpace<P>,
 }
 
-impl VSpaceDispatch {
+impl<P: PageTableOps> VSpaceDispatch<P> {
     /// Creates a replica with `frames` frames of simulated memory.
     ///
     /// # Panics
     ///
     /// Panics when `frames` is too small to host an allocator region
     /// (< 32 frames).
-    pub fn new(frames: usize, kind: PtKind) -> Self {
+    pub fn new(frames: usize) -> Self {
         assert!(frames >= 32);
         let mut mem = PhysMem::new(frames);
         // Reserve the low 16 frames (as a real kernel reserves low
@@ -319,12 +275,12 @@ impl VSpaceDispatch {
                       `frames >= 32` asserted above, the allocator always has a root frame to \
                       hand out"
         )]
-        let vspace = VSpace::new(&mut mem, &mut alloc, kind).expect("root frame");
+        let vspace = VSpace::new(&mut mem, &mut alloc).expect("root frame");
         Self { mem, alloc, vspace }
     }
 }
 
-impl Dispatch for VSpaceDispatch {
+impl<P: PageTableOps> Dispatch for VSpaceDispatch<P> {
     type ReadOp = VSpaceReadOp;
     type WriteOp = VSpaceWriteOp;
     type Response = VSpaceResponse;
@@ -376,28 +332,32 @@ mod tests {
     use super::*;
     use crate::frame_alloc::BuddyAllocator;
     use veros_nr::NodeReplicated;
+    use veros_pagetable::UnverifiedPageTable;
 
-    fn setup(kind: PtKind) -> (PhysMem, BuddyAllocator, VSpace) {
+    fn setup<P: PageTableOps>() -> (PhysMem, BuddyAllocator, VSpace<P>) {
         let mut mem = PhysMem::new(512);
         let mut alloc = BuddyAllocator::new(PAddr(16 * PAGE_4K), 256);
-        let v = VSpace::new(&mut mem, &mut alloc, kind).unwrap();
+        let v = VSpace::new(&mut mem, &mut alloc).unwrap();
         (mem, alloc, v)
+    }
+
+    fn map_new_allocates_and_maps_on<P: PageTableOps>() {
+        let (mut mem, mut alloc, mut v) = setup::<P>();
+        let pa = v.map_new(&mut mem, &mut alloc, VAddr(0x4000), MapFlags::user_rw()).unwrap();
+        let r = v.resolve(&mem, VAddr(0x4010)).unwrap();
+        assert_eq!(r.pa, PAddr(pa.0 + 0x10));
+        assert_eq!(v.mapped_bytes(), PAGE_4K);
     }
 
     #[test]
     fn map_new_allocates_and_maps() {
-        for kind in [PtKind::Verified, PtKind::Unverified] {
-            let (mut mem, mut alloc, mut v) = setup(kind);
-            let pa = v.map_new(&mut mem, &mut alloc, VAddr(0x4000), MapFlags::user_rw()).unwrap();
-            let r = v.resolve(&mem, VAddr(0x4010)).unwrap();
-            assert_eq!(r.pa, PAddr(pa.0 + 0x10));
-            assert_eq!(v.mapped_bytes(), PAGE_4K);
-        }
+        map_new_allocates_and_maps_on::<VerifiedPageTable>();
+        map_new_allocates_and_maps_on::<UnverifiedPageTable>();
     }
 
     #[test]
     fn unmap_returns_owned_frames() {
-        let (mut mem, mut alloc, mut v) = setup(PtKind::Verified);
+        let (mut mem, mut alloc, mut v) = setup::<VerifiedPageTable>();
         let before = alloc.allocated_frames();
         v.map_new(&mut mem, &mut alloc, VAddr(0x4000), MapFlags::user_rw()).unwrap();
         v.unmap(&mut mem, &mut alloc, VAddr(0x4000)).unwrap();
@@ -407,7 +367,7 @@ mod tests {
 
     #[test]
     fn destroy_frees_everything() {
-        let (mut mem, mut alloc, mut v) = setup(PtKind::Verified);
+        let (mut mem, mut alloc, mut v) = setup::<VerifiedPageTable>();
         for i in 0..20u64 {
             v.map_new(&mut mem, &mut alloc, VAddr(0x10_0000 + i * PAGE_4K), MapFlags::user_rw())
                 .unwrap();
@@ -418,7 +378,7 @@ mod tests {
 
     #[test]
     fn double_map_fails_cleanly() {
-        let (mut mem, mut alloc, mut v) = setup(PtKind::Verified);
+        let (mut mem, mut alloc, mut v) = setup::<VerifiedPageTable>();
         v.map_new(&mut mem, &mut alloc, VAddr(0x4000), MapFlags::user_rw()).unwrap();
         let held = alloc.allocated_frames();
         assert_eq!(
@@ -428,29 +388,32 @@ mod tests {
         assert_eq!(alloc.allocated_frames(), held, "failed map leaks nothing");
     }
 
+    fn map_range_new_accounts_and_resolves_on<P: PageTableOps>() {
+        let (mut mem, mut alloc, mut v) = setup::<P>();
+        let before = alloc.allocated_frames();
+        let base = v
+            .map_range_new(&mut mem, &mut alloc, VAddr(0x40_0000), 12, MapFlags::user_rw())
+            .unwrap();
+        assert_eq!(v.mapped_bytes(), 12 * PAGE_4K);
+        for i in 0..12u64 {
+            let r = v.resolve(&mem, VAddr(0x40_0000 + i * PAGE_4K + 0x4)).unwrap();
+            assert_eq!(r.pa, PAddr(base.0 + i * PAGE_4K + 0x4), "page {i} contiguous");
+        }
+        let bytes = v.unmap_range(&mut mem, &mut alloc, VAddr(0x40_0000), 12).unwrap();
+        assert_eq!(bytes, 12 * PAGE_4K);
+        assert_eq!(v.mapped_bytes(), 0);
+        assert_eq!(alloc.allocated_frames(), before, "backings + dirs returned");
+    }
+
     #[test]
     fn map_range_new_accounts_and_resolves() {
-        for kind in [PtKind::Verified, PtKind::Unverified] {
-            let (mut mem, mut alloc, mut v) = setup(kind);
-            let before = alloc.allocated_frames();
-            let base = v
-                .map_range_new(&mut mem, &mut alloc, VAddr(0x40_0000), 12, MapFlags::user_rw())
-                .unwrap();
-            assert_eq!(v.mapped_bytes(), 12 * PAGE_4K);
-            for i in 0..12u64 {
-                let r = v.resolve(&mem, VAddr(0x40_0000 + i * PAGE_4K + 0x4)).unwrap();
-                assert_eq!(r.pa, PAddr(base.0 + i * PAGE_4K + 0x4), "page {i} contiguous");
-            }
-            let bytes = v.unmap_range(&mut mem, &mut alloc, VAddr(0x40_0000), 12).unwrap();
-            assert_eq!(bytes, 12 * PAGE_4K);
-            assert_eq!(v.mapped_bytes(), 0);
-            assert_eq!(alloc.allocated_frames(), before, "backings + dirs returned");
-        }
+        map_range_new_accounts_and_resolves_on::<VerifiedPageTable>();
+        map_range_new_accounts_and_resolves_on::<UnverifiedPageTable>();
     }
 
     #[test]
     fn map_range_new_failure_leaks_nothing() {
-        let (mut mem, mut alloc, mut v) = setup(PtKind::Verified);
+        let (mut mem, mut alloc, mut v) = setup::<VerifiedPageTable>();
         // Pre-existing mapping in the middle of the target range.
         v.map_new(&mut mem, &mut alloc, VAddr(0x40_3000), MapFlags::user_rw()).unwrap();
         let held = alloc.allocated_frames();
@@ -465,7 +428,7 @@ mod tests {
 
     #[test]
     fn cached_resolve_stays_correct_across_unmap_and_remap() {
-        let (mut mem, mut alloc, mut v) = setup(PtKind::Verified);
+        let (mut mem, mut alloc, mut v) = setup::<VerifiedPageTable>();
         let va = VAddr(0x40_0000);
         let pa1 = v.map_new(&mut mem, &mut alloc, va, MapFlags::user_rw()).unwrap();
         // Populate the cache, then check the hit agrees with the walk.
@@ -481,7 +444,7 @@ mod tests {
 
     #[test]
     fn replicated_range_ops_converge() {
-        let nr = NodeReplicated::new(2, 2, 64, || VSpaceDispatch::new(512, PtKind::Verified));
+        let nr = NodeReplicated::new(2, 2, 64, || <VSpaceDispatch>::new(512));
         let mut t0 = nr.register(0).unwrap();
         let mut t1 = nr.register(1).unwrap();
         let base0 = nr
@@ -504,7 +467,7 @@ mod tests {
 
     #[test]
     fn replicated_vspace_basic() {
-        let nr = NodeReplicated::new(2, 2, 64, || VSpaceDispatch::new(512, PtKind::Verified));
+        let nr = NodeReplicated::new(2, 2, 64, || <VSpaceDispatch>::new(512));
         let mut t0 = nr.register(0).unwrap();
         let mut t1 = nr.register(1).unwrap();
         let pa0 = nr.execute_mut(VSpaceWriteOp::MapNew { va: 0x4000 }, &mut t0).unwrap();

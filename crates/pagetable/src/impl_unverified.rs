@@ -4,7 +4,9 @@
 //! Same semantics as [`crate::impl_verified::VerifiedPageTable`] but
 //! written the way a kernel developer writes it when no proof structure
 //! constrains the shape: one iterative loop per operation, no ghost
-//! state, no layered functions. This is the "NrOS Unverified" series of
+//! state, no layered functions. The leaf-entry codec, the teardown and
+//! the amortized range calls are the verified table's, so the two differ
+//! exactly in the one-page walks. This is the "NrOS Unverified" series of
 //! Figures 1b and 1c; the paper's claim is that the verified version
 //! "can closely match the performance of the unverified implementation",
 //! which holds here because both compile to near-identical work.
@@ -12,16 +14,13 @@
 use veros_hw::{FrameSource, PAddr, PhysMem, PtEntry, PtFlags, VAddr, PAGE_4K};
 
 use crate::high_spec::AbsMapping;
-use crate::ops::{MapFlags, MapRequest, PageSize, PtError, ResolveAnswer};
+use crate::impl_verified::{decode_leaf, encode_leaf, entry_addr, free_subtree, table_empty};
+use crate::ops::{MapRequest, PageSize, PtError, ResolveAnswer};
 use crate::PageTableOps;
 
 /// The unverified page table: just the root pointer.
 pub struct UnverifiedPageTable {
     cr3: PAddr,
-}
-
-fn entry_addr(table: PAddr, idx: u16) -> PAddr {
-    PAddr(table.0 + 8 * idx as u64)
 }
 
 fn indices(va: VAddr) -> [u16; 4] {
@@ -35,87 +34,34 @@ fn indices(va: VAddr) -> [u16; 4] {
 }
 
 impl UnverifiedPageTable {
-    /// Creates an empty address space.
-    pub fn new(mem: &mut PhysMem, alloc: &mut dyn FrameSource) -> Result<Self, PtError> {
-        let cr3 = alloc.alloc_frame().ok_or(PtError::OutOfMemory)?;
-        mem.zero_frame(cr3);
-        Ok(Self { cr3 })
-    }
-
-    /// Frees all directory frames.
-    pub fn destroy(self, mem: &mut PhysMem, alloc: &mut dyn FrameSource) {
-        fn rec(mem: &mut PhysMem, alloc: &mut dyn FrameSource, table: PAddr, level: u8) {
-            if level > 1 {
-                for idx in 0..512u16 {
-                    let e = PtEntry(mem.read_u64(entry_addr(table, idx)));
-                    if e.is_present() && !e.is_huge() {
-                        rec(mem, alloc, e.addr(), level - 1);
-                    }
-                }
-            }
-            mem.zero_frame(table);
-            alloc.free_frame(table);
-        }
-        rec(mem, alloc, self.cr3, 4);
-    }
-
-    fn table_empty(mem: &PhysMem, table: PAddr) -> bool {
-        (0..512u16).all(|i| !PtEntry(mem.read_u64(entry_addr(table, i))).is_present())
-    }
-
-    /// Walks to the level-1 table holding `va`'s PTE, when the full
-    /// directory path exists (a missing directory or a huge leaf on the
-    /// way returns `None`).
-    fn walk_to_l1(mem: &PhysMem, cr3: PAddr, va: VAddr) -> Option<PAddr> {
-        let idxs = indices(va);
-        let mut table = cr3;
-        for idx in &idxs[..3] {
-            let entry = PtEntry(mem.read_u64(entry_addr(table, *idx)));
-            if !entry.is_present() || entry.is_huge() {
-                return None;
-            }
-            table = entry.addr();
-        }
-        Some(table)
-    }
-
-    /// Unmaps the `done` pages a failing `map_range` already installed.
-    fn unmap_mapped_prefix(
-        &mut self,
+    fn rollback(
         mem: &mut PhysMem,
         alloc: &mut dyn FrameSource,
-        req: &MapRequest,
-        done: u64,
+        fresh: &mut Vec<(PAddr, PAddr)>,
     ) {
-        let step = req.size.bytes();
-        for j in (0..done).rev() {
-            let rolled = self.unmap_frame(mem, alloc, VAddr(req.va.0 + j * step));
-            debug_assert!(rolled.is_ok(), "map_range rollback failed at page {j}");
+        // Unlink the topmost fresh directory from its parent, then free
+        // the chain (fresh directories only contain each other).
+        if let Some((_, first_slot)) = fresh.first() {
+            mem.write_u64(*first_slot, PtEntry::zero().0);
         }
-    }
-
-    /// Re-installs the prefix a failing `unmap_range` already removed.
-    fn remap_removed_prefix(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        va: VAddr,
-        removed: &[AbsMapping],
-    ) {
-        for (j, m) in removed.iter().enumerate().rev() {
-            let back = MapRequest {
-                va: VAddr(va.0 + j as u64 * PAGE_4K),
-                pa: PAddr(m.pa),
-                size: m.size,
-                flags: m.flags,
-            };
-            let rolled = self.map_frame(mem, alloc, back);
-            debug_assert!(rolled.is_ok(), "unmap_range rollback failed at slot {j}");
+        for (frame, _) in fresh.drain(..) {
+            mem.zero_frame(frame);
+            alloc.free_frame(frame);
         }
     }
 }
 
 impl PageTableOps for UnverifiedPageTable {
+    fn new(mem: &mut PhysMem, alloc: &mut dyn FrameSource) -> Result<Self, PtError> {
+        let cr3 = alloc.alloc_frame().ok_or(PtError::OutOfMemory)?;
+        mem.zero_frame(cr3);
+        Ok(Self { cr3 })
+    }
+
+    fn destroy(self, mem: &mut PhysMem, alloc: &mut dyn FrameSource) {
+        free_subtree(mem, alloc, self.cr3, 4);
+    }
+
     fn map_frame(
         &mut self,
         mem: &mut PhysMem,
@@ -136,7 +82,7 @@ impl PageTableOps for UnverifiedPageTable {
         let mut table = self.cr3;
         // Remember newly allocated directories so an OOM deeper down can
         // roll back (also unlinking from the parent table).
-        let mut fresh: Vec<(PAddr, Option<PAddr>)> = Vec::new();
+        let mut fresh: Vec<(PAddr, PAddr)> = Vec::new(); // (frame, parent slot)
         let mut level = 4u8;
         loop {
             let idx = idxs[(4 - level) as usize];
@@ -147,20 +93,7 @@ impl PageTableOps for UnverifiedPageTable {
                     Self::rollback(mem, alloc, &mut fresh);
                     return Err(PtError::AlreadyMapped);
                 }
-                let mut f = PtFlags::PRESENT;
-                if req.flags.writable {
-                    f |= PtFlags::WRITABLE;
-                }
-                if req.flags.user {
-                    f |= PtFlags::USER;
-                }
-                if req.flags.nx {
-                    f |= PtFlags::NX;
-                }
-                if leaf_level > 1 {
-                    f |= PtFlags::HUGE;
-                }
-                mem.write_u64(slot, PtEntry::new(req.pa, f).0);
+                mem.write_u64(slot, encode_leaf(req.pa, req.size, req.flags).0);
                 return Ok(());
             }
             if entry.is_present() {
@@ -179,7 +112,7 @@ impl PageTableOps for UnverifiedPageTable {
                     slot,
                     PtEntry::new(child, PtFlags::PRESENT | PtFlags::WRITABLE | PtFlags::USER).0,
                 );
-                fresh.push((child, Some(slot)));
+                fresh.push((child, slot));
                 table = child;
             }
             level -= 1;
@@ -200,7 +133,7 @@ impl PageTableOps for UnverifiedPageTable {
         }
         let idxs = indices(va);
         // Walk down, recording the path for the cleanup pass.
-        let mut path: Vec<(PAddr, PAddr)> = Vec::new(); // (table, slot)
+        let mut path: Vec<PAddr> = Vec::new(); // parent slots
         let mut table = self.cr3;
         let mut level = 4u8;
         let mapping = loop {
@@ -221,40 +154,32 @@ impl PageTableOps for UnverifiedPageTable {
                 if !va.is_aligned(size.bytes()) {
                     return Err(PtError::NotMapped);
                 }
-                let f = entry.flags();
                 let mapping = AbsMapping {
                     pa: entry.addr().0,
                     size,
-                    flags: MapFlags {
-                        writable: f.contains(PtFlags::WRITABLE),
-                        user: f.contains(PtFlags::USER),
-                        nx: f.contains(PtFlags::NX),
-                    },
+                    flags: decode_leaf(entry),
                 };
                 mem.write_u64(slot, PtEntry::zero().0);
                 break mapping;
             }
-            path.push((table, slot));
+            path.push(slot);
             table = entry.addr();
             level -= 1;
         };
         // Cleanup pass: free directories that became empty, bottom-up.
-        for (parent_table, parent_slot) in path.into_iter().rev() {
+        for parent_slot in path.into_iter().rev() {
             let child = PtEntry(mem.read_u64(parent_slot)).addr();
-            if !Self::table_empty(mem, child) {
+            if !table_empty(mem, child) {
                 break;
             }
             mem.zero_frame(child);
             alloc.free_frame(child);
             mem.write_u64(parent_slot, PtEntry::zero().0);
-            let _ = parent_table;
         }
         Ok(mapping)
     }
 
-    /// Amortized override (same structure as the verified version, no
-    /// ghost state): one full descent per level-1 chunk, direct leaf
-    /// writes for the rest of the chunk.
+    /// The amortized path both tables share (no ghost state to move).
     fn map_range(
         &mut self,
         mem: &mut PhysMem,
@@ -262,61 +187,10 @@ impl PageTableOps for UnverifiedPageTable {
         req: MapRequest,
         pages: u64,
     ) -> Result<(), PtError> {
-        let step = req.size.bytes();
-        if crate::range_overflows(req.va.0, step, pages) {
-            return Err(PtError::NonCanonical);
-        }
-        if crate::range_overflows(req.pa.0, step, pages) {
-            return Err(PtError::PhysOutOfRange);
-        }
-        let mut leaf = PtFlags::PRESENT;
-        if req.flags.writable {
-            leaf |= PtFlags::WRITABLE;
-        }
-        if req.flags.user {
-            leaf |= PtFlags::USER;
-        }
-        if req.flags.nx {
-            leaf |= PtFlags::NX;
-        }
-        let mut done: u64 = 0;
-        while done < pages {
-            let head = MapRequest {
-                va: VAddr(req.va.0 + done * step),
-                pa: PAddr(req.pa.0 + done * step),
-                ..req
-            };
-            if let Err(e) = self.map_frame(mem, alloc, head) {
-                self.unmap_mapped_prefix(mem, alloc, &req, done);
-                return Err(e);
-            }
-            done += 1;
-            if req.size != PageSize::Size4K {
-                continue;
-            }
-            let Some(l1) = Self::walk_to_l1(mem, self.cr3, head.va) else {
-                continue;
-            };
-            while done < pages {
-                let va = VAddr(req.va.0 + done * step);
-                if va.0 >> 21 != head.va.0 >> 21 {
-                    break;
-                }
-                let slot = entry_addr(l1, indices(va)[3]);
-                if PtEntry(mem.read_u64(slot)).is_present() {
-                    self.unmap_mapped_prefix(mem, alloc, &req, done);
-                    return Err(PtError::AlreadyMapped);
-                }
-                mem.write_u64(slot, PtEntry::new(PAddr(req.pa.0 + done * step), leaf).0);
-                done += 1;
-            }
-        }
-        Ok(())
+        crate::range::map_range(self, mem, alloc, req, pages, |_, _, _| {})
     }
 
-    /// Amortized override: direct clears for middle slots, the one-page
-    /// path for each chunk's first and last in-range slot so emptied
-    /// tables still get pruned.
+    /// The amortized path both tables share (no ghost state to move).
     fn unmap_range(
         &mut self,
         mem: &mut PhysMem,
@@ -324,63 +198,7 @@ impl PageTableOps for UnverifiedPageTable {
         va: VAddr,
         pages: u64,
     ) -> Result<Vec<AbsMapping>, PtError> {
-        if crate::range_overflows(va.0, PAGE_4K, pages) {
-            return Err(PtError::NonCanonical);
-        }
-        let mut removed: Vec<AbsMapping> = Vec::new();
-        while (removed.len() as u64) < pages {
-            let head = VAddr(va.0 + removed.len() as u64 * PAGE_4K);
-            match self.unmap_frame(mem, alloc, head) {
-                Ok(m) => removed.push(m),
-                Err(e) => {
-                    self.remap_removed_prefix(mem, alloc, va, &removed);
-                    return Err(e);
-                }
-            }
-            let Some(l1) = Self::walk_to_l1(mem, self.cr3, head) else {
-                continue;
-            };
-            loop {
-                let i = removed.len() as u64;
-                if i >= pages {
-                    break;
-                }
-                let cur = VAddr(va.0 + i * PAGE_4K);
-                if cur.0 >> 21 != head.0 >> 21 {
-                    break;
-                }
-                let last_of_chunk = i + 1 >= pages
-                    || (va.0 + (i + 1) * PAGE_4K) >> 21 != head.0 >> 21;
-                if last_of_chunk {
-                    match self.unmap_frame(mem, alloc, cur) {
-                        Ok(m) => removed.push(m),
-                        Err(e) => {
-                            self.remap_removed_prefix(mem, alloc, va, &removed);
-                            return Err(e);
-                        }
-                    }
-                    break;
-                }
-                let slot = entry_addr(l1, indices(cur)[3]);
-                let entry = PtEntry(mem.read_u64(slot));
-                if !entry.is_present() {
-                    self.remap_removed_prefix(mem, alloc, va, &removed);
-                    return Err(PtError::NotMapped);
-                }
-                let f = entry.flags();
-                removed.push(AbsMapping {
-                    pa: entry.addr().0,
-                    size: PageSize::Size4K,
-                    flags: MapFlags {
-                        writable: f.contains(PtFlags::WRITABLE),
-                        user: f.contains(PtFlags::USER),
-                        nx: f.contains(PtFlags::NX),
-                    },
-                });
-                mem.write_u64(slot, PtEntry::zero().0);
-            }
-        }
-        Ok(removed)
+        crate::range::unmap_range(self, mem, alloc, va, pages, |_, _, _| {})
     }
 
     fn resolve(&self, mem: &PhysMem, va: VAddr) -> Result<ResolveAnswer, PtError> {
@@ -406,16 +224,11 @@ impl PageTableOps for UnverifiedPageTable {
                 };
                 let span = size.bytes();
                 let base = VAddr(va.0 & !(span - 1));
-                let f = entry.flags();
                 return Ok(ResolveAnswer {
                     pa: PAddr(entry.addr().0 + (va.0 - base.0)),
                     base,
                     size,
-                    flags: MapFlags {
-                        writable: f.contains(PtFlags::WRITABLE),
-                        user: f.contains(PtFlags::USER),
-                        nx: f.contains(PtFlags::NX),
-                    },
+                    flags: decode_leaf(entry),
                 });
             }
             table = entry.addr();
@@ -428,27 +241,10 @@ impl PageTableOps for UnverifiedPageTable {
     }
 }
 
-impl UnverifiedPageTable {
-    fn rollback(
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        fresh: &mut Vec<(PAddr, Option<PAddr>)>,
-    ) {
-        // Unlink the topmost fresh directory from its parent, then free
-        // the chain (fresh directories only contain each other).
-        if let Some((_, Some(first_slot))) = fresh.first() {
-            mem.write_u64(*first_slot, PtEntry::zero().0);
-        }
-        for (frame, _) in fresh.drain(..) {
-            mem.zero_frame(frame);
-            alloc.free_frame(frame);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::MapFlags;
     use veros_hw::StackFrameSource;
 
     fn setup() -> (PhysMem, StackFrameSource) {

@@ -7,16 +7,21 @@
 //!
 //! The code is structured the way the Verus proof structures it: one
 //! function per level, so each function's obligations (preserve the
-//! structural invariant, refine the prefix-tree layer) are local. In
-//! *audit mode* the table carries its ghost prefix tree — the executable
-//! analogue of Verus ghost state — and updates it in lock-step; audit
-//! mode is what the verification conditions run, while the benchmarks run
-//! with the ghost erased (exactly as Verus erases ghost state at
-//! compile time), so Figures 1b/1c compare like with like.
+//! structural invariant, refine the prefix-tree layer) are local. The
+//! table's ghost state — the executable analogue of Verus ghost state —
+//! is a type parameter, [`GhostMode`]. [`Tracked`] carries the prefix
+//! tree, moves it in lock-step with every map, unmap and resolve (the
+//! amortized range paths included) and records the first step on which
+//! the two disagree, in every build profile; the verification conditions
+//! run it. [`Erased`], the default, is zero-sized and its hooks are
+//! empty, so the ghost is erased at compile time exactly as Verus erases
+//! it, and the kernel and Figures 1b/1c compare like with like.
+
+use std::cell::OnceCell;
 
 use veros_hw::{FrameSource, PAddr, PhysMem, PtEntry, PtFlags, VAddr, PAGE_4K};
 
-use crate::high_spec::AbsMapping;
+use crate::high_spec::{AbsMapping, HighSpec};
 use crate::ops::{MapFlags, MapRequest, PageSize, PtError, ResolveAnswer};
 use crate::prefix_tree::{index_at, span_at, PrefixTree};
 use crate::PageTableOps;
@@ -55,61 +60,133 @@ pub fn decode_leaf(e: PtEntry) -> MapFlags {
     }
 }
 
-fn entry_addr(table: PAddr, idx: u16) -> PAddr {
+pub(crate) fn entry_addr(table: PAddr, idx: u16) -> PAddr {
     PAddr(table.0 + 8 * idx as u64)
 }
 
-/// The verified page table.
-pub struct VerifiedPageTable {
-    cr3: PAddr,
-    ghost: Option<PrefixTree>,
+pub(crate) fn table_empty(mem: &PhysMem, table: PAddr) -> bool {
+    (0..512u16).all(|i| !PtEntry(mem.read_u64(entry_addr(table, i))).is_present())
 }
 
-impl VerifiedPageTable {
-    /// Creates an empty address space, allocating the root frame.
-    ///
-    /// `audit` enables ghost-state tracking (used by the verification
-    /// conditions; benchmarks pass `false`).
-    pub fn new(
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        audit: bool,
-    ) -> Result<Self, PtError> {
-        let cr3 = alloc.alloc_frame().ok_or(PtError::OutOfMemory)?;
-        mem.zero_frame(cr3);
-        Ok(Self {
-            cr3,
-            ghost: audit.then(PrefixTree::new),
-        })
+/// Frees the directory `table` at `level` and every directory below it.
+pub(crate) fn free_subtree(
+    mem: &mut PhysMem,
+    alloc: &mut dyn FrameSource,
+    table: PAddr,
+    level: u8,
+) {
+    if level > 1 {
+        for idx in 0..512u16 {
+            let e = PtEntry(mem.read_u64(entry_addr(table, idx)));
+            if e.is_present() && !e.is_huge() {
+                free_subtree(mem, alloc, e.addr(), level - 1);
+            }
+        }
+    }
+    mem.zero_frame(table);
+    alloc.free_frame(table);
+}
+
+/// How a [`VerifiedPageTable`] carries its ghost state. The table calls
+/// one hook after each one-page step with the result it is about to
+/// return; the mode is fixed by the table's type, never by a flag.
+pub trait GhostMode: Default {
+    /// After a map of `req` that returned `got`.
+    fn map(&mut self, req: &MapRequest, got: Result<(), PtError>);
+    /// After an unmap at `va` that returned `got`.
+    fn unmap(&mut self, va: VAddr, got: Result<AbsMapping, PtError>);
+    /// After a resolve of `va` that returned `got`.
+    fn resolve(&self, va: VAddr, got: Result<ResolveAnswer, PtError>);
+    /// [`PageTableOps::check_ghost`] for the table rooted at `root`.
+    fn check(&self, mem: &PhysMem, root: PAddr) -> Result<(), String>;
+}
+
+/// No ghost state: zero-sized, every hook empty.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Erased;
+
+impl GhostMode for Erased {
+    #[inline]
+    fn map(&mut self, _req: &MapRequest, _got: Result<(), PtError>) {}
+    #[inline]
+    fn unmap(&mut self, _va: VAddr, _got: Result<AbsMapping, PtError>) {}
+    #[inline]
+    fn resolve(&self, _va: VAddr, _got: Result<ResolveAnswer, PtError>) {}
+    fn check(&self, _mem: &PhysMem, _root: PAddr) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// The ghost prefix tree, applied to every step the table takes, and the
+/// first step on which the tree's answer differed from the table's.
+#[derive(Debug, Default)]
+pub struct Tracked {
+    tree: PrefixTree,
+    divergence: OnceCell<String>,
+}
+
+impl Tracked {
+    fn compare<T: PartialEq + std::fmt::Debug>(&self, step: std::fmt::Arguments, got: T, ghost: T) {
+        if got != ghost {
+            let _ = self
+                .divergence
+                .set(format!("{step}: table {got:?}, ghost {ghost:?}"));
+        }
+    }
+}
+
+impl GhostMode for Tracked {
+    fn map(&mut self, req: &MapRequest, got: Result<(), PtError>) {
+        // OutOfMemory is the one implementation-only failure: a stutter
+        // for the ghost.
+        if got != Err(PtError::OutOfMemory) {
+            let ghost = self.tree.map(req);
+            self.compare(format_args!("map {req:?}"), got, ghost);
+        }
     }
 
-    /// The ghost prefix tree, when running in audit mode.
+    fn unmap(&mut self, va: VAddr, got: Result<AbsMapping, PtError>) {
+        let ghost = self.tree.unmap(va);
+        self.compare(format_args!("unmap {va}"), got, ghost);
+    }
+
+    fn resolve(&self, va: VAddr, got: Result<ResolveAnswer, PtError>) {
+        self.compare(format_args!("resolve {va}"), got, self.tree.resolve(va));
+    }
+
+    fn check(&self, mem: &PhysMem, root: PAddr) -> Result<(), String> {
+        if let Some(step) = self.divergence.get() {
+            return Err(format!("ghost diverged on {step}"));
+        }
+        if !self.tree.wf() {
+            return Err("ghost tree not well-formed".into());
+        }
+        let view = HighSpec {
+            map: self.tree.flatten(),
+        };
+        crate::interp::interpretation_matches(mem, root, &view)
+            .map_err(|e| format!("ghost view vs MMU: {e}"))
+    }
+}
+
+/// The verified page table. `G` decides whether it carries its ghost
+/// state ([`Tracked`]) or not ([`Erased`], the default).
+pub struct VerifiedPageTable<G: GhostMode = Erased> {
+    cr3: PAddr,
+    ghost: G,
+}
+
+impl VerifiedPageTable<Tracked> {
+    /// The ghost prefix tree.
     ///
     /// This is the implementation's `view()` in the paper's sense: the
     /// abstraction of its concrete state that client reasoning uses.
-    pub fn ghost(&self) -> Option<&PrefixTree> {
-        self.ghost.as_ref()
+    pub fn ghost(&self) -> &PrefixTree {
+        &self.ghost.tree
     }
+}
 
-    /// Frees every directory frame (including the root). The table must
-    /// not be used afterwards.
-    pub fn destroy(self, mem: &mut PhysMem, alloc: &mut dyn FrameSource) {
-        Self::free_subtree(mem, alloc, self.cr3, 4);
-    }
-
-    fn free_subtree(mem: &mut PhysMem, alloc: &mut dyn FrameSource, table: PAddr, level: u8) {
-        if level > 1 {
-            for idx in 0..512u16 {
-                let e = PtEntry(mem.read_u64(entry_addr(table, idx)));
-                if e.is_present() && !e.is_huge() {
-                    Self::free_subtree(mem, alloc, e.addr(), level - 1);
-                }
-            }
-        }
-        mem.zero_frame(table);
-        alloc.free_frame(table);
-    }
-
+impl<G: GhostMode> VerifiedPageTable<G> {
     // --- map ------------------------------------------------------------
 
     /// Per-level map function. Mirrors `PrefixTree::map_rec` — that
@@ -190,7 +267,7 @@ impl VerifiedPageTable {
                 flags: decode_leaf(entry),
             };
             mem.write_u64(slot, PtEntry::zero().0);
-            return Ok((mapping, Self::table_empty(mem, table)));
+            return Ok((mapping, table_empty(mem, table)));
         }
         let (mapping, child_empty) = Self::unmap_at(mem, alloc, entry.addr(), level - 1, va)?;
         if child_empty {
@@ -200,67 +277,9 @@ impl VerifiedPageTable {
             mem.zero_frame(child);
             alloc.free_frame(child);
             mem.write_u64(slot, PtEntry::zero().0);
-            return Ok((mapping, Self::table_empty(mem, table)));
+            return Ok((mapping, table_empty(mem, table)));
         }
         Ok((mapping, false))
-    }
-
-    fn table_empty(mem: &PhysMem, table: PAddr) -> bool {
-        (0..512u16).all(|i| !PtEntry(mem.read_u64(entry_addr(table, i))).is_present())
-    }
-
-    // --- range ops ------------------------------------------------------
-
-    /// Walks to the level-1 table holding `va`'s PTE, when the full
-    /// directory path exists (a missing directory or a huge leaf on the
-    /// way returns `None`).
-    fn walk_to_l1(mem: &PhysMem, cr3: PAddr, va: VAddr) -> Option<PAddr> {
-        let mut table = cr3;
-        for level in [4u8, 3, 2] {
-            let entry = PtEntry(mem.read_u64(entry_addr(table, index_at(va, level))));
-            if !entry.is_present() || entry.is_huge() {
-                return None;
-            }
-            table = entry.addr();
-        }
-        Some(table)
-    }
-
-    /// Rolls a partially applied `map_range` back: unmaps the `done`
-    /// pages already installed, newest first.
-    fn unmap_mapped_prefix(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        req: &MapRequest,
-        done: u64,
-    ) {
-        let step = req.size.bytes();
-        for j in (0..done).rev() {
-            let rolled = self.unmap_frame(mem, alloc, VAddr(req.va.0 + j * step));
-            debug_assert!(rolled.is_ok(), "map_range rollback failed at page {j}");
-        }
-    }
-
-    /// Rolls a partially applied `unmap_range` back: re-installs the
-    /// removed prefix so the failing call leaves the table untouched.
-    fn remap_removed_prefix(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        va: VAddr,
-        removed: &[AbsMapping],
-    ) {
-        for (j, m) in removed.iter().enumerate().rev() {
-            let back = MapRequest {
-                va: VAddr(va.0 + j as u64 * PAGE_4K),
-                pa: PAddr(m.pa),
-                size: m.size,
-                flags: m.flags,
-            };
-            let rolled = self.map_frame(mem, alloc, back);
-            debug_assert!(rolled.is_ok(), "unmap_range rollback failed at slot {j}");
-        }
     }
 
     // --- resolve ----------------------------------------------------------
@@ -297,7 +316,20 @@ impl VerifiedPageTable {
     }
 }
 
-impl PageTableOps for VerifiedPageTable {
+impl<G: GhostMode> PageTableOps for VerifiedPageTable<G> {
+    fn new(mem: &mut PhysMem, alloc: &mut dyn FrameSource) -> Result<Self, PtError> {
+        let cr3 = alloc.alloc_frame().ok_or(PtError::OutOfMemory)?;
+        mem.zero_frame(cr3);
+        Ok(Self {
+            cr3,
+            ghost: G::default(),
+        })
+    }
+
+    fn destroy(self, mem: &mut PhysMem, alloc: &mut dyn FrameSource) {
+        free_subtree(mem, alloc, self.cr3, 4);
+    }
+
     fn map_frame(
         &mut self,
         mem: &mut PhysMem,
@@ -314,21 +346,7 @@ impl PageTableOps for VerifiedPageTable {
             return Err(PtError::MisalignedPa);
         }
         let result = Self::map_at(mem, alloc, self.cr3, 4, &req);
-        if let Some(ghost) = &mut self.ghost {
-            // Ghost state moves in lock-step; OutOfMemory is the one
-            // implementation-only failure (a stutter for the ghost).
-            match &result {
-                Ok(()) => {
-                    let g = ghost.map(&req);
-                    debug_assert_eq!(g, Ok(()), "ghost diverged on map");
-                }
-                Err(PtError::OutOfMemory) => {}
-                Err(e) => {
-                    let g = ghost.map(&req);
-                    debug_assert_eq!(g, Err(*e), "ghost diverged on failing map");
-                }
-            }
-        }
+        self.ghost.map(&req, result);
         result
     }
 
@@ -345,21 +363,12 @@ impl PageTableOps for VerifiedPageTable {
             return Err(PtError::MisalignedVa);
         }
         let result = Self::unmap_at(mem, alloc, self.cr3, 4, va).map(|(m, _)| m);
-        if let Some(ghost) = &mut self.ghost {
-            let g = ghost.unmap(va);
-            debug_assert_eq!(g, result, "ghost diverged on unmap");
-        }
+        self.ghost.unmap(va, result);
         result
     }
 
-    /// Amortized override of the default per-page loop: the first page of
-    /// each 2 MiB-aligned chunk goes through the one-page path (full
-    /// validation, directory creation, ghost lock-step), and every
-    /// further 4 KiB page whose PTE lives in the same level-1 table is a
-    /// single read + write into that table — the descent is reused, not
-    /// repeated. Alignment and canonicality propagate 4 KiB steps inside
-    /// a chunk (the canonical halves are unions of whole 2 MiB chunks),
-    /// so the skipped per-page validations hold for free.
+    /// The amortized path both tables share, with every page its fast
+    /// path writes moving the ghost too.
     fn map_range(
         &mut self,
         mem: &mut PhysMem,
@@ -367,68 +376,13 @@ impl PageTableOps for VerifiedPageTable {
         req: MapRequest,
         pages: u64,
     ) -> Result<(), PtError> {
-        let step = req.size.bytes();
-        if crate::range_overflows(req.va.0, step, pages) {
-            return Err(PtError::NonCanonical);
-        }
-        if crate::range_overflows(req.pa.0, step, pages) {
-            return Err(PtError::PhysOutOfRange);
-        }
-        let mut done: u64 = 0;
-        while done < pages {
-            let head = MapRequest {
-                va: VAddr(req.va.0 + done * step),
-                pa: PAddr(req.pa.0 + done * step),
-                ..req
-            };
-            if let Err(e) = self.map_frame(mem, alloc, head) {
-                self.unmap_mapped_prefix(mem, alloc, &req, done);
-                return Err(e);
-            }
-            done += 1;
-            if req.size != PageSize::Size4K {
-                continue;
-            }
-            let Some(l1) = Self::walk_to_l1(mem, self.cr3, head.va) else {
-                continue;
-            };
-            while done < pages {
-                let va = VAddr(req.va.0 + done * step);
-                if va.0 >> 21 != head.va.0 >> 21 {
-                    break;
-                }
-                let pa = PAddr(req.pa.0 + done * step);
-                let page = MapRequest { va, pa, ..req };
-                let slot = entry_addr(l1, index_at(va, 1));
-                if PtEntry(mem.read_u64(slot)).is_present() {
-                    if let Some(ghost) = &mut self.ghost {
-                        let g = ghost.map(&page);
-                        debug_assert_eq!(
-                            g,
-                            Err(PtError::AlreadyMapped),
-                            "ghost diverged on failing map"
-                        );
-                    }
-                    self.unmap_mapped_prefix(mem, alloc, &req, done);
-                    return Err(PtError::AlreadyMapped);
-                }
-                mem.write_u64(slot, encode_leaf(pa, PageSize::Size4K, req.flags).0);
-                if let Some(ghost) = &mut self.ghost {
-                    let g = ghost.map(&page);
-                    debug_assert_eq!(g, Ok(()), "ghost diverged on map");
-                }
-                done += 1;
-            }
-        }
-        Ok(())
+        crate::range::map_range(self, mem, alloc, req, pages, |pt: &mut Self, page, got| {
+            pt.ghost.map(page, got)
+        })
     }
 
-    /// Amortized override mirroring `map_range`: middle slots of each
-    /// level-1 chunk are cleared with one read + write into the cached
-    /// table; the first and last in-range slot of every chunk go through
-    /// the one-page path, so an emptied level-1 table still gets its
-    /// directories pruned (the no-empty-dirs invariant holds on return,
-    /// success or rollback).
+    /// The amortized path both tables share, with every slot its fast
+    /// path clears moving the ghost too.
     fn unmap_range(
         &mut self,
         mem: &mut PhysMem,
@@ -436,73 +390,9 @@ impl PageTableOps for VerifiedPageTable {
         va: VAddr,
         pages: u64,
     ) -> Result<Vec<AbsMapping>, PtError> {
-        if crate::range_overflows(va.0, PAGE_4K, pages) {
-            return Err(PtError::NonCanonical);
-        }
-        let mut removed: Vec<AbsMapping> = Vec::new();
-        while (removed.len() as u64) < pages {
-            let head = VAddr(va.0 + removed.len() as u64 * PAGE_4K);
-            match self.unmap_frame(mem, alloc, head) {
-                Ok(m) => removed.push(m),
-                Err(e) => {
-                    self.remap_removed_prefix(mem, alloc, va, &removed);
-                    return Err(e);
-                }
-            }
-            // A pruned path or a removed huge mapping leaves no level-1
-            // table to reuse; the next chunk head descends again.
-            let Some(l1) = Self::walk_to_l1(mem, self.cr3, head) else {
-                continue;
-            };
-            loop {
-                let i = removed.len() as u64;
-                if i >= pages {
-                    break;
-                }
-                let cur = VAddr(va.0 + i * PAGE_4K);
-                if cur.0 >> 21 != head.0 >> 21 {
-                    break;
-                }
-                let last_of_chunk = i + 1 >= pages
-                    || (va.0 + (i + 1) * PAGE_4K) >> 21 != head.0 >> 21;
-                if last_of_chunk {
-                    match self.unmap_frame(mem, alloc, cur) {
-                        Ok(m) => removed.push(m),
-                        Err(e) => {
-                            self.remap_removed_prefix(mem, alloc, va, &removed);
-                            return Err(e);
-                        }
-                    }
-                    break;
-                }
-                let slot = entry_addr(l1, index_at(cur, 1));
-                let entry = PtEntry(mem.read_u64(slot));
-                if !entry.is_present() {
-                    if let Some(ghost) = &mut self.ghost {
-                        let g = ghost.unmap(cur);
-                        debug_assert_eq!(
-                            g,
-                            Err(PtError::NotMapped),
-                            "ghost diverged on failing unmap"
-                        );
-                    }
-                    self.remap_removed_prefix(mem, alloc, va, &removed);
-                    return Err(PtError::NotMapped);
-                }
-                let m = AbsMapping {
-                    pa: entry.addr().0,
-                    size: PageSize::Size4K,
-                    flags: decode_leaf(entry),
-                };
-                mem.write_u64(slot, PtEntry::zero().0);
-                if let Some(ghost) = &mut self.ghost {
-                    let g = ghost.unmap(cur);
-                    debug_assert_eq!(g, Ok(m), "ghost diverged on unmap");
-                }
-                removed.push(m);
-            }
-        }
-        Ok(removed)
+        crate::range::unmap_range(self, mem, alloc, va, pages, |pt: &mut Self, slot, got| {
+            pt.ghost.unmap(slot, got)
+        })
     }
 
     fn resolve(&self, mem: &PhysMem, va: VAddr) -> Result<ResolveAnswer, PtError> {
@@ -510,14 +400,16 @@ impl PageTableOps for VerifiedPageTable {
             return Err(PtError::NonCanonical);
         }
         let result = Self::resolve_at(mem, self.cr3, 4, va);
-        if let Some(ghost) = &self.ghost {
-            debug_assert_eq!(ghost.resolve(va), result, "ghost diverged on resolve");
-        }
+        self.ghost.resolve(va, result);
         result
     }
 
     fn root(&self) -> PAddr {
         self.cr3
+    }
+
+    fn check_ghost(&self, mem: &PhysMem) -> Result<(), String> {
+        self.ghost.check(mem, self.cr3)
     }
 }
 
@@ -537,7 +429,7 @@ mod tests {
     #[test]
     fn map_resolve_round_trip() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         let r = pt.resolve(&mem, VAddr(0x1abc)).unwrap();
@@ -548,7 +440,7 @@ mod tests {
     #[test]
     fn mmu_walk_agrees_with_resolve() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x7000, 0x9000))
             .unwrap();
         let m = veros_hw::walk(&mem, pt.root(), VAddr(0x7010)).unwrap();
@@ -562,7 +454,7 @@ mod tests {
     fn unmap_frees_empty_directories() {
         let (mut mem, mut alloc) = setup();
         let before = alloc.free_frames();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         assert_eq!(alloc.free_frames(), before - 4, "root + 3 directories");
@@ -575,7 +467,7 @@ mod tests {
     #[test]
     fn shared_directories_survive_partial_unmap() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x2000, 0x9000))
@@ -588,7 +480,7 @@ mod tests {
     #[test]
     fn huge_page_map_and_conflicts() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let huge = MapRequest {
             va: VAddr(0x20_0000),
             pa: PAddr(0x40_0000),
@@ -613,7 +505,7 @@ mod tests {
     #[test]
     fn gig_page_round_trip() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let gig = MapRequest {
             va: VAddr(0x4000_0000),
             pa: PAddr(0x4000_0000),
@@ -630,7 +522,7 @@ mod tests {
     #[test]
     fn error_cases_match_spec() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         assert_eq!(
             pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1001, 0x8000)),
             Err(PtError::MisalignedVa)
@@ -656,7 +548,7 @@ mod tests {
         // Only two frames: root plus one directory — not enough for a
         // full 4-level path.
         let mut alloc = StackFrameSource::new(PAddr(0x1000), PAddr(0x3000));
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         assert_eq!(
             pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000)),
             Err(PtError::OutOfMemory)
@@ -665,7 +557,8 @@ mod tests {
         assert_eq!(alloc.free_frames(), 1);
         // The table is still structurally sound and empty.
         assert!(veros_hw::interpret_page_table(&mem, pt.root()).is_empty());
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 0);
+        assert_eq!(pt.ghost().flatten().len(), 0);
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]
@@ -683,7 +576,7 @@ mod tests {
     fn boundary_indices_work() {
         // Index 511 at every level — the edge of each table.
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let va = VAddr::from_indices(255, 511, 511, 511);
         pt.map_frame(
             &mut mem,
@@ -703,7 +596,7 @@ mod tests {
     #[test]
     fn map_range_round_trips_across_chunk_boundary() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         // 8 pages straddling the 2 MiB chunk boundary at 0x20_0000:
         // exercises both the amortized tail and a fresh chunk-head
         // descent mid-range.
@@ -713,14 +606,16 @@ mod tests {
             let r = pt.resolve(&mem, VAddr(req.va.0 + i * 0x1000 + 0x123)).unwrap();
             assert_eq!(r.pa, PAddr(req.pa.0 + i * 0x1000 + 0x123));
         }
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 8);
+        assert_eq!(pt.ghost().flatten().len(), 8);
+        pt.check_ghost(&mem).unwrap();
         let removed = pt.unmap_range(&mut mem, &mut alloc, req.va, 8).unwrap();
         assert_eq!(removed.len(), 8);
         for (i, m) in removed.iter().enumerate() {
             assert_eq!(m.pa, req.pa.0 + i as u64 * 0x1000);
             assert_eq!(m.size, PageSize::Size4K);
         }
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 0);
+        assert_eq!(pt.ghost().flatten().len(), 0);
+        pt.check_ghost(&mem).unwrap();
         assert_eq!(pt.resolve(&mem, req.va), Err(PtError::NotMapped));
     }
 
@@ -728,7 +623,7 @@ mod tests {
     fn map_range_failure_rolls_back_everything() {
         let (mut mem, mut alloc) = setup();
         let free_empty = alloc.free_frames();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         // Pre-existing page in the middle of the target range.
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x5000, 0x9000))
             .unwrap();
@@ -741,7 +636,8 @@ mod tests {
         // Nothing from the failed range survives: only the pre-existing
         // page is mapped and no directory frames leaked.
         assert_eq!(alloc.free_frames(), held);
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 1);
+        assert_eq!(pt.ghost().flatten().len(), 1);
+        pt.check_ghost(&mem).unwrap();
         assert_eq!(pt.resolve(&mem, VAddr(0x1000)), Err(PtError::NotMapped));
         assert_eq!(pt.resolve(&mem, VAddr(0x5000)).unwrap().pa, PAddr(0x9000));
         pt.unmap_frame(&mut mem, &mut alloc, VAddr(0x5000)).unwrap();
@@ -752,7 +648,7 @@ mod tests {
     #[test]
     fn unmap_range_failure_rolls_back_removed_prefix() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let req = MapRequest::rw_4k(0x1000, 0x80_0000);
         pt.map_range(&mut mem, &mut alloc, req, 6).unwrap();
         // Punch a hole at slot 3, then try to unmap all 6 slots.
@@ -766,7 +662,8 @@ mod tests {
             let r = pt.resolve(&mem, VAddr(0x1000 + i * 0x1000)).unwrap();
             assert_eq!(r.pa, PAddr(0x80_0000 + i * 0x1000));
         }
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 5);
+        assert_eq!(pt.ghost().flatten().len(), 5);
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]
@@ -775,11 +672,11 @@ mod tests {
         // per-page default: same resolves, same frame accounting.
         let (mut mem, mut alloc) = setup();
         let before = alloc.free_frames();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let req = MapRequest::rw_4k(0x3f_e000, 0x100_0000); // crosses a chunk edge
         pt.map_range(&mut mem, &mut alloc, req, 520).unwrap();
         let (mut mem2, mut alloc2) = setup();
-        let mut ref_pt = VerifiedPageTable::new(&mut mem2, &mut alloc2, true).unwrap();
+        let mut ref_pt = VerifiedPageTable::<Tracked>::new(&mut mem2, &mut alloc2).unwrap();
         for i in 0..520u64 {
             ref_pt
                 .map_frame(
@@ -803,7 +700,7 @@ mod tests {
     #[test]
     fn unmap_range_removing_huge_mapping_at_last_slot() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         // A 4 KiB page followed by... a huge mapping based at the next
         // chunk: unmap_range over [page, huge_base] removes both (the
         // huge one whole), per the slot-by-slot spec.
@@ -821,13 +718,14 @@ mod tests {
             .unwrap();
         assert_eq!(removed.len(), 2);
         assert_eq!(removed[1].size, PageSize::Size2M);
-        assert_eq!(pt.ghost().unwrap().flatten().len(), 0);
+        assert_eq!(pt.ghost().flatten().len(), 0);
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]
     fn range_overflow_is_rejected_up_front() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let req = MapRequest::rw_4k(0xffff_ffff_ffff_f000, 0x8000);
         assert_eq!(
             pt.map_range(&mut mem, &mut alloc, req, u64::MAX),
@@ -842,7 +740,7 @@ mod tests {
     #[test]
     fn high_half_addresses_work() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let va = VAddr(0xffff_8000_0010_0000);
         pt.map_frame(
             &mut mem,
@@ -858,5 +756,32 @@ mod tests {
         assert_eq!(pt.resolve(&mem, va + 5).unwrap().pa, PAddr(0x8005));
         let interp = veros_hw::interpret_page_table(&mem, pt.root());
         assert!(interp.contains_key(&va));
+    }
+
+    #[test]
+    fn erased_ghost_costs_no_space() {
+        assert_eq!(
+            std::mem::size_of::<VerifiedPageTable>(),
+            std::mem::size_of::<PAddr>()
+        );
+    }
+
+    #[test]
+    fn tracked_ghost_reports_the_first_divergence() {
+        let (mut mem, mut alloc) = setup();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
+        pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
+            .unwrap();
+        pt.check_ghost(&mem).unwrap();
+        // A leaf written behind the table's back: the table resolves it,
+        // the ghost does not know it.
+        let l1 = crate::range::walk_to_l1(&mem, pt.root(), VAddr(0x1000)).unwrap();
+        mem.write_u64(
+            entry_addr(l1, 2),
+            encode_leaf(PAddr(0x9000), PageSize::Size4K, MapFlags::user_rw()).0,
+        );
+        assert!(pt.resolve(&mem, VAddr(0x2000)).is_ok());
+        let err = pt.check_ghost(&mem).unwrap_err();
+        assert!(err.starts_with("ghost diverged on resolve 0x2000"), "{err}");
     }
 }

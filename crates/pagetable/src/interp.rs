@@ -103,8 +103,8 @@ pub fn tlb_coherent_with_shootdown(seed: u64, steps: usize) -> Result<usize, Str
         PAddr(16 * veros_hw::PAGE_4K),
         PAddr(1024 * veros_hw::PAGE_4K),
     );
-    let mut pt =
-        crate::VerifiedPageTable::new(&mut machine.mem, &mut alloc, false).map_err(|e| e.to_string())?;
+    let mut pt = crate::VerifiedPageTable::<crate::Erased>::new(&mut machine.mem, &mut alloc)
+        .map_err(|e| e.to_string())?;
     machine.load_cr3(pt.root());
     machine.user_mode = false;
     let mut spec = HighSpec::new();
@@ -172,7 +172,7 @@ pub fn tlb_incoherent_without_shootdown() -> Result<(), String> {
         PAddr(16 * veros_hw::PAGE_4K),
         PAddr(1024 * veros_hw::PAGE_4K),
     );
-    let mut pt = crate::VerifiedPageTable::new(&mut machine.mem, &mut alloc, false)
+    let mut pt = crate::VerifiedPageTable::<crate::Erased>::new(&mut machine.mem, &mut alloc)
         .map_err(|e| e.to_string())?;
     machine.load_cr3(pt.root());
     machine.user_mode = false;
@@ -197,16 +197,15 @@ pub fn tlb_incoherent_without_shootdown() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{MapRequest, PtOp};
-    use crate::refine::{differential_vs_spec, Impl, OpUniverse};
-    use crate::PageTableOps;
+    use crate::ops::MapRequest;
+    use crate::{PageTableOps, Tracked, VerifiedPageTable};
     use veros_hw::StackFrameSource;
 
     #[test]
     fn interpretation_matches_simple_state() {
         let mut mem = PhysMem::new(1024);
         let mut alloc = StackFrameSource::new(PAddr(16 * 4096), PAddr(512 * 4096));
-        let mut pt = crate::VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let mut spec = HighSpec::new();
         for (va, pa) in [(0x1000u64, 0x8000u64), (0x2000, 0x9000), (0x40_0000, 0xa000)] {
             let req = MapRequest::rw_4k(va, pa);
@@ -214,13 +213,14 @@ mod tests {
             spec.apply_map(&req).unwrap();
         }
         interpretation_matches(&mem, pt.root(), &spec).unwrap();
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]
     fn interpretation_catches_divergence() {
         let mut mem = PhysMem::new(1024);
         let mut alloc = StackFrameSource::new(PAddr(16 * 4096), PAddr(512 * 4096));
-        let mut pt = crate::VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let mut spec = HighSpec::new();
         let req = MapRequest::rw_4k(0x1000, 0x8000);
         pt.map_frame(&mut mem, &mut alloc, req).unwrap();
@@ -234,7 +234,7 @@ mod tests {
     fn walk_matches_resolve_on_probes() {
         let mut mem = PhysMem::new(1024);
         let mut alloc = StackFrameSource::new(PAddr(16 * 4096), PAddr(512 * 4096));
-        let mut pt = crate::VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         let mut spec = HighSpec::new();
         let req = MapRequest::rw_4k(0x1000, 0x8000);
         pt.map_frame(&mut mem, &mut alloc, req).unwrap();
@@ -247,14 +247,7 @@ mod tests {
             VAddr(0x0000_8000_0000_0000),
         ];
         walk_matches_resolve(&mem, pt.root(), &spec, &probes).unwrap();
-    }
-
-    #[test]
-    fn deep_differential_with_interpretation() {
-        // Depth-2 over the rich universe with interpretation at every
-        // step — the quick version of the heavyweight VC.
-        differential_vs_spec(Impl::Verified, &OpUniverse::small(), 2, true).unwrap();
-        let _ = PtOp::Resolve(VAddr(0)); // Keep the import honest.
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn check_table(
 mod tests {
     use super::*;
     use crate::ops::{MapFlags, MapRequest, PageSize};
-    use crate::{PageTableOps, VerifiedPageTable};
+    use crate::{Erased, PageTableOps, Tracked, VerifiedPageTable};
     use veros_hw::{StackFrameSource, VAddr};
 
     fn setup() -> (PhysMem, StackFrameSource) {
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn fresh_table_is_structurally_sound() {
         let (mut mem, mut alloc) = setup();
-        let pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).unwrap();
         let s = check_structure(&mem, pt.root()).unwrap();
         assert_eq!(s, Structure { directories: 1, leaves: 0 });
     }
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn populated_table_counts_match_ghost() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).unwrap();
+        let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         pt.map_frame(
@@ -132,13 +132,14 @@ mod tests {
         let s = check_structure(&mem, pt.root()).unwrap();
         assert_eq!(s.leaves, 2);
         // Root + ghost directory count.
-        assert_eq!(s.directories, 1 + pt.ghost().unwrap().directory_count());
+        assert_eq!(s.directories, 1 + pt.ghost().directory_count());
+        pt.check_ghost(&mem).unwrap();
     }
 
     #[test]
     fn sabotaged_empty_directory_is_caught() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let mut pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         // Zero the leaf entry directly, leaving its parent chain intact:
@@ -154,7 +155,7 @@ mod tests {
     #[test]
     fn sabotaged_cycle_is_caught() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let mut pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(&mut mem, &mut alloc, MapRequest::rw_4k(0x1000, 0x8000))
             .unwrap();
         // Point a second PML4 slot at the root itself.
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn sabotaged_pml4_huge_bit_is_caught() {
         let (mut mem, mut alloc) = setup();
-        let pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).unwrap();
         let dir = PtFlags::PRESENT | PtFlags::HUGE;
         mem.write_u64(PAddr(pt.root().0), PtEntry::new(PAddr(0x8000), dir).0);
         let err = check_structure(&mem, pt.root()).unwrap_err();
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn sabotaged_misaligned_huge_leaf_is_caught() {
         let (mut mem, mut alloc) = setup();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).unwrap();
+        let mut pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).unwrap();
         pt.map_frame(
             &mut mem,
             &mut alloc,

@@ -33,18 +33,35 @@ pub mod interp;
 pub mod invariants;
 pub mod ops;
 pub mod prefix_tree;
+mod range;
 pub mod refine;
 pub mod vcs;
 
 pub use high_spec::{AbsMapping, HighSpec};
 pub use impl_unverified::UnverifiedPageTable;
-pub use impl_verified::VerifiedPageTable;
+pub use impl_verified::{Erased, GhostMode, Tracked, VerifiedPageTable};
 pub use ops::{MapFlags, MapRequest, PageSize, PtError, PtOp, ResolveAnswer};
 pub use prefix_tree::PrefixTree;
 
-/// The common interface of both page-table implementations, so the
-/// kernel's address space and the benchmarks can swap them.
+/// The common interface of both page-table implementations. Every
+/// harness that drives a table (the kernel's address space, the
+/// refinement checks, the VCs and the Fig 1b/1c sweep) is generic over
+/// it, so which implementation backs a table is fixed at compile time.
 pub trait PageTableOps {
+    /// Creates an empty table, allocating and zeroing its root frame.
+    fn new(
+        mem: &mut veros_hw::PhysMem,
+        alloc: &mut dyn veros_hw::FrameSource,
+    ) -> Result<Self, PtError>
+    where
+        Self: Sized;
+
+    /// Frees every directory frame, the root included. The frames the
+    /// mappings point at are the caller's.
+    fn destroy(self, mem: &mut veros_hw::PhysMem, alloc: &mut dyn veros_hw::FrameSource)
+    where
+        Self: Sized;
+
     /// Maps `req.size` bytes at `req.va` to `req.pa`.
     fn map_frame(
         &mut self,
@@ -68,10 +85,11 @@ pub trait PageTableOps {
     /// as `map_frame` would map `(va + i·size, pa + i·size)`, and on the
     /// first failure every page this call already mapped is unmapped
     /// again before the failing page's error is returned. The default
-    /// body is that specification; implementations override it with an
-    /// amortized version (one descent per level-1 table instead of one
-    /// per page) that must stay observationally identical — the range
-    /// verification conditions check exactly that.
+    /// body is that specification; both implementations override it with
+    /// one shared amortized path (one descent per level-1 table instead of
+    /// one per page) that must stay observationally identical. The
+    /// randomized refinement audits ([`refine::randomized_audit`]) make
+    /// range calls against this loop applied to [`HighSpec`].
     fn map_range(
         &mut self,
         mem: &mut veros_hw::PhysMem,
@@ -80,10 +98,10 @@ pub trait PageTableOps {
         pages: u64,
     ) -> Result<(), PtError> {
         let step = req.size.bytes();
-        if range_overflows(req.va.0, step, pages) {
+        if range::overflows(req.va.0, step, pages) {
             return Err(PtError::NonCanonical);
         }
-        if range_overflows(req.pa.0, step, pages) {
+        if range::overflows(req.pa.0, step, pages) {
             return Err(PtError::PhysOutOfRange);
         }
         for i in 0..pages {
@@ -93,11 +111,7 @@ pub trait PageTableOps {
                 ..req
             };
             if let Err(e) = self.map_frame(mem, alloc, page) {
-                for j in (0..i).rev() {
-                    let va = veros_hw::VAddr(req.va.0 + j * step);
-                    let rolled = self.unmap_frame(mem, alloc, va);
-                    debug_assert!(rolled.is_ok(), "map_range rollback failed at page {j}");
-                }
+                range::unmap_mapped_prefix(self, mem, alloc, &req, i);
                 return Err(e);
             }
         }
@@ -119,7 +133,7 @@ pub trait PageTableOps {
         va: veros_hw::VAddr,
         pages: u64,
     ) -> Result<Vec<AbsMapping>, PtError> {
-        if range_overflows(va.0, veros_hw::PAGE_4K, pages) {
+        if range::overflows(va.0, veros_hw::PAGE_4K, pages) {
             return Err(PtError::NonCanonical);
         }
         let mut removed: Vec<AbsMapping> = Vec::new();
@@ -128,16 +142,7 @@ pub trait PageTableOps {
             match self.unmap_frame(mem, alloc, page_va) {
                 Ok(m) => removed.push(m),
                 Err(e) => {
-                    for (j, m) in removed.iter().enumerate().rev() {
-                        let back = MapRequest {
-                            va: veros_hw::VAddr(va.0 + j as u64 * veros_hw::PAGE_4K),
-                            pa: veros_hw::PAddr(m.pa),
-                            size: m.size,
-                            flags: m.flags,
-                        };
-                        let rolled = self.map_frame(mem, alloc, back);
-                        debug_assert!(rolled.is_ok(), "unmap_range rollback failed at slot {j}");
-                    }
+                    range::remap_removed_prefix(self, mem, alloc, va, &removed);
                     return Err(e);
                 }
             }
@@ -154,13 +159,12 @@ pub trait PageTableOps {
 
     /// The page-table root (CR3 value).
     fn root(&self) -> veros_hw::PAddr;
-}
 
-/// True when `base + pages * step` (the end of a range operation)
-/// overflows. The range-op defaults and the amortized overrides both
-/// reject such ranges up-front so they agree on every input.
-pub(crate) fn range_overflows(base: u64, step: u64, pages: u64) -> bool {
-    step.checked_mul(pages)
-        .and_then(|span| base.checked_add(span))
-        .is_none()
+    /// Checks the ghost state the table carries, if any: `Err` names the
+    /// first step on which it diverged from the table, or says that its
+    /// view is not well-formed or is not the MMU's interpretation of the
+    /// table in `mem`. A table without ghost state has nothing to check.
+    fn check_ghost(&self, _mem: &veros_hw::PhysMem) -> Result<(), String> {
+        Ok(())
+    }
 }

@@ -22,10 +22,11 @@ use crate::high_spec::{HighSpec, HighSpecMachine};
 use crate::impl_verified::{decode_leaf, encode_leaf};
 use crate::ops::{MapFlags, MapRequest, PageSize, PtError, PtOp};
 use crate::prefix_tree::{PrefixTree, PrefixTreeMachine, TreeToFlat};
-use crate::refine::{
-    differential_vs_spec, randomized_audit, randomized_vs_spec, Impl, OpUniverse,
-};
-use crate::{PageTableOps, UnverifiedPageTable, VerifiedPageTable};
+use crate::refine::{differential_vs_spec, randomized_audit, randomized_vs_spec, OpUniverse};
+use crate::{Erased, PageTableOps, Tracked, UnverifiedPageTable, VerifiedPageTable};
+
+/// The verified table as the VCs run it: with its ghost tracked.
+type Verified = VerifiedPageTable<Tracked>;
 
 /// Sizing profile for the VC population.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,9 +91,12 @@ pub fn register_all(engine: &mut VcEngine, profile: Profile) {
     register_encoding(engine, &p); // 24
     register_high_spec(engine, &p); // 9
     register_prefix_tree(engine, &p); // 14
-    register_scenarios(engine); // 36
-    register_bounded(engine, &p); // 6
-    register_randomized(engine, &p); // 60
+    register_scenarios::<Verified>(engine, "verified"); // 18
+    register_scenarios::<UnverifiedPageTable>(engine, "unverified"); // 18
+    register_bounded::<Verified>(engine, &p, "verified"); // 3
+    register_bounded::<UnverifiedPageTable>(engine, &p, "unverified"); // 3
+    register_randomized::<Verified>(engine, &p, "verified", 40);
+    register_randomized::<UnverifiedPageTable>(engine, &p, "unverified", 20);
     register_interpretation(engine, &p); // 16
     register_structure(engine, &p); // 8
     register_tlb(engine, &p); // 13
@@ -406,7 +410,7 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             ok(pt.map_frame(mem, alloc, MapRequest { va: VAddr(0x4000_0000), pa: PAddr(0x8000_0000), size: PageSize::Size1G, flags: MapFlags::user_ro() }))?;
             expect_pa(pt, mem, 0x4123_4567, 0x8123_4567)?;
             pt.unmap_frame(mem, alloc, VAddr(0x4000_0000)).map_err(|e| e.to_string())?;
-            expect_err_resolve(pt, mem, 0x4123_4567, PtError::NotMapped)
+            expect_err(pt.resolve(mem, VAddr(0x4123_4567)), PtError::NotMapped)
         }),
         ("unmap_returns_mapping", |pt, mem, alloc| {
             ok(pt.map_frame(mem, alloc, MapRequest::rw_4k(0x1000, 0x8000)))?;
@@ -417,11 +421,11 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             Ok(())
         }),
         ("unmap_unmapped_fails", |pt, mem, alloc| {
-            expect_err_abs(pt.unmap_frame(mem, alloc, VAddr(0x1000)), PtError::NotMapped)
+            expect_err(pt.unmap_frame(mem, alloc, VAddr(0x1000)), PtError::NotMapped)
         }),
         ("unmap_interior_of_huge_fails", |pt, mem, alloc| {
             ok(pt.map_frame(mem, alloc, MapRequest { va: VAddr(0x20_0000), pa: PAddr(0x40_0000), size: PageSize::Size2M, flags: MapFlags::user_rw() }))?;
-            expect_err_abs(pt.unmap_frame(mem, alloc, VAddr(0x20_1000)), PtError::NotMapped)
+            expect_err(pt.unmap_frame(mem, alloc, VAddr(0x20_1000)), PtError::NotMapped)
         }),
         ("remap_after_unmap", |pt, mem, alloc| {
             ok(pt.map_frame(mem, alloc, MapRequest::rw_4k(0x1000, 0x8000)))?;
@@ -453,7 +457,7 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             if tiny.free_frames() != 1 {
                 return Err("rollback leaked a frame".into());
             }
-            expect_err_resolve(pt, mem, 0x1000, PtError::NotMapped)
+            expect_err(pt.resolve(mem, VAddr(0x1000)), PtError::NotMapped)
         }),
         ("resolve_permissions_propagate", |pt, mem, alloc| {
             ok(pt.map_frame(mem, alloc, MapRequest { va: VAddr(0x1000), pa: PAddr(0x8000), size: PageSize::Size4K, flags: MapFlags::user_ro() }))?;
@@ -464,7 +468,7 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             Ok(())
         }),
         ("resolve_noncanonical_fails", |pt, mem, _alloc| {
-            expect_err_resolve_raw(pt.resolve(mem, VAddr(0x0000_8000_0000_0000)), PtError::NonCanonical)
+            expect_err(pt.resolve(mem, VAddr(0x0000_8000_0000_0000)), PtError::NonCanonical)
         }),
         ("mixed_sizes_coexist", |pt, mem, alloc| {
             ok(pt.map_frame(mem, alloc, MapRequest::rw_4k(0x1000, 0x8000)))?;
@@ -490,122 +494,75 @@ fn expect_pa(pt: &dyn PageTableOps, mem: &veros_hw::PhysMem, va: u64, pa: u64) -
     Ok(())
 }
 
-fn expect_err(r: Result<(), PtError>, want: PtError) -> Result<(), String> {
+fn expect_err<T: std::fmt::Debug>(r: Result<T, PtError>, want: PtError) -> Result<(), String> {
     match r {
         Err(e) if e == want => Ok(()),
         other => Err(format!("expected {want:?}, got {other:?}")),
     }
 }
 
-fn expect_err_abs(r: Result<crate::high_spec::AbsMapping, PtError>, want: PtError) -> Result<(), String> {
-    match r {
-        Err(e) if e == want => Ok(()),
-        Ok(m) => Err(format!("expected {want:?}, got Ok({m:?})")),
-        Err(e) => Err(format!("expected {want:?}, got {e:?}")),
-    }
-}
-
-fn expect_err_resolve(pt: &dyn PageTableOps, mem: &veros_hw::PhysMem, va: u64, want: PtError) -> Result<(), String> {
-    expect_err_resolve_raw(pt.resolve(mem, VAddr(va)), want)
-}
-
-fn expect_err_resolve_raw(r: Result<crate::ops::ResolveAnswer, PtError>, want: PtError) -> Result<(), String> {
-    match r {
-        Err(e) if e == want => Ok(()),
-        Ok(a) => Err(format!("expected {want:?}, got Ok({a:?})")),
-        Err(e) => Err(format!("expected {want:?}, got {e:?}")),
-    }
-}
-
-fn register_scenarios(engine: &mut VcEngine) {
-    for which in [Impl::Verified, Impl::Unverified] {
-        for (name, scenario) in scenarios() {
-            let tag = match which {
-                Impl::Verified => "verified",
-                Impl::Unverified => "unverified",
-            };
-            engine.register(
-                MODULE,
-                VcKind::Property,
-                format!("{tag}::{name}"),
-                move || {
-                    let mut mem = veros_hw::PhysMem::new(1024);
-                    let mut alloc =
-                        StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(512 * PAGE_4K));
-                    match which {
-                        Impl::Verified => {
-                            let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true)
-                                .map_err(|e| e.to_string())?;
-                            scenario(&mut pt, &mut mem, &mut alloc)?;
-                            crate::invariants::check_structure(&mem, pt.root())
-                                .map(|_| ())
-                                .map_err(|e| format!("structure after scenario: {e}"))
-                        }
-                        Impl::Unverified => {
-                            let mut pt = UnverifiedPageTable::new(&mut mem, &mut alloc)
-                                .map_err(|e| e.to_string())?;
-                            scenario(&mut pt, &mut mem, &mut alloc)?;
-                            crate::invariants::check_structure(&mem, pt.root())
-                                .map(|_| ())
-                                .map_err(|e| format!("structure after scenario: {e}"))
-                        }
-                    }
-                },
-            );
-        }
-    }
-}
-
-// --- bounded differential (6) ---------------------------------------------
-
-fn register_bounded(engine: &mut VcEngine, p: &Params) {
-    for which in [Impl::Verified, Impl::Unverified] {
-        let tag = match which {
-            Impl::Verified => "verified",
-            Impl::Unverified => "unverified",
-        };
-        let d = p.bounded_depth_rich;
+/// Registers every scenario on a fresh `P`; each ends with the table's
+/// ghost check and a structure check.
+fn register_scenarios<P: PageTableOps + 'static>(engine: &mut VcEngine, tag: &str) {
+    for (name, scenario) in scenarios() {
         engine.register(
             MODULE,
-            VcKind::Refinement,
-            format!("{tag}::bounded_rich_depth{d}_interp"),
-            move || differential_vs_spec(which, &OpUniverse::rich(), d, true).map(|_| ()),
-        );
-        let d = p.bounded_depth_small;
-        engine.register(
-            MODULE,
-            VcKind::Refinement,
-            format!("{tag}::bounded_small_depth{d}"),
-            move || differential_vs_spec(which, &OpUniverse::small(), d, false).map(|_| ()),
-        );
-        engine.register(
-            MODULE,
-            VcKind::Refinement,
-            format!("{tag}::bounded_small_depth2_interp"),
-            move || differential_vs_spec(which, &OpUniverse::small(), 2, true).map(|_| ()),
+            VcKind::Property,
+            format!("{tag}::{name}"),
+            move || {
+                let mut mem = veros_hw::PhysMem::new(1024);
+                let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(512 * PAGE_4K));
+                let mut pt = P::new(&mut mem, &mut alloc).map_err(|e| e.to_string())?;
+                scenario(&mut pt, &mut mem, &mut alloc)?;
+                pt.check_ghost(&mem)?;
+                crate::invariants::check_structure(&mem, pt.root())
+                    .map(|_| ())
+                    .map_err(|e| format!("structure after scenario: {e}"))
+            },
         );
     }
 }
 
-// --- randomized differential (60) ------------------------------------------
+// --- bounded differential (6 = 3 x 2 impls) --------------------------------
 
-fn register_randomized(engine: &mut VcEngine, p: &Params) {
-    for seed in 0..40u64 {
+fn register_bounded<P: PageTableOps + 'static>(engine: &mut VcEngine, p: &Params, tag: &str) {
+    let d = p.bounded_depth_rich;
+    engine.register(
+        MODULE,
+        VcKind::Refinement,
+        format!("{tag}::bounded_rich_depth{d}_interp"),
+        move || differential_vs_spec::<P>(&OpUniverse::rich(), d, true).map(|_| ()),
+    );
+    let d = p.bounded_depth_small;
+    engine.register(
+        MODULE,
+        VcKind::Refinement,
+        format!("{tag}::bounded_small_depth{d}"),
+        move || differential_vs_spec::<P>(&OpUniverse::small(), d, false).map(|_| ()),
+    );
+    engine.register(
+        MODULE,
+        VcKind::Refinement,
+        format!("{tag}::bounded_small_depth2_interp"),
+        move || differential_vs_spec::<P>(&OpUniverse::small(), 2, true).map(|_| ()),
+    );
+}
+
+// --- randomized differential (60 = 40 verified + 20 unverified) -------------
+
+fn register_randomized<P: PageTableOps + 'static>(
+    engine: &mut VcEngine,
+    p: &Params,
+    tag: &str,
+    seeds: u64,
+) {
+    for seed in 0..seeds {
         let steps = p.random_steps;
         engine.register(
             MODULE,
             VcKind::Refinement,
-            format!("verified::random_differential_s{seed}"),
-            move || randomized_vs_spec(Impl::Verified, seed, steps).map(|_| ()),
-        );
-    }
-    for seed in 0..20u64 {
-        let steps = p.random_steps;
-        engine.register(
-            MODULE,
-            VcKind::Refinement,
-            format!("unverified::random_differential_s{seed}"),
-            move || randomized_vs_spec(Impl::Unverified, seed, steps).map(|_| ()),
+            format!("{tag}::random_differential_s{seed}"),
+            move || randomized_vs_spec::<P>(seed, steps).map(|_| ()),
         );
     }
 }
@@ -619,7 +576,7 @@ fn register_interpretation(engine: &mut VcEngine, p: &Params) {
             MODULE,
             VcKind::Interpretation,
             format!("verified::interp_every_step_s{seed}"),
-            move || randomized_audit(Impl::Verified, seed + 100, steps, 1, 0).map(|_| ()),
+            move || randomized_audit::<Verified>(seed + 100, steps, 1, 0).map(|_| ()),
         );
     }
 }
@@ -633,7 +590,7 @@ fn register_structure(engine: &mut VcEngine, p: &Params) {
             MODULE,
             VcKind::Invariant,
             format!("verified::structure_every_step_s{seed}"),
-            move || randomized_audit(Impl::Verified, seed + 200, steps, 0, 1).map(|_| ()),
+            move || randomized_audit::<Verified>(seed + 200, steps, 0, 1).map(|_| ()),
         );
     }
 }
@@ -662,7 +619,9 @@ fn register_tlb(engine: &mut VcEngine, p: &Params) {
 
 fn register_equivalence(engine: &mut VcEngine, p: &Params) {
     for seed in 0..8u64 {
-        let steps = p.random_steps;
+        // The interpretation audits' work: two tables to interpret
+        // after every step, so half their steps.
+        let steps = p.interp_steps / 2;
         engine.register(
             MODULE,
             VcKind::Refinement,
@@ -694,7 +653,7 @@ fn frame_accounting(seed: u64, rounds: usize) -> Result<(), String> {
         let mut mem = veros_hw::PhysMem::new(2048);
         let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(2048 * PAGE_4K));
         let before = alloc.free_frames();
-        let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, false)
+        let mut pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc)
             .map_err(|e| e.to_string())?;
         let mut mapped: Vec<u64> = Vec::new();
         for _ in 0..64 {
@@ -743,9 +702,10 @@ fn register_view(engine: &mut VcEngine, p: &Params) {
             MODULE,
             VcKind::Refinement,
             format!("verified::view_correspondence_s{seed}"),
-            // `randomized_audit` ends by comparing the ghost view (the
-            // paper's `view()`) against the spec map and checking wf.
-            move || randomized_audit(Impl::Verified, seed + 400, steps, 0, 0).map(|_| ()),
+            // `randomized_audit` ends by checking the ghost view (the
+            // paper's `view()`): no divergence, well-formed, and equal to
+            // the MMU's interpretation, which equals the spec map.
+            move || randomized_audit::<Verified>(seed + 400, steps, 0, 0).map(|_| ()),
         );
     }
 }
@@ -771,7 +731,7 @@ fn probe_grid(seed: u64, probes: usize) -> Result<(), String> {
     let mut rng = SpecRng::seeded(seed ^ 0x12_0be);
     let mut mem = veros_hw::PhysMem::new(2048);
     let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(1024 * PAGE_4K));
-    let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, false).map_err(|e| e.to_string())?;
+    let mut pt = VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).map_err(|e| e.to_string())?;
     let mut spec = HighSpec::new();
     // Populate with a mixed-size random set.
     for _ in 0..40 {

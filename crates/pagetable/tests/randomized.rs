@@ -7,7 +7,9 @@ use veros_spec::rng::SpecRng;
 use veros_hw::{PAddr, PhysMem, StackFrameSource, VAddr, PAGE_4K};
 use veros_pagetable::high_spec::HighSpec;
 use veros_pagetable::prefix_tree::PrefixTree;
-use veros_pagetable::{MapFlags, MapRequest, PageSize, PageTableOps, PtError, VerifiedPageTable};
+use veros_pagetable::{
+    Erased, MapFlags, MapRequest, PageSize, PageTableOps, PtError, Tracked, VerifiedPageTable,
+};
 
 fn arbitrary_size(rng: &mut SpecRng) -> PageSize {
     // Weighted 4:2:1 toward small pages, as the proptest strategy was.
@@ -125,7 +127,7 @@ fn impl_spec_agree() {
         let mut mem = PhysMem::new(2048);
         let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(2048 * PAGE_4K));
         let mut pt =
-            VerifiedPageTable::new(&mut mem, &mut alloc, true).expect("root frame allocates");
+            VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).expect("root frame allocates");
         let mut spec = HighSpec::new();
         for _ in 0..rng.index(16) {
             let req = arbitrary_request(&mut rng);
@@ -140,6 +142,7 @@ fn impl_spec_agree() {
         }
         veros_pagetable::interp::interpretation_matches(&mem, pt.root(), &spec)
             .expect("interpretation matches spec");
+        pt.check_ghost(&mem).expect("ghost moved in lock-step");
     }
 }
 
@@ -153,7 +156,7 @@ fn no_frame_leaks() {
         let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(2048 * PAGE_4K));
         let before = alloc.free_frames();
         let mut pt =
-            VerifiedPageTable::new(&mut mem, &mut alloc, false).expect("root frame allocates");
+            VerifiedPageTable::<Erased>::new(&mut mem, &mut alloc).expect("root frame allocates");
         let mut mapped = Vec::new();
         for _ in 0..rng.index(12) {
             let req = arbitrary_request(&mut rng);

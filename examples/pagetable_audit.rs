@@ -6,14 +6,14 @@
 
 use veros::hw::{interpret_page_table, PAddr, PhysMem, StackFrameSource, VAddr, PAGE_4K};
 use veros::pagetable::high_spec::HighSpec;
-use veros::pagetable::{MapFlags, MapRequest, PageSize, PageTableOps, VerifiedPageTable};
+use veros::pagetable::{MapFlags, MapRequest, PageSize, PageTableOps, Tracked, VerifiedPageTable};
 use veros::spec::{VcEngine, VcKind};
 
 fn main() {
     let mut mem = PhysMem::new(1024);
     let mut alloc = StackFrameSource::new(PAddr(16 * PAGE_4K), PAddr(512 * PAGE_4K));
-    // Audit mode: the table carries its ghost prefix tree.
-    let mut pt = VerifiedPageTable::new(&mut mem, &mut alloc, true).expect("root");
+    // Tracked: the table carries its ghost prefix tree.
+    let mut pt = VerifiedPageTable::<Tracked>::new(&mut mem, &mut alloc).expect("root");
     let mut spec = HighSpec::new();
 
     println!("layer 3 (implementation): mapping three pages + one huge page");
@@ -55,7 +55,8 @@ fn main() {
     // The refinement, checked on the spot.
     veros::pagetable::interp::interpretation_matches(&mem, pt.root(), &spec)
         .expect("MMU interpretation == abstract map");
-    assert_eq!(pt.ghost().expect("audit").flatten(), spec.map);
+    pt.check_ghost(&mem).expect("ghost moved in lock-step");
+    assert_eq!(pt.ghost().flatten(), spec.map);
     println!("\ninterpretation check: bits in memory == abstract map ✓");
     println!("ghost view check:     implementation view() == abstract map ✓");
 

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use veros::kernel::vspace::{PtKind, VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
+use veros::kernel::vspace::{VSpaceDispatch, VSpaceReadOp, VSpaceWriteOp};
 use veros::kernel::{Kernel, KernelConfig, Syscall};
 use veros::nr::NodeReplicated;
 use veros::ulib::{LockAttempt, LockState, Runtime, Step, UMutex, USemaphore};
@@ -14,7 +14,7 @@ use veros::ulib::{LockAttempt, LockState, Runtime, Step, UMutex, USemaphore};
 #[test]
 fn replicated_vspace_under_concurrent_threads() {
     let nr = Arc::new(NodeReplicated::new(2, 3, 128, || {
-        VSpaceDispatch::new(1 << 12, PtKind::Verified)
+        <VSpaceDispatch>::new(1 << 12)
     }));
     let mut handles = Vec::new();
     for t in 0..4usize {
