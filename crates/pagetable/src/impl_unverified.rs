@@ -4,10 +4,11 @@
 //! Same semantics as [`crate::impl_verified::VerifiedPageTable`] but
 //! written the way a kernel developer writes it when no proof structure
 //! constrains the shape: one iterative loop per operation, no ghost
-//! state, no layered functions. The leaf-entry codec, the teardown and
-//! the amortized range calls are the verified table's, so the two differ
-//! exactly in the one-page walks. This is the "NrOS Unverified" series of
-//! Figures 1b and 1c; the paper's claim is that the verified version
+//! state, no layered functions. The leaf-entry codec and the teardown are
+//! the verified table's; the range calls are [`PageTableOps`]'s per-page
+//! default bodies, the loop the verified table's amortized overrides must
+//! match (the equivalence VCs compare the two). This is the "NrOS
+//! Unverified" series of Figures 1b and 1c; the paper's claim is that the verified version
 //! "can closely match the performance of the unverified implementation",
 //! which holds here because both compile to near-identical work.
 
@@ -177,28 +178,6 @@ impl PageTableOps for UnverifiedPageTable {
             mem.write_u64(parent_slot, PtEntry::zero().0);
         }
         Ok(mapping)
-    }
-
-    /// The amortized path both tables share (no ghost state to move).
-    fn map_range(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        req: MapRequest,
-        pages: u64,
-    ) -> Result<(), PtError> {
-        crate::range::map_range(self, mem, alloc, req, pages, |_, _, _| {})
-    }
-
-    /// The amortized path both tables share (no ghost state to move).
-    fn unmap_range(
-        &mut self,
-        mem: &mut PhysMem,
-        alloc: &mut dyn FrameSource,
-        va: VAddr,
-        pages: u64,
-    ) -> Result<Vec<AbsMapping>, PtError> {
-        crate::range::unmap_range(self, mem, alloc, va, pages, |_, _, _| {})
     }
 
     fn resolve(&self, mem: &PhysMem, va: VAddr) -> Result<ResolveAnswer, PtError> {

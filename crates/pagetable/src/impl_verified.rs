@@ -8,22 +8,17 @@
 //! The code is structured the way the Verus proof structures it: one
 //! function per level, so each function's obligations (preserve the
 //! structural invariant, refine the prefix-tree layer) are local. The
-//! table's ghost state — the executable analogue of Verus ghost state —
-//! is a type parameter, [`GhostMode`]. [`Tracked`] carries the prefix
-//! tree, moves it in lock-step with every map, unmap and resolve (the
-//! amortized range paths included) and records the first step on which
-//! the two disagree, in every build profile; the verification conditions
-//! run it. [`Erased`], the default, is zero-sized and its hooks are
-//! empty, so the ghost is erased at compile time exactly as Verus erases
-//! it, and the kernel and Figures 1b/1c compare like with like.
-
-use std::cell::OnceCell;
+//! table's ghost state is a type parameter, [`GhostMode`]: the
+//! verification conditions run [`Tracked`], the kernel and Figures 1b/1c
+//! run [`Erased`], the default, which costs nothing.
 
 use veros_hw::{FrameSource, PAddr, PhysMem, PtEntry, PtFlags, VAddr, PAGE_4K};
 
-use crate::high_spec::{AbsMapping, HighSpec};
+use crate::ghost::{Erased, GhostMode, Tracked};
+use crate::high_spec::AbsMapping;
 use crate::ops::{MapFlags, MapRequest, PageSize, PtError, ResolveAnswer};
 use crate::prefix_tree::{index_at, span_at, PrefixTree};
+use crate::range::{overflows, remap_removed_prefix, unmap_mapped_prefix};
 use crate::PageTableOps;
 
 /// Flags given to directory entries: maximally permissive, so the leaf
@@ -87,86 +82,19 @@ pub(crate) fn free_subtree(
     alloc.free_frame(table);
 }
 
-/// How a [`VerifiedPageTable`] carries its ghost state. The table calls
-/// one hook after each one-page step with the result it is about to
-/// return; the mode is fixed by the table's type, never by a flag.
-pub trait GhostMode: Default {
-    /// After a map of `req` that returned `got`.
-    fn map(&mut self, req: &MapRequest, got: Result<(), PtError>);
-    /// After an unmap at `va` that returned `got`.
-    fn unmap(&mut self, va: VAddr, got: Result<AbsMapping, PtError>);
-    /// After a resolve of `va` that returned `got`.
-    fn resolve(&self, va: VAddr, got: Result<ResolveAnswer, PtError>);
-    /// [`PageTableOps::check_ghost`] for the table rooted at `root`.
-    fn check(&self, mem: &PhysMem, root: PAddr) -> Result<(), String>;
-}
-
-/// No ghost state: zero-sized, every hook empty.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Erased;
-
-impl GhostMode for Erased {
-    #[inline]
-    fn map(&mut self, _req: &MapRequest, _got: Result<(), PtError>) {}
-    #[inline]
-    fn unmap(&mut self, _va: VAddr, _got: Result<AbsMapping, PtError>) {}
-    #[inline]
-    fn resolve(&self, _va: VAddr, _got: Result<ResolveAnswer, PtError>) {}
-    fn check(&self, _mem: &PhysMem, _root: PAddr) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// The ghost prefix tree, applied to every step the table takes, and the
-/// first step on which the tree's answer differed from the table's.
-#[derive(Debug, Default)]
-pub struct Tracked {
-    tree: PrefixTree,
-    divergence: OnceCell<String>,
-}
-
-impl Tracked {
-    fn compare<T: PartialEq + std::fmt::Debug>(&self, step: std::fmt::Arguments, got: T, ghost: T) {
-        if got != ghost {
-            let _ = self
-                .divergence
-                .set(format!("{step}: table {got:?}, ghost {ghost:?}"));
+/// Walks to the level-1 table holding `va`'s PTE, when the full
+/// directory path exists (a missing directory or a huge leaf on the way
+/// returns `None`).
+fn walk_to_l1(mem: &PhysMem, cr3: PAddr, va: VAddr) -> Option<PAddr> {
+    let mut table = cr3;
+    for level in [4u8, 3, 2] {
+        let entry = PtEntry(mem.read_u64(entry_addr(table, index_at(va, level))));
+        if !entry.is_present() || entry.is_huge() {
+            return None;
         }
+        table = entry.addr();
     }
-}
-
-impl GhostMode for Tracked {
-    fn map(&mut self, req: &MapRequest, got: Result<(), PtError>) {
-        // OutOfMemory is the one implementation-only failure: a stutter
-        // for the ghost.
-        if got != Err(PtError::OutOfMemory) {
-            let ghost = self.tree.map(req);
-            self.compare(format_args!("map {req:?}"), got, ghost);
-        }
-    }
-
-    fn unmap(&mut self, va: VAddr, got: Result<AbsMapping, PtError>) {
-        let ghost = self.tree.unmap(va);
-        self.compare(format_args!("unmap {va}"), got, ghost);
-    }
-
-    fn resolve(&self, va: VAddr, got: Result<ResolveAnswer, PtError>) {
-        self.compare(format_args!("resolve {va}"), got, self.tree.resolve(va));
-    }
-
-    fn check(&self, mem: &PhysMem, root: PAddr) -> Result<(), String> {
-        if let Some(step) = self.divergence.get() {
-            return Err(format!("ghost diverged on {step}"));
-        }
-        if !self.tree.wf() {
-            return Err("ghost tree not well-formed".into());
-        }
-        let view = HighSpec {
-            map: self.tree.flatten(),
-        };
-        crate::interp::interpretation_matches(mem, root, &view)
-            .map_err(|e| format!("ghost view vs MMU: {e}"))
-    }
+    Some(table)
 }
 
 /// The verified page table. `G` decides whether it carries its ghost
@@ -367,8 +295,13 @@ impl<G: GhostMode> PageTableOps for VerifiedPageTable<G> {
         result
     }
 
-    /// The amortized path both tables share, with every page its fast
-    /// path writes moving the ghost too.
+    /// Amortized: the first page of each 2 MiB-aligned chunk goes through
+    /// `map_frame`, and every further 4 KiB page whose PTE lives in the
+    /// same level-1 table is a single read + write into that table — the
+    /// descent is reused, not repeated. Alignment and canonicality
+    /// propagate 4 KiB steps inside a chunk (the canonical halves are
+    /// unions of whole 2 MiB chunks), so the skipped per-page validations
+    /// hold for free. Every page written directly moves the ghost too.
     fn map_range(
         &mut self,
         mem: &mut PhysMem,
@@ -376,13 +309,62 @@ impl<G: GhostMode> PageTableOps for VerifiedPageTable<G> {
         req: MapRequest,
         pages: u64,
     ) -> Result<(), PtError> {
-        crate::range::map_range(self, mem, alloc, req, pages, |pt: &mut Self, page, got| {
-            pt.ghost.map(page, got)
-        })
+        let step = req.size.bytes();
+        if overflows(req.va.0, step, pages) {
+            return Err(PtError::NonCanonical);
+        }
+        if overflows(req.pa.0, step, pages) {
+            return Err(PtError::PhysOutOfRange);
+        }
+        let mut done: u64 = 0;
+        while done < pages {
+            let head = MapRequest {
+                va: VAddr(req.va.0 + done * step),
+                pa: PAddr(req.pa.0 + done * step),
+                ..req
+            };
+            if let Err(e) = self.map_frame(mem, alloc, head) {
+                unmap_mapped_prefix(self, mem, alloc, &req, done);
+                return Err(e);
+            }
+            done += 1;
+            if req.size != PageSize::Size4K {
+                continue;
+            }
+            let Some(l1) = walk_to_l1(mem, self.cr3, head.va) else {
+                continue;
+            };
+            while done < pages {
+                let va = VAddr(req.va.0 + done * step);
+                if va.0 >> 21 != head.va.0 >> 21 {
+                    break;
+                }
+                let page = MapRequest {
+                    va,
+                    pa: PAddr(req.pa.0 + done * step),
+                    ..req
+                };
+                let slot = entry_addr(l1, index_at(va, 1));
+                if PtEntry(mem.read_u64(slot)).is_present() {
+                    self.ghost.map(&page, Err(PtError::AlreadyMapped));
+                    unmap_mapped_prefix(self, mem, alloc, &req, done);
+                    return Err(PtError::AlreadyMapped);
+                }
+                mem.write_u64(slot, encode_leaf(page.pa, PageSize::Size4K, req.flags).0);
+                self.ghost.map(&page, Ok(()));
+                done += 1;
+            }
+        }
+        Ok(())
     }
 
-    /// The amortized path both tables share, with every slot its fast
-    /// path clears moving the ghost too.
+    /// Amortized, mirroring `map_range`: middle slots of each level-1
+    /// chunk are cleared with one read + write into the cached table; the
+    /// first and last in-range slot of every chunk go through
+    /// `unmap_frame`, so an emptied level-1 table still gets its
+    /// directories pruned (the no-empty-dirs invariant holds on return,
+    /// success or rollback). Every slot cleared directly moves the ghost
+    /// too.
     fn unmap_range(
         &mut self,
         mem: &mut PhysMem,
@@ -390,9 +372,63 @@ impl<G: GhostMode> PageTableOps for VerifiedPageTable<G> {
         va: VAddr,
         pages: u64,
     ) -> Result<Vec<AbsMapping>, PtError> {
-        crate::range::unmap_range(self, mem, alloc, va, pages, |pt: &mut Self, slot, got| {
-            pt.ghost.unmap(slot, got)
-        })
+        if overflows(va.0, PAGE_4K, pages) {
+            return Err(PtError::NonCanonical);
+        }
+        let mut removed: Vec<AbsMapping> = Vec::new();
+        while (removed.len() as u64) < pages {
+            let head = VAddr(va.0 + removed.len() as u64 * PAGE_4K);
+            match self.unmap_frame(mem, alloc, head) {
+                Ok(m) => removed.push(m),
+                Err(e) => {
+                    remap_removed_prefix(self, mem, alloc, va, &removed);
+                    return Err(e);
+                }
+            }
+            // A pruned path or a removed huge mapping leaves no level-1
+            // table to reuse; the next chunk head descends again.
+            let Some(l1) = walk_to_l1(mem, self.cr3, head) else {
+                continue;
+            };
+            loop {
+                let i = removed.len() as u64;
+                if i >= pages {
+                    break;
+                }
+                let cur = VAddr(va.0 + i * PAGE_4K);
+                if cur.0 >> 21 != head.0 >> 21 {
+                    break;
+                }
+                let last_of_chunk =
+                    i + 1 >= pages || (va.0 + (i + 1) * PAGE_4K) >> 21 != head.0 >> 21;
+                if last_of_chunk {
+                    match self.unmap_frame(mem, alloc, cur) {
+                        Ok(m) => removed.push(m),
+                        Err(e) => {
+                            remap_removed_prefix(self, mem, alloc, va, &removed);
+                            return Err(e);
+                        }
+                    }
+                    break;
+                }
+                let slot = entry_addr(l1, index_at(cur, 1));
+                let entry = PtEntry(mem.read_u64(slot));
+                if !entry.is_present() {
+                    self.ghost.unmap(cur, Err(PtError::NotMapped));
+                    remap_removed_prefix(self, mem, alloc, va, &removed);
+                    return Err(PtError::NotMapped);
+                }
+                let m = AbsMapping {
+                    pa: entry.addr().0,
+                    size: PageSize::Size4K,
+                    flags: decode_leaf(entry),
+                };
+                mem.write_u64(slot, PtEntry::zero().0);
+                self.ghost.unmap(cur, Ok(m));
+                removed.push(m);
+            }
+        }
+        Ok(removed)
     }
 
     fn resolve(&self, mem: &PhysMem, va: VAddr) -> Result<ResolveAnswer, PtError> {
@@ -406,6 +442,10 @@ impl<G: GhostMode> PageTableOps for VerifiedPageTable<G> {
 
     fn root(&self) -> PAddr {
         self.cr3
+    }
+
+    fn check_ghost_steps(&self) -> Result<(), String> {
+        self.ghost.check_steps()
     }
 
     fn check_ghost(&self, mem: &PhysMem) -> Result<(), String> {
@@ -775,7 +815,7 @@ mod tests {
         pt.check_ghost(&mem).unwrap();
         // A leaf written behind the table's back: the table resolves it,
         // the ghost does not know it.
-        let l1 = crate::range::walk_to_l1(&mem, pt.root(), VAddr(0x1000)).unwrap();
+        let l1 = walk_to_l1(&mem, pt.root(), VAddr(0x1000)).unwrap();
         mem.write_u64(
             entry_addr(l1, 2),
             encode_leaf(PAddr(0x9000), PageSize::Size4K, MapFlags::user_rw()).0,

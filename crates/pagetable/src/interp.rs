@@ -198,6 +198,7 @@ pub fn tlb_incoherent_without_shootdown() -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::ops::MapRequest;
+    use crate::refine::{differential_vs_spec, OpUniverse};
     use crate::{PageTableOps, Tracked, VerifiedPageTable};
     use veros_hw::StackFrameSource;
 
@@ -248,6 +249,14 @@ mod tests {
         ];
         walk_matches_resolve(&mem, pt.root(), &spec, &probes).unwrap();
         pt.check_ghost(&mem).unwrap();
+    }
+
+    #[test]
+    fn deep_differential_with_interpretation() {
+        // Depth 2 with interpretation at every step — the quick version
+        // of the heavyweight VC.
+        differential_vs_spec::<VerifiedPageTable<Tracked>>(&OpUniverse::small(), 2, true)
+            .unwrap();
     }
 
     #[test]

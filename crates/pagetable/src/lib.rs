@@ -12,6 +12,7 @@
 //! 3. **Page table implementation + hardware specification**
 //!    ([`impl_verified`] running on [`veros_hw`]): executable Rust that
 //!    reads and writes page-table bits in simulated physical memory.
+//!    Its ghost state, the prefix tree moved in lock-step, is [`ghost`].
 //!
 //! Refinement is checked in [`refine`] (bounded differential refinement
 //! against op sequences) and [`interp`] (the MMU's interpretation of the
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
+pub mod ghost;
 pub mod high_spec;
 pub mod impl_unverified;
 pub mod impl_verified;
@@ -39,7 +41,8 @@ pub mod vcs;
 
 pub use high_spec::{AbsMapping, HighSpec};
 pub use impl_unverified::UnverifiedPageTable;
-pub use impl_verified::{Erased, GhostMode, Tracked, VerifiedPageTable};
+pub use ghost::{Erased, GhostMode, Tracked};
+pub use impl_verified::VerifiedPageTable;
 pub use ops::{MapFlags, MapRequest, PageSize, PtError, PtOp, ResolveAnswer};
 pub use prefix_tree::PrefixTree;
 
@@ -85,11 +88,13 @@ pub trait PageTableOps {
     /// as `map_frame` would map `(va + i·size, pa + i·size)`, and on the
     /// first failure every page this call already mapped is unmapped
     /// again before the failing page's error is returned. The default
-    /// body is that specification; both implementations override it with
-    /// one shared amortized path (one descent per level-1 table instead of
-    /// one per page) that must stay observationally identical. The
-    /// randomized refinement audits ([`refine::randomized_audit`]) make
-    /// range calls against this loop applied to [`HighSpec`].
+    /// body is that specification, and the unverified baseline runs it;
+    /// the verified table overrides it with an amortized path (one descent
+    /// per level-1 table instead of one per page) that must stay
+    /// observationally identical. The randomized refinement audits
+    /// ([`refine::randomized_audit`]) check that against this loop applied
+    /// to [`HighSpec`], and [`refine::verified_vs_unverified`] against the
+    /// baseline running this body.
     fn map_range(
         &mut self,
         mem: &mut veros_hw::PhysMem,
@@ -165,6 +170,12 @@ pub trait PageTableOps {
     /// view is not well-formed or is not the MMU's interpretation of the
     /// table in `mem`. A table without ghost state has nothing to check.
     fn check_ghost(&self, _mem: &veros_hw::PhysMem) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// The cheap part of [`Self::check_ghost`]: `Err` names the first step
+    /// on which the ghost state diverged from the table.
+    fn check_ghost_steps(&self) -> Result<(), String> {
         Ok(())
     }
 }

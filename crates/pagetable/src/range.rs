@@ -1,26 +1,16 @@
-//! The range calls both page tables share: the amortized `map_range` and
-//! `unmap_range` paths their overrides run, and the two rollbacks those
-//! paths and [`PageTableOps`]'s default bodies (the specification) use.
-//!
-//! The amortized paths descend once per 2 MiB chunk through the table's
-//! own one-page calls (full validation, directory growth and pruning,
-//! ghost lock-step) and touch the rest of the chunk with direct reads and
-//! writes into the cached level-1 table. The caller's `fast` hook hears
-//! of every page those direct accesses decide, with the result the
-//! one-page call would have returned; the verified table moves its ghost
-//! there.
+//! The two rollbacks of the range calls, used by [`PageTableOps`]'s
+//! default bodies (the specification, which the unverified baseline
+//! runs) and by the verified table's amortized overrides.
 
-use veros_hw::{FrameSource, PAddr, PhysMem, PtEntry, VAddr, PAGE_4K};
+use veros_hw::{FrameSource, PAddr, PhysMem, VAddr, PAGE_4K};
 
 use crate::high_spec::AbsMapping;
-use crate::impl_verified::{decode_leaf, encode_leaf, entry_addr};
-use crate::ops::{MapRequest, PageSize, PtError};
-use crate::prefix_tree::index_at;
+use crate::ops::MapRequest;
 use crate::PageTableOps;
 
 /// True when `base + pages * step` (the end of a range operation)
-/// overflows. The defaults and the amortized paths both reject such
-/// ranges up-front so they agree on every input.
+/// overflows. The defaults and the verified table's amortized paths
+/// reject such ranges up-front so they agree on every input.
 pub(crate) fn overflows(base: u64, step: u64, pages: u64) -> bool {
     step.checked_mul(pages)
         .and_then(|span| base.checked_add(span))
@@ -62,154 +52,4 @@ pub(crate) fn remap_removed_prefix<P: PageTableOps + ?Sized>(
         let rolled = pt.map_frame(mem, alloc, back);
         debug_assert!(rolled.is_ok(), "unmap_range rollback failed at slot {j}");
     }
-}
-
-/// Walks to the level-1 table holding `va`'s PTE, when the full
-/// directory path exists (a missing directory or a huge leaf on the way
-/// returns `None`).
-pub(crate) fn walk_to_l1(mem: &PhysMem, cr3: PAddr, va: VAddr) -> Option<PAddr> {
-    let mut table = cr3;
-    for level in [4u8, 3, 2] {
-        let entry = PtEntry(mem.read_u64(entry_addr(table, index_at(va, level))));
-        if !entry.is_present() || entry.is_huge() {
-            return None;
-        }
-        table = entry.addr();
-    }
-    Some(table)
-}
-
-/// Amortized `map_range`: the first page of each 2 MiB-aligned chunk goes
-/// through `map_frame`, and every further 4 KiB page whose PTE lives in
-/// the same level-1 table is a single read + write into that table — the
-/// descent is reused, not repeated. Alignment and canonicality propagate
-/// 4 KiB steps inside a chunk (the canonical halves are unions of whole
-/// 2 MiB chunks), so the skipped per-page validations hold for free.
-pub(crate) fn map_range<P: PageTableOps>(
-    pt: &mut P,
-    mem: &mut PhysMem,
-    alloc: &mut dyn FrameSource,
-    req: MapRequest,
-    pages: u64,
-    mut fast: impl FnMut(&mut P, &MapRequest, Result<(), PtError>),
-) -> Result<(), PtError> {
-    let step = req.size.bytes();
-    if overflows(req.va.0, step, pages) {
-        return Err(PtError::NonCanonical);
-    }
-    if overflows(req.pa.0, step, pages) {
-        return Err(PtError::PhysOutOfRange);
-    }
-    let mut done: u64 = 0;
-    while done < pages {
-        let head = MapRequest {
-            va: VAddr(req.va.0 + done * step),
-            pa: PAddr(req.pa.0 + done * step),
-            ..req
-        };
-        if let Err(e) = pt.map_frame(mem, alloc, head) {
-            unmap_mapped_prefix(pt, mem, alloc, &req, done);
-            return Err(e);
-        }
-        done += 1;
-        if req.size != PageSize::Size4K {
-            continue;
-        }
-        let Some(l1) = walk_to_l1(mem, pt.root(), head.va) else {
-            continue;
-        };
-        while done < pages {
-            let va = VAddr(req.va.0 + done * step);
-            if va.0 >> 21 != head.va.0 >> 21 {
-                break;
-            }
-            let page = MapRequest {
-                va,
-                pa: PAddr(req.pa.0 + done * step),
-                ..req
-            };
-            let slot = entry_addr(l1, index_at(va, 1));
-            if PtEntry(mem.read_u64(slot)).is_present() {
-                fast(pt, &page, Err(PtError::AlreadyMapped));
-                unmap_mapped_prefix(pt, mem, alloc, &req, done);
-                return Err(PtError::AlreadyMapped);
-            }
-            mem.write_u64(slot, encode_leaf(page.pa, PageSize::Size4K, req.flags).0);
-            fast(pt, &page, Ok(()));
-            done += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Amortized `unmap_range`, mirroring [`map_range`]: middle slots of each
-/// level-1 chunk are cleared with one read + write into the cached table;
-/// the first and last in-range slot of every chunk go through
-/// `unmap_frame`, so an emptied level-1 table still gets its directories
-/// pruned (the no-empty-dirs invariant holds on return, success or
-/// rollback).
-pub(crate) fn unmap_range<P: PageTableOps>(
-    pt: &mut P,
-    mem: &mut PhysMem,
-    alloc: &mut dyn FrameSource,
-    va: VAddr,
-    pages: u64,
-    mut fast: impl FnMut(&mut P, VAddr, Result<AbsMapping, PtError>),
-) -> Result<Vec<AbsMapping>, PtError> {
-    if overflows(va.0, PAGE_4K, pages) {
-        return Err(PtError::NonCanonical);
-    }
-    let mut removed: Vec<AbsMapping> = Vec::new();
-    while (removed.len() as u64) < pages {
-        let head = VAddr(va.0 + removed.len() as u64 * PAGE_4K);
-        match pt.unmap_frame(mem, alloc, head) {
-            Ok(m) => removed.push(m),
-            Err(e) => {
-                remap_removed_prefix(pt, mem, alloc, va, &removed);
-                return Err(e);
-            }
-        }
-        // A pruned path or a removed huge mapping leaves no level-1
-        // table to reuse; the next chunk head descends again.
-        let Some(l1) = walk_to_l1(mem, pt.root(), head) else {
-            continue;
-        };
-        loop {
-            let i = removed.len() as u64;
-            if i >= pages {
-                break;
-            }
-            let cur = VAddr(va.0 + i * PAGE_4K);
-            if cur.0 >> 21 != head.0 >> 21 {
-                break;
-            }
-            let last_of_chunk = i + 1 >= pages || (va.0 + (i + 1) * PAGE_4K) >> 21 != head.0 >> 21;
-            if last_of_chunk {
-                match pt.unmap_frame(mem, alloc, cur) {
-                    Ok(m) => removed.push(m),
-                    Err(e) => {
-                        remap_removed_prefix(pt, mem, alloc, va, &removed);
-                        return Err(e);
-                    }
-                }
-                break;
-            }
-            let slot = entry_addr(l1, index_at(cur, 1));
-            let entry = PtEntry(mem.read_u64(slot));
-            if !entry.is_present() {
-                fast(pt, cur, Err(PtError::NotMapped));
-                remap_removed_prefix(pt, mem, alloc, va, &removed);
-                return Err(PtError::NotMapped);
-            }
-            let m = AbsMapping {
-                pa: entry.addr().0,
-                size: PageSize::Size4K,
-                flags: decode_leaf(entry),
-            };
-            mem.write_u64(slot, PtEntry::zero().0);
-            fast(pt, cur, Ok(m));
-            removed.push(m);
-        }
-    }
-    Ok(removed)
 }

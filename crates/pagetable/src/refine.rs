@@ -11,8 +11,10 @@
 //! exactly bounded refinement checking; the bounds are part of the VC
 //! record. The randomized checks also make range calls, against the
 //! per-page loop [`PageTableOps`]'s default bodies state. Every check is
-//! generic over the table; the randomized ones, and the bounded ones that
-//! interpret every step, end with [`PageTableOps::check_ghost`].
+//! generic over the table and fails on a ghost divergence the table
+//! recorded ([`PageTableOps::check_ghost_steps`]); the randomized ones,
+//! and the bounded ones that interpret every step, also check the ghost
+//! view ([`PageTableOps::check_ghost`]).
 
 use veros_hw::{interpret_page_table, PAddr, PhysMem, StackFrameSource, VAddr, PAGE_4K};
 use veros_spec::rng::SpecRng;
@@ -205,7 +207,8 @@ impl<P: PageTableOps> World<P> {
 /// implementation's observable behaviour matches the high-level spec at
 /// every step: same `Ok`/`Err` with the same payload, and after every
 /// step the MMU interpretation of the in-memory table equals the spec
-/// map, and each sequence ends with the table's ghost check.
+/// map, and each sequence ends with the table's ghost check (without
+/// the per-step interpretation, only its recorded divergence).
 ///
 /// Returns the number of `(sequence, step)` checks performed.
 pub fn differential_vs_spec<P: PageTableOps>(
@@ -235,12 +238,12 @@ pub fn differential_vs_spec<P: PageTableOps>(
                     .map_err(|e| format!("after step {step} of {seq:?}: {e}"))?;
             }
         }
-        if check_interp_each_step {
-            world
-                .pt
-                .check_ghost(&world.mem)
-                .map_err(|e| format!("after {seq:?}: {e}"))?;
-        }
+        let ghost = if check_interp_each_step {
+            world.pt.check_ghost(&world.mem)
+        } else {
+            world.pt.check_ghost_steps()
+        };
+        ghost.map_err(|e| format!("after {seq:?}: {e}"))?;
         // Next sequence in lexicographic order.
         let mut i = depth;
         loop {
@@ -408,7 +411,9 @@ pub fn randomized_audit<P: PageTableOps>(
 /// [`UnverifiedPageTable`] in lock-step, and every step must return the
 /// same result on both and leave the same MMU interpretation (this is the
 /// "verified == unverified semantics" claim underlying the Fig 1b/1c
-/// comparison).
+/// comparison). The baseline's range calls are the trait's per-page
+/// default bodies, so on range calls this also checks the verified
+/// table's amortized paths against that loop on a real table.
 pub fn verified_vs_unverified(seed: u64, steps: usize) -> Result<(), String> {
     let mut ops = OpStream::new(seed);
     let mut verified = World::<VerifiedPageTable<Tracked>>::new();
@@ -449,6 +454,11 @@ mod tests {
     fn bounded_differential_small_depth2() {
         let n = differential_vs_spec::<Verified>(&OpUniverse::small(), 2, true).unwrap();
         assert_eq!(n, 7 * 7 * 2);
+    }
+
+    #[test]
+    fn bounded_differential_unverified_depth2() {
+        differential_vs_spec::<UnverifiedPageTable>(&OpUniverse::small(), 2, true).unwrap();
     }
 
     #[test]
