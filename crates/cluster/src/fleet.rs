@@ -47,7 +47,7 @@
 
 use veros_blockstore::BlockStore;
 use veros_net::ip::IpAddr;
-use veros_net::sim::{FaultPlan, HostSet, Network};
+use veros_net::sim::{FaultPlan, HostSet, Network, RandomWire, Wire};
 
 use crate::client::{FleetClient, Op, OpResult};
 use crate::node::{FleetNode, COORD_PORT, NODE_CTRL};
@@ -195,12 +195,20 @@ impl std::ops::IndexMut<usize> for Clients {
 }
 
 impl Fleet {
-    /// Builds a fleet from `cfg`.
+    /// Builds a fleet from `cfg`, over the [`RandomWire`] of `cfg.plan`
+    /// and `cfg.seed`.
     pub fn new(cfg: FleetConfig) -> Self {
+        Self::with_wire(cfg, RandomWire::new(cfg.plan, cfg.seed))
+    }
+
+    /// Builds a fleet from `cfg` over `wire`, say a
+    /// [`veros_net::sim::ScriptedWire`]; `cfg.plan` and `cfg.seed` go
+    /// unused.
+    pub fn with_wire(cfg: FleetConfig, wire: impl Wire + 'static) -> Self {
         let n = cfg.nodes;
         let total = n + 1 + cfg.clients;
         // Hubs = nodes + coordinator; clients only ever talk to hubs.
-        let mut net = Network::new_fleet(total, n + 1, cfg.plan, cfg.seed);
+        let mut net = Network::with_wire(total, n + 1, wire);
         let map = ShardMap::new(n, cfg.replication, cfg.shards, cfg.vnodes);
         let coord_addr = (IpAddr::host(n), COORD_PORT);
         let nodes: Vec<FleetNode> = (0..n)
@@ -239,16 +247,7 @@ impl Fleet {
     /// A replicated pair: two nodes, one shard whose 2-way chain spans
     /// both, one client.
     pub fn pair(plan: FaultPlan, seed: u64) -> Self {
-        Self::new(FleetConfig {
-            nodes: 2,
-            replication: 2,
-            shards: 1,
-            vnodes: 8,
-            clients: 1,
-            plan,
-            seed,
-            ..FleetConfig::default()
-        })
+        Self::new(FleetConfig { plan, seed, ..pair_config() })
     }
 
     /// Current simulation tick.
@@ -350,6 +349,18 @@ impl Fleet {
     /// The chain currently serving `key` under the coordinator's view.
     pub fn chain_for_key(&self, key: &str) -> Chain {
         self.map.chain_for_key(key, &self.coordinator.view().live)
+    }
+}
+
+/// [`Fleet::pair`]'s geometry.
+fn pair_config() -> FleetConfig {
+    FleetConfig {
+        nodes: 2,
+        replication: 2,
+        shards: 1,
+        vnodes: 8,
+        clients: 1,
+        ..FleetConfig::default()
     }
 }
 
@@ -661,6 +672,46 @@ mod tests {
         assert_eq!(r.read.as_deref(), Some(&b"version 3"[..]));
         for node in &f.nodes {
             assert_eq!(node.store.get("hot-key").expect("replica").0, b"version 3");
+        }
+    }
+
+    /// The head's first forward of the pair's first put is held on the
+    /// wire for 20 ticks. rdt retransmits it, the put completes, and a
+    /// second put overwrites the block; when the held original lands at
+    /// the tail it is discarded, so both replicas keep the second value
+    /// and the first put completes exactly once.
+    #[test]
+    fn a_chain_forward_held_past_its_retransmit_is_discarded_when_it_lands() {
+        use veros_blockstore::Request;
+        use veros_net::sim::{Rule, ScriptedWire};
+
+        let live = pair_config();
+        let map = ShardMap::new(live.nodes, live.replication, live.shards, live.vnodes);
+        let chain = map.chain(0, &map.all_live());
+        let (head, tail) = (usize::from(chain[0]), usize::from(chain[1]));
+        // An rdt DATA message (type 1, 8-byte seq) carrying a `ChainPut`:
+        // the first one only.
+        let mut first = true;
+        let chain_put = move |p: &[u8]| {
+            let forward = p.first() == Some(&1)
+                && matches!(p.get(9..).and_then(Request::decode), Some(Request::ChainPut { .. }));
+            forward && std::mem::take(&mut first)
+        };
+        const UNTIL: u64 = 22;
+        let hold = Rule::Hold { from: head, to: tail, until: UNTIL, matches: Box::new(chain_put) };
+        let mut f = Fleet::with_wire(pair_config(), ScriptedWire::new(vec![hold]));
+        let r = f.run_op(0, put("k", b"held"), OP_BUDGET).expect("put");
+        assert!(r.ok, "{:?}", r.resp);
+        // Unheld, a pair's put takes 4 ticks: this one waited for the
+        // head's retransmission timeout, and no longer.
+        let timeout = veros_net::rdt::DEFAULT_TIMEOUT;
+        assert!(r.latency() > timeout && r.completed_at < UNTIL, "{r:?}");
+        let r = f.run_op(0, put("k", b"after"), OP_BUDGET).expect("put");
+        assert!(r.ok && r.completed_at < UNTIL, "{r:?}");
+        f.run(UNTIL + 10 - f.now());
+        assert_eq!(f.clients[0].results.len(), 2, "a put completed twice");
+        for node in &f.nodes {
+            assert_eq!(node.store.get("k").expect("replica").0, b"after", "node {}", node.id());
         }
     }
 }

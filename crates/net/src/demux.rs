@@ -164,8 +164,11 @@ impl RdtDemux {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
-    use crate::sim::{FaultPlan, Network};
+    use crate::sim::{FaultPlan, Network, Rule, ScriptedWire};
 
     const PORT: u16 = 7000;
 
@@ -331,62 +334,119 @@ mod tests {
         assert_eq!(echoed[2], [102]);
     }
 
-    /// The frames host 0 has queued, taken off the wire, with the host
-    /// each is for.
-    fn take_queued(net: &mut Network) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        while let Some(f) = net.host(0).nic.wire_take_tx() {
-            let dst = crate::frame::EthFrame::decode(&f).unwrap().dst;
-            let host = (1..=3).find(|&i| dst == crate::frame::Mac::host(i)).unwrap();
-            out.push((host as usize, f));
-        }
-        out
+    /// Whether an rdt payload is a DATA message carrying `seq`.
+    fn data(seq: u64) -> impl FnMut(&[u8]) -> bool {
+        move |p| matches!(Msg::parse(p), Some(Msg::Data(s)) if s == seq)
     }
 
     #[test]
     fn tick_retransmits_in_first_contact_order_and_quiescence_waits_for_the_last_ack() {
-        let mut net = Network::new(4, FaultPlan::reliable(), 1);
+        // Host 0 contacts 3, 1, 2 at tick 0, acknowledged at once, and
+        // sends them a second message at tick 10, in the order 2, 3, 1.
+        // The wire loses those, logging the peer of each frame that
+        // carries a second message as it leaves host 0, and holds the
+        // retransmits for peers 1, 2, 3 until ticks 20, 25, 30: one ack
+        // comes back at a time.
+        let left = Rc::new(RefCell::new(Vec::new()));
+        let mut rules = Vec::new();
+        for (h, until) in [(1, 20), (2, 25), (3, 30)] {
+            let (log, mut second) = (Rc::clone(&left), data(1));
+            let logged = move |p: &[u8]| second(p) && { log.borrow_mut().push(h); true };
+            rules.push(Rule::DropNth { from: 0, to: h, nth: 0, matches: Box::new(logged) });
+            rules.push(Rule::Hold { from: 0, to: h, until, matches: Box::new(data(1)) });
+        }
+        let mut net = Network::with_wire(4, 4, ScriptedWire::new(rules));
         let mut d = demuxes(&mut net, 4);
-        let hosts = |frames: &[(usize, Vec<u8>)]| frames.iter().map(|(h, _)| *h).collect::<Vec<_>>();
         assert!(d[0].quiescent());
-        // First contact in the order 3, 1, 2, acknowledged at once.
-        for h in [3, 1, 2] {
-            d[0].send(net.host(0), 0, peer(h), vec![h as u8]).unwrap();
-        }
-        assert!(!d[0].quiescent());
-        for now in 0..2 {
-            net.step();
-            for (h, client) in d.iter_mut().enumerate().skip(1) {
-                client.poll(net.host(h), now).unwrap();
+        let mut quiet = Vec::new();
+        for now in 0..40 {
+            let round: &[usize] = match now {
+                0 => &[3, 1, 2],
+                10 => &[2, 3, 1],
+                _ => &[],
+            };
+            for &h in round {
+                d[0].send(net.host(0), now, peer(h), vec![h as u8]).unwrap();
             }
-            d[0].poll(net.host(0), now).unwrap();
+            net.step();
+            for (h, demux) in d.iter_mut().enumerate() {
+                demux.poll(net.host(h), now).unwrap();
+                demux.on_tick(net.host(h), now).unwrap();
+            }
+            if now == 10 + crate::rdt::DEFAULT_TIMEOUT {
+                assert_eq!(d[0].retransmissions(), 3);
+            }
+            if d[0].quiescent() {
+                quiet.push(now);
+            }
         }
-        assert!(d[0].quiescent());
-        // Second round in another order, and the wire loses all of it.
-        for h in [2, 3, 1] {
-            d[0].send(net.host(0), 10, peer(h), vec![h as u8]).unwrap();
-        }
-        assert_eq!(hosts(&take_queued(&mut net)), [2, 3, 1]);
-        d[0].on_tick(net.host(0), 10 + crate::rdt::DEFAULT_TIMEOUT).unwrap();
-        let retransmits = take_queued(&mut net);
         assert_eq!(
-            hosts(&retransmits),
-            [3, 1, 2],
+            left.borrow()[..6],
+            [2, 3, 1, 3, 1, 2],
             "retransmits leave in first-contact order, not send order"
         );
-        assert_eq!(d[0].retransmissions(), 3);
-        // Hand the retransmits over one at a time: each peer acks its own.
-        for (acked, (host, frame)) in retransmits.into_iter().enumerate() {
-            assert!(!d[0].quiescent(), "{acked} of 3 acked");
-            net.host(host).nic.wire_deliver(frame);
+        // Acked at tick 1; the last of the three held retransmits is
+        // acked at tick 31, after the acks of ticks 21 and 26 did not
+        // make the demux quiescent.
+        assert_eq!(quiet, (1..10).chain(31..40).collect::<Vec<_>>());
+        let retransmitted = d[0].retransmissions();
+        for now in 40..50 {
             net.step();
-            d[host].poll(net.host(host), 20).unwrap();
-            net.step();
-            d[0].poll(net.host(0), 20).unwrap();
+            d[0].on_tick(net.host(0), now).unwrap();
         }
-        assert!(d[0].quiescent(), "the last ack arrived");
-        d[0].on_tick(net.host(0), 100).unwrap();
-        assert!(take_queued(&mut net).is_empty(), "nothing left to retransmit");
+        assert_eq!(d[0].retransmissions(), retransmitted, "nothing left to retransmit");
+    }
+
+    /// Whether an rdt payload is an ACK of everything below `n`.
+    fn ack(n: u64) -> impl FnMut(&[u8]) -> bool {
+        move |p| matches!(Msg::parse(p), Some(Msg::Ack(a)) if a == n)
+    }
+
+    /// `matches`, for the first frame it matches only: the original,
+    /// not its retransmits.
+    fn first(mut matches: impl FnMut(&[u8]) -> bool + 'static) -> crate::sim::Matcher {
+        let mut seen = false;
+        Box::new(move |p| matches(p) && !std::mem::replace(&mut seen, true))
+    }
+
+    #[test]
+    fn frames_held_past_the_timeout_arrive_stale_and_delivery_stays_an_exactly_once_prefix() {
+        // Host 0 sends twelve messages to host 1 at tick 0. The wire
+        // holds the first copy of DATA 0, 3 and 9 and of the ACKs of 2
+        // and 5, each past DEFAULT_TIMEOUT and each for its own time:
+        // the retransmits overtake them, so each held frame lands after
+        // its sender has moved on — old DATA behind the receiver's
+        // window, a stale ACK behind the sender's.
+        let hold = |from, until, matches| Rule::Hold { from, to: 1 - from, until, matches };
+        let rules = vec![
+            hold(0, 9, first(data(0))),
+            hold(0, 6, first(data(3))),
+            hold(0, 20, first(data(9))),
+            hold(1, 15, first(ack(2))),
+            hold(1, 11, first(ack(5))),
+        ];
+        let mut net = Network::with_wire(2, 2, ScriptedWire::new(rules));
+        let mut d = demuxes(&mut net, 2);
+        let sent = bytes(0..12);
+        for m in &sent {
+            d[0].send(net.host(0), 0, peer(1), m.clone()).unwrap();
+        }
+        let mut got = Vec::new();
+        for now in 0..60 {
+            net.step();
+            for (h, demux) in d.iter_mut().enumerate() {
+                demux.poll(net.host(h), now).unwrap();
+                demux.on_tick(net.host(h), now).unwrap();
+            }
+            got.extend(std::iter::from_fn(|| d[1].recv()).map(|(_, m)| m));
+            assert_eq!(got[..], sent[..got.len()], "tick {now}: not an exactly-once prefix");
+            if now == 8 {
+                assert!(!got.is_empty(), "the window had not moved when DATA 0 landed");
+                assert!(d[0].retransmissions() > 0, "nothing was retransmitted");
+            }
+        }
+        assert_eq!(got, sent);
+        assert!(d[0].quiescent() && d[1].quiescent());
     }
 
     /// Sends `msg` from host `from`'s `sock` to host 0's `PORT`, around
@@ -397,14 +457,17 @@ mod tests {
 
     #[test]
     fn an_ack_beyond_what_was_sent_acknowledges_nothing() {
-        let mut net = Network::new(2, FaultPlan::reliable(), 1);
+        // The wire cuts hosts 0 and 1 apart for step 0.
+        let cut = Rule::Partition { a: vec![0], b: vec![1], ticks: 0..1 };
+        let mut net = Network::with_wire(2, 2, ScriptedWire::new(vec![cut]));
         let sock = net.host(1).bind(PORT).unwrap();
         let mut d = vec![RdtDemux::new(net.host(0).bind(PORT).unwrap()), RdtDemux::new(sock)];
         for m in bytes(0..3) {
             d[0].send(net.host(0), 0, peer(1), m).unwrap();
         }
-        // The wire loses all three, then an ACK of 8 arrives from the peer.
-        while net.host(0).nic.wire_take_tx().is_some() {}
+        net.step();
+        assert_eq!(net.wire_stats(), (0, 3), "the wire lost all three");
+        // Then an ACK of 8 arrives from the peer.
         forge(&mut net, 1, sock, &[[2u8].as_slice(), &8u64.to_le_bytes()].concat());
         net.step();
         d[0].poll(net.host(0), 0).unwrap();

@@ -16,15 +16,17 @@
 //!   session, with cumulative acks and virtual-clock retransmission.
 //!   Its spec is the classic one: *the receiver delivers a prefix of
 //!   the sender's stream, in order, without duplicates* — checked under
-//!   loss, duplication, and reordering injected by the wire simulator.
+//!   loss, duplication, reordering and delay injected by the wire
+//!   simulator.
 //! * [`demux`] — the reliable transport, [`RdtDemux`]: one socket
 //!   demultiplexed into per-peer rdt sessions. Every fleet client and
 //!   node talks through one, and every rdt test and VC drives one.
 //! * [`socket`] — a UDP socket table (bind / send_to / recv_from).
 //! * [`stack`] — one host's stack: NIC ↔ IP demux ↔ sockets, one buffer
 //!   per datagram.
-//! * [`sim`] — the wire: moves frames between NICs with deterministic
-//!   fault injection.
+//! * [`sim`] — the wire: moves frames between NICs, each one's fate
+//!   decided by a [`sim::Wire`] policy — the seeded [`sim::RandomWire`]
+//!   or a [`sim::ScriptedWire`].
 //!
 //! # Telemetry
 //!

@@ -1,33 +1,45 @@
 //! The wire: a simulated network connecting host stacks.
 //!
-//! Frames move between NICs with deterministic fault injection — loss,
-//! duplication, and reordering — driven by a seeded RNG. The transport's
-//! reliability spec is only meaningful against this adversary.
+//! [`Network`] is the mechanism. Each step it collects the frames the
+//! hosts' NICs transmitted, asks its [`Wire`] the [`Fate`] of each —
+//! deliver, drop, duplicate, or hold until a later step — and delivers
+//! the step's frames in the order the wire puts them. The wire is the
+//! policy: the adversary the transport's reliability spec is
+//! checked against, as a value. [`Network::new`] and
+//! [`Network::new_fleet`] build the seeded [`RandomWire`] a
+//! [`FaultPlan`] describes; [`Network::with_wire`] takes any other, such
+//! as a [`ScriptedWire`]. A held frame stays on the wire and joins the
+//! delivery of the step it comes due, ahead of that step's own frames,
+//! so it can arrive after frames sent long after it: the delay across
+//! ticks rdt's timeouts and the fleet's view changes have to survive.
 //!
 //! A step costs O(hosts that did something), not O(hosts). A NIC's
 //! transmit queue can only be filled through [`Network::host`], so the
-//! wire remembers which hosts were handed out since the last step and
-//! collects transmissions from those alone — **in ascending host
+//! network remembers which hosts were handed out since the last step
+//! and collects transmissions from those alone — **in ascending host
 //! index**, whatever order they were handed out in, because the frame
-//! order fixes every later draw of the fault RNG. Likewise a stack has
-//! something to demultiplex only if a frame reached its NIC, so only
-//! those hosts are polled; [`Network::woken`] names them, which is how a
-//! caller with a thousand mostly silent hosts learns whom to visit.
+//! order fixes every later decision of the wire. Likewise a stack has
+//! something to demultiplex only if the wire delivered a frame to it,
+//! so only those hosts are polled; [`Network::woken`] names them, which
+//! is how a caller with a thousand mostly silent hosts learns whom to
+//! visit.
 //!
 //! A frame is one buffer from the sending stack to the receiving
 //! socket, and on through rdt to the one delivery queue of the
-//! receiving [`crate::demux::RdtDemux`]: the wire moves it from NIC to
-//! NIC by value and copies it only to duplicate or broadcast it. Its
+//! receiving [`crate::demux::RdtDemux`]: the network moves it from NIC
+//! to NIC by value and copies it only to duplicate or broadcast it. Its
 //! scratch vectors keep their capacity across steps, so a steady-state
 //! step of unicast frames allocates nothing.
 
-use std::collections::HashMap;
+mod wire;
 
-use veros_spec::rng::SpecRng;
+use std::collections::HashMap;
 
 use crate::frame::{EthHeader, Mac};
 use crate::ip::IpAddr;
 use crate::stack::NetStack;
+
+pub use wire::{Dst, Fate, Frame, Matcher, RandomWire, Rule, ScriptedWire, Wire};
 
 /// Fault injection parameters (probabilities as `num/denom`): the
 /// schedule sweeps' wire degrees, used as they are.
@@ -84,14 +96,17 @@ impl HostSet {
 pub struct Network {
     hosts: Vec<NetStack>,
     /// Unicast delivery index: destination MAC → host index, so a step
-    /// is O(frames) instead of O(frames × hosts). Broadcast still scans.
+    /// is O(frames) instead of O(frames × hosts).
     by_mac: HashMap<Mac, usize>,
-    plan: FaultPlan,
-    rng: SpecRng,
-    in_flight: Vec<Vec<u8>>,
-    /// The frames of the current step that survived the faults; empty
-    /// between steps, kept for its capacity.
-    surviving: Vec<Vec<u8>>,
+    wire: Box<dyn Wire>,
+    /// Steps taken: the tick the wire sees.
+    steps: u64,
+    /// Frames the wire holds, with the step each comes due in, in the
+    /// order they were held.
+    held: Vec<(u64, Frame)>,
+    /// The frames the current step delivers; empty between steps, kept
+    /// for its capacity.
+    delivering: Vec<Frame>,
     /// Hosts handed out by [`Network::host`] since the last step: the
     /// only ones whose NIC can hold a frame to transmit.
     touched: HostSet,
@@ -103,20 +118,27 @@ pub struct Network {
 
 impl Network {
     /// Creates a network of `n` hosts (host `i` gets `Mac::host(i)` and
-    /// `IpAddr::host(i)`), with full neighbour tables. Host counts are
-    /// 16-bit: fleet simulations address thousands of client hosts.
-    /// This is the fleet shape with every host a hub.
+    /// `IpAddr::host(i)`), with full neighbour tables, over the
+    /// [`RandomWire`] of `plan` and `seed`. Host counts are 16-bit:
+    /// fleet simulations address thousands of client hosts. This is the
+    /// fleet shape with every host a hub.
     pub fn new(n: u16, plan: FaultPlan, seed: u64) -> Self {
         Self::new_fleet(n, n, plan, seed)
     }
 
     /// Creates a fleet-shaped network of `n` hosts where only the first
-    /// `hubs` hosts (servers) need to be reachable by everyone. Each
-    /// client host (index ≥ `hubs`) learns the hub addresses and every
-    /// hub learns every host, so the neighbour fill is O(n·hubs) rather
-    /// than O(n²) — at a thousand clients the full fill is millions of
-    /// table entries that no client-to-client path ever uses.
+    /// `hubs` hosts (servers) need to be reachable by everyone, over the
+    /// [`RandomWire`] of `plan` and `seed`. Each client host (index ≥
+    /// `hubs`) learns the hub addresses and every hub learns every host,
+    /// so the neighbour fill is O(n·hubs) rather than O(n²) — at a
+    /// thousand clients the full fill is millions of table entries that
+    /// no client-to-client path ever uses.
     pub fn new_fleet(n: u16, hubs: u16, plan: FaultPlan, seed: u64) -> Self {
+        Self::with_wire(n, hubs, RandomWire::new(plan, seed))
+    }
+
+    /// [`Network::new_fleet`]'s network over `wire`.
+    pub fn with_wire(n: u16, hubs: u16, wire: impl Wire + 'static) -> Self {
         let hubs = hubs.min(n);
         let mut hosts: Vec<NetStack> = (0..n)
             .map(|i| NetStack::new(Mac::host(i), IpAddr::host(i)))
@@ -137,10 +159,10 @@ impl Network {
             woken: HostSet::new(hosts.len()),
             hosts,
             by_mac,
-            plan,
-            rng: SpecRng::seeded(seed),
-            in_flight: Vec::new(),
-            surviving: Vec::new(),
+            wire: Box::new(wire),
+            steps: 0,
+            held: Vec::new(),
+            delivering: Vec::new(),
             delivered_frames: 0,
             dropped_frames: 0,
         }
@@ -170,74 +192,60 @@ impl Network {
         (self.delivered_frames, self.dropped_frames)
     }
 
-    /// One wire step: collect transmissions, apply faults, deliver, then
-    /// let every stack a frame reached demultiplex.
+    /// One wire step: collect transmissions and let the wire decide each
+    /// one's fate, deliver the held frames that came due and the step's
+    /// own, then let every stack a frame reached demultiplex.
     pub fn step(&mut self) {
-        // Collect, in host-index order (see the module doc). A frame
-        // put on a NIC's receive side by hand wakes its host like one
-        // the wire delivered.
+        let tick = self.steps;
+        self.steps += 1;
         self.woken.clear();
+        self.delivering
+            .extend(self.held.extract_if(.., |(due, _)| *due <= tick).map(|(_, f)| f));
+        // Collect, in host-index order (see the module doc).
         self.touched.sort();
         for &i in self.touched.list() {
-            let nic = &mut self.hosts[i].nic;
-            while let Some(f) = nic.wire_take_tx() {
-                self.in_flight.push(f);
-            }
-            if nic.rx_pending() > 0 {
-                self.woken.insert(i);
+            while let Some(bytes) = self.hosts[i].nic.wire_take_tx() {
+                let frame = Frame { src: i, dst: destination(&self.by_mac, &bytes), bytes };
+                match self.wire.fate(tick, &frame) {
+                    Fate::Deliver => self.delivering.push(frame),
+                    Fate::Drop => {
+                        self.dropped_frames += 1;
+                        crate::metrics::DROPS.inc();
+                    }
+                    Fate::Duplicate => {
+                        self.delivering.push(frame.clone());
+                        self.delivering.push(frame);
+                    }
+                    Fate::Hold(due) if due > tick => self.held.push((due, frame)),
+                    Fate::Hold(_) => self.delivering.push(frame),
+                }
             }
         }
         self.touched.clear();
-        // Faults.
-        for f in self.in_flight.drain(..) {
-            if self.rng.chance(self.plan.loss.0, self.plan.loss.1) {
-                self.dropped_frames += 1;
-                crate::metrics::DROPS.inc();
-                continue;
-            }
-            if self.rng.chance(self.plan.duplicate.0, self.plan.duplicate.1) {
-                self.surviving.push(f.clone());
-            }
-            self.surviving.push(f);
-        }
-        if self.plan.reorder {
-            // Fisher–Yates with the deterministic RNG.
-            for i in (1..self.surviving.len()).rev() {
-                let j = self.rng.index(i + 1);
-                self.surviving.swap(i, j);
-            }
-        }
-        // Deliver by destination MAC (broadcast goes everywhere except
-        // the sender's own queue — we do not track sender, so everywhere).
-        // Unicast resolves through the MAC index: O(1) per frame, so a
-        // fleet-scale step is O(frames) rather than O(frames × hosts).
-        // The frame moves into the one NIC it is for; only a broadcast
-        // is copied.
-        for f in self.surviving.drain(..) {
-            let Some((EthHeader { dst, .. }, _)) = EthHeader::parse(&f) else {
-                self.dropped_frames += 1;
-                crate::metrics::DROPS.inc();
-                continue;
-            };
-            let mut hit = false;
-            if dst == Mac::BROADCAST {
-                for (i, h) in self.hosts.iter_mut().enumerate() {
-                    h.nic.wire_deliver(f.clone());
+        self.wire.order(&mut self.delivering);
+        // Deliver: a unicast frame moves into the one NIC it is for (the
+        // MAC index made its host O(1) to find); only a broadcast is
+        // copied, to every host, the sender's own included.
+        for frame in self.delivering.drain(..) {
+            match frame.dst {
+                Dst::Host(i) => {
+                    self.hosts[i].nic.wire_deliver(frame.bytes);
                     self.woken.insert(i);
-                    hit = true;
                 }
-            } else if let Some(&i) = self.by_mac.get(&dst) {
-                self.hosts[i].nic.wire_deliver(f);
-                self.woken.insert(i);
-                hit = true;
+                Dst::Broadcast => {
+                    for (i, h) in self.hosts.iter_mut().enumerate() {
+                        h.nic.wire_deliver(frame.bytes.clone());
+                        self.woken.insert(i);
+                    }
+                }
+                Dst::Nowhere => {
+                    self.dropped_frames += 1;
+                    crate::metrics::DROPS.inc();
+                    continue;
+                }
             }
-            if hit {
-                self.delivered_frames += 1;
-                crate::metrics::DELIVERED.inc();
-            } else {
-                self.dropped_frames += 1;
-                crate::metrics::DROPS.inc();
-            }
+            self.delivered_frames += 1;
+            crate::metrics::DELIVERED.inc();
         }
         // Demux.
         self.woken.sort();
@@ -251,6 +259,16 @@ impl Network {
         for _ in 0..n {
             self.step();
         }
+    }
+}
+
+/// Where `frame`'s Ethernet header sends it, resolved through the
+/// network's MAC index.
+fn destination(by_mac: &HashMap<Mac, usize>, frame: &[u8]) -> Dst {
+    match EthHeader::parse(frame) {
+        Some((EthHeader { dst: Mac::BROADCAST, .. }, _)) => Dst::Broadcast,
+        Some((EthHeader { dst, .. }, _)) => by_mac.get(&dst).map_or(Dst::Nowhere, |&i| Dst::Host(i)),
+        None => Dst::Nowhere,
     }
 }
 
@@ -354,7 +372,9 @@ mod tests {
 
     #[test]
     fn woken_names_exactly_the_hosts_a_frame_reached() {
-        let mut net = Network::new(6, FaultPlan::reliable(), 1);
+        // The wire holds host 5's frames for host 3 until step 6.
+        let hold = Rule::Hold { from: 5, to: 3, until: 6, matches: Box::new(|_| true) };
+        let mut net = Network::with_wire(6, 6, ScriptedWire::new(vec![hold]));
         assert!(net.woken().is_empty());
         let s = net.host(5).bind(100).unwrap();
         for to in [4u16, 0, 2, 4] {
@@ -371,10 +391,16 @@ mod tests {
         net.host(5).send_to(s, IpAddr::host(77), 200, &[&[1]]).unwrap();
         net.step();
         assert_eq!(net.woken(), [0, 1, 2, 3, 4, 5]);
-        // A frame put on a NIC by hand wakes its host at the next step.
-        net.host(3).nic.wire_deliver(vec![0; ETH_HEADER]);
+        // A held frame wakes its host in the step it comes due, not
+        // before.
+        net.host(5).send_to(s, IpAddr::host(3), 200, &[&[1]]).unwrap();
+        for _ in 3..6 {
+            net.step();
+            assert!(net.woken().is_empty(), "held");
+        }
         net.step();
         assert_eq!(net.woken(), [3]);
         assert_eq!(net.hosts[3].nic.rx_pending(), 0);
+        assert_eq!(net.wire_stats(), (6, 0));
     }
 }
