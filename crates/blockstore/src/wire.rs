@@ -192,6 +192,32 @@ fn message(tag: u8, id: u64, body: usize, fill: impl FnOnce(&mut Writer<'_>)) ->
     out
 }
 
+/// Encoded body size of a `ShardPut` of a `key`-byte key and a
+/// `data`-byte block.
+const fn shard_put_body(key: usize, data: usize) -> usize {
+    field_len(key) + field_len(data) + 3 * 8
+}
+
+/// Encoded body size of a `ChainPut` of a `key`-byte key and a
+/// `data`-byte block naming `rest` chain members: a `ShardPut`'s, the
+/// epoch and the member list.
+const fn chain_put_body(key: usize, data: usize, rest: usize) -> usize {
+    shard_put_body(key, data) + 8 + field_len(2 * rest)
+}
+
+/// Encoded size of the largest message a put of a `key`-byte key and a
+/// `data`-byte block becomes on a chain of `chain` members: its
+/// `ShardPut` on a chain of one, else the `ChainPut` the head forwards,
+/// which names the `chain - 2` members after its receiver.
+pub const fn largest_put_message(key: usize, data: usize, chain: usize) -> usize {
+    let body = if chain < 2 {
+        shard_put_body(key, data)
+    } else {
+        chain_put_body(key, data, chain - 2)
+    };
+    1 + 8 + body
+}
+
 /// Encoded size of a chain-member list: a count, then two bytes a host.
 fn hosts_len(hosts: &[u16]) -> usize {
     field_len(2 * hosts.len())
@@ -231,7 +257,7 @@ impl Request {
                 checksum,
                 client,
                 seq,
-            } => message(5, *id, field_len(key.len()) + field_len(data.len()) + 3 * 8, |w| {
+            } => message(5, *id, shard_put_body(key.len(), data.len()), |w| {
                 w.str(key).bytes(data).u64(*checksum).u64(*client).u64(*seq);
             }),
             Request::ShardDelete { id, key, client, seq } => {
@@ -249,8 +275,7 @@ impl Request {
                 epoch,
                 rest,
             } => {
-                let body = field_len(key.len()) + field_len(data.len()) + 4 * 8 + hosts_len(rest);
-                message(7, *id, body, |w| {
+                message(7, *id, chain_put_body(key.len(), data.len(), rest.len()), |w| {
                     w.str(key).bytes(data).u64(*checksum).u64(*client).u64(*seq);
                     w.u64(*epoch).u16s(rest);
                 })
@@ -519,6 +544,14 @@ mod tests {
                 ],
             },
         ]
+    }
+
+    #[test]
+    fn largest_put_message_is_what_a_put_encodes_to() {
+        let [_, shard_put, _, chain_put, ..] = requests();
+        assert_eq!(largest_put_message(3, 32, 1), shard_put.encode().len());
+        // The forward to the second of four members names two more.
+        assert_eq!(largest_put_message(3, 8, 4), chain_put.encode().len());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! mid-sync or with a lagging view) re-issues after a short backoff
 //! without suspecting anyone. Writes keep their per-client sequence
 //! number across retries, so re-issues against a promoted head are
-//! deduplicated server-side — exactly-once, measured end to end.
+//! deduplicated server-side — exactly-once, measured end to end. A put
+//! whose largest message would not fit one frame is failed at once
+//! with `Error`: rdt does not segment, so it could never arrive.
 //!
 //! Operations are submitted with a *scheduled arrival tick* and queue
 //! open-loop: latency is measured from the arrival, not from when the
@@ -17,9 +19,10 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use veros_blockstore::wire::block_checksum;
+use veros_blockstore::wire::{block_checksum, largest_put_message};
 use veros_blockstore::{Request, Response};
 use veros_net::demux::RdtDemux;
+use veros_net::rdt::MAX_MESSAGE;
 use veros_net::stack::NetStack;
 
 use crate::metrics;
@@ -241,27 +244,59 @@ impl FleetClient {
         let _ = self.demux.send(stack, now, node_peer(infl.target), infl.req.encode());
     }
 
+    /// Whether `op` is a put whose largest message — the `ChainPut` down
+    /// the longest chain the map builds — is more than one frame
+    /// carries ([`MAX_MESSAGE`]). rdt does not segment, so such a put
+    /// could only be retransmitted for ever.
+    fn oversized(&self, op: &Op) -> bool {
+        let Op::Put { key, data } = op else {
+            return false;
+        };
+        let chain = self.map.replication().min(usize::from(self.map.nodes()));
+        largest_put_message(key.len(), data.len(), chain) > MAX_MESSAGE
+    }
+
+    /// Completes `op` at once as failed, with `Response::Error`, having
+    /// sent nothing.
+    fn refuse(&mut self, op: Op, arrival: u64, now: u64) {
+        metrics::OPS_COMPLETED.inc();
+        self.results.push(OpResult {
+            host: self.host,
+            op,
+            issued_at: arrival,
+            completed_at: now,
+            retries: 0,
+            ok: false,
+            read: None,
+            resp: Response::Error { id: 0, reason: "put larger than one frame carries".into() },
+        });
+    }
+
     /// One poll round: start due work, absorb responses, drive retries.
     pub fn poll(&mut self, stack: &mut NetStack, now: u64) {
         if self.inflight.is_none() {
             if let Some((arrival, op)) = self.queue.pop_front_if(|(arrival, _)| *arrival <= now) {
-                let seq = if op.is_write() {
-                    let s = self.next_seq;
-                    self.next_seq += 1;
-                    s
+                if self.oversized(&op) {
+                    self.refuse(op, arrival, now);
                 } else {
-                    0
-                };
-                self.inflight = Some(Inflight {
-                    shard: self.map.shard_of(op.key()),
-                    req: op.into_request(self.host as u64, seq),
-                    arrival,
-                    target: 0,
-                    deadline: 0,
-                    backoff_until: None,
-                    retries: 0,
-                });
-                self.issue(stack, now);
+                    let seq = if op.is_write() {
+                        let s = self.next_seq;
+                        self.next_seq += 1;
+                        s
+                    } else {
+                        0
+                    };
+                    self.inflight = Some(Inflight {
+                        shard: self.map.shard_of(op.key()),
+                        req: op.into_request(self.host as u64, seq),
+                        arrival,
+                        target: 0,
+                        deadline: 0,
+                        backoff_until: None,
+                        retries: 0,
+                    });
+                    self.issue(stack, now);
+                }
             }
         }
         let _ = self.demux.poll(stack, now);

@@ -714,4 +714,31 @@ mod tests {
             assert_eq!(node.store.get("k").expect("replica").0, b"after", "node {}", node.id());
         }
     }
+
+    /// A put is refused at once when a message it becomes — the
+    /// `ChainPut` the head forwards — would not fit one frame, since
+    /// nothing segments it: at the bound it completes, past it the
+    /// client fails it without sending anything.
+    #[test]
+    fn a_put_one_frame_cannot_carry_is_refused_at_once() {
+        use veros_blockstore::wire::largest_put_message;
+        use veros_net::rdt::MAX_MESSAGE;
+
+        let mut f = Fleet::pair(FaultPlan::reliable(), 1);
+        let client_host = f.nodes.len() + 1;
+        // The largest block under a one-byte key a 2-way chain carries.
+        let fits = MAX_MESSAGE - largest_put_message(1, 0, 2);
+        let r = f.run_op(0, put("k", &vec![1; fits]), 2_000).expect("a put that fits completes");
+        assert!(r.ok, "{:?}", r.resp);
+        let sent = f.net.host(client_host).stats().tx_udp;
+        for size in [fits + 1, 1_450, 1_500, 2_048, 17 << 20] {
+            let r = f.run_op(0, put("k", &vec![2; size]), 2_000).expect("refused, not lost");
+            assert!(!r.ok && matches!(r.resp, Response::Error { .. }), "{size}: {:?}", r.resp);
+            assert_eq!(r.latency(), 0, "{size}");
+        }
+        assert_eq!(f.net.host(client_host).stats().tx_udp, sent, "a refused put was sent");
+        for node in &f.nodes {
+            assert_eq!(node.store.get("k").expect("replica").0, vec![1; fits]);
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! delivery queue.
 //!
 //! **Spec** (checked by the tests and the `veros-core` VCs): over any
-//! wire behaviour — loss, duplication, reordering — the sequence of
+//! wire behaviour — loss, duplication, reordering, delay — the sequence of
 //! messages [`crate::demux::RdtDemux::recv`] delivers from one peer is a
 //! *prefix* of the sequence that peer's `send` accepted for this host,
 //! in order, without duplicates; and if the wire delivers infinitely
@@ -31,11 +31,12 @@
 
 use std::collections::VecDeque;
 
+use veros_hw::nic::MAX_FRAME;
 use veros_spec::wire::Reader;
 
 use crate::demux::Peer;
 use crate::socket::{SocketError, SocketId};
-use crate::stack::NetStack;
+use crate::stack::{NetStack, HEADROOM};
 
 /// Wire message types.
 const MSG_DATA: u8 = 1;
@@ -43,6 +44,12 @@ const MSG_ACK: u8 = 2;
 
 /// Message header length: type(1) seq(8, little-endian).
 const HEADER: usize = 9;
+
+/// The largest message one DATA frame carries: a frame is at most
+/// [`MAX_FRAME`] bytes, the network headers and the rdt header
+/// included. rdt does not segment, and a NIC drops a longer frame, so a
+/// longer message is never delivered, however often it is retransmitted.
+pub const MAX_MESSAGE: usize = MAX_FRAME - HEADROOM - HEADER;
 
 /// Send-window size (go-back-N `N`) of every session.
 pub const DEFAULT_WINDOW: usize = 8;
