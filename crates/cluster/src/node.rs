@@ -25,7 +25,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use veros_blockstore::store::StoreError;
-use veros_blockstore::wire::peek_id;
 use veros_blockstore::{BlockStore, Request, Response};
 use veros_net::demux::{Peer, RdtDemux};
 use veros_net::ip::IpAddr;
@@ -99,15 +98,7 @@ pub struct FleetNode {
 /// answer a *new* request id with a cached response).
 fn rewrite_id(resp: &Response, id: u64) -> Response {
     let mut out = resp.clone();
-    match &mut out {
-        Response::PutOk { id: i }
-        | Response::GetOk { id: i, .. }
-        | Response::NotFound { id: i }
-        | Response::DeleteOk { id: i }
-        | Response::Error { id: i, .. }
-        | Response::Retry { id: i }
-        | Response::SyncBlocks { id: i, .. } => *i = id,
-    }
+    out.set_id(id);
     out
 }
 
@@ -196,14 +187,15 @@ impl FleetNode {
     /// embed their host, sync ids use the high bit), so a message that
     /// matches in-flight response state *is* that response.
     ///
-    /// Both kinds lead with the request id ([`peek_id`]), and the two
-    /// response handlers act only on an id in `syncing` or `pending`. So
-    /// a message is parsed as a response only when its id is one of
-    /// those, and every other message is parsed once, as a request —
-    /// request and response tags overlap, and parsing a `Get` as a
-    /// `GetOk` would allocate its key before failing.
+    /// Both kinds lead with the request id ([`Request::peek_id`] reads
+    /// either), and the two response handlers act only on an id in
+    /// `syncing` or `pending`. So a message is parsed as a response only
+    /// when its id is one of those, and every other message is parsed
+    /// once, as a request — request and response tags overlap, and
+    /// parsing a `Get` as a `GetOk` would allocate its key before
+    /// failing.
     fn dispatch(&mut self, stack: &mut NetStack, now: u64, peer: Peer, msg: &[u8]) {
-        let id = peek_id(msg);
+        let id = Request::peek_id(msg);
         let awaited = id.is_some_and(|id| {
             self.syncing.contains_key(&id) || self.pending.iter().any(|p| p.id == id)
         });

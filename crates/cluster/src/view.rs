@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use veros_net::ip::IpAddr;
 use veros_net::socket::SocketId;
 use veros_net::stack::NetStack;
-use veros_spec::wire::{Reader, Writer};
+use veros_spec::wire::{Field, Reader, Writer};
 
 /// Heartbeat datagram tag.
 pub const TAG_HEARTBEAT: u8 = 0xB1;
@@ -73,7 +73,7 @@ impl View {
         }
         let epoch = r.u64().ok()?;
         // One exact-size list, which the set's bulk build reuses.
-        let live = r.u16s(u16::MAX as usize).ok()?.into_iter().collect();
+        let live = Vec::<u16>::read(&mut r, u16::MAX as usize).ok()?.into_iter().collect();
         r.finish().ok()?;
         Some(View { epoch, live })
     }

@@ -75,67 +75,36 @@ pub fn marshalling_decode_fuzz(seed: u64, iters: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// One field of a random schema, with its value.
-#[derive(Debug, PartialEq)]
-enum Field {
-    U8(u8),
-    U16(u16),
-    U32(u32),
-    U64(u64),
-    Bytes(Vec<u8>),
-    Str(String),
-    U16s(Vec<u16>),
+veros_spec::wire_messages! {
+    /// One field of a random schema, a row per wire form.
+    #[derive(Debug, PartialEq)]
+    enum Value {
+        U8 = 0 (v: u8),
+        U16 = 1 (v: u16),
+        U32 = 2 (v: u32),
+        U64 = 3 (v: u64),
+        Bytes = 4 (v: Vec<u8>),
+        Str = 5 (v: String),
+        U16s = 6 (v: Vec<u16> [max 8]),
+    }
 }
 
 /// Byte-level codec ([`veros_spec::wire`], the one every message,
 /// journal record and ring slot is written with) round-trips over random
-/// typed sequences, and every byte written is read back.
+/// typed sequences packed back to back, as a journal record packs its
+/// operations, and every byte written is read back.
 pub fn marshalling_bytes_roundtrip(seed: u64, iters: usize) -> Result<(), String> {
     let mut rng = SpecRng::seeded(seed ^ 0xb17e);
     for _ in 0..iters {
         // A random schema of up to 8 fields.
-        let fields: Vec<Field> = (0..1 + rng.index(8))
-            .map(|_| match rng.below(7) {
-                0 => Field::U8(rng.next_u64() as u8),
-                1 => Field::U16(rng.next_u64() as u16),
-                2 => Field::U32(rng.next_u64() as u32),
-                3 => Field::U64(rng.next_u64()),
-                4 => Field::Bytes((0..rng.index(64)).map(|_| rng.next_u64() as u8).collect()),
-                5 => Field::Str(
-                    (0..rng.index(16))
-                        .map(|_| char::from_u32(rng.below(0xd800) as u32).unwrap_or('?'))
-                        .collect(),
-                ),
-                _ => Field::U16s((0..rng.index(8)).map(|_| rng.next_u64() as u16).collect()),
-            })
-            .collect();
+        let fields: Vec<Value> = (0..1 + rng.index(8)).map(|_| Value::arbitrary(&mut rng)).collect();
         let mut wire = Vec::new();
         let mut w = Writer::new(&mut wire);
-        for f in &fields {
-            match f {
-                Field::U8(v) => w.u8(*v),
-                Field::U16(v) => w.u16(*v),
-                Field::U32(v) => w.u32(*v),
-                Field::U64(v) => w.u64(*v),
-                Field::Bytes(v) => w.bytes(v),
-                Field::Str(v) => w.str(v),
-                Field::U16s(v) => w.u16s(v),
-            };
-        }
+        fields.iter().for_each(|f| f.write(&mut w));
         let mut r = Reader::new(&wire);
         let back = fields
             .iter()
-            .map(|f| {
-                Ok(match f {
-                    Field::U8(_) => Field::U8(r.u8()?),
-                    Field::U16(_) => Field::U16(r.u16()?),
-                    Field::U32(_) => Field::U32(r.u32()?),
-                    Field::U64(_) => Field::U64(r.u64()?),
-                    Field::Bytes(_) => Field::Bytes(r.bytes()?),
-                    Field::Str(_) => Field::Str(r.str()?),
-                    Field::U16s(_) => Field::U16s(r.u16s(8)?),
-                })
-            })
+            .map(|_| Value::read(&mut r))
             .collect::<Result<Vec<_>, WireError>>()
             .map_err(|e| format!("{fields:?} did not decode: {e}"))?;
         if back != fields {

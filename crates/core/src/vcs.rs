@@ -1019,82 +1019,38 @@ fn ulib_mutex_exclusion(seed: u64, workers: u32, incs_per_worker: u32) -> Result
     Ok(())
 }
 
-/// Block-store wire marshalling: random requests and responses
-/// round-trip exactly, ids echo, every truncation decodes to `None`,
-/// and the end-to-end block checksum changes under single-byte flips.
+/// Block-store wire marshalling: random requests and responses (drawn
+/// from the message tables) round-trip exactly, ids echo and peek,
+/// every truncation decodes to `None`, and the end-to-end block
+/// checksum changes under single-byte flips.
 fn blockstore_wire_roundtrip(seed: u64, iters: usize) -> Result<(), String> {
     use veros_blockstore::wire::{block_checksum, Request, Response};
 
     let mut rng = SpecRng::seeded(seed ^ 0xb10c);
     for i in 0..iters {
-        let id = rng.next_u64();
-        let key = format!("k{}", rng.below(1000));
-        let data: Vec<u8> = (0..rng.below(64)).map(|_| rng.below(256) as u8).collect();
-        let (client, seq, epoch) = (rng.below(2000), rng.next_u64(), rng.below(16));
-        let rest: Vec<u16> = (0..rng.below(4)).map(|_| rng.below(64) as u16).collect();
-        let req = match rng.below(6) {
-            0 => Request::Get { id, key: key.clone() },
-            1 => Request::ShardPut {
-                id,
-                key: key.clone(),
-                checksum: block_checksum(&data),
-                data: data.clone(),
-                client,
-                seq,
-            },
-            2 => Request::ShardDelete { id, key: key.clone(), client, seq },
-            3 => Request::ChainPut {
-                id,
-                key: key.clone(),
-                checksum: block_checksum(&data),
-                data: data.clone(),
-                client,
-                seq,
-                epoch,
-                rest,
-            },
-            4 => Request::ChainDelete { id, key: key.clone(), client, seq, epoch, rest },
-            _ => Request::SyncShard { id, shard: rng.below(1 << 16) as u32 },
-        };
+        let req = Request::arbitrary(&mut rng);
         let bytes = req.encode();
-        match Request::decode(&bytes) {
-            Some(back) if back == req && back.id() == id => {}
-            other => {
-                return Err(format!("seed {seed} iter {i}: request round-trip gave {other:?}"))
-            }
-        }
         let cut = rng.index(bytes.len());
-        if cut < bytes.len() && Request::decode(&bytes[..cut]).is_some() {
-            return Err(format!("seed {seed} iter {i}: truncation at {cut} decoded"));
+        if Request::decode(&bytes).as_ref() != Some(&req)
+            || Request::peek_id(&bytes) != Some(req.id())
+            || Request::decode(&bytes[..cut]).is_some()
+        {
+            return Err(format!("seed {seed} iter {i}: {req:?} failed its round trip (cut {cut})"));
         }
-        let resp = match rng.below(7) {
-            0 => Response::PutOk { id },
-            1 => Response::GetOk { id, checksum: block_checksum(&data), data: data.clone() },
-            2 => Response::NotFound { id },
-            3 => Response::DeleteOk { id },
-            4 => Response::Error { id, reason: "checksum mismatch".into() },
-            5 => Response::Retry { id },
-            _ => Response::SyncBlocks {
-                id,
-                blocks: vec![(key.clone(), data.clone(), block_checksum(&data))],
-            },
-        };
-        let rbytes = resp.encode();
-        match Response::decode(&rbytes) {
-            Some(back) if back == resp && back.id() == id => {}
-            other => {
-                return Err(format!("seed {seed} iter {i}: response round-trip gave {other:?}"))
-            }
+        let resp = Response::arbitrary(&mut rng);
+        let bytes = resp.encode();
+        let cut = rng.index(bytes.len());
+        if Response::decode(&bytes).as_ref() != Some(&resp)
+            || Response::peek_id(&bytes) != Some(resp.id())
+            || Response::decode(&bytes[..cut]).is_some()
+        {
+            return Err(format!("seed {seed} iter {i}: {resp:?} failed its round trip (cut {cut})"));
         }
-        if !data.is_empty() {
-            let mut bad = data.clone();
-            let at = rng.index(bad.len());
-            bad[at] ^= 0x41;
-            if block_checksum(&bad) == block_checksum(&data) {
-                return Err(format!(
-                    "seed {seed} iter {i}: checksum unchanged under a single-byte flip"
-                ));
-            }
+        let data: Vec<u8> = (0..1 + rng.below(64)).map(|_| rng.below(256) as u8).collect();
+        let mut bad = data.clone();
+        bad[rng.index(data.len())] ^= 0x41;
+        if block_checksum(&bad) == block_checksum(&data) {
+            return Err(format!("seed {seed} iter {i}: checksum unchanged under a single-byte flip"));
         }
     }
     Ok(())

@@ -12,12 +12,15 @@
 //!
 //! Record format (little-endian, zero-padded to whole sectors):
 //! `MAGIC u32 | len u32 | op₁ … opₙ | checksum u32` — `len` bytes of
-//! operations packed back to back, each written with
-//! [`veros_spec::wire`] (the codec the marshalling obligation checks),
-//! and one checksum over `len` and the operations, so a record of which
-//! the drive kept only some sectors, or a torn one, is detected rather
-//! than misparsed. The checksum is the
-//! 32-bit form of the workspace's integrity checksum,
+//! operations packed back to back, and one checksum over `len` and the
+//! operations. An operation's format is its row of the [`FsOp`] table
+//! ([`veros_spec::wire_messages!`]): its tag, then its fields written
+//! with [`veros_spec::wire`] (the codec the marshalling obligation
+//! checks); the table also generates the exact `encoded_len` that
+//! staging reserves journal space with. Because of the checksum, a
+//! record of which the drive kept only some sectors, or a torn one, is
+//! detected rather than misparsed. The checksum is the 32-bit form of
+//! the workspace's integrity checksum,
 //! [`veros_spec::checksum::checksum32`]: a single-bit flip changes it
 //! (pinned at every offset of inputs of 0–72, 1 024 and 1 032 bytes),
 //! and the 64-bit value it is cut from changes whenever the damage stays
@@ -54,26 +57,29 @@
 
 use veros_hw::{SimDisk, SECTOR_SIZE};
 use veros_spec::checksum::checksum32;
-use veros_spec::wire::{field_len, Reader, Writer, MAX_FIELD};
+use veros_spec::wire::{Reader, Writer, MAX_FIELD};
 
 use crate::memfs::{Checked, FsError, MemFs};
 use crate::path::Path;
 
-/// A journaled filesystem mutation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FsOp {
-    /// Create an empty file.
-    Create(String),
-    /// Create a directory.
-    Mkdir(String),
-    /// Remove a file.
-    Unlink(String),
-    /// Remove an empty directory.
-    Rmdir(String),
-    /// Write bytes at an offset.
-    WriteAt(String, u64, Vec<u8>),
-    /// Truncate to a length.
-    Truncate(String, u64),
+veros_spec::wire_messages! {
+    /// A journaled filesystem mutation. Each row is one operation's
+    /// record format: its tag, then its fields in wire order.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum FsOp {
+        /// Create an empty file.
+        Create = 1 (path: String),
+        /// Create a directory.
+        Mkdir = 2 (path: String),
+        /// Remove a file.
+        Unlink = 3 (path: String),
+        /// Remove an empty directory.
+        Rmdir = 4 (path: String),
+        /// Write bytes at an offset.
+        WriteAt = 5 (path: String, offset: u64, data: Vec<u8>),
+        /// Truncate to a length.
+        Truncate = 6 (path: String, len: u64),
+    }
 }
 
 impl FsOp {
@@ -98,62 +104,13 @@ impl FsOp {
         Ok(())
     }
 
-    /// Bytes [`FsOp::encode_into`] appends — known without encoding, so
-    /// a transaction's journal space can be reserved up front.
-    fn encoded_len(&self) -> usize {
-        // tag u8, then a length-prefixed field per string/blob and 8 per u64.
-        match self {
-            FsOp::Create(p) | FsOp::Mkdir(p) | FsOp::Unlink(p) | FsOp::Rmdir(p) => {
-                1 + field_len(p.len())
-            }
-            FsOp::WriteAt(p, _, data) => 1 + field_len(p.len()) + 8 + field_len(data.len()),
-            FsOp::Truncate(p, _) => 1 + field_len(p.len()) + 8,
-        }
-    }
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut e = Writer::new(buf);
-        match self {
-            FsOp::Create(p) => {
-                e.u8(1).str(p);
-            }
-            FsOp::Mkdir(p) => {
-                e.u8(2).str(p);
-            }
-            FsOp::Unlink(p) => {
-                e.u8(3).str(p);
-            }
-            FsOp::Rmdir(p) => {
-                e.u8(4).str(p);
-            }
-            FsOp::WriteAt(p, off, data) => {
-                e.u8(5).str(p).u64(*off).bytes(data);
-            }
-            FsOp::Truncate(p, len) => {
-                e.u8(6).str(p).u64(*len);
-            }
-        }
-    }
-
-    fn decode(d: &mut Reader<'_>) -> Option<FsOp> {
-        Some(match d.u8().ok()? {
-            1 => FsOp::Create(d.str().ok()?),
-            2 => FsOp::Mkdir(d.str().ok()?),
-            3 => FsOp::Unlink(d.str().ok()?),
-            4 => FsOp::Rmdir(d.str().ok()?),
-            5 => FsOp::WriteAt(d.str().ok()?, d.u64().ok()?, d.bytes().ok()?),
-            6 => FsOp::Truncate(d.str().ok()?, d.u64().ok()?),
-            _ => return None,
-        })
-    }
-
     /// Decodes operations packed back to back, as a record holds them;
     /// `None` unless `bytes` is exactly a sequence of whole operations.
     fn decode_all(bytes: &[u8]) -> Option<Vec<FsOp>> {
         let mut d = Reader::new(bytes);
         let mut ops = Vec::new();
         while d.remaining() > 0 {
-            ops.push(FsOp::decode(&mut d)?);
+            ops.push(FsOp::read(&mut d).ok()?);
         }
         Some(ops)
     }
@@ -265,8 +222,8 @@ impl JournaledFs {
             if self.record.is_empty() {
                 Writer::new(&mut self.record).u32(MAGIC).u32(0); // `len`, sealed by `commit`
             }
-            op.encode_into(&mut self.record);
-            debug_assert_eq!(self.record.len(), HEADER + ops_len, "encoded_len matches encode_into");
+            op.write(&mut Writer::new(&mut self.record));
+            debug_assert_eq!(self.record.len(), HEADER + ops_len, "encoded_len is exact");
         }
         self.fs.apply_checked(checked);
         Ok(())
@@ -427,21 +384,13 @@ mod tests {
     use veros_spec::checksum::checksum64;
     use veros_spec::rng::SpecRng;
 
-    fn ops_round_trip(op: FsOp) {
-        let mut bytes = Vec::new();
-        op.encode_into(&mut bytes);
-        assert_eq!(bytes.len(), op.encoded_len());
-        assert_eq!(FsOp::decode_all(&bytes), Some(vec![op]));
-    }
-
     #[test]
     fn all_op_kinds_encode_round_trip() {
-        ops_round_trip(FsOp::Create("/a".into()));
-        ops_round_trip(FsOp::Mkdir("/d".into()));
-        ops_round_trip(FsOp::Unlink("/a".into()));
-        ops_round_trip(FsOp::Rmdir("/d".into()));
-        ops_round_trip(FsOp::WriteAt("/a".into(), 42, vec![1, 2, 3]));
-        ops_round_trip(FsOp::Truncate("/a".into(), 7));
+        for op in FsOp::samples() {
+            let bytes = op.encode();
+            assert_eq!(bytes.len(), op.encoded_len());
+            assert_eq!(FsOp::decode_all(&bytes), Some(vec![op]));
+        }
         assert_eq!(FsOp::decode_all(&[9, 0]), None);
     }
 
@@ -450,8 +399,7 @@ mod tests {
     #[test]
     fn packed_ops_decode_as_a_sequence() {
         let ops = vec![FsOp::Create("/a".into()), FsOp::WriteAt("/a".into(), 1, vec![5; 9])];
-        let mut bytes = Vec::new();
-        ops.iter().for_each(|op| op.encode_into(&mut bytes));
+        let bytes: Vec<u8> = ops.iter().flat_map(FsOp::encode).collect();
         assert_eq!(FsOp::decode_all(&bytes), Some(ops));
         assert_eq!(FsOp::decode_all(&bytes[..bytes.len() - 1]), None);
     }

@@ -13,10 +13,18 @@
 //! The format has no self-description (both sides are compiled from the
 //! same schema): a `u8`, `u16`, `u32` or `u64` is its little-endian
 //! bytes; a byte run or UTF-8 string is a `u32` length then the bytes;
-//! a list of `u16`s is a `u32` count then the items. A [`Writer`]
-//! appends to a caller-owned buffer, so the caller allocates once, at
-//! the message's final size. A [`Reader`] never panics on hostile input
-//! and never reserves more than the input left can hold.
+//! a list is a `u32` count then the items. A [`Writer`] appends to a
+//! caller-owned buffer, so the caller allocates once, at the message's
+//! final size. A [`Reader`] never panics on hostile input and never
+//! reserves more than the input left can hold.
+//!
+//! A tagged message format is one [`wire_messages!`](crate::wire_messages)
+//! table: each row is a variant, its tag byte and its fields in wire
+//! order, and the table generates the enum, its exact length, its
+//! encoder and decoder, its header accessors and its test samples. A
+//! field's type picks its wire form through [`Field`].
+
+use crate::rng::SpecRng;
 
 /// Decoding errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,6 +37,8 @@ pub enum WireError {
     BadUtf8,
     /// Trailing bytes remained after decoding finished.
     TrailingBytes,
+    /// A message tag no row of its table declares.
+    UnknownTag,
 }
 
 impl std::fmt::Display for WireError {
@@ -38,6 +48,7 @@ impl std::fmt::Display for WireError {
             WireError::LengthOverflow => "length prefix too large",
             WireError::BadUtf8 => "invalid utf-8 in string",
             WireError::TrailingBytes => "trailing bytes after value",
+            WireError::UnknownTag => "unknown message tag",
         };
         f.write_str(s)
     }
@@ -116,16 +127,6 @@ impl<'a> Writer<'a> {
         let start = self.buf.len();
         self.buf.resize(start + len, 0);
         &mut self.buf[start..]
-    }
-
-    /// Appends a counted list of `u16`s.
-    #[inline]
-    pub fn u16s(&mut self, v: &[u16]) -> &mut Self {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u16(x);
-        }
-        self
     }
 }
 
@@ -206,21 +207,389 @@ impl<'a> Reader<'a> {
     pub fn str(&mut self) -> Result<String, WireError> {
         String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
+}
 
-    /// Reads a counted list of `u16`s; a count above `max` is
-    /// `LengthOverflow`.
-    #[inline]
-    pub fn u16s(&mut self, max: usize) -> Result<Vec<u16>, WireError> {
-        let n = self.u32()? as usize;
+/// A message field's wire form: a [`wire_messages!`](crate::wire_messages)
+/// row's field type picks its impl, as a syscall argument's type picks
+/// its register domain.
+pub trait Field: Sized {
+    /// The fewest bytes one value encodes to, so a list reserves no more
+    /// items than the input left can hold.
+    const MIN_LEN: usize;
+    /// Bytes [`Field::write`] appends.
+    fn wire_len(&self) -> usize;
+    /// Appends the value.
+    fn write(&self, w: &mut Writer<'_>);
+    /// Reads a value back; a list whose count exceeds `max` is
+    /// `LengthOverflow` (other types ignore `max`).
+    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError>;
+    /// In-domain boundary values, never empty; no list is longer than
+    /// `max`.
+    fn edges(max: usize) -> Vec<Self>;
+    /// A random value; a list's count respects `max`.
+    fn arbitrary(rng: &mut SpecRng, max: usize) -> Self;
+
+    /// The `k`-th boundary value, cycling.
+    fn edge(k: usize, max: usize) -> Self {
+        let mut edges = Self::edges(max);
+        let at = k % edges.len();
+        edges.swap_remove(at)
+    }
+}
+
+/// Implements [`Field`] for fixed-width integers.
+macro_rules! int_fields {
+    ($($ty:ident: $($edge:expr),+;)*) => {$(
+        impl Field for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            #[inline]
+            fn wire_len(&self) -> usize {
+                Self::MIN_LEN
+            }
+            #[inline]
+            fn write(&self, w: &mut Writer<'_>) {
+                w.$ty(*self);
+            }
+            #[inline]
+            fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
+                r.$ty()
+            }
+            fn edges(_max: usize) -> Vec<Self> {
+                vec![$($edge),+]
+            }
+            #[allow(clippy::unnecessary_cast, reason = "a no-op for `u64` only")]
+            fn arbitrary(rng: &mut SpecRng, _max: usize) -> Self {
+                rng.next_u64() as $ty
+            }
+        }
+    )*};
+}
+
+int_fields! {
+    u8: 0, 1, u8::MAX;
+    u16: 0, 1, 0x0102, u16::MAX;
+    u32: 0, 1, 37, 0x0102_0304, u32::MAX;
+    u64: 0, 1, 3, 1003, 1 << 32, (1 << 63) | (5 << 32), u64::MAX;
+}
+
+/// Implements [`Field`] for a length-prefixed run: a UTF-8 string or
+/// a byte run.
+macro_rules! prefixed_fields {
+    ($($ty:ty: $method:ident, [$($edge:expr),+], $arbitrary:expr;)*) => {$(
+        impl Field for $ty {
+            const MIN_LEN: usize = field_len(0);
+            #[inline]
+            fn wire_len(&self) -> usize {
+                field_len(self.len())
+            }
+            #[inline]
+            fn write(&self, w: &mut Writer<'_>) {
+                w.$method(self);
+            }
+            #[inline]
+            fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
+                r.$method()
+            }
+            fn edges(_max: usize) -> Vec<Self> {
+                vec![$($edge.into()),+]
+            }
+            fn arbitrary(rng: &mut SpecRng, _max: usize) -> Self {
+                $arbitrary(rng)
+            }
+        }
+    )*};
+}
+
+prefixed_fields! {
+    String: str, ["", "k", "ab", "abc", "abcd", "ycsb-123", "\u{0}\u{0}\u{0}", "grüße / 你好"],
+        // Any scalar value below the surrogates: one to three UTF-8 bytes.
+        |rng: &mut SpecRng| (0..rng.index(16))
+            .map(|_| char::from_u32(rng.below(0xd800) as u32).unwrap_or('?'))
+            .collect();
+    Vec<u8>: bytes, [vec![], vec![0], vec![0; 3], vec![0xff; 8], vec![7; 1024]],
+        |rng: &mut SpecRng| {
+            let mut v = vec![0; rng.index(64)];
+            rng.fill(&mut v);
+            v
+        };
+}
+
+/// An item of a counted list (a byte run is a [`Field`] of its own).
+pub trait Item: Field + Clone {}
+
+impl Item for u16 {}
+
+impl<A: Field + Clone, B: Field + Clone, C: Field + Clone> Item for (A, B, C) {}
+
+/// The fields in order.
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len() + self.2.wire_len()
+    }
+    fn write(&self, w: &mut Writer<'_>) {
+        self.0.write(w);
+        self.1.write(w);
+        self.2.write(w);
+    }
+    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
+        Ok((A::read(r, max)?, B::read(r, max)?, C::read(r, max)?))
+    }
+    fn edges(max: usize) -> Vec<Self> {
+        let n = A::edges(max).len().max(B::edges(max).len()).max(C::edges(max).len());
+        (0..n).map(|k| (A::edge(k, max), B::edge(k, max), C::edge(k, max))).collect()
+    }
+    fn arbitrary(rng: &mut SpecRng, max: usize) -> Self {
+        (A::arbitrary(rng, max), B::arbitrary(rng, max), C::arbitrary(rng, max))
+    }
+}
+
+/// A `u32` count, then the items; a count above `max` is
+/// `LengthOverflow`.
+impl<T: Item> Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(Field::wire_len).sum::<usize>()
+    }
+    fn write(&self, w: &mut Writer<'_>) {
+        w.u32(self.len() as u32);
+        for item in self {
+            item.write(w);
+        }
+    }
+    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
+        let n = r.u32()? as usize;
         if n > max {
             return Err(WireError::LengthOverflow);
         }
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 2));
+        // Reserve only what the rest of the input can hold.
+        let mut out = Vec::with_capacity(n.min(r.remaining() / T::MIN_LEN.max(1)));
         for _ in 0..n {
-            out.push(self.u16()?);
+            out.push(T::read(r, usize::MAX)?);
         }
         Ok(out)
     }
+    /// Empty, one item, every item edge, and the most items a sample
+    /// carries (64, or `max` if less).
+    fn edges(max: usize) -> Vec<Self> {
+        let items = T::edges(usize::MAX);
+        let mut edges = vec![vec![], vec![T::edge(0, usize::MAX)], items];
+        edges.push(vec![T::edge(0, usize::MAX); max.min(64)]);
+        edges.retain(|list| list.len() <= max);
+        edges
+    }
+    fn arbitrary(rng: &mut SpecRng, max: usize) -> Self {
+        (0..rng.index(max.min(8) + 1)).map(|_| T::arbitrary(rng, usize::MAX)).collect()
+    }
+}
+
+/// Declares a tagged message format as a table and generates its code.
+///
+/// Each variant is a row, `Name = tag { field: Type, … }` (a struct
+/// variant) or `Name = tag (field: Type, …)` (a tuple variant, whose
+/// names only bind), with its fields in wire order; a list field may add
+/// `[max N]`, its decoder's bound on the count. An optional leading
+/// `header { id: Type }` declares once the message id every row starts
+/// with; its accessors are `id`, `set_id` and `peek_id`. A message is
+/// its tag byte, then its fields as their [`Field`] impls write them.
+/// Generated: the enum, `encoded_len` (exact), `write`, `encode` (one
+/// allocation of exactly that size), `read` (one message off a
+/// [`Reader`]), `decode` (`None` on any error, an unknown tag or a
+/// trailing byte), `samples` (the `k`-th of a row gives every field its
+/// `k`-th edge), `arbitrary` and the header accessors. Two rows sharing
+/// a tag do not compile; a retired tag stays unassigned by having no
+/// row.
+#[macro_export]
+macro_rules! wire_messages {
+    // One struct row: its variant declaration, its patterns and its
+    // fields (the header first) go to the accumulator.
+    (@rows $head:tt
+        { $( $(#[$hdoc:meta])* $h:ident: $hty:ty )? }
+        [$($done:tt)*]
+        $(#[$vdoc:meta])* $var:ident = $tag:literal {
+            $( $(#[$fdoc:meta])* $f:ident: $ty:ty $([max $max:expr])? ),* $(,)?
+        }
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_messages!(@rows $head
+            { $( $(#[$hdoc])* $h: $hty )? }
+            [$($done)* [
+                [$(#[$vdoc])*] $var $tag
+                { $( $(#[$hdoc])* $h: $hty, )? $( $(#[$fdoc])* $f: $ty, )* }
+                { $( $h, )? $( $f, )* }
+                { $( $h, )? .. }
+                ( $( $h: $hty [usize::MAX], )? $( $f: $ty [$crate::wire_messages!(@max $($max)?)], )* )
+            ]]
+            $($($rest)*)?
+        );
+    };
+    // One tuple row.
+    (@rows $head:tt
+        { $( $(#[$hdoc:meta])* $h:ident: $hty:ty )? }
+        [$($done:tt)*]
+        $(#[$vdoc:meta])* $var:ident = $tag:literal (
+            $( $(#[$fdoc:meta])* $f:ident: $ty:ty $([max $max:expr])? ),* $(,)?
+        )
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_messages!(@rows $head
+            { $( $(#[$hdoc])* $h: $hty )? }
+            [$($done)* [
+                [$(#[$vdoc])*] $var $tag
+                ( $( $(#[$hdoc])* $hty, )? $( $(#[$fdoc])* $ty, )* )
+                ( $( $h, )? $( $f, )* )
+                ( $( $h, )? .. )
+                ( $( $h: $hty [usize::MAX], )? $( $f: $ty [$crate::wire_messages!(@max $($max)?)], )* )
+            ]]
+            $($($rest)*)?
+        );
+    };
+    // Every row normalised: generate.
+    (@rows [$(#[$meta:meta])* $vis:vis $name:ident] $header:tt [$([
+        [$(#[$vdoc:meta])*] $var:ident $tag:literal $decl:tt $pat:tt $hpat:tt
+        ( $( $f:ident: $ty:ty [$max:expr], )* )
+    ])*]) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vdoc])* $var $decl, )*
+        }
+
+        const _: () = {
+            let mut seen = [false; 256];
+            $(
+                assert!(!seen[$tag as usize], "two rows share a tag");
+                seen[$tag as usize] = true;
+            )*
+        };
+
+        impl $name {
+            /// Exact encoded size: the tag byte, then every field.
+            #[inline]
+            pub fn encoded_len(&self) -> usize {
+                match self {
+                    $( Self::$var $pat => 1 $( + <$ty as $crate::wire::Field>::wire_len($f) )*, )*
+                }
+            }
+
+            /// Appends the encoding: the tag byte, then every field in
+            /// wire order.
+            #[inline]
+            pub fn write(&self, w: &mut $crate::wire::Writer<'_>) {
+                match self {
+                    $( Self::$var $pat => {
+                        w.u8($tag);
+                        $( <$ty as $crate::wire::Field>::write($f, w); )*
+                    } )*
+                }
+            }
+
+            /// Serializes the message into one allocation of exactly
+            /// its encoded size.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(self.encoded_len());
+                self.write(&mut $crate::wire::Writer::new(&mut out));
+                out
+            }
+
+            /// Reads one message off `r`, leaving what follows it.
+            #[inline]
+            pub fn read(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $( $tag => {
+                        $( let $f = <$ty as $crate::wire::Field>::read(r, $max)?; )*
+                        Self::$var $pat
+                    } )*
+                    _ => return Err($crate::wire::WireError::UnknownTag),
+                })
+            }
+
+            /// Parses one whole message; `None` on malformed input, an
+            /// unknown tag or trailing bytes.
+            pub fn decode(bytes: &[u8]) -> Option<Self> {
+                let mut r = $crate::wire::Reader::new(bytes);
+                let msg = Self::read(&mut r).ok()?;
+                r.finish().ok()?;
+                Some(msg)
+            }
+
+            /// Boundary samples of every row: the `k`-th sample of a row
+            /// gives each field its `k`-th edge, cycling.
+            pub fn samples() -> Vec<Self> {
+                let mut out = Vec::new();
+                $(
+                    let n = 1usize $( .max(<$ty as $crate::wire::Field>::edges($max).len()) )*;
+                    for _k in 0..n {
+                        $( let $f = <$ty as $crate::wire::Field>::edge(_k, $max); )*
+                        out.push(Self::$var $pat);
+                    }
+                )*
+                out
+            }
+
+            /// A uniform draw over the rows, each field random.
+            pub fn arbitrary(rng: &mut $crate::rng::SpecRng) -> Self {
+                #[derive(Clone, Copy)]
+                enum Row {
+                    $($var),*
+                }
+                const ROWS: &[Row] = &[$(Row::$var),*];
+                match ROWS[rng.index(ROWS.len())] {
+                    $( Row::$var => {
+                        $( let $f = <$ty as $crate::wire::Field>::arbitrary(rng, $max); )*
+                        Self::$var $pat
+                    } )*
+                }
+            }
+        }
+
+        $crate::wire_messages!(@header $name $header [$( $var $hpat )*]);
+    };
+    (@header $name:ident {} [$($var:ident $hpat:tt)*]) => {};
+    (@header $name:ident
+        { $(#[$hdoc:meta])* $h:ident: $hty:ty }
+        [$($var:ident $hpat:tt)*]
+    ) => {
+        impl $name {
+            $(#[$hdoc])*
+            pub fn id(&self) -> $hty {
+                match self {
+                    $( Self::$var $hpat => *$h, )*
+                }
+            }
+
+            #[doc = concat!("Overwrites [`", stringify!($name), "::id`].")]
+            pub fn set_id(&mut self, new: $hty) {
+                match self {
+                    $( Self::$var $hpat => *$h = new, )*
+                }
+            }
+
+            #[doc = concat!("[`", stringify!($name), "::id`] of an encoded message, read without decoding the rest.")]
+            pub fn peek_id(bytes: &[u8]) -> Option<$hty> {
+                let mut r = $crate::wire::Reader::new(bytes);
+                r.u8().ok()?;
+                <$hty as $crate::wire::Field>::read(&mut r, usize::MAX).ok()
+            }
+        }
+    };
+    (@max) => { usize::MAX };
+    (@max $max:expr) => { $max };
+    // Entry: a table with a header, then one without.
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            header { $(#[$hdoc:meta])* id: $hty:ty $(,)? }
+            $($rows:tt)*
+        }
+    ) => {
+        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name] { $(#[$hdoc])* id: $hty } [] $($rows)*);
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident { $($rows:tt)* }
+    ) => {
+        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name] {} [] $($rows)*);
+    };
 }
 
 #[cfg(test)]
@@ -244,13 +613,14 @@ mod tests {
     fn bytes_and_strings_round_trip() {
         let mut bytes = Vec::new();
         let mut w = Writer::new(&mut bytes);
-        w.bytes(b"\x00\xff\x42").str("grüße / 你好").bytes(b"").u16s(&[1, 0xffff]);
+        w.bytes(b"\x00\xff\x42").str("grüße / 你好").bytes(b"");
+        vec![1u16, 0xffff].write(&mut w);
         w.bytes_slot(2).copy_from_slice(b"ab");
         let mut d = Reader::new(&bytes);
         assert_eq!(d.bytes().unwrap(), b"\x00\xff\x42");
         assert_eq!(d.str().unwrap(), "grüße / 你好");
         assert_eq!(d.bytes().unwrap(), b"");
-        assert_eq!(d.u16s(2).unwrap(), [1, 0xffff]);
+        assert_eq!(Vec::<u16>::read(&mut d, 2).unwrap(), [1, 0xffff]);
         assert_eq!(d.bytes().unwrap(), b"ab");
         d.finish().unwrap();
     }
@@ -258,10 +628,12 @@ mod tests {
     #[test]
     fn truncation_is_detected_not_panicking() {
         let mut bytes = Vec::new();
-        Writer::new(&mut bytes).u64(1).bytes(b"hello").u16s(&[3, 4]);
+        let mut w = Writer::new(&mut bytes);
+        w.u64(1).bytes(b"hello");
+        vec![3u16, 4].write(&mut w);
         for cut in 0..bytes.len() {
             let mut d = Reader::new(&bytes[..cut]);
-            let r = d.u64().and_then(|_| d.bytes()).and_then(|_| d.u16s(2));
+            let r = d.u64().and_then(|_| d.bytes()).and_then(|_| Vec::<u16>::read(&mut d, 2));
             assert_eq!(r, Err(WireError::Truncated), "cut at {cut} must fail");
         }
     }
@@ -270,11 +642,65 @@ mod tests {
     fn malformed_input_is_an_error() {
         let huge = u32::MAX.to_le_bytes();
         assert_eq!(Reader::new(&huge).bytes(), Err(WireError::LengthOverflow));
-        assert_eq!(Reader::new(&huge).u16s(64), Err(WireError::LengthOverflow));
+        assert_eq!(Vec::<u16>::read(&mut Reader::new(&huge), 64), Err(WireError::LengthOverflow));
         let mut bytes = Vec::new();
         Writer::new(&mut bytes).bytes(&[0xff, 0xfe]).u8(9);
         let mut d = Reader::new(&bytes);
         assert_eq!(d.str(), Err(WireError::BadUtf8));
         assert_eq!(d.finish(), Err(WireError::TrailingBytes));
+    }
+
+    crate::wire_messages! {
+        /// A two-row table: one struct row, one tuple row.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        enum Dummy {
+            header {
+                /// Leads every row.
+                id: u64
+            }
+            /// A struct row with a bounded list.
+            Named = 3 {
+                /// A string.
+                name: String,
+                /// At most two entries.
+                pairs: Vec<(String, Vec<u8>, u64)> [max 2],
+            },
+            /// A tuple row.
+            Positional = 9 (small: u32, blob: Vec<u8>),
+        }
+    }
+
+    #[test]
+    fn a_table_generates_an_exact_codec() {
+        let samples = Dummy::samples();
+        // Rows in order, as many samples as the most edges a field has.
+        assert_eq!(samples.len(), 8 + 7);
+        assert!(matches!(samples[0], Dummy::Named { .. }) && matches!(samples[8], Dummy::Positional(..)));
+        let mut rng = SpecRng::seeded(52);
+        let drawn: Vec<Dummy> = (0..64).map(|_| Dummy::arbitrary(&mut rng)).collect();
+        for m in samples.iter().chain(&drawn) {
+            let bytes = m.encode();
+            assert_eq!((m.encoded_len(), bytes.capacity()), (bytes.len(), bytes.len()), "{m:?}");
+            assert_eq!(Dummy::decode(&bytes).as_ref(), Some(m));
+            assert_eq!(Dummy::peek_id(&bytes), Some(m.id()));
+            for cut in 0..bytes.len() {
+                assert_eq!(Dummy::decode(&bytes[..cut]), None, "{m:?} cut at {cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert_eq!(Dummy::decode(&long), None, "{m:?} with a trailing byte");
+            let mut other = bytes;
+            for tag in [0, 1, 4, 8, 10, 0xff] {
+                other[0] = tag;
+                assert_eq!(Dummy::read(&mut Reader::new(&other)), Err(WireError::UnknownTag));
+            }
+        }
+        let mut m = Dummy::Positional(7, 1, vec![2]);
+        m.set_id(5);
+        assert_eq!(m.encode(), [9, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2]);
+        // The list's bound is the row's: three entries do not decode.
+        let three = vec![(String::new(), vec![], 0); 3];
+        let over = Dummy::Named { id: 1, name: String::new(), pairs: three };
+        assert_eq!(Dummy::decode(&over.encode()), None);
     }
 }

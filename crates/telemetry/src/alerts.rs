@@ -201,15 +201,19 @@ mod tests {
     use super::*;
     use crate::{Counter, Histogram, Registry};
 
-    static CLEAN: Counter = Counter::new();
-    static DIRTY: Counter = Counter::new();
-    static LAG: Histogram = Histogram::new();
-
-    fn snapshot() -> Snapshot {
+    /// A snapshot of instruments of the caller's own, `dirty` failures
+    /// and the `lag` readings in: tests run on parallel threads, so
+    /// statics shared between them would leak one test's readings into
+    /// another's snapshot.
+    fn snapshot(dirty: u64, lag: &[u64]) -> Snapshot {
+        let dirty_failures: &'static Counter = Box::leak(Box::new(Counter::new()));
+        let lag_hist: &'static Histogram = Box::leak(Box::new(Histogram::new()));
+        dirty_failures.add(dirty);
+        lag.iter().for_each(|&v| lag_hist.record(v));
         let mut reg = Registry::new();
-        reg.counter("test.clean_failures", "events", &CLEAN);
-        reg.counter("test.dirty_failures", "events", &DIRTY);
-        reg.histogram("test.lag", "entries", &LAG);
+        reg.counter("test.clean_failures", "events", Box::leak(Box::new(Counter::new())));
+        reg.counter("test.dirty_failures", "events", dirty_failures);
+        reg.histogram("test.lag", "entries", lag_hist);
         reg.snapshot()
     }
 
@@ -221,7 +225,7 @@ mod tests {
             // Absent metrics are skipped, not violations.
             Rule::CounterAtMost { metric: "test.not_registered", max: 0 },
         ];
-        assert!(evaluate(&snapshot(), &rules).is_empty());
+        assert!(evaluate(&snapshot(0, &[]), &rules).is_empty());
     }
 
     #[test]
@@ -229,15 +233,11 @@ mod tests {
         if !crate::enabled() {
             return;
         }
-        DIRTY.inc();
-        for _ in 0..100 {
-            LAG.record(5000);
-        }
         let rules = [
             Rule::CounterAtMost { metric: "test.dirty_failures", max: 0 },
             Rule::P99AtMost { metric: "test.lag", max: 1024 },
         ];
-        let alerts = evaluate(&snapshot(), &rules);
+        let alerts = evaluate(&snapshot(1, &[5000; 100]), &rules);
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0].metric, "test.dirty_failures");
         assert_eq!(alerts[0].observed, 1);
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn kind_mismatch_is_loud() {
         let rules = [Rule::P99AtMost { metric: "test.clean_failures", max: 10 }];
-        let alerts = evaluate(&snapshot(), &rules);
+        let alerts = evaluate(&snapshot(0, &[]), &rules);
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].message.contains("does not match"));
     }
