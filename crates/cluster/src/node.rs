@@ -163,12 +163,23 @@ impl FleetNode {
         self.pending.len()
     }
 
+    /// True when a [`FleetNode::poll`] at `now` with no new datagram on
+    /// either socket would do nothing: no heartbeat is due and every rdt
+    /// session is acknowledged with nothing waiting to be served. Held
+    /// writes and shard pulls keep no timer, so they do not count.
+    pub fn quiet(&self, now: u64) -> bool {
+        now < self.next_heartbeat && self.demux.quiescent()
+    }
+
     /// One poll round: control plane (views in, heartbeat out), then
-    /// data plane (serve requests, route acks, drive timers).
+    /// data plane (serve requests, route acks, drive timers). A view no
+    /// newer than the node's own is dropped on its epoch, undecoded.
     pub fn poll(&mut self, stack: &mut NetStack, now: u64) {
         while let Ok(Some((_, _, data))) = stack.recv_from(self.ctrl) {
-            if let Some(v) = View::decode(&data) {
-                self.adopt(stack, now, v);
+            if View::epoch_of(&data).is_some_and(|epoch| epoch > self.view.epoch) {
+                if let Some(v) = View::decode(&data) {
+                    self.adopt(stack, now, v);
+                }
             }
         }
         if now >= self.next_heartbeat {
@@ -505,12 +516,10 @@ impl FleetNode {
         }
     }
 
-    /// Adopts a strictly newer membership view: re-forward held writes
-    /// around dead downstreams, start syncs for newly joined chains.
+    /// Adopts `v`, which [`FleetNode::poll`] has checked is strictly
+    /// newer: re-forward held writes around dead downstreams, start
+    /// syncs for newly joined chains.
     fn adopt(&mut self, stack: &mut NetStack, now: u64, v: View) {
-        if v.epoch <= self.view.epoch {
-            return;
-        }
         let old = std::mem::replace(&mut self.view, v);
         // Held writes whose downstream died: recompute the chain and
         // either re-forward past the victim or, if this node became the

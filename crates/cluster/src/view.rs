@@ -3,9 +3,12 @@
 //! Storage nodes send fixed-interval heartbeat datagrams to a
 //! coordinator host. The coordinator declares a node dead when no
 //! heartbeat arrives within a deadline, bumps the **epoch**, and
-//! (re)broadcasts the new [`View`] to every storage node — over plain
-//! lossy datagrams, so views are resent every interval until the world
-//! is quiet. Nodes adopt any view with a higher epoch than their own.
+//! (re)broadcasts the new [`View`] to every storage node. Views travel
+//! as plain lossy datagrams, so the coordinator resends its current one
+//! every [`VIEW_EVERY`] ticks for as long as it runs, encoded once per
+//! epoch. Nodes adopt any view with a higher epoch than their own, and
+//! read only a copy's tag and epoch ([`View::epoch_of`]) to skip the
+//! rest: the member list is decoded only from a newer view.
 //! Clients do *not* depend on the coordinator: they detect dead nodes
 //! by RPC timeout and recompute chains locally, so the coordinator is
 //! never on the data path.
@@ -65,13 +68,22 @@ impl View {
         out
     }
 
-    /// Parses a view datagram; `None` on anything malformed.
-    pub fn decode(bytes: &[u8]) -> Option<View> {
+    /// The epoch of a view datagram, read from its tag and epoch (the
+    /// first 9 bytes) without decoding the member list; `None` if those
+    /// are not a view's. [`View::decode`] reads its epoch here too.
+    pub fn epoch_of(bytes: &[u8]) -> Option<u64> {
         let mut r = Reader::new(bytes);
         if r.u8().ok()? != TAG_VIEW {
             return None;
         }
-        let epoch = r.u64().ok()?;
+        r.u64().ok()
+    }
+
+    /// Parses a view datagram; `None` on anything malformed.
+    pub fn decode(bytes: &[u8]) -> Option<View> {
+        let epoch = Self::epoch_of(bytes)?;
+        // The member list follows the tag (1 byte) and the epoch (8).
+        let mut r = Reader::new(bytes.get(1 + 8..)?);
         // One exact-size list, which the set's bulk build reuses.
         let live = Vec::<u16>::read(&mut r, u16::MAX as usize).ok()?.into_iter().collect();
         r.finish().ok()?;
@@ -101,6 +113,8 @@ pub fn parse_heartbeat(bytes: &[u8]) -> Option<u16> {
 pub struct Coordinator {
     sock: SocketId,
     view: View,
+    /// `view.encode()`, kept for every rebroadcast of the same epoch.
+    encoded: Vec<u8>,
     /// Last heartbeat tick per node (dead nodes are dropped).
     last_seen: Vec<(u16, u64)>,
     /// Storage-node control addresses the view is pushed to.
@@ -112,9 +126,11 @@ impl Coordinator {
     /// Creates a coordinator over `sock` tracking `nodes` storage
     /// nodes whose control sockets listen at `targets`.
     pub fn new(sock: SocketId, nodes: u16, targets: Vec<(IpAddr, u16)>) -> Self {
+        let view = View::initial(nodes);
         Self {
             sock,
-            view: View::initial(nodes),
+            encoded: view.encode(),
+            view,
             last_seen: (0..nodes).map(|n| (n, 0)).collect(),
             targets,
             next_broadcast: 0,
@@ -146,13 +162,13 @@ impl Coordinator {
         });
         if died {
             self.view.epoch += 1;
+            self.encoded = self.view.encode();
             crate::metrics::VIEW_EPOCH.inc();
             self.next_broadcast = now; // Push the new view immediately.
         }
         if now >= self.next_broadcast {
-            let msg = self.view.encode();
             for (ip, port) in &self.targets {
-                let _ = stack.send_to(self.sock, *ip, *port, &[&msg]);
+                let _ = stack.send_to(self.sock, *ip, *port, &[&self.encoded]);
             }
             self.next_broadcast = now + VIEW_EVERY;
         }
@@ -178,6 +194,53 @@ mod tests {
         let mut bad = full.clone();
         bad[0] = 0x77;
         assert_eq!(View::decode(&bad), None);
+    }
+
+    #[test]
+    fn epoch_of_reads_what_decode_reads() {
+        for epoch in [0, 1, u64::MAX] {
+            for members in [0u16, 1, 8] {
+                let v = View { epoch, live: (0..members).map(|n| n * 3).collect() };
+                let bytes = v.encode();
+                assert_eq!(View::epoch_of(&bytes), Some(epoch), "{v:?}");
+                assert_eq!(View::epoch_of(&bytes), View::decode(&bytes).map(|v| v.epoch));
+                for cut in 0..9 {
+                    assert_eq!(View::epoch_of(&bytes[..cut]), None, "{v:?} cut {cut}");
+                }
+                let mut unknown = bytes.clone();
+                unknown[0] = 0x77;
+                assert_eq!(View::epoch_of(&unknown), None);
+            }
+        }
+        assert_eq!(View::epoch_of(&heartbeat(7)), None);
+    }
+
+    /// The bytes a coordinator keeps are the bytes it sends, and after
+    /// each death they are the new view's.
+    #[test]
+    fn the_coordinator_broadcasts_its_current_view_after_each_death() {
+        use veros_net::sim::{FaultPlan, Network};
+
+        let mut net = Network::new(2, FaultPlan::reliable(), 1);
+        let csock = net.host(0).bind(1).expect("coordinator port");
+        let target = net.host(1).bind(2).expect("target port");
+        let mut c = Coordinator::new(csock, 3, vec![(IpAddr::host(1), 2)]);
+        // Nodes 0, 1 and 2 were last heard from at ticks 0, 10 and 20,
+        // so they die one at a time.
+        c.last_seen = vec![(0, 0), (1, 10), (2, 20)];
+        let mut received = Vec::new();
+        for now in 0..=2 * DEATH_DEADLINE {
+            c.step(net.host(0), now);
+            assert_eq!(c.encoded, c.view().encode(), "tick {now}");
+            net.step();
+            while let Ok(Some((_, _, data))) = net.host(1).recv_from(target) {
+                assert_eq!(data, c.encoded, "tick {now}");
+                received.push(View::decode(&data).expect("a view"));
+            }
+        }
+        let epochs: BTreeSet<u64> = received.iter().map(|v| v.epoch).collect();
+        assert_eq!(epochs, (0..=3).collect(), "one epoch per death");
+        assert_eq!(c.view(), &View { epoch: 3, live: BTreeSet::new() });
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! `Fleet::step` against the stepper it replaced.
 //!
-//! `Fleet::step` polls a client only when a frame reached its host or
-//! the client is not quiet. The claim is that this is a refinement of
-//! polling everyone: the same `(FleetConfig, schedule, kill)` gives the
-//! same world, tick for tick. The claim is about the machinery, so it is
-//! checked over the parameters — wire plan × kill position × seed — and
-//! not per benchmark workload. The ablation tests at the bottom show the
-//! comparison can fail: drop either term of the rule and the worlds part.
+//! `Fleet::step` polls a live node or a client only when a frame reached
+//! its host or it is not quiet. The claim is that this is a refinement
+//! of polling everyone: the same `(FleetConfig, schedule, kill)` gives
+//! the same world, tick for tick. The claim is about the machinery, so
+//! it is checked over the parameters — wire plan × kill position × seed
+//! — and not per benchmark workload. The ablation tests at the bottom
+//! show the comparison can fail: drop any term of either rule and the
+//! worlds part.
 
 mod common;
 
 use veros_blockstore::Response;
+use veros_cluster::view::HEARTBEAT_EVERY;
 use veros_cluster::workload::{schedule, Arrival, WorkloadConfig};
-use veros_cluster::{Fleet, FleetClient, FleetConfig, Op};
+use veros_cluster::{Fleet, FleetClient, FleetConfig, FleetNode, Op};
 use veros_net::sim::FaultPlan;
 
 /// 1 % loss, 0.5 % duplication: the wire the `e2e` fleet workloads use.
@@ -39,6 +41,21 @@ enum Kill {
     Tail,
 }
 
+/// Whether to poll a live node, given the tick and whether it was woken.
+type NodeRule = fn(&FleetNode, u64, bool) -> bool;
+/// Whether to poll a client, given whether it was woken.
+type ClientRule = fn(&FleetClient, bool) -> bool;
+
+/// The node rule `Fleet::step` uses.
+fn node_rule(node: &FleetNode, now: u64, woken: bool) -> bool {
+    woken || !node.quiet(now)
+}
+
+/// The client rule `Fleet::step` uses.
+fn client_rule(client: &FleetClient, woken: bool) -> bool {
+    woken || !client.quiet()
+}
+
 /// How a world is advanced one tick.
 #[derive(Clone, Copy)]
 enum Stepper {
@@ -46,8 +63,8 @@ enum Stepper {
     Fleet,
     /// `common::step_all`: the oracle.
     All,
-    /// `common::step_where` with this rule.
-    Where(fn(&FleetClient, bool) -> bool),
+    /// `common::step_where` with these rules.
+    Where(NodeRule, ClientRule),
 }
 
 /// A finished operation: `(op, issued_at, completed_at, retries, resp)`.
@@ -124,7 +141,9 @@ fn run(plan: FaultPlan, seed: u64, kill: Kill, stepper: Stepper, clients: u16) -
         match stepper {
             Stepper::Fleet => fleet.step(),
             Stepper::All => common::step_all(&mut fleet, &alive, now),
-            Stepper::Where(rule) => common::step_where(&mut fleet, &alive, now, rule),
+            Stepper::Where(nodes, clients) => {
+                common::step_where(&mut fleet, &alive, now, nodes, clients)
+            }
         }
     }
     Outcome {
@@ -167,7 +186,7 @@ fn run(plan: FaultPlan, seed: u64, kill: Kill, stepper: Stepper, clients: u16) -
         // `Fleet` only counts the ticks its own `step` ran.
         now: match stepper {
             Stepper::Fleet => fleet.now(),
-            Stepper::All | Stepper::Where(_) => end,
+            Stepper::All | Stepper::Where(..) => end,
         },
     }
 }
@@ -215,30 +234,43 @@ fn fleet_step_is_indistinguishable_from_polling_everyone_at_a_thousand_clients()
     }
 }
 
-/// Seeds (of 8, lossy wire, no kill) on which `rule` parts from the
-/// oracle.
-fn seeds_that_differ(rule: fn(&FleetClient, bool) -> bool) -> usize {
+/// Seeds (of 8) on which stepping with `nodes` and `clients` parts from
+/// the oracle, on `plan` with `kill`.
+fn seeds_that_differ(plan: FaultPlan, kill: Kill, nodes: NodeRule, clients: ClientRule) -> usize {
     (0..8u64)
         .filter(|&seed| {
-            run(LOSSY, seed, Kill::None, Stepper::Where(rule), CLIENTS)
-                != run(LOSSY, seed, Kill::None, Stepper::All, CLIENTS)
+            run(plan, seed, kill, Stepper::Where(nodes, clients), CLIENTS)
+                != run(plan, seed, kill, Stepper::All, CLIENTS)
         })
         .count()
 }
 
-/// The control for the two ablations below: with both terms, the
-/// test-side stepper they are built on agrees with the oracle, so what
-/// they catch is the missing term.
+/// The client ablations' wire: lossy, no kill.
+fn client_ablation(clients: ClientRule) -> usize {
+    seeds_that_differ(LOSSY, Kill::None, node_rule, clients)
+}
+
+/// The node ablations' wire: hostile, with the hot key's head killed,
+/// so views change, forwards are re-sent and sessions to the dead node
+/// never drain.
+fn node_ablation(nodes: NodeRule) -> usize {
+    seeds_that_differ(FaultPlan::hostile(), Kill::Head, nodes, client_rule)
+}
+
+/// The control for the ablations below: with every term, the test-side
+/// stepper they are built on agrees with the oracle on both of their
+/// wires, so what they catch is the missing term.
 #[test]
 fn the_rule_fleet_step_uses_is_the_oracle() {
-    assert_eq!(seeds_that_differ(|c, woken| woken || !c.quiet()), 0);
+    assert_eq!(client_ablation(client_rule), 0);
+    assert_eq!(node_ablation(node_rule), 0);
 }
 
 /// Ablation: without the `woken` term an idle client never sees the
 /// duplicate or retransmitted response it must re-acknowledge.
 #[test]
 fn ablation_dropping_the_woken_term_is_caught() {
-    assert!(seeds_that_differ(|c, _| !c.quiet()) > 0);
+    assert!(client_ablation(|c, _| !c.quiet()) > 0);
 }
 
 /// Ablation: `idle()` alone is not `quiet()`. A client whose request was
@@ -246,5 +278,31 @@ fn ablation_dropping_the_woken_term_is_caught() {
 /// wire a retransmission.
 #[test]
 fn ablation_dropping_the_quiescent_term_is_caught() {
-    assert!(seeds_that_differ(|c, woken| woken || !c.idle()) > 0);
+    assert!(client_ablation(|c, woken| woken || !c.idle()) > 0);
+}
+
+/// Node ablation: without the `woken` term a quiet node never serves the
+/// request that reaches it.
+#[test]
+fn ablation_dropping_a_nodes_woken_term_is_caught() {
+    assert!(node_ablation(|node, now, _| !node.quiet(now)) > 0);
+}
+
+/// Node ablation: without the heartbeat term a quiet node stops
+/// heartbeating, and the coordinator declares it dead. `quiet(0)` is the
+/// demux term alone: once a node has heartbeat at tick 0, no heartbeat
+/// is due at tick 0.
+#[test]
+fn ablation_dropping_a_nodes_heartbeat_term_is_caught() {
+    assert!(node_ablation(|node, _, woken| woken || !node.quiet(0)) > 0);
+}
+
+/// Node ablation: without the demux term a node that owes a
+/// retransmission (its forward or its answer was lost) waits for the
+/// next frame or heartbeat to send it. A rule that polls a node whenever
+/// its heartbeat is due sends one every `HEARTBEAT_EVERY` ticks from 0,
+/// so `now % HEARTBEAT_EVERY == 0` is the heartbeat term alone.
+#[test]
+fn ablation_dropping_a_nodes_quiescent_term_is_caught() {
+    assert!(node_ablation(|_, now, woken| woken || now % HEARTBEAT_EVERY == 0) > 0);
 }

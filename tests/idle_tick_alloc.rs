@@ -10,6 +10,9 @@
 //!
 //! An idle tick is not free of allocation as a whole: nodes heartbeat
 //! and the coordinator rebroadcasts its view whoever steps the world.
+//! But it allocates only those frames, one block each: the coordinator
+//! encodes a view once per epoch, and a node reads a stale copy's epoch
+//! without decoding its member list.
 //! Its own test binary with a single `#[test]`: see `counting_alloc`.
 
 #[path = "../crates/cluster/tests/common/mod.rs"]
@@ -59,11 +62,19 @@ fn what_fleet_step_skips_allocates_nothing() {
     });
     assert_eq!(skipped.bytes, 0, "polling quiet clients allocated");
 
-    // Whole idle ticks: the stepper that visits nine hosts a tick and
+    // Whole idle ticks: the stepper that visits a few hosts a tick and
     // the one that visits all 1009 allocate the same (the control
-    // plane's heartbeats and views), so neither pays for whom it visits.
+    // plane's heartbeats and views), so neither pays for whom it visits;
+    // and that is one block per frame the wire carried.
     let mut fleet = warmed_up();
+    let before = fleet.net.wire_stats();
     let stepped = allocated_by(|| fleet.run(TICKS));
+    let after = fleet.net.wire_stats();
+    let frames = (after.0 - before.0) + (after.1 - before.1);
+    assert_eq!(
+        stepped.blocks, frames,
+        "an idle tick allocated beyond its frames"
+    );
     let mut fleet = warmed_up();
     let (alive, start) = (vec![true; fleet.nodes.len()], fleet.now());
     let polled_everyone = allocated_by(|| {
@@ -73,7 +84,7 @@ fn what_fleet_step_skips_allocates_nothing() {
     });
     assert_eq!(stepped, polled_everyone);
     eprintln!(
-        "{TICKS} idle ticks: {} B in {} blocks allocated by either stepper, 0 B by {CLIENTS} quiet clients",
+        "{TICKS} idle ticks: {} B in {} blocks for {frames} frames allocated by either stepper, 0 B by {CLIENTS} quiet clients",
         stepped.bytes, stepped.blocks
     );
 }
