@@ -6,7 +6,7 @@
 //! transaction, so the engine inherits the journal's crash-safety spec:
 //! acknowledged puts and deletes survive any crash.
 
-use veros_fs::journal::{FsOp, JournaledFs};
+use veros_fs::journal::{FsOpRef, JournaledFs};
 use veros_fs::{FsError, Path};
 use veros_hw::SimDisk;
 
@@ -39,19 +39,26 @@ impl std::fmt::Display for StoreError {
 /// The storage engine.
 pub struct BlockStore {
     fs: JournaledFs,
+    /// The last mutated key's path, and `checksum ++ data` of the last
+    /// put: reused, so a mutation stages its ops from them without
+    /// allocating.
+    path: String,
+    payload: Vec<u8>,
 }
 
-fn key_path(key: &str) -> String {
-    // Hex-encode so arbitrary keys are always valid single-component
-    // paths.
+/// Writes the path of `key`'s file into `path`: hex-encoded, so any key
+/// is one path component. A key too long for a path (over 2 046 bytes)
+/// names no file (`NotFound`).
+fn key_path<'a>(key: &str, path: &'a mut String) -> Result<Path<'a>, FsError> {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut path = String::with_capacity(3 + 2 * key.len());
+    path.clear();
+    path.reserve(3 + 2 * key.len());
     path.push_str("/b_");
     for b in key.bytes() {
         path.push(HEX[(b >> 4) as usize] as char);
         path.push(HEX[(b & 0xf) as usize] as char);
     }
-    path
+    Path::parse(path).map_err(|_| FsError::NotFound)
 }
 
 fn path_key(path: &str) -> Option<String> {
@@ -69,16 +76,16 @@ fn path_key(path: &str) -> Option<String> {
 impl BlockStore {
     /// Creates an empty store on a fresh disk of `sectors`.
     pub fn format(sectors: u64) -> Self {
-        Self {
-            fs: JournaledFs::format(SimDisk::new(sectors)),
-        }
+        Self::on(JournaledFs::format(SimDisk::new(sectors)))
     }
 
     /// Recovers a store from a (possibly crashed) disk.
     pub fn recover(disk: SimDisk) -> Self {
-        Self {
-            fs: JournaledFs::recover(disk),
-        }
+        Self::on(JournaledFs::recover(disk))
+    }
+
+    fn on(fs: JournaledFs) -> Self {
+        Self { fs, path: String::new(), payload: Vec::new() }
     }
 
     /// Consumes the store, returning the disk (crash testing).
@@ -89,32 +96,28 @@ impl BlockStore {
     /// Stores a block, verifying the client checksum first. One
     /// committed transaction: after `Ok`, the block survives crashes;
     /// after `Err`, the previous value (if any) is still the stored one.
+    ///
+    /// The record is `Truncate(path, 0)` when the key is stored and
+    /// `Create(path)` when it is not, then `WriteAt(path, 0, checksum ++
+    /// data)`. The file is resolved once, for the choice and both ops,
+    /// and the ops are staged from the store's reused path and payload
+    /// buffers: a put allocates only what the disk keeps of its record.
     pub fn put(&mut self, key: &str, data: &[u8], checksum: u64) -> Result<(), StoreError> {
         let _latency = crate::metrics::PUT_LATENCY.timer();
         if block_checksum(data) != checksum {
             crate::metrics::CHECKSUM_FAILURES.inc();
             return Err(StoreError::ChecksumMismatch);
         }
-        let path = key_path(key);
-        #[expect(
-            clippy::expect_used,
-            reason = "`key_path` hex-encodes the key into one valid path component"
-        )]
-        let exists = self
-            .fs
-            .fs
-            .lookup(&Path::parse(&path).expect("hex path"))
-            .is_ok();
-        let reset = if exists {
-            FsOp::Truncate(path.clone(), 0)
-        } else {
-            FsOp::Create(path.clone())
-        };
-        let mut payload = Vec::with_capacity(8 + data.len());
-        payload.extend_from_slice(&checksum.to_le_bytes());
-        payload.extend_from_slice(data);
+        let path = key_path(key, &mut self.path).map_err(|e| StoreError::Fs(e.to_string()))?;
+        self.payload.clear();
+        self.payload.extend_from_slice(&checksum.to_le_bytes());
+        self.payload.extend_from_slice(data);
+        let (p, payload) = (path.as_str(), self.payload.as_slice());
         self.fs
-            .transact(&[reset, FsOp::WriteAt(path, 0, payload)])
+            .transact_on(path, |exists| {
+                let reset = if exists { FsOpRef::Truncate(p, 0) } else { FsOpRef::Create(p) };
+                [reset, FsOpRef::WriteAt(p, 0, payload)]
+            })
             .map_err(|e| StoreError::Fs(e.to_string()))
     }
 
@@ -147,11 +150,8 @@ impl BlockStore {
         build: impl FnOnce(usize, &dyn Fn(&mut [u8]) -> Result<u64, StoreError>) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
-        #[expect(
-            clippy::expect_used,
-            reason = "`key_path` hex-encodes the key into one valid path component"
-        )]
-        let path = Path::from_string(key_path(key)).expect("hex path");
+        let mut path = String::new();
+        let path = key_path(key, &mut path).map_err(|_| StoreError::NotFound)?;
         let fs = &self.fs.fs;
         let ino = fs.lookup(&path).map_err(|_| StoreError::NotFound)?;
         let len = fs.len_of(ino).map_err(|_| StoreError::NotFound)?;
@@ -174,8 +174,8 @@ impl BlockStore {
     /// Deletes a block (committed transaction).
     pub fn delete(&mut self, key: &str) -> Result<(), StoreError> {
         let _latency = crate::metrics::DELETE_LATENCY.timer();
-        let path = key_path(key);
-        self.fs.transact(&[FsOp::Unlink(path)]).map_err(|e| match e {
+        let path = key_path(key, &mut self.path).map_err(|_| StoreError::NotFound)?;
+        self.fs.transact(&[FsOpRef::Unlink(path.as_str())]).map_err(|e| match e {
             FsError::NoSpace => StoreError::Fs(e.to_string()),
             _ => StoreError::NotFound,
         })
@@ -352,13 +352,30 @@ mod tests {
         assert_eq!(cost(&mut s, |s| s.delete("k").unwrap()), (1, 1), "delete");
     }
 
+    /// A key's path is `/b_` and two hex digits a byte, and a path is at
+    /// most 4 096 bytes: a longer key names no file. It is refused like
+    /// any key the filesystem cannot hold, not a panic, and the store
+    /// goes on.
+    #[test]
+    fn a_key_too_long_for_a_path_is_refused() {
+        let mut s = BlockStore::format(64);
+        let (longest, over) = ("k".repeat(2046), "k".repeat(2047));
+        s.put(&longest, b"v", block_checksum(b"v")).unwrap();
+        assert_eq!(s.get(&longest).unwrap().0, b"v");
+        let refused = s.put(&over, b"v", block_checksum(b"v"));
+        assert_eq!(refused, Err(StoreError::Fs(FsError::NotFound.to_string())));
+        assert_eq!(s.get(&over), Err(StoreError::NotFound));
+        assert_eq!(s.delete(&over), Err(StoreError::NotFound));
+        assert_eq!(s.list(), [longest]);
+    }
+
     #[test]
     fn corruption_is_detected_on_read() {
         let mut s = BlockStore::format(4096);
         s.put("k", b"data", block_checksum(b"data")).unwrap();
         // Corrupt the stored file behind the store's back.
-        let path = Path::parse(&key_path("k")).unwrap();
-        let ino = s.fs.fs.lookup(&path).unwrap();
+        let mut path = String::new();
+        let ino = s.fs.fs.lookup(&key_path("k", &mut path).unwrap()).unwrap();
         s.fs.fs.write_at(ino, 9, b"X").unwrap();
         ticks_checksum_failures(|| assert_eq!(s.get("k"), Err(StoreError::Corrupt)));
         ticks_checksum_failures(|| assert_eq!(s.get_reply(1, "k"), Err(StoreError::Corrupt)));

@@ -36,6 +36,8 @@ veros_spec::wire_messages! {
     /// successor.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum Request {
+        /// A [`Request`] whose key, block and chain are borrowed.
+        borrowed RequestRef<'a>
         header {
             /// Request id (echoed in the response).
             id: u64
@@ -117,6 +119,8 @@ veros_spec::wire_messages! {
     /// A response from node to client.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum Response {
+        /// A [`Response`] whose block, reason and blocks are borrowed.
+        borrowed ResponseRef<'a>
         header {
             /// Echoed request id.
             id: u64

@@ -562,6 +562,7 @@ fn fs_journal_history(
         txn.push(gen_op(&mut rng, &mut file_no));
     }
     jfs.set_commit_barriers(false);
+    let txn: Vec<_> = txn.iter().map(FsOp::borrowed).collect();
     jfs.transact(&txn).map_err(|e| format!("in-flight transact: {e:?}"))?;
     let in_flight = jfs.fs.clone();
 

@@ -79,6 +79,8 @@ veros_spec::wire_messages! {
     /// One field of a random schema, a row per wire form.
     #[derive(Debug, PartialEq)]
     enum Value {
+        /// A [`Value`], borrowed: what it encodes from.
+        borrowed ValueRef<'a>
         U8 = 0 (v: u8),
         U16 = 1 (v: u16),
         U32 = 2 (v: u32),

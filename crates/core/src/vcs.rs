@@ -839,7 +839,7 @@ fn telemetry_journal_counters_coherent() -> Result<(), String> {
 /// C′ exactly when its whole record reached the platter. The history is
 /// crashed 32 ways; both outcomes must occur.
 fn fs_crash_safety(seed: u64) -> Result<(), String> {
-    use veros_fs::journal::{FsOp, JournaledFs};
+    use veros_fs::journal::{FsOp, FsOpRef, JournaledFs};
     use veros_fs::MemFs;
     use veros_hw::SimDisk;
 
@@ -862,8 +862,8 @@ fn fs_crash_safety(seed: u64) -> Result<(), String> {
             }
         }
         jfs.set_commit_barriers(false);
-        let f = "/inflight".to_string();
-        jfs.transact(&[FsOp::Create(f.clone()), FsOp::WriteAt(f, 0, vec![seed as u8; 600])])
+        let f = "/inflight";
+        jfs.transact(&[FsOpRef::Create(f), FsOpRef::WriteAt(f, 0, &[seed as u8; 600])])
             .map_err(|e| e.to_string())?;
         let in_flight = jfs.fs.clone();
         let _ = jfs.apply(FsOp::Create("/uncommitted".into()));

@@ -17,7 +17,10 @@
 //! ([`veros_spec::wire_messages!`]): its tag, then its fields written
 //! with [`veros_spec::wire`] (the codec the marshalling obligation
 //! checks); the table also generates the exact `encoded_len` that
-//! staging reserves journal space with. Because of the checksum, a
+//! staging reserves journal space with. The row has one encoder, on its
+//! borrowed twin [`FsOpRef`] (`&str` path, `&[u8]` data), and an owned
+//! [`FsOp`] encodes by borrowing itself; recovery decodes owned ops.
+//! Because of the checksum, a
 //! record of which the drive kept only some sectors, or a torn one, is
 //! detected rather than misparsed. The checksum is the 32-bit form of
 //! the workspace's integrity checksum,
@@ -37,6 +40,16 @@
 //! bytes it writes, not to the size of the tree. [`JournaledFs::commit`]
 //! writes the staged record's sectors in one go and then issues the
 //! flush barrier; nothing uncommitted ever reaches the disk.
+//!
+//! A transaction ([`JournaledFs::transact`]) is validated, staged and
+//! applied from borrowed ops: its paths are validated in place as
+//! [`Path`]s and its data is copied only into the record and the file,
+//! so it allocates nothing but what the disk keeps. Each op's path is
+//! resolved by one walk of the tree, and an op on the path the previous
+//! op of the transaction named starts from that walk instead
+//! ([`JournaledFs::transact_on`] lets the caller's own existence check
+//! be that walk). The crash-safety argument is about record bytes, and
+//! these are the bytes an owned op writes.
 //!
 //! Why that is crash-safe. The in-memory tree is always the replay of
 //! the committed records followed by the staged operations. A drive may
@@ -59,7 +72,7 @@ use veros_hw::{SimDisk, SECTOR_SIZE};
 use veros_spec::checksum::checksum32;
 use veros_spec::wire::{Reader, Writer, MAX_FIELD};
 
-use crate::memfs::{Checked, FsError, MemFs};
+use crate::memfs::{Checked, Entry, FsError, MemFs};
 use crate::path::Path;
 
 veros_spec::wire_messages! {
@@ -67,6 +80,9 @@ veros_spec::wire_messages! {
     /// record format: its tag, then its fields in wire order.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum FsOp {
+        /// An [`FsOp`] whose path and data are borrowed: what a
+        /// transaction validates, stages and applies.
+        borrowed FsOpRef<'a>
         /// Create an empty file.
         Create = 1 (path: String),
         /// Create a directory.
@@ -83,23 +99,10 @@ veros_spec::wire_messages! {
 }
 
 impl FsOp {
-    /// Validates the operation against `fs` without mutating it: the
-    /// error it would fail with, or the resolved mutation that
-    /// [`MemFs::apply_checked`] then performs infallibly.
-    fn check(&self, fs: &MemFs) -> Result<Checked<'_>, FsError> {
-        match self {
-            FsOp::Create(p) => fs.check_create(&parse(p)?),
-            FsOp::Mkdir(p) => fs.check_mkdir(&parse(p)?),
-            FsOp::Unlink(p) => fs.check_unlink(&parse(p)?),
-            FsOp::Rmdir(p) => fs.check_rmdir(&parse(p)?),
-            FsOp::WriteAt(p, off, data) => fs.check_write(fs.lookup(&parse(p)?)?, *off, data),
-            FsOp::Truncate(p, len) => fs.check_truncate(fs.lookup(&parse(p)?)?, *len),
-        }
-    }
-
     /// Applies the operation to a filesystem.
     pub fn apply(&self, fs: &mut MemFs) -> Result<(), FsError> {
-        let checked = self.check(fs)?;
+        let op = self.borrowed();
+        let checked = op.check(fs, fs.entry(&op.path()?)?)?;
         fs.apply_checked(checked);
         Ok(())
     }
@@ -116,9 +119,42 @@ impl FsOp {
     }
 }
 
-fn parse(p: &str) -> Result<Path, FsError> {
-    Path::parse(p).map_err(|_| FsError::NotFound)
+impl<'a> FsOpRef<'a> {
+    /// The path the operation names, validated; an invalid one names
+    /// nothing (`NotFound`).
+    fn path(self) -> Result<Path<'a>, FsError> {
+        let (FsOpRef::Create(p)
+        | FsOpRef::Mkdir(p)
+        | FsOpRef::Unlink(p)
+        | FsOpRef::Rmdir(p)
+        | FsOpRef::WriteAt(p, ..)
+        | FsOpRef::Truncate(p, ..)) = self;
+        Path::parse(p).map_err(|_| FsError::NotFound)
+    }
+
+    /// Validates the operation against `fs`, whose walk to the
+    /// operation's path gave `at`, without mutating it: the error it
+    /// would fail with, or the resolved mutation that
+    /// [`MemFs::apply_checked`] then performs infallibly.
+    fn check(self, fs: &MemFs, at: Entry<'a>) -> Result<Checked<'a>, FsError> {
+        let file = |at: Entry<'_>| at.ino().ok_or(FsError::NotFound);
+        match self {
+            FsOpRef::Create(_) => fs.check_create(at),
+            FsOpRef::Mkdir(_) => fs.check_mkdir(at),
+            FsOpRef::Unlink(_) => fs.check_unlink(at),
+            FsOpRef::Rmdir(_) => fs.check_rmdir(at),
+            FsOpRef::WriteAt(_, off, data) => fs.check_write(file(at)?, off, data),
+            FsOpRef::Truncate(_, len) => fs.check_truncate(file(at)?, len),
+        }
+    }
 }
+
+/// The last path a transaction resolved and what it names now: the next
+/// op on the same path starts from it instead of walking the tree again.
+/// Only an op on that very path has changed the tree since (an op
+/// creates, removes or writes its own entry and nothing on the way to
+/// it), so the entry is still exact once it names what that op left.
+type Resolved<'a> = Option<(Path<'a>, Entry<'a>)>;
 
 const MAGIC: u32 = 0x7665_4a4e; // "veJN"
 /// Record framing around the operations: `MAGIC u32 | len u32` before
@@ -205,15 +241,22 @@ impl JournaledFs {
     /// in-memory state. On `Err` neither the state, the staged record
     /// nor the disk has changed.
     pub fn apply(&mut self, op: FsOp) -> Result<(), FsError> {
-        self.apply_op(&op)
+        self.apply_op(op.borrowed(), &mut None)
     }
 
-    fn apply_op(&mut self, op: &FsOp) -> Result<(), FsError> {
+    /// [`JournaledFs::apply`] of a borrowed op, resolving its path from
+    /// `last` when that is the path the previous op resolved.
+    fn apply_op<'a>(&mut self, op: FsOpRef<'a>, last: &mut Resolved<'a>) -> Result<(), FsError> {
+        let path = op.path()?;
+        let at = match *last {
+            Some((p, at)) if p == path => at,
+            _ => self.fs.entry(&path)?,
+        };
         // Validate against the live state first: failed operations must
         // not reach the journal (replay would diverge). The check
         // resolves everything the mutation needs, so once the op is
         // staged the in-place apply has no way to fail.
-        let checked = op.check(&self.fs)?;
+        let checked = op.check(&self.fs, at)?;
         if self.journaling {
             let ops_len = self.staged() + op.encoded_len();
             if !self.fits(ops_len) {
@@ -225,7 +268,9 @@ impl JournaledFs {
             op.write(&mut Writer::new(&mut self.record));
             debug_assert_eq!(self.record.len(), HEADER + ops_len, "encoded_len is exact");
         }
-        self.fs.apply_checked(checked);
+        let ino = self.fs.apply_checked(checked);
+        let removed = matches!(op, FsOpRef::Unlink(_) | FsOpRef::Rmdir(_));
+        *last = Some((path, at.naming((!removed).then_some(ino))));
         Ok(())
     }
 
@@ -249,16 +294,34 @@ impl JournaledFs {
     /// Ops are validated in order, each against the state its
     /// predecessors left; an invalid op stops the transaction there,
     /// uncommitted, exactly as the same sequence of
-    /// [`JournaledFs::apply`] calls would.
-    pub fn transact(&mut self, ops: &[FsOp]) -> Result<(), FsError> {
+    /// [`JournaledFs::apply`] calls would. The ops are staged from the
+    /// caller's bytes: nothing of them is copied but into the record.
+    pub fn transact(&mut self, ops: &[FsOpRef<'_>]) -> Result<(), FsError> {
+        self.run(ops, None)
+    }
+
+    /// Runs, as [`JournaledFs::transact`] does, the transaction `build`
+    /// makes for `path` from whether it names anything. `path` is
+    /// resolved once, for `build` and for every op that names it.
+    pub fn transact_on<'a, const N: usize>(
+        &mut self,
+        path: Path<'a>,
+        build: impl FnOnce(bool) -> [FsOpRef<'a>; N],
+    ) -> Result<(), FsError> {
+        let at = self.fs.entry(&path);
+        let ops = build(at.is_ok_and(|at| at.ino().is_some()));
+        self.run(&ops, at.ok().map(|at| (path, at)))
+    }
+
+    fn run<'a>(&mut self, ops: &[FsOpRef<'a>], mut last: Resolved<'a>) -> Result<(), FsError> {
         if self.journaling {
-            let ops_len = self.staged() + ops.iter().map(FsOp::encoded_len).sum::<usize>();
+            let ops_len = self.staged() + ops.iter().map(FsOpRef::encoded_len).sum::<usize>();
             if !self.fits(ops_len) {
                 return Err(FsError::NoSpace);
             }
         }
-        for op in ops {
-            self.apply_op(op)?;
+        for &op in ops {
+            self.apply_op(op, &mut last)?;
         }
         self.commit()
     }
@@ -482,19 +545,16 @@ mod tests {
     /// whatever prefix of it would have fitted.
     #[test]
     fn transaction_without_room_for_its_commit_changes_nothing() {
-        let txn = [
-            FsOp::Truncate("/f".into(), 0),
-            FsOp::WriteAt("/f".into(), 0, vec![9; 1024]),
-        ];
+        let data = [9; 1024];
+        let txn = [FsOpRef::Truncate("/f", 0), FsOpRef::WriteAt("/f", 0, &data)];
         // Taken: `Create /g` (7 bytes of ops → 1 sector) and `Create /f`
         // + 1 KiB `WriteAt` (7 + 1043 → 3 sectors), 4 in all. The
         // transaction needs 15 + 1043 → 3 sectors, so it fits from 7;
         // `Unlink /g` (7 → 1 sector) from 5.
         for (sectors, fits) in [(4, false), (5, false), (6, false), (7, true)] {
             let mut jfs = JournaledFs::format(SimDisk::new(sectors));
-            jfs.transact(&[FsOp::Create("/g".into())]).unwrap();
-            jfs.transact(&[FsOp::Create("/f".into()), FsOp::WriteAt("/f".into(), 0, vec![1; 1024])])
-                .unwrap();
+            jfs.transact(&[FsOpRef::Create("/g")]).unwrap();
+            jfs.transact(&[FsOpRef::Create("/f"), FsOpRef::WriteAt("/f", 0, &[1; 1024])]).unwrap();
             let before = (jfs.fs.clone(), jfs.write_pos, jfs.disk.stats());
             let got = jfs.transact(&txn);
             assert_eq!(got.is_ok(), fits, "{sectors} sectors: {got:?}");
@@ -503,7 +563,7 @@ mod tests {
                 assert_eq!((jfs.fs.clone(), jfs.write_pos, jfs.disk.stats()), before);
                 assert!(jfs.record.is_empty(), "nothing staged");
                 // A later transaction that does fit seals nothing stale.
-                let small = jfs.transact(&[FsOp::Unlink("/g".into())]);
+                let small = jfs.transact(&[FsOpRef::Unlink("/g")]);
                 assert_eq!(small.is_ok(), sectors >= 5);
             }
             let live = jfs.fs.clone();
@@ -627,7 +687,7 @@ mod tests {
             // In flight: 7 + 620 bytes of ops, a 2-sector record.
             let _ = jfs.apply(FsOp::Create("/tail".into()));
             jfs.set_commit_barriers(false);
-            jfs.transact(&[FsOp::WriteAt("/tail".into(), 0, vec![seed as u8; 600])]).unwrap();
+            jfs.transact(&[FsOpRef::WriteAt("/tail", 0, &[seed as u8; 600])]).unwrap();
             let in_flight = jfs.fs.clone();
             // Staged after it and never committed.
             jfs.apply(FsOp::Create("/staged".into())).unwrap();
@@ -658,7 +718,7 @@ mod tests {
             // Life 1: `/a` committed; `/b`, `/c` applied, never
             // committed, and the crash keeps all the drive had cached.
             let mut jfs = JournaledFs::format(SimDisk::new(64));
-            jfs.transact(&[FsOp::Create("/a".into())]).unwrap();
+            jfs.transact(&[FsOpRef::Create("/a")]).unwrap();
             jfs.apply(FsOp::Create("/b".into())).unwrap();
             jfs.apply(FsOp::Create("/c".into())).unwrap();
             let mut disk = jfs.into_disk();
@@ -668,7 +728,7 @@ mod tests {
             let mut jfs = JournaledFs::recover(disk);
             let acked = jfs.fs.clone();
             jfs.set_commit_barriers(false);
-            jfs.transact(&[FsOp::WriteAt("/a".into(), 0, vec![7; 600])]).unwrap();
+            jfs.transact(&[FsOpRef::WriteAt("/a", 0, &[7; 600])]).unwrap();
             let in_flight = jfs.fs.clone();
             let mut disk = jfs.into_disk();
             disk.crash_random(&mut SpecRng::seeded(seed));

@@ -39,4 +39,4 @@ pub use file::{OpenFiles, ReadResult};
 pub use inode::{Ino, InodeKind};
 pub use journal::{FsOp, JournaledFs};
 pub use memfs::{FsError, MemFs};
-pub use path::Path;
+pub use path::{Path, PathBuf};

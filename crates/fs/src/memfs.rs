@@ -48,6 +48,35 @@ pub struct MemFs {
     inodes: InodeTable,
 }
 
+/// What a path names, found by one walk of the tree: the root, or a
+/// component of a directory and the inode it names there, if any. A
+/// check takes one of these, so an operation resolves its path once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Entry<'a> {
+    Root,
+    Child { dir: Ino, name: &'a str, ino: Option<Ino> },
+}
+
+impl<'a> Entry<'a> {
+    /// The inode the path names, if any.
+    pub(crate) fn ino(self) -> Option<Ino> {
+        match self {
+            Entry::Root => Some(ROOT_INO),
+            Entry::Child { ino, .. } => ino,
+        }
+    }
+
+    /// The same entry naming `ino` instead: what it is once an operation
+    /// on its path has created (`Some`) or removed (`None`) its inode.
+    /// The root is neither created nor removed.
+    pub(crate) fn naming(self, ino: Option<Ino>) -> Entry<'a> {
+        match self {
+            Entry::Root => Entry::Root,
+            Entry::Child { dir, name, .. } => Entry::Child { dir, name, ino },
+        }
+    }
+}
+
 /// A mutation whose preconditions were established against a [`MemFs`]
 /// by a `check_*` method: paths are resolved to inodes, every error the
 /// operation can return has been ruled out. Only those methods build
@@ -56,9 +85,9 @@ pub(crate) struct Checked<'a>(Resolved<'a>);
 
 enum Resolved<'a> {
     /// `create` / `mkdir`: link a fresh inode of `kind` as `dir/name`.
-    Insert { dir: Ino, name: String, kind: InodeKind },
+    Insert { dir: Ino, name: &'a str, kind: InodeKind },
     /// `unlink` / `rmdir`: drop `dir/name` and free `ino`.
-    Remove { dir: Ino, name: String, ino: Ino },
+    Remove { dir: Ino, name: &'a str, ino: Ino },
     Write { ino: Ino, offset: usize, buf: &'a [u8] },
     Truncate { ino: Ino, len: usize },
 }
@@ -81,7 +110,7 @@ impl MemFs {
     ///
     /// Tree consistency — every directory entry references a live inode,
     /// upheld by `create`/`mkdir`/`unlink`/`rmdir` — makes this
-    /// infallible for inos obtained from `lookup`/`parent_dir`, which is
+    /// infallible for inos obtained from `lookup`/`entry`, which is
     /// the only way callers in this module produce one.
     #[expect(
         clippy::expect_used,
@@ -102,70 +131,76 @@ impl MemFs {
     }
 
     /// Resolves a path to its inode.
-    pub fn lookup(&self, path: &Path) -> Result<Ino, FsError> {
-        let mut cur = ROOT_INO;
-        for comp in path.components() {
-            let node = self.node(cur);
-            match &node.kind {
-                InodeKind::Dir(entries) => {
-                    cur = *entries.get(comp).ok_or(FsError::NotFound)?;
-                }
-                InodeKind::File(_) => return Err(FsError::NotADirectory),
-            }
-        }
-        Ok(cur)
+    pub fn lookup(&self, path: &Path<'_>) -> Result<Ino, FsError> {
+        self.entry(path)?.ino().ok_or(FsError::NotFound)
     }
 
-    fn parent_dir(&self, path: &Path) -> Result<(Ino, String), FsError> {
-        let (parent, name) = path.split_last().ok_or(FsError::AlreadyExists)?; // Root: create over root fails.
-        let ino = self.lookup(&parent)?;
-        match &self.node(ino).kind {
-            InodeKind::Dir(_) => Ok((ino, name.to_string())),
+    /// The walk every operation makes: `path`'s parent directory, and
+    /// what its last component names there. Fails as a lookup of the
+    /// parent does, or with `NotADirectory` when the parent is a file.
+    pub(crate) fn entry<'a>(&self, path: &Path<'a>) -> Result<Entry<'a>, FsError> {
+        let Some((parent, name)) = path.split_last() else {
+            return Ok(Entry::Root);
+        };
+        let mut dir = ROOT_INO;
+        for comp in parent.components() {
+            dir = self.child(dir, comp)?.ok_or(FsError::NotFound)?;
+        }
+        let ino = self.child(dir, name)?;
+        Ok(Entry::Child { dir, name, ino })
+    }
+
+    /// The inode `name` names in the directory `dir`, if any.
+    fn child(&self, dir: Ino, name: &str) -> Result<Option<Ino>, FsError> {
+        match &self.node(dir).kind {
+            InodeKind::Dir(entries) => Ok(entries.get(name).copied()),
             InodeKind::File(_) => Err(FsError::NotADirectory),
         }
     }
 
-    fn check_insert(&self, path: &Path, kind: InodeKind) -> Result<Checked<'static>, FsError> {
-        let (dir, name) = self.parent_dir(path)?;
-        if let InodeKind::Dir(entries) = &self.node(dir).kind {
-            if entries.contains_key(&name) {
-                return Err(FsError::AlreadyExists);
-            }
+    fn check_insert<'a>(&self, at: Entry<'a>, kind: InodeKind) -> Result<Checked<'a>, FsError> {
+        match at {
+            Entry::Child { dir, name, ino: None } => Ok(Checked(Resolved::Insert { dir, name, kind })),
+            Entry::Root | Entry::Child { ino: Some(_), .. } => Err(FsError::AlreadyExists),
         }
-        Ok(Checked(Resolved::Insert { dir, name, kind }))
     }
 
     /// Validates [`MemFs::create`] without mutating.
-    pub(crate) fn check_create(&self, path: &Path) -> Result<Checked<'static>, FsError> {
-        self.check_insert(path, InodeKind::File(Vec::new()))
+    pub(crate) fn check_create<'a>(&self, at: Entry<'a>) -> Result<Checked<'a>, FsError> {
+        self.check_insert(at, InodeKind::File(Vec::new()))
     }
 
     /// Validates [`MemFs::mkdir`] without mutating.
-    pub(crate) fn check_mkdir(&self, path: &Path) -> Result<Checked<'static>, FsError> {
-        self.check_insert(path, InodeKind::Dir(Default::default()))
+    pub(crate) fn check_mkdir<'a>(&self, at: Entry<'a>) -> Result<Checked<'a>, FsError> {
+        self.check_insert(at, InodeKind::Dir(Default::default()))
+    }
+
+    /// The removal of `at`, which names `ino`, for `unlink` and `rmdir`
+    /// once they have checked its kind.
+    fn remove<'a>(at: Entry<'a>, ino: Ino) -> Result<Checked<'a>, FsError> {
+        match at {
+            Entry::Child { dir, name, .. } => Ok(Checked(Resolved::Remove { dir, name, ino })),
+            Entry::Root => Err(FsError::AlreadyExists), // The root cannot be removed.
+        }
     }
 
     /// Validates [`MemFs::unlink`] without mutating.
-    pub(crate) fn check_unlink(&self, path: &Path) -> Result<Checked<'static>, FsError> {
-        let ino = self.lookup(path)?;
+    pub(crate) fn check_unlink<'a>(&self, at: Entry<'a>) -> Result<Checked<'a>, FsError> {
+        let ino = at.ino().ok_or(FsError::NotFound)?;
         match &self.node(ino).kind {
-            InodeKind::File(_) => {}
-            InodeKind::Dir(_) => return Err(FsError::IsADirectory),
+            InodeKind::File(_) => Self::remove(at, ino),
+            InodeKind::Dir(_) => Err(FsError::IsADirectory),
         }
-        let (dir, name) = self.parent_dir(path)?;
-        Ok(Checked(Resolved::Remove { dir, name, ino }))
     }
 
     /// Validates [`MemFs::rmdir`] without mutating.
-    pub(crate) fn check_rmdir(&self, path: &Path) -> Result<Checked<'static>, FsError> {
-        let ino = self.lookup(path)?;
+    pub(crate) fn check_rmdir<'a>(&self, at: Entry<'a>) -> Result<Checked<'a>, FsError> {
+        let ino = at.ino().ok_or(FsError::NotFound)?;
         match &self.node(ino).kind {
-            InodeKind::Dir(entries) if entries.is_empty() => {}
-            InodeKind::Dir(_) => return Err(FsError::NotEmpty),
-            InodeKind::File(_) => return Err(FsError::NotADirectory),
+            InodeKind::Dir(entries) if entries.is_empty() => Self::remove(at, ino),
+            InodeKind::Dir(_) => Err(FsError::NotEmpty),
+            InodeKind::File(_) => Err(FsError::NotADirectory),
         }
-        let (dir, name) = self.parent_dir(path)?;
-        Ok(Checked(Resolved::Remove { dir, name, ino }))
     }
 
     /// Validates [`MemFs::write_at`] without mutating.
@@ -201,13 +236,13 @@ impl MemFs {
             Resolved::Insert { dir, name, kind } => {
                 let ino = self.inodes.alloc(kind);
                 if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-                    entries.insert(name, ino);
+                    entries.insert(name.to_string(), ino);
                 }
                 ino
             }
             Resolved::Remove { dir, name, ino } => {
                 if let InodeKind::Dir(entries) = &mut self.node_mut(dir).kind {
-                    entries.remove(&name);
+                    entries.remove(name);
                 }
                 self.inodes.free(ino);
                 ino
@@ -232,27 +267,27 @@ impl MemFs {
     }
 
     /// Creates an empty file; fails if the path exists.
-    pub fn create(&mut self, path: &Path) -> Result<Ino, FsError> {
-        let op = self.check_create(path)?;
+    pub fn create(&mut self, path: &Path<'_>) -> Result<Ino, FsError> {
+        let op = self.check_create(self.entry(path)?)?;
         Ok(self.apply_checked(op))
     }
 
     /// Creates a directory; fails if the path exists.
-    pub fn mkdir(&mut self, path: &Path) -> Result<Ino, FsError> {
-        let op = self.check_mkdir(path)?;
+    pub fn mkdir(&mut self, path: &Path<'_>) -> Result<Ino, FsError> {
+        let op = self.check_mkdir(self.entry(path)?)?;
         Ok(self.apply_checked(op))
     }
 
     /// Removes a file.
-    pub fn unlink(&mut self, path: &Path) -> Result<(), FsError> {
-        let op = self.check_unlink(path)?;
+    pub fn unlink(&mut self, path: &Path<'_>) -> Result<(), FsError> {
+        let op = self.check_unlink(self.entry(path)?)?;
         self.apply_checked(op);
         Ok(())
     }
 
     /// Removes an empty directory.
-    pub fn rmdir(&mut self, path: &Path) -> Result<(), FsError> {
-        let op = self.check_rmdir(path)?;
+    pub fn rmdir(&mut self, path: &Path<'_>) -> Result<(), FsError> {
+        let op = self.check_rmdir(self.entry(path)?)?;
         self.apply_checked(op);
         Ok(())
     }
@@ -299,7 +334,7 @@ impl MemFs {
     }
 
     /// Directory listing, sorted by name.
-    pub fn readdir(&self, path: &Path) -> Result<Vec<String>, FsError> {
+    pub fn readdir(&self, path: &Path<'_>) -> Result<Vec<String>, FsError> {
         let ino = self.lookup(path)?;
         match &self.node(ino).kind {
             InodeKind::Dir(entries) => Ok(entries.keys().cloned().collect()),
@@ -308,7 +343,7 @@ impl MemFs {
     }
 
     /// Whole-file read convenience.
-    pub fn read_file(&self, path: &Path) -> Result<Vec<u8>, FsError> {
+    pub fn read_file(&self, path: &Path<'_>) -> Result<Vec<u8>, FsError> {
         let ino = self.lookup(path)?;
         let len = self.len_of(ino)?;
         let mut buf = vec![0; len as usize];
@@ -321,7 +356,7 @@ impl MemFs {
 mod tests {
     use super::*;
 
-    fn p(s: &str) -> Path {
+    fn p(s: &str) -> Path<'_> {
         Path::parse(s).unwrap()
     }
 

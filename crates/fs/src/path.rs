@@ -4,11 +4,21 @@
 //! path handling must be canonical before it reaches the inode layer:
 //! absolute, `/`-separated, no empty components, no `.` or `..`.
 
-/// A validated, normalized absolute path.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Path {
+/// A validated, normalized absolute path, borrowed: what every
+/// filesystem operation resolves. Validating one copies nothing, so a
+/// path checked where it enters (a journal op, a syscall argument, a
+/// block key) is passed on as this type rather than checked again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Path<'a> {
     // Invariant: starts with '/', no trailing '/' (except the root
     // itself), components are nonempty and free of '/', '.', '..'.
+    raw: &'a str,
+}
+
+/// An owned [`Path`], for a path kept past the bytes it was read from.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PathBuf {
+    // Invariant: as `Path`'s.
     raw: String,
 }
 
@@ -55,46 +65,39 @@ fn validate(s: &str) -> Result<(), PathError> {
     Ok(())
 }
 
-impl Path {
-    /// Parses and validates a path string.
-    pub fn parse(s: &str) -> Result<Path, PathError> {
+impl<'a> Path<'a> {
+    /// Validates a path string, borrowing it.
+    pub fn parse(s: &'a str) -> Result<Path<'a>, PathError> {
         validate(s)?;
-        Ok(Path { raw: s.to_string() })
-    }
-
-    /// Validates an owned path string and keeps it: the one allocation
-    /// is the caller's.
-    pub fn from_string(s: String) -> Result<Path, PathError> {
-        validate(&s)?;
         Ok(Path { raw: s })
     }
 
     /// The root path.
-    pub fn root() -> Path {
-        Path { raw: "/".into() }
+    pub fn root() -> Path<'static> {
+        Path { raw: "/" }
     }
 
     /// The raw string.
-    pub fn as_str(&self) -> &str {
-        &self.raw
+    pub fn as_str(&self) -> &'a str {
+        self.raw
     }
 
     /// The components, in order (none for the root).
-    pub fn components(&self) -> impl Iterator<Item = &str> {
+    pub fn components(&self) -> impl Iterator<Item = &'a str> + use<'a> {
         // No trailing '/', so `split_terminator` only drops the root's
         // one empty piece.
         self.raw[1..].split_terminator('/')
     }
 
     /// The parent path and final component; `None` for the root.
-    pub fn split_last(&self) -> Option<(Path, &str)> {
+    pub fn split_last(&self) -> Option<(Path<'a>, &'a str)> {
         if self.raw == "/" {
             return None;
         }
         // Parsed paths are always absolute, so a '/' exists; `?` keeps
         // the function total without a panicking path.
         let idx = self.raw.rfind('/')?;
-        let parent = if idx == 0 { "/".to_string() } else { self.raw[..idx].to_string() };
+        let parent = if idx == 0 { "/" } else { &self.raw[..idx] };
         Some((Path { raw: parent }, &self.raw[idx + 1..]))
     }
 
@@ -103,20 +106,44 @@ impl Path {
     /// # Panics
     ///
     /// Panics when `comp` is not a valid single component.
-    pub fn join(&self, comp: &str) -> Path {
+    pub fn join(&self, comp: &str) -> PathBuf {
         assert!(!comp.is_empty() && !comp.contains('/') && comp != "." && comp != "..");
         let raw = if self.raw == "/" {
             format!("/{comp}")
         } else {
             format!("{}/{comp}", self.raw)
         };
-        Path { raw }
+        PathBuf { raw }
+    }
+
+    /// An owned copy.
+    pub fn to_path_buf(&self) -> PathBuf {
+        PathBuf { raw: self.raw.to_string() }
     }
 }
 
-impl std::fmt::Display for Path {
+impl PathBuf {
+    /// Validates an owned path string and keeps it: the one allocation
+    /// is the caller's.
+    pub fn from_string(s: String) -> Result<PathBuf, PathError> {
+        validate(&s)?;
+        Ok(PathBuf { raw: s })
+    }
+
+    /// The path, borrowed.
+    pub fn as_path(&self) -> Path<'_> {
+        Path { raw: &self.raw }
+    }
+
+    /// The raw string.
+    pub fn as_str(&self) -> &str {
+        &self.raw
+    }
+}
+
+impl std::fmt::Display for Path<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.raw)
+        f.write_str(self.raw)
     }
 }
 
@@ -127,8 +154,9 @@ mod tests {
     #[test]
     fn valid_paths_parse() {
         for p in ["/", "/a", "/a/b/c", "/with space/x", "/utf8-ähm"] {
-            assert!(Path::parse(p).is_ok(), "{p}");
-            assert_eq!(Path::from_string(p.to_string()), Path::parse(p));
+            assert_eq!(Path::parse(p).map(|p| p.as_str()), Ok(p));
+            let owned = PathBuf::from_string(p.to_string()).unwrap();
+            assert_eq!(Ok(owned.as_path()), Path::parse(p));
         }
     }
 
@@ -143,7 +171,7 @@ mod tests {
         assert_eq!(Path::parse("/a/../b"), Err(PathError::DotComponent));
         assert_eq!(Path::parse("/a\0b"), Err(PathError::BadByte));
         assert_eq!(Path::parse(&format!("/{}", "x".repeat(5000))), Err(PathError::TooLong));
-        assert_eq!(Path::from_string("/a/../b".into()), Err(PathError::DotComponent));
+        assert_eq!(PathBuf::from_string("/a/../b".into()), Err(PathError::DotComponent));
     }
 
     #[test]
@@ -166,7 +194,7 @@ mod tests {
         let p = Path::parse("/x/y").unwrap();
         let q = p.join("z");
         assert_eq!(q.as_str(), "/x/y/z");
-        let (parent, last) = q.split_last().unwrap();
+        let (parent, last) = q.as_path().split_last().unwrap();
         assert_eq!(parent, p);
         assert_eq!(last, "z");
         assert_eq!(Path::root().join("a").as_str(), "/a");

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use crate::file::{Handle, OpenFiles};
 use crate::journal::FsOp;
 use crate::memfs::{FsError, MemFs};
-use crate::path::Path;
+use crate::path::{Path, PathBuf};
 
 /// The abstract state of one file descriptor, as in the paper's `State`:
 /// "the file descriptors' current state".
@@ -115,7 +115,7 @@ impl FlatFs {
         }
     }
 
-    fn parent_exists(&self, path: &Path) -> Result<String, FsError> {
+    fn parent_exists(&self, path: &Path<'_>) -> Result<String, FsError> {
         let (parent, name) = path.split_last().ok_or(FsError::AlreadyExists)?;
         let ps = parent.as_str().to_string();
         if !self.dirs.contains(&ps) {
@@ -133,10 +133,10 @@ impl FlatFs {
         Ok(ps)
     }
 
-    fn prefix_is_file(&self, path: &Path) -> bool {
-        let mut cur = Path::root();
+    fn prefix_is_file(&self, path: &Path<'_>) -> bool {
+        let mut cur = Path::root().to_path_buf();
         for comp in path.components() {
-            cur = cur.join(comp);
+            cur = cur.as_path().join(comp);
             if self.files.contains_key(cur.as_str()) {
                 return true;
             }
@@ -252,16 +252,16 @@ impl FlatFs {
 /// The abstraction function from the inode tree to the flat spec.
 pub fn view_flat(fs: &MemFs) -> FlatFs {
     let mut out = FlatFs::new();
-    let mut stack = vec![Path::root()];
+    let mut stack: Vec<PathBuf> = vec![Path::root().to_path_buf()];
     while let Some(dir) = stack.pop() {
         #[expect(
             clippy::expect_used,
             reason = "`dir` was pushed only after a successful readdir observed it as a \
                       directory, and `fs` is borrowed immutably throughout the traversal"
         )]
-        for name in fs.readdir(&dir).expect("dir exists") {
-            let child = dir.join(&name);
-            match fs.readdir(&child) {
+        for name in fs.readdir(&dir.as_path()).expect("dir exists") {
+            let child = dir.as_path().join(&name);
+            match fs.readdir(&child.as_path()) {
                 Ok(_) => {
                     out.dirs.push(child.as_str().into());
                     stack.push(child);
@@ -273,7 +273,7 @@ pub fn view_flat(fs: &MemFs) -> FlatFs {
                                   is not a directory, so it is a readable file"
                     )]
                     out.files
-                        .insert(child.as_str().into(), fs.read_file(&child).expect("file"));
+                        .insert(child.as_str().into(), fs.read_file(&child.as_path()).expect("file"));
                 }
             }
         }
@@ -325,7 +325,7 @@ pub fn differential_fs(seed: u64, steps: usize) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn p(s: &str) -> Path {
+    fn p(s: &str) -> Path<'_> {
         Path::parse(s).unwrap()
     }
 

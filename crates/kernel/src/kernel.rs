@@ -19,8 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use veros_fs::journal::FsOp;
-use veros_fs::{JournaledFs, OpenFiles, Path};
+use veros_fs::journal::FsOpRef;
+use veros_fs::{JournaledFs, OpenFiles, PathBuf};
 use veros_hw::{PAddr, PhysMem, SimDisk, VAddr, VirtualClock, PAGE_4K};
 
 use crate::frame_alloc::BuddyAllocator;
@@ -64,7 +64,7 @@ pub enum KernelError {
 #[derive(Clone, Debug)]
 struct FdEntry {
     handle: veros_fs::file::Handle,
-    path: String,
+    path: PathBuf,
 }
 
 /// The kernel.
@@ -293,9 +293,7 @@ impl Kernel {
             }
             Syscall::Unlink { path_ptr, path_len } => {
                 let path = self.read_user_path(pid, path_ptr, path_len)?;
-                self.fs
-                    .transact(&[FsOp::Unlink(path.as_str().to_string())])
-                    .map_err(fs_err)?;
+                self.fs.transact(&[FsOpRef::Unlink(path.as_str())]).map_err(fs_err)?;
                 Ok(0)
             }
             Syscall::FutexWait { va, expected } => self.do_futex_wait(pid, tid, va, expected),
@@ -337,10 +335,12 @@ impl Kernel {
             .ok_or(SysError::BadFd)
     }
 
-    fn read_user_path(&self, pid: Pid, ptr: u64, len: u64) -> Result<Path, SysError> {
+    /// A path argument, validated where it enters the kernel and kept in
+    /// the buffer it was copied out of user memory into.
+    fn read_user_path(&self, pid: Pid, ptr: u64, len: u64) -> Result<PathBuf, SysError> {
         let bytes = self.read_user(pid, ptr, len)?;
-        let s = std::str::from_utf8(&bytes).map_err(|_| SysError::Invalid)?;
-        Path::parse(s).map_err(|_| SysError::Invalid)
+        let s = String::from_utf8(bytes).map_err(|_| SysError::Invalid)?;
+        PathBuf::from_string(s).map_err(|_| SysError::Invalid)
     }
 
     fn do_exit(&mut self, pid: Pid, code: i32) -> Result<(), SysError> {
@@ -442,13 +442,11 @@ impl Kernel {
 
     fn do_open(&mut self, pid: Pid, path_ptr: u64, path_len: u64, create: bool) -> SysRet {
         let path = self.read_user_path(pid, path_ptr, path_len)?;
-        let ino = match self.fs.fs.lookup(&path) {
+        let ino = match self.fs.fs.lookup(&path.as_path()) {
             Ok(ino) => ino,
             Err(veros_fs::FsError::NotFound) if create => {
-                self.fs
-                    .transact(&[FsOp::Create(path.as_str().to_string())])
-                    .map_err(fs_err)?;
-                self.fs.fs.lookup(&path).map_err(fs_err)?
+                self.fs.transact(&[FsOpRef::Create(path.as_str())]).map_err(fs_err)?;
+                self.fs.fs.lookup(&path.as_path()).map_err(fs_err)?
             }
             Err(e) => return Err(fs_err(e)),
         };
@@ -461,10 +459,7 @@ impl Kernel {
         proc_entry.next_fd += 1;
         proc_fds.insert(
             fd,
-            FdEntry {
-                handle,
-                path: path.as_str().to_string(),
-            },
+            FdEntry { handle, path },
         );
         Ok(fd as u64)
     }
@@ -495,8 +490,15 @@ impl Kernel {
 
     fn do_write(&mut self, pid: Pid, fd: u32, buf_ptr: u64, buf_len: u64) -> SysRet {
         let data = self.read_user(pid, buf_ptr, buf_len)?;
-        let entry = self.fd_entry(pid, fd)?;
-        let (handle, path) = (entry.handle, entry.path.clone());
+        // The fd table, not `fd_entry`: the path stays borrowed from it
+        // while the journal stages the write.
+        let entry = self
+            .fd_tables
+            .get(&pid)
+            .ok_or(SysError::NoSuchProcess)?
+            .get(&fd)
+            .ok_or(SysError::BadFd)?;
+        let handle = entry.handle;
         let offset = self
             .open_files
             .get(handle)
@@ -504,7 +506,7 @@ impl Kernel {
             .offset;
         let len = data.len() as u64;
         self.fs
-            .transact(&[FsOp::WriteAt(path, offset, data)])
+            .transact(&[FsOpRef::WriteAt(entry.path.as_str(), offset, &data)])
             .map_err(fs_err)?;
         self.open_files
             .seek(handle, offset + len)
@@ -595,7 +597,7 @@ impl Kernel {
                     .get(entry.handle)
                     .map(|o| o.offset)
                     .unwrap_or(0);
-                (*fd, entry.path.clone(), offset)
+                (*fd, entry.path.as_str().to_string(), offset)
             })
             .collect()
     }
@@ -806,7 +808,7 @@ mod tests {
         assert_eq!(
             recovered
                 .fs
-                .read_file(&Path::parse("/data.bin").unwrap())
+                .read_file(&veros_fs::Path::parse("/data.bin").unwrap())
                 .unwrap(),
             b"durable!"
         );

@@ -22,7 +22,12 @@
 //! table: each row is a variant, its tag byte and its fields in wire
 //! order, and the table generates the enum, its exact length, its
 //! encoder and decoder, its header accessors and its test samples. A
-//! field's type picks its wire form through [`Field`].
+//! field's type picks its wire form through [`Field`]. The table also
+//! generates the enum's borrowed twin, which holds each string as a
+//! `&str` and each run or list as a slice: the encoder is written once,
+//! on the twin ([`Encode`]), and the owned message encodes by borrowing
+//! itself, so a caller whose bytes live elsewhere encodes them without
+//! first copying them into a message.
 
 use crate::rng::SpecRng;
 
@@ -209,6 +214,16 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A value's encoding, written from borrowed bytes: implemented by
+/// what a borrowed twin holds for each field ([`Field::Ref`]), so each
+/// wire form has one encoder whether the message owns its bytes or not.
+pub trait Encode {
+    /// Bytes [`Encode::write`] appends.
+    fn wire_len(&self) -> usize;
+    /// Appends the value.
+    fn write(&self, w: &mut Writer<'_>);
+}
+
 /// A message field's wire form: a [`wire_messages!`](crate::wire_messages)
 /// row's field type picks its impl, as a syscall argument's type picks
 /// its register domain.
@@ -216,10 +231,14 @@ pub trait Field: Sized {
     /// The fewest bytes one value encodes to, so a list reserves no more
     /// items than the input left can hold.
     const MIN_LEN: usize;
-    /// Bytes [`Field::write`] appends.
-    fn wire_len(&self) -> usize;
-    /// Appends the value.
-    fn write(&self, w: &mut Writer<'_>);
+    /// The field as a borrowed twin holds it: the value itself for an
+    /// integer, a `&str` for a string, a slice for a byte run or a list.
+    type Ref<'a>: Encode + Copy
+    where
+        Self: 'a;
+    /// Borrows the value; it encodes as [`Field::Ref`]'s [`Encode`] impl
+    /// writes it.
+    fn borrowed(&self) -> Self::Ref<'_>;
     /// Reads a value back; a list whose count exceeds `max` is
     /// `LengthOverflow` (other types ignore `max`).
     fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError>;
@@ -240,15 +259,23 @@ pub trait Field: Sized {
 /// Implements [`Field`] for fixed-width integers.
 macro_rules! int_fields {
     ($($ty:ident: $($edge:expr),+;)*) => {$(
-        impl Field for $ty {
-            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+        impl Encode for $ty {
             #[inline]
             fn wire_len(&self) -> usize {
-                Self::MIN_LEN
+                std::mem::size_of::<$ty>()
             }
             #[inline]
             fn write(&self, w: &mut Writer<'_>) {
                 w.$ty(*self);
+            }
+        }
+
+        impl Field for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            type Ref<'a> = $ty;
+            #[inline]
+            fn borrowed(&self) -> $ty {
+                *self
             }
             #[inline]
             fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
@@ -272,12 +299,11 @@ int_fields! {
     u64: 0, 1, 3, 1003, 1 << 32, (1 << 63) | (5 << 32), u64::MAX;
 }
 
-/// Implements [`Field`] for a length-prefixed run: a UTF-8 string or
-/// a byte run.
+/// Implements [`Field`] for a length-prefixed run, a UTF-8 string or
+/// a byte run, and [`Encode`] for its borrowed form.
 macro_rules! prefixed_fields {
-    ($($ty:ty: $method:ident, [$($edge:expr),+], $arbitrary:expr;)*) => {$(
-        impl Field for $ty {
-            const MIN_LEN: usize = field_len(0);
+    ($($ty:ty as $borrowed:ty: $method:ident, [$($edge:expr),+], $arbitrary:expr;)*) => {$(
+        impl Encode for &$borrowed {
             #[inline]
             fn wire_len(&self) -> usize {
                 field_len(self.len())
@@ -285,6 +311,15 @@ macro_rules! prefixed_fields {
             #[inline]
             fn write(&self, w: &mut Writer<'_>) {
                 w.$method(self);
+            }
+        }
+
+        impl Field for $ty {
+            const MIN_LEN: usize = field_len(0);
+            type Ref<'a> = &'a $borrowed;
+            #[inline]
+            fn borrowed(&self) -> &$borrowed {
+                self
             }
             #[inline]
             fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
@@ -301,12 +336,12 @@ macro_rules! prefixed_fields {
 }
 
 prefixed_fields! {
-    String: str, ["", "k", "ab", "abc", "abcd", "ycsb-123", "\u{0}\u{0}\u{0}", "grüße / 你好"],
+    String as str: str, ["", "k", "ab", "abc", "abcd", "ycsb-123", "\u{0}\u{0}\u{0}", "grüße / 你好"],
         // Any scalar value below the surrogates: one to three UTF-8 bytes.
         |rng: &mut SpecRng| (0..rng.index(16))
             .map(|_| char::from_u32(rng.below(0xd800) as u32).unwrap_or('?'))
             .collect();
-    Vec<u8>: bytes, [vec![], vec![0], vec![0; 3], vec![0xff; 8], vec![7; 1024]],
+    Vec<u8> as [u8]: bytes, [vec![], vec![0], vec![0; 3], vec![0xff; 8], vec![7; 1024]],
         |rng: &mut SpecRng| {
             let mut v = vec![0; rng.index(64)];
             rng.fill(&mut v);
@@ -322,8 +357,7 @@ impl Item for u16 {}
 impl<A: Field + Clone, B: Field + Clone, C: Field + Clone> Item for (A, B, C) {}
 
 /// The fields in order.
-impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
-    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
     fn wire_len(&self) -> usize {
         self.0.wire_len() + self.1.wire_len() + self.2.wire_len()
     }
@@ -331,6 +365,17 @@ impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
         self.0.write(w);
         self.1.write(w);
         self.2.write(w);
+    }
+}
+
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
+    type Ref<'a>
+        = (A::Ref<'a>, B::Ref<'a>, C::Ref<'a>)
+    where
+        Self: 'a;
+    fn borrowed(&self) -> Self::Ref<'_> {
+        (self.0.borrowed(), self.1.borrowed(), self.2.borrowed())
     }
     fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
         Ok((A::read(r, max)?, B::read(r, max)?, C::read(r, max)?))
@@ -344,18 +389,28 @@ impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
     }
 }
 
-/// A `u32` count, then the items; a count above `max` is
-/// `LengthOverflow`.
-impl<T: Item> Field for Vec<T> {
-    const MIN_LEN: usize = 4;
+/// A `u32` count, then the items.
+impl<T: Item> Encode for &[T] {
     fn wire_len(&self) -> usize {
-        4 + self.iter().map(Field::wire_len).sum::<usize>()
+        4 + self.iter().map(|item| item.borrowed().wire_len()).sum::<usize>()
     }
     fn write(&self, w: &mut Writer<'_>) {
         w.u32(self.len() as u32);
-        for item in self {
-            item.write(w);
+        for item in *self {
+            item.borrowed().write(w);
         }
+    }
+}
+
+/// Encoded as its slice; a count above `max` is `LengthOverflow`.
+impl<T: Item> Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    type Ref<'a>
+        = &'a [T]
+    where
+        T: 'a;
+    fn borrowed(&self) -> &[T] {
+        self
     }
     fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
         let n = r.u32()? as usize;
@@ -385,25 +440,33 @@ impl<T: Item> Field for Vec<T> {
 
 /// Declares a tagged message format as a table and generates its code.
 ///
-/// Each variant is a row, `Name = tag { field: Type, … }` (a struct
+/// The body opens with `borrowed NameRef<'a>`, naming the table's
+/// borrowed twin (doc comments before it document the twin). Each
+/// variant is then a row, `Name = tag { field: Type, … }` (a struct
 /// variant) or `Name = tag (field: Type, …)` (a tuple variant, whose
 /// names only bind), with its fields in wire order; a list field may add
-/// `[max N]`, its decoder's bound on the count. An optional leading
-/// `header { id: Type }` declares once the message id every row starts
-/// with; its accessors are `id`, `set_id` and `peek_id`. A message is
-/// its tag byte, then its fields as their [`Field`] impls write them.
-/// Generated: the enum, `encoded_len` (exact), `write`, `encode` (one
-/// allocation of exactly that size), `read` (one message off a
+/// `[max N]`, its decoder's bound on the count. An optional
+/// `header { id: Type }` after the twin declares once the message id
+/// every row starts with; its accessors are `id`, `set_id` and
+/// `peek_id`. A message is its tag byte, then its fields as their
+/// [`Field`] impls write them.
+///
+/// Generated: the enum; its borrowed twin, the same rows with each
+/// field as its [`Field::Ref`] (a `&str` where the row has a `String`, a
+/// slice where it has a `Vec`), with `encoded_len` (exact) and `write`,
+/// the table's one encoder; on the enum, `borrowed` (the twin of a
+/// message), `encoded_len` and `write` (through its twin), `encode`
+/// (one allocation of exactly that size), `read` (one message off a
 /// [`Reader`]), `decode` (`None` on any error, an unknown tag or a
 /// trailing byte), `samples` (the `k`-th of a row gives every field its
-/// `k`-th edge), `arbitrary` and the header accessors. Two rows sharing
-/// a tag do not compile; a retired tag stays unassigned by having no
-/// row.
+/// `k`-th edge), `arbitrary` and the header accessors. Decoding is owned
+/// only. Two rows sharing a tag do not compile; a retired tag stays
+/// unassigned by having no row.
 #[macro_export]
 macro_rules! wire_messages {
-    // One struct row: its variant declaration, its patterns and its
-    // fields (the header first) go to the accumulator.
-    (@rows $head:tt
+    // One struct row: its variant declarations (owned and borrowed), its
+    // patterns and its fields (the header first) go to the accumulator.
+    (@rows $head:tt $lt:lifetime
         { $( $(#[$hdoc:meta])* $h:ident: $hty:ty )? }
         [$($done:tt)*]
         $(#[$vdoc:meta])* $var:ident = $tag:literal {
@@ -411,11 +474,15 @@ macro_rules! wire_messages {
         }
         $(, $($rest:tt)*)?
     ) => {
-        $crate::wire_messages!(@rows $head
+        $crate::wire_messages!(@rows $head $lt
             { $( $(#[$hdoc])* $h: $hty )? }
             [$($done)* [
                 [$(#[$vdoc])*] $var $tag
                 { $( $(#[$hdoc])* $h: $hty, )? $( $(#[$fdoc])* $f: $ty, )* }
+                {
+                    $( $(#[$hdoc])* $h: <$hty as $crate::wire::Field>::Ref<$lt>, )?
+                    $( $(#[$fdoc])* $f: <$ty as $crate::wire::Field>::Ref<$lt>, )*
+                }
                 { $( $h, )? $( $f, )* }
                 { $( $h, )? .. }
                 ( $( $h: $hty [usize::MAX], )? $( $f: $ty [$crate::wire_messages!(@max $($max)?)], )* )
@@ -424,7 +491,7 @@ macro_rules! wire_messages {
         );
     };
     // One tuple row.
-    (@rows $head:tt
+    (@rows $head:tt $lt:lifetime
         { $( $(#[$hdoc:meta])* $h:ident: $hty:ty )? }
         [$($done:tt)*]
         $(#[$vdoc:meta])* $var:ident = $tag:literal (
@@ -432,11 +499,15 @@ macro_rules! wire_messages {
         )
         $(, $($rest:tt)*)?
     ) => {
-        $crate::wire_messages!(@rows $head
+        $crate::wire_messages!(@rows $head $lt
             { $( $(#[$hdoc])* $h: $hty )? }
             [$($done)* [
                 [$(#[$vdoc])*] $var $tag
                 ( $( $(#[$hdoc])* $hty, )? $( $(#[$fdoc])* $ty, )* )
+                (
+                    $( $(#[$hdoc])* <$hty as $crate::wire::Field>::Ref<$lt>, )?
+                    $( $(#[$fdoc])* <$ty as $crate::wire::Field>::Ref<$lt>, )*
+                )
                 ( $( $h, )? $( $f, )* )
                 ( $( $h, )? .. )
                 ( $( $h: $hty [usize::MAX], )? $( $f: $ty [$crate::wire_messages!(@max $($max)?)], )* )
@@ -445,13 +516,22 @@ macro_rules! wire_messages {
         );
     };
     // Every row normalised: generate.
-    (@rows [$(#[$meta:meta])* $vis:vis $name:ident] $header:tt [$([
-        [$(#[$vdoc:meta])*] $var:ident $tag:literal $decl:tt $pat:tt $hpat:tt
-        ( $( $f:ident: $ty:ty [$max:expr], )* )
-    ])*]) => {
+    (@rows [$(#[$meta:meta])* $vis:vis $name:ident [$(#[$bdoc:meta])* $bname:ident]] $lt:lifetime
+        $header:tt
+        [$([
+            [$(#[$vdoc:meta])*] $var:ident $tag:literal $decl:tt $bdecl:tt $pat:tt $hpat:tt
+            ( $( $f:ident: $ty:ty [$max:expr], )* )
+        ])*]
+    ) => {
         $(#[$meta])*
         $vis enum $name {
             $( $(#[$vdoc])* $var $decl, )*
+        }
+
+        $(#[$bdoc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis enum $bname<$lt> {
+            $( $(#[$vdoc])* $var $bdecl, )*
         }
 
         const _: () = {
@@ -462,25 +542,53 @@ macro_rules! wire_messages {
             )*
         };
 
-        impl $name {
+        impl<$lt> $bname<$lt> {
             /// Exact encoded size: the tag byte, then every field.
             #[inline]
             pub fn encoded_len(&self) -> usize {
                 match self {
-                    $( Self::$var $pat => 1 $( + <$ty as $crate::wire::Field>::wire_len($f) )*, )*
+                    $( Self::$var $pat => 1 $( + $crate::wire::Encode::wire_len($f) )*, )*
                 }
+            }
+
+            /// Appends the encoding: the tag byte, then every field in
+            /// wire order. The table's one encoder: an owned message
+            /// writes through its twin.
+            #[inline]
+            pub fn write(&self, w: &mut $crate::wire::Writer<'_>) {
+                match self {
+                    $( Self::$var $pat => {
+                        w.u8($tag);
+                        $( $crate::wire::Encode::write($f, w); )*
+                    } )*
+                }
+            }
+        }
+
+        impl $name {
+            /// The message with its fields borrowed: its twin, which it
+            /// encodes through.
+            #[inline]
+            pub fn borrowed(&self) -> $bname<'_> {
+                match self {
+                    $( Self::$var $pat => {
+                        $( let $f = <$ty as $crate::wire::Field>::borrowed($f); )*
+                        $bname::$var $pat
+                    } )*
+                }
+            }
+
+            /// Exact encoded size: the tag byte, then every field.
+            #[inline]
+            pub fn encoded_len(&self) -> usize {
+                self.borrowed().encoded_len()
             }
 
             /// Appends the encoding: the tag byte, then every field in
             /// wire order.
             #[inline]
             pub fn write(&self, w: &mut $crate::wire::Writer<'_>) {
-                match self {
-                    $( Self::$var $pat => {
-                        w.u8($tag);
-                        $( <$ty as $crate::wire::Field>::write($f, w); )*
-                    } )*
-                }
+                self.borrowed().write(w)
             }
 
             /// Serializes the message into one allocation of exactly
@@ -578,17 +686,24 @@ macro_rules! wire_messages {
     (
         $(#[$meta:meta])*
         $vis:vis enum $name:ident {
+            $(#[$bdoc:meta])*
+            borrowed $bname:ident<$lt:lifetime>
             header { $(#[$hdoc:meta])* id: $hty:ty $(,)? }
             $($rows:tt)*
         }
     ) => {
-        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name] { $(#[$hdoc])* id: $hty } [] $($rows)*);
+        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name [$(#[$bdoc])* $bname]] $lt
+            { $(#[$hdoc])* id: $hty } [] $($rows)*);
     };
     (
         $(#[$meta:meta])*
-        $vis:vis enum $name:ident { $($rows:tt)* }
+        $vis:vis enum $name:ident {
+            $(#[$bdoc:meta])*
+            borrowed $bname:ident<$lt:lifetime>
+            $($rows:tt)*
+        }
     ) => {
-        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name] {} [] $($rows)*);
+        $crate::wire_messages!(@rows [$(#[$meta])* $vis $name [$(#[$bdoc])* $bname]] $lt {} [] $($rows)*);
     };
 }
 
@@ -614,7 +729,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut w = Writer::new(&mut bytes);
         w.bytes(b"\x00\xff\x42").str("grüße / 你好").bytes(b"");
-        vec![1u16, 0xffff].write(&mut w);
+        vec![1u16, 0xffff].borrowed().write(&mut w);
         w.bytes_slot(2).copy_from_slice(b"ab");
         let mut d = Reader::new(&bytes);
         assert_eq!(d.bytes().unwrap(), b"\x00\xff\x42");
@@ -630,7 +745,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut w = Writer::new(&mut bytes);
         w.u64(1).bytes(b"hello");
-        vec![3u16, 4].write(&mut w);
+        vec![3u16, 4].borrowed().write(&mut w);
         for cut in 0..bytes.len() {
             let mut d = Reader::new(&bytes[..cut]);
             let r = d.u64().and_then(|_| d.bytes()).and_then(|_| Vec::<u16>::read(&mut d, 2));
@@ -654,6 +769,8 @@ mod tests {
         /// A two-row table: one struct row, one tuple row.
         #[derive(Clone, Debug, PartialEq, Eq)]
         enum Dummy {
+            /// `Dummy`, borrowed.
+            borrowed DummyRef<'a>
             header {
                 /// Leads every row.
                 id: u64

@@ -5,15 +5,18 @@
 //!
 //! This is the guard that keeps a validate-by-cloning
 //! `JournaledFs::apply` from coming back: cloning a tree of 1024 one-KiB
-//! files is a megabyte per operation. Its own test binary with a single
+//! files is a megabyte per operation. A block-store put and a
+//! transaction's `WriteAt` are pinned exactly: they allocate the disk's
+//! sector boxes and nothing else, so a copied path or payload, or a path
+//! parsed into a new string, fails it. Its own test binary with a single
 //! `#[test]`: see `counting_alloc`.
 
 mod counting_alloc;
 
-use counting_alloc::allocated_by;
+use counting_alloc::{allocated_by, Allocated};
 use veros_blockstore::wire::block_checksum;
 use veros_blockstore::BlockStore;
-use veros_fs::journal::{FsOp, JournaledFs};
+use veros_fs::journal::{FsOp, FsOpRef, JournaledFs};
 use veros_hw::SimDisk;
 
 const VALUE: usize = 1024;
@@ -45,8 +48,9 @@ fn journal_write_bytes(population: usize) -> u64 {
     })
 }
 
-/// `BlockStore::put` of 1 KiB with `keys` keys stored.
-fn store_put_bytes(keys: usize) -> u64 {
+/// What each of 64 `BlockStore::put` overwrites of 1 KiB allocates with
+/// `keys` keys stored.
+fn store_puts(keys: usize) -> Vec<Allocated> {
     let key = |i: usize| format!("key-{i:06}");
     let value = vec![7u8; VALUE];
     let sum = block_checksum(&value);
@@ -55,9 +59,28 @@ fn store_put_bytes(keys: usize) -> u64 {
         store.put(&key(i), &value, sum).expect("populate");
     }
     let targets: Vec<String> = (0..64).map(|i| key(i * 5 % keys)).collect();
-    bytes_per_call(targets.len(), |i| {
-        store.put(&targets[i], &value, sum).expect("overwrite")
-    })
+    targets
+        .iter()
+        .map(|k| allocated_by(|| store.put(k, &value, sum).expect("overwrite")))
+        .collect()
+}
+
+/// What each of 16 `transact([WriteAt(/f00001, 0, 1 KiB)])` overwrites
+/// allocates on a journal of 24 files of 1 KiB.
+fn transact_writes() -> Vec<Allocated> {
+    let mut jfs = JournaledFs::format(SimDisk::new(1 << 12));
+    let path = |i: usize| format!("/f{i:05}");
+    let value = vec![3u8; VALUE];
+    for i in 0..24 {
+        let file = path(i);
+        jfs.transact(&[FsOpRef::Create(&file), FsOpRef::WriteAt(&file, 0, &value)]).expect("fill");
+    }
+    let file = path(1);
+    (0..16)
+        .map(|_| {
+            allocated_by(|| jfs.transact(&[FsOpRef::WriteAt(&file, 0, &value)]).expect("write"))
+        })
+        .collect()
 }
 
 #[test]
@@ -67,10 +90,34 @@ fn a_durable_write_allocates_for_its_bytes_not_for_the_population() {
         many < 2 * few,
         "{many} B per write with 1024 files against {few} B with 16: apply scales with the tree"
     );
-    let put = store_put_bytes(384);
-    assert!(
-        put < 8 * 1024,
-        "{put} B allocated per 1 KiB put at 384 keys"
-    );
-    eprintln!("apply+commit: {few} B at 16 files, {many} B at 1024; put: {put} B at 384 keys");
+    // A 1 KiB overwrite's record is `Truncate` (36 bytes: the path
+    // `/b_6b65792d…` is 23) and `WriteAt` of checksum ++ block (1 072)
+    // in 12 bytes of framing: 1 120 bytes, 3 sectors. The disk keeps a
+    // box per sector, trimmed of trailing zeroes (two whole sectors and
+    // the third's 96 bytes). That is all a put allocates: its path,
+    // payload and ops are staged from buffers the store reuses, and its
+    // file is resolved once. (The disk's table of durable sectors grows
+    // by doubling, one reallocation per power of two: the 384 puts fill
+    // sectors up to 1 152 and the 64 measured ones write 1 152–1 343,
+    // all within one capacity of 2 048, as the 16 writes below write
+    // sectors 72–119 within 128.)
+    let puts = store_puts(384);
+    for (i, put) in puts.iter().enumerate() {
+        assert_eq!(
+            (put.blocks, put.bytes),
+            (3, 1120),
+            "overwrite {i} at 384 keys: one block per sector of its record, nothing else"
+        );
+    }
+    // A `WriteAt` staged through `transact` from borrowed bytes: 1 + 11
+    // (`/f00001`) + 8 + 1 028 = 1 048 bytes of op, 1 060 of record, 3
+    // sectors, and nothing else.
+    for (i, write) in transact_writes().iter().enumerate() {
+        assert_eq!(
+            (write.blocks, write.bytes),
+            (3, 1060),
+            "transact {i}: one block per sector of its record, nothing else"
+        );
+    }
+    eprintln!("apply+commit: {few} B at 16 files, {many} B at 1024; put: 3 blocks at 384 keys");
 }
