@@ -7,6 +7,7 @@
 //! acknowledged puts and deletes survive any crash.
 
 use veros_fs::journal::{FsOpRef, JournaledFs};
+use veros_fs::path::MAX_PATH;
 use veros_fs::{FsError, Path};
 use veros_hw::SimDisk;
 
@@ -46,18 +47,32 @@ pub struct BlockStore {
     payload: Vec<u8>,
 }
 
-/// Writes the path of `key`'s file into `path`: hex-encoded, so any key
-/// is one path component. A key too long for a path (over 2 046 bytes)
-/// names no file (`NotFound`).
-fn key_path<'a>(key: &str, path: &'a mut String) -> Result<Path<'a>, FsError> {
+/// The bytes of `key`'s file path: `/b_`, then the key hex-encoded, so
+/// any key is one path component.
+fn path_bytes(key: &str) -> impl Iterator<Item = u8> + '_ {
     const HEX: &[u8; 16] = b"0123456789abcdef";
+    let hex = key.bytes().flat_map(|b| [HEX[(b >> 4) as usize], HEX[(b & 0xf) as usize]]);
+    b"/b_".iter().copied().chain(hex)
+}
+
+/// Writes the path of `key`'s file into `path`, reused across
+/// mutations. A key too long for a path (over 2 046 bytes) names no
+/// file (`NotFound`).
+fn key_path<'a>(key: &str, path: &'a mut String) -> Result<Path<'a>, FsError> {
     path.clear();
     path.reserve(3 + 2 * key.len());
-    path.push_str("/b_");
-    for b in key.bytes() {
-        path.push(HEX[(b >> 4) as usize] as char);
-        path.push(HEX[(b & 0xf) as usize] as char);
-    }
+    path.extend(path_bytes(key).map(char::from));
+    Path::parse(path).map_err(|_| FsError::NotFound)
+}
+
+/// Writes the path of `key`'s file into `buf`, on the caller's stack,
+/// for a read, which cannot reuse the store's buffer. A key too long for
+/// a path names no file (`NotFound`).
+fn key_path_in<'a>(key: &str, buf: &'a mut [u8; MAX_PATH]) -> Result<Path<'a>, FsError> {
+    let len = 3 + 2 * key.len();
+    let slot = buf.get_mut(..len).ok_or(FsError::NotFound)?;
+    slot.iter_mut().zip(path_bytes(key)).for_each(|(at, b)| *at = b);
+    let path = std::str::from_utf8(slot).map_err(|_| FsError::NotFound)?;
     Path::parse(path).map_err(|_| FsError::NotFound)
 }
 
@@ -132,8 +147,8 @@ impl BlockStore {
 
     /// The encoded `GetOk` answering request `id` with the block under
     /// `key`: the block is read from its file straight into the reply
-    /// and verified there, so the reply is the read's one allocation
-    /// besides the file's path.
+    /// and verified there, and the file's path is built on the stack, so
+    /// the reply is the read's only allocation.
     pub fn get_reply(&self, id: u64, key: &str) -> Result<Vec<u8>, StoreError> {
         self.read(key, |len, fill| Response::encode_get_ok(id, len, fill))
     }
@@ -143,15 +158,16 @@ impl BlockStore {
     /// verifies it there against the stored checksum and returns that
     /// checksum. The checksum prefix and the block go straight into
     /// their final homes: one copy of the block, not file -> scratch ->
-    /// result.
+    /// result. The key's path is written into a stack buffer, since a
+    /// read cannot reuse the store's own.
     fn read<T>(
         &self,
         key: &str,
         build: impl FnOnce(usize, &dyn Fn(&mut [u8]) -> Result<u64, StoreError>) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let _latency = crate::metrics::GET_LATENCY.timer();
-        let mut path = String::new();
-        let path = key_path(key, &mut path).map_err(|_| StoreError::NotFound)?;
+        let mut buf = [0; MAX_PATH];
+        let path = key_path_in(key, &mut buf).map_err(|_| StoreError::NotFound)?;
         let fs = &self.fs.fs;
         let ino = fs.lookup(&path).map_err(|_| StoreError::NotFound)?;
         let len = fs.len_of(ino).map_err(|_| StoreError::NotFound)?;
@@ -367,6 +383,25 @@ mod tests {
         assert_eq!(s.get(&over), Err(StoreError::NotFound));
         assert_eq!(s.delete(&over), Err(StoreError::NotFound));
         assert_eq!(s.list(), [longest]);
+    }
+
+    /// A read writes its key's path into a stack buffer of `MAX_PATH`
+    /// bytes: the longest key (2 046 bytes, a 4 095-byte path) reads
+    /// back through both readers, and one byte more (a 4 097-byte path)
+    /// is `NotFound`, not a panic.
+    #[test]
+    fn a_read_builds_the_longest_path_on_the_stack() {
+        let mut s = BlockStore::format(64);
+        let (longest, over) = ("k".repeat(2046), "k".repeat(2047));
+        assert_eq!((3 + 2 * longest.len(), 3 + 2 * over.len()), (MAX_PATH - 1, MAX_PATH + 1));
+        let data = b"at the edge".to_vec();
+        let ck = block_checksum(&data);
+        s.put(&longest, &data, ck).unwrap();
+        assert_eq!(s.get(&longest), Ok((data.clone(), ck)));
+        let reply = Response::GetOk { id: 3, data, checksum: ck }.encode();
+        assert_eq!(s.get_reply(3, &longest), Ok(reply));
+        assert_eq!(s.get(&over), Err(StoreError::NotFound));
+        assert_eq!(s.get_reply(3, &over), Err(StoreError::NotFound));
     }
 
     #[test]

@@ -21,7 +21,17 @@
 //! by doubling on its way out. A `GetOk` read from a file has a second
 //! writer, [`Response::encode_get_ok`], which lets the store read the
 //! block straight into its slot of the reply; a test ties its bytes to
-//! the table's. Decoding never reserves more than the input can hold.
+//! the table's.
+//!
+//! Decoding is borrowed first. Each table's one decoder is its borrowed
+//! twin's `decode_ref` ([`RequestRef`], [`ResponseRef`]): a key is
+//! validated in place, a block is a slice of the message and a list a
+//! validated run of it, so a decode allocates nothing. An owned
+//! `decode` is that decode followed by `to_owned`, which copies only a
+//! message that parsed whole; so no decode reserves more than the input
+//! holds. A node serves a `Get` from the borrowed request, and a client
+//! keeps a delivered `GetOk`'s block in the message's own buffer
+//! ([`Response::get_ok_in`]).
 //!
 //! Tags are stable wire bytes. Request tags 1, 3 and 4 and response
 //! tag 5 belonged to the retired standalone protocol and stay
@@ -202,6 +212,20 @@ impl Response {
         w.u64(checksum);
         Ok(out)
     }
+
+    /// The `GetOk { id, data, checksum }` that `msg` encodes, its block
+    /// kept in `msg`'s own buffer: the tag, id and length before the
+    /// block and the checksum after it are cut off in place, so taking
+    /// the block out of a delivered reply copies and allocates nothing.
+    /// `msg` must be such a `GetOk`, as [`ResponseRef::decode_ref`]
+    /// parsed it.
+    pub fn get_ok_in(mut msg: Vec<u8>, id: u64, checksum: u64) -> Response {
+        // Tag and id, then the block's length prefix; the checksum last.
+        const HEAD: usize = 1 + 8 + 4;
+        msg.truncate(msg.len().saturating_sub(8));
+        msg.drain(..HEAD.min(msg.len()));
+        Response::GetOk { id, data: msg, checksum }
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +306,24 @@ mod tests {
             assert_eq!((bytes.capacity(), &bytes), (bytes.len(), &r.encode()), "{r:?}");
         }
         assert!(samples.iter().filter(|r| matches!(r, Response::GetOk { .. })).count() > 1);
+    }
+
+    /// A delivered `GetOk` gives up its block in the buffer it came in.
+    #[test]
+    fn get_ok_in_keeps_the_block_where_it_arrived() {
+        for r in Response::samples() {
+            let Response::GetOk { id, checksum, .. } = r else {
+                continue;
+            };
+            let msg = r.encode();
+            let (at, capacity) = (msg.as_ptr(), msg.capacity());
+            let kept = Response::get_ok_in(msg, id, checksum);
+            let Response::GetOk { data, .. } = &kept else {
+                unreachable!("get_ok_in builds a GetOk");
+            };
+            assert_eq!((data.as_ptr(), data.capacity()), (at, capacity), "{r:?}");
+            assert_eq!(kept, r);
+        }
     }
 
     /// `r` with its key, block and chain (those of them it has) swapped

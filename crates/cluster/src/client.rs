@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use veros_blockstore::wire::{block_checksum, largest_put_message};
+use veros_blockstore::wire::{block_checksum, largest_put_message, ResponseRef};
 use veros_blockstore::{Request, Response};
 use veros_net::demux::RdtDemux;
 use veros_net::rdt::MAX_MESSAGE;
@@ -87,11 +87,14 @@ pub struct OpResult {
     /// Terminal success (`PutOk`/`DeleteOk`/`NotFound`, or a `GetOk`
     /// whose data matches its checksum).
     pub ok: bool,
-    /// `GetOk` payload, checksum-verified.
+    /// `GetOk` payload, checksum-verified: the one copy a read makes of
+    /// the block it received.
     pub read: Option<Vec<u8>>,
     /// The terminal response, for assertions that need its exact kind
     /// (e.g. a retried delete must come back `DeleteOk` from the dedup
-    /// cache, not `NotFound` from a double apply).
+    /// cache, not `NotFound` from a double apply). A verified `GetOk`'s
+    /// block is not a copy: it is the delivered message's own buffer,
+    /// trimmed to the block.
     pub resp: Response,
 }
 
@@ -301,7 +304,7 @@ impl FleetClient {
         }
         let _ = self.demux.poll(stack, now);
         while let Some((_, msg)) = self.demux.recv() {
-            let Some(resp) = Response::decode(&msg) else {
+            let Some(resp) = ResponseRef::decode_ref(&msg) else {
                 continue;
             };
             let Some(infl) = &mut self.inflight else {
@@ -310,43 +313,48 @@ impl FleetClient {
             if resp.id() != infl.req.id() {
                 continue; // Response to an abandoned attempt.
             }
-            match resp {
-                Response::Retry { .. } => {
+            let ok = match resp {
+                ResponseRef::Retry { .. } => {
                     infl.retries += 1;
                     metrics::OPS_RETRIED.inc();
                     infl.backoff_until = Some(now + RETRY_BACKOFF);
                     infl.deadline = now + OP_TIMEOUT + RETRY_BACKOFF;
+                    continue;
                 }
-                resp => {
-                    let (ok, read) = match &resp {
-                        Response::PutOk { .. }
-                        | Response::DeleteOk { .. }
-                        | Response::NotFound { .. } => (true, None),
-                        Response::GetOk { data, checksum, .. } if block_checksum(data) == *checksum => {
-                            (true, Some(data.clone()))
-                        }
-                        Response::GetOk { .. } => {
-                            veros_blockstore::metrics::CHECKSUM_FAILURES.inc();
-                            (false, None)
-                        }
-                        _ => (false, None),
-                    };
-                    let Some(infl) = self.inflight.take() else {
-                        continue;
-                    };
-                    metrics::OPS_COMPLETED.inc();
-                    self.results.push(OpResult {
-                        host: self.host,
-                        op: Op::from_request(infl.req),
-                        issued_at: infl.arrival,
-                        completed_at: now,
-                        retries: infl.retries,
-                        ok,
-                        read,
-                        resp,
-                    });
+                ResponseRef::PutOk { .. }
+                | ResponseRef::DeleteOk { .. }
+                | ResponseRef::NotFound { .. } => true,
+                ResponseRef::GetOk { data, checksum, .. } => {
+                    let verified = block_checksum(data) == checksum;
+                    if !verified {
+                        veros_blockstore::metrics::CHECKSUM_FAILURES.inc();
+                    }
+                    verified
                 }
-            }
+                _ => false,
+            };
+            // A verified block is copied once, into `read`; the response
+            // keeps it in the buffer it was delivered in.
+            let (read, resp) = match resp {
+                ResponseRef::GetOk { id, data, checksum } if ok => {
+                    (Some(data.to_vec()), Response::get_ok_in(msg, id, checksum))
+                }
+                resp => (None, resp.to_owned()),
+            };
+            let Some(infl) = self.inflight.take() else {
+                continue;
+            };
+            metrics::OPS_COMPLETED.inc();
+            self.results.push(OpResult {
+                host: self.host,
+                op: Op::from_request(infl.req),
+                issued_at: infl.arrival,
+                completed_at: now,
+                retries: infl.retries,
+                ok,
+                read,
+                resp,
+            });
         }
         let reissue = match &self.inflight {
             Some(infl) => match infl.backoff_until {

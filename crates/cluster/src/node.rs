@@ -25,6 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use veros_blockstore::store::StoreError;
+use veros_blockstore::wire::RequestRef;
 use veros_blockstore::{BlockStore, Request, Response};
 use veros_net::demux::{Peer, RdtDemux};
 use veros_net::ip::IpAddr;
@@ -202,9 +203,14 @@ impl FleetNode {
     /// either), and the two response handlers act only on an id in
     /// `syncing` or `pending`. So a message is parsed as a response only
     /// when its id is one of those, and every other message is parsed
-    /// once, as a request — request and response tags overlap, and
-    /// parsing a `Get` as a `GetOk` would allocate its key before
-    /// failing.
+    /// once, as a request: request and response tags overlap, so any
+    /// other order would parse most messages twice. A parse that fails
+    /// copies nothing, since a decode copies fields out only once the
+    /// whole message has parsed.
+    ///
+    /// The request is parsed borrowed, as a [`RequestRef`]: a `Get` is
+    /// served from the key in the delivered message, and a write copies
+    /// its key, block and chain out where it keeps them.
     fn dispatch(&mut self, stack: &mut NetStack, now: u64, peer: Peer, msg: &[u8]) {
         let id = Request::peek_id(msg);
         let awaited = id.is_some_and(|id| {
@@ -219,7 +225,7 @@ impl FleetNode {
                 return;
             }
         }
-        if let Some(req) = Request::decode(msg) {
+        if let Some(req) = RequestRef::decode_ref(msg) {
             self.handle_request(stack, now, peer, req);
         }
     }
@@ -268,28 +274,30 @@ impl FleetNode {
         true
     }
 
-    fn handle_request(&mut self, stack: &mut NetStack, now: u64, peer: Peer, req: Request) {
+    fn handle_request(&mut self, stack: &mut NetStack, now: u64, peer: Peer, req: RequestRef<'_>) {
         metrics::node_served(self.id);
         match req {
-            Request::ShardPut { id, key, data, checksum, client, seq } => {
-                self.head_write(stack, now, peer, id, key, Some((data, checksum)), client, seq);
+            RequestRef::ShardPut { id, key, data, checksum, client, seq } => {
+                let (key, payload) = (key.to_owned(), Some((data.to_vec(), checksum)));
+                self.head_write(stack, now, peer, id, key, payload, client, seq);
             }
-            Request::ShardDelete { id, key, client, seq } => {
-                self.head_write(stack, now, peer, id, key, None, client, seq);
+            RequestRef::ShardDelete { id, key, client, seq } => {
+                self.head_write(stack, now, peer, id, key.to_owned(), None, client, seq);
             }
-            Request::ChainPut { id, key, data, checksum, client, seq, rest, .. } => {
-                self.chain_write(stack, now, peer, id, key, Some((data, checksum)), client, seq, rest);
+            RequestRef::ChainPut { id, key, data, checksum, client, seq, rest, .. } => {
+                let (key, payload) = (key.to_owned(), Some((data.to_vec(), checksum)));
+                self.chain_write(stack, now, peer, id, key, payload, client, seq, rest.to_vec());
             }
-            Request::ChainDelete { id, key, client, seq, rest, .. } => {
-                self.chain_write(stack, now, peer, id, key, None, client, seq, rest);
+            RequestRef::ChainDelete { id, key, client, seq, rest, .. } => {
+                self.chain_write(stack, now, peer, id, key.to_owned(), None, client, seq, rest.to_vec());
             }
-            Request::Get { id, key } => {
-                let shard = self.map.shard_of(&key);
+            RequestRef::Get { id, key } => {
+                let shard = self.map.shard_of(key);
                 let chain = self.map.chain(shard, &self.view.live);
                 let reply = if !chain.contains(&self.id) || !self.is_ready(shard) {
                     Response::Retry { id }.encode()
                 } else {
-                    match self.store.get_reply(id, &key) {
+                    match self.store.get_reply(id, key) {
                         Ok(reply) => reply,
                         Err(StoreError::NotFound) => Response::NotFound { id }.encode(),
                         Err(e) => Response::Error { id, reason: e.to_string() }.encode(),
@@ -297,7 +305,7 @@ impl FleetNode {
                 };
                 let _ = self.demux.send(stack, now, peer, reply);
             }
-            Request::SyncShard { id, shard } => {
+            RequestRef::SyncShard { id, shard } => {
                 let blocks: Vec<(String, Vec<u8>, u64)> = self
                     .store
                     .list()

@@ -17,9 +17,10 @@
 //! ([`veros_spec::wire_messages!`]): its tag, then its fields written
 //! with [`veros_spec::wire`] (the codec the marshalling obligation
 //! checks); the table also generates the exact `encoded_len` that
-//! staging reserves journal space with. The row has one encoder, on its
-//! borrowed twin [`FsOpRef`] (`&str` path, `&[u8]` data), and an owned
-//! [`FsOp`] encodes by borrowing itself; recovery decodes owned ops.
+//! staging reserves journal space with. The row has one encoder and one
+//! decoder, on its borrowed twin [`FsOpRef`] (`&str` path, `&[u8]`
+//! data): an owned [`FsOp`] encodes by borrowing itself, and recovery
+//! decodes owned ops, each one the twin's decode made owned.
 //! Because of the checksum, a
 //! record of which the drive kept only some sectors, or a torn one, is
 //! detected rather than misparsed. The checksum is the 32-bit form of

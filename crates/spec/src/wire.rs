@@ -16,7 +16,7 @@
 //! a list is a `u32` count then the items. A [`Writer`] appends to a
 //! caller-owned buffer, so the caller allocates once, at the message's
 //! final size. A [`Reader`] never panics on hostile input and never
-//! reserves more than the input left can hold.
+//! copies: a byte run or a string it reads is a slice of its input.
 //!
 //! A tagged message format is one [`wire_messages!`](crate::wire_messages)
 //! table: each row is a variant, its tag byte and its fields in wire
@@ -24,10 +24,17 @@
 //! encoder and decoder, its header accessors and its test samples. A
 //! field's type picks its wire form through [`Field`]. The table also
 //! generates the enum's borrowed twin, which holds each string as a
-//! `&str` and each run or list as a slice: the encoder is written once,
-//! on the twin ([`Encode`]), and the owned message encodes by borrowing
-//! itself, so a caller whose bytes live elsewhere encodes them without
-//! first copying them into a message.
+//! `&str`, each byte run as a slice and each list as a [`List`]: the
+//! encoder is written once, on the twin ([`Encode`]), and the owned
+//! message encodes by borrowing itself, so a caller whose bytes live
+//! elsewhere encodes them without first copying them into a message.
+//! The decoder is written once too, on the twin ([`Field::read_ref`]):
+//! it borrows every field from the input, validating a string in place
+//! and a list item by item, and allocates nothing; the owned decode is
+//! it followed by a copy of each field ([`Field::from_ref`]), taken only
+//! once the whole message has parsed.
+
+use std::fmt;
 
 use crate::rng::SpecRng;
 
@@ -123,6 +130,14 @@ impl<'a> Writer<'a> {
         self.bytes(v.as_bytes())
     }
 
+    /// Appends bytes that are already encoded, as they are: no length
+    /// prefix (a list's run of items, validated when it was read).
+    #[inline]
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Appends a length-prefixed field of `len` zero bytes and returns
     /// it, for the caller to fill in place (a block read from a file
     /// straight into its message).
@@ -195,22 +210,22 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads length-prefixed bytes.
+    /// Reads length-prefixed bytes, borrowed from the input.
     #[inline]
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         if len > MAX_FIELD {
             return Err(WireError::LengthOverflow);
         }
         let (head, rest) = self.rest.split_at_checked(len).ok_or(WireError::Truncated)?;
         self.rest = rest;
-        Ok(head.to_vec())
+        Ok(head)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed UTF-8 string, validated in place.
     #[inline]
-    pub fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -227,21 +242,35 @@ pub trait Encode {
 /// A message field's wire form: a [`wire_messages!`](crate::wire_messages)
 /// row's field type picks its impl, as a syscall argument's type picks
 /// its register domain.
-pub trait Field: Sized {
-    /// The fewest bytes one value encodes to, so a list reserves no more
-    /// items than the input left can hold.
+///
+/// Each form has one decoder, [`Field::read_ref`], which borrows from
+/// the input; an owned value is that borrowed one made owned
+/// ([`Field::from_ref`]), so the two can never disagree on the bytes.
+/// A field owns its value, so it borrows nothing itself.
+pub trait Field: Sized + 'static {
+    /// The fewest bytes one value encodes to, so a list claiming more
+    /// items than the input left can hold is refused before any is read.
     const MIN_LEN: usize;
     /// The field as a borrowed twin holds it: the value itself for an
-    /// integer, a `&str` for a string, a slice for a byte run or a list.
-    type Ref<'a>: Encode + Copy
-    where
-        Self: 'a;
+    /// integer, a `&str` for a string, a slice for a byte run, a
+    /// [`List`] for a list.
+    type Ref<'a>: Encode + Copy + fmt::Debug + Eq;
     /// Borrows the value; it encodes as [`Field::Ref`]'s [`Encode`] impl
     /// writes it.
     fn borrowed(&self) -> Self::Ref<'_>;
-    /// Reads a value back; a list whose count exceeds `max` is
-    /// `LengthOverflow` (other types ignore `max`).
-    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError>;
+    /// Reads a value back, borrowed from the input: a string is
+    /// validated in place, a byte run and a list are slices of it. A
+    /// list whose count exceeds `max` is `LengthOverflow` (other types
+    /// ignore `max`).
+    fn read_ref<'a>(r: &mut Reader<'a>, max: usize) -> Result<Self::Ref<'a>, WireError>;
+    /// The owned value a borrowed one stands for.
+    fn from_ref(v: Self::Ref<'_>) -> Self;
+    /// Reads an owned value: [`Field::read_ref`], then
+    /// [`Field::from_ref`], so nothing is copied before the whole value
+    /// has been read.
+    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
+        Self::read_ref(r, max).map(Self::from_ref)
+    }
     /// In-domain boundary values, never empty; no list is longer than
     /// `max`.
     fn edges(max: usize) -> Vec<Self>;
@@ -278,8 +307,12 @@ macro_rules! int_fields {
                 *self
             }
             #[inline]
-            fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
+            fn read_ref(r: &mut Reader<'_>, _max: usize) -> Result<$ty, WireError> {
                 r.$ty()
+            }
+            #[inline]
+            fn from_ref(v: $ty) -> Self {
+                v
             }
             fn edges(_max: usize) -> Vec<Self> {
                 vec![$($edge),+]
@@ -322,8 +355,12 @@ macro_rules! prefixed_fields {
                 self
             }
             #[inline]
-            fn read(r: &mut Reader<'_>, _max: usize) -> Result<Self, WireError> {
+            fn read_ref<'a>(r: &mut Reader<'a>, _max: usize) -> Result<&'a $borrowed, WireError> {
                 r.$method()
+            }
+            #[inline]
+            fn from_ref(v: &$borrowed) -> Self {
+                v.into()
             }
             fn edges(_max: usize) -> Vec<Self> {
                 vec![$($edge.into()),+]
@@ -370,15 +407,15 @@ impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
 
 impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
     const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN + C::MIN_LEN;
-    type Ref<'a>
-        = (A::Ref<'a>, B::Ref<'a>, C::Ref<'a>)
-    where
-        Self: 'a;
+    type Ref<'a> = (A::Ref<'a>, B::Ref<'a>, C::Ref<'a>);
     fn borrowed(&self) -> Self::Ref<'_> {
         (self.0.borrowed(), self.1.borrowed(), self.2.borrowed())
     }
-    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
-        Ok((A::read(r, max)?, B::read(r, max)?, C::read(r, max)?))
+    fn read_ref<'a>(r: &mut Reader<'a>, max: usize) -> Result<Self::Ref<'a>, WireError> {
+        Ok((A::read_ref(r, max)?, B::read_ref(r, max)?, C::read_ref(r, max)?))
+    }
+    fn from_ref((a, b, c): Self::Ref<'_>) -> Self {
+        (A::from_ref(a), B::from_ref(b), C::from_ref(c))
     }
     fn edges(max: usize) -> Vec<Self> {
         let n = A::edges(max).len().max(B::edges(max).len()).max(C::edges(max).len());
@@ -389,40 +426,109 @@ impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
     }
 }
 
-/// A `u32` count, then the items.
-impl<T: Item> Encode for &[T] {
-    fn wire_len(&self) -> usize {
-        4 + self.iter().map(|item| item.borrowed().wire_len()).sum::<usize>()
-    }
-    fn write(&self, w: &mut Writer<'_>) {
-        w.u32(self.len() as u32);
-        for item in *self {
-            item.borrowed().write(w);
-        }
+/// A counted list as a borrowed twin holds it: an owned list's items,
+/// or the run of encoded items [`Field::read_ref`] validated in place,
+/// so reading a list copies nothing. Both forms encode alike, and two
+/// lists are equal when their items are, whichever form each has. Only
+/// [`Field::borrowed`] and [`Field::read_ref`] make one, so a run is
+/// always one that decodes.
+pub struct List<'a, T> {
+    /// An owned list's items; empty for a list read from the input.
+    items: &'a [T],
+    /// A list read from the input: its item count and the items'
+    /// encodings, back to back; 0 and empty for an owned list.
+    count: usize,
+    run: &'a [u8],
+}
+
+impl<T> Clone for List<'_, T> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-/// Encoded as its slice; a count above `max` is `LengthOverflow`.
+impl<T> Copy for List<'_, T> {}
+
+impl<'a, T: Item> List<'a, T> {
+    /// Items in the list.
+    pub fn len(self) -> usize {
+        self.items.len() + self.count
+    }
+
+    /// Whether the list has no items.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The items, borrowed.
+    pub fn iter(self) -> impl Iterator<Item = T::Ref<'a>> + 'a {
+        // A run was validated when it was read: every item decodes, so
+        // `map_while` ends only after the last.
+        let mut run = Reader::new(self.run);
+        let read = (0..self.count).map_while(move |_| T::read_ref(&mut run, usize::MAX).ok());
+        self.items.iter().map(|item| item.borrowed()).chain(read)
+    }
+
+    /// The owned list: one allocation of exactly its length, then each
+    /// item made owned.
+    pub fn to_vec(self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.iter().map(T::from_ref));
+        out
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Item> Encode for List<'_, T> {
+    fn wire_len(&self) -> usize {
+        4 + self.items.iter().map(|item| item.borrowed().wire_len()).sum::<usize>() + self.run.len()
+    }
+    fn write(&self, w: &mut Writer<'_>) {
+        w.u32(self.len() as u32);
+        self.items.iter().for_each(|item| item.borrowed().write(w));
+        w.raw(self.run);
+    }
+}
+
+impl<T: Item> fmt::Debug for List<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Item> PartialEq for List<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Item> Eq for List<'_, T> {}
+
+/// Encoded as its [`List`]; a count above `max` is `LengthOverflow`.
 impl<T: Item> Field for Vec<T> {
     const MIN_LEN: usize = 4;
-    type Ref<'a>
-        = &'a [T]
-    where
-        T: 'a;
-    fn borrowed(&self) -> &[T] {
-        self
+    type Ref<'a> = List<'a, T>;
+    fn borrowed(&self) -> List<'_, T> {
+        List { items: self, count: 0, run: &[] }
     }
-    fn read(r: &mut Reader<'_>, max: usize) -> Result<Self, WireError> {
-        let n = r.u32()? as usize;
-        if n > max {
+    /// Each item is read (and dropped) to validate the run; nothing is
+    /// reserved.
+    fn read_ref<'a>(r: &mut Reader<'a>, max: usize) -> Result<List<'a, T>, WireError> {
+        let count = r.u32()? as usize;
+        if count > max {
             return Err(WireError::LengthOverflow);
         }
-        // Reserve only what the rest of the input can hold.
-        let mut out = Vec::with_capacity(n.min(r.remaining() / T::MIN_LEN.max(1)));
-        for _ in 0..n {
-            out.push(T::read(r, usize::MAX)?);
+        if count.saturating_mul(T::MIN_LEN) > r.remaining() {
+            return Err(WireError::Truncated);
         }
-        Ok(out)
+        let start = r.rest;
+        for _ in 0..count {
+            T::read_ref(r, usize::MAX)?;
+        }
+        Ok(List { items: &[], count, run: &start[..start.len() - r.remaining()] })
+    }
+    fn from_ref(list: List<'_, T>) -> Self {
+        list.to_vec()
     }
     /// Empty, one item, every item edge, and the most items a sample
     /// carries (64, or `max` if less).
@@ -453,15 +559,17 @@ impl<T: Item> Field for Vec<T> {
 ///
 /// Generated: the enum; its borrowed twin, the same rows with each
 /// field as its [`Field::Ref`] (a `&str` where the row has a `String`, a
-/// slice where it has a `Vec`), with `encoded_len` (exact) and `write`,
-/// the table's one encoder; on the enum, `borrowed` (the twin of a
-/// message), `encoded_len` and `write` (through its twin), `encode`
-/// (one allocation of exactly that size), `read` (one message off a
-/// [`Reader`]), `decode` (`None` on any error, an unknown tag or a
-/// trailing byte), `samples` (the `k`-th of a row gives every field its
-/// `k`-th edge), `arbitrary` and the header accessors. Decoding is owned
-/// only. Two rows sharing a tag do not compile; a retired tag stays
-/// unassigned by having no row.
+/// slice where it has a `Vec<u8>`, a [`List`] where it has a list), with
+/// `encoded_len` (exact) and `write`, the table's one encoder,
+/// `read_ref` (one message off a [`Reader`], borrowed from its bytes)
+/// and `decode_ref` (`None` on any error, an unknown tag or a trailing
+/// byte), the table's one decoder, and `to_owned`; on the enum,
+/// `borrowed` (the twin of a message), `encoded_len` and `write`
+/// (through its twin), `encode` (one allocation of exactly that size),
+/// `read` and `decode` (through its twin, then `to_owned`), `samples`
+/// (the `k`-th of a row gives every field its `k`-th edge), `arbitrary`
+/// and the header accessors (`id` on the twin too). Two rows sharing a
+/// tag do not compile; a retired tag stays unassigned by having no row.
 #[macro_export]
 macro_rules! wire_messages {
     // One struct row: its variant declarations (owned and borrowed), its
@@ -563,6 +671,41 @@ macro_rules! wire_messages {
                     } )*
                 }
             }
+
+            /// Reads one message off `r`, leaving what follows it, with
+            /// every field borrowed from the input. The table's one
+            /// decoder: an owned message reads through its twin.
+            #[inline]
+            pub fn read_ref(r: &mut $crate::wire::Reader<$lt>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $( $tag => {
+                        $( let $f = <$ty as $crate::wire::Field>::read_ref(r, $max)?; )*
+                        Self::$var $pat
+                    } )*
+                    _ => return Err($crate::wire::WireError::UnknownTag),
+                })
+            }
+
+            /// Parses one whole message, borrowing its fields from
+            /// `bytes`; `None` on malformed input, an unknown tag or
+            /// trailing bytes. Allocates nothing.
+            pub fn decode_ref(bytes: &$lt [u8]) -> Option<Self> {
+                let mut r = $crate::wire::Reader::new(bytes);
+                let msg = Self::read_ref(&mut r).ok()?;
+                r.finish().ok()?;
+                Some(msg)
+            }
+
+            /// The owned message: each field copied out of the bytes it
+            /// borrows.
+            pub fn to_owned(self) -> $name {
+                match self {
+                    $( Self::$var $pat => {
+                        $( let $f = <$ty as $crate::wire::Field>::from_ref($f); )*
+                        $name::$var $pat
+                    } )*
+                }
+            }
         }
 
         impl $name {
@@ -599,25 +742,18 @@ macro_rules! wire_messages {
                 out
             }
 
-            /// Reads one message off `r`, leaving what follows it.
+            /// Reads one message off `r`, leaving what follows it: its
+            /// twin's read, then each field copied out.
             #[inline]
             pub fn read(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
-                Ok(match r.u8()? {
-                    $( $tag => {
-                        $( let $f = <$ty as $crate::wire::Field>::read(r, $max)?; )*
-                        Self::$var $pat
-                    } )*
-                    _ => return Err($crate::wire::WireError::UnknownTag),
-                })
+                $bname::read_ref(r).map($bname::to_owned)
             }
 
             /// Parses one whole message; `None` on malformed input, an
-            /// unknown tag or trailing bytes.
+            /// unknown tag or trailing bytes. Nothing is copied until
+            /// the whole message has parsed.
             pub fn decode(bytes: &[u8]) -> Option<Self> {
-                let mut r = $crate::wire::Reader::new(bytes);
-                let msg = Self::read(&mut r).ok()?;
-                r.finish().ok()?;
-                Some(msg)
+                $bname::decode_ref(bytes).map($bname::to_owned)
             }
 
             /// Boundary samples of every row: the `k`-th sample of a row
@@ -650,13 +786,22 @@ macro_rules! wire_messages {
             }
         }
 
-        $crate::wire_messages!(@header $name $header [$( $var $hpat )*]);
+        $crate::wire_messages!(@header $name $bname $lt $header [$( $var $hpat )*]);
     };
-    (@header $name:ident {} [$($var:ident $hpat:tt)*]) => {};
-    (@header $name:ident
+    (@header $name:ident $bname:ident $lt:lifetime {} [$($var:ident $hpat:tt)*]) => {};
+    (@header $name:ident $bname:ident $lt:lifetime
         { $(#[$hdoc:meta])* $h:ident: $hty:ty }
         [$($var:ident $hpat:tt)*]
     ) => {
+        impl<$lt> $bname<$lt> {
+            $(#[$hdoc])*
+            pub fn id(&self) -> $hty {
+                match self {
+                    $( Self::$var $hpat => *$h, )*
+                }
+            }
+        }
+
         impl $name {
             $(#[$hdoc])*
             pub fn id(&self) -> $hty {
@@ -799,6 +944,11 @@ mod tests {
             let bytes = m.encode();
             assert_eq!((m.encoded_len(), bytes.capacity()), (bytes.len(), bytes.len()), "{m:?}");
             assert_eq!(Dummy::decode(&bytes).as_ref(), Some(m));
+            // The borrowed decode is the message's twin: its lists are
+            // runs of the input, equal to the owned lists' items.
+            let twin = DummyRef::decode_ref(&bytes);
+            assert_eq!((twin, twin.map(DummyRef::to_owned).as_ref()), (Some(m.borrowed()), Some(m)));
+            assert_eq!(Dummy::peek_id(&bytes), twin.map(|t| t.id()));
             assert_eq!(Dummy::peek_id(&bytes), Some(m.id()));
             for cut in 0..bytes.len() {
                 assert_eq!(Dummy::decode(&bytes[..cut]), None, "{m:?} cut at {cut}");

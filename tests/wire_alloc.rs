@@ -2,23 +2,24 @@
 //! counts, so the result is the same on every host and every run.
 //!
 //! A `Get` served by a one-node fleet over a warmed-up, reliable wire
-//! allocates exactly ten blocks. Each message on the wire costs its
+//! allocates exactly seven blocks. Each message on the wire costs its
 //! encoding and its frame, and the encoding is built at its final size:
 //!
 //! 1. the client's `Get` request, encoded once;
 //! 2. its DATA frame;
 //! 3. the node's ACK frame for it;
-//! 4. the key the node decodes from the request;
-//! 5. the block's file path, built once and handed to `fs::Path`;
-//! 6. the `GetOk` reply, into which the store reads the block from its
+//! 4. the `GetOk` reply, into which the store reads the block from its
 //!    file and verifies it in place;
-//! 7. the reply's DATA frame;
-//! 8. the client's ACK frame for it;
-//! 9. the block the client decodes from the reply;
-//! 10. the copy of it in `OpResult::read`.
+//! 5. the reply's DATA frame;
+//! 6. the client's ACK frame for it;
+//! 7. the copy of the block in `OpResult::read`.
 //!
-//! Routing allocates nothing: the client's live set is kept, not rebuilt
-//! per attempt, and a chain is held inline.
+//! Nothing else is copied. The node decodes the request borrowed and
+//! serves the key from the delivered message; the store writes the
+//! block's file path into a stack buffer; the client verifies the block
+//! where it arrived, and `OpResult::resp` keeps it in the delivered
+//! message's own buffer. Routing allocates nothing: the client's live
+//! set is kept, not rebuilt per attempt, and a chain is held inline.
 //!
 //! Decoding a malformed message allocates no more than a small multiple
 //! of its length: a `SyncBlocks` header claiming 65 536 blocks with none
@@ -96,16 +97,15 @@ fn fleet_messages_allocate_once_and_decoding_reserves_only_what_the_input_holds(
     let request = 1 + 8 + 4 + KEY.len();
     let reply = 1 + 8 + 4 + BLOCK + 8;
     let frame = |message: usize| HEADROOM + RDT_HEADER + message;
-    let path = "/b_".len() + 2 * KEY.len();
     assert_eq!(
         cost,
         Allocated {
-            blocks: 10,
-            bytes: (request + frame(request) + frame(0) + KEY.len() + path
-                + reply + frame(reply) + frame(0) + 2 * BLOCK) as u64,
+            blocks: 7,
+            bytes: (request + frame(request) + frame(0) + reply + frame(reply) + frame(0) + BLOCK)
+                as u64,
         },
-        "a served get should allocate its two messages, their four frames, \
-         the decoded key and block, the path and the read's copy"
+        "a served get should allocate its two messages, their four frames and the read's \
+         copy of the block, and copy no key, path or block besides"
     );
 
     // Tag, id and a block count of 65 536 (the decoder's bound) with no
