@@ -50,9 +50,9 @@
 //! quiet. So every client outside the busy set is quiet, and a tick
 //! visits the merge of the woken client hosts and the busy set, in
 //! ascending order, instead of asking every client: O(woken + busy),
-//! not O(clients). An idle tick of a 1000-client fleet sends only its
-//! heartbeats and views, allocates one block per frame, and takes
-//! ~0.6 µs on a shared 2-core Xeon (`cluster.idle_tick_us`, seed 11).
+//! not O(clients). An idle tick of a 1000-client fleet sends heartbeats
+//! only (no view travels while epochs agree), allocates one block per
+//! frame, and takes ~0.15 µs on a shared 2-core Xeon (`cluster.idle_tick_us`).
 //! A harness that steps `net` itself owns the whole
 //! tick and must poll whom it woke, as `tests/common::step_all` (the
 //! poll-everything stepper this one replaced, kept as the test oracle)

@@ -184,7 +184,8 @@ impl FleetNode {
             }
         }
         if now >= self.next_heartbeat {
-            let _ = stack.send_to(self.ctrl, self.coord.0, self.coord.1, &[&heartbeat(self.id)]);
+            let beat = heartbeat(self.id, self.view.epoch);
+            let _ = stack.send_to(self.ctrl, self.coord.0, self.coord.1, &[&beat]);
             self.next_heartbeat = now + HEARTBEAT_EVERY;
         }
         let _ = self.demux.poll(stack, now);

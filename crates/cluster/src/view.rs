@@ -1,14 +1,15 @@
 //! Deterministic membership: heartbeats in, epoch-numbered views out.
 //!
-//! Storage nodes send fixed-interval heartbeat datagrams to a
-//! coordinator host. The coordinator declares a node dead when no
-//! heartbeat arrives within a deadline, bumps the **epoch**, and
-//! (re)broadcasts the new [`View`] to every storage node. Views travel
-//! as plain lossy datagrams, so the coordinator resends its current one
-//! every [`VIEW_EVERY`] ticks for as long as it runs, encoded once per
-//! epoch. Nodes adopt any view with a higher epoch than their own, and
-//! read only a copy's tag and epoch ([`View::epoch_of`]) to skip the
-//! rest: the member list is decoded only from a newer view.
+//! Storage nodes send fixed-interval heartbeat datagrams, each carrying
+//! the node's epoch, to a coordinator host. The coordinator declares a
+//! node dead when no heartbeat arrives within a deadline, bumps the
+//! **epoch**, and sends the new [`View`] once to every storage node.
+//! After that it answers only a heartbeat with an older epoch, a removed
+//! node's too: no view travels while epochs agree, and a lost bump is
+//! repaired within one heartbeat interval ([`HEARTBEAT_EVERY`] ticks).
+//! Nodes adopt any view with a higher epoch than their own, and read
+//! only a copy's tag and epoch ([`View::epoch_of`]) to skip the rest:
+//! the member list is decoded only from a newer view.
 //! Clients do *not* depend on the coordinator: they detect dead nodes
 //! by RPC timeout and recompute chains locally, so the coordinator is
 //! never on the data path.
@@ -35,8 +36,6 @@ pub const HEARTBEAT_EVERY: u64 = 16;
 /// Several heartbeat intervals: a hostile wire loses individual frames,
 /// not four in a row, so false positives stay out of the sweeps.
 pub const DEATH_DEADLINE: u64 = 5 * HEARTBEAT_EVERY;
-/// Ticks between coordinator view (re)broadcasts.
-pub const VIEW_EVERY: u64 = 8;
 
 /// A membership view: the epoch and the set of live storage nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,35 +90,36 @@ impl View {
     }
 }
 
-/// Encodes a node's heartbeat datagram: the tag and the node's id.
-pub fn heartbeat(node: u16) -> [u8; 3] {
-    let [lo, hi] = node.to_le_bytes();
-    [TAG_HEARTBEAT, lo, hi]
+/// Encodes a node's heartbeat datagram: the tag, its id, its view's epoch.
+pub fn heartbeat(node: u16, epoch: u64) -> [u8; 11] {
+    let mut out = [TAG_HEARTBEAT; 11];
+    out[1..3].copy_from_slice(&node.to_le_bytes());
+    out[3..].copy_from_slice(&epoch.to_le_bytes());
+    out
 }
 
-/// The node a heartbeat datagram names; `None` for anything else.
-pub fn parse_heartbeat(bytes: &[u8]) -> Option<u16> {
+/// The node and epoch of a heartbeat datagram; `None` for anything else.
+pub fn parse_heartbeat(bytes: &[u8]) -> Option<(u16, u64)> {
     let mut r = Reader::new(bytes);
     if r.u8().ok()? != TAG_HEARTBEAT {
         return None;
     }
-    let node = r.u16().ok()?;
+    let (node, epoch) = (r.u16().ok()?, r.u64().ok()?);
     r.finish().ok()?;
-    Some(node)
+    Some((node, epoch))
 }
 
 /// The membership coordinator: one socket, heartbeat bookkeeping, view
-/// broadcast. Lives on its own host, off the data path.
+/// pushes. Lives on its own host, off the data path.
 pub struct Coordinator {
     sock: SocketId,
     view: View,
-    /// `view.encode()`, kept for every rebroadcast of the same epoch.
+    /// `view.encode()`, kept for every send of the same epoch.
     encoded: Vec<u8>,
     /// Last heartbeat tick per node (dead nodes are dropped).
     last_seen: Vec<(u16, u64)>,
-    /// Storage-node control addresses the view is pushed to.
+    /// Storage-node control addresses views are sent to, index = node id.
     targets: Vec<(IpAddr, u16)>,
-    next_broadcast: u64,
 }
 
 impl Coordinator {
@@ -133,7 +133,6 @@ impl Coordinator {
             view,
             last_seen: (0..nodes).map(|n| (n, 0)).collect(),
             targets,
-            next_broadcast: 0,
         }
     }
 
@@ -142,13 +141,17 @@ impl Coordinator {
         &self.view
     }
 
-    /// One tick: absorb heartbeats, declare the late dead, rebroadcast.
+    /// One tick: absorb heartbeats, answer stale ones, declare the late dead.
     pub fn step(&mut self, stack: &mut NetStack, now: u64) {
         while let Ok(Some((_, _, data))) = stack.recv_from(self.sock) {
-            if let Some(node) = parse_heartbeat(&data) {
-                if let Some(slot) = self.last_seen.iter_mut().find(|(n, _)| *n == node) {
-                    slot.1 = now;
-                }
+            let Some((node, epoch)) = parse_heartbeat(&data) else { continue };
+            if let Some(slot) = self.last_seen.iter_mut().find(|(n, _)| *n == node) {
+                slot.1 = now;
+            }
+            // Removed nodes too: a falsely suspected one learns it is out.
+            let behind = self.targets.get(usize::from(node)).filter(|_| epoch < self.view.epoch);
+            if let Some(&(ip, port)) = behind {
+                let _ = stack.send_to(self.sock, ip, port, &[&self.encoded]);
             }
         }
         let mut died = false;
@@ -164,13 +167,9 @@ impl Coordinator {
             self.view.epoch += 1;
             self.encoded = self.view.encode();
             crate::metrics::VIEW_EPOCH.inc();
-            self.next_broadcast = now; // Push the new view immediately.
-        }
-        if now >= self.next_broadcast {
             for (ip, port) in &self.targets {
                 let _ = stack.send_to(self.sock, *ip, *port, &[&self.encoded]);
             }
-            self.next_broadcast = now + VIEW_EVERY;
         }
     }
 }
@@ -212,11 +211,13 @@ mod tests {
                 assert_eq!(View::epoch_of(&unknown), None);
             }
         }
-        assert_eq!(View::epoch_of(&heartbeat(7)), None);
+        assert_eq!(View::epoch_of(&heartbeat(7, 0)), None);
     }
 
     /// The bytes a coordinator keeps are the bytes it sends, and after
-    /// each death they are the new view's.
+    /// each death they are the new view's, sent once to each target.
+    /// Nothing else is sent: no heartbeat asks for a view, and the
+    /// initial epoch-0 view is every node's from the start.
     #[test]
     fn the_coordinator_broadcasts_its_current_view_after_each_death() {
         use veros_net::sim::{FaultPlan, Network};
@@ -235,25 +236,137 @@ mod tests {
             net.step();
             while let Ok(Some((_, _, data))) = net.host(1).recv_from(target) {
                 assert_eq!(data, c.encoded, "tick {now}");
-                received.push(View::decode(&data).expect("a view"));
+                received.push(View::decode(&data).expect("a view").epoch);
             }
         }
-        let epochs: BTreeSet<u64> = received.iter().map(|v| v.epoch).collect();
-        assert_eq!(epochs, (0..=3).collect(), "one epoch per death");
+        assert_eq!(received, [1, 2, 3], "one send per death");
         assert_eq!(c.view(), &View { epoch: 3, live: BTreeSet::new() });
     }
 
     #[test]
     fn heartbeat_is_tiny_and_tagged() {
-        let h = heartbeat(1001);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h[0], TAG_HEARTBEAT);
-        assert_eq!(parse_heartbeat(&h), Some(1001));
-        for cut in 0..h.len() {
-            assert_eq!(parse_heartbeat(&h[..cut]), None, "cut {cut}");
+        for epoch in [0, 1, u64::MAX] {
+            let h = heartbeat(1001, epoch);
+            assert_eq!(h.len(), 11);
+            assert_eq!(h[0], TAG_HEARTBEAT);
+            assert_eq!(parse_heartbeat(&h), Some((1001, epoch)));
+            for cut in 0..h.len() {
+                assert_eq!(parse_heartbeat(&h[..cut]), None, "epoch {epoch} cut {cut}");
+            }
+            assert_eq!(parse_heartbeat(&[h.as_slice(), &[0]].concat()), None, "epoch {epoch}");
+            let view = View { epoch, live: [1001].into_iter().collect() };
+            assert_eq!(parse_heartbeat(&view.encode()), None, "epoch {epoch}");
         }
-        assert_eq!(parse_heartbeat(&[h.as_slice(), &[0]].concat()), None);
-        assert_eq!(parse_heartbeat(&View::initial(1).encode()), None);
+    }
+
+    mod on_a_scripted_wire {
+        //! The coordinator in a fleet on a scripted wire: what it sends
+        //! while epochs agree, and how a node that missed a view learns
+        //! it.
+
+        use super::*;
+        use crate::fleet::{Fleet, FleetConfig};
+        use veros_net::sim::{Rule, ScriptedWire};
+
+        /// Node 1 is the one that misses its view; node 0 is killed.
+        const BEHIND: u16 = 1;
+        const VICTIM: u16 = 0;
+
+        fn fleet(rules: Vec<Rule>) -> Fleet {
+            let cfg = FleetConfig { clients: 1, ..FleetConfig::default() };
+            Fleet::with_wire(cfg, ScriptedWire::new(rules))
+        }
+
+        /// The coordinator's host sends nothing but views.
+        fn views_sent(f: &mut Fleet) -> u64 {
+            let coord = f.nodes.len();
+            f.net.host(coord).stats().tx_udp
+        }
+
+        /// Steps until the coordinator bumps its epoch; the bump's tick.
+        fn run_until_bump(f: &mut Fleet) -> u64 {
+            let epoch = f.coordinator.view().epoch;
+            for _ in 0..2 * DEATH_DEADLINE {
+                f.step();
+                if f.coordinator.view().epoch > epoch {
+                    return f.now() - 1;
+                }
+            }
+            panic!("no bump by tick {}", f.now());
+        }
+
+        /// (c) While every node's epoch is the coordinator's, no view
+        /// travels: none before the first death, the bump's one copy
+        /// per node at it, and none after every node has adopted it.
+        #[test]
+        fn no_view_travels_while_epochs_agree() {
+            let mut f = fleet(Vec::new());
+            f.run(10 * HEARTBEAT_EVERY);
+            assert_eq!(views_sent(&mut f), 0, "a view was sent before any death");
+            f.kill_node(VICTIM);
+            run_until_bump(&mut f);
+            let nodes = f.nodes.len() as u64;
+            assert_eq!(views_sent(&mut f), nodes, "the bump goes once to every node");
+            f.run(10 * HEARTBEAT_EVERY);
+            assert_eq!(views_sent(&mut f), nodes, "a view was resent while epochs agreed");
+            for node in f.nodes.iter().filter(|n| n.id() != VICTIM) {
+                assert_eq!(node.view(), f.coordinator.view(), "node {}", node.id());
+            }
+        }
+
+        /// (a) The bump to one node is lost. Its next heartbeat reports
+        /// the old epoch, and the coordinator answers it with the
+        /// current view: the node adopts it within one heartbeat
+        /// interval (and the two ticks the heartbeat and its answer
+        /// take on the wire).
+        #[test]
+        fn a_lost_bump_is_repaired_through_the_next_heartbeat() {
+            let coord = FleetConfig::default().nodes as usize;
+            let drop_bump = Rule::DropNth {
+                from: coord,
+                to: usize::from(BEHIND),
+                nth: 0,
+                matches: Box::new(|p| View::epoch_of(p).is_some()),
+            };
+            let mut f = fleet(vec![drop_bump]);
+            f.run(2 * HEARTBEAT_EVERY);
+            f.kill_node(VICTIM);
+            let bump = run_until_bump(&mut f);
+            f.run(2);
+            assert_eq!(f.nodes[usize::from(BEHIND)].view().epoch, 0, "the bump was not lost");
+            let behind = |f: &Fleet| f.nodes[usize::from(BEHIND)].view() != f.coordinator.view();
+            while behind(&f) && f.now() <= bump + HEARTBEAT_EVERY + 2 {
+                f.step();
+            }
+            assert!(!behind(&f), "node {BEHIND} still behind at tick {}", f.now());
+            assert!(!f.coordinator.view().live.contains(&VICTIM));
+        }
+
+        /// (b) A live node cut off from the coordinator past the death
+        /// deadline is removed, and misses the bump that removes it.
+        /// Once reconnected, its heartbeat reports the old epoch; the
+        /// coordinator no longer tracks the node, but answers it all the
+        /// same, and the node adopts a view without itself.
+        #[test]
+        fn a_removed_node_learns_it_is_out_through_its_heartbeat() {
+            let coord = FleetConfig::default().nodes as usize;
+            let until = DEATH_DEADLINE + 2 * HEARTBEAT_EVERY;
+            let cut =
+                Rule::Partition { a: vec![usize::from(BEHIND)], b: vec![coord], ticks: 0..until };
+            let mut f = fleet(vec![cut]);
+            f.run(until);
+            assert_eq!(f.coordinator.view().epoch, 1);
+            assert!(!f.coordinator.view().live.contains(&BEHIND), "node {BEHIND} was not removed");
+            assert_eq!(f.nodes[usize::from(BEHIND)].view().epoch, 0, "the bump crossed the cut");
+            f.run(HEARTBEAT_EVERY + 2);
+            let view = f.nodes[usize::from(BEHIND)].view();
+            assert_eq!(view, f.coordinator.view());
+            assert!(!view.live.contains(&BEHIND));
+            // Its epoch now agrees: nothing more is sent to it.
+            let sent = views_sent(&mut f);
+            f.run(4 * HEARTBEAT_EVERY);
+            assert_eq!(views_sent(&mut f), sent);
+        }
     }
 
     #[test]

@@ -291,17 +291,27 @@ fn ablation_dropping_a_nodes_woken_term_is_caught() {
 /// Node ablation: without the heartbeat term a quiet node stops
 /// heartbeating, and the coordinator declares it dead. `quiet(0)` is the
 /// demux term alone: once a node has heartbeat at tick 0, no heartbeat
-/// is due at tick 0.
+/// is due at tick 0. No view wakes an idle node while epochs agree, so
+/// this parts from the oracle even on the reliable wire with no kill:
+/// a node the load leaves alone for a death deadline is removed.
 #[test]
 fn ablation_dropping_a_nodes_heartbeat_term_is_caught() {
-    assert!(node_ablation(|node, _, woken| woken || !node.quiet(0)) > 0);
+    let demux_term_alone: NodeRule = |node, _, woken| woken || !node.quiet(0);
+    assert!(node_ablation(demux_term_alone) > 0);
+    assert_eq!(
+        seeds_that_differ(FaultPlan::reliable(), Kill::None, demux_term_alone, client_rule),
+        8
+    );
 }
 
 /// Node ablation: without the demux term a node that owes a
 /// retransmission (its forward or its answer was lost) waits for the
 /// next frame or heartbeat to send it. A rule that polls a node whenever
 /// its heartbeat is due sends one every `HEARTBEAT_EVERY` ticks from 0,
-/// so `now % HEARTBEAT_EVERY == 0` is the heartbeat term alone.
+/// so `now % HEARTBEAT_EVERY == 0` is the heartbeat term alone. It is
+/// run on the hostile wire only: on the reliable one no frame is lost,
+/// so no node ever owes a retransmission and the ablation changes
+/// nothing (it parts from the oracle on 0 of 8 seeds there).
 #[test]
 fn ablation_dropping_a_nodes_quiescent_term_is_caught() {
     assert!(node_ablation(|_, now, woken| woken || now % HEARTBEAT_EVERY == 0) > 0);

@@ -9,10 +9,12 @@
 //! it handed out and whom it woke is sized once, for every host.
 //!
 //! An idle tick is not free of allocation as a whole: nodes heartbeat
-//! and the coordinator rebroadcasts its view whoever steps the world.
-//! But it allocates only those frames, one block each: the coordinator
-//! encodes a view once per epoch, and a node reads a stale copy's epoch
-//! without decoding its member list.
+//! whoever steps the world. But it carries heartbeats only, and it
+//! allocates only those frames, one block each: while every node's
+//! epoch is the coordinator's, the coordinator sends no view. A
+//! thousand idle ticks of 8 nodes carry exactly 496 frames (1 496 when
+//! the coordinator resent its unchanged view to every node every 8
+//! ticks).
 //! Its own test binary with a single `#[test]`: see `counting_alloc`.
 
 #[path = "../crates/cluster/tests/common/mod.rs"]
@@ -64,13 +66,14 @@ fn what_fleet_step_skips_allocates_nothing() {
 
     // Whole idle ticks: the stepper that visits a few hosts a tick and
     // the one that visits all 1009 allocate the same (the control
-    // plane's heartbeats and views), so neither pays for whom it visits;
-    // and that is one block per frame the wire carried.
+    // plane's heartbeats), so neither pays for whom it visits; and that
+    // is one block per frame the wire carried.
     let mut fleet = warmed_up();
     let before = fleet.net.wire_stats();
     let stepped = allocated_by(|| fleet.run(TICKS));
     let after = fleet.net.wire_stats();
     let frames = (after.0 - before.0) + (after.1 - before.1);
+    assert_eq!(frames, 496, "an idle tick carries more than heartbeats");
     assert_eq!(
         stepped.blocks, frames,
         "an idle tick allocated beyond its frames"

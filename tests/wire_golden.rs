@@ -12,7 +12,7 @@
 //! or block is a `u32` length and the bytes.
 
 use veros_blockstore::wire::{Request, Response};
-use veros_cluster::view::{heartbeat, View};
+use veros_cluster::view::{heartbeat, parse_heartbeat, View};
 use veros_kernel::syscall::{SysError, Syscall};
 use veros_net::demux::RdtDemux;
 use veros_net::sim::{FaultPlan, Network};
@@ -85,7 +85,9 @@ fn a_view_and_a_heartbeat_have_their_pinned_images() {
                  /* live: count, u16 hosts */ 2, 0, 0, 0, 1, 0, 3, 2];
     assert_eq!(view.encode(), image);
     assert_eq!(View::decode(&image), Some(view));
-    assert_eq!(heartbeat(0x0102), [0xb1, 2, 1]);
+    let image = [0xb1, /* node */ 2, 1, /* epoch */ 4, 3, 0, 0, 0, 0, 0, 0];
+    assert_eq!(heartbeat(0x0102, 0x0304), image);
+    assert_eq!(parse_heartbeat(&image), Some((0x0102, 0x0304)));
 }
 
 /// The demux on host 0 sends two messages to a plain socket on host 1,
