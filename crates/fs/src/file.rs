@@ -4,9 +4,11 @@
 //! "the file descriptors' current state": each handle has an inode and
 //! an offset; `read` copies `min(buffer.len, size - offset)` bytes from
 //! the contents at `offset` and advances the offset by the amount read.
-//! [`OpenFiles::read`] implements exactly that; the literal `read_spec`
-//! predicate lives in [`crate::spec`] and is checked against this
-//! implementation.
+//! This table holds that state. The kernel's `read` syscall copies the
+//! bytes from [`MemFs::contents`] straight into the caller's pages and
+//! then [`seek`](OpenFiles::seek)s the handle past them; the literal
+//! `read_spec` predicate lives in [`crate::spec`], and the kernel's tests
+//! check its `read` against it.
 
 use std::collections::BTreeMap;
 
@@ -24,15 +26,6 @@ pub struct OpenFile {
     pub ino: Ino,
     /// Current offset.
     pub offset: u64,
-}
-
-/// The result of a read: bytes read and data.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadResult {
-    /// Number of bytes read (≤ requested).
-    pub len: u64,
-    /// The bytes.
-    pub data: Vec<u8>,
 }
 
 /// The open-file table.
@@ -64,22 +57,6 @@ impl OpenFiles {
     /// Looks up a handle.
     pub fn get(&self, h: Handle) -> Option<&OpenFile> {
         self.handles.get(&h)
-    }
-
-    /// The paper's `read`: reads up to `want` bytes at the handle's
-    /// offset and advances it by the number of bytes read.
-    pub fn read(&mut self, fs: &MemFs, h: Handle, want: u64) -> Result<ReadResult, FsError> {
-        let of = self.handles.get_mut(&h).ok_or(FsError::NotFound)?;
-        let size = fs.len_of(of.ino)?;
-        let read_len = want.min(size.saturating_sub(of.offset));
-        let mut data = vec![0u8; read_len as usize];
-        let n = fs.read_at(of.ino, of.offset, &mut data)?;
-        debug_assert_eq!(n as u64, read_len);
-        of.offset += read_len;
-        Ok(ReadResult {
-            len: read_len,
-            data,
-        })
     }
 
     /// Positional write at the handle's offset, advancing it.
@@ -123,30 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reads_advance_offset() {
-        let (fs, mut of, h) = setup();
-        let r1 = of.read(&fs, h, 4).unwrap();
-        assert_eq!(r1.data, b"0123");
-        let r2 = of.read(&fs, h, 4).unwrap();
-        assert_eq!(r2.data, b"4567");
-        let r3 = of.read(&fs, h, 4).unwrap();
-        assert_eq!(r3.data, b"89");
-        assert_eq!(r3.len, 2, "short read at EOF");
-        let r4 = of.read(&fs, h, 4).unwrap();
-        assert_eq!(r4.len, 0, "EOF");
-    }
-
-    #[test]
-    fn read_len_is_min_of_buffer_and_remaining() {
-        // The paper's read_spec: read_len == min(buffer.len, size - offset).
-        let (fs, mut of, h) = setup();
-        of.seek(h, 7).unwrap();
-        let r = of.read(&fs, h, 100).unwrap();
-        assert_eq!(r.len, 3);
-        assert_eq!(r.data, b"789");
-    }
-
-    #[test]
     fn writes_advance_offset_and_extend() {
         let (mut fs, mut of, h) = setup();
         of.seek(h, 8).unwrap();
@@ -160,27 +113,27 @@ mod tests {
 
     #[test]
     fn independent_handles_have_independent_offsets() {
-        let (fs, mut of, h1) = setup();
+        let (mut fs, mut of, h1) = setup();
         let h2 = of.open(of.get(h1).unwrap().ino);
-        of.read(&fs, h1, 5).unwrap();
-        let r = of.read(&fs, h2, 5).unwrap();
-        assert_eq!(r.data, b"01234", "h2 unaffected by h1's reads");
+        of.write(&mut fs, h1, b"ab").unwrap();
+        assert_eq!(of.get(h1).unwrap().offset, 2);
+        assert_eq!(of.get(h2).unwrap().offset, 0, "h2 unaffected by h1's write");
     }
 
     #[test]
     fn closed_handles_are_gone() {
-        let (fs, mut of, h) = setup();
+        let (_fs, mut of, h) = setup();
         of.close(h).unwrap();
         assert_eq!(of.close(h), Err(FsError::NotFound));
-        assert!(of.read(&fs, h, 1).is_err());
+        assert!(of.get(h).is_none());
+        assert_eq!(of.seek(h, 1), Err(FsError::NotFound));
         assert!(of.is_empty());
     }
 
     #[test]
-    fn seek_past_eof_reads_zero_writes_sparse() {
+    fn seek_past_eof_writes_sparse() {
         let (mut fs, mut of, h) = setup();
         of.seek(h, 100).unwrap();
-        assert_eq!(of.read(&fs, h, 4).unwrap().len, 0);
         of.write(&mut fs, h, b"z").unwrap();
         assert_eq!(fs.len_of(of.get(h).unwrap().ino).unwrap(), 101);
     }

@@ -49,8 +49,9 @@
 //! resolved by one walk of the tree, and an op on the path the previous
 //! op of the transaction named starts from that walk instead
 //! ([`JournaledFs::transact_on`] lets the caller's own existence check
-//! be that walk). The crash-safety argument is about record bytes, and
-//! these are the bytes an owned op writes.
+//! be that walk, and [`JournaledFs::open`] a lookup that may create).
+//! The crash-safety argument is about record bytes, and these are the
+//! bytes an owned op writes.
 //!
 //! Why that is crash-safe. The in-memory tree is always the replay of
 //! the committed records followed by the staged operations. A drive may
@@ -73,6 +74,7 @@ use veros_hw::{SimDisk, SECTOR_SIZE};
 use veros_spec::checksum::checksum32;
 use veros_spec::wire::{Reader, Writer, MAX_FIELD};
 
+use crate::inode::Ino;
 use crate::memfs::{Checked, Entry, FsError, MemFs};
 use crate::path::Path;
 
@@ -298,7 +300,7 @@ impl JournaledFs {
     /// [`JournaledFs::apply`] calls would. The ops are staged from the
     /// caller's bytes: nothing of them is copied but into the record.
     pub fn transact(&mut self, ops: &[FsOpRef<'_>]) -> Result<(), FsError> {
-        self.run(ops, None)
+        self.run(ops, None).map(drop)
     }
 
     /// Runs, as [`JournaledFs::transact`] does, the transaction `build`
@@ -311,10 +313,25 @@ impl JournaledFs {
     ) -> Result<(), FsError> {
         let at = self.fs.entry(&path);
         let ops = build(at.is_ok_and(|at| at.ino().is_some()));
-        self.run(&ops, at.ok().map(|at| (path, at)))
+        self.run(&ops, at.ok().map(|at| (path, at))).map(drop)
     }
 
-    fn run<'a>(&mut self, ops: &[FsOpRef<'a>], mut last: Resolved<'a>) -> Result<(), FsError> {
+    /// The inode `path` names, or, when it names nothing and `create` is
+    /// set, the one a committed `Create` made from the same walk: the
+    /// tree is walked once. Fails as a lookup, or that `Create`, would.
+    pub fn open(&mut self, path: Path<'_>, create: bool) -> Result<Ino, FsError> {
+        let at = match self.fs.entry(&path) {
+            Ok(at) if at.ino().is_some() || !create => return at.ino().ok_or(FsError::NotFound),
+            Err(e) if e != FsError::NotFound || !create => return Err(e),
+            // Nothing there, or no parent (the `Create` then fails as it would on its own).
+            at => at.ok().map(|at| (path, at)),
+        };
+        let created = self.run(&[FsOpRef::Create(path.as_str())], at)?;
+        created.and_then(|(_, at)| at.ino()).ok_or(FsError::NotFound)
+    }
+
+    /// Runs `ops` as one transaction from `last`; answers what `last` is after it.
+    fn run<'a>(&mut self, ops: &[FsOpRef<'a>], mut last: Resolved<'a>) -> Result<Resolved<'a>, FsError> {
         if self.journaling {
             let ops_len = self.staged() + ops.iter().map(FsOpRef::encoded_len).sum::<usize>();
             if !self.fits(ops_len) {
@@ -324,7 +341,8 @@ impl JournaledFs {
         for &op in ops {
             self.apply_op(op, &mut last)?;
         }
-        self.commit()
+        self.commit()?;
+        Ok(last)
     }
 
     /// Commits the current transaction: its record's sectors, then a
@@ -539,6 +557,33 @@ mod tests {
         jfs.transact(&[]).unwrap();
         assert_eq!(jfs.disk().stats(), (0, 2));
         assert_eq!(JournaledFs::recover(jfs.into_disk()).fs, MemFs::new());
+    }
+
+    /// `open` answers what a lookup would, and creates (one committed
+    /// `Create`, the record `transact` would write) only a file that is
+    /// missing and asked for.
+    #[test]
+    fn open_looks_up_or_creates_as_lookup_and_transact_would() {
+        let p = |s| Path::parse(s).unwrap();
+        let mut jfs = JournaledFs::format(SimDisk::new(16));
+        jfs.transact(&[FsOpRef::Mkdir("/d"), FsOpRef::Create("/d/f")]).unwrap();
+        let stats = jfs.disk().stats();
+        assert_eq!(jfs.open(p("/d/f"), true), jfs.fs.lookup(&p("/d/f")));
+        assert_eq!(jfs.open(p("/d"), false), jfs.fs.lookup(&p("/d")));
+        assert_eq!(jfs.open(p("/d/g"), false), Err(FsError::NotFound));
+        assert_eq!(jfs.open(p("/x/g"), true), Err(FsError::NotFound));
+        assert_eq!(jfs.open(p("/d/f/g"), true), Err(FsError::NotADirectory));
+        assert_eq!(jfs.disk().stats(), stats, "nothing created, nothing committed");
+        let created = jfs.open(p("/d/g"), true).unwrap();
+        assert_eq!(jfs.fs.lookup(&p("/d/g")), Ok(created));
+        assert_eq!(jfs.disk().stats(), (stats.0 + 1, stats.1 + 1), "one record, one barrier");
+        let mut twin = JournaledFs::format(SimDisk::new(16));
+        twin.transact(&[FsOpRef::Mkdir("/d"), FsOpRef::Create("/d/f")]).unwrap();
+        twin.transact(&[FsOpRef::Create("/d/g")]).unwrap();
+        assert_eq!(
+            JournaledFs::recover(jfs.into_disk()).fs,
+            JournaledFs::recover(twin.into_disk()).fs
+        );
     }
 
     /// The all-or-nothing rule (INVARIANTS.md §3): a transaction whose

@@ -6,8 +6,8 @@
 //! * [`path`] — normalized absolute paths.
 //! * [`inode`] — the inode table: files and directories.
 //! * [`memfs`] — the in-memory filesystem over the inode table.
-//! * [mod@file] — open-file handles with offsets; `read`/`write` implement
-//!   the paper's `read_spec` semantics literally.
+//! * [mod@file] — open-file handles with offsets: the fd state the
+//!   paper's `read_spec` is a transition over.
 //! * [`journal`] — persistence: a write-ahead operation journal on the
 //!   simulated disk, one self-checksummed record per transaction;
 //!   recovery replays exactly the records that reached the disk whole
@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod path;
 pub mod spec;
 
-pub use file::{OpenFiles, ReadResult};
+pub use file::OpenFiles;
 pub use inode::{Ino, InodeKind};
 pub use journal::{FsOp, JournaledFs};
 pub use memfs::{FsError, MemFs};

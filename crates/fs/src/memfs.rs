@@ -292,18 +292,19 @@ impl MemFs {
         Ok(())
     }
 
+    /// A file's bytes, borrowed: what a read copies out of.
+    pub fn contents(&self, ino: Ino) -> Result<&[u8], FsError> {
+        match &self.inodes.get(ino).ok_or(FsError::NotFound)?.kind {
+            InodeKind::File(d) => Ok(d),
+            InodeKind::Dir(_) => Err(FsError::IsADirectory),
+        }
+    }
+
     /// Reads up to `buf.len()` bytes at `offset`; returns bytes read
     /// (0 at or past EOF).
     pub fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize, FsError> {
-        let node = self.inodes.get(ino).ok_or(FsError::NotFound)?;
-        let data = match &node.kind {
-            InodeKind::File(d) => d,
-            InodeKind::Dir(_) => return Err(FsError::IsADirectory),
-        };
-        if offset >= data.len() as u64 {
-            return Ok(0);
-        }
-        let start = offset as usize;
+        let data = self.contents(ino)?;
+        let start = offset.min(data.len() as u64) as usize;
         let n = buf.len().min(data.len() - start);
         buf[..n].copy_from_slice(&data[start..start + n]);
         Ok(n)
@@ -326,11 +327,7 @@ impl MemFs {
 
     /// File length.
     pub fn len_of(&self, ino: Ino) -> Result<u64, FsError> {
-        let node = self.inodes.get(ino).ok_or(FsError::NotFound)?;
-        match &node.kind {
-            InodeKind::File(d) => Ok(d.len() as u64),
-            InodeKind::Dir(_) => Err(FsError::IsADirectory),
-        }
+        Ok(self.contents(ino)?.len() as u64)
     }
 
     /// Directory listing, sorted by name.
@@ -344,11 +341,7 @@ impl MemFs {
 
     /// Whole-file read convenience.
     pub fn read_file(&self, path: &Path<'_>) -> Result<Vec<u8>, FsError> {
-        let ino = self.lookup(path)?;
-        let len = self.len_of(ino)?;
-        let mut buf = vec![0; len as usize];
-        self.read_at(ino, 0, &mut buf)?;
-        Ok(buf)
+        self.contents(self.lookup(path)?).map(<[u8]>::to_vec)
     }
 }
 

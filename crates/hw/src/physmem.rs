@@ -5,6 +5,8 @@
 //! operate on this model. Accesses are bounds-checked; reading memory
 //! that was never written returns zeros, matching RAM that the
 //! environment guarantees to be zeroed.
+//! A zeroed frame's storage is cleared and kept for the next frame to be
+//! materialized, so a map/unmap cycle allocates nothing.
 
 use crate::addr::{PAddr, PAGE_4K};
 
@@ -40,6 +42,8 @@ pub trait FrameSource {
 #[derive(Clone)]
 pub struct PhysMem {
     frames: Vec<Option<Box<[u8; PAGE_4K as usize]>>>,
+    /// Zeroed frames' storage, cleared, for the next frames to materialize.
+    spare: Vec<Box<[u8; PAGE_4K as usize]>>,
 }
 
 impl PhysMem {
@@ -47,6 +51,7 @@ impl PhysMem {
     pub fn new(frames: usize) -> Self {
         Self {
             frames: (0..frames).map(|_| None).collect(),
+            spare: Vec::new(),
         }
     }
 
@@ -61,7 +66,9 @@ impl PhysMem {
     }
 
     fn frame_mut(&mut self, index: usize) -> &mut [u8; PAGE_4K as usize] {
-        self.frames[index].get_or_insert_with(|| Box::new([0; PAGE_4K as usize]))
+        let spare = &mut self.spare;
+        self.frames[index]
+            .get_or_insert_with(|| spare.pop().unwrap_or_else(|| Box::new([0; PAGE_4K as usize])))
     }
 
     /// Reads `buf.len()` bytes starting at `pa`.
@@ -129,11 +136,15 @@ impl PhysMem {
         self.write_bytes(pa, &value.to_le_bytes());
     }
 
-    /// Zeroes the 4 KiB frame containing `pa`.
+    /// Zeroes the 4 KiB frame containing `pa`: it is no longer
+    /// materialized, and its storage, cleared, goes to the spare list.
     pub fn zero_frame(&mut self, pa: PAddr) {
         let frame = (pa.0 / PAGE_4K) as usize;
         assert!(frame < self.frames.len());
-        self.frames[frame] = None;
+        if let Some(mut data) = self.frames[frame].take() {
+            data.fill(0);
+            self.spare.push(data);
+        }
     }
 
     /// Returns the number of frames that have been materialized (written
@@ -249,6 +260,34 @@ mod tests {
         m.zero_frame(PAddr(0x1008));
         assert_eq!(m.materialized_frames(), 0);
         assert_eq!(m.read_u64(PAddr(0x1000)), 0);
+    }
+
+    #[test]
+    fn reused_frame_storage_reads_zero() {
+        let mut m = PhysMem::new(3);
+        m.write_bytes(PAddr(0x1000), &[0xAB; PAGE_4K as usize]);
+        m.write_u64(PAddr(0x2000), 9);
+        assert_eq!(m.materialized_frames(), 2);
+        m.zero_frame(PAddr(0x1000));
+        m.zero_frame(PAddr(0x1000)); // Zeroing an unmaterialized frame is a no-op.
+        assert_eq!(m.materialized_frames(), 1);
+        // Frame 0 takes the spare storage frame 1 had: one byte written,
+        // every other byte must read as zero.
+        m.write_bytes(PAddr(0x10), &[1]);
+        assert_eq!(m.materialized_frames(), 2);
+        let mut page = [0xFFu8; PAGE_4K as usize];
+        m.read_bytes(PAddr(0), &mut page);
+        assert_eq!(page[0x10], 1);
+        assert!(page.iter().enumerate().all(|(i, b)| i == 0x10 || *b == 0));
+        // Frame 1, re-materialized from fresh storage, is zero as well.
+        m.write_u64(PAddr(0x1008), 5);
+        m.read_bytes(PAddr(0x1000), &mut page);
+        assert_eq!(u64::from_le_bytes(page[8..16].try_into().unwrap()), 5);
+        assert!(page.iter().enumerate().all(|(i, b)| (8..16).contains(&i) || *b == 0));
+        assert_eq!(m.materialized_frames(), 3);
+        m.zero_frame(PAddr(0x2000));
+        assert_eq!(m.read_u64(PAddr(0x2000)), 0);
+        assert_eq!(m.materialized_frames(), 2);
     }
 
     #[test]

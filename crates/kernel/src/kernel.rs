@@ -11,8 +11,9 @@
 //!   register ABI, so every syscall exercised through it round-trips the
 //!   encoder/decoder;
 //! * **mapping** — user buffers are reached exclusively via
-//!   [`Kernel::read_user`]/[`Kernel::write_user`], which translate
-//!   through the process page table with permission checks;
+//!   [`Kernel::read_user`]/[`Kernel::read_user_into`]/[`Kernel::write_user`]
+//!   (and a file read's copy straight into the caller's pages), which
+//!   translate through the process page table with permission checks;
 //! * **data-race freedom** — the kernel object is `&mut self` per
 //!   syscall (ownership guarantees exclusivity), and the audit layer in
 //!   `veros-core` additionally tracks buffer access intervals.
@@ -159,62 +160,41 @@ impl Kernel {
 
     // --- user memory (the mapping obligation) ---------------------------
 
-    /// Reads `len` bytes at `ptr` in `pid`'s address space.
+    /// Reads `len` bytes at `ptr` in `pid`'s address space into a new
+    /// buffer (see [`Kernel::read_user_into`]).
+    pub fn read_user(&self, pid: Pid, ptr: u64, len: u64) -> Result<Vec<u8>, SysError> {
+        if len > (1 << 24) {
+            return Err(SysError::Invalid);
+        }
+        let mut out = vec![0u8; len as usize];
+        self.read_user_into(pid, ptr, &mut out)?;
+        Ok(out)
+    }
+
+    /// Fills `buf` from `ptr` in `pid`'s address space.
     ///
     /// Every page of the range must resolve through the page table with
     /// user permission; the data is then read from the physical frames
     /// the page table names — this is the paper's "mapping obligation":
     /// the kernel reaches the buffer exactly where the process's page
-    /// table says it lives.
-    pub fn read_user(&self, pid: Pid, ptr: u64, len: u64) -> Result<Vec<u8>, SysError> {
-        if len > (1 << 24) {
-            return Err(SysError::Invalid);
-        }
+    /// table says it lives. On `Err` what `buf` holds is unspecified.
+    pub fn read_user_into(&self, pid: Pid, ptr: u64, buf: &mut [u8]) -> Result<(), SysError> {
         let vspace = self.vspaces.get(&pid).ok_or(SysError::NoSuchProcess)?;
-        let mut out = vec![0u8; len as usize];
-        let mut off = 0u64;
-        while off < len {
-            let va = VAddr(ptr.checked_add(off).ok_or(SysError::BadAddress)?);
-            let r = vspace
-                .resolve(&self.mem, va)
-                .map_err(|_| SysError::BadAddress)?;
-            if !r.flags.user {
-                return Err(SysError::BadAddress);
-            }
-            let in_page = r.size.bytes() - (va.0 - r.base.0);
-            let chunk = in_page.min(len - off);
-            self.mem.read_bytes(r.pa, &mut out[off as usize..(off + chunk) as usize]);
-            off += chunk;
-        }
-        Ok(out)
-    }
-
-    /// Writes `data` at `ptr` in `pid`'s address space (requires
-    /// user-writable mappings for the whole range; no partial writes).
-    pub fn write_user(&mut self, pid: Pid, ptr: u64, data: &[u8]) -> Result<(), SysError> {
-        let vspace = self.vspaces.get(&pid).ok_or(SysError::NoSuchProcess)?;
-        // Translate every page first so a fault cannot tear the write.
-        let mut chunks: Vec<(PAddr, usize, usize)> = Vec::new();
-        let mut off = 0usize;
-        while off < data.len() {
-            let va = VAddr(
-                ptr.checked_add(off as u64).ok_or(SysError::BadAddress)?,
-            );
-            let r = vspace
-                .resolve(&self.mem, va)
-                .map_err(|_| SysError::BadAddress)?;
-            if !r.flags.user || !r.flags.writable {
-                return Err(SysError::BadAddress);
-            }
-            let in_page = (r.size.bytes() - (va.0 - r.base.0)) as usize;
-            let chunk = in_page.min(data.len() - off);
-            chunks.push((r.pa, off, chunk));
-            off += chunk;
-        }
-        for (pa, off, chunk) in chunks {
-            self.mem.write_bytes(pa, &data[off..off + chunk]);
+        let mut off = 0;
+        while off < buf.len() {
+            let (pa, n) = user_page(vspace, &self.mem, ptr, off, buf.len(), false)?;
+            self.mem.read_bytes(pa, &mut buf[off..off + n]);
+            off += n;
         }
         Ok(())
+    }
+
+    /// Writes `data` at `ptr` in `pid`'s address space. The whole range
+    /// must be mapped user-writable, and a write is never partial: every
+    /// page is checked before any byte is copied.
+    pub fn write_user(&mut self, pid: Pid, ptr: u64, data: &[u8]) -> Result<(), SysError> {
+        let vspace = self.vspaces.get(&pid).ok_or(SysError::NoSuchProcess)?;
+        copy_to_user(vspace, &mut self.mem, ptr, data)
     }
 
     // --- syscall dispatch ------------------------------------------------
@@ -389,29 +369,25 @@ impl Kernel {
             user: true,
             nx: true,
         };
-        let mut mapped = Vec::new();
+        let page = |i: u64| VAddr(va + i * PAGE_4K);
         for i in 0..pages {
-            let page_va = VAddr(va + i * PAGE_4K);
-            match vspace.map_new(&mut self.mem, &mut self.alloc, page_va, flags) {
-                Ok(_) => mapped.push(page_va),
-                Err(e) => {
-                    // Roll back everything mapped so far.
-                    for done in mapped {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "rollback of addresses mapped in this very loop; the page \
-                                      table cannot have lost them"
-                        )]
-                        vspace
-                            .unmap(&mut self.mem, &mut self.alloc, done)
-                            .expect("just mapped");
-                    }
-                    return Err(match e {
-                        veros_pagetable::PtError::AlreadyMapped => SysError::AlreadyMapped,
-                        veros_pagetable::PtError::OutOfMemory => SysError::NoMem,
-                        _ => SysError::Invalid,
-                    });
+            if let Err(e) = vspace.map_new(&mut self.mem, &mut self.alloc, page(i), flags) {
+                // Roll back everything mapped so far: the `i` pages at `va`.
+                for done in 0..i {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "rollback of addresses mapped in this very loop; the page \
+                                  table cannot have lost them"
+                    )]
+                    vspace
+                        .unmap(&mut self.mem, &mut self.alloc, page(done))
+                        .expect("just mapped");
                 }
+                return Err(match e {
+                    veros_pagetable::PtError::AlreadyMapped => SysError::AlreadyMapped,
+                    veros_pagetable::PtError::OutOfMemory => SysError::NoMem,
+                    _ => SysError::Invalid,
+                });
             }
         }
         Ok(va)
@@ -442,14 +418,7 @@ impl Kernel {
 
     fn do_open(&mut self, pid: Pid, path_ptr: u64, path_len: u64, create: bool) -> SysRet {
         let path = self.read_user_path(pid, path_ptr, path_len)?;
-        let ino = match self.fs.fs.lookup(&path.as_path()) {
-            Ok(ino) => ino,
-            Err(veros_fs::FsError::NotFound) if create => {
-                self.fs.transact(&[FsOpRef::Create(path.as_str())]).map_err(fs_err)?;
-                self.fs.fs.lookup(&path.as_path()).map_err(fs_err)?
-            }
-            Err(e) => return Err(fs_err(e)),
-        };
+        let ino = self.fs.open(path.as_path(), create).map_err(fs_err)?;
         // Only regular files are openable.
         self.fs.fs.len_of(ino).map_err(fs_err)?;
         let handle = self.open_files.open(ino);
@@ -466,26 +435,21 @@ impl Kernel {
 
     fn do_read(&mut self, pid: Pid, fd: u32, buf_ptr: u64, buf_len: u64) -> SysRet {
         let handle = self.fd_entry(pid, fd)?.handle;
-        let offset_before = self.open_files.get(handle).ok_or(SysError::BadFd)?.offset;
-        let result = self
-            .open_files
-            .read(&self.fs.fs, handle, buf_len)
-            .map_err(fs_err)?;
-        if let Err(e) = self.write_user(pid, buf_ptr, &result.data) {
-            // A failed delivery must not consume the file offset (the
-            // abstract spec's read transition fires atomically or not at
-            // all).
-            #[expect(
-                clippy::expect_used,
-                reason = "restoring the offset of a handle we just read through; it cannot \
-                          have vanished"
-            )]
-            self.open_files
-                .seek(handle, offset_before)
-                .expect("handle exists");
-            return Err(e);
-        }
-        Ok(result.len)
+        let file = self.open_files.get(handle).ok_or(SysError::BadFd)?;
+        let offset = file.offset;
+        let contents = self.fs.fs.contents(file.ino).map_err(fs_err)?;
+        // The paper's read_len: min(buffer.len, size - offset).
+        let start = offset.min(contents.len() as u64) as usize;
+        let data = &contents[start..start + buf_len.min((contents.len() - start) as u64) as usize];
+        // Straight from the file into the caller's pages. The offset moves
+        // only once the bytes have landed, so a read that faults on its
+        // buffer consumes nothing (the abstract spec's read transition
+        // fires atomically or not at all).
+        let vspace = self.vspaces.get(&pid).ok_or(SysError::NoSuchProcess)?;
+        copy_to_user(vspace, &mut self.mem, buf_ptr, data)?;
+        let n = data.len() as u64;
+        self.open_files.seek(handle, offset + n).map_err(|_| SysError::BadFd)?;
+        Ok(n)
     }
 
     fn do_write(&mut self, pid: Pid, fd: u32, buf_ptr: u64, buf_len: u64) -> SysRet {
@@ -518,11 +482,8 @@ impl Kernel {
         // Read the futex word through the page table — atomically with
         // respect to wakes because the whole kernel transition holds
         // `&mut self`.
-        let bytes = self.read_user(pid, va, 4)?;
         let mut word = [0u8; 4];
-        for (d, b) in word.iter_mut().zip(&bytes) {
-            *d = *b;
-        }
+        self.read_user_into(pid, va, &mut word)?;
         let current = u32::from_le_bytes(word);
         match self
             .futexes
@@ -649,6 +610,46 @@ impl Kernel {
             self.sched.running_on(core)
         }
     }
+}
+
+/// The page of `vspace` that holds byte `off` of the user range
+/// `ptr..ptr + len`: the physical address of that byte, and how many of
+/// the range's bytes from there on lie in the page. `BadAddress` unless
+/// the page is mapped for the user and, for a `write`, writable.
+fn user_page(
+    vspace: &VSpace,
+    mem: &PhysMem,
+    ptr: u64,
+    off: usize,
+    len: usize,
+    write: bool,
+) -> Result<(PAddr, usize), SysError> {
+    let va = VAddr(ptr.checked_add(off as u64).ok_or(SysError::BadAddress)?);
+    let r = vspace.resolve(mem, va).map_err(|_| SysError::BadAddress)?;
+    if !r.flags.user || (write && !r.flags.writable) {
+        return Err(SysError::BadAddress);
+    }
+    let in_page = (r.size.bytes() - (va.0 - r.base.0)) as usize;
+    Ok((r.pa, in_page.min(len - off)))
+}
+
+/// Copies `data` to `ptr` in `vspace`: one page walk, made twice. The
+/// first pass checks that every page is mapped user-writable, so a fault
+/// cannot tear the write; the second copies, and its translations hit
+/// the cache the first pass filled. It borrows only the address space
+/// and memory, so a read can copy out of a file the kernel holds.
+fn copy_to_user(vspace: &VSpace, mem: &mut PhysMem, ptr: u64, data: &[u8]) -> Result<(), SysError> {
+    for copy in [false, true] {
+        let mut off = 0;
+        while off < data.len() {
+            let (pa, n) = user_page(vspace, mem, ptr, off, data.len(), true)?;
+            if copy {
+                mem.write_bytes(pa, &data[off..off + n]);
+            }
+            off += n;
+        }
+    }
+    Ok(())
 }
 
 fn fs_err(e: veros_fs::FsError) -> SysError {
@@ -784,6 +785,96 @@ mod tests {
             k.syscall(c, Syscall::Read { fd, buf_ptr: 0x40_0000, buf_len: 1 }),
             Err(SysError::BadFd)
         );
+    }
+
+    /// Opens (creating) `/f` holding `data`, with its offset back at 0.
+    fn file_holding(k: &mut Kernel, data: &[u8]) -> u32 {
+        let c = caller(k);
+        put_buf(k, c.0, 0x20_0000, b"/f");
+        let fd = k
+            .syscall(c, Syscall::Open { path_ptr: 0x20_0000, path_len: 2, create: true })
+            .unwrap() as u32;
+        put_buf(k, c.0, 0x30_0000, data);
+        let n = k.syscall(c, Syscall::Write { fd, buf_ptr: 0x30_0000, buf_len: data.len() as u64 });
+        assert_eq!(n, Ok(data.len() as u64));
+        k.syscall(c, Syscall::Seek { fd, offset: 0 }).unwrap();
+        fd
+    }
+
+    /// The file offset of `fd` in the init process.
+    fn offset_of(k: &Kernel, fd: u32) -> u64 {
+        let all = k.fd_view(k.init_pid);
+        all.iter().find(|(f, ..)| *f == fd).expect("open fd").2
+    }
+
+    /// The paper's literal `read_spec` holds of every read the kernel
+    /// makes: short reads at EOF, empty reads past it, each one moving
+    /// the offset by what it delivered.
+    #[test]
+    fn reads_satisfy_the_papers_read_spec() {
+        use veros_fs::spec::{read_spec, view_fd, SpecState};
+        let mut k = boot();
+        let c = caller(&k);
+        let fd = file_holding(&mut k, b"0123456789");
+        k.syscall(c, Syscall::Map { va: 0x40_0000, pages: 1, writable: true }).unwrap();
+        let handle = k.fd_tables[&c.0][&fd].handle;
+        let view = |k: &Kernel| SpecState {
+            files: BTreeMap::from([(handle.0, view_fd(&k.fs.fs, &k.open_files, handle).unwrap())]),
+        };
+        let mut got = Vec::new();
+        for (want, delivered) in [(4u64, 4u64), (4, 4), (4, 2), (4, 0)] {
+            let pre = view(&k);
+            let n = k.syscall(c, Syscall::Read { fd, buf_ptr: 0x40_0000, buf_len: want });
+            assert_eq!(n, Ok(delivered));
+            let mut buffer = k.read_user(c.0, 0x40_0000, want).unwrap();
+            buffer[delivered as usize..].fill(0);
+            assert!(read_spec(&pre, &view(&k), handle.0, &buffer, delivered), "want {want}");
+            got.extend_from_slice(&buffer[..delivered as usize]);
+        }
+        assert_eq!(got, b"0123456789");
+    }
+
+    /// A read whose buffer's second page is unmapped, or read-only,
+    /// fails whole: the first page keeps its bytes, the offset does not
+    /// move, and the next read returns the same data.
+    #[test]
+    fn a_read_that_faults_on_its_buffer_changes_nothing() {
+        let data: Vec<u8> = (0..=255).collect();
+        for second_page in [None, Some(false)] {
+            let mut k = boot();
+            let c = caller(&k);
+            let fd = file_holding(&mut k, &data);
+            put_buf(&mut k, c.0, 0x40_0000, &[0xEE; PAGE_4K as usize]);
+            if let Some(writable) = second_page {
+                k.syscall(c, Syscall::Map { va: 0x40_1000, pages: 1, writable }).unwrap();
+            }
+            let read = Syscall::Read { fd, buf_ptr: 0x40_0f80, buf_len: 0x100 };
+            assert_eq!(k.syscall(c, read), Err(SysError::BadAddress), "{second_page:?}");
+            assert_eq!(k.read_user(c.0, 0x40_0000, PAGE_4K).unwrap(), [0xEE; PAGE_4K as usize]);
+            assert_eq!(offset_of(&k, fd), 0, "a failed read consumed the offset");
+            let read = Syscall::Read { fd, buf_ptr: 0x40_0f00, buf_len: 0x100 };
+            assert_eq!(k.syscall(c, read), Ok(0x100));
+            assert_eq!(k.read_user(c.0, 0x40_0f00, 0x100).unwrap(), data);
+            assert_eq!(offset_of(&k, fd), 0x100);
+        }
+    }
+
+    /// A write from a buffer whose second page is unmapped fails before
+    /// the journal sees it: no record, no barrier, no byte of the file
+    /// and no offset changes.
+    #[test]
+    fn a_write_from_a_partly_unmapped_buffer_commits_nothing() {
+        let mut k = boot();
+        let c = caller(&k);
+        let fd = file_holding(&mut k, b"kept");
+        put_buf(&mut k, c.0, 0x40_0000, &[7; PAGE_4K as usize]);
+        let disk = k.fs.disk().stats();
+        let write = Syscall::Write { fd, buf_ptr: 0x40_0f80, buf_len: 0x100 };
+        assert_eq!(k.syscall(c, write), Err(SysError::BadAddress));
+        assert_eq!(k.fs.disk().stats(), disk, "the journal saw the write");
+        let f = veros_fs::Path::parse("/f").unwrap();
+        assert_eq!(k.fs.fs.read_file(&f).unwrap(), b"kept");
+        assert_eq!(offset_of(&k, fd), 0);
     }
 
     #[test]

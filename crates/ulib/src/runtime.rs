@@ -80,13 +80,10 @@ impl Ctx<'_> {
     }
 
     /// Reads a `u32` from user memory.
-    #[expect(
-        clippy::expect_used,
-        reason = "read_user returns exactly the requested length on Ok"
-    )]
     pub fn read_u32(&mut self, va: u64) -> Result<u32, SysError> {
-        let b = self.kernel.read_user(self.pid, va, 4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        let mut b = [0; 4];
+        self.kernel.read_user_into(self.pid, va, &mut b)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     /// Writes a `u32` to user memory.
@@ -95,13 +92,10 @@ impl Ctx<'_> {
     }
 
     /// Reads a `u64` from user memory.
-    #[expect(
-        clippy::expect_used,
-        reason = "read_user returns exactly the requested length on Ok"
-    )]
     pub fn read_u64(&mut self, va: u64) -> Result<u64, SysError> {
-        let b = self.kernel.read_user(self.pid, va, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        let mut b = [0; 8];
+        self.kernel.read_user_into(self.pid, va, &mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Writes a `u64` to user memory.
